@@ -2,5 +2,3 @@
 and block-edge state deltas, with a replayable local fixture chain."""
 
 __version__ = "0.1.0"
-
-from .words import BACKEND as WORDS_BACKEND  # noqa: F401

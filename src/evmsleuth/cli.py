@@ -34,6 +34,7 @@ from .errors import (
     ConfigError,
     FeedError,
     ProtocolError,
+    ReconstructionError,
     TraceParseError,
     UsageError,
 )
@@ -109,6 +110,16 @@ def _int_param(value: str, what: str) -> int:
         raise UsageError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _seconds_param(value: str, what: str) -> float:
+    try:
+        seconds = float(value)
+    except ValueError:
+        seconds = 0.0
+    if not 0 < seconds < float("inf"):
+        raise UsageError(f"{what} must be a positive number of seconds, got {value!r}")
+    return seconds
+
+
 def _bool_param(value: str, what: str) -> bool:
     if value in ("true", "false"):
         return value == "true"
@@ -131,7 +142,7 @@ def build_explorer(spec_text: str, cache_dir: str | None):
         if url is None:
             raise UsageError("rpc explorer needs url=URL")
         retries = _int_param(_take(params, "retries", "3"), "retries")
-        timeout = float(_take(params, "timeout", "10"))
+        timeout = _seconds_param(_take(params, "timeout", "10"), "timeout")
         _reject_leftovers(params, "explorer")
         inner = RpcExplorer(url, retries=retries, timeout=timeout)
     else:
@@ -417,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (UsageError, ConfigError, FeedError, TraceParseError) as err:
+    except (UsageError, ConfigError, FeedError, TraceParseError, ReconstructionError) as err:
         print(f"evmsleuth: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (ArchiveGapError, ProtocolError) as err:

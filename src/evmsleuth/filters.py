@@ -160,26 +160,25 @@ def write_csv_feed(rows: list[TxRef]) -> str:
     return out.getvalue()
 
 
-def _feed_hash(text: str, what: str, line: int) -> bytes:
-    if not (text.startswith("0x") and len(text) == 66):
-        raise FeedError(f"{what} must be 0x + 64 hex chars, got {text!r}", line)
+def _feed_hex(text: str, what: str, line: int, size: int) -> bytes:
+    """Exactly `size` bytes written as 0x + 2*size hex digits."""
+    if not (text.startswith("0x") and len(text) == 2 + 2 * size):
+        raise FeedError(f"{what} must be 0x + {2 * size} hex chars, got {text!r}", line)
     try:
-        return bytes.fromhex(text[2:])
+        raw = bytes.fromhex(text[2:])
     except ValueError:
-        raise FeedError(f"{what} is not hex: {text!r}", line) from None
+        raw = b""
+    if len(raw) != size:  # fromhex also skips embedded spaces
+        raise FeedError(f"{what} is not hex: {text!r}", line)
+    return raw
 
 
 def _feed_address(text: str, what: str, line: int) -> int:
-    if not (text.startswith("0x") and len(text) == 42):
-        raise FeedError(f"{what} must be 0x + 40 hex chars, got {text!r}", line)
-    try:
-        return int(text[2:], 16)
-    except ValueError:
-        raise FeedError(f"{what} is not hex: {text!r}", line) from None
+    return int.from_bytes(_feed_hex(text, what, line, 20), "big")
 
 
 def _feed_int(text: str, what: str, line: int) -> int:
-    if not text.isdigit():
+    if not (text.isascii() and text.isdigit()):
         raise FeedError(f"{what} must be a decimal integer, got {text!r}", line)
     return int(text)
 
@@ -210,20 +209,16 @@ def parse_csv_feed(text: str) -> list[TxRef]:
             raise FeedError("internal row without parent_tx_hash", line)
         if not is_internal and parent:
             raise FeedError("top-level row with parent_tx_hash set", line)
-        if selector and not (selector.startswith("0x") and len(selector) == 10):
-            raise FeedError(
-                f"input_selector must be 0x + 8 hex chars, got {selector!r}", line
-            )
         rows.append(
             TxRef(
                 block_number=_feed_int(number, "block_number", line),
-                tx_hash=_feed_hash(txh, "tx_hash", line),
+                tx_hash=_feed_hex(txh, "tx_hash", line, 32),
                 sender=_feed_address(sender, "from", line),
                 to=_feed_address(to, "to", line),
                 value=_feed_int(value, "value", line),
-                selector=bytes.fromhex(selector[2:]) if selector else None,
+                selector=_feed_hex(selector, "input_selector", line, 4) if selector else None,
                 internal=is_internal,
-                parent=_feed_hash(parent, "parent_tx_hash", line) if parent else None,
+                parent=_feed_hex(parent, "parent_tx_hash", line, 32) if parent else None,
             )
         )
     return rows

@@ -8,11 +8,7 @@ changing any of them invalidates previously written fixture directories.
 
 import hashlib
 
-WORD_BITS = 256
-WORD_MODULUS = 1 << WORD_BITS
-WORD_MASK = WORD_MODULUS - 1
-ADDRESS_BITS = 160
-ADDRESS_MASK = (1 << ADDRESS_BITS) - 1
+from .words import ADDRESS_BITS, WORD_MODULUS
 
 # Scalar contract variables occupy slots below this; mapping slots are
 # derived above it. See mapping_slot().

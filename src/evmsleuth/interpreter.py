@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 from . import words
 from .errors import UsageError
 from .hashing import function_selector  # noqa: F401  (re-exported surface)
-from .model import ADDRESS_MASK, WORD_MASK, GlobalState, address_hex, word_hex, storage_hex
+from .model import GlobalState, address_hex, word_hex, storage_hex
+from .words import ADDRESS_MASK, WORD_MASK
 
 STACK_LIMIT = 1024
 MEMORY_LIMIT = 1 << 20
@@ -206,14 +207,6 @@ for _n in range(1, 33):
 for _n in range(1, 17):
     GAS_COSTS[f"DUP{_n}"] = 3
     GAS_COSTS[f"SWAP{_n}"] = 3
-
-_ARITH_BY_NAME = {
-    "ADD": words.OP_ADD,
-    "MUL": words.OP_MUL,
-    "SUB": words.OP_SUB,
-    "SDIV": words.OP_SDIV,
-    "EXP": words.OP_EXP,
-}
 
 FAULT_OUT_OF_GAS = "out-of-gas"
 FAULT_STACK_UNDERFLOW = "stack-underflow"
@@ -444,16 +437,12 @@ def _execute_one(vm: EVMState, frame: ActivationRecord) -> TraceStep:
     elif op.startswith("SWAP"):
         n = int(op[4:])
         stack[-1], stack[-1 - n] = stack[-1 - n], stack[-1]
-    elif op in _ARITH_BY_NAME:
+    elif op in words.ARITH_CODES:
+        code = words.ARITH_CODES[op]
         a = stack.pop()
         b = stack.pop()
-        stack.append(words.word_result(_ARITH_BY_NAME[op], a, b))
-    elif op == "ADDMOD" or op == "MULMOD":
-        a = stack.pop()
-        b = stack.pop()
-        n = stack.pop()
-        kernel_op = words.OP_ADDMOD if op == "ADDMOD" else words.OP_MULMOD
-        stack.append(words.word_result(kernel_op, a, b, n))
+        n = stack.pop() if code in words.TERNARY_OPS else 0
+        stack.append(words.word_result(code, a, b, n))
     elif op == "LT":
         a = stack.pop()
         b = stack.pop()

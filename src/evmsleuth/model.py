@@ -19,10 +19,6 @@ from .hashing import EMPTY_CODE_HASH, digest
 Address = int
 Word = int
 
-WORD_MODULUS = words.WORD_MODULUS
-WORD_MASK = words.WORD_MASK
-ADDRESS_MASK = (1 << 160) - 1
-
 
 def address_hex(addr: Address) -> str:
     return f"0x{addr:040x}"
@@ -114,7 +110,7 @@ def wrap_arith(op: str, operands: list[Word], bounds: IntTypeBounds) -> ArithOut
     if len(operands) != want:
         raise UsageError(f"{op} takes {want} operands, got {len(operands)}")
     for value in operands:
-        if not 0 <= value <= WORD_MASK:
+        if not 0 <= value <= words.WORD_MASK:
             raise UsageError(f"operand {value} outside the word domain")
     a, b = operands[0], operands[1]
     c = operands[2] if want == 3 else 0

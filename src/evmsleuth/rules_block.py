@@ -25,8 +25,7 @@ from .errors import ConfigError
 from .hashing import mapping_slot
 from .model import hash_hex
 from .rules_evm import VulnSpec
-
-_ADDRESS_MASK = (1 << 160) - 1
+from .words import ADDRESS_MASK
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,7 @@ def check_overflow(pre, post, tx, spec: VulnSpec) -> tuple[bool, dict, list[str]
                 "receiver check skipped"
             )
         else:
-            to = raw & _ADDRESS_MASK
+            to = raw & ADDRESS_MASK
             to_key = mapping_slot(slot, to)
             tb0 = pre.storage_at(contract, to_key)
             tb1 = post.storage_at(contract, to_key)
@@ -130,10 +129,3 @@ def evaluate_block(
     if not fired:
         return None, notes
     return BlockDetection(spec.rule, block_number, tuple(fired), details), notes
-
-
-def big_step_lookup(chain, world, number: int):
-    """The σ0/σn edge of block `number` straight from stored snapshots."""
-    block = chain.block(number)
-    parent = chain.block(number - 1)
-    return world.get(parent.state_root), world.get(block.state_root)

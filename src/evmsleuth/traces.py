@@ -25,13 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ReconstructionError, TraceParseError
-from .model import parse_hex
-from .words import decode_steps
+from .words import ADDRESS_MASK, decode_steps
 
 CALL_OPS = frozenset({"CALL", "DELEGATECALL", "STATICCALL"})
 TERMINAL_OPS = frozenset({"STOP", "RETURN", "REVERT"})
-
-_ADDRESS_MASK = (1 << 160) - 1
 
 # flat-tuple indexes from words.decode_steps
 _PC, _OP, _GAS, _COST, _DEPTH, _STACK, _STORAGE, _CALL = range(8)
@@ -177,17 +174,6 @@ class ReconstructedTrace:
     gas: int
     return_value: bytes
     steps: list[ReconstructedStep]
-    writes: list[tuple[int, int, int, int]]  # (step index, frame id, key, value)
-
-    def storage_after(self, index: int, frame_id: int, key: int, base) -> int:
-        """Value of (frame_id, key) after step `index`; `base` reads pre-tx σ."""
-        for i, addr, k, value in reversed(self.writes):
-            if i <= index and addr == frame_id and k == key:
-                return value
-        return base(frame_id, key)
-
-    def storage_before(self, index: int, frame_id: int, key: int, base) -> int:
-        return self.storage_after(index - 1, frame_id, key, base)
 
 
 @dataclass
@@ -209,7 +195,6 @@ def reconstruct(
     steps = parsed.steps
     frames = [_Frame(root_target, root_target)]
     out: list[ReconstructedStep] = []
-    writes: list[tuple[int, int, int, int]] = []
     # call awaiting a status backfill, per depth: index into `out`
     pending: dict[int, int] = {}
 
@@ -242,8 +227,6 @@ def reconstruct(
                 storage_write = st[_STORAGE][0]
             elif not relaxed:
                 raise ReconstructionError(f"step {i}: SSTORE with bare stack")
-            if storage_write is not None:
-                writes.append((len(out), frame.id, storage_write[0], storage_write[1]))
 
         call_site = None
         if op in CALL_OPS:
@@ -252,7 +235,7 @@ def reconstruct(
                 to, value, data, status = recorded
                 value = None if op == "DELEGATECALL" else value
             elif len(stack) >= 2:
-                to = stack[-2] & _ADDRESS_MASK
+                to = stack[-2] & ADDRESS_MASK
                 data = status = None
                 if op == "CALL":
                     if len(stack) < 3:
@@ -295,18 +278,8 @@ def reconstruct(
         if call_site is not None and call_site.entered:
             frames.append(_Frame(call_site.child_id, call_site.child_code))
 
-    return ReconstructedTrace(parsed.failed, parsed.gas, parsed.return_value, out, writes)
+    return ReconstructedTrace(parsed.failed, parsed.gas, parsed.return_value, out)
 
 
 def reconstruct_document(doc: dict, root_target: int, relaxed: bool = False) -> ReconstructedTrace:
     return reconstruct(parse_trace_document(doc, relaxed=relaxed), root_target, relaxed=relaxed)
-
-
-def gate(step: ReconstructedStep, target: int) -> bool:
-    """True when `step` executes as `target`: same storage identity and the
-    instruction actually belongs to the target's code."""
-    return step.frame_id == target and step.code_address == target
-
-
-def parse_address(value: str) -> int:
-    return parse_hex(value) & _ADDRESS_MASK

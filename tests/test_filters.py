@@ -232,6 +232,11 @@ def test_feed_accepts_blank_lines_and_empty_selector():
         (feed(TOP.replace(A40, "0xaa", 1)), "40 hex chars", 2),
         (feed(TOP.replace("3,", "three,", 1)), "must be a decimal integer", 2),
         (feed(TOP, TOP.replace("10", "ten")), "must be a decimal integer", 3),
+        (feed(TOP.replace("3,", "\u00b2,", 1)), "block_number must be a decimal", 2),
+        (feed(TOP.replace(",10,", ",\u00b2,")), "value must be a decimal", 2),
+        (feed(TOP.replace("0xaabbccdd", "0xzzzzzzzz")), "input_selector is not hex", 2),
+        (feed(TOP.replace("0xaabbccdd", "0xaa bb cc")), "input_selector is not hex", 2),
+        (feed(TOP.replace(A40, "0x-" + "a" * 39, 1)), "from is not hex", 2),
     ],
 )
 def test_feed_rejects_malformed_rows(text, fragment, line):

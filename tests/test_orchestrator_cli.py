@@ -305,6 +305,10 @@ def test_build_explorer_variants(bank_dir, tmp_path):
         build_explorer(f"local[dir={bank_dir},turbo=1]", None)
     with pytest.raises(UsageError, match="needs url=URL"):
         build_explorer("rpc", None)
+    assert build_explorer("rpc[url=http://localhost:1,timeout=2.5]", None).timeout == 2.5
+    for bad in ("abc", "0", "-1", "inf", "nan"):
+        with pytest.raises(UsageError, match="timeout must be a positive number"):
+            build_explorer(f"rpc[url=http://localhost:1,timeout={bad}]", None)
 
 
 def test_build_detector_variants(bank_dir):
@@ -436,6 +440,25 @@ def test_cli_exit_codes(capsys, bank_dir, tmp_path):
         "-d", "evm[mode=customTracer]", "-c", str(tmp_path / "cache"),
     )
     assert code == 2
+    code, _, err = run_cli(
+        capsys, "investigate", "-t", "x", "-e", "rpc[url=http://localhost:1,timeout=abc]"
+    )
+    assert code == 2 and "timeout" in err
+    # internal discovery reconstructs every trace in range, candidates or not
+    bec = build_fixture_chain("SimulationBECToken", seed=SEED)
+    bec_dir = tmp_path / "bec"
+    write_fixture(bec, bec_dir)
+    bystander = bec.archive.chain.block(1).txs[0]
+    wanted = default_query(VulnSpec.from_document(bec.vuln)).selector_bytes()
+    assert bystander.data[:4] not in wanted
+    trace_path = bec_dir / "traces" / f"{bystander.hash.hex()}.json"
+    trace = json.loads(trace_path.read_text())
+    (sstore,) = [s for s in trace["structLogs"] if s["op"] == "SSTORE"]
+    sstore["stack"] = []
+    del sstore["storage"]
+    trace_path.write_text(json.dumps(trace))
+    code, _, err = run_cli(capsys, "investigate", "-t", "x", "-e", f"local[dir={bec_dir}]")
+    assert code == 2 and "SSTORE with bare stack" in err
 
 
 def test_cli_export_feed_round_trip(capsys, bank, spec, bank_dir, tmp_path):

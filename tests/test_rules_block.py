@@ -7,7 +7,6 @@ import pytest
 from evmsleuth.fixtures import build_fixture_chain
 from evmsleuth.hashing import function_selector, mapping_slot
 from evmsleuth.rules_block import (
-    big_step_lookup,
     check_dos,
     check_overflow,
     check_reentrancy,
@@ -242,6 +241,13 @@ def test_evaluate_block_propagates_notes():
 
 
 # -- stored snapshots --
+
+
+def big_step_lookup(chain, world, number: int):
+    """The σ0/σn edge of block `number` straight from stored snapshots."""
+    block = chain.block(number)
+    parent = chain.block(number - 1)
+    return world.get(parent.state_root), world.get(block.state_root)
 
 
 @pytest.fixture(scope="module")

@@ -6,8 +6,6 @@ from evmsleuth.errors import ReconstructionError, TraceParseError
 from evmsleuth.explorer import apply_tracer, canonical_tracer
 from evmsleuth.fixtures import build_fixture_chain
 from evmsleuth.traces import (
-    gate,
-    parse_address,
     parse_trace_document,
     reconstruct,
     reconstruct_document,
@@ -265,12 +263,17 @@ def test_relaxed_still_runs_step_decoding():
 # -- frame reconstruction --
 
 
+def _writes(rec):
+    """(step index, frame id, key, value) for every storage write, in order."""
+    return [(i, s.frame_id, *s.storage_write) for i, s in enumerate(rec.steps) if s.storage_write]
+
+
 def test_linear_reconstruction_assigns_root_frame():
     rec = reconstruct_document(linear_doc(), CALLER)
     assert all(s.frame_id == CALLER for s in rec.steps)
     assert all(s.code_address == CALLER for s in rec.steps)
     assert all(s.frames_below == () for s in rec.steps)
-    assert rec.writes == [(2, CALLER, 1, 7)]
+    assert _writes(rec) == [(2, CALLER, 1, 7)]
     assert rec.steps[2].storage_write == (1, 7)
 
 
@@ -287,7 +290,7 @@ def test_call_reconstruction_from_stack():
     child = rec.steps[3]
     assert child.frame_id == child.code_address == TARGET
     assert child.frames_below == (CALLER,)
-    assert rec.writes == [(3, TARGET, 3, 9)]
+    assert _writes(rec) == [(3, TARGET, 3, 9)]
 
 
 def test_call_reconstruction_prefers_recorded_extension():
@@ -315,9 +318,10 @@ def test_delegatecall_keeps_caller_identity():
     assert child.frame_id == CALLER
     assert child.code_address == TARGET
     # the write lands on the caller's storage
-    assert rec.writes == [(3, CALLER, 3, 9)]
-    assert not gate(child, CALLER)
-    assert not gate(child, TARGET)
+    assert _writes(rec) == [(3, CALLER, 3, 9)]
+    # it executes neither as the caller nor as the target
+    assert not (child.frame_id == CALLER and child.code_address == CALLER)
+    assert not (child.frame_id == TARGET and child.code_address == TARGET)
 
 
 def test_staticcall_value_is_zero():
@@ -370,7 +374,7 @@ def test_sstore_with_bare_stack_is_strict_error():
         reconstruct_document(src, CALLER)
     rec = reconstruct_document(src, CALLER, relaxed=True)
     assert rec.steps[0].storage_write is None
-    assert rec.writes == []
+    assert _writes(rec) == []
 
 
 def test_sstore_falls_back_to_storage_snapshot():
@@ -393,40 +397,11 @@ def test_call_with_bare_stack_is_reconstruction_error():
         reconstruct_document(src, CALLER)
 
 
-# -- storage queries --
-
-
-def test_storage_after_and_before_walk_the_write_log():
-    src = doc(
-        [
-            step(0, "PUSH1", 1),
-            step(2, "SSTORE", 1, (7, 1)),
-            step(3, "PUSH1", 1),
-            step(5, "SSTORE", 1, (8, 1)),
-            step(6, "STOP", 1),
-        ]
-    )
-    rec = reconstruct_document(src, CALLER)
-    calls = []
-
-    def base(addr, key):
-        calls.append((addr, key))
-        return 100
-
-    assert rec.storage_before(1, CALLER, 1, base) == 100
-    assert rec.storage_after(1, CALLER, 1, base) == 7
-    assert rec.storage_after(2, CALLER, 1, base) == 7
-    assert rec.storage_after(3, CALLER, 1, base) == 8
-    assert rec.storage_after(4, CALLER, 2, base) == 100
-    # only the misses consult the pre-transaction state
-    assert calls == [(CALLER, 1), (CALLER, 2)]
-
-
 def test_gate_requires_identity_and_code():
     rec = reconstruct_document(nested_doc(op="DELEGATECALL"), CALLER)
     root_step = rec.steps[0]
-    assert gate(root_step, CALLER)
-    assert not gate(root_step, TARGET)
+    assert root_step.frame_id == CALLER and root_step.code_address == CALLER
+    assert not (root_step.frame_id == TARGET and root_step.code_address == TARGET)
 
 
 # -- real traces --
@@ -474,11 +449,3 @@ def test_filtered_fixture_trace_agrees_with_full(bank):
             assert frames[(s.gas, s.depth)] == (s.frame_id, s.code_address)
             hits += 1
     assert hits > 0
-
-
-# -- addresses --
-
-
-def test_parse_address_masks_to_160_bits():
-    assert parse_address("0x" + "f" * 64) == (1 << 160) - 1
-    assert parse_address("0x%040x" % CALLER) == CALLER
