@@ -18,10 +18,6 @@ class ConfigError(UsageError):
     """Invalid investigation configuration."""
 
 
-class TransferError(SleuthError):
-    """Balance transfer cannot be applied (insufficient funds)."""
-
-
 class TraceParseError(SleuthError):
     """Malformed trace document. Carries the offending step index."""
 

@@ -437,12 +437,11 @@ def _execute_one(vm: EVMState, frame: ActivationRecord) -> TraceStep:
     elif op.startswith("SWAP"):
         n = int(op[4:])
         stack[-1], stack[-1 - n] = stack[-1 - n], stack[-1]
-    elif op in words.ARITH_CODES:
-        code = words.ARITH_CODES[op]
+    elif op in words.ARITH_ARITY:
         a = stack.pop()
         b = stack.pop()
-        n = stack.pop() if code in words.TERNARY_OPS else 0
-        stack.append(words.word_result(code, a, b, n))
+        n = stack.pop() if words.ARITH_ARITY[op] == 3 else 0
+        stack.append(words.word_result(op, a, b, n))
     elif op == "LT":
         a = stack.pop()
         b = stack.pop()

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import words
-from .errors import TransferError, UsageError
+from .errors import UsageError
 from .hashing import EMPTY_CODE_HASH, digest
 
 Address = int
@@ -103,10 +103,9 @@ def wrap_arith(op: str, operands: list[Word], bounds: IntTypeBounds) -> ArithOut
     (their semantics are explicitly modular); division by zero yields
     result 0 and is in bounds.
     """
-    code = words.ARITH_CODES.get(op)
-    if code is None:
+    want = words.ARITH_ARITY.get(op)
+    if want is None:
         raise UsageError(f"{op} is not a bounds-checked arithmetic opcode")
-    want = 3 if code in words.TERNARY_OPS else 2
     if len(operands) != want:
         raise UsageError(f"{op} takes {want} operands, got {len(operands)}")
     for value in operands:
@@ -115,7 +114,7 @@ def wrap_arith(op: str, operands: list[Word], bounds: IntTypeBounds) -> ArithOut
     a, b = operands[0], operands[1]
     c = operands[2] if want == 3 else 0
     result, z, oob, clamped = words.check_bounds(
-        code, a, b, c, bounds.min, bounds.max, bounds.signed
+        op, a, b, c, bounds.min, bounds.max, bounds.signed
     )
     return ArithOutcome(result, z, oob, clamped)
 
@@ -238,23 +237,6 @@ class GlobalState:
         fresh.accounts = {addr: acct.copy() for addr, acct in self.accounts.items()}
         fresh.code_store = dict(self.code_store)
         return fresh
-
-
-def apply_balance_transfer(state: GlobalState, sender: Address, to: Address, value: int):
-    """Move value between accounts, creating `to` (and a zero-balance sender
-    record) if absent. Raises TransferError when the sender cannot cover the
-    value; on error the state is untouched.
-    """
-    if value < 0:
-        raise UsageError("negative transfer value")
-    if state.balance_of(sender) < value:
-        raise TransferError(
-            f"{address_hex(sender)} holds {state.balance_of(sender)}, needs {value}"
-        )
-    sender_acct = state.ensure_account(sender)
-    state.set_balance(sender, sender_acct.balance - value)
-    to_acct = state.ensure_account(to)
-    state.set_balance(to, to_acct.balance + value)
 
 
 def storage_root(storage: dict[Word, Word]) -> bytes:

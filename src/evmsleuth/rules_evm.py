@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .model import IntTypeBounds, address_hex, hash_hex, wrap_arith, word_hex
 from .traces import ReconstructedTrace
+from .words import ARITH_ARITY
 
-ARITH_OPS = frozenset({"ADD", "MUL", "SUB", "SDIV", "ADDMOD", "MULMOD", "EXP"})
-_TERNARY = frozenset({"ADDMOD", "MULMOD"})
 
 RULE_CLASSES = ("overflow", "dos", "reentrancy")
 
@@ -175,9 +174,9 @@ def detect_overflow(
     hits: list[Detection] = []
     notes: list[str] = []
     for step in rec.steps:
-        if step.op not in ARITH_OPS or not _located(spec, step):
+        arity = ARITH_ARITY.get(step.op)
+        if arity is None or not _located(spec, step):
             continue
-        arity = 3 if step.op in _TERNARY else 2
         if len(step.stack) < arity:
             notes.append(
                 f"step {step.raw_index}: {step.op} with {len(step.stack)} stack words, skipped"

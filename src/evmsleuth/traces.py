@@ -1,18 +1,20 @@
-"""Trace ingest: interchange documents back into validated, framed steps.
+"""Trace ingest: structLog documents back into validated, framed steps.
 
-Two stages. parse_trace_document checks shape and step sequencing and
-returns flat tuples (the words kernel does the per-step decoding).
-reconstruct then replays the depth profile to assign every step its
-activation frame: the storage identity it executes under, the code address
-behind it, and the frames live below it. Detection rules only ever see
-reconstructed steps.
+This module owns the structLog interchange format (docs/formats.md). Two
+stages. parse_trace_document checks the document's shape and decode_steps
+turns every structLog entry into a flat tuple. reconstruct then walks the
+depth profile once: it checks the small-step invariants and assigns every
+step its activation frame: the storage identity it executes under, the
+code address behind it, and the frames live below it. Detection rules only
+ever see reconstructed steps.
 
 Strict mode is for full traces and enforces the small-step invariants
 (stepwise depth changes, pc continuity inside a frame, resume pc after a
 return). Relaxed mode is for pc-filtered traces, where gaps are expected:
 sequencing checks are dropped, and frame identity is derived only where
 the kept steps make it derivable (call-boundary steps included), otherwise
-reconstruction refuses rather than guessing.
+reconstruction refuses rather than guessing. Either way the first faulty
+step decides the error.
 
 Call status: taken from the per-step call record when the producer included
 one; in strict mode it can also be read off the caller's resume step. A
@@ -25,13 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ReconstructionError, TraceParseError
-from .words import ADDRESS_MASK, decode_steps
+from .words import ADDRESS_MASK, WORD_MASK
 
 CALL_OPS = frozenset({"CALL", "DELEGATECALL", "STATICCALL"})
 TERMINAL_OPS = frozenset({"STOP", "RETURN", "REVERT"})
 
-# flat-tuple indexes from words.decode_steps
-_PC, _OP, _GAS, _COST, _DEPTH, _STACK, _STORAGE, _CALL = range(8)
+# depth index in decode_steps' flat tuples
+_DEPTH = 4
 
 
 def _instruction_size(op: str) -> int:
@@ -45,10 +47,10 @@ class ParsedTrace:
     failed: bool
     gas: int
     return_value: bytes
-    steps: list  # flat tuples, see module docstring
+    steps: list  # flat tuples, see decode_steps
 
 
-def parse_trace_document(doc: dict, relaxed: bool = False) -> ParsedTrace:
+def parse_trace_document(doc: dict) -> ParsedTrace:
     if not isinstance(doc, dict):
         raise TraceParseError("trace document is not an object")
     for name in ("gas", "failed", "returnValue", "structLogs"):
@@ -69,75 +71,100 @@ def parse_trace_document(doc: dict, relaxed: bool = False) -> ParsedTrace:
     if not isinstance(doc["structLogs"], list):
         raise TraceParseError("structLogs must be a list")
 
-    try:
-        steps = decode_steps(doc["structLogs"])
-    except ValueError as err:
-        message, raw_index = err.args if len(err.args) == 2 else (err.args[0], None)
-        raise TraceParseError(str(message), raw_index) from None
-
-    if not relaxed:
-        _check_sequence(steps)
-    else:
-        for i, st in enumerate(steps):
-            if st[_DEPTH] < 1:
-                raise TraceParseError(f"depth {st[_DEPTH]} below 1", i)
-
+    steps = decode_steps(doc["structLogs"])
     return ParsedTrace(doc["failed"], doc["gas"], return_value, steps)
 
 
-def _check_sequence(steps: list):
-    """Small-step invariants for full traces."""
-    if not steps:
-        return
-    first = steps[0]
-    if first[_DEPTH] != 1:
-        raise TraceParseError(f"root frame starts at depth {first[_DEPTH]}", 0)
-    if first[_PC] != 0:
-        raise TraceParseError(f"root frame starts at pc {first[_PC]}", 0)
+def decode_steps(struct_logs: list) -> list:
+    """Decode raw structLog entries into flat tuples.
 
-    call_pc_at_depth: dict[int, int] = {}
-    for i in range(1, len(steps)):
-        prev, cur = steps[i - 1], steps[i]
-        delta = cur[_DEPTH] - prev[_DEPTH]
-        if delta > 1:
-            raise TraceParseError(
-                f"depth jumps from {prev[_DEPTH]} to {cur[_DEPTH]}", i
+    Returns a list of (pc, op, gas, gas_cost, depth, stack, storage, call)
+    where stack is a tuple of ints (bottom first, top last), storage is a
+    tuple of (key, value) int pairs or None, and call is a
+    (to, value, input_bytes, status) tuple or None.
+
+    Raises TraceParseError carrying the raw index of the first malformed
+    entry.
+    """
+    out = []
+    for i, entry in enumerate(struct_logs):
+        if not isinstance(entry, dict):
+            raise TraceParseError("entry is not an object", i)
+        try:
+            pc = entry["pc"]
+            op = entry["op"]
+            gas = entry["gas"]
+            gas_cost = entry["gasCost"]
+            depth = entry["depth"]
+        except KeyError as missing:
+            raise TraceParseError(f"missing field {missing.args[0]!r}", i) from None
+        if type(pc) is not int or pc < 0:
+            raise TraceParseError(f"bad pc {pc!r}", i)
+        if not isinstance(op, str) or not op:
+            raise TraceParseError(f"bad op {op!r}", i)
+        if type(gas) is not int or gas < 0:
+            raise TraceParseError(f"bad gas {gas!r}", i)
+        if type(gas_cost) is not int or gas_cost < 0:
+            raise TraceParseError(f"bad gasCost {gas_cost!r}", i)
+        if type(depth) is not int or depth < 1:
+            raise TraceParseError(f"bad depth {depth!r}", i)
+        raw_stack = entry.get("stack", [])
+        if not isinstance(raw_stack, list):
+            raise TraceParseError("stack is not a list", i)
+        stack = []
+        for item in raw_stack:
+            word = _parse_hex_word(item, i)
+            stack.append(word)
+        storage = entry.get("storage")
+        pairs = None
+        if storage is not None:
+            if not isinstance(storage, dict):
+                raise TraceParseError("storage is not an object", i)
+            pairs = tuple(
+                sorted(
+                    (_parse_hex_word(k, i), _parse_hex_word(v, i))
+                    for k, v in storage.items()
+                )
             )
-        if delta == 1:
-            if prev[_OP] not in CALL_OPS:
-                raise TraceParseError(
-                    f"depth increases after non-call op {prev[_OP]}", i
-                )
-            call_pc_at_depth[prev[_DEPTH]] = prev[_PC]
-            if cur[_PC] != 0:
-                raise TraceParseError(f"child frame starts at pc {cur[_PC]}", i)
-        elif delta == 0:
-            if prev[_OP] in TERMINAL_OPS:
-                raise TraceParseError(
-                    f"step follows terminal op {prev[_OP]} in the same frame", i
-                )
-            if prev[_OP] in CALL_OPS:
-                call_pc_at_depth[prev[_DEPTH]] = prev[_PC]
-            if prev[_OP] not in ("JUMP", "JUMPI"):
-                want = prev[_PC] + _instruction_size(prev[_OP])
-                if cur[_PC] != want:
-                    raise TraceParseError(
-                        f"pc {cur[_PC]} after {prev[_OP]} at {prev[_PC]} "
-                        f"(expected {want}) without a jump",
-                        i,
-                    )
-        else:
-            if delta < -1:
-                raise TraceParseError(
-                    f"depth drops from {prev[_DEPTH]} to {cur[_DEPTH]}", i
-                )
-            resume_from = call_pc_at_depth.get(cur[_DEPTH])
-            if resume_from is None:
-                raise TraceParseError("return to a frame never seen calling", i)
-            if cur[_PC] != resume_from + 1:
-                raise TraceParseError(
-                    f"resume pc {cur[_PC]} does not follow call at {resume_from}", i
-                )
+        call = entry.get("call")
+        call_tuple = None
+        if call is not None:
+            if not isinstance(call, dict):
+                raise TraceParseError("call is not an object", i)
+            try:
+                to = _parse_hex_word(call["to"], i)
+                value = _parse_hex_word(call["value"], i)
+            except KeyError as missing:
+                raise TraceParseError(f"call missing {missing.args[0]!r}", i) from None
+            data_hex = call.get("input", "0x")
+            if not isinstance(data_hex, str):
+                raise TraceParseError("call input is not a string", i)
+            body = data_hex[2:] if data_hex.startswith("0x") else data_hex
+            try:
+                data = bytes.fromhex(body)
+            except ValueError:
+                raise TraceParseError(f"bad call input hex {data_hex!r}", i) from None
+            status = call.get("status")
+            if status is not None and status not in (0, 1):
+                raise TraceParseError(f"bad call status {status!r}", i)
+            call_tuple = (to, value, data, status)
+        out.append((pc, op, gas, gas_cost, depth, tuple(stack), pairs, call_tuple))
+    return out
+
+
+def _parse_hex_word(text, raw_index: int) -> int:
+    if not isinstance(text, str) or not text:
+        raise TraceParseError(f"bad hex word {text!r}", raw_index)
+    body = text[2:] if text.startswith(("0x", "0X")) else text
+    if not body:
+        raise TraceParseError(f"bad hex word {text!r}", raw_index)
+    try:
+        value = int(body, 16)
+    except ValueError:
+        raise TraceParseError(f"bad hex word {text!r}", raw_index) from None
+    if not 0 <= value <= WORD_MASK:
+        raise TraceParseError(f"hex word out of range {text!r}", raw_index)
+    return value
 
 
 @dataclass
@@ -185,11 +212,14 @@ class _Frame:
 def reconstruct(
     parsed: ParsedTrace, root_target: int, relaxed: bool = False
 ) -> ReconstructedTrace:
-    """Assign frames to every parsed step.
+    """Check the small-step invariants (strict mode) and assign frames to
+    every parsed step, in one pass.
 
     root_target is the transaction's `to` address: the identity and code of
-    the root frame. Raises ReconstructionError when the kept steps do not
-    determine frame identity (possible only for filtered traces taken
+    the root frame. Raises TraceParseError for a broken step sequence and
+    ReconstructionError when a step cannot be mapped onto frames, whichever
+    step comes first; in relaxed mode the only frame error is a kept step
+    whose frame has no origin among the kept steps (a filtered trace taken
     without call boundaries).
     """
     steps = parsed.steps
@@ -197,22 +227,59 @@ def reconstruct(
     out: list[ReconstructedStep] = []
     # call awaiting a status backfill, per depth: index into `out`
     pending: dict[int, int] = {}
+    prev_pc = prev_op = prev_depth = None
 
-    for i, st in enumerate(steps):
-        depth = st[_DEPTH]
+    for i, (pc, op, gas, gas_cost, depth, stack, storage, recorded) in enumerate(steps):
+        resume_at = pending.pop(depth, None)
+
+        if not relaxed:
+            if i == 0:
+                if depth != 1:
+                    raise TraceParseError(f"root frame starts at depth {depth}", 0)
+                if pc != 0:
+                    raise TraceParseError(f"root frame starts at pc {pc}", 0)
+            elif depth > prev_depth:
+                if depth > prev_depth + 1:
+                    raise TraceParseError(f"depth jumps from {prev_depth} to {depth}", i)
+                if prev_op not in CALL_OPS:
+                    raise TraceParseError(f"depth increases after non-call op {prev_op}", i)
+                if pc != 0:
+                    raise TraceParseError(f"child frame starts at pc {pc}", i)
+            elif depth == prev_depth:
+                if prev_op in TERMINAL_OPS:
+                    raise TraceParseError(
+                        f"step follows terminal op {prev_op} in the same frame", i
+                    )
+                if prev_op not in ("JUMP", "JUMPI"):
+                    want = prev_pc + _instruction_size(prev_op)
+                    if pc != want:
+                        raise TraceParseError(
+                            f"pc {pc} after {prev_op} at {prev_pc} "
+                            f"(expected {want}) without a jump",
+                            i,
+                        )
+            else:
+                if depth < prev_depth - 1:
+                    raise TraceParseError(f"depth drops from {prev_depth} to {depth}", i)
+                # stepwise descents through call ops leave the call that
+                # opened the frame below pending at this depth
+                call_pc = out[resume_at].pc
+                if pc != call_pc + 1:
+                    raise TraceParseError(
+                        f"resume pc {pc} does not follow call at {call_pc}", i
+                    )
+            prev_pc, prev_op, prev_depth = pc, op, depth
+
         if depth < len(frames):
             del frames[depth:]
         elif depth > len(frames):
+            # strict sequences always descend through an entered call
             raise ReconstructionError(
                 f"step {i}: depth {depth} but only {len(frames)} frames known "
                 "(filtered trace without call boundaries?)"
             )
         frame = frames[-1]
 
-        stack = st[_STACK]
-        op = st[_OP]
-
-        resume_at = pending.pop(depth, None)
         if resume_at is not None and not relaxed:
             # first step back in the caller: its stack top is the call status
             site = out[resume_at].call
@@ -223,14 +290,13 @@ def reconstruct(
         if op == "SSTORE":
             if len(stack) >= 2:
                 storage_write = (stack[-1], stack[-2])
-            elif st[_STORAGE]:
-                storage_write = st[_STORAGE][0]
+            elif storage:
+                storage_write = storage[0]
             elif not relaxed:
                 raise ReconstructionError(f"step {i}: SSTORE with bare stack")
 
         call_site = None
         if op in CALL_OPS:
-            recorded = st[_CALL]
             if recorded is not None:
                 to, value, data, status = recorded
                 value = None if op == "DELEGATECALL" else value
@@ -261,10 +327,10 @@ def reconstruct(
         out.append(
             ReconstructedStep(
                 raw_index=i,
-                pc=st[_PC],
+                pc=pc,
                 op=op,
-                gas=st[_GAS],
-                gas_cost=st[_COST],
+                gas=gas,
+                gas_cost=gas_cost,
                 depth=depth,
                 stack=stack,
                 frame_id=frame.id,
@@ -282,4 +348,4 @@ def reconstruct(
 
 
 def reconstruct_document(doc: dict, root_target: int, relaxed: bool = False) -> ReconstructedTrace:
-    return reconstruct(parse_trace_document(doc, relaxed=relaxed), root_target, relaxed=relaxed)
+    return reconstruct(parse_trace_document(doc), root_target, relaxed=relaxed)

@@ -26,7 +26,7 @@ from evmsleuth.orchestrator import (
 )
 from evmsleuth.rules_evm import VulnSpec
 from evmsleuth.traces import reconstruct_document
-from evmsleuth.words import ARITH_CODES
+from evmsleuth.words import ARITH_ARITY
 
 SEED = 11
 
@@ -275,7 +275,7 @@ def test_criterion_5_reconstruction_matches_interpreter(suite):
 def test_criterion_6_arithmetic_oracle(suite):
     problems = []
     checked = 0
-    for op in sorted(ARITH_CODES):
+    for op in sorted(ARITH_ARITY):
         for a, b, c, bits, signed, lo, hi in oracles.arith_cases(op, CASES_PER_OPCODE, SEED):
             operands = [a, b, c] if op in ("ADDMOD", "MULMOD") else [a, b]
             outcome = wrap_arith(op, operands, IntTypeBounds(lo, hi))
@@ -289,7 +289,7 @@ def test_criterion_6_arithmetic_oracle(suite):
                     f"oracle ({expected}, {flagged})"
                 )
                 break
-    verdict(6, "arithmetic-oracle", problems, f"{checked} cases over {len(ARITH_CODES)} opcodes")
+    verdict(6, "arithmetic-oracle", problems, f"{checked} cases over {len(ARITH_ARITY)} opcodes")
 
 
 # -- 7: mode invariance --

@@ -167,6 +167,27 @@ def test_arithmetic_and_calldata():
     assert out.final_state.storage_at(CONTRACT, 1) == 42
 
 
+@pytest.mark.parametrize(
+    "name, pushed, expected",
+    [
+        ("SUB", (3, 10), 7),  # top minus second: 10 - 3
+        ("SDIV", (2, (1 << 256) - 7), (1 << 256) - 3),  # -7 / 2 truncates to -3
+        ("EXP", (3, 2), 8),  # base on top: 2 ** 3
+        ("ADDMOD", (7, 5, 4), 2),  # (4 + 5) % 7, modulus third from top
+        ("MULMOD", (7, 5, 4), 6),  # (4 * 5) % 7
+    ],
+)
+def test_arithmetic_pops_its_arity(name, pushed, expected):
+    operands = b"".join(push(v, 32) for v in pushed)
+    code = operands + op(name) + push(1) + op("SSTORE") + op("STOP")
+    out = run(code)
+    assert out.status == "success"
+    assert out.final_state.storage_at(CONTRACT, 1) == expected
+    sstore = out.trace[len(pushed) + 2]
+    assert sstore.op == "SSTORE"
+    assert sstore.stack == (expected, 1)  # every operand consumed, nothing left below
+
+
 def test_caller_and_selfbalance():
     code = (
         op("CALLER") + push(1) + op("SSTORE")

@@ -3,11 +3,9 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
-from evmsleuth.errors import TransferError, UsageError
+from evmsleuth.errors import UsageError
 from evmsleuth.model import (
     EMPTY_STATE_ROOT,
     INT256,
@@ -15,7 +13,6 @@ from evmsleuth.model import (
     UINT256,
     GlobalState,
     IntTypeBounds,
-    apply_balance_transfer,
     state_root,
     storage_root,
     wrap_arith,
@@ -180,59 +177,6 @@ def test_install_code_roundtrip():
     assert state.code_of(0xC) == b"\x60\x01"
     assert state.accounts[0xC].code_hash == h
     assert state.has_code(0xC)
-
-
-# -- transfers --
-
-
-def test_transfer_moves_value_and_creates_recipient():
-    state = GlobalState()
-    state.set_balance(0xA, 10)
-    apply_balance_transfer(state, 0xA, 0xB, 10)
-    assert state.balance_of(0xA) == 0
-    assert state.balance_of(0xB) == 10
-
-
-def test_transfer_value_zero_only_creates():
-    state = GlobalState()
-    state.set_balance(0xA, 3)
-    apply_balance_transfer(state, 0xA, 0xB, 0)
-    assert state.balance_of(0xA) == 3
-    assert 0xB in state.accounts
-
-
-def test_transfer_insufficient_leaves_state_untouched():
-    state = GlobalState()
-    state.set_balance(0xA, 5)
-    root = state_root(state)
-    with pytest.raises(TransferError):
-        apply_balance_transfer(state, 0xA, 0xB, 6)
-    assert state_root(state) == root
-    with pytest.raises(UsageError):
-        apply_balance_transfer(state, 0xA, 0xB, -1)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    balances=st.lists(st.integers(0, 10**18), min_size=2, max_size=6),
-    moves=st.lists(
-        st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 10**18)),
-        max_size=20,
-    ),
-)
-def test_transfer_conserves_total_balance(balances, moves):
-    state = GlobalState()
-    for i, bal in enumerate(balances):
-        state.set_balance(0x100 + i, bal)
-    total = sum(balances)
-    for s, t, v in moves:
-        sender = 0x100 + (s % len(balances))
-        to = 0x100 + (t % len(balances))
-        try:
-            apply_balance_transfer(state, sender, to, v)
-        except TransferError:
-            pass
-        assert sum(a.balance for a in state.accounts.values()) == total
 
 
 # -- state roots --

@@ -2,10 +2,13 @@
 
 import pytest
 
+import oracles
+from evmsleuth import traces
 from evmsleuth.errors import ReconstructionError, TraceParseError
 from evmsleuth.explorer import apply_tracer, canonical_tracer
 from evmsleuth.fixtures import build_fixture_chain
 from evmsleuth.traces import (
+    decode_steps,
     parse_trace_document,
     reconstruct,
     reconstruct_document,
@@ -108,6 +111,21 @@ def test_parse_rejects_malformed_documents(mutate, fragment):
         parse_trace_document(src)
 
 
+def test_parse_decodes_through_the_module_global(monkeypatch):
+    # wrappers installed on traces.decode_steps from outside the package
+    # must see every decode that parse_trace_document does
+    seen = []
+
+    def spy(struct_logs):
+        seen.append(len(struct_logs))
+        return decode_steps(struct_logs)
+
+    monkeypatch.setattr(traces, "decode_steps", spy)
+    parsed = parse_trace_document(linear_doc())
+    assert seen == [4]
+    assert [s[1] for s in parsed.steps] == ["PUSH1", "PUSH1", "SSTORE", "STOP"]
+
+
 def test_parse_rejects_non_object():
     with pytest.raises(TraceParseError):
         parse_trace_document([])
@@ -162,6 +180,79 @@ def test_decode_rejects_malformed_call_extensions(extension, fragment):
     assert err.value.raw_index == 1
 
 
+def _entry(**overrides):
+    entry = {
+        "pc": 0,
+        "op": "PUSH1",
+        "gas": 100,
+        "gasCost": 3,
+        "depth": 1,
+        "stack": ["0x1", "0xff"],
+    }
+    entry.update(overrides)
+    return entry
+
+
+def test_decode_steps_basic():
+    steps = decode_steps([_entry()])
+    assert steps == [(0, "PUSH1", 100, 3, 1, (1, 255), None, None)]
+
+
+def test_decode_steps_storage_and_call():
+    entry = _entry(
+        storage={"00" * 31 + "05": "00" * 31 + "01"},
+        call={"to": "0x" + "ab" * 20, "value": "0x7", "input": "0x1234", "status": 1},
+    )
+    ((_, _, _, _, _, _, storage, call),) = decode_steps([entry])
+    assert storage == ((5, 1),)
+    assert call == (int("ab" * 20, 16), 7, bytes.fromhex("1234"), 1)
+
+
+def test_decode_steps_accepts_prefixless_and_uppercase_hex():
+    steps = decode_steps([_entry(stack=["ff", "0XAB"])])
+    assert steps[0][5] == (255, 171)
+
+
+@pytest.mark.parametrize(
+    "mutation",
+    [
+        {"pc": -1},
+        {"pc": True},
+        {"op": ""},
+        {"gas": -5},
+        {"depth": 0},
+        {"stack": "nope"},
+        {"stack": ["0x"]},
+        {"stack": ["zz"]},
+        {"stack": [hex(oracles.M)]},
+        {"storage": ["not", "a", "map"]},
+        {"call": {"to": "0x1"}},  # value missing
+        {"call": {"to": "0x1", "value": "0x0", "status": 7}},
+        {"stack": ["0x-1"]},
+        {"stack": ["-0x1"]},
+        {"gas": True},
+        {"gasCost": True},
+        {"depth": True},
+    ],
+)
+def test_decode_steps_rejects_malformed(mutation):
+    with pytest.raises(TraceParseError) as info:
+        decode_steps([_entry(), _entry(**mutation)])
+    assert info.value.raw_index == 1  # raw index of the offending entry
+
+
+def test_decode_steps_missing_field():
+    entry = _entry()
+    del entry["gasCost"]
+    with pytest.raises(TraceParseError, match="gasCost") as info:
+        decode_steps([entry])
+    assert info.value.raw_index == 0
+
+
+def test_decode_steps_empty():
+    assert decode_steps([]) == []
+
+
 # -- strict sequence invariants --
 
 
@@ -190,7 +281,7 @@ def mutated(src, index, **fields):
 )
 def test_strict_validation_rejects_broken_sequences(build, fragment, where):
     with pytest.raises(TraceParseError, match=fragment) as err:
-        parse_trace_document(build())
+        reconstruct_document(build(), CALLER)
     assert err.value.raw_index == where
 
 
@@ -203,7 +294,7 @@ def test_depth_drop_of_two_is_rejected():
     ]
     src["structLogs"][5] = step(3, "POP", 1, (1,))
     with pytest.raises(TraceParseError, match="depth drops") as err:
-        parse_trace_document(src)
+        reconstruct_document(src, CALLER)
     assert err.value.raw_index == 5
 
 
@@ -216,8 +307,8 @@ def test_jumps_suspend_pc_continuity():
             step(10, "STOP", 1),
         ]
     )
-    parsed = parse_trace_document(src)
-    assert [s[0] for s in parsed.steps] == [0, 2, 9, 10]
+    rec = reconstruct_document(src, CALLER)
+    assert [s.pc for s in rec.steps] == [0, 2, 9, 10]
 
 
 def test_call_not_taken_keeps_sequence_valid():
@@ -230,33 +321,45 @@ def test_call_not_taken_keeps_sequence_valid():
             step(4, "STOP", 1),
         ]
     )
-    parsed = parse_trace_document(src)
-    assert len(parsed.steps) == 4
+    rec = reconstruct_document(src, CALLER)
+    assert len(rec.steps) == 4
 
 
-# -- relaxed parsing --
+@pytest.mark.parametrize(
+    "sstore_at, gap_at, error",
+    [(1, 3, ReconstructionError), (3, 1, TraceParseError)],
+)
+def test_first_faulty_step_decides_the_error(sstore_at, gap_at, error):
+    src = doc([step(pc, "JUMPDEST", 1) for pc in range(5)])
+    src["structLogs"][sstore_at]["op"] = "SSTORE"  # bare stack: no write known
+    src["structLogs"][gap_at]["pc"] += 7
+    with pytest.raises(error, match=f"step {min(sstore_at, gap_at)}:"):
+        reconstruct_document(src, CALLER)
+
+
+# -- relaxed ingest --
 
 
 def test_relaxed_accepts_filtered_traces():
     spec = canonical_tracer({"pcSet": [4], "includeCallBoundaries": False})
     filtered = apply_tracer(linear_doc(), spec)
     with pytest.raises(TraceParseError):
-        parse_trace_document(filtered)
-    parsed = parse_trace_document(filtered, relaxed=True)
-    assert [s[1] for s in parsed.steps] == ["SSTORE"]
+        reconstruct_document(filtered, CALLER)
+    rec = reconstruct_document(filtered, CALLER, relaxed=True)
+    assert [s.op for s in rec.steps] == ["SSTORE"]
 
 
 def test_relaxed_still_rejects_bad_depth():
     src = mutated(nested_doc(), 3, depth=-1)
     with pytest.raises(TraceParseError, match="bad depth") as err:
-        parse_trace_document(src, relaxed=True)
+        reconstruct_document(src, CALLER, relaxed=True)
     assert err.value.raw_index == 3
 
 
 def test_relaxed_still_runs_step_decoding():
     src = mutated(linear_doc(), 1, stack=["0xqq"])
     with pytest.raises(TraceParseError, match="bad hex word") as err:
-        parse_trace_document(src, relaxed=True)
+        reconstruct_document(src, CALLER, relaxed=True)
     assert err.value.raw_index == 1
 
 
@@ -413,11 +516,15 @@ def bank():
 
 
 def test_fixture_traces_parse_strict(bank):
-    for txh, raw in bank.archive.traces.items():
-        parsed = parse_trace_document(raw)
-        if parsed.steps:  # plain transfers to code-free accounts run nothing
-            assert parsed.steps[0][0] == 0
-            assert parsed.steps[0][4] == 1
+    checked = 0
+    for block in bank.archive.chain.blocks:
+        for tx in block.txs:
+            rec = reconstruct_document(bank.archive.traces[tx.hash], tx.to)
+            checked += 1
+            if rec.steps:  # plain transfers to code-free accounts run nothing
+                assert rec.steps[0].pc == 0
+                assert rec.steps[0].depth == 1
+    assert checked == len(bank.archive.traces)
 
 
 def test_fixture_exploit_reenters_the_contract(bank):
