@@ -19,14 +19,17 @@ absorb, and it is what makes analysis cost grow with state size when no
 cache is in front.
 
 CachedExplorer is a read-through wrapper over any backend. Entries are
-persisted one file per query with a content digest; corrupted entries are
-discarded and refetched. Per-key fetch counters make cache behavior
-checkable rather than assumed.
+persisted one file per query with a content digest and written atomically;
+corrupted entries are discarded and refetched. Per-key fetch counters and
+per-kind hit/drop counters make cache behavior checkable rather than
+assumed.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import threading
 from pathlib import Path
 
 from .errors import ArchiveGapError, ProtocolError, UsageError
@@ -270,17 +273,59 @@ class RpcExplorer:
 # -- read-through cache --------------------------------------------------------
 
 
+# A cache entry is the compact sorted-key JSON of {"key", "payload", "sha256"}:
+# `{"key":<key>,"payload":` + payload bytes + `,"sha256":"<64 hex>"}`.
+_TAIL_HEAD = b',"sha256":"'
+_TAIL_SIZE = len(_TAIL_HEAD) + 64 + 2
+
+
+def _entry_bytes(prefix: bytes, payload) -> bytes:
+    body = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
+    return b"".join((prefix, body, _TAIL_HEAD, digest(body).hex().encode(), b'"}'))
+
+
+def _stored_payload(path: Path, prefix: bytes):
+    """The payload of the entry at path, written by _entry_bytes with this
+    key prefix; ValueError for any other bytes, FileNotFoundError if absent."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    tail = data[-_TAIL_SIZE:]
+    if (
+        len(data) < len(prefix) + _TAIL_SIZE
+        or not data.startswith(prefix)
+        or tail[: len(_TAIL_HEAD)] != _TAIL_HEAD
+        or tail[-2:] != b'"}'
+    ):
+        raise ValueError("not a cache entry for this key")
+    body = memoryview(data)[len(prefix) : -_TAIL_SIZE]
+    if digest(body).hex().encode() != tail[len(_TAIL_HEAD) : -2]:
+        raise ValueError("payload digest mismatch")
+    text = str(body, "utf-8")
+    # the file bytes go before the parse, so a hit holds one copy of the
+    # payload text at a time, like a local read
+    del data, body
+    return json.loads(text)
+
+
 class CachedExplorer:
     """Persistent read-through cache over any explorer.
 
-    One JSON file per distinct query, digest-stamped. Replayed answers skip
-    the inner backend entirely (and any re-validation the backend would do);
-    a digest mismatch means the file is damaged, so it is dropped and the
-    query goes inner again. height() is never cached: it is the one answer
-    that legitimately changes between runs.
+    One file per distinct query, with the exact bytes
+
+        {"key":<key as a JSON string>,"payload":<compact payload>,"sha256":"<hex>"}
+
+    where the digest is taken over the payload bytes as stored. A hit reads
+    the file once, checks the key prefix and the digest against those bytes
+    and parses the payload once; a file in any other layout, or with a
+    mismatch, is dropped and the query goes inner again. Replayed answers
+    skip the inner backend entirely (and any re-validation the backend would
+    do). Entries are written to a temporary file and renamed into place, so
+    runs sharing a directory never read a torn entry. height() is never
+    cached: it is the one answer that legitimately changes between runs.
 
     fetches maps each cache key to the number of inner calls made for it;
-    hits counts replies served from disk.
+    by_kind counts hits, drops and inner calls per query kind, and hits and
+    dropped are their totals.
     """
 
     def __init__(self, inner, directory: str | Path):
@@ -288,8 +333,15 @@ class CachedExplorer:
         self.base = Path(directory)
         self.base.mkdir(parents=True, exist_ok=True)
         self.fetches: dict[str, int] = {}
-        self.hits = 0
-        self.dropped = 0
+        self.by_kind: dict[str, dict[str, int]] = {}
+
+    @property
+    def hits(self) -> int:
+        return sum(counts["hits"] for counts in self.by_kind.values())
+
+    @property
+    def dropped(self) -> int:
+        return sum(counts["dropped"] for counts in self.by_kind.values())
 
     def height(self) -> int:
         return self.inner.height()
@@ -297,26 +349,28 @@ class CachedExplorer:
     def _lookup(self, kind: str, key_parts: list, fetch):
         key = json.dumps([kind, *key_parts], separators=(",", ":"), sort_keys=True)
         path = self.base / f"{digest(key.encode()).hex()}.json"
-        if path.exists():
-            try:
-                entry = json.loads(path.read_text())
-                payload = entry["payload"]
-                canonical = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-                if (
-                    entry["key"] == key
-                    and entry["sha256"] == digest(canonical.encode()).hex()
-                ):
-                    self.hits += 1
-                    return payload
-                self.dropped += 1
-            except (json.JSONDecodeError, KeyError, TypeError):
-                self.dropped += 1
+        prefix = b'{"key":' + json.dumps(key).encode() + b',"payload":'
+        counts = self.by_kind.setdefault(kind, {"hits": 0, "dropped": 0, "innerCalls": 0})
+        try:
+            payload = _stored_payload(path, prefix)
+        except FileNotFoundError:
+            pass
+        except ValueError:
+            counts["dropped"] += 1
             path.unlink(missing_ok=True)
+        else:
+            counts["hits"] += 1
+            return payload
         payload = fetch()
         self.fetches[key] = self.fetches.get(key, 0) + 1
-        canonical = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-        entry = {"key": key, "sha256": digest(canonical.encode()).hex(), "payload": payload}
-        path.write_text(json.dumps(entry, separators=(",", ":"), sort_keys=True))
+        counts["innerCalls"] += 1
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        try:
+            tmp.write_bytes(_entry_bytes(prefix, payload))
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         return payload
 
     def collect_block_details(self, number: int) -> dict:

@@ -172,6 +172,7 @@ def run_investigation(config: InvestigationConfig) -> Report:
             "innerCalls": sum(ex.fetches.values()),
             "hits": ex.hits,
             "dropped": ex.dropped,
+            "byKind": {kind: dict(counts) for kind, counts in sorted(ex.by_kind.items())},
         }
     return report
 

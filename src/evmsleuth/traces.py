@@ -272,6 +272,10 @@ def reconstruct(
 
         if depth < len(frames):
             del frames[depth:]
+            # a call still pending deeper down ended its own frame without
+            # being entered; no later step may take its status
+            for stale in [d for d in pending if d > depth]:
+                del pending[stale]
         elif depth > len(frames):
             # strict sequences always descend through an entered call
             raise ReconstructionError(

@@ -2,8 +2,12 @@
 
 import json
 import shutil
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,7 @@ from evmsleuth.explorer import (
     canonical_tracer,
 )
 from evmsleuth.fixtures import build_fixture_chain, write_fixture
+from evmsleuth.hashing import digest
 
 SEED = 11
 
@@ -222,27 +227,163 @@ def test_cache_keys_distinguish_tracer_specs(local, tmp_path, fixture):
     assert len(cache.fetches) == 2 and cache.hits == 1
 
 
-def test_cache_drops_corrupt_entries(local, tmp_path):
+def test_cache_entry_layout_is_pinned(local, tmp_path, fixture):
     cache = CachedExplorer(local, tmp_path / "cache")
+    txh = fixture.archive.labels.exploit_hashes()[0]
+    contract = contract_of(fixture)
+    cache.collect_block_details(1)
+    cache.tx_trace(txh, {"pcSet": [0]})
+    cache.get_storage(contract, 1, 2)
+    cache.get_balance(contract, 2)
+    files = sorted((tmp_path / "cache").iterdir())
+    assert len(files) == 4
+    kinds = set()
+    for path in files:
+        data = path.read_bytes()
+        entry = json.loads(data)
+        key = entry["key"]
+        kinds.add(json.loads(key)[0])
+        assert path.name == f"{digest(key.encode()).hex()}.json"
+        canonical = json.dumps(entry["payload"], separators=(",", ":"), sort_keys=True)
+        sha = digest(canonical.encode()).hex()
+        expected = {"key": key, "payload": entry["payload"], "sha256": sha}
+        assert data == json.dumps(expected, separators=(",", ":"), sort_keys=True).encode()
+    assert kinds == {"block", "trace", "storage", "balance"}
+
+
+def _flip_payload_digit(data, other):
+    return data.replace(b'"payload":0', b'"payload":7')
+
+
+def _flip_digest_char(data, other):
+    return data[:-3] + (b"0" if data[-3:-2] != b"0" else b"1") + data[-2:]
+
+
+def _non_utf8_payload(data, other):
+    # consistent digest, so only the payload parse can catch it
+    key = json.dumps(json.loads(data)["key"]).encode()
+    payload = b"\xff\xfe"
+    sha = digest(payload).hex().encode()
+    return b'{"key":' + key + b',"payload":' + payload + b',"sha256":"' + sha + b'"}'
+
+
+def _pretty(data, other):
+    return json.dumps(json.loads(data), indent=2, sort_keys=True).encode()
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        _flip_payload_digit,
+        _flip_digest_char,
+        lambda data, other: data[: len(data) // 2],
+        lambda data, other: b"",
+        lambda data, other: b"{nope",
+        _non_utf8_payload,
+        lambda data, other: other,
+        _pretty,
+    ],
+    ids=[
+        "payload-digit",
+        "digest-char",
+        "truncated",
+        "empty",
+        "unparseable",
+        "non-utf8",
+        "other-key",
+        "pretty-printed",
+    ],
+)
+def test_cache_drops_corrupt_entries(local, tmp_path, tamper):
+    cache = CachedExplorer(local, tmp_path / "cache")
+    cache.get_balance(0xDEAD, 1)
+    (other,) = (tmp_path / "cache").glob("*.json")
+    other_bytes = other.read_bytes()
+    other.unlink()
     cache.get_balance(0xDEAD, 0)
     (victim,) = (tmp_path / "cache").glob("*.json")
-    entry = json.loads(victim.read_text())
-    entry["payload"] = 777  # digest no longer matches
-    victim.write_text(json.dumps(entry))
+    good = victim.read_bytes()
+    victim.write_bytes(tamper(good, other_bytes))
+    assert victim.read_bytes() != good
     assert cache.get_balance(0xDEAD, 0) == 0
     assert cache.dropped == 1
-    assert list(cache.fetches.values()) == [2]
-    assert cache.get_balance(0xDEAD, 0) == 0  # rewritten entry replays
+    assert cache.fetches[json.loads(good)["key"]] == 2
+    assert victim.read_bytes() == good  # the refetch rewrote the entry
+    assert cache.get_balance(0xDEAD, 0) == 0
     assert cache.hits == 1
 
 
-def test_cache_drops_unparseable_entries(local, tmp_path):
+def test_cache_write_failure_leaves_no_file(local, tmp_path, monkeypatch):
+    cache = CachedExplorer(local, tmp_path / "cache")
+
+    def torn_write(path, data):
+        with open(path, "wb") as handle:
+            handle.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "write_bytes", torn_write)
+        with pytest.raises(OSError, match="No space"):
+            cache.get_balance(0xDEAD, 0)
+    assert list((tmp_path / "cache").iterdir()) == []
+    assert cache.get_balance(0xDEAD, 0) == 0
+    assert cache.hits == 0 and cache.dropped == 0
+    assert list(cache.fetches.values()) == [2]
+    assert len(list((tmp_path / "cache").iterdir())) == 1
+    cache.get_balance(0xDEAD, 0)
+    assert cache.hits == 1
+
+
+def test_cache_shared_by_concurrent_writers_never_reads_a_torn_entry(tmp_path):
+    class Inner:
+        def get_balance(self, addr, number):
+            return list(range(50_000))  # a few hundred KB per entry
+
+    directory = tmp_path / "cache"
+    caches = [CachedExplorer(Inner(), directory) for _ in range(4)]
+    caches[0].get_balance(1, 0)
+    (path,) = directory.glob("*.json")
+    stop = time.monotonic() + 1.0
+    errors = []
+
+    def churn(cache, rewrite):
+        try:
+            while time.monotonic() < stop:
+                if rewrite:
+                    path.unlink(missing_ok=True)
+                cache.get_balance(1, 0)
+        except Exception as err:  # reported below
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=churn, args=(c, i % 2 == 0)) for i, c in enumerate(caches)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert sum(c.dropped for c in caches) == 0
+    assert sum(c.hits for c in caches) > 0
+    assert [p.name for p in directory.iterdir()] == [path.name]
+
+
+def test_cache_counts_per_kind(local, tmp_path):
     cache = CachedExplorer(local, tmp_path / "cache")
     cache.get_balance(0xDEAD, 0)
-    (victim,) = (tmp_path / "cache").glob("*.json")
-    victim.write_text("{nope")
     cache.get_balance(0xDEAD, 0)
-    assert cache.dropped == 1
+    cache.collect_block_details(1)
+    assert cache.by_kind == {
+        "balance": {"hits": 1, "dropped": 0, "innerCalls": 1},
+        "block": {"hits": 0, "dropped": 0, "innerCalls": 1},
+    }
+    assert cache.hits == 1 and cache.dropped == 0
 
 
 def test_cache_never_caches_height(local, tmp_path):

@@ -145,6 +145,13 @@ def test_cached_mode_reports_explorer_stats(spec, bank_dir, tmp_path):
     assert warm.explorer_stats["innerCalls"] == 0
     assert warm.explorer_stats["hits"] > 0
     assert json.dumps(warm.detections) == json.dumps(cold.detections)
+    # the per-kind counters add up to the totals, cold and warm
+    for stats in (cold.explorer_stats, warm.explorer_stats):
+        by_kind = stats["byKind"]
+        assert by_kind and set(by_kind) <= {"block", "trace", "storage", "balance"}
+        for counter in ("hits", "dropped", "innerCalls"):
+            assert sum(c[counter] for c in by_kind.values()) == stats[counter]
+    assert warm.explorer_stats["byKind"]["trace"]["hits"] > 0
 
 
 def test_runs_are_deterministic(spec, bank_dir):

@@ -325,6 +325,31 @@ def test_call_not_taken_keeps_sequence_valid():
     assert len(rec.steps) == 4
 
 
+def test_call_that_ends_its_frame_takes_no_later_status():
+    # the child's last step is a CALL that never ran (the next step is back
+    # in the root); a later child at the same depth must not backfill it
+    other = 0xCC03
+    src = doc(
+        [
+            step(0, "PUSH1", 1),
+            step(2, "CALL", 1, (0, 0, 0, 0, 0, TARGET, 60_000)),
+            step(0, "PUSH1", 2),
+            step(2, "CALL", 2, (0, 0, 0, 0, 0, other, 60_000)),
+            step(3, "PUSH1", 1, (1,)),
+            step(5, "CALL", 1, (0, 0, 0, 0, 0, TARGET, 60_000)),
+            step(0, "JUMPDEST", 2, (5,)),
+            step(1, "STOP", 2, (5,)),
+            step(6, "STOP", 1, (1,)),
+        ]
+    )
+    rec = reconstruct_document(src, CALLER)
+    calls = {s.raw_index: s.call for s in rec.steps if s.call is not None}
+    assert calls[3].entered is False
+    assert calls[3].status is None
+    assert (calls[1].entered, calls[1].status) == (True, 1)
+    assert (calls[5].entered, calls[5].status) == (True, 1)
+
+
 @pytest.mark.parametrize(
     "sstore_at, gap_at, error",
     [(1, 3, ReconstructionError), (3, 1, TraceParseError)],
