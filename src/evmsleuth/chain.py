@@ -50,7 +50,7 @@ BENIGN = "benign"
 class Transaction:
     hash: bytes
     sender: Address
-    to: Address
+    to: Address | None  # None: contract creation
     value: int
     data: bytes
     nonce: int
@@ -307,14 +307,6 @@ def _log_to_doc(entry: LogEntry) -> dict:
     }
 
 
-def _log_from_doc(doc: dict) -> LogEntry:
-    return LogEntry(
-        address=parse_hex(doc["address"]),
-        topics=tuple(parse_hex(t) for t in doc["topics"]),
-        data=bytes.fromhex(doc["data"][2:]),
-    )
-
-
 def tx_to_document(tx: Transaction) -> dict:
     return {
         "hash": hash_hex(tx.hash),
@@ -331,7 +323,7 @@ def tx_from_document(doc: dict) -> Transaction:
     return Transaction(
         hash=bytes.fromhex(doc["hash"][2:]),
         sender=parse_hex(doc["from"]),
-        to=parse_hex(doc["to"]),
+        to=None if doc["to"] is None else parse_hex(doc["to"]),
         value=parse_hex(doc["value"]),
         data=bytes.fromhex(doc["input"][2:]),
         nonce=doc["nonce"],
@@ -357,24 +349,6 @@ def block_to_document(block: Block) -> dict:
     }
 
 
-def block_from_document(doc: dict) -> Block:
-    return Block(
-        number=doc["number"],
-        hash=bytes.fromhex(doc["hash"][2:]),
-        parent=bytes.fromhex(doc["parentHash"][2:]),
-        state_root=bytes.fromhex(doc["stateRoot"][2:]),
-        txs=tuple(tx_from_document(t) for t in doc["transactions"]),
-        receipts=tuple(
-            Receipt(
-                r["status"],
-                r["gasUsed"],
-                tuple(_log_from_doc(entry) for entry in r["logs"]),
-            )
-            for r in doc["receipts"]
-        ),
-    )
-
-
 def state_to_document(state: GlobalState) -> dict:
     accounts = {}
     for addr in sorted(state.accounts):
@@ -390,25 +364,6 @@ def state_to_document(state: GlobalState) -> dict:
             },
         }
     return {"stateRoot": hash_hex(state_root(state)), "accounts": accounts}
-
-
-def state_from_document(doc: dict, code_store: dict[bytes, bytes]) -> GlobalState:
-    state = GlobalState()
-    for addr_hex, fields in doc["accounts"].items():
-        acct = state.ensure_account(parse_hex(addr_hex))
-        acct.nonce = fields["nonce"]
-        acct.balance = parse_hex(fields["balance"])
-        acct.code_hash = bytes.fromhex(fields["codeHash"][2:])
-        acct.storage = {
-            int(k, 16): int(v, 16) for k, v in fields["storage"].items()
-        }
-        if acct.code_hash not in code_store:
-            raise ArchiveGapError(f"missing code for hash {fields['codeHash']}")
-    state.code_store = dict(code_store)
-    declared = doc.get("stateRoot")
-    if declared is not None and bytes.fromhex(declared[2:]) != state_root(state):
-        raise ArchiveGapError(f"state document does not match its declared root {declared}")
-    return state
 
 
 def _dump(path: Path, document: dict, compact: bool = False):
@@ -445,41 +400,3 @@ def write_archive(archive: Archive, directory: str | Path):
             for h, label in sorted(archive.labels.labels.items())
         },
     )
-
-
-def read_archive(directory: str | Path) -> Archive:
-    base = Path(directory)
-    chain_path = base / "chain.json"
-    if not chain_path.exists():
-        raise ArchiveGapError(f"no chain.json under {base}")
-
-    code_store: dict[bytes, bytes] = {}
-    code_dir = base / "code"
-    if code_dir.is_dir():
-        for entry in code_dir.iterdir():
-            code_store[bytes.fromhex(entry.stem)] = bytes.fromhex(entry.read_text().strip())
-
-    chain = Blockchain()
-    for doc in json.loads(chain_path.read_text())["blocks"]:
-        chain.append(block_from_document(doc))
-
-    world = WorldState()
-    states_dir = base / "states"
-    if states_dir.is_dir():
-        for entry in sorted(states_dir.iterdir()):
-            state = state_from_document(json.loads(entry.read_text()), code_store)
-            world.add(state)
-
-    archive = Archive(chain, world)
-    traces_dir = base / "traces"
-    if traces_dir.is_dir():
-        for entry in traces_dir.iterdir():
-            archive.traces[bytes.fromhex(entry.stem)] = json.loads(entry.read_text())
-
-    labels_path = base / "labels.json"
-    if labels_path.exists():
-        for key, fields in json.loads(labels_path.read_text()).items():
-            archive.labels.add(
-                bytes.fromhex(key[2:]), fields["class"], fields.get("mechanism", "")
-            )
-    return archive

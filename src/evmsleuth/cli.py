@@ -126,6 +126,17 @@ def _bool_param(value: str, what: str) -> bool:
     raise UsageError(f"{what} must be true or false, got {value!r}")
 
 
+def _read_user_file(path: str, what: str) -> str:
+    """Text of a file named on the command line; UsageError if it is
+    missing, not a readable file, or not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise UsageError(f"no {what} at {path}") from None
+    except (OSError, UnicodeDecodeError) as err:
+        raise UsageError(f"cannot read {what} at {path}: {err}") from None
+
+
 # -- component construction -------------------------------------------------------
 
 
@@ -157,10 +168,9 @@ def load_vuln_spec(detector_params: dict, explorer_text: str) -> VulnSpec:
 
     path = detector_params.pop("vuln", None)
     if path is not None:
+        text = _read_user_file(path, "vulnerability description")
         try:
-            doc = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise UsageError(f"no vulnerability description at {path}") from None
+            doc = json.loads(text)
         except json.JSONDecodeError as err:
             raise ConfigError(f"vulnerability description unreadable: {err}") from None
         return VulnSpec.from_document(doc)
@@ -204,10 +214,7 @@ def build_filter(spec_text: str | None, spec: VulnSpec, shared: dict):
         if path is None:
             raise UsageError("feed filter needs path=FILE.csv")
         _reject_leftovers(params, "filter")
-        try:
-            return None, parse_csv_feed(Path(path).read_text())
-        except FileNotFoundError:
-            raise UsageError(f"no feed at {path}") from None
+        return None, parse_csv_feed(_read_user_file(path, "feed"))
 
     if name == "select":
         sigs = _take(params, "sigs")

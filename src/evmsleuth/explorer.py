@@ -85,19 +85,30 @@ class ExplorerView:
         return self.explorer.get_storage(addr, key, self.number)
 
 
+def _read_json(path: Path, what: str):
+    """The JSON document at path: ArchiveGapError if there is no such file,
+    ProtocolError if it cannot be read or is not UTF-8 JSON."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ArchiveGapError(f"no {what}") from None
+    except (OSError, ValueError) as err:  # ValueError: bad UTF-8 or bad JSON
+        raise ProtocolError(f"{what} unreadable: {err}") from None
+
+
 class LocalExplorer:
     def __init__(self, directory: str | Path):
         self.base = Path(directory)
-        chain_path = self.base / "chain.json"
-        if not chain_path.exists():
-            raise ArchiveGapError(f"no chain.json under {self.base}")
-        try:
-            blocks = json.loads(chain_path.read_text())["blocks"]
-        except (json.JSONDecodeError, KeyError, TypeError) as err:
-            raise ProtocolError(f"chain.json unreadable: {err!r}") from None
+        chain = _read_json(self.base / "chain.json", f"chain.json under {self.base}")
+        blocks = chain.get("blocks") if isinstance(chain, dict) else None
+        if not isinstance(blocks, list):
+            raise ProtocolError("chain.json has no blocks list")
         self._by_number: dict[int, dict] = {}
         for doc in blocks:
-            self._by_number[doc["number"]] = doc
+            number = doc.get("number") if isinstance(doc, dict) else None
+            if not isinstance(number, int) or isinstance(number, bool):
+                raise ProtocolError(f"chain.json block without an int number: {doc!r:.80}")
+            self._by_number[number] = doc
         if not self._by_number:
             raise ArchiveGapError("chain.json lists no blocks")
         self._tip = max(self._by_number)
@@ -131,12 +142,7 @@ class LocalExplorer:
 
     def tx_trace(self, tx_hash: bytes, tracer_spec: dict | None = None) -> dict:
         path = self.base / "traces" / f"{tx_hash.hex()}.json"
-        if not path.exists():
-            raise ArchiveGapError(f"no trace for {hash_hex(tx_hash)}")
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as err:
-            raise ProtocolError(f"trace {hash_hex(tx_hash)} unreadable: {err}") from None
+        doc = _read_json(path, f"trace for {hash_hex(tx_hash)}")
         if tracer_spec is not None:
             doc = apply_tracer(doc, tracer_spec)
         return doc
@@ -144,12 +150,7 @@ class LocalExplorer:
     def _state_doc(self, number: int) -> dict:
         root = self._block_doc(number)["stateRoot"]
         path = self.base / "states" / f"{root[2:]}.json"
-        if not path.exists():
-            raise ArchiveGapError(f"no state snapshot for block {number} (root {root})")
-        try:
-            return json.loads(path.read_text())
-        except json.JSONDecodeError as err:
-            raise ProtocolError(f"state {root} unreadable: {err}") from None
+        return _read_json(path, f"state snapshot for block {number} (root {root})")
 
     def get_storage(self, addr: int, key: int, number: int) -> int:
         accounts = self._state_doc(number)["accounts"]
@@ -331,7 +332,10 @@ class CachedExplorer:
     def __init__(self, inner, directory: str | Path):
         self.inner = inner
         self.base = Path(directory)
-        self.base.mkdir(parents=True, exist_ok=True)
+        try:
+            self.base.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise UsageError(f"cache directory {self.base} unusable: {err}") from None
         self.fetches: dict[str, int] = {}
         self.by_kind: dict[str, dict[str, int]] = {}
 
@@ -358,6 +362,8 @@ class CachedExplorer:
         except ValueError:
             counts["dropped"] += 1
             path.unlink(missing_ok=True)
+        except OSError as err:
+            raise UsageError(f"cache entry {path} unreadable: {err}") from None
         else:
             counts["hits"] += 1
             return payload
@@ -368,8 +374,10 @@ class CachedExplorer:
         try:
             tmp.write_bytes(_entry_bytes(prefix, payload))
             os.replace(tmp, path)
-        except BaseException:
+        except BaseException as err:
             tmp.unlink(missing_ok=True)
+            if isinstance(err, OSError):
+                raise UsageError(f"cache entry {path} not written: {err}") from None
             raise
         return payload
 

@@ -53,6 +53,11 @@ class FilterQuery:
             raise UsageError(f"bad block range {lo}..{hi}")
         if not self.selectors:
             raise UsageError("filter needs at least one function signature")
+        for sig in self.selectors:
+            try:
+                function_selector(sig)
+            except (TypeError, ValueError):
+                raise UsageError(f"not a canonical function signature: {sig!r}") from None
 
     def selector_bytes(self) -> frozenset[bytes]:
         return frozenset(function_selector(sig) for sig in self.selectors)
@@ -80,7 +85,10 @@ def tx_list(explorer, query: FilterQuery) -> list[TxRef]:
     Top-level rows come straight from block bodies. Internal rows require
     tracing every transaction in range and scanning recorded call sites,
     which is exactly as expensive as it sounds; callers who care should put
-    a cache in front of the explorer.
+    a cache in front of the explorer. Contract-creation transactions
+    (`"to": null`) are not scanned: there is no call target to rebuild
+    their frames from, so calls a constructor makes into the contract are
+    not found.
     """
     selectors = query.selector_bytes()
     contract_hex = address_hex(query.contract)
@@ -112,7 +120,7 @@ def tx_list(explorer, query: FilterQuery) -> list[TxRef]:
                         parent=None,
                     )
                 )
-            if not query.include_internal:
+            if not query.include_internal or tx_doc["to"] is None:
                 continue
             trace = explorer.tx_trace(tx_hash)
             rec = reconstruct_document(trace, int(tx_doc["to"], 16))

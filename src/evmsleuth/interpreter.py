@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 from . import words
 from .errors import UsageError
-from .hashing import function_selector  # noqa: F401  (re-exported surface)
 from .model import GlobalState, address_hex, word_hex, storage_hex
 from .words import ADDRESS_MASK, WORD_MASK
 

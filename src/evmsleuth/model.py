@@ -153,10 +153,6 @@ class GlobalState:
         acct = self.accounts.get(addr)
         return acct.balance if acct else 0
 
-    def nonce_of(self, addr: Address) -> int:
-        acct = self.accounts.get(addr)
-        return acct.nonce if acct else 0
-
     def storage_at(self, addr: Address, key: Word) -> Word:
         acct = self.accounts.get(addr)
         return acct.storage.get(key, 0) if acct else 0
@@ -166,10 +162,6 @@ class GlobalState:
         if acct is None:
             return b""
         return self.code_store[acct.code_hash]
-
-    def has_code(self, addr: Address) -> bool:
-        acct = self.accounts.get(addr)
-        return acct is not None and acct.code_hash != EMPTY_CODE_HASH
 
     # -- mutators (journaled) --
 

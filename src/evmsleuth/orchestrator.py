@@ -124,7 +124,7 @@ def default_query(spec: VulnSpec) -> FilterQuery:
 def _tracer_spec(config: InvestigationConfig) -> dict | None:
     if config.mode != "customTracer":
         return None
-    pcs = sorted({pc for loc in config.spec.locations for pc in loc.pc_offsets})
+    pcs = sorted(frozenset().union(*config.spec.gate.values()))
     return {"pcSet": pcs, "includeCallBoundaries": True}
 
 
@@ -201,6 +201,9 @@ def _run_evm_level(config, rows, report, timings):
             )
             if tx_doc is None:
                 report.skips.append(f"{label}: not in block {number}, skipped")
+                continue
+            if tx_doc["to"] is None:
+                report.skips.append(f"{label}: contract creation, skipped")
                 continue
             trace = explorer.tx_trace(tx_hash, tracer)
         except (ArchiveGapError, ProtocolError) as err:

@@ -1,27 +1,33 @@
 """Instruction-level indicators of compromise over reconstructed traces.
 
-Three rule classes, each keyed to vulnerable code locations from a vuln
-descriptor:
+A vuln descriptor names the weak spot as code addresses plus pcs. VulnSpec
+folds those locations into one gate, {code address: pcs}, and a step is
+gated when the gate lists its pc for the code it executes (the code, not the
+storage identity, so DELEGATECALL borrowers of the vulnerable code are
+seen). evaluate_trace walks the steps once and hands only gated steps to the
+rule class's per-step check:
 
   overflow    flagged arithmetic whose exact integer value leaves the
               declared type's range (modular ADDMOD/MULMOD never flag)
-  dos         a CALL at the vulnerable offset returning status 0
-  reentrancy  an SSTORE at the vulnerable offset while another activation
-              of the same storage identity sits deeper in the stack
+  dos         a CALL returning status 0
+  reentrancy  an SSTORE while another activation of the same storage
+              identity sits deeper in the stack
 
-A rule sees one reconstructed trace at a time and reports every hit; the
-caller stamps transaction context. Failed transactions are analyzed like
-successful ones (their traces are real executions), and each detection
-carries the transaction status so downstream reporting can say so.
+A check returns a detail for a hit and/or a note for a gated step it had to
+skip; evaluate_trace stamps transaction context and builds every detection.
+Failed transactions are analyzed like successful ones (their traces are
+real executions), and each detection carries the transaction status so
+downstream reporting can say so.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ConfigError
 from .model import IntTypeBounds, address_hex, hash_hex, wrap_arith, word_hex
-from .traces import ReconstructedTrace
+from .traces import ReconstructedStep, ReconstructedTrace
 from .words import ARITH_ARITY
 
 
@@ -35,19 +41,13 @@ _REQUIRED_PARAMS = {
 
 
 @dataclass(frozen=True)
-class VulnLocation:
-    code_address: int
-    pc_offsets: frozenset[int]
-
-
-@dataclass(frozen=True)
 class VulnSpec:
     """Parsed vuln descriptor: where to look and what the rule needs."""
 
     scenario: str
     contract: int
     rule: str
-    locations: tuple[VulnLocation, ...]
+    gate: dict[int, frozenset[int]]  # code address -> vulnerable pcs
     params: dict
     selectors: tuple[str, ...]
     include_internal: bool
@@ -69,21 +69,20 @@ class VulnSpec:
             raise ConfigError(f"malformed vuln descriptor: {err!r}") from None
         if rule not in RULE_CLASSES:
             raise ConfigError(f"unknown rule class {rule!r}")
+        if not isinstance(params, dict):
+            raise ConfigError("params must be an object")
         for name in _REQUIRED_PARAMS[rule]:
             if name not in params:
                 raise ConfigError(f"rule {rule!r} needs param {name!r}")
-        locations = []
-        for entry in raw_locs:
-            try:
-                locations.append(
-                    VulnLocation(
-                        int(entry["codeAddress"], 16),
-                        frozenset(int(pc) for pc in entry["pcOffsets"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as err:
-                raise ConfigError(f"malformed vulnLocs entry: {err!r}") from None
-        if not locations:
+        gate: dict[int, frozenset[int]] = {}
+        try:
+            for entry in raw_locs:
+                code = int(entry["codeAddress"], 16)
+                pcs = frozenset(int(pc) for pc in entry["pcOffsets"])
+                gate[code] = gate.get(code, frozenset()) | pcs
+        except (KeyError, TypeError, ValueError) as err:
+            raise ConfigError(f"malformed vulnLocs entry: {err!r}") from None
+        if not gate:
             raise ConfigError("vulnLocs is empty")
         if not (isinstance(lo, int) and isinstance(hi, int) and 0 < lo <= hi):
             raise ConfigError(f"bad blockRange [{lo}, {hi}]")
@@ -91,7 +90,7 @@ class VulnSpec:
             scenario,
             contract,
             rule,
-            tuple(locations),
+            gate,
             dict(params),
             selectors,
             include_internal,
@@ -160,138 +159,106 @@ class Detection:
         }
 
 
-def _located(spec: VulnSpec, step) -> bool:
-    return any(
-        step.code_address == loc.code_address and step.pc in loc.pc_offsets
-        for loc in spec.locations
-    )
+# A per-step check returns (detail of a hit or None, note on a skip or None).
+StepCheck = Callable[[ReconstructedStep], tuple[dict | None, str | None]]
 
 
-def detect_overflow(
-    rec: ReconstructedTrace, spec: VulnSpec, ctx: TxContext
-) -> tuple[list[Detection], list[str]]:
+def overflow_check(spec: VulnSpec) -> StepCheck:
     bounds = spec.bounds()
-    hits: list[Detection] = []
-    notes: list[str] = []
-    for step in rec.steps:
+
+    def check(step):
         arity = ARITH_ARITY.get(step.op)
-        if arity is None or not _located(spec, step):
-            continue
+        if arity is None:
+            return None, None
         if len(step.stack) < arity:
-            notes.append(
-                f"step {step.raw_index}: {step.op} with {len(step.stack)} stack words, skipped"
-            )
-            continue
+            return None, f"{step.op} with {len(step.stack)} stack words, skipped"
         operands = [step.stack[-1 - k] for k in range(arity)]
         outcome = wrap_arith(step.op, operands, bounds)
         if not outcome.out_of_bounds:
-            continue
-        hits.append(
-            Detection(
-                rule="overflow",
-                tx_hash=ctx.tx_hash,
-                block_number=ctx.block_number,
-                raw_index=step.raw_index,
-                pc=step.pc,
-                depth=step.depth,
-                frame_id=step.frame_id,
-                code_address=step.code_address,
-                tx_status=ctx.status,
-                detail={
-                    "op": step.op,
-                    "operands": [word_hex(v) for v in operands],
-                    "result": word_hex(outcome.result),
-                    "zResult": None if outcome.z_result is None else str(outcome.z_result),
-                    "zClamped": outcome.z_clamped,
-                    "typeMin": str(bounds.min),
-                    "typeMax": str(bounds.max),
-                },
-            )
-        )
-    return hits, notes
+            return None, None
+        return {
+            "op": step.op,
+            "operands": [word_hex(v) for v in operands],
+            "result": word_hex(outcome.result),
+            "zResult": None if outcome.z_result is None else str(outcome.z_result),
+            "zClamped": outcome.z_clamped,
+            "typeMin": str(bounds.min),
+            "typeMax": str(bounds.max),
+        }, None
+
+    return check
 
 
-def detect_dos_revert(
-    rec: ReconstructedTrace, spec: VulnSpec, ctx: TxContext
-) -> tuple[list[Detection], list[str]]:
-    hits: list[Detection] = []
-    notes: list[str] = []
-    for step in rec.steps:
-        if step.op != "CALL" or not _located(spec, step):
-            continue
+def dos_check(spec: VulnSpec) -> StepCheck:
+    def check(step):
+        if step.op != "CALL":
+            return None, None
         site = step.call
         if site is None:
-            notes.append(f"step {step.raw_index}: CALL without operands, skipped")
-            continue
+            return None, "CALL without operands, skipped"
         if site.status is None:
-            notes.append(
-                f"step {step.raw_index}: CALL status unavailable "
-                "(filtered trace without call records), skipped"
+            return None, (
+                "CALL status unavailable (filtered trace without call records), skipped"
             )
-            continue
         if site.status != 0:
-            continue
-        hits.append(
-            Detection(
-                rule="dos",
-                tx_hash=ctx.tx_hash,
-                block_number=ctx.block_number,
-                raw_index=step.raw_index,
-                pc=step.pc,
-                depth=step.depth,
-                frame_id=step.frame_id,
-                code_address=step.code_address,
-                tx_status=ctx.status,
-                detail={
-                    "to": address_hex(site.to),
-                    "value": word_hex(site.value or 0),
-                    "status": 0,
-                },
-            )
-        )
-    return hits, notes
+            return None, None
+        return {"to": address_hex(site.to), "value": word_hex(site.value or 0), "status": 0}, None
+
+    return check
 
 
-def detect_reentrancy(
-    rec: ReconstructedTrace, spec: VulnSpec, ctx: TxContext
-) -> tuple[list[Detection], list[str]]:
-    hits: list[Detection] = []
-    for step in rec.steps:
-        if step.op != "SSTORE" or not _located(spec, step):
-            continue
-        if step.frame_id not in step.frames_below:
-            continue
-        write = step.storage_write or (None, None)
-        hits.append(
-            Detection(
-                rule="reentrancy",
-                tx_hash=ctx.tx_hash,
-                block_number=ctx.block_number,
-                raw_index=step.raw_index,
-                pc=step.pc,
-                depth=step.depth,
-                frame_id=step.frame_id,
-                code_address=step.code_address,
-                tx_status=ctx.status,
-                detail={
-                    "slot": None if write[0] is None else word_hex(write[0]),
-                    "value": None if write[1] is None else word_hex(write[1]),
-                    "framesBelow": [address_hex(f) for f in step.frames_below],
-                },
-            )
-        )
-    return hits, []
+def reentrancy_check(spec: VulnSpec) -> StepCheck:
+    def check(step):
+        if step.op != "SSTORE" or step.frame_id not in step.frames_below:
+            return None, None
+        slot, value = step.storage_write or (None, None)
+        return {
+            "slot": None if slot is None else word_hex(slot),
+            "value": None if value is None else word_hex(value),
+            "framesBelow": [address_hex(f) for f in step.frames_below],
+        }, None
+
+    return check
 
 
-RULES = {
-    "overflow": detect_overflow,
-    "dos": detect_dos_revert,
-    "reentrancy": detect_reentrancy,
+STEP_CHECKS = {
+    "overflow": overflow_check,
+    "dos": dos_check,
+    "reentrancy": reentrancy_check,
 }
 
 
 def evaluate_trace(
     rec: ReconstructedTrace, spec: VulnSpec, ctx: TxContext
 ) -> tuple[list[Detection], list[str]]:
-    """Run the spec's rule class over one reconstructed trace."""
-    return RULES[spec.rule](rec, spec, ctx)
+    """Run the spec's rule over the gated steps of one reconstructed trace.
+
+    Returns every detection in step order, plus a note for each gated step
+    the rule had to skip.
+    """
+    check = STEP_CHECKS[spec.rule](spec)
+    gate = spec.gate
+    hits: list[Detection] = []
+    notes: list[str] = []
+    for step in rec.steps:
+        if step.pc not in gate.get(step.code_address, ()):
+            continue
+        detail, note = check(step)
+        if note is not None:
+            notes.append(f"step {step.raw_index}: {note}")
+        if detail is not None:
+            hits.append(
+                Detection(
+                    rule=spec.rule,
+                    tx_hash=ctx.tx_hash,
+                    block_number=ctx.block_number,
+                    raw_index=step.raw_index,
+                    pc=step.pc,
+                    depth=step.depth,
+                    frame_id=step.frame_id,
+                    code_address=step.code_address,
+                    tx_status=ctx.status,
+                    detail=detail,
+                )
+            )
+    return hits, notes

@@ -11,17 +11,15 @@ from evmsleuth.chain import (
     make_transaction,
     mine_and_record,
     mine_block,
-    read_archive,
     replay_block,
-    state_from_document,
-    state_to_document,
     tx_from_document,
     tx_to_document,
     write_archive,
 )
 from evmsleuth.errors import ArchiveGapError, UsageError
+from evmsleuth.explorer import LocalExplorer
 from evmsleuth.interpreter import MNEMONICS
-from evmsleuth.model import GlobalState, state_root
+from evmsleuth.model import GlobalState, hash_hex
 
 SENDER = 0xAA01
 OTHER = 0xAA02
@@ -153,26 +151,10 @@ def test_tx_document_roundtrip():
     assert tx_from_document(tx_to_document(tx)) == tx
 
 
-def test_state_document_roundtrip():
-    state = seeded_state()
-    doc = state_to_document(state)
-    back = state_from_document(doc, dict(state.code_store))
-    assert state_root(back) == state_root(state)
-
-
-def test_state_document_rejects_wrong_root():
-    state = seeded_state()
-    doc = state_to_document(state)
-    doc["stateRoot"] = "0x" + "ab" * 32
-    with pytest.raises(ArchiveGapError):
-        state_from_document(doc, dict(state.code_store))
-
-
-def test_state_document_rejects_missing_code():
-    state = seeded_state()
-    doc = state_to_document(state)
-    with pytest.raises(ArchiveGapError):
-        state_from_document(doc, {})
+def test_contract_creation_document_has_no_target():
+    tx = make_transaction(SENDER, CONTRACT, 0, b"\x60\x00\x60\x00", nonce=4)
+    doc = dict(tx_to_document(tx), to=None)
+    assert tx_from_document(doc).to is None
 
 
 # -- archive directories --
@@ -189,19 +171,37 @@ def build_small_archive() -> Archive:
 
 
 def test_archive_roundtrip(tmp_path):
+    # written out and read back through the reader investigations use
     arch = build_small_archive()
     write_archive(arch, tmp_path)
-    back = read_archive(tmp_path)
-    assert back.chain.height == arch.chain.height
-    for n in range(arch.chain.height + 1):
-        assert back.chain.block(n).hash == arch.chain.block(n).hash
-        assert back.chain.block(n).state_root == arch.chain.block(n).state_root
-    assert back.traces.keys() == arch.traces.keys()
-    assert back.labels.exploit_hashes() == arch.labels.exploit_hashes()
-    # replay still reproduces every root after the round trip
-    for n in range(back.chain.height + 1):
-        root, _ = replay_block(back.chain, back.world, n)
-        assert root == back.chain.block(n).state_root
+    local = LocalExplorer(tmp_path)
+    assert local.height() == arch.chain.height
+    for block in arch.chain.blocks:
+        details = local.collect_block_details(block.number)
+        envelope = details["block"]
+        assert envelope["number"] == block.number
+        assert envelope["hash"] == hash_hex(block.hash)
+        assert envelope["parentHash"] == hash_hex(block.parent)
+        assert envelope["stateRoot"] == hash_hex(block.state_root)
+        assert tuple(tx_from_document(t) for t in envelope["transactions"]) == block.txs
+        if block.number == 0:
+            assert details["parent"] is None
+        else:
+            assert details["parent"]["hash"] == hash_hex(block.parent)
+        state = arch.world.get(block.state_root)
+        assert state.accounts
+        for addr, acct in state.accounts.items():
+            assert local.get_balance(addr, block.number) == acct.balance
+            for key, value in acct.storage.items():
+                assert local.get_storage(addr, key, block.number) == value
+    assert arch.traces
+    for txh, trace in arch.traces.items():
+        assert local.tx_trace(txh) == trace
+    labels = json.loads((tmp_path / "labels.json").read_text())
+    assert labels == {
+        hash_hex(h): {"class": label.exploit_class, "mechanism": label.mechanism}
+        for h, label in arch.labels.labels.items()
+    }
 
 
 def test_archive_write_is_deterministic(tmp_path):

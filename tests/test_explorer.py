@@ -146,11 +146,16 @@ def test_local_missing_trace_is_a_gap(local):
         local.tx_trace(bytes(32))
 
 
-def test_local_corrupt_trace_is_a_protocol_error(archive_dir, tmp_path):
+@pytest.mark.parametrize("damage", ["bad-json", "non-utf8", "directory"])
+def test_local_corrupt_trace_is_a_protocol_error(archive_dir, tmp_path, damage):
     clone = tmp_path / "clone"
     shutil.copytree(archive_dir, clone)
     victim = bytes(32)
-    (clone / "traces" / f"{victim.hex()}.json").write_text("{nope")
+    path = clone / "traces" / f"{victim.hex()}.json"
+    if damage == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"{nope" if damage == "bad-json" else b'{"structLogs": "\xff"}')
     with pytest.raises(ProtocolError, match="unreadable"):
         LocalExplorer(clone).tx_trace(victim)
 
@@ -174,6 +179,17 @@ def test_local_rejects_missing_or_broken_chain(tmp_path):
     (bad / "chain.json").write_text("[1,2")
     with pytest.raises(ProtocolError, match="unreadable"):
         LocalExplorer(bad)
+    (bad / "chain.json").write_bytes(b'{"blocks": "\xff"}')
+    with pytest.raises(ProtocolError, match="unreadable"):
+        LocalExplorer(bad)
+    for shape in ("[]", '{"blocks": 5}'):
+        (bad / "chain.json").write_text(shape)
+        with pytest.raises(ProtocolError, match="no blocks list"):
+            LocalExplorer(bad)
+    for blocks in ("[1, 2]", '[{"hash": "0x00"}]', '[{"number": "0x1"}]', '[{"number": true}]'):
+        (bad / "chain.json").write_text('{"blocks": %s}' % blocks)
+        with pytest.raises(ProtocolError, match="without an int number"):
+            LocalExplorer(bad)
     empty = tmp_path / "empty"
     empty.mkdir()
     (empty / "chain.json").write_text('{"blocks": []}')
@@ -323,7 +339,7 @@ def test_cache_write_failure_leaves_no_file(local, tmp_path, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(Path, "write_bytes", torn_write)
-        with pytest.raises(OSError, match="No space"):
+        with pytest.raises(UsageError, match="No space"):
             cache.get_balance(0xDEAD, 0)
     assert list((tmp_path / "cache").iterdir()) == []
     assert cache.get_balance(0xDEAD, 0) == 0
@@ -332,6 +348,21 @@ def test_cache_write_failure_leaves_no_file(local, tmp_path, monkeypatch):
     assert len(list((tmp_path / "cache").iterdir())) == 1
     cache.get_balance(0xDEAD, 0)
     assert cache.hits == 1
+
+
+def test_cache_path_faults_are_usage_errors(local, tmp_path):
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    for directory in (regular, regular / "sub"):
+        with pytest.raises(UsageError, match=f"cache directory {directory} unusable"):
+            CachedExplorer(local, directory)
+    cache = CachedExplorer(local, tmp_path / "cache")
+    cache.get_balance(0xDEAD, 0)
+    (entry,) = (tmp_path / "cache").iterdir()
+    entry.unlink()
+    entry.mkdir()
+    with pytest.raises(UsageError, match=f"cache entry {entry} unreadable"):
+        cache.get_balance(0xDEAD, 0)
 
 
 def test_cache_shared_by_concurrent_writers_never_reads_a_torn_entry(tmp_path):

@@ -72,6 +72,9 @@ def test_query_rejects_bad_inputs():
         FilterQuery(**dict(good, block_range=(-1, 3)))
     with pytest.raises(UsageError, match="at least one function"):
         FilterQuery(**dict(good, selectors=()))
+    for sig in ("poke", "poke ()", "pöke()", 7):
+        with pytest.raises(UsageError, match="not a canonical function signature"):
+            FilterQuery(**dict(good, selectors=("poke()", sig)))
 
 
 def test_selector_bytes_hashes_signatures():

@@ -92,7 +92,7 @@ def test_pure_transfer_has_zero_steps():
     assert out.gas_used == 0
     assert out.final_state.balance_of(OTHER) == 7
     assert out.final_state.balance_of(SENDER) == 93
-    assert out.final_state.nonce_of(SENDER) == 1
+    assert out.final_state.accounts[SENDER].nonce == 1
 
 
 def test_top_level_revert_rolls_back_exactly():
@@ -104,7 +104,7 @@ def test_top_level_revert_rolls_back_exactly():
     assert out.exception == "revert"
     assert out.final_state is state
     assert state_root(out.final_state) == pre_root
-    assert out.final_state.nonce_of(SENDER) == 0  # nonce bump rolled back too
+    assert out.final_state.accounts[SENDER].nonce == 0  # nonce bump rolled back too
     assert [s.op for s in out.trace][-1] == "REVERT"
 
 

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from evmsleuth.errors import UsageError
 from evmsleuth.model import (
+    EMPTY_CODE_HASH,
     EMPTY_STATE_ROOT,
     INT256,
     UINT8,
@@ -110,10 +111,9 @@ def test_wrap_arith_matches_oracle(op):
 def test_reads_never_create_accounts():
     state = GlobalState()
     assert state.balance_of(0x1) == 0
-    assert state.nonce_of(0x1) == 0
+    assert state.account(0x1) is None
     assert state.storage_at(0x1, 0) == 0
     assert state.code_of(0x1) == b""
-    assert not state.has_code(0x1)
     assert state.accounts == {}
 
 
@@ -143,7 +143,7 @@ def test_journal_revert_restores_everything():
     assert state_root(state) == before
     assert 0xB not in state.accounts
     assert state.storage_at(0xA, 1) == 7
-    assert state.nonce_of(0xA) == 0
+    assert state.accounts[0xA].nonce == 0
 
 
 def test_nested_checkpoints():
@@ -175,8 +175,7 @@ def test_install_code_roundtrip():
     state = GlobalState()
     h = state.install_code(0xC, b"\x60\x01")
     assert state.code_of(0xC) == b"\x60\x01"
-    assert state.accounts[0xC].code_hash == h
-    assert state.has_code(0xC)
+    assert state.accounts[0xC].code_hash == h != EMPTY_CODE_HASH
 
 
 # -- state roots --

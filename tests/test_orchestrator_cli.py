@@ -1,9 +1,15 @@
 """End-to-end investigation runs and the command-line surface."""
 
+import contextlib
+import io
 import json
 import shutil
+from unittest import mock
 
 import pytest
+import requests
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from evmsleuth.cli import (
     build_detector,
@@ -16,8 +22,10 @@ from evmsleuth.cli import (
 )
 from evmsleuth.errors import ConfigError, UsageError
 from evmsleuth.explorer import CachedExplorer, LocalExplorer
-from evmsleuth.filters import FilterQuery, parse_csv_feed, tx_list
+from evmsleuth.filters import FilterQuery, TxRef, parse_csv_feed, tx_list, write_csv_feed
 from evmsleuth.fixtures import build_fixture_chain, scale_fixture, write_fixture
+from evmsleuth.hashing import function_selector
+from evmsleuth.model import hash_hex
 from evmsleuth.orchestrator import (
     InvestigationConfig,
     bench,
@@ -163,11 +171,16 @@ def test_runs_are_deterministic(spec, bank_dir):
     assert docs[0] == docs[1]
 
 
-def test_missing_trace_degrades_to_a_skip(bank, spec, bank_dir, tmp_path):
+@pytest.mark.parametrize("damage", ["missing", "non-utf8"])
+def test_missing_trace_degrades_to_a_skip(bank, spec, bank_dir, tmp_path, damage):
     clone = tmp_path / "clone"
     shutil.copytree(bank_dir, clone)
     victim = bank.archive.labels.exploit_hashes()[0]
-    (clone / "traces" / f"{victim.hex()}.json").unlink()
+    trace = clone / "traces" / f"{victim.hex()}.json"
+    if damage == "missing":
+        trace.unlink()
+    else:
+        trace.write_bytes(b'{"structLogs": "\xff"}')
     report = run_investigation(config_for(spec, LocalExplorer(clone)))
     doc = report.to_document()
     check_totals(doc)
@@ -225,13 +238,18 @@ def test_block_run_never_fetches_traces(bank, spec, bank_dir):
     assert {"0x" + h.hex() for h in failed}.isdisjoint(flagged_txs)
 
 
-def test_block_run_skips_unreadable_state(bank, spec, bank_dir, tmp_path):
+@pytest.mark.parametrize("damage", ["missing", "non-utf8"])
+def test_block_run_skips_unreadable_state(bank, spec, bank_dir, tmp_path, damage):
     clone = tmp_path / "clone"
     shutil.copytree(bank_dir, clone)
     baseline = run_investigation(config_for(spec, LocalExplorer(clone), level="block"))
     victim = int(baseline.detections[0]["blockNumber"])
     root = bank.archive.chain.block(victim - 1).state_root
-    (clone / "states" / f"{root.hex()}.json").unlink()
+    snapshot = clone / "states" / f"{root.hex()}.json"
+    if damage == "missing":
+        snapshot.unlink()
+    else:
+        snapshot.write_bytes(b'{"accounts": "\xff"}')
     report = run_investigation(config_for(spec, LocalExplorer(clone), level="block"))
     assert any("state lookup failed" in s for s in report.skips)
     remaining = {d["blockNumber"] for d in report.detections}
@@ -468,6 +486,97 @@ def test_cli_exit_codes(capsys, bank_dir, tmp_path):
     assert code == 2 and "SSTORE with bare stack" in err
 
 
+@pytest.fixture
+def user_paths(tmp_path):
+    """One of each unusable kind of path a user can name."""
+    regular = tmp_path / "regular.txt"
+    regular.write_text("not a directory\n")
+    non_utf8 = tmp_path / "latin1.csv"
+    non_utf8.write_bytes("block_number,caf\xe9\n".encode("latin-1"))
+    return {"regular": regular, "directory": tmp_path, "non-utf8": non_utf8}
+
+
+@pytest.mark.parametrize(
+    "switch, template, kind",
+    [
+        ("-c", "{}", "regular"),
+        ("-c", "{}/sub", "regular"),
+        ("-d", "evm[vuln={}]", "directory"),
+        ("-d", "evm[vuln={}]", "non-utf8"),
+        ("-f", "feed[path={}]", "directory"),
+        ("-f", "feed[path={}]", "non-utf8"),
+    ],
+)
+def test_cli_unusable_user_paths_exit_2(capsys, bank_dir, user_paths, switch, template, kind):
+    path = user_paths[kind]
+    code, out, err = run_cli(
+        capsys,
+        "investigate", "-t", "x", "-e", f"local[dir={bank_dir}]",
+        switch, template.format(path),
+    )
+    assert code == 2 and out == ""
+    assert str(path) in err
+
+
+# -- contract creation --
+
+CREATION = bytes([0xEE]) * 32
+
+
+@pytest.fixture
+def creation_dir(bank_dir, tmp_path):
+    """The Bank archive plus a contract-creation transaction ("to": null)
+    appended to block 3, sent by that block's first exploit sender. It has
+    no trace file, so any attempt to trace it is an archive gap."""
+    clone = tmp_path / "creation"
+    shutil.copytree(bank_dir, clone)
+    chain = json.loads((clone / "chain.json").read_text())
+    txs = chain["blocks"][3]["transactions"]
+    txs.append(dict(txs[1], hash=hash_hex(CREATION), to=None, input="0x6000"))
+    (clone / "chain.json").write_text(json.dumps(chain))
+    return clone
+
+
+@pytest.mark.parametrize("level", ["evm", "block"])
+def test_cli_feed_naming_a_creation_transaction(capsys, spec, creation_dir, tmp_path, level):
+    feed = tmp_path / "creation.csv"
+    selector = function_selector(spec.selectors[0])
+    row = TxRef(3, CREATION, 0, spec.contract, 0, selector, False, None)
+    feed.write_text(write_csv_feed([row]))
+    code, out, _ = run_cli(
+        capsys,
+        "investigate", "-t", "c", "-e", f"local[dir={creation_dir}]",
+        "-d", level, "-f", f"feed[path={feed}]",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    if level == "evm":
+        assert doc["skips"] == [f"tx {hash_hex(CREATION)}: contract creation, skipped"]
+        assert doc["detections"] == []
+    else:
+        # block rules never read `to`: the creation is one more candidate,
+        # and the block's balance drop is not owed to its sender
+        assert doc["skips"] == []
+        (det,) = doc["detections"]
+        assert det["blockNumber"] == 3
+        assert det["candidateTxHashes"] == [hash_hex(CREATION)]
+
+
+def test_cli_internal_discovery_skips_creation_transactions(capsys, bank_dir, creation_dir):
+    docs = []
+    for directory in (bank_dir, creation_dir):
+        code, out, _ = run_cli(
+            capsys,
+            "investigate", "-t", "i", "-e", f"local[dir={directory}]",
+            "-f", "spec[internal=true]",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        doc.pop("timings")
+        docs.append(doc)
+    assert docs[0] == docs[1]
+
+
 def test_cli_export_feed_round_trip(capsys, bank, spec, bank_dir, tmp_path):
     code, out, err = run_cli(capsys, "export-feed", "-e", f"local[dir={bank_dir}]")
     assert code == 0
@@ -540,3 +649,104 @@ def test_cli_bench_rejects_bad_magnitudes(capsys, tmp_path):
         "bench", "--root", str(tmp_path), "--axis", "storage", "--magnitudes", ",",
     )
     assert code == 2 and "at least one integer" in err
+
+
+
+
+# -- exit-code property --
+
+# Free text never holds "=", so every key=value pair in a generated
+# component has one of the keys below, and the file-valued parameters only
+# ever name a path from `path_set`.
+_TEXT = st.text(st.characters(blacklist_characters="="), max_size=12)
+
+
+@pytest.fixture(scope="module")
+def path_set(bank_dir, tmp_path_factory):
+    """Per file-valued parameter: missing, directory, regular file,
+    non-UTF-8, empty and valid (the valid one listed twice)."""
+    base = tmp_path_factory.mktemp("paths")
+    regular = base / "regular.txt"
+    regular.write_text("plain text\n")
+    latin1 = base / "latin1.txt"
+    latin1.write_bytes("caf\xe9\n".encode("latin-1"))
+    empty = base / "empty.txt"
+    empty.write_text("")
+    vuln = bank_dir / "vulns" / "Bank.json"
+    feed = base / "feed.csv"
+    query = default_query(VulnSpec.from_document(json.loads(vuln.read_text())))
+    feed.write_text(write_csv_feed(tx_list(LocalExplorer(bank_dir), query)))
+    (base / "cache").mkdir()
+    kinds = [str(p) for p in (base / "absent", base, regular, latin1, empty)]
+    return {
+        "vuln": [*kinds, str(vuln), str(vuln)],
+        "path": [*kinds, str(feed), str(feed)],
+        "cache": [*kinds, str(base / "cache"), str(base / "cache")],
+    }
+
+
+def _pick(draw, options):
+    """One of `options`, or free text one time in five."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(_TEXT)
+    return draw(st.sampled_from(options))
+
+
+def _component(draw, names, params):
+    """'name' or 'name[key=value,...]', the values drawn by `params`."""
+    name = _pick(draw, names)
+    keys = draw(st.lists(st.sampled_from(sorted(params)), max_size=2, unique=True))
+    pairs = [f"{key}={params[key](draw)}" for key in keys]
+    if draw(st.integers(0, 9)) == 0:
+        pairs.append(_pick(draw, ["x=1", "=1", "dir=."]))
+    return f"{name}[{','.join(pairs)}]" if pairs or draw(st.booleans()) else name
+
+
+@st.composite
+def investigate_argv(draw, archive, paths):
+    def one_of(options):
+        return lambda draw: _pick(draw, options)
+
+    def path(kind):
+        return lambda draw: draw(st.sampled_from(paths[kind]))
+
+    ints = ["1", "3", "10", "0", "-1", "12", "0x2"]
+    argv = ["investigate", "-t", "prop", "-e", f"local[dir={archive}]"]
+    argv += ["-d", _component(draw, ["evm", "block"], {
+        "vuln": path("vuln"),
+        "rule": one_of(["reentrancy", "dos"]),
+        "mode": one_of(["local", "customTracer"]),
+    })]
+    if draw(st.booleans()):
+        argv += ["-f", _component(draw, ["spec", "select", "feed"], {
+            "from": one_of(ints),
+            "to": one_of(ints),
+            "internal": one_of(["true", "false"]),
+            "sigs": one_of(["withdraw(uint256)", "deposit()|withdraw(uint256)", "x"]),
+            "path": path("path"),
+        })]
+    for _ in range(draw(st.integers(0, 2))):
+        argv += ["-p", f"{_pick(draw, ['from', 'to'])}={_pick(draw, ints)}"]
+    if draw(st.booleans()):
+        argv += ["-c", draw(st.sampled_from(paths["cache"]))]
+    # argparse rejects option-like values itself, before main() runs
+    assume(not any(value.startswith("-") for value in argv[6::2]))
+    return argv
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_cli_exit_code_is_always_documented(bank_dir, path_set, data):
+    argv = data.draw(investigate_argv(bank_dir, path_set))
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        mock.patch.object(requests.Session, "post", side_effect=requests.ConnectionError),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        code = main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    if code == 0:
+        check_totals(json.loads(out.getvalue()))
+    else:
+        assert out.getvalue() == "" and err.getvalue().startswith("evmsleuth: ")

@@ -5,15 +5,7 @@ import pytest
 from evmsleuth.errors import ConfigError
 from evmsleuth.fixtures import build_fixture_chain
 from evmsleuth.model import address_hex, word_hex
-from evmsleuth.rules_evm import (
-    Detection,
-    TxContext,
-    VulnSpec,
-    detect_dos_revert,
-    detect_overflow,
-    detect_reentrancy,
-    evaluate_trace,
-)
+from evmsleuth.rules_evm import Detection, TxContext, VulnSpec, evaluate_trace
 from evmsleuth.traces import reconstruct_document
 
 SEED = 11
@@ -89,8 +81,7 @@ def test_from_document_round_trip():
     assert spec.scenario == "Synthetic"
     assert spec.contract == CONTRACT
     assert spec.rule == "dos"
-    assert spec.locations[0].code_address == CONTRACT
-    assert spec.locations[0].pc_offsets == frozenset({3, 7})
+    assert spec.gate == {CONTRACT: frozenset({3, 7})}
     assert spec.selectors == ("poke()",)
     assert spec.include_internal is False
     assert spec.block_range == (1, 5)
@@ -105,6 +96,8 @@ def test_from_document_round_trip():
         (lambda d: d.__setitem__("rule", "phish"), "unknown rule class"),
         (lambda d: d.__setitem__("vulnLocs", []), "vulnLocs is empty"),
         (lambda d: d.__setitem__("vulnLocs", [{"codeAddress": "0x1"}]), "vulnLocs entry"),
+        (lambda d: d.__setitem__("vulnLocs", 5), "vulnLocs entry"),
+        (lambda d: d.__setitem__("params", 5), "params must be an object"),
         (lambda d: d["filter"].__setitem__("blockRange", [0, 5]), "bad blockRange"),
         (lambda d: d["filter"].__setitem__("blockRange", [3, 2]), "bad blockRange"),
         (lambda d: d["filter"].__setitem__("blockRange", ["1", 2]), "bad blockRange"),
@@ -163,7 +156,7 @@ def test_to_arg_index_accessor():
 def test_overflow_flags_wrapping_multiply():
     spec = spec_for("overflow", pcs=(35,))
     rec = arith_trace("MUL", (2**255, 2))
-    hits, notes = detect_overflow(rec, spec, CTX)
+    hits, notes = evaluate_trace(rec, spec, CTX)
     assert notes == []
     assert len(hits) == 1
     hit = hits[0]
@@ -178,14 +171,14 @@ def test_overflow_flags_wrapping_multiply():
 
 def test_overflow_ignores_in_range_arithmetic():
     spec = spec_for("overflow", pcs=(35,))
-    hits, notes = detect_overflow(arith_trace("MUL", (5, 3)), spec, CTX)
+    hits, notes = evaluate_trace(arith_trace("MUL", (5, 3)), spec, CTX)
     assert hits == [] and notes == []
 
 
 def test_underflow_depends_on_signedness():
     unsigned = spec_for("overflow", pcs=(35,))
     rec = arith_trace("SUB", (1, 0))  # top of stack is the minuend
-    hits, _ = detect_overflow(rec, unsigned, CTX)
+    hits, _ = evaluate_trace(rec, unsigned, CTX)
     assert len(hits) == 1
     assert hits[0].detail["zResult"] == "-1"
     assert hits[0].detail["result"] == word_hex(2**256 - 1)
@@ -196,7 +189,7 @@ def test_underflow_depends_on_signedness():
         "balanceOfSlot": 0,
     }
     signed = spec_for("overflow", pcs=(35,), params=signed_params)
-    hits, _ = detect_overflow(rec, signed, CTX)
+    hits, _ = evaluate_trace(rec, signed, CTX)
     assert hits == []
 
 
@@ -204,14 +197,14 @@ def test_underflow_depends_on_signedness():
 def test_modular_ops_never_flag(op):
     spec = spec_for("overflow", pcs=(35,))
     rec = arith_trace(op, (5, 2**256 - 1, 2**256 - 1))
-    hits, notes = detect_overflow(rec, spec, CTX)
+    hits, notes = evaluate_trace(rec, spec, CTX)
     assert hits == [] and notes == []
 
 
 def test_clamped_exponentiation_flags_without_exact_value():
     spec = spec_for("overflow", pcs=(35,))
     rec = arith_trace("EXP", (2**20, 3))  # base on top, huge exponent below
-    hits, _ = detect_overflow(rec, spec, CTX)
+    hits, _ = evaluate_trace(rec, spec, CTX)
     assert len(hits) == 1
     assert hits[0].detail["zResult"] is None
     assert hits[0].detail["zClamped"] is True
@@ -220,17 +213,47 @@ def test_clamped_exponentiation_flags_without_exact_value():
 def test_overflow_skips_short_stacks_with_a_note():
     spec = spec_for("overflow", pcs=(35,))
     rec = arith_trace("MUL", (2,))
-    hits, notes = detect_overflow(rec, spec, CTX)
+    hits, notes = evaluate_trace(rec, spec, CTX)
     assert hits == []
-    assert len(notes) == 1 and "skipped" in notes[0]
+    assert notes == ["step 2: MUL with 1 stack words, skipped"]
+
+
+def test_bad_bounds_fail_the_trace_even_without_gated_steps():
+    params = {"typeMin": "x", "typeMax": "1", "balanceOfSlot": 0}
+    spec = spec_for("overflow", pcs=(99,), params=params)
+    with pytest.raises(ConfigError, match="bad type bounds"):
+        evaluate_trace(arith_trace("MUL", (2**255, 2)), spec, CTX)
+
+
+def test_locations_sharing_a_code_address_merge_into_one_gate():
+    rec = reconstruct_document(
+        doc(
+            [
+                step(0, "PUSH32", 1),
+                step(33, "PUSH1", 1),
+                step(35, "MUL", 1, (2**255, 2)),
+                step(36, "MUL", 1, (2**255, 4)),
+                step(37, "STOP", 1),
+            ]
+        ),
+        CONTRACT,
+    )
+    split = vuln_doc("overflow", pcs=(35,))
+    split["vulnLocs"].append({"codeAddress": "0x%040x" % CONTRACT, "pcOffsets": [36]})
+    split_spec = VulnSpec.from_document(split)
+    joint_spec = spec_for("overflow", pcs=(35, 36))
+    assert split_spec.gate == joint_spec.gate == {CONTRACT: frozenset({35, 36})}
+    hits, notes = evaluate_trace(rec, split_spec, CTX)
+    assert [hit.pc for hit in hits] == [35, 36] and notes == []
+    assert (hits, notes) == evaluate_trace(rec, joint_spec, CTX)
 
 
 def test_overflow_requires_location_match():
     off_pc = spec_for("overflow", pcs=(99,))
     rec = arith_trace("MUL", (2**255, 2))
-    assert detect_overflow(rec, off_pc, CTX) == ([], [])
+    assert evaluate_trace(rec, off_pc, CTX) == ([], [])
     off_code = spec_for("overflow", pcs=(35,), code=ATTACKER)
-    assert detect_overflow(rec, off_code, CTX) == ([], [])
+    assert evaluate_trace(rec, off_code, CTX) == ([], [])
 
 
 # -- dos rule --
@@ -256,7 +279,7 @@ def failed_call_trace(op="CALL", status=0, extension=None):
 def test_dos_flags_refused_transfer():
     spec = spec_for("dos", pcs=(2,))
     rec = reconstruct_document(failed_call_trace(), CONTRACT)
-    hits, notes = detect_dos_revert(rec, spec, CTX)
+    hits, notes = evaluate_trace(rec, spec, CTX)
     assert notes == []
     assert len(hits) == 1
     hit = hits[0]
@@ -271,7 +294,7 @@ def test_dos_flags_refused_transfer():
 def test_dos_ignores_successful_calls():
     spec = spec_for("dos", pcs=(2,))
     rec = reconstruct_document(failed_call_trace(status=1), CONTRACT)
-    assert detect_dos_revert(rec, spec, CTX) == ([], [])
+    assert evaluate_trace(rec, spec, CTX) == ([], [])
 
 
 def test_dos_ignores_staticcall():
@@ -281,22 +304,24 @@ def test_dos_ignores_staticcall():
     rec = reconstruct_document(
         failed_call_trace(op="STATICCALL", extension=extension), CONTRACT
     )
-    assert detect_dos_revert(rec, spec, CTX) == ([], [])
+    assert evaluate_trace(rec, spec, CTX) == ([], [])
 
 
 def test_dos_notes_unavailable_status():
     spec = spec_for("dos", pcs=(2,))
     rec = reconstruct_document(failed_call_trace(), CONTRACT, relaxed=True)
-    hits, notes = detect_dos_revert(rec, spec, CTX)
+    hits, notes = evaluate_trace(rec, spec, CTX)
     assert hits == []
-    assert len(notes) == 1 and "status unavailable" in notes[0]
+    assert notes == [
+        "step 1: CALL status unavailable (filtered trace without call records), skipped"
+    ]
 
 
 def test_dos_on_failed_transaction_keeps_status():
     spec = spec_for("dos", pcs=(2,))
     rec = reconstruct_document(failed_call_trace(), CONTRACT)
     ctx = TxContext(tx_hash=TX, block_number=9, failed=True)
-    hits, _ = detect_dos_revert(rec, spec, ctx)
+    hits, _ = evaluate_trace(rec, spec, ctx)
     assert hits[0].tx_status == "failed"
     assert hits[0].to_document()["txStatus"] == "failed"
 
@@ -331,7 +356,7 @@ def reentrant_trace(second_op="CALL", sstore_stack=(9, 3), relaxed=False):
 
 def test_reentrancy_flags_nested_activation():
     spec = spec_for("reentrancy", pcs=(2,))
-    hits, notes = detect_reentrancy(reentrant_trace(), spec, CTX)
+    hits, notes = evaluate_trace(reentrant_trace(), spec, CTX)
     assert notes == []
     assert len(hits) == 1
     hit = hits[0]
@@ -352,7 +377,7 @@ def test_reentrancy_ignores_top_level_store():
         ]
     )
     rec = reconstruct_document(src, CONTRACT)
-    assert detect_reentrancy(rec, spec, CTX) == ([], [])
+    assert evaluate_trace(rec, spec, CTX) == ([], [])
 
 
 def test_reentrancy_covers_delegatecall_without_a_code_gate():
@@ -360,7 +385,7 @@ def test_reentrancy_covers_delegatecall_without_a_code_gate():
     # attacker's own storage, yet a deeper activation of that identity
     # exists, and the vulnerable instruction is genuinely executing
     spec = spec_for("reentrancy", pcs=(2,))
-    hits, _ = detect_reentrancy(reentrant_trace(second_op="DELEGATECALL"), spec, CTX)
+    hits, _ = evaluate_trace(reentrant_trace(second_op="DELEGATECALL"), spec, CTX)
     assert len(hits) == 1
     hit = hits[0]
     assert hit.frame_id == ATTACKER
@@ -372,7 +397,7 @@ def test_reentrancy_covers_delegatecall_without_a_code_gate():
 def test_reentrancy_reports_unknown_write_as_null():
     spec = spec_for("reentrancy", pcs=(2,))
     rec = reentrant_trace(sstore_stack=(), relaxed=True)
-    hits, _ = detect_reentrancy(rec, spec, CTX)
+    hits, _ = evaluate_trace(rec, spec, CTX)
     assert len(hits) == 1
     assert hits[0].detail["slot"] is None
     assert hits[0].detail["value"] is None
@@ -408,12 +433,6 @@ def test_detection_document_shape():
     ]
     assert out["txHash"] == "0x" + TX.hex()
     assert "step" not in out and "rawIndex" not in out
-
-
-def test_evaluate_trace_dispatches_on_rule():
-    spec = spec_for("overflow", pcs=(35,))
-    rec = arith_trace("MUL", (2**255, 2))
-    assert evaluate_trace(rec, spec, CTX) == detect_overflow(rec, spec, CTX)
 
 
 # -- real traces --
