@@ -14,10 +14,11 @@ execute_transaction, which clones internally.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ArchiveGapError, UsageError
+from .errors import ArchiveGapError, ProtocolError, UsageError
 from .hashing import digest, tx_hash
 from .interpreter import (
     DEFAULT_GAS_LIMIT,
@@ -31,7 +32,6 @@ from .model import (
     GlobalState,
     address_hex,
     hash_hex,
-    parse_hex,
     state_root,
     storage_hex,
     word_hex,
@@ -311,7 +311,7 @@ def tx_to_document(tx: Transaction) -> dict:
     return {
         "hash": hash_hex(tx.hash),
         "from": address_hex(tx.sender),
-        "to": address_hex(tx.to),
+        "to": None if tx.to is None else address_hex(tx.to),
         "value": word_hex(tx.value),
         "input": "0x" + tx.data.hex(),
         "nonce": tx.nonce,
@@ -319,15 +319,49 @@ def tx_to_document(tx: Transaction) -> dict:
     }
 
 
+# The hex digits of each hex field of a transaction object.
+_TX_HEX = {
+    "hash": re.compile(r"0x([0-9a-fA-F]{64})"),
+    "from": re.compile(r"0x([0-9a-fA-F]{40})"),
+    "to": re.compile(r"0x([0-9a-fA-F]{40})"),
+    "value": re.compile(r"0x([0-9a-fA-F]{1,64})"),
+    "input": re.compile(r"0x([0-9a-fA-F]*)"),  # fromhex rejects an odd count
+}
+
+
+def _tx_field(doc: dict, name: str):
+    if name not in doc:
+        raise ProtocolError(f"transaction without {name}")
+    value = doc[name]
+    pattern = _TX_HEX.get(name)
+    if pattern is None:  # nonce, gasLimit
+        if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+            return value
+    else:
+        match = pattern.fullmatch(value) if isinstance(value, str) else None
+        if match is not None:
+            return match[1]
+    raise ProtocolError(f"transaction {name} is malformed: {value!r:.80}")
+
+
 def tx_from_document(doc: dict) -> Transaction:
+    """The transaction a chain.json transaction object describes; ProtocolError
+    names the first field that is missing or malformed."""
+    if not isinstance(doc, dict):
+        raise ProtocolError(f"transaction is not an object: {doc!r:.80}")
+    try:
+        data = bytes.fromhex(_tx_field(doc, "input"))
+    except ValueError:
+        raise ProtocolError(f"transaction input is malformed: {doc['input']!r:.80}") from None
     return Transaction(
-        hash=bytes.fromhex(doc["hash"][2:]),
-        sender=parse_hex(doc["from"]),
-        to=None if doc["to"] is None else parse_hex(doc["to"]),
-        value=parse_hex(doc["value"]),
-        data=bytes.fromhex(doc["input"][2:]),
-        nonce=doc["nonce"],
-        gas_limit=doc["gasLimit"],
+        hash=bytes.fromhex(_tx_field(doc, "hash")),
+        sender=int(_tx_field(doc, "from"), 16),
+        # null marks a contract creation; a missing "to" is malformed
+        to=None if doc.get("to", "") is None else int(_tx_field(doc, "to"), 16),
+        value=int(_tx_field(doc, "value"), 16),
+        data=data,
+        nonce=_tx_field(doc, "nonce"),
+        gas_limit=_tx_field(doc, "gasLimit"),
     )
 
 

@@ -164,16 +164,11 @@ def build_explorer(spec_text: str, cache_dir: str | None):
 
 
 def load_vuln_spec(detector_params: dict, explorer_text: str) -> VulnSpec:
-    from .fixtures import read_vuln_doc
+    from .fixtures import read_vuln_doc, read_vuln_file
 
     path = detector_params.pop("vuln", None)
     if path is not None:
-        text = _read_user_file(path, "vulnerability description")
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"vulnerability description unreadable: {err}") from None
-        return VulnSpec.from_document(doc)
+        return VulnSpec.from_document(read_vuln_file(path))
     name, params = parse_component(explorer_text)
     if name == "local" and "dir" in params:
         return VulnSpec.from_document(read_vuln_doc(params["dir"]))

@@ -2,7 +2,7 @@
 
 All backends answer the same five questions:
 
-  collect_block_details(n)   block envelope + parent envelope, no receipts
+  collect_block_details(n)   {"block": envelope}: block n's envelope alone
   tx_trace(hash, tracer)     full or pc-filtered trace document
   get_storage(addr, key, n)  storage word as of block n's post-state
   get_balance(addr, n)       balance as of block n's post-state
@@ -11,12 +11,20 @@ All backends answer the same five questions:
 Post-state semantics throughout: the pre-state of block n is a query
 against n - 1.
 
-LocalExplorer reads a fixture/archive directory. chain.json is parsed once
-at construction (it is the index); state snapshots are re-read from disk on
-every storage/balance query. That second choice is deliberate: it models an
-archive node that charges per point query, it is what the cache exists to
-absorb, and it is what makes analysis cost grow with state size when no
-cache is in front.
+A block envelope is number, hash, parentHash, stateRoot and transactions,
+shaped as in chain.json (docs/formats.md); receipts are left out.
+block_envelope() is the one check that makes it: every backend's block
+object passes through it where it enters, and a missing or malformed field
+is a ProtocolError. RpcExplorer maps a JSON-RPC block to the archive shape
+first (hex number and nonce to ints, gas to gasLimit); extra fields are
+dropped.
+
+LocalExplorer reads a fixture/archive directory. chain.json is parsed and
+checked once at construction (it is the index); state snapshots are re-read
+from disk on every storage/balance query. That second choice is deliberate:
+it models an archive node that charges per point query, it is what the
+cache exists to absorb, and it is what makes analysis cost grow with state
+size when no cache is in front.
 
 CachedExplorer is a read-through wrapper over any backend. Entries are
 persisted one file per query with a content digest and written atomically;
@@ -29,9 +37,11 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 from pathlib import Path
 
+from .chain import tx_from_document, tx_to_document
 from .errors import ArchiveGapError, ProtocolError, UsageError
 from .hashing import digest
 from .model import address_hex, hash_hex, storage_hex, word_hex
@@ -96,6 +106,42 @@ def _read_json(path: Path, what: str):
         raise ProtocolError(f"{what} unreadable: {err}") from None
 
 
+_HASH = re.compile(r"0x[0-9a-fA-F]{64}")
+
+
+def block_envelope(doc, where: str) -> dict:
+    """The envelope of block object doc: its number, hash, parentHash,
+    stateRoot and transactions in the chain.json shape. ProtocolError names
+    the first field that is missing or malformed; each transaction is
+    checked by reading it with tx_from_document."""
+    number = doc.get("number") if isinstance(doc, dict) else None
+    if not isinstance(number, int) or isinstance(number, bool):
+        raise ProtocolError(f"{where} block without an int number: {doc!r:.80}")
+    for name in ("hash", "parentHash", "stateRoot", "transactions"):
+        if name not in doc:
+            raise ProtocolError(f"{where} block {number} without {name}")
+    for name in ("hash", "parentHash", "stateRoot"):
+        value = doc[name]
+        if not (isinstance(value, str) and _HASH.fullmatch(value)):
+            raise ProtocolError(
+                f"{where} block {number}: {name} is not a 32-byte hash: {value!r:.80}"
+            )
+    txs = doc["transactions"]
+    if not isinstance(txs, list):
+        raise ProtocolError(f"{where} block {number}: transactions is not a list: {txs!r:.80}")
+    try:
+        txs = [tx_to_document(tx_from_document(tx)) for tx in txs]
+    except ProtocolError as err:
+        raise ProtocolError(f"{where} block {number}: {err}") from None
+    return {
+        "number": number,
+        "hash": doc["hash"],
+        "parentHash": doc["parentHash"],
+        "stateRoot": doc["stateRoot"],
+        "transactions": txs,
+    }
+
+
 class LocalExplorer:
     def __init__(self, directory: str | Path):
         self.base = Path(directory)
@@ -105,10 +151,8 @@ class LocalExplorer:
             raise ProtocolError("chain.json has no blocks list")
         self._by_number: dict[int, dict] = {}
         for doc in blocks:
-            number = doc.get("number") if isinstance(doc, dict) else None
-            if not isinstance(number, int) or isinstance(number, bool):
-                raise ProtocolError(f"chain.json block without an int number: {doc!r:.80}")
-            self._by_number[number] = doc
+            block = block_envelope(doc, "chain.json")
+            self._by_number[block["number"]] = block
         if not self._by_number:
             raise ArchiveGapError("chain.json lists no blocks")
         self._tip = max(self._by_number)
@@ -122,23 +166,8 @@ class LocalExplorer:
             raise ArchiveGapError(f"no block {number} in archive (tip {self._tip})")
         return doc
 
-    @staticmethod
-    def _envelope(doc: dict) -> dict:
-        return {
-            "number": doc["number"],
-            "hash": doc["hash"],
-            "parentHash": doc["parentHash"],
-            "stateRoot": doc["stateRoot"],
-            "transactions": doc["transactions"],
-        }
-
     def collect_block_details(self, number: int) -> dict:
-        doc = self._block_doc(number)
-        parent = self._by_number.get(number - 1)
-        return {
-            "block": self._envelope(doc),
-            "parent": None if parent is None else self._envelope(parent),
-        }
+        return {"block": self._block_doc(number)}
 
     def tx_trace(self, tx_hash: bytes, tracer_spec: dict | None = None) -> dict:
         path = self.base / "traces" / f"{tx_hash.hex()}.json"
@@ -178,6 +207,14 @@ def _as_int(value, what: str) -> int:
         except ValueError:
             pass
     raise ProtocolError(f"{what} is not a quantity: {value!r}")
+
+
+def _archive_tx(tx):
+    """A JSON-RPC transaction object with the archive's nonce and gasLimit."""
+    if not isinstance(tx, dict):
+        return tx
+    nonce = _as_int(tx.get("nonce"), "transaction nonce")
+    return dict(tx, nonce=nonce, gasLimit=_as_int(tx.get("gas"), "transaction gas"))
 
 
 class RpcExplorer:
@@ -227,26 +264,21 @@ class RpcExplorer:
     def height(self) -> int:
         return _as_int(self._rpc("eth_blockNumber", []), "blockNumber")
 
-    def _block(self, number: int) -> dict | None:
+    def collect_block_details(self, number: int) -> dict:
         result = self._rpc("eth_getBlockByNumber", [hex(number), True])
         if result is None:
-            return None
+            raise ArchiveGapError(f"no block {number} at {self.url}")
         if not isinstance(result, dict):
             raise ProtocolError("block reply is not an object")
-        return {
-            "number": _as_int(result.get("number"), "block number"),
-            "hash": result["hash"],
-            "parentHash": result["parentHash"],
-            "stateRoot": result["stateRoot"],
-            "transactions": result.get("transactions", []),
-        }
-
-    def collect_block_details(self, number: int) -> dict:
-        block = self._block(number)
-        if block is None:
-            raise ArchiveGapError(f"no block {number} at {self.url}")
-        parent = self._block(number - 1) if number > 0 else None
-        return {"block": block, "parent": parent}
+        doc = dict(result, number=_as_int(result.get("number"), "block number"))
+        if isinstance(doc.get("transactions"), list):
+            doc["transactions"] = [_archive_tx(tx) for tx in doc["transactions"]]
+        block = block_envelope(doc, "eth_getBlockByNumber")
+        if block["number"] != number:
+            raise ProtocolError(
+                f"eth_getBlockByNumber: asked for block {number}, got {block['number']}"
+            )
+        return {"block": block}
 
     def tx_trace(self, tx_hash: bytes, tracer_spec: dict | None = None) -> dict:
         params: list = [hash_hex(tx_hash)]

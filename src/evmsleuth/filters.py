@@ -23,6 +23,7 @@ import csv
 import io
 from dataclasses import dataclass
 
+from .chain import tx_from_document
 from .errors import FeedError, UsageError
 from .hashing import function_selector
 from .model import address_hex, hash_hex
@@ -91,7 +92,6 @@ def tx_list(explorer, query: FilterQuery) -> list[TxRef]:
     not found.
     """
     selectors = query.selector_bytes()
-    contract_hex = address_hex(query.contract)
     lo, hi = query.block_range
     rows: list[TxRef] = []
     seen: set[TxRef] = set()
@@ -102,28 +102,25 @@ def tx_list(explorer, query: FilterQuery) -> list[TxRef]:
             rows.append(row)
 
     for number in range(lo, hi + 1):
-        details = explorer.collect_block_details(number)
-        for tx_doc in details["block"]["transactions"]:
-            tx_hash = bytes.fromhex(tx_doc["hash"][2:])
-            data = bytes.fromhex(tx_doc["input"][2:])
-            selector = data[:4] if len(data) >= 4 else None
-            if tx_doc["to"] == contract_hex and selector in selectors:
+        block = explorer.collect_block_details(number)["block"]
+        for tx in map(tx_from_document, block["transactions"]):
+            if tx.to == query.contract and tx.selector in selectors:
                 emit(
                     TxRef(
                         block_number=number,
-                        tx_hash=tx_hash,
-                        sender=int(tx_doc["from"], 16),
-                        to=query.contract,
-                        value=int(tx_doc["value"], 16),
-                        selector=selector,
+                        tx_hash=tx.hash,
+                        sender=tx.sender,
+                        to=tx.to,
+                        value=tx.value,
+                        selector=tx.selector,
                         internal=False,
                         parent=None,
                     )
                 )
-            if not query.include_internal or tx_doc["to"] is None:
+            if not query.include_internal or tx.to is None:
                 continue
-            trace = explorer.tx_trace(tx_hash)
-            rec = reconstruct_document(trace, int(tx_doc["to"], 16))
+            trace = explorer.tx_trace(tx.hash)
+            rec = reconstruct_document(trace, tx.to)
             for step in rec.steps:
                 site = step.call
                 if site is None or site.input is None:
@@ -133,13 +130,13 @@ def tx_list(explorer, query: FilterQuery) -> list[TxRef]:
                 emit(
                     TxRef(
                         block_number=number,
-                        tx_hash=tx_hash,
+                        tx_hash=tx.hash,
                         sender=step.code_address,
                         to=query.contract,
                         value=site.value or 0,
                         selector=site.input[:4],
                         internal=True,
-                        parent=tx_hash,
+                        parent=tx.hash,
                     )
                 )
     return rows

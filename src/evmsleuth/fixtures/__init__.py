@@ -7,6 +7,7 @@ from .scenarios import (  # noqa: F401
     build_fixture_chain,
     build_suite,
     read_vuln_doc,
+    read_vuln_file,
     scale_fixture,
     write_fixture,
 )

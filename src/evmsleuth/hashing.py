@@ -10,20 +10,11 @@ import hashlib
 
 from .words import ADDRESS_BITS, WORD_MODULUS
 
-# Scalar contract variables occupy slots below this; mapping slots are
-# derived above it. See mapping_slot().
-SCALAR_SLOT_CEILING = 16
-
-
 def digest(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
 EMPTY_CODE_HASH = digest(b"")
-
-
-def code_hash(code: bytes) -> bytes:
-    return digest(code)
 
 
 def function_selector(signature: str) -> bytes:

@@ -35,7 +35,6 @@ STACK_LIMIT = 1024
 MEMORY_LIMIT = 1 << 20
 DEFAULT_GAS_LIMIT = 10_000_000
 CALL_RESERVE = 2_000
-COST_TABLE_VERSION = "v1"
 
 
 class _StepCounter:
@@ -277,7 +276,6 @@ class ActivationRecord:
 @dataclass
 class ActivationStack:
     frames: list[ActivationRecord] = field(default_factory=list)
-    exception: str | None = None
 
     def top(self) -> ActivationRecord:
         return self.frames[-1]
@@ -628,10 +626,8 @@ def _complete_frame(vm: EVMState, success: bool, data: bytes, revert: bool = Fal
     vm.logs = list(child.logs) if success else []
     if fault is not None:
         vm.fault = fault
-        vm.frames.exception = fault
     elif revert:
         vm.fault = "revert"
-        vm.frames.exception = "revert"
 
 
 def execute_transaction(

@@ -38,11 +38,6 @@ def storage_hex(value: Word) -> str:
     return f"{value:064x}"
 
 
-def parse_hex(text: str) -> int:
-    body = text[2:] if text.startswith(("0x", "0X")) else text
-    return int(body, 16)
-
-
 @dataclass(frozen=True)
 class IntTypeBounds:
     """Inclusive range of a Solidity-style integer type."""

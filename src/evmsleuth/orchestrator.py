@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import interpreter
-from .chain import tx_from_document
+from .chain import Transaction, tx_from_document
 from .errors import ArchiveGapError, ProtocolError, SleuthError, UsageError
 from .explorer import CachedExplorer, ExplorerView, LocalExplorer
 from .filters import FilterQuery, TxRef, tx_list
@@ -181,7 +181,7 @@ def _run_evm_level(config, rows, report, timings):
     spec = config.spec
     explorer = config.explorer
     tracer = _tracer_spec(config)
-    envelopes: dict[int, dict] = {}
+    blocks: dict[int, dict[bytes, Transaction]] = {}
     order: dict[bytes, int] = {}
     for row in rows:
         order.setdefault(row.tx_hash, row.block_number)
@@ -192,17 +192,16 @@ def _run_evm_level(config, rows, report, timings):
         label = f"tx 0x{tx_hash.hex()}"
         t0 = time.perf_counter()
         try:
-            if number not in envelopes:
-                envelopes[number] = explorer.collect_block_details(number)
-            tx_doc = next(
-                (t for t in envelopes[number]["block"]["transactions"]
-                 if t["hash"] == "0x" + tx_hash.hex()),
-                None,
-            )
-            if tx_doc is None:
+            if number not in blocks:
+                block = explorer.collect_block_details(number)["block"]
+                blocks[number] = {
+                    tx.hash: tx for tx in map(tx_from_document, block["transactions"])
+                }
+            tx = blocks[number].get(tx_hash)
+            if tx is None:
                 report.skips.append(f"{label}: not in block {number}, skipped")
                 continue
-            if tx_doc["to"] is None:
+            if tx.to is None:
                 report.skips.append(f"{label}: contract creation, skipped")
                 continue
             trace = explorer.tx_trace(tx_hash, tracer)
@@ -214,9 +213,7 @@ def _run_evm_level(config, rows, report, timings):
 
         t0 = time.perf_counter()
         try:
-            rec = reconstruct_document(
-                trace, int(tx_doc["to"], 16), relaxed=tracer is not None
-            )
+            rec = reconstruct_document(trace, tx.to, relaxed=tracer is not None)
             ctx = TxContext(tx_hash, number, rec.failed)
             found, notes = evaluate_trace(rec, spec, ctx)
         except SleuthError as err:
@@ -242,20 +239,18 @@ def _run_block_level(config, rows, report, timings):
     report.blocks_evaluated = len(by_block)
 
     for number in sorted(by_block):
+        wanted = {row.tx_hash for row in by_block[number]}
         t0 = time.perf_counter()
         try:
-            details = explorer.collect_block_details(number)
+            block = explorer.collect_block_details(number)["block"]
+            candidates = tuple(
+                tx for tx in map(tx_from_document, block["transactions"]) if tx.hash in wanted
+            )
         except (ArchiveGapError, ProtocolError) as err:
-            timings["fetch"] += time.perf_counter() - t0
             report.skips.append(f"block {number}: fetch failed, skipped ({err})")
             continue
-        wanted = {row.tx_hash for row in by_block[number]}
-        candidates = tuple(
-            tx_from_document(t)
-            for t in details["block"]["transactions"]
-            if bytes.fromhex(t["hash"][2:]) in wanted
-        )
-        timings["fetch"] += time.perf_counter() - t0
+        finally:
+            timings["fetch"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
         try:

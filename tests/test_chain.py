@@ -1,5 +1,6 @@
 """Chain assembly, archives, and their on-disk round trip."""
 
+import dataclasses
 import json
 
 import pytest
@@ -16,7 +17,7 @@ from evmsleuth.chain import (
     tx_to_document,
     write_archive,
 )
-from evmsleuth.errors import ArchiveGapError, UsageError
+from evmsleuth.errors import ArchiveGapError, ProtocolError, UsageError
 from evmsleuth.explorer import LocalExplorer
 from evmsleuth.interpreter import MNEMONICS
 from evmsleuth.model import GlobalState, hash_hex
@@ -153,8 +154,41 @@ def test_tx_document_roundtrip():
 
 def test_contract_creation_document_has_no_target():
     tx = make_transaction(SENDER, CONTRACT, 0, b"\x60\x00\x60\x00", nonce=4)
-    doc = dict(tx_to_document(tx), to=None)
-    assert tx_from_document(doc).to is None
+    creation = dataclasses.replace(tx, to=None)
+    doc = tx_to_document(creation)
+    assert doc["to"] is None
+    assert tx_from_document(doc) == creation
+
+
+_GOOD_TX = tx_to_document(make_transaction(SENDER, CONTRACT, 9, b"\x01\x02\x03\x04", nonce=4))
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([], "not an object"),
+        *[({k: v for k, v in _GOOD_TX.items() if k != name}, f"without {name}")
+          for name in _GOOD_TX],
+        (dict(_GOOD_TX, hash="0x" + "ab" * 31), "hash is malformed"),
+        (dict(_GOOD_TX, hash="ab" * 32), "hash is malformed"),
+        (dict(_GOOD_TX, hash=None), "hash is malformed"),
+        (dict(_GOOD_TX, to="0x12"), "to is malformed"),
+        (dict(_GOOD_TX, to="0x" + "g" * 40), "to is malformed"),
+        (dict(_GOOD_TX, **{"from": 5}), "from is malformed"),
+        (dict(_GOOD_TX, value="0x"), "value is malformed"),
+        (dict(_GOOD_TX, value="-0x1"), "value is malformed"),
+        (dict(_GOOD_TX, value="0x" + "1" * 65), "value is malformed"),
+        (dict(_GOOD_TX, input="0x123"), "input is malformed"),
+        (dict(_GOOD_TX, input="0x12 34"), "input is malformed"),
+        (dict(_GOOD_TX, nonce="0x4"), "nonce is malformed"),
+        (dict(_GOOD_TX, nonce=-1), "nonce is malformed"),
+        (dict(_GOOD_TX, nonce=True), "nonce is malformed"),
+        (dict(_GOOD_TX, gasLimit=1.5), "gasLimit is malformed"),
+    ],
+)
+def test_tx_from_document_rejects_malformed(doc, message):
+    with pytest.raises(ProtocolError, match=message):
+        tx_from_document(doc)
 
 
 # -- archive directories --
@@ -184,10 +218,7 @@ def test_archive_roundtrip(tmp_path):
         assert envelope["parentHash"] == hash_hex(block.parent)
         assert envelope["stateRoot"] == hash_hex(block.state_root)
         assert tuple(tx_from_document(t) for t in envelope["transactions"]) == block.txs
-        if block.number == 0:
-            assert details["parent"] is None
-        else:
-            assert details["parent"]["hash"] == hash_hex(block.parent)
+        assert list(details) == ["block"]
         state = arch.world.get(block.state_root)
         assert state.accounts
         for addr, acct in state.accounts.items():

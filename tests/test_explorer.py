@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from evmsleuth.cli import main
 from evmsleuth.errors import ArchiveGapError, ProtocolError, UsageError
 from evmsleuth.explorer import (
     CachedExplorer,
@@ -101,19 +102,57 @@ def test_local_height_matches_chain(fixture, local):
 
 
 def test_local_block_envelope(fixture, local):
-    details = local.collect_block_details(1)
-    block, parent = details["block"], details["parent"]
+    block = local.collect_block_details(1)["block"]
     assert sorted(block) == ["hash", "number", "parentHash", "stateRoot", "transactions"]
     assert block["number"] == 1
-    assert parent["number"] == 0
-    assert block["parentHash"] == parent["hash"]
+    assert block["parentHash"] == local.collect_block_details(0)["block"]["hash"]
     stored = fixture.archive.chain.block(1)
     assert block["stateRoot"] == "0x" + stored.state_root.hex()
     assert len(block["transactions"]) == len(stored.txs)
 
 
 def test_local_genesis_has_no_parent(local):
-    assert local.collect_block_details(0)["parent"] is None
+    assert list(local.collect_block_details(0)) == ["block"]
+
+
+def _without(doc, name):
+    return {k: v for k, v in doc.items() if k != name}
+
+
+def _damage_tx(name, value=None):
+    def damage(block):
+        tx = block["transactions"][0]
+        damaged = _without(tx, name) if value is None else dict(tx, **{name: value})
+        block["transactions"][0] = damaged
+
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        *[(lambda block, name=name: block.pop(name), f"without {name}")
+          for name in ("hash", "parentHash", "stateRoot", "transactions")],
+        (lambda block: block.update(stateRoot="0x00"), "stateRoot is not a 32-byte hash"),
+        (lambda block: block.update(hash="0x" + "zz" * 32), "hash is not a 32-byte hash"),
+        (lambda block: block.update(parentHash=None), "parentHash is not a 32-byte hash"),
+        (lambda block: block.update(stateRoot="0x/../" + "0" * 59), "stateRoot is not"),
+        (lambda block: block.update(transactions={"0": {}}), "transactions is not a list"),
+        (lambda block: block["transactions"].append("0x" + "ab" * 32), "not an object"),
+        (_damage_tx("input"), "transaction without input"),
+        (_damage_tx("hash"), "transaction without hash"),
+        (_damage_tx("gasLimit"), "transaction without gasLimit"),
+        (_damage_tx("to", "0xabc"), "transaction to is malformed"),
+    ],
+)
+def test_local_rejects_a_malformed_block_envelope(archive_dir, tmp_path, damage, message):
+    clone = tmp_path / "clone"
+    clone.mkdir()
+    chain = json.loads((archive_dir / "chain.json").read_text())
+    damage(chain["blocks"][1])
+    (clone / "chain.json").write_text(json.dumps(chain))
+    with pytest.raises(ProtocolError, match=f"chain.json block 1.*{message}"):
+        LocalExplorer(clone)
 
 
 def test_local_missing_block_is_a_gap(local):
@@ -463,6 +502,25 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(data)
 
 
+def _rpc_block(block):
+    """An archive block envelope as a JSON-RPC node sends it: hex quantities,
+    gas for gasLimit, and fields the archive does not keep."""
+    txs = [
+        dict(
+            _without(tx, "gasLimit"),
+            nonce=hex(tx["nonce"]),
+            gas=hex(tx["gasLimit"]),
+            gasPrice="0x1",
+            blockHash=block["hash"],
+            blockNumber=hex(block["number"]),
+            transactionIndex=hex(index),
+        )
+        for index, tx in enumerate(block["transactions"])
+    ]
+    extras = {"gasUsed": "0x0", "miner": "0x" + "00" * 20}
+    return dict(block, number=hex(block["number"]), transactions=txs, **extras)
+
+
 class _Shim(ThreadingHTTPServer):
     daemon_threads = True
 
@@ -471,6 +529,7 @@ class _Shim(ThreadingHTTPServer):
         self.local = local
         self.mode = "ok"
         self.drop_next = 0
+        self.block_reply = None
         self.seen = []
 
     def answer(self, payload):
@@ -479,13 +538,13 @@ class _Shim(ThreadingHTTPServer):
         if method == "eth_blockNumber":
             return hex(local.height())
         if method == "eth_getBlockByNumber":
+            if self.block_reply is not None:
+                return self.block_reply
             try:
-                details = local.collect_block_details(int(params[0], 16))
+                block = local.collect_block_details(int(params[0], 16))["block"]
             except ArchiveGapError:
                 return None
-            doc = dict(details["block"])
-            doc["number"] = hex(doc["number"])
-            return doc
+            return _rpc_block(block)
         if method == "debug_traceTransaction":
             spec = params[1]["tracerConfig"] if len(params) > 1 else None
             try:
@@ -513,15 +572,18 @@ def shim(local):
 def rpc(shim):
     shim.mode = "ok"
     shim.drop_next = 0
+    shim.block_reply = None
     shim.seen.clear()
     host, port = shim.server_address
     return RpcExplorer(f"http://{host}:{port}", retries=3, timeout=5.0)
 
 
-def test_rpc_mirrors_the_local_archive(rpc, local, fixture):
+def test_rpc_mirrors_the_local_archive(rpc, shim, local, fixture):
     assert rpc.height() == local.height()
-    assert rpc.collect_block_details(1) == local.collect_block_details(1)
-    assert rpc.collect_block_details(0)["parent"] is None
+    for number in range(local.height() + 1):
+        before = len(shim.seen)
+        assert rpc.collect_block_details(number) == local.collect_block_details(number)
+        assert len(shim.seen) == before + 1  # the block alone, no parent
     txh = fixture.archive.labels.exploit_hashes()[0]
     assert rpc.tx_trace(txh) == local.tx_trace(txh)
     contract = contract_of(fixture)
@@ -574,3 +636,39 @@ def test_rpc_cached_composition(rpc, shim, tmp_path, local):
     before = len(shim.seen)
     assert cache.collect_block_details(n) == details
     assert len(shim.seen) == before  # warm read never touches the wire
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda block: block.update(number="0x2"), "asked for block 1, got 2"),
+        (lambda block: block.update(number="one"), "block number is not a quantity"),
+        (lambda block: block.pop("stateRoot"), "block 1 without stateRoot"),
+        (lambda block: block.update(transactions=["0x" + "ab" * 32]), "not an object"),
+        (lambda block: block["transactions"][0].pop("gas"), "transaction gas is not a quantity"),
+        (lambda block: block["transactions"][0].update(nonce="0xz"), "nonce is not a quantity"),
+        (lambda block: block["transactions"][0].pop("input"), "transaction without input"),
+    ],
+)
+def test_rpc_malformed_blocks_are_protocol_errors(rpc, shim, local, edit, message):
+    reply = _rpc_block(local.collect_block_details(1)["block"])
+    edit(reply)
+    shim.block_reply = reply
+    with pytest.raises(ProtocolError, match=message):
+        rpc.collect_block_details(1)
+
+
+@pytest.mark.parametrize("level", ["evm", "block"])
+def test_investigate_over_rpc_matches_local(capsys, rpc, shim, archive_dir, level):
+    host, port = shim.server_address
+    vuln = next((archive_dir / "vulns").glob("*.json"))
+    docs = []
+    for explorer in (f"local[dir={archive_dir}]", f"rpc[url=http://{host}:{port}]"):
+        code = main(["investigate", "-t", "x", "-e", explorer, "-d", f"{level}[vuln={vuln}]"])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        doc = json.loads(out)
+        doc.pop("timings")
+        docs.append(doc)
+    assert docs[0]["detections"]
+    assert docs[1] == docs[0]

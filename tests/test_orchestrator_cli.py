@@ -518,6 +518,52 @@ def test_cli_unusable_user_paths_exit_2(capsys, bank_dir, user_paths, switch, te
     assert str(path) in err
 
 
+def _drop_block_field(name):
+    return lambda chain: chain["blocks"][2].pop(name)
+
+
+def _drop_tx_field(name):
+    return lambda chain: chain["blocks"][2]["transactions"][0].pop(name)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        *[_drop_block_field(name) for name in ("hash", "parentHash", "stateRoot", "transactions")],
+        lambda chain: chain["blocks"][2].update(transactions={}),
+        _drop_tx_field("input"),
+        _drop_tx_field("hash"),
+    ],
+    ids=["no-hash", "no-parentHash", "no-stateRoot", "no-transactions",
+         "transactions-not-a-list", "tx-no-input", "tx-no-hash"],
+)
+@pytest.mark.parametrize("level", ["evm", "block"])
+def test_cli_malformed_chain_json_exits_3(capsys, bank_dir, tmp_path, damage, level):
+    clone = tmp_path / "clone"
+    shutil.copytree(bank_dir, clone)
+    chain = json.loads((clone / "chain.json").read_text())
+    damage(chain)
+    (clone / "chain.json").write_text(json.dumps(chain))
+    code, out, err = run_cli(
+        capsys, "investigate", "-t", "x", "-e", f"local[dir={clone}]", "-d", level
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("evmsleuth: chain.json block 2")
+
+
+@pytest.mark.parametrize(
+    "content", [b'{"scenario": "caf\xe9"}', b"{nope"], ids=["non-utf8", "non-json"]
+)
+def test_cli_unreadable_archive_vuln_exits_2(capsys, bank_dir, tmp_path, content):
+    clone = tmp_path / "clone"
+    shutil.copytree(bank_dir, clone)
+    (vuln,) = (clone / "vulns").glob("*.json")
+    vuln.write_bytes(content)
+    code, out, err = run_cli(capsys, "investigate", "-t", "x", "-e", f"local[dir={clone}]")
+    assert code == 2 and out == ""
+    assert err.startswith("evmsleuth: ") and str(vuln) in err
+
+
 # -- contract creation --
 
 CREATION = bytes([0xEE]) * 32
