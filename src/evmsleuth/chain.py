@@ -178,10 +178,6 @@ class LabelStore:
             and (exploit_class is None or label.exploit_class == exploit_class)
         ]
 
-    def is_exploit(self, txh: bytes) -> bool:
-        label = self.labels.get(txh)
-        return label is not None and label.exploit_class != BENIGN
-
 
 @dataclass
 class Archive:
@@ -270,30 +266,6 @@ def mine_and_record(archive: Archive, pool: list[Transaction]) -> MinedBlock:
     for tx, outcome in zip(mined.block.txs, mined.outcomes):
         archive.traces[tx.hash] = trace_to_document(outcome)
     return mined
-
-
-def replay_block(
-    chain: Blockchain, world: WorldState, number: int
-) -> tuple[bytes, list[ExecutionOutcome]]:
-    """Re-execute block `number` from its parent snapshot.
-
-    Returns the recomputed state root and the per-transaction outcomes.
-    The caller can compare the root against the stored header to confirm
-    the archive is internally consistent.
-    """
-    block = chain.block(number)
-    if number == 0:
-        return block.state_root, []
-    parent = chain.block(number - 1)
-    state = world.get(parent.state_root)
-    outcomes: list[ExecutionOutcome] = []
-    for tx in block.txs:
-        outcome = execute_transaction(
-            state, tx.sender, tx.to, tx.value, tx.data, tx.gas_limit
-        )
-        outcomes.append(outcome)
-        state = outcome.final_state
-    return state_root(state), outcomes
 
 
 # -- serialization --

@@ -115,8 +115,11 @@ def _seconds_param(value: str, what: str) -> float:
         seconds = float(value)
     except ValueError:
         seconds = 0.0
-    if not 0 < seconds < float("inf"):
-        raise UsageError(f"{what} must be a positive number of seconds, got {value!r}")
+    # socket timeouts overflow a little above 9e9 s; a day is bound enough
+    if not 0 < seconds <= 86400:
+        raise UsageError(
+            f"{what} must be a positive number of seconds up to 86400, got {value!r}"
+        )
     return seconds
 
 

@@ -19,12 +19,24 @@ is a ProtocolError. RpcExplorer maps a JSON-RPC block to the archive shape
 first (hex number and nonce to ints, gas to gasLimit); extra fields are
 dropped.
 
+A point query answers a checked word on every backend: a JSON-RPC quantity
+or snapshot balance is 0x + 1 to 64 hex digits, a snapshot storage value
+64 hex digits, and anything else is a ProtocolError.
+
 LocalExplorer reads a fixture/archive directory. chain.json is parsed and
 checked once at construction (it is the index); state snapshots are re-read
-from disk on every storage/balance query. That second choice is deliberate:
-it models an archive node that charges per point query, it is what the
-cache exists to absorb, and it is what makes analysis cost grow with state
-size when no cache is in front.
+from disk on every storage/balance query, and only the account and field a
+query reads are checked. That per-query read is deliberate: it models an
+archive node that charges per point query, it is what the cache exists to
+absorb, and it is what makes analysis cost grow with state size when no
+cache is in front.
+
+RpcExplorer speaks JSON-RPC 2.0 over the standard library's HTTP client,
+through the one function http_post; the package has no runtime dependency.
+Busy replies (HTTP 429, 502, 503, 504) and connection failures are retried
+within one bound on the number of tries, with capped backoff that honours
+Retry-After. The transport modules are imported on the first request, so a
+run over a local archive never loads them.
 
 CachedExplorer is a read-through wrapper over any backend. Entries are
 persisted one file per query with a content digest and written atomically;
@@ -40,6 +52,8 @@ import os
 import re
 import threading
 from pathlib import Path
+from time import sleep
+from urllib.parse import urlsplit
 
 from .chain import tx_from_document, tx_to_document
 from .errors import ArchiveGapError, ProtocolError, UsageError
@@ -102,11 +116,26 @@ def _read_json(path: Path, what: str):
         return json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ArchiveGapError(f"no {what}") from None
-    except (OSError, ValueError) as err:  # ValueError: bad UTF-8 or bad JSON
+    # ValueError: bad UTF-8 or bad JSON; RecursionError: JSON nested too deep
+    except (OSError, ValueError, RecursionError) as err:
         raise ProtocolError(f"{what} unreadable: {err}") from None
 
 
 _HASH = re.compile(r"0x[0-9a-fA-F]{64}")
+
+# A JSON-RPC quantity, and a balance in a state snapshot: 0x + 1 to 64 hex
+# digits. A storage value in a state snapshot: 64 hex digits, no prefix.
+_QUANTITY = re.compile(r"0x([0-9a-fA-F]{1,64})")
+_SLOT_VALUE = re.compile(r"([0-9a-fA-F]{64})")
+
+
+def _as_int(value, what: str, shape: re.Pattern = _QUANTITY) -> int:
+    """The 256-bit word that value writes in the given shape; ProtocolError
+    if it is not a string of that shape."""
+    match = shape.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
+        raise ProtocolError(f"{what} is not a quantity: {value!r:.80}")
+    return int(match[1], 16)
 
 
 def block_envelope(doc, where: str) -> dict:
@@ -181,32 +210,41 @@ class LocalExplorer:
         path = self.base / "states" / f"{root[2:]}.json"
         return _read_json(path, f"state snapshot for block {number} (root {root})")
 
-    def get_storage(self, addr: int, key: int, number: int) -> int:
-        accounts = self._state_doc(number)["accounts"]
-        fields = accounts.get(address_hex(addr))
+    def _account_field(self, addr: int, number: int, name: str):
+        """(value, where): field `name` of account addr in the snapshot of
+        block number, None if the snapshot holds no such account, and the
+        field's name for messages. Only what the query reads is checked: a
+        snapshot without an accounts object, or an account that is not an
+        object or lacks the field, is a ProtocolError."""
+        doc = self._state_doc(number)
+        accounts = doc.get("accounts") if isinstance(doc, dict) else None
+        where = f"state snapshot for block {number}"
+        if not isinstance(accounts, dict):
+            raise ProtocolError(f"{where} has no accounts object")
+        account = address_hex(addr)
+        fields = accounts.get(account)
         if fields is None:
+            return None, where
+        if not isinstance(fields, dict) or name not in fields:
+            raise ProtocolError(f"{where}: account {account} without {name}")
+        return fields[name], f"{where}: {name} of {account}"
+
+    def get_storage(self, addr: int, key: int, number: int) -> int:
+        storage, where = self._account_field(addr, number, "storage")
+        if storage is None:
             return 0
-        raw = fields["storage"].get(storage_hex(key))
-        return 0 if raw is None else int(raw, 16)
+        if not isinstance(storage, dict):
+            raise ProtocolError(f"{where} is not an object")
+        slot = storage_hex(key)
+        raw = storage.get(slot)
+        return 0 if raw is None else _as_int(raw, f"{where} slot {slot}", _SLOT_VALUE)
 
     def get_balance(self, addr: int, number: int) -> int:
-        accounts = self._state_doc(number)["accounts"]
-        fields = accounts.get(address_hex(addr))
-        return 0 if fields is None else int(fields["balance"], 16)
+        balance, where = self._account_field(addr, number, "balance")
+        return 0 if balance is None else _as_int(balance, where)
 
 
 # -- JSON-RPC backend ----------------------------------------------------------
-
-
-def _as_int(value, what: str) -> int:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value, 16)
-        except ValueError:
-            pass
-    raise ProtocolError(f"{what} is not a quantity: {value!r}")
 
 
 def _archive_tx(tx):
@@ -217,49 +255,121 @@ def _archive_tx(tx):
     return dict(tx, nonce=nonce, gasLimit=_as_int(tx.get("gas"), "transaction gas"))
 
 
+# Retry policy of RpcExplorer. The wait before try k + 1 is
+# BACKOFF_BASE_S * 2**(k - 1), or the reply's Retry-After delta-seconds,
+# either held to BACKOFF_CAP_S.
+BACKOFF_BASE_S = 0.5
+BACKOFF_CAP_S = 10.0
+_RETRY_STATUSES = frozenset({429, 502, 503, 504})  # RFC 6585 and RFC 9110
+
+
+def http_post(url: str, body: bytes, timeout: float) -> bytes:
+    """POST a JSON body to url and return the reply body.
+
+    Raises the standard library's errors: HTTPError for a status other than
+    2xx, URLError or OSError (TimeoutError, ConnectionError) when the
+    endpoint cannot be reached or goes quiet, and http.client.HTTPException
+    (IncompleteRead for a body shorter than its Content-Length) for a reply
+    that is not HTTP. The transport is imported here, not with the module,
+    so a run that never reaches a node does not load it.
+    """
+    from urllib.error import HTTPError
+    from urllib.request import Request, urlopen
+
+    request = Request(url, data=body, headers={"Content-Type": "application/json"})
+    try:
+        with urlopen(request, timeout=timeout) as reply:
+            return reply.read()
+    except HTTPError as err:
+        err.close()  # its status and headers stay readable
+        raise
+
+
+def _retry_after(value) -> float | None:
+    """Retry-After in delta-seconds; None for an HTTP-date or anything else."""
+    match = re.fullmatch(r"\s*([0-9]+)\s*", value or "")
+    return None if match is None else float(match[1])
+
+
+_URL_TEXT = re.compile(r"[\x21-\x7e]+")  # printable ASCII, no spaces
+
+
 class RpcExplorer:
     """Archive access over JSON-RPC 2.0.
 
     Method surface: eth_blockNumber, eth_getBlockByNumber,
-    debug_traceTransaction, eth_getStorageAt, eth_getBalance. Transient
-    transport failures retry a bounded number of times; an unreachable
-    endpoint is an archive gap (the data exists, we cannot reach it), a
-    malformed reply is a protocol error.
+    debug_traceTransaction, eth_getStorageAt, eth_getBalance. Each request is
+    one POST through http_post, made at most `retries` times in all. A
+    connection failure or timeout, and HTTP 429, 502, 503 or 504, is tried
+    again after a capped exponential backoff, or after the reply's
+    Retry-After delta-seconds held to the same cap; when the tries run out
+    the answer is an archive gap (the data exists, we cannot reach it). Any
+    other HTTP status, a truncated or non-JSON body, a reply that is not a
+    JSON-RPC response and an RPC error are protocol errors at once. A null
+    result is a gap. The url must be printable ASCII, http or https, with a
+    host and without user credentials, and retries at least 1, or the
+    explorer is a usage error and opens no connection.
     """
 
     def __init__(self, url: str, retries: int = 3, timeout: float = 10.0):
-        import requests
-
+        try:
+            parts = urlsplit(url)
+            parts.port  # raises ValueError for a port that is not a number
+        except ValueError:
+            parts = None
+        if (
+            parts is None
+            or not _URL_TEXT.fullmatch(url)
+            or parts.scheme not in ("http", "https")
+            or not parts.hostname
+            or parts.username is not None  # urllib would take it for the host
+        ):
+            raise UsageError(
+                f"rpc url must be http:// or https:// with a host and no user, got {url!r}"
+            )
+        if retries < 1:
+            raise UsageError(f"rpc retries is the number of tries, at least 1, got {retries}")
         self.url = url
-        self.retries = max(1, retries)
+        self.retries = retries
         self.timeout = timeout
-        self._session = requests.Session()
         self._id = 0
 
     def _rpc(self, method: str, params: list):
-        import requests
+        from http.client import HTTPException
+        from urllib.error import HTTPError
 
         self._id += 1
         payload = {"jsonrpc": "2.0", "id": self._id, "method": method, "params": params}
-        last = None
-        for _ in range(self.retries):
+        body = json.dumps(payload).encode()
+        for attempt in range(1, self.retries + 1):
             try:
-                reply = self._session.post(self.url, json=payload, timeout=self.timeout)
-                reply.raise_for_status()
-                body = reply.json()
+                data = http_post(self.url, body, self.timeout)
                 break
-            except (requests.ConnectionError, requests.Timeout) as err:
-                last = err
-                continue
-            except (requests.HTTPError, ValueError) as err:
-                raise ProtocolError(f"{method}: bad rpc reply: {err}") from None
+            except HTTPError as err:
+                last = f"HTTP {err.code} {err.reason}"
+                if err.code not in _RETRY_STATUSES:
+                    raise ProtocolError(f"{method}: bad rpc reply: {last}") from None
+                asked = _retry_after(err.headers.get("Retry-After"))
+            except OSError as err:  # URLError, TimeoutError, ConnectionError
+                last, asked = err, None
+            except HTTPException as err:  # IncompleteRead, a bad status line
+                raise ProtocolError(f"{method}: bad rpc reply: {err!r}") from None
+            if attempt < self.retries:
+                backoff = BACKOFF_BASE_S * 2 ** (attempt - 1)
+                sleep(min(BACKOFF_CAP_S, backoff if asked is None else asked))
         else:
-            raise ArchiveGapError(f"{method}: endpoint unreachable after {self.retries} tries: {last}")
-        if not isinstance(body, dict) or ("result" not in body and "error" not in body):
+            raise ArchiveGapError(
+                f"{method}: endpoint unreachable after {self.retries} tries: {last}"
+            )
+        try:
+            reply = json.loads(data)
+        except (ValueError, RecursionError) as err:  # not UTF-8, not JSON, too deep
+            raise ProtocolError(f"{method}: bad rpc reply: {err}") from None
+        if not isinstance(reply, dict) or ("result" not in reply and "error" not in reply):
             raise ProtocolError(f"{method}: reply is not a jsonrpc response")
-        if body.get("error"):
-            raise ProtocolError(f"{method}: rpc error {body['error']!r}")
-        return body["result"]
+        if reply.get("error"):
+            raise ProtocolError(f"{method}: rpc error {reply['error']!r}")
+        return reply["result"]
 
     def height(self) -> int:
         return _as_int(self._rpc("eth_blockNumber", []), "blockNumber")
@@ -319,7 +429,8 @@ def _entry_bytes(prefix: bytes, payload) -> bytes:
 
 def _stored_payload(path: Path, prefix: bytes):
     """The payload of the entry at path, written by _entry_bytes with this
-    key prefix; ValueError for any other bytes, FileNotFoundError if absent."""
+    key prefix; ValueError (or RecursionError, for a payload nested too deep
+    to parse) for any other bytes, FileNotFoundError if absent."""
     with open(path, "rb") as handle:
         data = handle.read()
     tail = data[-_TAIL_SIZE:]
@@ -391,7 +502,7 @@ class CachedExplorer:
             payload = _stored_payload(path, prefix)
         except FileNotFoundError:
             pass
-        except ValueError:
+        except (ValueError, RecursionError):
             counts["dropped"] += 1
             path.unlink(missing_ok=True)
         except OSError as err:

@@ -24,7 +24,13 @@ import io
 from dataclasses import dataclass
 
 from .chain import tx_from_document
-from .errors import FeedError, UsageError
+from .errors import (
+    FeedError,
+    ProtocolError,
+    ReconstructionError,
+    TraceParseError,
+    UsageError,
+)
 from .hashing import function_selector
 from .model import address_hex, hash_hex
 from .traces import reconstruct_document
@@ -89,7 +95,9 @@ def tx_list(explorer, query: FilterQuery) -> list[TxRef]:
     a cache in front of the explorer. Contract-creation transactions
     (`"to": null`) are not scanned: there is no call target to rebuild
     their frames from, so calls a constructor makes into the contract are
-    not found.
+    not found. A scanned trace that is malformed is a ProtocolError naming
+    the transaction, not a skip: a candidate list with a hole in it would
+    silently drop the exploits that trace holds.
     """
     selectors = query.selector_bytes()
     lo, hi = query.block_range
@@ -120,7 +128,12 @@ def tx_list(explorer, query: FilterQuery) -> list[TxRef]:
             if not query.include_internal or tx.to is None:
                 continue
             trace = explorer.tx_trace(tx.hash)
-            rec = reconstruct_document(trace, tx.to)
+            try:
+                rec = reconstruct_document(trace, tx.to)
+            except (TraceParseError, ReconstructionError) as err:
+                raise ProtocolError(
+                    f"internal discovery: trace for {hash_hex(tx.hash)} is malformed: {err}"
+                ) from None
             for step in rec.steps:
                 site = step.call
                 if site is None or site.input is None:

@@ -1,9 +1,15 @@
 """Independent reference implementations used to cross-check the package.
 
-Deliberately written from first principles over Python bigints, with no
-imports from evmsleuth, so that tests compare two unrelated derivations of
-the same math. Keep it that way: if this module ever delegates to the
-package, the arithmetic acceptance check stops proving anything.
+The arithmetic oracle is deliberately written from first principles over
+Python bigints, with no imports from evmsleuth, so that tests compare two
+unrelated derivations of the same math. Keep it that way: if it ever
+delegates to the package, the arithmetic acceptance check stops proving
+anything.
+
+replay_block is the other reference: it re-executes an archived block with
+the package's interpreter, the side that criterion 5 compares trace
+reconstruction against. It imports the interpreter inside the function, so
+the arithmetic oracle stays free of the package.
 """
 
 import random
@@ -137,3 +143,25 @@ def arith_cases(op, count, seed):
             b = rng.randrange(0, 64)
         bits, signed, (lo, hi) = random_bounds(rng)
         yield a, b, c, bits, signed, lo, hi
+
+
+def replay_block(chain, world, number):
+    """Re-execute block `number` from its parent snapshot.
+
+    Returns the recomputed state root and the per-transaction outcomes, so a
+    caller can compare the root against the stored header and each
+    outcome's step trace against the archived trace.
+    """
+    from evmsleuth.interpreter import execute_transaction
+    from evmsleuth.model import state_root
+
+    block = chain.block(number)
+    if number == 0:
+        return block.state_root, []
+    state = world.get(chain.block(number - 1).state_root)
+    outcomes = []
+    for tx in block.txs:
+        outcome = execute_transaction(state, tx.sender, tx.to, tx.value, tx.data, tx.gas_limit)
+        outcomes.append(outcome)
+        state = outcome.final_state
+    return state_root(state), outcomes

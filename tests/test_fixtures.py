@@ -2,7 +2,7 @@
 
 import pytest
 
-from evmsleuth.chain import replay_block
+from oracles import replay_block
 from evmsleuth.errors import UsageError
 from evmsleuth.fixtures import (
     EXPLOIT_COUNTS,

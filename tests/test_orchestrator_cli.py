@@ -5,9 +5,9 @@ import io
 import json
 import shutil
 from unittest import mock
+from urllib.error import HTTPError, URLError
 
 import pytest
-import requests
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -238,7 +238,17 @@ def test_block_run_never_fetches_traces(bank, spec, bank_dir):
     assert {"0x" + h.hex() for h in failed}.isdisjoint(flagged_txs)
 
 
-@pytest.mark.parametrize("damage", ["missing", "non-utf8"])
+@pytest.mark.parametrize(
+    "damage",
+    [
+        "missing",
+        "non-utf8",
+        "no-accounts",
+        "account-not-object",
+        "bad-balance",
+        "storage-not-object",
+    ],
+)
 def test_block_run_skips_unreadable_state(bank, spec, bank_dir, tmp_path, damage):
     clone = tmp_path / "clone"
     shutil.copytree(bank_dir, clone)
@@ -246,10 +256,24 @@ def test_block_run_skips_unreadable_state(bank, spec, bank_dir, tmp_path, damage
     victim = int(baseline.detections[0]["blockNumber"])
     root = bank.archive.chain.block(victim - 1).state_root
     snapshot = clone / "states" / f"{root.hex()}.json"
+    doc = json.loads(snapshot.read_text())
+    accounts = doc["accounts"].values()
     if damage == "missing":
         snapshot.unlink()
-    else:
+    elif damage == "non-utf8":
         snapshot.write_bytes(b'{"accounts": "\xff"}')
+    else:
+        if damage == "no-accounts":
+            del doc["accounts"]
+        elif damage == "account-not-object":
+            doc["accounts"] = dict.fromkeys(doc["accounts"], [])
+        elif damage == "bad-balance":
+            for fields in accounts:
+                fields["balance"] = "zz"
+        elif damage == "storage-not-object":
+            for fields in accounts:
+                fields["storage"] = []
+        snapshot.write_text(json.dumps(doc))
     report = run_investigation(config_for(spec, LocalExplorer(clone), level="block"))
     assert any("state lookup failed" in s for s in report.skips)
     remaining = {d["blockNumber"] for d in report.detections}
@@ -469,7 +493,41 @@ def test_cli_exit_codes(capsys, bank_dir, tmp_path):
         capsys, "investigate", "-t", "x", "-e", "rpc[url=http://localhost:1,timeout=abc]"
     )
     assert code == 2 and "timeout" in err
-    # internal discovery reconstructs every trace in range, candidates or not
+    vuln = bank_dir / "vulns" / "Bank.json"
+    code, _, err = run_cli(
+        capsys, "investigate", "-t", "x", "-e", "rpc[url=http://127.0.0.1:1,timeout=1e10]",
+        "-d", f"evm[vuln={vuln}]",
+    )
+    assert code == 2 and "timeout" in err
+
+
+def _bad_pc(trace):
+    trace["structLogs"][1]["pc"] = -5
+
+
+def _bare_sstore(trace):
+    (sstore,) = [s for s in trace["structLogs"] if s["op"] == "SSTORE"]
+    sstore["stack"] = []
+    del sstore["storage"]
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [(_bad_pc, "step 1: bad pc -5"), (_bare_sstore, "SSTORE with bare stack")],
+    ids=["bad-pc", "bare-sstore"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["investigate", "-t", "x", "-d", "evm"], ["investigate", "-t", "x", "-d", "block"],
+     ["export-feed"]],
+    ids=["investigate-evm", "investigate-block", "export-feed"],
+)
+def test_cli_malformed_trace_in_internal_discovery_exits_3(
+    capsys, tmp_path, command, damage, message
+):
+    # internal discovery reconstructs every trace in range, candidates or
+    # not, and a hole in the candidate list would hide exploits: the run
+    # aborts naming the transaction
     bec = build_fixture_chain("SimulationBECToken", seed=SEED)
     bec_dir = tmp_path / "bec"
     write_fixture(bec, bec_dir)
@@ -478,12 +536,13 @@ def test_cli_exit_codes(capsys, bank_dir, tmp_path):
     assert bystander.data[:4] not in wanted
     trace_path = bec_dir / "traces" / f"{bystander.hash.hex()}.json"
     trace = json.loads(trace_path.read_text())
-    (sstore,) = [s for s in trace["structLogs"] if s["op"] == "SSTORE"]
-    sstore["stack"] = []
-    del sstore["storage"]
+    damage(trace)
     trace_path.write_text(json.dumps(trace))
-    code, _, err = run_cli(capsys, "investigate", "-t", "x", "-e", f"local[dir={bec_dir}]")
-    assert code == 2 and "SSTORE with bare stack" in err
+    code, out, err = run_cli(
+        capsys, *command, "-e", f"local[dir={bec_dir}]", "-f", "spec[internal=true]"
+    )
+    assert code == 3 and out == ""
+    assert f"trace for {hash_hex(bystander.hash)} is malformed" in err and message in err
 
 
 @pytest.fixture
@@ -738,10 +797,12 @@ def _pick(draw, options):
     return draw(st.sampled_from(options))
 
 
-def _component(draw, names, params):
-    """'name' or 'name[key=value,...]', the values drawn by `params`."""
+def _component(draw, names, params, required=()):
+    """'name' or 'name[key=value,...]', the values drawn by `params`; the
+    `required` keys are always among them."""
     name = _pick(draw, names)
-    keys = draw(st.lists(st.sampled_from(sorted(params)), max_size=2, unique=True))
+    optional = sorted(set(params) - set(required))
+    keys = [*required, *draw(st.lists(st.sampled_from(optional), max_size=2, unique=True))]
     pairs = [f"{key}={params[key](draw)}" for key in keys]
     if draw(st.integers(0, 9)) == 0:
         pairs.append(_pick(draw, ["x=1", "=1", "dir=."]))
@@ -757,12 +818,29 @@ def investigate_argv(draw, archive, paths):
         return lambda draw: draw(st.sampled_from(paths[kind]))
 
     ints = ["1", "3", "10", "0", "-1", "12", "0x2"]
-    argv = ["investigate", "-t", "prop", "-e", f"local[dir={archive}]"]
+    # an rpc explorer always names a url, and a valid descriptor (only local
+    # archives carry one implicitly; bad descriptor paths are drawn with
+    # local ones), so that its runs reach the node
+    rpc = draw(st.booleans())
+    if rpc:
+        explorer = _component(draw, ["rpc"], {
+            "url": lambda draw: draw(st.sampled_from([
+                "http://127.0.0.1:8545", "https://127.0.0.1/rpc", "http://[::1]:8545/",
+                "notaurl", "ftp://x/y", "http://", "http://h:port",
+            ])),
+            "retries": one_of(ints),
+            "timeout": one_of(["1", "0.5", "0", "inf", "1e10", "abc"]),
+        }, required=["url"])
+        vuln = lambda draw: paths["vuln"][-1]
+    else:
+        explorer = f"local[dir={archive}]"
+        vuln = path("vuln")
+    argv = ["investigate", "-t", "prop", "-e", explorer]
     argv += ["-d", _component(draw, ["evm", "block"], {
-        "vuln": path("vuln"),
+        "vuln": vuln,
         "rule": one_of(["reentrancy", "dos"]),
         "mode": one_of(["local", "customTracer"]),
-    })]
+    }, required=["vuln"] if rpc else [])]
     if draw(st.booleans()):
         argv += ["-f", _component(draw, ["spec", "select", "feed"], {
             "from": one_of(ints),
@@ -776,17 +854,33 @@ def investigate_argv(draw, archive, paths):
     if draw(st.booleans()):
         argv += ["-c", draw(st.sampled_from(paths["cache"]))]
     # argparse rejects option-like values itself, before main() runs
-    assume(not any(value.startswith("-") for value in argv[6::2]))
+    assume(not any(value.startswith("-") for value in argv[4::2]))
     return argv
+
+
+def _node_reply(kind):
+    """A stand-in for http_post whose node refuses the connection, is busy
+    (HTTP 429 with Retry-After) or answers garbage."""
+
+    def post(url, body, timeout):
+        if kind == "refused":
+            raise URLError(ConnectionRefusedError(111, "Connection refused"))
+        if kind == "busy":
+            raise HTTPError(url, 429, "Too Many Requests", {"Retry-After": "1"}, None)
+        return b"that is no json"
+
+    return post
 
 
 @given(data=st.data())
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_cli_exit_code_is_always_documented(bank_dir, path_set, data):
     argv = data.draw(investigate_argv(bank_dir, path_set))
+    node = _node_reply(data.draw(st.sampled_from(["refused", "busy", "garbage"])))
     out, err = io.StringIO(), io.StringIO()
     with (
-        mock.patch.object(requests.Session, "post", side_effect=requests.ConnectionError),
+        mock.patch("evmsleuth.explorer.http_post", node),
+        mock.patch("evmsleuth.explorer.sleep"),
         contextlib.redirect_stdout(out),
         contextlib.redirect_stderr(err),
     ):
