@@ -81,15 +81,25 @@ def canonical_tracer(tracer_spec: dict | None) -> dict | None:
 
 
 def apply_tracer(doc: dict, tracer_spec: dict) -> dict:
-    """Filter a full trace the way the declarative tracer would have."""
+    """Filter a full trace the way the declarative tracer would have.
+
+    A document without a structLogs list passes through unchanged, and so
+    does an entry the filter cannot read (not an object, no pc or op, a pc
+    that is no set member): trace ingest rejects them with its own message.
+    """
     spec = canonical_tracer(tracer_spec)
+    if not isinstance(doc, dict) or not isinstance(doc.get("structLogs"), list):
+        return doc
     keep_pcs = set(spec["pcSet"])
     boundaries = spec["includeCallBoundaries"]
-    logs = [
-        step
-        for step in doc["structLogs"]
-        if step["pc"] in keep_pcs or (boundaries and step["op"] in _CALL_OPS)
-    ]
+    logs = []
+    for step in doc["structLogs"]:
+        try:
+            keep = step["pc"] in keep_pcs or (boundaries and step["op"] in _CALL_OPS)
+        except (TypeError, KeyError):
+            keep = True
+        if keep:
+            logs.append(step)
     out = dict(doc)
     out["structLogs"] = logs
     return out

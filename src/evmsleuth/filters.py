@@ -33,7 +33,7 @@ from .errors import (
 )
 from .hashing import function_selector
 from .model import address_hex, hash_hex
-from .traces import reconstruct_document
+from .traces import CALL_OPS, reconstruct_document
 
 FEED_COLUMNS = (
     "block_number",
@@ -86,13 +86,18 @@ class TxRef:
     parent: bytes | None
 
 
+def _call_steps(pc: int, op: str, code: int) -> bool:
+    return op in CALL_OPS
+
+
 def tx_list(explorer, query: FilterQuery) -> list[TxRef]:
     """Scan the block range and return candidates in chain order.
 
     Top-level rows come straight from block bodies. Internal rows require
     tracing every transaction in range and scanning recorded call sites,
     which is exactly as expensive as it sounds; callers who care should put
-    a cache in front of the explorer. Contract-creation transactions
+    a cache in front of the explorer. Each trace is checked in full, but
+    only its call steps are built. Contract-creation transactions
     (`"to": null`) are not scanned: there is no call target to rebuild
     their frames from, so calls a constructor makes into the contract are
     not found. A scanned trace that is malformed is a ProtocolError naming
@@ -129,7 +134,7 @@ def tx_list(explorer, query: FilterQuery) -> list[TxRef]:
                 continue
             trace = explorer.tx_trace(tx.hash)
             try:
-                rec = reconstruct_document(trace, tx.to)
+                rec = reconstruct_document(trace, tx.to, select=_call_steps)
             except (TraceParseError, ReconstructionError) as err:
                 raise ProtocolError(
                     f"internal discovery: trace for {hash_hex(tx.hash)} is malformed: {err}"

@@ -213,7 +213,7 @@ def _run_evm_level(config, rows, report, timings):
 
         t0 = time.perf_counter()
         try:
-            rec = reconstruct_document(trace, tx.to, relaxed=tracer is not None)
+            rec = reconstruct_document(trace, tx.to, tracer is not None, spec.gates)
             ctx = TxContext(tx_hash, number, rec.failed)
             found, notes = evaluate_trace(rec, spec, ctx)
         except SleuthError as err:

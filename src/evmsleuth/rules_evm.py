@@ -4,8 +4,10 @@ A vuln descriptor names the weak spot as code addresses plus pcs. VulnSpec
 folds those locations into one gate, {code address: pcs}, and a step is
 gated when the gate lists its pc for the code it executes (the code, not the
 storage identity, so DELEGATECALL borrowers of the vulnerable code are
-seen). evaluate_trace walks the steps once and hands only gated steps to the
-rule class's per-step check:
+seen). VulnSpec.gates is that test as a step predicate: the evm level hands
+it to trace ingest, which then builds only the gated steps. evaluate_trace
+walks the steps once and hands only gated steps to the rule class's
+per-step check:
 
   overflow    flagged arithmetic whose exact integer value leaves the
               declared type's range (modular ADDMOD/MULMOD never flag)
@@ -96,6 +98,11 @@ class VulnSpec:
             include_internal,
             (lo, hi),
         )
+
+    def gates(self, pc: int, op: str, code: int) -> bool:
+        """The step predicate of the gate: does the gate list this pc for
+        the code the step executes?"""
+        return pc in self.gate.get(code, ())
 
     def bounds(self) -> IntTypeBounds:
         try:
@@ -237,11 +244,10 @@ def evaluate_trace(
     the rule had to skip.
     """
     check = STEP_CHECKS[spec.rule](spec)
-    gate = spec.gate
     hits: list[Detection] = []
     notes: list[str] = []
     for step in rec.steps:
-        if step.pc not in gate.get(step.code_address, ()):
+        if not spec.gates(step.pc, step.op, step.code_address):
             continue
         detail, note = check(step)
         if note is not None:

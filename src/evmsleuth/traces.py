@@ -1,20 +1,33 @@
 """Trace ingest: structLog documents back into validated, framed steps.
 
-This module owns the structLog interchange format (docs/formats.md). Two
-stages. parse_trace_document checks the document's shape and decode_steps
-turns every structLog entry into a flat tuple. reconstruct then walks the
-depth profile once: it checks the small-step invariants and assigns every
-step its activation frame: the storage identity it executes under, the
-code address behind it, and the frames live below it. Detection rules only
+This module owns the structLog interchange format (docs/formats.md).
+parse_trace_document checks the document around the entries. decode_steps
+is the one walk over the raw entries: it checks each entry in full when it
+reaches it and assigns it its activation frame: the storage identity it
+executes under, the code address behind it, and the frames live below it.
+reconstruct joins the two into a ReconstructedTrace. Detection rules only
 ever see reconstructed steps.
+
+Selection: the walk takes a predicate over (pc, op, code address) and
+builds a ReconstructedStep only for the steps it selects. The evm rules
+select by VulnSpec's gate, internal discovery selects call steps, and
+every_step selects all of them. An unselected step is still checked in
+full (its fields and hex words, the sequence invariants, the frame it runs
+in, the bare-stack checks), so the selection changes what a trace yields,
+never whether it is accepted.
 
 Strict mode is for full traces and enforces the small-step invariants
 (stepwise depth changes, pc continuity inside a frame, resume pc after a
 return). Relaxed mode is for pc-filtered traces, where gaps are expected:
 sequencing checks are dropped, and frame identity is derived only where
 the kept steps make it derivable (call-boundary steps included), otherwise
-reconstruction refuses rather than guessing. Either way the first faulty
-step decides the error.
+reconstruction refuses rather than guessing.
+
+Error precedence: the first faulty step decides. The walk raises at the
+first entry that fails any check, so a sequence fault at step 3 wins over a
+malformed field at step 9. Within one entry, a field fault
+(TraceParseError) comes before a sequence fault (TraceParseError), which
+comes before a frame fault (ReconstructionError).
 
 Call status: taken from the per-step call record when the producer included
 one; in strict mode it can also be read off the caller's resume step. A
@@ -24,7 +37,9 @@ back None and status-dependent rules stay quiet there.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ReconstructionError, TraceParseError
 from .words import ADDRESS_MASK, WORD_MASK
@@ -32,22 +47,55 @@ from .words import ADDRESS_MASK, WORD_MASK
 CALL_OPS = frozenset({"CALL", "DELEGATECALL", "STATICCALL"})
 TERMINAL_OPS = frozenset({"STOP", "RETURN", "REVERT"})
 
-# depth index in decode_steps' flat tuples
-_DEPTH = 4
+# Size of every PUSH instruction; every other op is one byte. An op that
+# starts with PUSH but is not listed here is malformed.
+_PUSH_SIZES = {f"PUSH{n}": 1 + n for n in range(33)}
+
+# Hex words and byte strings: an optional 0x/0X prefix, then ASCII hex
+# digits and nothing else. A word of at most 64 digits is in range by its
+# length; a longer one (leading zeros) is range-checked by value.
+_WORD = re.compile(r"(?:0[xX])?[0-9a-fA-F]{1,64}").fullmatch
+_LONG_WORD = re.compile(r"(?:0[xX])?([0-9a-fA-F]+)").fullmatch
+_BYTES = re.compile(r"(?:0[xX])?((?:[0-9a-fA-F]{2})*)").fullmatch
+
+_NO_WORDS: list = []  # the stack of an entry without one; never mutated
+
+# A step predicate: (pc, op, code address) -> build this step?
+Select = Callable[[int, str, int], bool]
 
 
-def _instruction_size(op: str) -> int:
-    if op.startswith("PUSH"):
-        return 1 + int(op[4:])
-    return 1
+def every_step(pc: int, op: str, code: int) -> bool:
+    """The select-all predicate."""
+    return True
+
+
+def _parse_hex_word(text, raw_index: int) -> int:
+    if isinstance(text, str):
+        if _WORD(text):
+            return int(text, 16)
+        long_word = _LONG_WORD(text)
+        if long_word:
+            value = int(long_word[1], 16)
+            if value <= WORD_MASK:
+                return value
+            raise TraceParseError(f"hex word out of range {text!r}", raw_index)
+    raise TraceParseError(f"bad hex word {text!r}", raw_index)
+
+
+def _hex_bytes(text: str) -> bytes | None:
+    """The bytes a hex string spells, None if it spells none."""
+    match = _BYTES(text)
+    return None if match is None else bytes.fromhex(match[1])
 
 
 @dataclass
 class ParsedTrace:
+    """A trace document whose header is checked; its entries are not yet."""
+
     failed: bool
     gas: int
     return_value: bytes
-    steps: list  # flat tuples, see decode_steps
+    struct_logs: list  # raw structLog entries, checked by decode_steps
 
 
 def parse_trace_document(doc: dict) -> ParsedTrace:
@@ -63,108 +111,12 @@ def parse_trace_document(doc: dict) -> ParsedTrace:
     raw_return = doc["returnValue"]
     if not isinstance(raw_return, str):
         raise TraceParseError("returnValue must be a hex string")
-    try:
-        cleaned = raw_return[2:] if raw_return.startswith("0x") else raw_return
-        return_value = bytes.fromhex(cleaned)
-    except ValueError:
-        raise TraceParseError(f"returnValue is not hex: {raw_return!r}") from None
+    return_value = _hex_bytes(raw_return)
+    if return_value is None:
+        raise TraceParseError(f"returnValue is not hex: {raw_return!r}")
     if not isinstance(doc["structLogs"], list):
         raise TraceParseError("structLogs must be a list")
-
-    steps = decode_steps(doc["structLogs"])
-    return ParsedTrace(doc["failed"], doc["gas"], return_value, steps)
-
-
-def decode_steps(struct_logs: list) -> list:
-    """Decode raw structLog entries into flat tuples.
-
-    Returns a list of (pc, op, gas, gas_cost, depth, stack, storage, call)
-    where stack is a tuple of ints (bottom first, top last), storage is a
-    tuple of (key, value) int pairs or None, and call is a
-    (to, value, input_bytes, status) tuple or None.
-
-    Raises TraceParseError carrying the raw index of the first malformed
-    entry.
-    """
-    out = []
-    for i, entry in enumerate(struct_logs):
-        if not isinstance(entry, dict):
-            raise TraceParseError("entry is not an object", i)
-        try:
-            pc = entry["pc"]
-            op = entry["op"]
-            gas = entry["gas"]
-            gas_cost = entry["gasCost"]
-            depth = entry["depth"]
-        except KeyError as missing:
-            raise TraceParseError(f"missing field {missing.args[0]!r}", i) from None
-        if type(pc) is not int or pc < 0:
-            raise TraceParseError(f"bad pc {pc!r}", i)
-        if not isinstance(op, str) or not op:
-            raise TraceParseError(f"bad op {op!r}", i)
-        if type(gas) is not int or gas < 0:
-            raise TraceParseError(f"bad gas {gas!r}", i)
-        if type(gas_cost) is not int or gas_cost < 0:
-            raise TraceParseError(f"bad gasCost {gas_cost!r}", i)
-        if type(depth) is not int or depth < 1:
-            raise TraceParseError(f"bad depth {depth!r}", i)
-        raw_stack = entry.get("stack", [])
-        if not isinstance(raw_stack, list):
-            raise TraceParseError("stack is not a list", i)
-        stack = []
-        for item in raw_stack:
-            word = _parse_hex_word(item, i)
-            stack.append(word)
-        storage = entry.get("storage")
-        pairs = None
-        if storage is not None:
-            if not isinstance(storage, dict):
-                raise TraceParseError("storage is not an object", i)
-            pairs = tuple(
-                sorted(
-                    (_parse_hex_word(k, i), _parse_hex_word(v, i))
-                    for k, v in storage.items()
-                )
-            )
-        call = entry.get("call")
-        call_tuple = None
-        if call is not None:
-            if not isinstance(call, dict):
-                raise TraceParseError("call is not an object", i)
-            try:
-                to = _parse_hex_word(call["to"], i)
-                value = _parse_hex_word(call["value"], i)
-            except KeyError as missing:
-                raise TraceParseError(f"call missing {missing.args[0]!r}", i) from None
-            data_hex = call.get("input", "0x")
-            if not isinstance(data_hex, str):
-                raise TraceParseError("call input is not a string", i)
-            body = data_hex[2:] if data_hex.startswith("0x") else data_hex
-            try:
-                data = bytes.fromhex(body)
-            except ValueError:
-                raise TraceParseError(f"bad call input hex {data_hex!r}", i) from None
-            status = call.get("status")
-            if status is not None and status not in (0, 1):
-                raise TraceParseError(f"bad call status {status!r}", i)
-            call_tuple = (to, value, data, status)
-        out.append((pc, op, gas, gas_cost, depth, tuple(stack), pairs, call_tuple))
-    return out
-
-
-def _parse_hex_word(text, raw_index: int) -> int:
-    if not isinstance(text, str) or not text:
-        raise TraceParseError(f"bad hex word {text!r}", raw_index)
-    body = text[2:] if text.startswith(("0x", "0X")) else text
-    if not body:
-        raise TraceParseError(f"bad hex word {text!r}", raw_index)
-    try:
-        value = int(body, 16)
-    except ValueError:
-        raise TraceParseError(f"bad hex word {text!r}", raw_index) from None
-    if not 0 <= value <= WORD_MASK:
-        raise TraceParseError(f"hex word out of range {text!r}", raw_index)
-    return value
+    return ParsedTrace(doc["failed"], doc["gas"], return_value, doc["structLogs"])
 
 
 @dataclass
@@ -200,39 +152,109 @@ class ReconstructedTrace:
     failed: bool
     gas: int
     return_value: bytes
-    steps: list[ReconstructedStep]
+    steps: list[ReconstructedStep]  # the selected steps, in trace order
 
 
-@dataclass
-class _Frame:
-    id: int
-    code: int
+def _call_record(call, i: int) -> tuple:
+    """(to, value, input bytes, status) of a step's recorded call extension."""
+    if not isinstance(call, dict):
+        raise TraceParseError("call is not an object", i)
+    try:
+        to = _parse_hex_word(call["to"], i)
+        value = _parse_hex_word(call["value"], i)
+    except KeyError as missing:
+        raise TraceParseError(f"call missing {missing.args[0]!r}", i) from None
+    data_hex = call.get("input", "0x")
+    if not isinstance(data_hex, str):
+        raise TraceParseError("call input is not a string", i)
+    data = _hex_bytes(data_hex)
+    if data is None:
+        raise TraceParseError(f"bad call input hex {data_hex!r}", i)
+    status = call.get("status")
+    if status is not None and status not in (0, 1):
+        raise TraceParseError(f"bad call status {status!r}", i)
+    return to, value, data, status
 
 
-def reconstruct(
-    parsed: ParsedTrace, root_target: int, relaxed: bool = False
-) -> ReconstructedTrace:
-    """Check the small-step invariants (strict mode) and assign frames to
-    every parsed step, in one pass.
+def decode_steps(
+    struct_logs: list,
+    root_target: int,
+    relaxed: bool = False,
+    select: Select = every_step,
+) -> list[ReconstructedStep]:
+    """Walk the raw structLog entries once: check every entry, track the
+    frames, and build the steps `select` asks for, in trace order.
 
     root_target is the transaction's `to` address: the identity and code of
-    the root frame. Raises TraceParseError for a broken step sequence and
-    ReconstructionError when a step cannot be mapped onto frames, whichever
-    step comes first; in relaxed mode the only frame error is a kept step
-    whose frame has no origin among the kept steps (a filtered trace taken
-    without call boundaries).
+    the root frame. Raises TraceParseError for a malformed entry or a
+    broken step sequence and ReconstructionError when a step cannot be
+    mapped onto frames, at the first faulty entry (see the module
+    docstring); in relaxed mode the only frame error is a step whose frame
+    has no origin among the kept steps (a filtered trace taken without call
+    boundaries).
     """
-    steps = parsed.steps
-    frames = [_Frame(root_target, root_target)]
     out: list[ReconstructedStep] = []
-    # call awaiting a status backfill, per depth: index into `out`
-    pending: dict[int, int] = {}
+    # (storage identity, code address, identities below), root first
+    frames = [(root_target, root_target, ())]
+    frame_id = code = root_target
+    below: tuple[int, ...] = ()
+    # per depth, the call awaiting its resume step (read in strict mode),
+    # as (call pc, CallSite of a selected call or None)
+    pending: dict[int, tuple] = {}
+    # the previous step's call, entered iff this step is one level deeper:
+    # (call depth, child identity, child code, CallSite or None)
+    opened = None
     prev_pc = prev_op = prev_depth = None
 
-    for i, (pc, op, gas, gas_cost, depth, stack, storage, recorded) in enumerate(steps):
-        resume_at = pending.pop(depth, None)
+    for i, entry in enumerate(struct_logs):
+        # -- fields
+        if not isinstance(entry, dict):
+            raise TraceParseError("entry is not an object", i)
+        try:
+            pc = entry["pc"]
+            op = entry["op"]
+            gas = entry["gas"]
+            gas_cost = entry["gasCost"]
+            depth = entry["depth"]
+        except KeyError as missing:
+            raise TraceParseError(f"missing field {missing.args[0]!r}", i) from None
+        if type(pc) is not int or pc < 0:
+            raise TraceParseError(f"bad pc {pc!r}", i)
+        if not isinstance(op, str) or not op or (
+            op.startswith("PUSH") and op not in _PUSH_SIZES
+        ):
+            raise TraceParseError(f"bad op {op!r}", i)
+        if type(gas) is not int or gas < 0:
+            raise TraceParseError(f"bad gas {gas!r}", i)
+        if type(gas_cost) is not int or gas_cost < 0:
+            raise TraceParseError(f"bad gasCost {gas_cost!r}", i)
+        if type(depth) is not int or depth < 1:
+            raise TraceParseError(f"bad depth {depth!r}", i)
+        stack = entry.get("stack", _NO_WORDS)
+        if not isinstance(stack, list):
+            raise TraceParseError("stack is not a list", i)
+        try:
+            plain = all(map(_WORD, stack))
+        except TypeError:  # a word that is not a string
+            plain = False
+        if not plain:
+            for text in stack:
+                _parse_hex_word(text, i)
+        storage = entry.get("storage")
+        if storage is not None:
+            if not isinstance(storage, dict):
+                raise TraceParseError("storage is not an object", i)
+            storage = sorted(
+                (_parse_hex_word(k, i), _parse_hex_word(v, i)) for k, v in storage.items()
+            )
+        recorded = entry.get("call")
+        if recorded is not None:
+            recorded = _call_record(recorded, i)
 
+        # -- sequence (strict mode)
+        resume = None
         if not relaxed:
+            resume = pending.pop(depth, None)
             if i == 0:
                 if depth != 1:
                     raise TraceParseError(f"root frame starts at depth {depth}", 0)
@@ -250,8 +272,8 @@ def reconstruct(
                     raise TraceParseError(
                         f"step follows terminal op {prev_op} in the same frame", i
                     )
-                if prev_op not in ("JUMP", "JUMPI"):
-                    want = prev_pc + _instruction_size(prev_op)
+                if prev_op != "JUMP" and prev_op != "JUMPI":
+                    want = prev_pc + _PUSH_SIZES.get(prev_op, 1)
                     if pc != want:
                         raise TraceParseError(
                             f"pc {pc} after {prev_op} at {prev_pc} "
@@ -263,93 +285,105 @@ def reconstruct(
                     raise TraceParseError(f"depth drops from {prev_depth} to {depth}", i)
                 # stepwise descents through call ops leave the call that
                 # opened the frame below pending at this depth
-                call_pc = out[resume_at].pc
+                call_pc = resume[0]
                 if pc != call_pc + 1:
                     raise TraceParseError(
                         f"resume pc {pc} does not follow call at {call_pc}", i
                     )
             prev_pc, prev_op, prev_depth = pc, op, depth
 
-        if depth < len(frames):
+        # -- frames
+        if opened is not None:
+            call_depth, child_id, child_code, site = opened
+            opened = None
+            if depth == call_depth + 1:
+                if site is not None:
+                    site.entered = True
+                    site.child_id, site.child_code = child_id, child_code
+                below = below + (frame_id,)
+                frame_id, code = child_id, child_code
+                frames.append((frame_id, code, below))
+        if depth != len(frames):
+            if depth > len(frames):
+                # strict sequences always descend through an entered call
+                raise ReconstructionError(
+                    f"step {i}: depth {depth} but only {len(frames)} frames known "
+                    "(filtered trace without call boundaries?)"
+                )
             del frames[depth:]
+            frame_id, code, below = frames[-1]
             # a call still pending deeper down ended its own frame without
             # being entered; no later step may take its status
             for stale in [d for d in pending if d > depth]:
                 del pending[stale]
-        elif depth > len(frames):
-            # strict sequences always descend through an entered call
-            raise ReconstructionError(
-                f"step {i}: depth {depth} but only {len(frames)} frames known "
-                "(filtered trace without call boundaries?)"
-            )
-        frame = frames[-1]
 
-        if resume_at is not None and not relaxed:
+        if resume is not None:
             # first step back in the caller: its stack top is the call status
-            site = out[resume_at].call
-            if site.status is None and stack:
-                site.status = stack[-1]
+            site = resume[1]
+            if site is not None and site.status is None and stack:
+                site.status = int(stack[-1], 16)
 
-        storage_write = None
-        if op == "SSTORE":
-            if len(stack) >= 2:
-                storage_write = (stack[-1], stack[-2])
-            elif storage:
-                storage_write = storage[0]
-            elif not relaxed:
-                raise ReconstructionError(f"step {i}: SSTORE with bare stack")
-
-        call_site = None
-        if op in CALL_OPS:
+        if op == "SSTORE" and len(stack) < 2 and not storage and not relaxed:
+            raise ReconstructionError(f"step {i}: SSTORE with bare stack")
+        is_call = op in CALL_OPS
+        if is_call:
             if recorded is not None:
-                to, value, data, status = recorded
-                value = None if op == "DELEGATECALL" else value
-            elif len(stack) >= 2:
-                to = stack[-2] & ADDRESS_MASK
-                data = status = None
-                if op == "CALL":
-                    if len(stack) < 3:
-                        raise ReconstructionError(f"step {i}: CALL with bare stack")
-                    value = stack[-3]
-                elif op == "STATICCALL":
-                    value = 0
-                else:
-                    value = None
+                to = recorded[0]
+            elif len(stack) >= (3 if op == "CALL" else 2):
+                to = int(stack[-2], 16) & ADDRESS_MASK
             else:
                 raise ReconstructionError(f"step {i}: {op} with bare stack")
 
-            entered = i + 1 < len(steps) and steps[i + 1][_DEPTH] == depth + 1
-            child_id = child_code = None
-            if entered:
-                if op == "DELEGATECALL":
-                    child_id, child_code = frame.id, to
+        # -- the step itself, if selected
+        site = None
+        if select(pc, op, code):
+            words = tuple(int(text, 16) for text in stack)
+            storage_write = None
+            if op == "SSTORE":
+                if len(words) >= 2:
+                    storage_write = (words[-1], words[-2])
+                elif storage:
+                    storage_write = storage[0]
+            if is_call:
+                if recorded is not None:
+                    _, value, data, status = recorded
+                    if op == "DELEGATECALL":
+                        value = None
                 else:
-                    child_id = child_code = to
-            call_site = CallSite(op, to, value, data, entered, status, child_id, child_code)
-            pending[depth] = len(out)
-
-        out.append(
-            ReconstructedStep(
-                raw_index=i,
-                pc=pc,
-                op=op,
-                gas=gas,
-                gas_cost=gas_cost,
-                depth=depth,
-                stack=stack,
-                frame_id=frame.id,
-                code_address=frame.code,
-                frames_below=tuple(f.id for f in frames[:-1]),
-                storage_write=storage_write,
-                call=call_site,
+                    data = status = None
+                    if op == "CALL":
+                        value = words[-3]
+                    elif op == "STATICCALL":
+                        value = 0
+                    else:
+                        value = None
+                site = CallSite(op, to, value, data, False, status, None, None)
+            out.append(
+                ReconstructedStep(
+                    i, pc, op, gas, gas_cost, depth, words,
+                    frame_id, code, below, storage_write, site,
+                )
             )
-        )
+        if is_call:
+            pending[depth] = (pc, site)
+            opened = (depth, frame_id if op == "DELEGATECALL" else to, to, site)
 
-        if call_site is not None and call_site.entered:
-            frames.append(_Frame(call_site.child_id, call_site.child_code))
-
-    return ReconstructedTrace(parsed.failed, parsed.gas, parsed.return_value, out)
+    return out
 
 
-def reconstruct_document(doc: dict, root_target: int, relaxed: bool = False) -> ReconstructedTrace:
-    return reconstruct(parse_trace_document(doc), root_target, relaxed=relaxed)
+def reconstruct(
+    parsed: ParsedTrace,
+    root_target: int,
+    relaxed: bool = False,
+    select: Select = every_step,
+) -> ReconstructedTrace:
+    """The trace of a checked document header, holding the steps `select`
+    picks from the walk over its entries (decode_steps)."""
+    steps = decode_steps(parsed.struct_logs, root_target, relaxed, select)
+    return ReconstructedTrace(parsed.failed, parsed.gas, parsed.return_value, steps)
+
+
+def reconstruct_document(
+    doc: dict, root_target: int, relaxed: bool = False, select: Select = every_step
+) -> ReconstructedTrace:
+    return reconstruct(parse_trace_document(doc), root_target, relaxed, select)

@@ -21,7 +21,7 @@ from evmsleuth.cli import (
     split_params,
 )
 from evmsleuth.errors import ConfigError, UsageError
-from evmsleuth.explorer import CachedExplorer, LocalExplorer
+from evmsleuth.explorer import CachedExplorer, LocalExplorer, apply_tracer
 from evmsleuth.filters import FilterQuery, TxRef, parse_csv_feed, tx_list, write_csv_feed
 from evmsleuth.fixtures import build_fixture_chain, scale_fixture, write_fixture
 from evmsleuth.hashing import function_selector
@@ -501,8 +501,91 @@ def test_cli_exit_codes(capsys, bank_dir, tmp_path):
     assert code == 2 and "timeout" in err
 
 
+def _damaged_exploit_trace(bank, bank_dir, tmp_path, damage):
+    """A copy of the Bank archive whose first exploit's trace `damage` has
+    edited: (archive directory, exploit hash, damaged trace)."""
+    clone = tmp_path / "clone"
+    shutil.copytree(bank_dir, clone)
+    victim = bank.archive.labels.exploit_hashes()[0]
+    path = clone / "traces" / f"{victim.hex()}.json"
+    trace = json.loads(path.read_text())
+    damage(trace)
+    path.write_text(json.dumps(trace))
+    return clone, victim, trace
+
+
+@pytest.mark.parametrize("detector", ["evm", "evm[mode=customTracer]"])
+def test_cli_malformed_push_op_is_a_skip_record(capsys, bank, spec, bank_dir, tmp_path, detector):
+    # an op named PUSH-something that names no push size is a malformed
+    # entry in either ingest mode: the transaction is skipped, the run goes on
+    pcs = set().union(*spec.gate.values())
+
+    def junk_push_at_the_gate(trace):
+        gated = next(s for s in trace["structLogs"] if s["pc"] in pcs and s["op"] == "SSTORE")
+        gated["op"] = "PUSHZ"
+
+    clone, victim, trace = _damaged_exploit_trace(bank, bank_dir, tmp_path, junk_push_at_the_gate)
+    gated = next(s for s in trace["structLogs"] if s["op"] == "PUSHZ")
+    if detector == "evm":
+        index = trace["structLogs"].index(gated)
+    else:
+        index = apply_tracer(trace, {"pcSet": sorted(pcs)})["structLogs"].index(gated)
+    code, out, _ = run_cli(
+        capsys, "investigate", "-t", "x", "-e", f"local[dir={clone}]", "-d", detector
+    )
+    assert code == 0
+    doc = json.loads(out)
+    check_totals(doc)
+    assert [s for s in doc["skips"] if "bad op" in s] == [
+        f"tx 0x{victim.hex()}: analysis failed, skipped (step {index}: bad op 'PUSHZ')"
+    ]
+    flagged = {d["txHash"] for d in doc["detections"]}
+    assert flagged and "0x" + victim.hex() not in flagged
+
+
+def _unreadable_entry(entry):
+    def damage(trace):
+        trace["structLogs"][3] = entry
+
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda trace: trace.__setitem__("rtructLogs", trace.pop("structLogs")),
+         "missing field 'structLogs'"),
+        (lambda trace: trace.__setitem__("structLogs", {}), "structLogs must be a list"),
+        (lambda trace: trace.__setitem__("structLogs", None), "structLogs must be a list"),
+        (_unreadable_entry("step"), "step 0: entry is not an object"),
+        (_unreadable_entry({"op": "CALL"}), "step 0: missing field 'pc'"),
+        (_unreadable_entry({"pc": [1], "op": "ADD", "gas": 1, "gasCost": 1, "depth": 1}),
+         "step 0: bad pc [1]"),
+    ],
+    ids=["no-structlogs", "structlogs-object", "structlogs-null", "entry-string",
+         "entry-without-pc", "unhashable-pc"],
+)
+def test_cli_custom_tracer_over_an_unreadable_trace_is_a_skip_record(
+    capsys, bank, bank_dir, tmp_path, damage, message
+):
+    # the pc filter keeps what it cannot read and ingest rejects it, so the
+    # run skips the transaction instead of ending in a traceback
+    clone, victim, _ = _damaged_exploit_trace(bank, bank_dir, tmp_path, damage)
+    code, out, _ = run_cli(
+        capsys, "investigate", "-t", "x", "-e", f"local[dir={clone}]",
+        "-d", "evm[mode=customTracer]",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert f"tx 0x{victim.hex()}: analysis failed, skipped ({message})" in doc["skips"]
+
+
 def _bad_pc(trace):
     trace["structLogs"][1]["pc"] = -5
+
+
+def _junk_push(trace):
+    trace["structLogs"][1]["op"] = "PUSHZ"
 
 
 def _bare_sstore(trace):
@@ -513,8 +596,12 @@ def _bare_sstore(trace):
 
 @pytest.mark.parametrize(
     "damage, message",
-    [(_bad_pc, "step 1: bad pc -5"), (_bare_sstore, "SSTORE with bare stack")],
-    ids=["bad-pc", "bare-sstore"],
+    [
+        (_bad_pc, "step 1: bad pc -5"),
+        (_bare_sstore, "SSTORE with bare stack"),
+        (_junk_push, "step 1: bad op 'PUSHZ'"),
+    ],
+    ids=["bad-pc", "bare-sstore", "junk-push"],
 )
 @pytest.mark.parametrize(
     "command",
@@ -525,7 +612,7 @@ def _bare_sstore(trace):
 def test_cli_malformed_trace_in_internal_discovery_exits_3(
     capsys, tmp_path, command, damage, message
 ):
-    # internal discovery reconstructs every trace in range, candidates or
+    # internal discovery checks every trace in range in full, candidates or
     # not, and a hole in the candidate list would hide exploits: the run
     # aborts naming the transaction
     bec = build_fixture_chain("SimulationBECToken", seed=SEED)
@@ -890,3 +977,85 @@ def test_cli_exit_code_is_always_documented(bank_dir, path_set, data):
         check_totals(json.loads(out.getvalue()))
     else:
         assert out.getvalue() == "" and err.getvalue().startswith("evmsleuth: ")
+
+
+# -- damaged trace files --
+
+
+@pytest.fixture(scope="module")
+def fuzz_archives(bank_dir, tmp_path_factory):
+    """A Bank archive, and a SimulationBECToken archive whose descriptor
+    turns internal discovery on."""
+    bec = build_fixture_chain("SimulationBECToken", seed=SEED)
+    assert bec.vuln["filter"]["includeInternal"]
+    bec_dir = tmp_path_factory.mktemp("bec-archive") / "bec"
+    write_fixture(bec, bec_dir)
+    return [bank_dir, bec_dir]
+
+
+_JUNK_OPS = st.one_of(
+    st.text(max_size=6),
+    st.text(max_size=3).map(lambda tail: "PUSH" + tail),
+    st.sampled_from(["PUSH", "PUSH33", "CALL", "DELEGATECALL", "SSTORE", "STOP", "JUMP"]),
+    st.none(),
+    st.integers(),
+)
+
+
+@st.composite
+def damage(draw, original: bytes) -> tuple:
+    """One damage to a trace file's bytes: a truncation, a byte flip, a
+    splice of one of its own stretches, or one op renamed to junk."""
+    size = len(original)
+    kind = draw(st.sampled_from(["truncate", "flip", "splice", "junk-op"]))
+    if kind == "truncate":
+        return kind, draw(st.integers(0, size - 1))
+    if kind == "flip":
+        return kind, draw(st.integers(0, size - 1)), draw(st.integers(1, 255))
+    if kind == "splice":
+        start = draw(st.integers(0, size - 1))
+        end = draw(st.integers(start + 1, min(size, start + 80)))
+        at = draw(st.integers(0, size))
+        return kind, start, end, at, draw(st.integers(at, min(size, at + 80)))
+    steps = len(json.loads(original)["structLogs"])
+    return kind, draw(st.integers(0, max(steps - 1, 0))), draw(_JUNK_OPS)
+
+
+def _damaged(original: bytes, plan: tuple) -> bytes:
+    kind, *args = plan
+    if kind == "truncate":
+        return original[: args[0]]
+    if kind == "flip":
+        at, mask = args
+        return original[:at] + bytes([original[at] ^ mask]) + original[at + 1:]
+    if kind == "splice":
+        start, end, at, cut = args
+        return original[:at] + original[start:end] + original[cut:]
+    index, op = args
+    doc = json.loads(original)
+    if doc["structLogs"]:  # a transfer to a code-free account has no step
+        doc["structLogs"][index]["op"] = op
+    return json.dumps(doc).encode()
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_damaged_trace_file_is_never_a_traceback(fuzz_archives, data):
+    # Bank runs read the top-level candidates' traces; SimulationBECToken
+    # runs also check every trace in range for internal calls
+    base = data.draw(st.sampled_from(fuzz_archives))
+    path = data.draw(st.sampled_from(sorted((base / "traces").glob("*.json"))))
+    original = path.read_bytes()
+    path.write_bytes(_damaged(original, data.draw(damage(original))))
+    try:
+        for detector in ("evm", "evm[mode=customTracer]"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["investigate", "-t", "f", "-e", f"local[dir={base}]", "-d", detector])
+            assert code in (0, 2, 3), err.getvalue()
+            if code == 0:
+                check_totals(json.loads(out.getvalue()))
+            else:
+                assert out.getvalue() == "" and err.getvalue().startswith("evmsleuth: ")
+    finally:
+        path.write_bytes(original)

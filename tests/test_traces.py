@@ -6,11 +6,15 @@ import oracles
 from evmsleuth import traces
 from evmsleuth.errors import ReconstructionError, TraceParseError
 from evmsleuth.explorer import apply_tracer, canonical_tracer
-from evmsleuth.fixtures import build_fixture_chain
+from evmsleuth.fixtures import build_fixture_chain, build_suite
+from evmsleuth.rules_evm import VulnSpec
 from evmsleuth.traces import (
+    CALL_OPS,
+    CallSite,
+    ReconstructedStep,
     decode_steps,
+    every_step,
     parse_trace_document,
-    reconstruct,
     reconstruct_document,
 )
 
@@ -77,11 +81,12 @@ def nested_doc(op="CALL", extension=None):
 
 
 def test_parse_accepts_minimal_linear_trace():
-    parsed = parse_trace_document(linear_doc())
+    src = linear_doc()
+    parsed = parse_trace_document(src)
     assert parsed.failed is False
     assert parsed.gas == 1234
     assert parsed.return_value == b""
-    assert len(parsed.steps) == 4
+    assert parsed.struct_logs is src["structLogs"]  # the walk checks them
 
 
 def test_parse_decodes_return_value_and_failed():
@@ -101,6 +106,8 @@ def test_parse_decodes_return_value_and_failed():
         (lambda d: d.__setitem__("gas", -1), "gas must be a non-negative"),
         (lambda d: d.__setitem__("returnValue", 7), "returnValue must be a hex"),
         (lambda d: d.__setitem__("returnValue", "0xzz"), "not hex"),
+        (lambda d: d.__setitem__("returnValue", "0xaa bb"), "not hex"),
+        (lambda d: d.__setitem__("returnValue", "aabb\n"), "not hex"),
         (lambda d: d.__setitem__("structLogs", {}), "structLogs must be a list"),
     ],
 )
@@ -111,19 +118,33 @@ def test_parse_rejects_malformed_documents(mutate, fragment):
         parse_trace_document(src)
 
 
-def test_parse_decodes_through_the_module_global(monkeypatch):
-    # wrappers installed on traces.decode_steps from outside the package
-    # must see every decode that parse_trace_document does
+def test_ingest_runs_through_the_module_globals(monkeypatch):
+    # wrappers set on the three stage names from outside the package must
+    # see every walk reconstruct_document runs, with what it walks
     seen = []
 
-    def spy(struct_logs):
-        seen.append(len(struct_logs))
-        return decode_steps(struct_logs)
+    def spy(name, fn):
+        def wrapper(*args):
+            seen.append((name, args[1:]))
+            return fn(*args)
 
-    monkeypatch.setattr(traces, "decode_steps", spy)
-    parsed = parse_trace_document(linear_doc())
-    assert seen == [4]
-    assert [s[1] for s in parsed.steps] == ["PUSH1", "PUSH1", "SSTORE", "STOP"]
+        monkeypatch.setattr(traces, name, wrapper)
+
+    for name in ("parse_trace_document", "decode_steps", "reconstruct"):
+        spy(name, getattr(traces, name))
+
+    def sstores(pc, op, code):
+        return op == "SSTORE"
+
+    for relaxed in (False, True):
+        seen.clear()
+        rec = reconstruct_document(linear_doc(), CALLER, relaxed, sstores)
+        assert seen == [
+            ("parse_trace_document", ()),
+            ("reconstruct", (CALLER, relaxed, sstores)),
+            ("decode_steps", (CALLER, relaxed, sstores)),
+        ]
+        assert [(s.raw_index, s.op) for s in rec.steps] == [(2, "SSTORE")]
 
 
 def test_parse_rejects_non_object():
@@ -152,13 +173,14 @@ def test_parse_rejects_non_object():
         (lambda s: s.__setitem__("storage", ["0x1"]), "storage is not an object"),
     ],
 )
-def test_decode_rejects_malformed_steps(mutate, fragment):
+@pytest.mark.parametrize("relaxed", [False, True], ids=["strict", "relaxed"])
+def test_decode_rejects_malformed_steps(mutate, fragment, relaxed):
     src = linear_doc()
     victim = src["structLogs"][2]
     if mutate(victim) is None and fragment == "entry is not an object":
         src["structLogs"][2] = "step"
     with pytest.raises(TraceParseError, match=fragment) as err:
-        parse_trace_document(src)
+        reconstruct_document(src, CALLER, relaxed)
     assert err.value.raw_index == 2
 
 
@@ -169,6 +191,9 @@ def test_decode_rejects_malformed_steps(mutate, fragment):
         ({"to": "0x%x" % TARGET}, "call missing 'value'"),
         ({"to": "0x%x" % TARGET, "value": "0x0", "input": 4}, "input is not a string"),
         ({"to": "0x%x" % TARGET, "value": "0x0", "input": "0xzz"}, "bad call input"),
+        ({"to": "0x%x" % TARGET, "value": "0x0", "input": "0xaa bb"}, "bad call input"),
+        ({"to": "0x%x" % TARGET, "value": "0x0", "input": " aabb"}, "bad call input"),
+        ({"to": "+0x%x" % TARGET, "value": "0x0"}, "bad hex word"),
         ({"to": "0x%x" % TARGET, "value": "0x0", "status": 2}, "bad call status"),
         ("0xbb", "call is not an object"),
     ],
@@ -176,7 +201,7 @@ def test_decode_rejects_malformed_steps(mutate, fragment):
 def test_decode_rejects_malformed_call_extensions(extension, fragment):
     src = nested_doc(extension=extension)
     with pytest.raises(TraceParseError, match=fragment) as err:
-        parse_trace_document(src)
+        reconstruct_document(src, CALLER)
     assert err.value.raw_index == 1
 
 
@@ -194,23 +219,31 @@ def _entry(**overrides):
 
 
 def test_decode_steps_basic():
-    steps = decode_steps([_entry()])
-    assert steps == [(0, "PUSH1", 100, 3, 1, (1, 255), None, None)]
+    steps = decode_steps([_entry()], CALLER)
+    assert steps == [
+        ReconstructedStep(0, 0, "PUSH1", 100, 3, 1, (1, 255), CALLER, CALLER, (), None, None)
+    ]
 
 
 def test_decode_steps_storage_and_call():
-    entry = _entry(
-        storage={"00" * 31 + "05": "00" * 31 + "01"},
+    store = _entry(op="SSTORE", stack=[], storage={"00" * 31 + "05": "00" * 31 + "01"})
+    (built,) = decode_steps([store], CALLER)
+    assert built.storage_write == (5, 1)
+    call = _entry(
+        op="CALL",
         call={"to": "0x" + "ab" * 20, "value": "0x7", "input": "0x1234", "status": 1},
     )
-    ((_, _, _, _, _, _, storage, call),) = decode_steps([entry])
-    assert storage == ((5, 1),)
-    assert call == (int("ab" * 20, 16), 7, bytes.fromhex("1234"), 1)
+    (built,) = decode_steps([call], CALLER)
+    to = int("ab" * 20, 16)
+    assert built.call == CallSite("CALL", to, 7, bytes.fromhex("1234"), False, 1, None, None)
 
 
 def test_decode_steps_accepts_prefixless_and_uppercase_hex():
-    steps = decode_steps([_entry(stack=["ff", "0XAB"])])
-    assert steps[0][5] == (255, 171)
+    (built,) = decode_steps([_entry(stack=["ff", "0XAB", "0x" + "0" * 70 + "1"])], CALLER)
+    assert built.stack == (255, 171, 1)
+    src = doc([step(0, "STOP", 1)])
+    src["returnValue"] = "0XAB"
+    assert parse_trace_document(src).return_value == b"\xab"
 
 
 @pytest.mark.parametrize(
@@ -230,27 +263,52 @@ def test_decode_steps_accepts_prefixless_and_uppercase_hex():
         {"call": {"to": "0x1", "value": "0x0", "status": 7}},
         {"stack": ["0x-1"]},
         {"stack": ["-0x1"]},
+        {"stack": ["+ff"]},
+        {"stack": [" ff"]},
+        {"stack": ["ff "]},
+        {"stack": ["f_f"]},
+        {"stack": ["0x 1\n"]},
+        {"stack": ["0x1", "\u0663"]},  # ARABIC-INDIC DIGIT THREE
+        {"stack": ["0x0x1"]},
+        {"stack": ["0x1", 1]},
+        {"storage": {"+5": "0x1"}},
+        {"op": "PUSHZ"},
+        {"op": "PUSH"},
+        {"op": "PUSH33"},
+        {"op": "PUSH01"},
         {"gas": True},
         {"gasCost": True},
         {"depth": True},
     ],
 )
-def test_decode_steps_rejects_malformed(mutation):
+@pytest.mark.parametrize("relaxed", [False, True], ids=["strict", "relaxed"])
+def test_decode_steps_rejects_malformed(mutation, relaxed):
     with pytest.raises(TraceParseError) as info:
-        decode_steps([_entry(), _entry(**mutation)])
+        decode_steps([_entry(), _entry(**{"pc": 2, **mutation})], CALLER, relaxed)
     assert info.value.raw_index == 1  # raw index of the offending entry
+
+
+@pytest.mark.parametrize("op", ["PUSHZ", "PUSH", "PUSH33"])
+@pytest.mark.parametrize("relaxed", [False, True], ids=["strict", "relaxed"])
+def test_malformed_push_op_is_a_parse_error(op, relaxed):
+    # the size of a PUSH op comes from its name; a name that gives none is
+    # a malformed entry in either mode, not a crash in the pc check
+    src = mutated(linear_doc(), 1, op=op)
+    with pytest.raises(TraceParseError, match=f"bad op '{op}'") as info:
+        reconstruct_document(src, CALLER, relaxed)
+    assert info.value.raw_index == 1
 
 
 def test_decode_steps_missing_field():
     entry = _entry()
     del entry["gasCost"]
     with pytest.raises(TraceParseError, match="gasCost") as info:
-        decode_steps([entry])
+        decode_steps([entry], CALLER)
     assert info.value.raw_index == 0
 
 
 def test_decode_steps_empty():
-    assert decode_steps([]) == []
+    assert decode_steps([], CALLER) == []
 
 
 # -- strict sequence invariants --
@@ -360,6 +418,21 @@ def test_first_faulty_step_decides_the_error(sstore_at, gap_at, error):
     src["structLogs"][gap_at]["pc"] += 7
     with pytest.raises(error, match=f"step {min(sstore_at, gap_at)}:"):
         reconstruct_document(src, CALLER)
+
+
+@pytest.mark.parametrize(
+    "gap_at, bad_word_at, fragment",
+    [(1, 3, "without a jump"), (3, 1, "bad hex word")],
+)
+def test_a_sequence_fault_and_a_field_fault_the_first_decides(gap_at, bad_word_at, fragment):
+    # each entry is checked in full before the next is read, so a field
+    # fault later in the trace never masks an earlier sequence fault
+    src = doc([step(pc, "JUMPDEST", 1) for pc in range(5)])
+    src["structLogs"][gap_at]["pc"] += 7
+    src["structLogs"][bad_word_at]["stack"] = ["0xzz"]
+    with pytest.raises(TraceParseError, match=fragment) as err:
+        reconstruct_document(src, CALLER)
+    assert err.value.raw_index == 1
 
 
 # -- relaxed ingest --
@@ -538,6 +611,45 @@ def test_gate_requires_identity_and_code():
 @pytest.fixture(scope="module")
 def bank():
     return build_fixture_chain("Bank", seed=SEED)
+
+
+@pytest.fixture(scope="module")
+def suite():
+    return build_suite(SEED)
+
+
+def test_selected_walk_equals_the_filtered_full_walk(suite):
+    # selection decides which steps are built, never what a built step
+    # holds: frames, frames below, call status, entered and child frame all
+    # come out as in the select-all walk, in both modes
+    checked = entered = backfilled = 0
+    for name, fixture in suite.items():
+        spec = VulnSpec.from_document(fixture.vuln)
+        pcs = sorted(pc for gated in spec.gate.values() for pc in gated)
+        tracer = canonical_tracer({"pcSet": pcs, "includeCallBoundaries": True})
+        predicates = [
+            spec.gates,
+            lambda pc, op, code: op in CALL_OPS,
+            lambda pc, op, code: pc % 3 == 0,
+        ]
+        for block in fixture.archive.chain.blocks:
+            for tx in block.txs:
+                raw = fixture.archive.traces[tx.hash]
+                for relaxed, src in ((False, raw), (True, apply_tracer(raw, tracer))):
+                    full = reconstruct_document(src, tx.to, relaxed, every_step)
+                    for select in predicates:
+                        part = reconstruct_document(src, tx.to, relaxed, select)
+                        assert (part.failed, part.gas, part.return_value) == (
+                            full.failed, full.gas, full.return_value
+                        )
+                        want = [s for s in full.steps if select(s.pc, s.op, s.code_address)]
+                        assert part.steps == want, (name, tx.hash.hex(), relaxed)
+                        checked += len(want)
+                        for built in part.steps:
+                            if built.call is not None:
+                                entered += built.call.entered
+                                backfilled += not relaxed and built.call.status is not None
+    assert checked > 1000 and entered > 10 and backfilled > 10
 
 
 def test_fixture_traces_parse_strict(bank):
