@@ -33,7 +33,7 @@ from .errors import (
 )
 from .hashing import function_selector
 from .model import address_hex, hash_hex
-from .traces import CALL_OPS, reconstruct_document
+from .traces import CALL_OPS, gc_paused, reconstruct_document
 
 FEED_COLUMNS = (
     "block_number",
@@ -132,13 +132,16 @@ def tx_list(explorer, query: FilterQuery) -> list[TxRef]:
                 )
             if not query.include_internal or tx.to is None:
                 continue
-            trace = explorer.tx_trace(tx.hash)
-            try:
-                rec = reconstruct_document(trace, tx.to, select=_call_steps)
-            except (TraceParseError, ReconstructionError) as err:
-                raise ProtocolError(
-                    f"internal discovery: trace for {hash_hex(tx.hash)} is malformed: {err}"
-                ) from None
+            with gc_paused():  # the trace document lives and dies in here
+                trace = explorer.tx_trace(tx.hash)
+                try:
+                    rec = reconstruct_document(trace, tx.to, select=_call_steps)
+                except (TraceParseError, ReconstructionError) as err:
+                    raise ProtocolError(
+                        f"internal discovery: trace for {hash_hex(tx.hash)} is malformed: {err}"
+                    ) from None
+                finally:
+                    del trace
             for step in rec.steps:
                 site = step.call
                 if site is None or site.input is None:

@@ -23,6 +23,23 @@ sequencing checks are dropped, and frame identity is derived only where
 the kept steps make it derivable (call-boundary steps included), otherwise
 reconstruction refuses rather than guessing.
 
+Per-walk memo: the walk keeps the set of ops and the set of stack words it
+has already accepted, so each distinct op of a trace, and each distinct
+word of at most 64 digits, is checked once. An op in the first set, or a stack whose words are all in the second,
+is not checked again. Any other op goes through the op check. Any other
+stack is read word by word, in order: a str that _WORD matches in full is
+one the per-word reader (_parse_hex_word) accepts at its first test, and
+only such a word enters the set; every other word goes to the reader.
+Membership is equality, and only a str with the same characters equals a
+str, so the memo cannot admit a word the reader would reject: a non-string
+word, hashable or not, always meets the reader. Both sets live for one
+walk only.
+
+Integer fields: pc, gas, gasCost and depth are tested by one condition.
+Only when it fails does _field_fault find the fault, and it reports the
+first in field order (pc, op, gas, gasCost, depth), as separate checks
+would.
+
 Error precedence: the first faulty step decides. The walk raises at the
 first entry that fails any check, so a sequence fault at step 3 wins over a
 malformed field at step 9. Within one entry, a field fault
@@ -37,9 +54,11 @@ back None and status-dependent rules stay quiet there.
 
 from __future__ import annotations
 
+import gc
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import ReconstructionError, TraceParseError
 from .words import ADDRESS_MASK, WORD_MASK
@@ -82,6 +101,24 @@ def _parse_hex_word(text, raw_index: int) -> int:
     raise TraceParseError(f"bad hex word {text!r}", raw_index)
 
 
+def _bad_op(op) -> bool:
+    return not isinstance(op, str) or not op or (
+        op.startswith("PUSH") and op not in _PUSH_SIZES
+    )
+
+
+def _field_fault(pc, op, gas, gas_cost, depth, i: int):
+    """Raise the first fault among an entry's scalar fields, in field order;
+    called when one of the integer fields is bad."""
+    if type(pc) is not int or pc < 0:
+        raise TraceParseError(f"bad pc {pc!r}", i)
+    if _bad_op(op):
+        raise TraceParseError(f"bad op {op!r}", i)
+    for name, value, least in (("gas", gas, 0), ("gasCost", gas_cost, 0), ("depth", depth, 1)):
+        if type(value) is not int or value < least:
+            raise TraceParseError(f"bad {name} {value!r}", i)
+
+
 def _hex_bytes(text: str) -> bytes | None:
     """The bytes a hex string spells, None if it spells none."""
     match = _BYTES(text)
@@ -106,7 +143,7 @@ def parse_trace_document(doc: dict) -> ParsedTrace:
             raise TraceParseError(f"missing field {name!r}")
     if not isinstance(doc["failed"], bool):
         raise TraceParseError("failed must be a boolean")
-    if not isinstance(doc["gas"], int) or doc["gas"] < 0:
+    if type(doc["gas"]) is not int or doc["gas"] < 0:
         raise TraceParseError("gas must be a non-negative integer")
     raw_return = doc["returnValue"]
     if not isinstance(raw_return, str):
@@ -164,14 +201,16 @@ def _call_record(call, i: int) -> tuple:
         value = _parse_hex_word(call["value"], i)
     except KeyError as missing:
         raise TraceParseError(f"call missing {missing.args[0]!r}", i) from None
-    data_hex = call.get("input", "0x")
-    if not isinstance(data_hex, str):
+    data_hex = call.get("input")
+    if data_hex is None:  # absent or null: no calldata recorded
+        data_hex = "0x"
+    elif not isinstance(data_hex, str):
         raise TraceParseError("call input is not a string", i)
     data = _hex_bytes(data_hex)
     if data is None:
         raise TraceParseError(f"bad call input hex {data_hex!r}", i)
     status = call.get("status")
-    if status is not None and status not in (0, 1):
+    if status is not None and (type(status) is not int or status not in (0, 1)):
         raise TraceParseError(f"bad call status {status!r}", i)
     return to, value, data, status
 
@@ -205,6 +244,9 @@ def decode_steps(
     # (call depth, child identity, child code, CallSite or None)
     opened = None
     prev_pc = prev_op = prev_depth = None
+    # ops and stack words already accepted in this walk (module docstring)
+    known_ops: set = set()
+    known_words: set = set()
 
     for i, entry in enumerate(struct_logs):
         # -- fields
@@ -218,28 +260,35 @@ def decode_steps(
             depth = entry["depth"]
         except KeyError as missing:
             raise TraceParseError(f"missing field {missing.args[0]!r}", i) from None
-        if type(pc) is not int or pc < 0:
-            raise TraceParseError(f"bad pc {pc!r}", i)
-        if not isinstance(op, str) or not op or (
-            op.startswith("PUSH") and op not in _PUSH_SIZES
+        if not (
+            type(pc) is type(gas) is type(gas_cost) is type(depth) is int
+            and pc >= 0
+            and gas >= 0
+            and gas_cost >= 0
+            and depth >= 1
         ):
-            raise TraceParseError(f"bad op {op!r}", i)
-        if type(gas) is not int or gas < 0:
-            raise TraceParseError(f"bad gas {gas!r}", i)
-        if type(gas_cost) is not int or gas_cost < 0:
-            raise TraceParseError(f"bad gasCost {gas_cost!r}", i)
-        if type(depth) is not int or depth < 1:
-            raise TraceParseError(f"bad depth {depth!r}", i)
+            _field_fault(pc, op, gas, gas_cost, depth, i)
+        try:
+            known = op in known_ops
+        except TypeError:  # unhashable, so not a string
+            known = False
+        if not known:
+            if _bad_op(op):
+                raise TraceParseError(f"bad op {op!r}", i)
+            known_ops.add(op)
         stack = entry.get("stack", _NO_WORDS)
         if not isinstance(stack, list):
             raise TraceParseError("stack is not a list", i)
         try:
-            plain = all(map(_WORD, stack))
-        except TypeError:  # a word that is not a string
-            plain = False
-        if not plain:
+            known = known_words.issuperset(stack)
+        except TypeError:  # an unhashable word
+            known = False
+        if not known:
             for text in stack:
-                _parse_hex_word(text, i)
+                if type(text) is str and _WORD(text):
+                    known_words.add(text)
+                else:
+                    _parse_hex_word(text, i)
         storage = entry.get("storage")
         if storage is not None:
             if not isinstance(storage, dict):
@@ -381,6 +430,27 @@ def reconstruct(
     picks from the walk over its entries (decode_steps)."""
     steps = decode_steps(parsed.struct_logs, root_target, relaxed, select)
     return ReconstructedTrace(parsed.failed, parsed.gas, parsed.return_value, steps)
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Keep the cyclic garbage collector off while the body runs, then give
+    the caller back the collector state it had, also when the body raises.
+
+    The body is the life of one trace document: fetch, ingest and rules. A
+    parsed JSON document is a tree, so it holds no reference cycle for the
+    collector to find, yet a deep trace is some 170k containers that each
+    collection would traverse. The body drops the document before it ends,
+    so reference counting frees it and the collector resumes with nothing
+    of it left to traverse.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def reconstruct_document(

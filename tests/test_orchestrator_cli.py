@@ -1,9 +1,11 @@
 """End-to-end investigation runs and the command-line surface."""
 
 import contextlib
+import gc
 import io
 import json
 import shutil
+import weakref
 from unittest import mock
 from urllib.error import HTTPError, URLError
 
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from evmsleuth import filters, orchestrator
 from evmsleuth.cli import (
     build_detector,
     build_explorer,
@@ -501,16 +504,27 @@ def test_cli_exit_codes(capsys, bank_dir, tmp_path):
     assert code == 2 and "timeout" in err
 
 
+def _archive_with(base, tmp_path, tx_hash, damage):
+    """A copy of the archive at base whose trace of tx_hash `damage` edited
+    (or removed, when damage is None)."""
+    clone = tmp_path / "clone"
+    shutil.copytree(base, clone)
+    path = clone / "traces" / f"{tx_hash.hex()}.json"
+    if damage is None:
+        path.unlink()
+    else:
+        trace = json.loads(path.read_text())
+        damage(trace)
+        path.write_text(json.dumps(trace))
+    return clone
+
+
 def _damaged_exploit_trace(bank, bank_dir, tmp_path, damage):
     """A copy of the Bank archive whose first exploit's trace `damage` has
     edited: (archive directory, exploit hash, damaged trace)."""
-    clone = tmp_path / "clone"
-    shutil.copytree(bank_dir, clone)
     victim = bank.archive.labels.exploit_hashes()[0]
-    path = clone / "traces" / f"{victim.hex()}.json"
-    trace = json.loads(path.read_text())
-    damage(trace)
-    path.write_text(json.dumps(trace))
+    clone = _archive_with(bank_dir, tmp_path, victim, damage)
+    trace = json.loads((clone / "traces" / f"{victim.hex()}.json").read_text())
     return clone, victim, trace
 
 
@@ -630,6 +644,159 @@ def test_cli_malformed_trace_in_internal_discovery_exits_3(
     )
     assert code == 3 and out == ""
     assert f"trace for {hash_hex(bystander.hash)} is malformed" in err and message in err
+
+
+def _null_call_inputs(trace):
+    for entry in trace["structLogs"]:
+        if "call" in entry:
+            entry["call"]["input"] = None
+
+
+def _absent_call_inputs(trace):
+    for entry in trace["structLogs"]:
+        if "call" in entry:
+            del entry["call"]["input"]
+
+
+@pytest.mark.parametrize("detector", ["evm", "evm[mode=customTracer]"])
+def test_cli_null_call_input_reads_as_absent(capsys, bank, bank_dir, tmp_path, detector):
+    reports = []
+    for damage in (_absent_call_inputs, _null_call_inputs):
+        clone, victim, trace = _damaged_exploit_trace(
+            bank, bank_dir, tmp_path / damage.__name__, damage
+        )
+        assert any("call" in entry for entry in trace["structLogs"])
+        code, out, _ = run_cli(
+            capsys, "investigate", "-t", "x", "-e", f"local[dir={clone}]", "-d", detector
+        )
+        assert code == 0
+        doc = json.loads(out)
+        del doc["timings"]
+        reports.append(doc)
+    assert reports[0] == reports[1]
+    assert "0x" + victim.hex() in {d["txHash"] for d in reports[1]["detections"]}
+    assert reports[1]["skips"] == []
+
+
+# -- the collector pause around each trace document --
+
+
+@pytest.fixture(scope="module")
+def bec():
+    return build_fixture_chain("SimulationBECToken", seed=SEED)
+
+
+@pytest.fixture(scope="module")
+def bec_dir(bec, tmp_path_factory):
+    base = tmp_path_factory.mktemp("bec-archive") / "bec"
+    write_fixture(bec, base)
+    return base
+
+
+_PAUSED_RUNS = {
+    # name: (archive, extra arguments, trace damage, exit code)
+    "evm-local": ("bank", [], None, 0),
+    "evm-cached": ("bank", ["-c", "{tmp}/cache"], None, 0),
+    "evm-customTracer": ("bank", ["-d", "evm[mode=customTracer]"], None, 0),
+    "internal-discovery": ("bec", [], None, 0),
+    "analysis-skip": ("bank", [], ("exploit", _bad_pc), 0),
+    "fetch-skip": ("bank", [], ("exploit", None), 0),
+    "internal-discovery-abort": ("bec", [], ("bystander", _bad_pc), 3),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("run", sorted(_PAUSED_RUNS))
+def test_trace_ingest_runs_with_the_collector_paused(
+    capsys, monkeypatch, bank, bank_dir, bec, bec_dir, tmp_path, run, enabled
+):
+    # every trace is ingested with the collector off, and the caller gets
+    # its own collector state back however the run ends
+    archive, extra, damage, want = _PAUSED_RUNS[run]
+    fixture, base = (bank, bank_dir) if archive == "bank" else (bec, bec_dir)
+    if damage is not None:
+        which, edit = damage
+        if which == "exploit":
+            victim = fixture.archive.labels.exploit_hashes()[0]
+        else:
+            victim = fixture.archive.chain.block(1).txs[0].hash
+        base = _archive_with(base, tmp_path, victim, edit)
+    seen = []
+    for module in (orchestrator, filters):
+        monkeypatch.setattr(
+            module,
+            "reconstruct_document",
+            lambda *args, _real=module.reconstruct_document, **kw: (
+                seen.append(gc.isenabled()) or _real(*args, **kw)
+            ),
+        )
+    argv = [arg.format(tmp=tmp_path) for arg in extra]
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code, out, _ = run_cli(capsys, "investigate", "-t", "x", "-e", f"local[dir={base}]", *argv)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert code == want
+    assert seen and not any(seen)
+    if run.endswith("skip"):
+        assert "skipped" in " ".join(json.loads(out)["skips"])
+
+
+@pytest.mark.parametrize("run", ["evm-local", "analysis-skip", "internal-discovery"])
+def test_each_trace_document_dies_inside_its_pause(
+    capsys, monkeypatch, bank, bank_dir, bec_dir, tmp_path, run
+):
+    # the collector resumes with nothing of the document left to traverse
+    base = bec_dir if run == "internal-discovery" else bank_dir
+    if run == "analysis-skip":
+        victim = bank.archive.labels.exploit_hashes()[0]
+        base = _archive_with(base, tmp_path, victim, _bad_pc)
+
+    class Document(dict):  # a dict that can be watched through a weak reference
+        pass
+
+    documents = []
+    real_trace = LocalExplorer.tx_trace
+
+    def tx_trace(self, *args):
+        doc = Document(real_trace(self, *args))
+        documents.append(weakref.ref(doc))
+        return doc
+
+    monkeypatch.setattr(LocalExplorer, "tx_trace", tx_trace)
+    alive_at_resume = []
+    for module in (orchestrator, filters):
+
+        @contextlib.contextmanager
+        def watched(_real=module.gc_paused):
+            with _real():
+                yield
+                alive_at_resume.extend(ref() is not None for ref in documents)
+
+        monkeypatch.setattr(module, "gc_paused", watched)
+    code, out, _ = run_cli(capsys, "investigate", "-t", "x", "-e", f"local[dir={base}]")
+    assert code == 0
+    assert documents and alive_at_resume and not any(alive_at_resume)
+
+
+def test_block_level_never_pauses_the_collector(capsys, monkeypatch, bank_dir):
+    # the per-query snapshot read is the block level's cost, and it is paid
+    # with the collector as the caller left it
+    pauses = []
+    for module in (orchestrator, filters):
+        monkeypatch.setattr(
+            module,
+            "gc_paused",
+            lambda _real=module.gc_paused: pauses.append(1) or _real(),
+        )
+    base = ["investigate", "-t", "x", "-e", f"local[dir={bank_dir}]"]
+    code, out, _ = run_cli(capsys, *base, "-d", "block")
+    assert code == 0 and json.loads(out)["detections"]
+    assert pauses == []
+    code, out, _ = run_cli(capsys, *base, "-d", "evm")  # the spies do see a pause
+    assert code == 0 and pauses
 
 
 @pytest.fixture
@@ -983,13 +1150,10 @@ def test_cli_exit_code_is_always_documented(bank_dir, path_set, data):
 
 
 @pytest.fixture(scope="module")
-def fuzz_archives(bank_dir, tmp_path_factory):
+def fuzz_archives(bank_dir, bec, bec_dir):
     """A Bank archive, and a SimulationBECToken archive whose descriptor
     turns internal discovery on."""
-    bec = build_fixture_chain("SimulationBECToken", seed=SEED)
     assert bec.vuln["filter"]["includeInternal"]
-    bec_dir = tmp_path_factory.mktemp("bec-archive") / "bec"
-    write_fixture(bec, bec_dir)
     return [bank_dir, bec_dir]
 
 

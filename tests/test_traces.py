@@ -1,6 +1,10 @@
 """Trace parsing, small-step validation, and frame reconstruction."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from evmsleuth import traces
@@ -104,6 +108,9 @@ def test_parse_decodes_return_value_and_failed():
         (lambda d: d.pop("structLogs"), "missing"),
         (lambda d: d.__setitem__("failed", 1), "failed must be a boolean"),
         (lambda d: d.__setitem__("gas", -1), "gas must be a non-negative"),
+        (lambda d: d.__setitem__("gas", True), "gas must be a non-negative"),
+        (lambda d: d.__setitem__("gas", False), "gas must be a non-negative"),
+        (lambda d: d.__setitem__("gas", 1.0), "gas must be a non-negative"),
         (lambda d: d.__setitem__("returnValue", 7), "returnValue must be a hex"),
         (lambda d: d.__setitem__("returnValue", "0xzz"), "not hex"),
         (lambda d: d.__setitem__("returnValue", "0xaa bb"), "not hex"),
@@ -195,6 +202,9 @@ def test_decode_rejects_malformed_steps(mutate, fragment, relaxed):
         ({"to": "0x%x" % TARGET, "value": "0x0", "input": " aabb"}, "bad call input"),
         ({"to": "+0x%x" % TARGET, "value": "0x0"}, "bad hex word"),
         ({"to": "0x%x" % TARGET, "value": "0x0", "status": 2}, "bad call status"),
+        ({"to": "0x%x" % TARGET, "value": "0x0", "status": True}, "bad call status True"),
+        ({"to": "0x%x" % TARGET, "value": "0x0", "status": False}, "bad call status False"),
+        ({"to": "0x%x" % TARGET, "value": "0x0", "status": 1.0}, "bad call status 1.0"),
         ("0xbb", "call is not an object"),
     ],
 )
@@ -203,6 +213,14 @@ def test_decode_rejects_malformed_call_extensions(extension, fragment):
     with pytest.raises(TraceParseError, match=fragment) as err:
         reconstruct_document(src, CALLER)
     assert err.value.raw_index == 1
+
+
+def test_null_call_input_reads_as_absent():
+    extension = {"to": "0x%x" % TARGET, "value": "0x0", "status": 1}
+    absent = reconstruct_document(nested_doc(extension=dict(extension)), CALLER)
+    null = reconstruct_document(nested_doc(extension={**extension, "input": None}), CALLER)
+    assert null == absent
+    assert null.steps[1].call.input == b""
 
 
 def _entry(**overrides):
@@ -279,6 +297,12 @@ def test_decode_steps_accepts_prefixless_and_uppercase_hex():
         {"gas": True},
         {"gasCost": True},
         {"depth": True},
+        {"op": ["PUSH1"]},  # unhashable
+        {"op": {"PUSH1": 1}},
+        {"stack": ["0x1", ["0xff"]]},  # an unhashable word after a known one
+        {"stack": ["0x1", {"0xff": 1}]},
+        {"stack": ["0x1", True]},
+        {"stack": ["0x1", None]},
     ],
 )
 @pytest.mark.parametrize("relaxed", [False, True], ids=["strict", "relaxed"])
@@ -286,6 +310,127 @@ def test_decode_steps_rejects_malformed(mutation, relaxed):
     with pytest.raises(TraceParseError) as info:
         decode_steps([_entry(), _entry(**{"pc": 2, **mutation})], CALLER, relaxed)
     assert info.value.raw_index == 1  # raw index of the offending entry
+
+
+_BAD_FIELDS = {"pc": -1, "op": "PUSHZ", "gas": True, "gasCost": "3", "depth": 0}
+
+
+@pytest.mark.parametrize("first, second", itertools.combinations(_BAD_FIELDS, 2))
+def test_the_first_faulty_field_in_field_order_decides(first, second):
+    # the integer fields are checked together; a fault among them is still
+    # reported field by field, in the order pc, op, gas, gasCost, depth
+    faulty = _entry(**{"pc": 2, **{name: _BAD_FIELDS[name] for name in (first, second)}})
+    with pytest.raises(TraceParseError) as info:
+        decode_steps([_entry(), faulty], CALLER, relaxed=True)
+    assert str(info.value) == f"step 1: bad {first} {_BAD_FIELDS[first]!r}"
+
+
+# -- the per-walk memo of ops and stack words, against a word-by-word reader --
+
+_OPS = st.sampled_from(["ADD", "POP", "SLOAD", "SSTORE", "JUMPDEST", "PUSH1", "PUSH32", "PUSH0"])
+_JUNK_OPS = st.one_of(
+    st.sampled_from(["", "PUSH", "PUSH33", "PUSHZ", "PUSH01", "push1"]),
+    st.text(max_size=4),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.lists(st.just("ADD"), max_size=1),
+    st.dictionaries(st.just("op"), st.just("ADD"), max_size=1),
+)
+
+
+@st.composite
+def _hex_texts(draw) -> str:
+    prefix = draw(st.sampled_from(["0x", "0X", ""]))
+    kind = draw(st.sampled_from(["word", "padded", "out-of-range"]))
+    if kind == "word":
+        digits = "%x" % draw(st.integers(0, oracles.M - 1))
+    elif kind == "padded":  # longer than 64 digits, in range by value
+        value = "%x" % draw(st.integers(0, oracles.M - 1))
+        digits = "0" * draw(st.integers(max(1, 65 - len(value)), 70)) + value
+    else:
+        value = "%x" % draw(st.integers(oracles.M, oracles.M << 8))
+        digits = "0" * draw(st.integers(0, 3)) + value
+    if draw(st.booleans()):
+        digits = digits.upper()
+    return prefix + digits
+
+
+_JUNK_WORDS = st.one_of(
+    st.sampled_from(["", "0x", "+ff", "-0x1", " ff", "ff ", "0x 1\n", "\u0663", "0x\u0661", "0x0x1"]),
+    st.text(max_size=5),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.lists(st.just("0x1"), max_size=1),
+    st.dictionaries(st.just("0x1"), st.just("0x1"), max_size=1),
+)
+
+
+def _reference_walk(entries: list) -> list[ReconstructedStep]:
+    """The op and stack checks word by word, with no memo, over depth-1
+    entries whose other fields are sound; relaxed mode, every step built."""
+    out = []
+    for i, entry in enumerate(entries):
+        op, stack = entry["op"], entry["stack"]
+        if not isinstance(op, str) or not op or (
+            op.startswith("PUSH") and op not in traces._PUSH_SIZES
+        ):
+            raise TraceParseError(f"bad op {op!r}", i)
+        if not isinstance(stack, list):
+            raise TraceParseError("stack is not a list", i)
+        words = tuple(traces._parse_hex_word(text, i) for text in stack)
+        write = (words[-1], words[-2]) if op == "SSTORE" and len(words) >= 2 else None
+        out.append(
+            ReconstructedStep(
+                i, entry["pc"], op, entry["gas"], entry["gasCost"], 1, words,
+                CALLER, CALLER, (), write, None,
+            )
+        )
+    return out
+
+
+def _now_and_then(draw) -> bool:
+    return draw(st.integers(0, 3)) == 0
+
+
+@st.composite
+def _op_and_stack_walks(draw) -> list:
+    # small pools per walk, so that words and ops repeat across entries, and
+    # junk now and then, so that it meets words and ops already accepted
+    words = draw(st.lists(_hex_texts(), min_size=1, max_size=6))
+    junk_words = draw(st.lists(_JUNK_WORDS, min_size=1, max_size=2))
+    ops = draw(st.lists(_OPS, min_size=1, max_size=4))
+    junk_ops = draw(st.lists(_JUNK_OPS, min_size=1, max_size=2))
+    entries = []
+    for pc in range(draw(st.integers(1, 8))):
+        stack = draw(
+            st.one_of(
+                st.lists(st.sampled_from(words), max_size=6),
+                st.lists(_hex_texts(), max_size=3),
+            )
+        )
+        if _now_and_then(draw):
+            stack.insert(draw(st.integers(0, len(stack))), draw(st.sampled_from(junk_words)))
+        if _now_and_then(draw) and _now_and_then(draw):
+            stack = draw(st.sampled_from(["0x1", None, {"0": "0x1"}]))
+        op = draw(st.sampled_from(junk_ops if _now_and_then(draw) else ops))
+        entries.append({"pc": pc, "op": op, "gas": 90, "gasCost": 3, "depth": 1, "stack": stack})
+    return entries
+
+
+@given(_op_and_stack_walks())
+@settings(max_examples=400, deadline=None)
+def test_memoised_walk_equals_the_word_by_word_reader(entries):
+    try:
+        want = _reference_walk(entries)
+    except TraceParseError as err:
+        with pytest.raises(TraceParseError) as info:
+            decode_steps(entries, CALLER, relaxed=True)
+        got = info.value
+        assert (type(got), str(got), got.raw_index) == (type(err), str(err), err.raw_index)
+    else:
+        assert decode_steps(entries, CALLER, relaxed=True) == want
 
 
 @pytest.mark.parametrize("op", ["PUSHZ", "PUSH", "PUSH33"])
