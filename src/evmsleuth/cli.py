@@ -39,7 +39,7 @@ from .errors import (
     UsageError,
 )
 from .explorer import CachedExplorer, LocalExplorer, RpcExplorer
-from .filters import FilterQuery, parse_csv_feed, tx_list, write_csv_feed
+from .filters import FilterQuery, ReadState, parse_csv_feed, tx_list, write_csv_feed
 from .orchestrator import (
     InvestigationConfig,
     bench,
@@ -359,7 +359,7 @@ def cmd_export_feed(args) -> int:
     query, feed = build_filter(args.filter, spec, shared)
     if feed is not None:
         raise UsageError("export-feed scans the chain; it does not re-export a feed")
-    rows = tx_list(explorer, query)
+    rows = tx_list(ReadState(explorer), query)
     sys.stdout.write(write_csv_feed(rows))
     print(f"{len(rows)} candidate rows", file=sys.stderr)
     return EXIT_OK

@@ -7,6 +7,12 @@ traces of the remaining transactions are scanned for call records that hit
 the contract indirectly (relays, wrappers), and each such hit is emitted as
 an internal row attributed to its enclosing transaction.
 
+A filter reads through a ReadState, the read state of one investigation,
+which the investigation's level then reads through too: each block is
+fetched and its transactions parsed once, and a trace internal discovery
+scanned for a candidate is not fetched or walked again by the evm level
+(see ReadState).
+
 Feeds round-trip through CSV so a candidate list can be exported, edited,
 or produced by some other tool and re-ingested. Column order is fixed:
 
@@ -23,7 +29,7 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .chain import tx_from_document
+from .chain import Transaction, tx_from_document
 from .errors import (
     FeedError,
     ProtocolError,
@@ -33,7 +39,7 @@ from .errors import (
 )
 from .hashing import function_selector
 from .model import address_hex, hash_hex
-from .traces import CALL_OPS, gc_paused, reconstruct_document
+from .traces import CALL_OPS, ReconstructedTrace, Select, gc_paused, reconstruct_document
 
 FEED_COLUMNS = (
     "block_number",
@@ -90,19 +96,105 @@ def _call_steps(pc: int, op: str, code: int) -> bool:
     return op in CALL_OPS
 
 
-def tx_list(explorer, query: FilterQuery) -> list[TxRef]:
+class ReadState:
+    """The reads of one investigation, shared by its filter and its level.
+
+    A block is fetched and its transactions parsed the first time it is
+    asked for, and answered from memory after that. A fetch or parse that
+    raises leaves nothing behind, so the next ask fetches again. The scan
+    forgets each block that yields no candidate, since the level never asks
+    for it, so a long range is not held in memory.
+
+    gate is the step predicate of a level that reads full traces (the evm
+    level in local or cached mode), None for any other level. With a gate,
+    internal discovery walks each trace it scans once, selecting call steps
+    or gated steps, and keeps, for each transaction that yields a candidate
+    row, the trace of its gated steps alone: the trace the level's own walk
+    would build. The level takes it with take_trace and neither fetches nor
+    walks that trace again. Without a gate the scan selects call steps and
+    keeps nothing.
+
+    One investigation makes one ReadState and drops it at its end; nothing
+    is shared between investigations.
+    """
+
+    def __init__(self, explorer, gate: Select | None = None):
+        self.explorer = explorer
+        self.gate = gate
+        # block number -> (transactions in block order, by hash)
+        self._blocks: dict[int, tuple[tuple[Transaction, ...], dict[bytes, Transaction]]] = {}
+        # (tx hash, root it was walked from) -> the trace of its gated steps
+        self._kept: dict[tuple[bytes, int], ReconstructedTrace] = {}
+
+    def _block(self, number: int) -> tuple:
+        entry = self._blocks.get(number)
+        if entry is None:
+            block = self.explorer.collect_block_details(number)["block"]
+            txs = tuple(map(tx_from_document, block["transactions"]))
+            entry = self._blocks[number] = (txs, {tx.hash: tx for tx in txs})
+        return entry
+
+    def transactions(self, number: int) -> tuple[Transaction, ...]:
+        """Block number's transactions, in block order."""
+        return self._block(number)[0]
+
+    def transaction(self, number: int, tx_hash: bytes) -> Transaction | None:
+        """The transaction of block number with this hash, None if none."""
+        return self._block(number)[1].get(tx_hash)
+
+    def forget(self, number: int):
+        """Drop block number from memory."""
+        self._blocks.pop(number, None)
+
+    def scan(self, tx: Transaction) -> ReconstructedTrace:
+        """tx's full trace, checked in full, with its call steps built (and
+        its gated steps, given a gate). A malformed trace is a ProtocolError
+        naming the transaction."""
+        gate = self.gate
+        select = _call_steps if gate is None else (
+            lambda pc, op, code: op in CALL_OPS or gate(pc, op, code)
+        )
+        with gc_paused():  # the trace document lives and dies in here
+            trace = self.explorer.tx_trace(tx.hash)
+            try:
+                return reconstruct_document(trace, tx.to, select=select)
+            except (TraceParseError, ReconstructionError) as err:
+                raise ProtocolError(
+                    f"internal discovery: trace for {hash_hex(tx.hash)} is malformed: {err}"
+                ) from None
+            finally:
+                del trace
+
+    def keep(self, tx: Transaction, rec: ReconstructedTrace):
+        """Keep the gated steps of tx's scanned trace for the level."""
+        gate = self.gate
+        if gate is not None:
+            steps = [s for s in rec.steps if gate(s.pc, s.op, s.code_address)]
+            gated = ReconstructedTrace(rec.failed, rec.gas, rec.return_value, steps)
+            self._kept[tx.hash, tx.to] = gated
+
+    def take_trace(self, tx: Transaction) -> ReconstructedTrace | None:
+        """The gated trace kept for tx's hash walked from tx's own root, and
+        forgotten here; None if none was kept."""
+        return self._kept.pop((tx.hash, tx.to), None)
+
+
+def tx_list(reads: ReadState, query: FilterQuery) -> list[TxRef]:
     """Scan the block range and return candidates in chain order.
 
     Top-level rows come straight from block bodies. Internal rows require
     tracing every transaction in range and scanning recorded call sites,
-    which is exactly as expensive as it sounds; callers who care should put
-    a cache in front of the explorer. Each trace is checked in full, but
-    only its call steps are built. Contract-creation transactions
-    (`"to": null`) are not scanned: there is no call target to rebuild
-    their frames from, so calls a constructor makes into the contract are
-    not found. A scanned trace that is malformed is a ProtocolError naming
-    the transaction, not a skip: a candidate list with a hole in it would
-    silently drop the exploits that trace holds.
+    which is exactly as expensive as it sounds, so it is paid once per
+    investigation: the scan reads each block and trace through `reads`,
+    and the level takes the same blocks, and the traces kept for its
+    candidates, from there instead of reading them again (see ReadState).
+    Each trace is checked in full, but only its call steps, and gated
+    steps when `reads` has a gate, are built. Contract-creation
+    transactions (`"to": null`) are not scanned: there is no call target
+    to rebuild their frames from, so calls a constructor makes into the
+    contract are not found. A scanned trace that is malformed is a
+    ProtocolError naming the transaction, not a skip: a candidate list
+    with a hole in it would silently drop the exploits that trace holds.
     """
     selectors = query.selector_bytes()
     lo, hi = query.block_range
@@ -115,8 +207,9 @@ def tx_list(explorer, query: FilterQuery) -> list[TxRef]:
             rows.append(row)
 
     for number in range(lo, hi + 1):
-        block = explorer.collect_block_details(number)["block"]
-        for tx in map(tx_from_document, block["transactions"]):
+        block_rows = len(rows)
+        for tx in reads.transactions(number):
+            before = len(rows)
             if tx.to == query.contract and tx.selector in selectors:
                 emit(
                     TxRef(
@@ -132,16 +225,7 @@ def tx_list(explorer, query: FilterQuery) -> list[TxRef]:
                 )
             if not query.include_internal or tx.to is None:
                 continue
-            with gc_paused():  # the trace document lives and dies in here
-                trace = explorer.tx_trace(tx.hash)
-                try:
-                    rec = reconstruct_document(trace, tx.to, select=_call_steps)
-                except (TraceParseError, ReconstructionError) as err:
-                    raise ProtocolError(
-                        f"internal discovery: trace for {hash_hex(tx.hash)} is malformed: {err}"
-                    ) from None
-                finally:
-                    del trace
+            rec = reads.scan(tx)
             for step in rec.steps:
                 site = step.call
                 if site is None or site.input is None:
@@ -160,6 +244,10 @@ def tx_list(explorer, query: FilterQuery) -> list[TxRef]:
                         parent=tx.hash,
                     )
                 )
+            if len(rows) > before:
+                reads.keep(tx, rec)
+        if len(rows) == block_rows:
+            reads.forget(number)
     return rows
 
 

@@ -23,6 +23,21 @@ The report carries wall-clock per phase and the number of interpreter steps
 executed, so "block level does no replay" is a measurable claim rather than
 a promise.
 
+Read once: run_investigation makes one filters.ReadState, which the filter
+and the level share and which dies with the investigation. Each block is
+fetched and its transactions parsed once. When internal discovery runs
+and the evm level reads full traces (local or cached mode), the scan's one
+walk of a trace also builds the gated steps, and the level evaluates the
+trace kept for each candidate instead of fetching and walking it again.
+customTracer mode (the level asks for a pc-filtered trace the scan did not
+read) and the block level (no trace) keep nothing; a feed scans nothing,
+so the level fetches each trace and each block once. In cached mode the
+report's explorerStats.hits counts the hits of these single reads: a
+block or trace the level takes from the read state is no cache lookup.
+A transaction object is still read twice: by the read state, and by
+LocalExplorer's check of every block when it opens the archive
+(explorer.block_envelope, the check behind exit 3).
+
 At the evm level each transaction's fetch, ingest and rules run with the
 cyclic garbage collector paused (traces.gc_paused), and the trace document
 is dropped before the pause ends. A parsed JSON document is a tree with no
@@ -39,10 +54,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import interpreter
-from .chain import Transaction, tx_from_document
 from .errors import ArchiveGapError, ProtocolError, SleuthError, UsageError
 from .explorer import CachedExplorer, ExplorerView, LocalExplorer
-from .filters import FilterQuery, TxRef, tx_list
+from .filters import FilterQuery, ReadState, TxRef, tx_list
 from .model import address_hex
 from .rules_block import evaluate_block
 from .rules_evm import TxContext, VulnSpec, evaluate_trace
@@ -143,11 +157,14 @@ def run_investigation(config: InvestigationConfig) -> Report:
     steps_before = interpreter.STEP_COUNTER.value
     t_start = time.perf_counter()
 
+    # the evm level reuses the full traces internal discovery walks for it
+    reuse = config.level == "evm" and config.mode != "customTracer"
+    reads = ReadState(config.explorer, spec.gates if reuse else None)
     t0 = time.perf_counter()
     if config.feed is not None:
         rows = list(config.feed)
     else:
-        rows = tx_list(config.explorer, query)
+        rows = tx_list(reads, query)
     timings["filter"] = time.perf_counter() - t0
 
     report = Report(
@@ -166,9 +183,9 @@ def run_investigation(config: InvestigationConfig) -> Report:
     )
 
     if config.level == "evm":
-        _run_evm_level(config, rows, report, timings)
+        _run_evm_level(config, rows, report, timings, reads)
     else:
-        _run_block_level(config, rows, report, timings)
+        _run_block_level(config, rows, report, timings, reads)
 
     timings["total"] = time.perf_counter() - t_start
     report.timings = timings
@@ -185,11 +202,10 @@ def run_investigation(config: InvestigationConfig) -> Report:
     return report
 
 
-def _run_evm_level(config, rows, report, timings):
+def _run_evm_level(config, rows, report, timings, reads):
     spec = config.spec
     explorer = config.explorer
     tracer = _tracer_spec(config)
-    blocks: dict[int, dict[bytes, Transaction]] = {}
     order: dict[bytes, int] = {}
     for row in rows:
         order.setdefault(row.tx_hash, row.block_number)
@@ -200,20 +216,18 @@ def _run_evm_level(config, rows, report, timings):
         label = f"tx 0x{tx_hash.hex()}"
         with gc_paused():  # the trace document lives and dies in here
             t0 = time.perf_counter()
+            trace = None
             try:
-                if number not in blocks:
-                    block = explorer.collect_block_details(number)["block"]
-                    blocks[number] = {
-                        tx.hash: tx for tx in map(tx_from_document, block["transactions"])
-                    }
-                tx = blocks[number].get(tx_hash)
+                tx = reads.transaction(number, tx_hash)
                 if tx is None:
                     report.skips.append(f"{label}: not in block {number}, skipped")
                     continue
                 if tx.to is None:
                     report.skips.append(f"{label}: contract creation, skipped")
                     continue
-                trace = explorer.tx_trace(tx_hash, tracer)
+                rec = reads.take_trace(tx)
+                if rec is None:
+                    trace = explorer.tx_trace(tx_hash, tracer)
             except (ArchiveGapError, ProtocolError) as err:
                 report.skips.append(f"{label}: fetch failed, skipped ({err})")
                 continue
@@ -222,7 +236,8 @@ def _run_evm_level(config, rows, report, timings):
 
             t0 = time.perf_counter()
             try:
-                rec = reconstruct_document(trace, tx.to, tracer is not None, spec.gates)
+                if rec is None:
+                    rec = reconstruct_document(trace, tx.to, tracer is not None, spec.gates)
                 ctx = TxContext(tx_hash, number, rec.failed)
                 found, notes = evaluate_trace(rec, spec, ctx)
             except SleuthError as err:
@@ -235,7 +250,7 @@ def _run_evm_level(config, rows, report, timings):
             report.skips.extend(notes)
 
 
-def _run_block_level(config, rows, report, timings):
+def _run_block_level(config, rows, report, timings, reads):
     spec = config.spec
     explorer = config.explorer
     selectors = default_query(spec).selector_bytes()
@@ -252,10 +267,7 @@ def _run_block_level(config, rows, report, timings):
         wanted = {row.tx_hash for row in by_block[number]}
         t0 = time.perf_counter()
         try:
-            block = explorer.collect_block_details(number)["block"]
-            candidates = tuple(
-                tx for tx in map(tx_from_document, block["transactions"]) if tx.hash in wanted
-            )
+            candidates = tuple(tx for tx in reads.transactions(number) if tx.hash in wanted)
         except (ArchiveGapError, ProtocolError) as err:
             report.skips.append(f"block {number}: fetch failed, skipped ({err})")
             continue

@@ -7,6 +7,7 @@ from evmsleuth.explorer import LocalExplorer
 from evmsleuth.filters import (
     FEED_COLUMNS,
     FilterQuery,
+    ReadState,
     TxRef,
     parse_csv_feed,
     tx_list,
@@ -94,7 +95,7 @@ def test_selector_bytes_hashes_signatures():
 
 def test_tx_list_finds_every_watched_call(bank, bank_explorer):
     query = query_from(bank)
-    rows = tx_list(bank_explorer, query)
+    rows = tx_list(ReadState(bank_explorer), query)
     assert rows
     wanted = query.selector_bytes()
     for row in rows:
@@ -107,7 +108,7 @@ def test_tx_list_finds_every_watched_call(bank, bank_explorer):
 
 
 def test_tx_list_keeps_chain_order_without_duplicates(bank, bank_explorer):
-    rows = tx_list(bank_explorer, query_from(bank))
+    rows = tx_list(ReadState(bank_explorer), query_from(bank))
     numbers = [row.block_number for row in rows]
     assert numbers == sorted(numbers)
     assert len(rows) == len(set(rows))
@@ -115,7 +116,7 @@ def test_tx_list_keeps_chain_order_without_duplicates(bank, bank_explorer):
 
 def test_tx_list_ignores_other_functions(bank, bank_explorer):
     query = query_from(bank)
-    rows = tx_list(bank_explorer, query)
+    rows = tx_list(ReadState(bank_explorer), query)
     chain = bank.archive.chain
     listed = {row.tx_hash for row in rows}
     wanted = query.selector_bytes()
@@ -125,13 +126,34 @@ def test_tx_list_ignores_other_functions(bank, bank_explorer):
             assert (tx.hash in listed) == watched
 
 
+def test_scan_holds_only_blocks_with_candidates(bank, bank_explorer):
+    # the level reads a block the scan fetched without fetching it again,
+    # and the scan keeps no block without a candidate, however long the range
+    fetched = []
+
+    class Counting:
+        def collect_block_details(self, number):
+            fetched.append(number)
+            return bank_explorer.collect_block_details(number)
+
+    reads = ReadState(Counting())
+    rows = tx_list(reads, query_from(bank))
+    lo, hi = query_from(bank).block_range
+    assert fetched == list(range(lo, hi + 1))
+    with_rows = {row.block_number for row in rows}
+    assert with_rows and set(fetched) - with_rows
+    for number in range(lo, hi + 1):
+        assert reads.transactions(number) == tuple(bank.archive.chain.block(number).txs)
+    assert sorted(fetched[hi - lo + 1:]) == sorted(set(fetched) - with_rows)
+
+
 # -- internal discovery --
 
 
 def test_internal_rows_surface_proxied_calls(bec, bec_explorer):
     query = query_from(bec)
     assert query.include_internal is True
-    rows = tx_list(bec_explorer, query)
+    rows = tx_list(ReadState(bec_explorer), query)
     internal = [row for row in rows if row.internal]
     assert len(internal) == 3
     for row in internal:
@@ -145,8 +167,8 @@ def test_internal_rows_surface_proxied_calls(bec, bec_explorer):
 
 
 def test_top_level_scan_misses_proxied_calls(bec, bec_explorer):
-    with_internal = tx_list(bec_explorer, query_from(bec))
-    without = tx_list(bec_explorer, query_from(bec, include_internal=False))
+    with_internal = tx_list(ReadState(bec_explorer), query_from(bec))
+    without = tx_list(ReadState(bec_explorer), query_from(bec, include_internal=False))
     assert all(not row.internal for row in without)
     proxied = {row.tx_hash for row in with_internal if row.internal}
     assert proxied and proxied.isdisjoint({row.tx_hash for row in without})
@@ -198,7 +220,7 @@ def test_feed_round_trip():
 
 
 def test_feed_round_trip_from_real_scan(bec, bec_explorer):
-    rows = tx_list(bec_explorer, query_from(bec))
+    rows = tx_list(ReadState(bec_explorer), query_from(bec))
     assert parse_csv_feed(write_csv_feed(rows)) == rows
 
 

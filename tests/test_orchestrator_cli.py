@@ -25,7 +25,14 @@ from evmsleuth.cli import (
 )
 from evmsleuth.errors import ConfigError, UsageError
 from evmsleuth.explorer import CachedExplorer, LocalExplorer, apply_tracer
-from evmsleuth.filters import FilterQuery, TxRef, parse_csv_feed, tx_list, write_csv_feed
+from evmsleuth.filters import (
+    FilterQuery,
+    ReadState,
+    TxRef,
+    parse_csv_feed,
+    tx_list,
+    write_csv_feed,
+)
 from evmsleuth.fixtures import build_fixture_chain, scale_fixture, write_fixture
 from evmsleuth.hashing import function_selector
 from evmsleuth.model import hash_hex
@@ -210,7 +217,7 @@ def test_empty_filter_runs_clean(spec, bank_dir):
 
 def test_feed_rows_replace_the_scan(spec, bank_dir):
     explorer = LocalExplorer(bank_dir)
-    rows = tx_list(explorer, default_query(spec))
+    rows = tx_list(ReadState(explorer), default_query(spec))
     scanned = run_investigation(config_for(spec, explorer))
     fed = run_investigation(config_for(spec, explorer, feed=rows))
     assert json.dumps(fed.detections) == json.dumps(scanned.detections)
@@ -940,7 +947,7 @@ def test_cli_export_feed_round_trip(capsys, bank, spec, bank_dir, tmp_path):
     code, out, err = run_cli(capsys, "export-feed", "-e", f"local[dir={bank_dir}]")
     assert code == 0
     rows = parse_csv_feed(out)
-    assert rows == tx_list(LocalExplorer(bank_dir), default_query(spec))
+    assert rows == tx_list(ReadState(LocalExplorer(bank_dir)), default_query(spec))
     assert "candidate rows" in err
 
     feed_path = tmp_path / "feed.csv"
@@ -1034,7 +1041,7 @@ def path_set(bank_dir, tmp_path_factory):
     vuln = bank_dir / "vulns" / "Bank.json"
     feed = base / "feed.csv"
     query = default_query(VulnSpec.from_document(json.loads(vuln.read_text())))
-    feed.write_text(write_csv_feed(tx_list(LocalExplorer(bank_dir), query)))
+    feed.write_text(write_csv_feed(tx_list(ReadState(LocalExplorer(bank_dir)), query)))
     (base / "cache").mkdir()
     kinds = [str(p) for p in (base / "absent", base, regular, latin1, empty)]
     return {
@@ -1149,6 +1156,13 @@ def test_cli_exit_code_is_always_documented(bank_dir, path_set, data):
 # -- damaged trace files --
 
 
+def _investigate(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["investigate", "-t", "f", *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
 @pytest.fixture(scope="module")
 def fuzz_archives(bank_dir, bec, bec_dir):
     """A Bank archive, and a SimulationBECToken archive whose descriptor
@@ -1166,12 +1180,17 @@ _JUNK_OPS = st.one_of(
 )
 
 
+_CODECS = ["utf-16", "utf-32", "utf-8-sig", "indent"]
+
+
 @st.composite
-def damage(draw, original: bytes) -> tuple:
-    """One damage to a trace file's bytes: a truncation, a byte flip, a
-    splice of one of its own stretches, or one op renamed to junk."""
+def damage(draw, original: bytes, kinds=("truncate", "flip", "splice", "junk-op")) -> tuple:
+    """One damage to a JSON file's bytes: a truncation, a byte flip, a
+    splice of one of its own stretches, a re-encoding (another Unicode
+    encoding, or the same document re-serialised with indentation), or, in
+    a trace, one op renamed to junk."""
     size = len(original)
-    kind = draw(st.sampled_from(["truncate", "flip", "splice", "junk-op"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "truncate":
         return kind, draw(st.integers(0, size - 1))
     if kind == "flip":
@@ -1181,6 +1200,8 @@ def damage(draw, original: bytes) -> tuple:
         end = draw(st.integers(start + 1, min(size, start + 80)))
         at = draw(st.integers(0, size))
         return kind, start, end, at, draw(st.integers(at, min(size, at + 80)))
+    if kind == "re-encode":
+        return kind, draw(st.sampled_from(_CODECS))
     steps = len(json.loads(original)["structLogs"])
     return kind, draw(st.integers(0, max(steps - 1, 0))), draw(_JUNK_OPS)
 
@@ -1195,6 +1216,10 @@ def _damaged(original: bytes, plan: tuple) -> bytes:
     if kind == "splice":
         start, end, at, cut = args
         return original[:at] + original[start:end] + original[cut:]
+    if kind == "re-encode":
+        if args[0] == "indent":
+            return json.dumps(json.loads(original), indent=1).encode()
+        return original.decode().encode(args[0])
     index, op = args
     doc = json.loads(original)
     if doc["structLogs"]:  # a transfer to a code-free account has no step
@@ -1213,13 +1238,81 @@ def test_damaged_trace_file_is_never_a_traceback(fuzz_archives, data):
     path.write_bytes(_damaged(original, data.draw(damage(original))))
     try:
         for detector in ("evm", "evm[mode=customTracer]"):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(["investigate", "-t", "f", "-e", f"local[dir={base}]", "-d", detector])
-            assert code in (0, 2, 3), err.getvalue()
+            code, out, err = _investigate(["-e", f"local[dir={base}]", "-d", detector])
+            assert code in (0, 2, 3), err
             if code == 0:
-                check_totals(json.loads(out.getvalue()))
+                check_totals(json.loads(out))
             else:
-                assert out.getvalue() == "" and err.getvalue().startswith("evmsleuth: ")
+                assert out == "" and err.startswith("evmsleuth: ")
     finally:
         path.write_bytes(original)
+
+
+# -- damaged archive and cache files --
+
+
+def _results(doc: dict) -> dict:
+    return {key: doc[key] for key in ("detections", "skips", "totals")}
+
+
+@pytest.fixture(scope="module")
+def damage_targets(bank_dir, bec, bec_dir, tmp_path_factory):
+    """What one damage may hit, by kind: (files, command lines that read
+    them, the report of a warm cache or None). The Bank archive's
+    chain.json, state snapshots and descriptor are read by local runs at
+    both levels; cache entries by the cached run that wrote them, over
+    Bank at both levels and over SimulationBECToken, whose internal
+    discovery shares its block and trace reads with the evm level."""
+    assert bec.vuln["filter"]["includeInternal"]
+    local = [["-e", f"local[dir={bank_dir}]", "-d", level] for level in ("evm", "block")]
+    targets = {
+        "chain.json": ([bank_dir / "chain.json"], local, None),
+        "state": (sorted((bank_dir / "states").glob("*.json")), local, None),
+        "vuln": (sorted((bank_dir / "vulns").glob("*.json")), local, None),
+    }
+    caches = tmp_path_factory.mktemp("warm-caches")
+    for name, base, level in (
+        ("bank-evm", bank_dir, "evm"),
+        ("bank-block", bank_dir, "block"),
+        ("bec-evm", bec_dir, "evm"),
+    ):
+        argv = ["-e", f"local[dir={base}]", "-d", level, "-c", str(caches / name)]
+        assert _investigate(argv)[0] == 0  # cold: writes every entry
+        code, out, err = _investigate(argv)
+        assert code == 0, err
+        entries = sorted((caches / name).glob("*.json"))
+        targets[f"cache {name}"] = (entries, [argv], json.loads(out))
+    return targets
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_damaged_archive_or_cache_file_is_never_a_traceback(damage_targets, data):
+    kind = data.draw(st.sampled_from(sorted(damage_targets)))
+    files, runs, warm = damage_targets[kind]
+    path = data.draw(st.sampled_from(files))
+    original = path.read_bytes()
+    kinds = ("truncate", "flip", "splice", "re-encode")
+    damaged = _damaged(original, data.draw(damage(original, kinds)))
+    path.write_bytes(damaged)
+    try:
+        for argv in runs:
+            code, out, err = _investigate(argv)
+            assert code in (0, 2, 3), err
+            if code != 0:
+                assert out == "" and err.startswith("evmsleuth: ")
+                continue
+            doc = json.loads(out)
+            check_totals(doc)
+            if warm is None:
+                continue
+            # the damaged entry is dropped, fetched again and rewritten as
+            # it was; nothing else about the run changes
+            stats = doc["explorerStats"]
+            changed = damaged != original
+            assert (stats["dropped"], stats["innerCalls"]) == (changed, changed)
+            assert _results(doc) == _results(warm)
+            assert path.read_bytes() == original
+    finally:
+        path.write_bytes(original)
+
