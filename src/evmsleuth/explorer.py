@@ -3,7 +3,7 @@
 All backends answer the same five questions:
 
   collect_block_details(n)   {"block": envelope}: block n's envelope alone
-  tx_trace(hash, tracer)     full or pc-filtered trace document
+  tx_trace(hash, tracer)     full or pc-filtered trace: its JSON text or document
   get_storage(addr, key, n)  storage word as of block n's post-state
   get_balance(addr, n)       balance as of block n's post-state
   height()                   newest block number
@@ -31,6 +31,17 @@ archive node that charges per point query, it is what the cache exists to
 absorb, and it is what makes analysis cost grow with state size when no
 cache is in front.
 
+Trace answers: a str is always a JSON text, anything else a parsed
+document. LocalExplorer answers a full trace with the file's text, which
+walk_trace decodes into the walk, a chunk at a time when it is longer than
+one (traces.reconstruct_text, whose module docstring has the chunk and
+fallback rules), so a text that is not JSON is found there, and is the
+same ProtocolError a trace file that is not JSON always was. A pc-filtered
+trace is the filter's document, built as the file's entries stream past,
+so only the kept entries are ever held; a document the filter passes
+through unchanged is answered with its text. RpcExplorer answers with the
+parsed reply, walked as a document.
+
 RpcExplorer speaks JSON-RPC 2.0 over the standard library's HTTP client,
 through the one function http_post; the package has no runtime dependency.
 Busy replies (HTTP 429, 502, 503, 504) and connection failures are retried
@@ -42,7 +53,9 @@ CachedExplorer is a read-through wrapper over any backend. Entries are
 persisted one file per query with a content digest and written atomically;
 corrupted entries are discarded and refetched. Per-key fetch counters and
 per-kind hit/drop counters make cache behavior checkable rather than
-assumed.
+assumed. A trace hit is answered with the entry's payload text, decoded by
+the walk; a miss over a text answer writes the canonical payload in a
+streamed pass of its own (see CachedExplorer).
 """
 
 from __future__ import annotations
@@ -53,12 +66,21 @@ import re
 import threading
 from pathlib import Path
 from time import sleep
+from typing import Callable, Iterable, Iterator
 from urllib.parse import urlsplit
 
 from .chain import tx_from_document, tx_to_document
 from .errors import ArchiveGapError, ProtocolError, UsageError
-from .hashing import digest
+from .hashing import digest, new_digest
 from .model import address_hex, hash_hex, storage_hex, word_hex
+from .traces import (
+    ReconstructedTrace,
+    Select,
+    Unstreamable,
+    every_step,
+    reconstruct_trace,
+    stream_trace_text,
+)
 
 _CALL_OPS = ("CALL", "DELEGATECALL", "STATICCALL")
 
@@ -80,6 +102,21 @@ def canonical_tracer(tracer_spec: dict | None) -> dict | None:
     }
 
 
+def _tracer_keeps(tracer_spec: dict) -> Callable[[object], bool]:
+    """The declarative tracer's test of one structLog entry."""
+    spec = canonical_tracer(tracer_spec)
+    keep_pcs = set(spec["pcSet"])
+    boundaries = spec["includeCallBoundaries"]
+
+    def keeps(step) -> bool:
+        try:
+            return step["pc"] in keep_pcs or (boundaries and step["op"] in _CALL_OPS)
+        except (TypeError, KeyError):
+            return True
+
+    return keeps
+
+
 def apply_tracer(doc: dict, tracer_spec: dict) -> dict:
     """Filter a full trace the way the declarative tracer would have.
 
@@ -87,22 +124,28 @@ def apply_tracer(doc: dict, tracer_spec: dict) -> dict:
     does an entry the filter cannot read (not an object, no pc or op, a pc
     that is no set member): trace ingest rejects them with its own message.
     """
-    spec = canonical_tracer(tracer_spec)
+    keeps = _tracer_keeps(tracer_spec)
     if not isinstance(doc, dict) or not isinstance(doc.get("structLogs"), list):
         return doc
-    keep_pcs = set(spec["pcSet"])
-    boundaries = spec["includeCallBoundaries"]
-    logs = []
-    for step in doc["structLogs"]:
-        try:
-            keep = step["pc"] in keep_pcs or (boundaries and step["op"] in _CALL_OPS)
-        except (TypeError, KeyError):
-            keep = True
-        if keep:
-            logs.append(step)
     out = dict(doc)
-    out["structLogs"] = logs
+    out["structLogs"] = [step for step in doc["structLogs"] if keeps(step)]
     return out
+
+
+def _filter_text(text: str, tracer_spec: dict):
+    """apply_tracer(json.loads(text), tracer_spec), with the entries
+    filtered as they stream (traces.stream_trace_text), and the text itself
+    for a document the filter passes through unchanged. Raises what
+    json.loads raises for a text that is not JSON."""
+    keeps = _tracer_keeps(tracer_spec)
+    try:
+        members, chunks = stream_trace_text(text)
+        logs = [step for chunk in chunks for step in chunk if keeps(step)]
+    except Unstreamable:
+        doc = json.loads(text)
+        filtered = apply_tracer(doc, tracer_spec)
+        return text if filtered is doc else filtered
+    return {**members, "structLogs": logs}
 
 
 class ExplorerView:
@@ -119,16 +162,60 @@ class ExplorerView:
         return self.explorer.get_storage(addr, key, self.number)
 
 
-def _read_json(path: Path, what: str):
-    """The JSON document at path: ArchiveGapError if there is no such file,
-    ProtocolError if it cannot be read or is not UTF-8 JSON."""
+def _read_text(path: Path, what: str) -> str:
+    """The text of the file at path: ArchiveGapError if there is no such
+    file, ProtocolError if it cannot be read or is not UTF-8."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ArchiveGapError(f"no {what}") from None
-    # ValueError: bad UTF-8 or bad JSON; RecursionError: JSON nested too deep
-    except (OSError, ValueError, RecursionError) as err:
+    except (OSError, ValueError) as err:  # ValueError: bad UTF-8
         raise ProtocolError(f"{what} unreadable: {err}") from None
+
+
+def _not_json(what: str, err: Exception) -> ProtocolError:
+    # err is what json.loads raised: ValueError for bad JSON, RecursionError
+    # for JSON nested too deep
+    return ProtocolError(f"{what} unreadable: {err}")
+
+
+def _read_json(path: Path, what: str):
+    """The JSON document at path: as _read_text, and ProtocolError if the
+    text is not JSON."""
+    text = _read_text(path, what)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as err:
+        raise _not_json(what, err) from None
+
+
+def _trace_what(tx_hash: bytes) -> str:
+    return f"trace for {hash_hex(tx_hash)}"
+
+
+def walk_trace(
+    explorer,
+    trace,
+    tx_hash: bytes,
+    tracer_spec: dict | None,
+    root_target: int,
+    relaxed: bool = False,
+    select: Select = every_step,
+) -> ReconstructedTrace:
+    """The walk (traces.reconstruct_trace) over `trace`, the answer of
+    explorer.tx_trace(tx_hash, tracer_spec). A text answer is decoded here
+    and nowhere before, so here is where one that is not JSON is found:
+    from a cache it is a hit whose payload does not decode, which the cache
+    drops and fetches again (CachedExplorer.refetch_trace) before the walk
+    runs once more; from any other explorer it is a ProtocolError naming
+    the trace. TraceParseError and ReconstructionError are the walk's."""
+    try:
+        return reconstruct_trace(trace, root_target, relaxed, select)
+    except (ValueError, RecursionError) as err:  # json.loads refused the text
+        if not isinstance(explorer, CachedExplorer):
+            raise _not_json(_trace_what(tx_hash), err) from None
+    trace = explorer.refetch_trace(tx_hash, tracer_spec)
+    return reconstruct_trace(trace, root_target, relaxed, select)
 
 
 _HASH = re.compile(r"0x[0-9a-fA-F]{64}")
@@ -208,12 +295,17 @@ class LocalExplorer:
     def collect_block_details(self, number: int) -> dict:
         return {"block": self._block_doc(number)}
 
-    def tx_trace(self, tx_hash: bytes, tracer_spec: dict | None = None) -> dict:
-        path = self.base / "traces" / f"{tx_hash.hex()}.json"
-        doc = _read_json(path, f"trace for {hash_hex(tx_hash)}")
-        if tracer_spec is not None:
-            doc = apply_tracer(doc, tracer_spec)
-        return doc
+    def tx_trace(self, tx_hash: bytes, tracer_spec: dict | None = None) -> str | dict:
+        """The trace file's text, or with a tracer spec the filtered
+        document (see the module docstring)."""
+        what = _trace_what(tx_hash)
+        text = _read_text(self.base / "traces" / f"{tx_hash.hex()}.json", what)
+        if tracer_spec is None:
+            return text
+        try:
+            return _filter_text(text, tracer_spec)
+        except (ValueError, RecursionError) as err:
+            raise _not_json(what, err) from None
 
     def _state_doc(self, number: int) -> dict:
         root = self._block_doc(number)["stateRoot"]
@@ -271,6 +363,9 @@ def _archive_tx(tx):
 BACKOFF_BASE_S = 0.5
 BACKOFF_CAP_S = 10.0
 _RETRY_STATUSES = frozenset({429, 502, 503, 504})  # RFC 6585 and RFC 9110
+# The longest reply body RpcExplorer reads. A reply is parsed whole, so this
+# bounds the memory one answer can take; a longer body is a ProtocolError.
+REPLY_CAP_BYTES = 1 << 28
 
 
 def http_post(url: str, body: bytes, timeout: float) -> bytes:
@@ -280,8 +375,10 @@ def http_post(url: str, body: bytes, timeout: float) -> bytes:
     2xx, URLError or OSError (TimeoutError, ConnectionError) when the
     endpoint cannot be reached or goes quiet, and http.client.HTTPException
     (IncompleteRead for a body shorter than its Content-Length) for a reply
-    that is not HTTP. The transport is imported here, not with the module,
-    so a run that never reaches a node does not load it.
+    that is not HTTP; and ProtocolError for a body longer than
+    REPLY_CAP_BYTES, of which it reads one byte more than the cap. The
+    transport is imported here, not with the module, so a run that never
+    reaches a node does not load it.
     """
     from urllib.error import HTTPError
     from urllib.request import Request, urlopen
@@ -289,7 +386,11 @@ def http_post(url: str, body: bytes, timeout: float) -> bytes:
     request = Request(url, data=body, headers={"Content-Type": "application/json"})
     try:
         with urlopen(request, timeout=timeout) as reply:
-            return reply.read()
+            data = reply.read(REPLY_CAP_BYTES + 1)
+            if len(data) > REPLY_CAP_BYTES:
+                raise ProtocolError(f"reply longer than REPLY_CAP_BYTES ({REPLY_CAP_BYTES} bytes)")
+            reply.read()  # b"" after a whole body; IncompleteRead after a short one
+            return data
     except HTTPError as err:
         err.close()  # its status and headers stay readable
         raise
@@ -314,8 +415,10 @@ class RpcExplorer:
     again after a capped exponential backoff, or after the reply's
     Retry-After delta-seconds held to the same cap; when the tries run out
     the answer is an archive gap (the data exists, we cannot reach it). Any
-    other HTTP status, a truncated or non-JSON body, a reply that is not a
-    JSON-RPC response and an RPC error are protocol errors at once. A null
+    other HTTP status, a truncated or non-JSON body, a body longer than
+    REPLY_CAP_BYTES, a reply that is not a JSON-RPC response and an RPC
+    error are protocol errors at once. A reply is parsed whole, trace
+    replies included, so a trace is walked as a document. A null
     result is a gap. The url must be printable ASCII, http or https, with a
     host and without user credentials, and retries at least 1, or the
     explorer is a usage error and opens no connection.
@@ -364,6 +467,8 @@ class RpcExplorer:
                 last, asked = err, None
             except HTTPException as err:  # IncompleteRead, a bad status line
                 raise ProtocolError(f"{method}: bad rpc reply: {err!r}") from None
+            except ProtocolError as err:  # a reply over the cap
+                raise ProtocolError(f"{method}: bad rpc reply: {err}") from None
             if attempt < self.retries:
                 backoff = BACKOFF_BASE_S * 2 ** (attempt - 1)
                 sleep(min(BACKOFF_CAP_S, backoff if asked is None else asked))
@@ -432,15 +537,54 @@ _TAIL_HEAD = b',"sha256":"'
 _TAIL_SIZE = len(_TAIL_HEAD) + 64 + 2
 
 
-def _entry_bytes(prefix: bytes, payload) -> bytes:
-    body = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
-    return b"".join((prefix, body, _TAIL_HEAD, digest(body).hex().encode(), b'"}'))
+def _compact(value) -> str:
+    return json.dumps(value, separators=(",", ":"), sort_keys=True)
 
 
-def _stored_payload(path: Path, prefix: bytes):
-    """The payload of the entry at path, written by _entry_bytes with this
-    key prefix; ValueError (or RecursionError, for a payload nested too deep
-    to parse) for any other bytes, FileNotFoundError if absent."""
+def _write_entry(path: Path, prefix: bytes, pieces: Iterable[str]):
+    """Write the entry whose payload text is the concatenation of pieces,
+    a piece at a time."""
+    hasher = new_digest()
+    with open(path, "wb") as out:
+        out.write(prefix)
+        for piece in pieces:
+            data = piece.encode()
+            hasher.update(data)
+            out.write(data)
+        out.write(_TAIL_HEAD + hasher.hexdigest().encode() + b'"}')
+
+
+def _canonical_pieces(members: dict, chunks: Iterator[list]) -> Iterator[str]:
+    """The compact sorted-key JSON of a streamed trace text
+    (traces.stream_trace_text), in pieces of a chunk each; Unstreamable,
+    raised by the chunks, when the text turns out not to stream."""
+    low = _compact({k: v for k, v in members.items() if k < "structLogs"})[:-1]
+    high = _compact({k: v for k, v in members.items() if k > "structLogs"})[1:]
+    yield low + ("," if len(low) > 1 else "") + '"structLogs":['
+    comma = ""
+    for entries in chunks:
+        if entries:
+            yield comma + _compact(entries)[1:-1]
+            comma = ","
+    yield "]" + ("," if len(high) > 1 else "") + high
+
+
+def _write_text_entry(path: Path, prefix: bytes, text: str):
+    """Write the entry of a payload that arrived as JSON text, the payload
+    in canonical form: streamed when the text streams, else parsed whole.
+    Raises what json.loads raises for a text that is not JSON."""
+    try:
+        members, chunks = stream_trace_text(text)
+        _write_entry(path, prefix, _canonical_pieces(members, chunks))
+    except Unstreamable:
+        _write_entry(path, prefix, (_compact(json.loads(text)),))
+
+
+def _stored_payload(path: Path, prefix: bytes, parse: bool = True):
+    """The payload of the entry at path, written by _write_entry with this
+    key prefix, parsed (or as text, unparsed); ValueError (or
+    RecursionError, for a payload nested too deep to parse) for any other
+    bytes, FileNotFoundError if absent."""
     with open(path, "rb") as handle:
         data = handle.read()
     tail = data[-_TAIL_SIZE:]
@@ -458,7 +602,7 @@ def _stored_payload(path: Path, prefix: bytes):
     # the file bytes go before the parse, so a hit holds one copy of the
     # payload text at a time, like a local read
     del data, body
-    return json.loads(text)
+    return json.loads(text) if parse else text
 
 
 class CachedExplorer:
@@ -476,6 +620,21 @@ class CachedExplorer:
     do). Entries are written to a temporary file and renamed into place, so
     runs sharing a directory never read a torn entry. height() is never
     cached: it is the one answer that legitimately changes between runs.
+
+    Traces stream. A trace hit answers the payload text unparsed, and the
+    walk decodes it (walk_trace); a payload that then does not decode is
+    dropped and fetched again through refetch_trace, and counts as dropped,
+    not as a hit, exactly as when the hit parsed it. A miss whose inner
+    answer is a text (LocalExplorer's full trace) writes the canonical
+    payload in a streamed pass of its own: chunk by chunk, each chunk's
+    entries serialised compact with sorted keys, written and hashed piece
+    by piece, never joined into one string. A text the stream does not
+    read is parsed whole and written as a document would be, and one that
+    is not JSON is the ProtocolError a local trace file that is not JSON
+    always was. The entry bytes are those of a document answer in every
+    case (docs/formats.md). The miss then answers the inner text itself:
+    a text of the same document as the entry, so the walk gives the same
+    result over either, and no second copy is made.
 
     fetches maps each cache key to the number of inner calls made for it;
     by_kind counts hits, drops and inner calls per query kind, and hits and
@@ -503,13 +662,19 @@ class CachedExplorer:
     def height(self) -> int:
         return self.inner.height()
 
-    def _lookup(self, kind: str, key_parts: list, fetch):
-        key = json.dumps([kind, *key_parts], separators=(",", ":"), sort_keys=True)
+    def _lookup(self, kind: str, key_parts: list, fetch, undecodable: bool = False):
+        """The stored payload of the query, or fetch()'s answer, written.
+        A trace payload is answered as text. undecodable: the stored payload
+        was answered as a hit but does not decode; drop it and fetch."""
+        key = _compact([kind, *key_parts])
         path = self.base / f"{digest(key.encode()).hex()}.json"
         prefix = b'{"key":' + json.dumps(key).encode() + b',"payload":'
         counts = self.by_kind.setdefault(kind, {"hits": 0, "dropped": 0, "innerCalls": 0})
         try:
-            payload = _stored_payload(path, prefix)
+            if undecodable:
+                counts["hits"] -= 1
+                raise ValueError("payload does not decode")
+            payload = _stored_payload(path, prefix, parse=kind != "trace")
         except FileNotFoundError:
             pass
         except (ValueError, RecursionError):
@@ -521,31 +686,53 @@ class CachedExplorer:
             counts["hits"] += 1
             return payload
         payload = fetch()
-        self.fetches[key] = self.fetches.get(key, 0) + 1
-        counts["innerCalls"] += 1
         tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         try:
-            tmp.write_bytes(_entry_bytes(prefix, payload))
+            if isinstance(payload, str):
+                _write_text_entry(tmp, prefix, payload)
+            else:
+                _write_entry(tmp, prefix, (_compact(payload),))
             os.replace(tmp, path)
         except BaseException as err:
             tmp.unlink(missing_ok=True)
+            # a text answer that is not JSON is a failed inner call, as the
+            # inner's own parse of it was: it counts as no fetch
+            if not isinstance(err, (ValueError, RecursionError)):
+                self._count_fetch(key, counts)
             if isinstance(err, OSError):
                 raise UsageError(f"cache entry {path} not written: {err}") from None
             raise
+        self._count_fetch(key, counts)
         return payload
+
+    def _count_fetch(self, key: str, counts: dict):
+        self.fetches[key] = self.fetches.get(key, 0) + 1
+        counts["innerCalls"] += 1
 
     def collect_block_details(self, number: int) -> dict:
         return self._lookup(
             "block", [number], lambda: self.inner.collect_block_details(number)
         )
 
-    def tx_trace(self, tx_hash: bytes, tracer_spec: dict | None = None) -> dict:
+    def tx_trace(self, tx_hash: bytes, tracer_spec: dict | None = None) -> str | dict:
+        return self._trace(tx_hash, tracer_spec, False)
+
+    def refetch_trace(self, tx_hash: bytes, tracer_spec: dict | None = None) -> str | dict:
+        """tx_trace again, after the walk found that the payload of its hit
+        does not decode: the entry is dropped, fetched and written again."""
+        return self._trace(tx_hash, tracer_spec, True)
+
+    def _trace(self, tx_hash: bytes, tracer_spec: dict | None, undecodable: bool):
         spec = canonical_tracer(tracer_spec)
-        return self._lookup(
-            "trace",
-            [hash_hex(tx_hash), spec],
-            lambda: self.inner.tx_trace(tx_hash, tracer_spec),
-        )
+        try:
+            return self._lookup(
+                "trace",
+                [hash_hex(tx_hash), spec],
+                lambda: self.inner.tx_trace(tx_hash, tracer_spec),
+                undecodable,
+            )
+        except (ValueError, RecursionError) as err:  # a text answer that is not JSON
+            raise _not_json(_trace_what(tx_hash), err) from None
 
     def get_storage(self, addr: int, key: int, number: int) -> int:
         return self._lookup(

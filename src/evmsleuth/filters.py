@@ -37,9 +37,10 @@ from .errors import (
     TraceParseError,
     UsageError,
 )
+from .explorer import walk_trace
 from .hashing import function_selector
 from .model import address_hex, hash_hex
-from .traces import CALL_OPS, ReconstructedTrace, Select, gc_paused, reconstruct_document
+from .traces import CALL_OPS, ReconstructedTrace, Select, gc_paused
 
 FEED_COLUMNS = (
     "block_number",
@@ -154,10 +155,10 @@ class ReadState:
         select = _call_steps if gate is None else (
             lambda pc, op, code: op in CALL_OPS or gate(pc, op, code)
         )
-        with gc_paused():  # the trace document lives and dies in here
+        with gc_paused():  # the trace lives and dies in here
             trace = self.explorer.tx_trace(tx.hash)
             try:
-                return reconstruct_document(trace, tx.to, select=select)
+                return walk_trace(self.explorer, trace, tx.hash, None, tx.to, select=select)
             except (TraceParseError, ReconstructionError) as err:
                 raise ProtocolError(
                     f"internal discovery: trace for {hash_hex(tx.hash)} is malformed: {err}"

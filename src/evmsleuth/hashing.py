@@ -14,6 +14,11 @@ def digest(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+def new_digest():
+    """An incremental digest: update() it piece by piece, then digest()."""
+    return hashlib.sha256()
+
+
 EMPTY_CODE_HASH = digest(b"")
 
 

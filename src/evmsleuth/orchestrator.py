@@ -38,13 +38,21 @@ A transaction object is still read twice: by the read state, and by
 LocalExplorer's check of every block when it opens the archive
 (explorer.block_envelope, the check behind exit 3).
 
+Streamed ingest: a trace that arrives as JSON text (a local trace file, a
+cache entry) is decoded by the walk, a chunk at a time when it is longer
+than one (explorer.walk_trace, traces.reconstruct_text). So the JSON decode
+of a trace is timed in "analyze" with the walk and the rules, and "fetch"
+is the read of its text. A text that turns out not to be JSON is still a
+"fetch failed" skip record, with the text it always had.
+
 At the evm level each transaction's fetch, ingest and rules run with the
-cyclic garbage collector paused (traces.gc_paused), and the trace document
-is dropped before the pause ends. A parsed JSON document is a tree with no
-reference cycle, so reference counting frees all of it and the collector
-never has to traverse its containers; nothing is lost by the pause. The
-block level is left as it is: its cost is the per-query snapshot read
-that the paper's cost shape is about, and it holds no trace document.
+cyclic garbage collector paused (traces.gc_paused), and the trace is
+dropped before the pause ends. Decoded JSON is a tree with no reference
+cycle, so reference counting frees all of it and the collector never has
+to traverse the containers of the chunks streamed through the walk, or of
+a document parsed whole; nothing is lost by the pause. The block level is
+left as it is: its cost is the per-query snapshot read that the paper's
+cost shape is about, and it holds no trace.
 """
 
 from __future__ import annotations
@@ -55,12 +63,12 @@ from pathlib import Path
 
 from . import interpreter
 from .errors import ArchiveGapError, ProtocolError, SleuthError, UsageError
-from .explorer import CachedExplorer, ExplorerView, LocalExplorer
+from .explorer import CachedExplorer, ExplorerView, LocalExplorer, walk_trace
 from .filters import FilterQuery, ReadState, TxRef, tx_list
 from .model import address_hex
 from .rules_block import evaluate_block
 from .rules_evm import TxContext, VulnSpec, evaluate_trace
-from .traces import gc_paused, reconstruct_document
+from .traces import gc_paused
 
 LEVELS = ("evm", "block")
 MODES = ("local", "cached", "customTracer")
@@ -214,7 +222,7 @@ def _run_evm_level(config, rows, report, timings, reads):
 
     for tx_hash, number in order.items():
         label = f"tx 0x{tx_hash.hex()}"
-        with gc_paused():  # the trace document lives and dies in here
+        with gc_paused():  # the trace lives and dies in here
             t0 = time.perf_counter()
             trace = None
             try:
@@ -237,9 +245,14 @@ def _run_evm_level(config, rows, report, timings, reads):
             t0 = time.perf_counter()
             try:
                 if rec is None:
-                    rec = reconstruct_document(trace, tx.to, tracer is not None, spec.gates)
+                    rec = walk_trace(
+                        explorer, trace, tx_hash, tracer, tx.to, tracer is not None, spec.gates
+                    )
                 ctx = TxContext(tx_hash, number, rec.failed)
                 found, notes = evaluate_trace(rec, spec, ctx)
+            except (ArchiveGapError, ProtocolError) as err:  # the text is not JSON (walk_trace)
+                report.skips.append(f"{label}: fetch failed, skipped ({err})")
+                continue
             except SleuthError as err:
                 report.skips.append(f"{label}: analysis failed, skipped ({err})")
                 continue

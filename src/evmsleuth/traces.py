@@ -50,15 +50,44 @@ Call status: taken from the per-step call record when the producer included
 one; in strict mode it can also be read off the caller's resume step. A
 filtered trace without call records has no third source, so status comes
 back None and status-dependent rules stay quiet there.
+
+Streaming: a trace that arrives as JSON text (reconstruct_text) is not
+parsed whole. stream_trace_text reads the outer object's members up to the
+structLogs array, then hands out the array's entries a chunk at a time, so
+no more than one chunk of parsed entries is alive during the walk. A chunk
+is one scanner call over "[" + text[a:b+1] + "]", where a is the start of
+the chunk's first entry and b the closing brace of the first "},{" (JSON
+whitespace allowed around the comma) at or past a + TEXT_CHUNK; the rest of
+the array is one call too. The scanner is deterministic, so that span
+parses in full exactly when b closes an entry of the array; when the "},{"
+lies inside a string or a nested value, the span is read entry by entry
+instead. One call per chunk, not one per entry, because the C scanner
+forgets its memo of object keys at the end of every call. A text no longer
+than one chunk is not streamed at all: json.loads decodes it in the one
+call the stream would make, without the stream's set-up, which made short
+traces (a few kB, as in the scenario suite) 5-15% slower to ingest.
+
+Fallback: the stream reads one shape only: an object whose members lead
+up to a structLogs array and which ends right after it (of duplicate
+members before the array the last wins, as in json.loads). On anything
+else (a decode error, a member after the array, so a second structLogs
+too, a BOM, a fault in the header or in the walk) it stops, and the text
+is read again with json.loads and walked as a document
+(reconstruct_document). So the steps, and the exception type,
+message and step index of a refused trace, are those of json.loads and
+the document walk by construction; only a short, malformed or unusual
+trace is ever held as a whole document.
 """
 
 from __future__ import annotations
 
 import gc
+import json
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from itertools import chain
+from typing import Callable, Iterable, Iterator
 
 from .errors import ReconstructionError, TraceParseError
 from .words import ADDRESS_MASK, WORD_MASK
@@ -132,7 +161,7 @@ class ParsedTrace:
     failed: bool
     gas: int
     return_value: bytes
-    struct_logs: list  # raw structLog entries, checked by decode_steps
+    struct_logs: Iterable  # raw structLog entries, checked by decode_steps
 
 
 def parse_trace_document(doc: dict) -> ParsedTrace:
@@ -216,7 +245,7 @@ def _call_record(call, i: int) -> tuple:
 
 
 def decode_steps(
-    struct_logs: list,
+    struct_logs: Iterable,
     root_target: int,
     relaxed: bool = False,
     select: Select = every_step,
@@ -437,12 +466,14 @@ def gc_paused() -> Iterator[None]:
     """Keep the cyclic garbage collector off while the body runs, then give
     the caller back the collector state it had, also when the body raises.
 
-    The body is the life of one trace document: fetch, ingest and rules. A
-    parsed JSON document is a tree, so it holds no reference cycle for the
-    collector to find, yet a deep trace is some 170k containers that each
-    collection would traverse. The body drops the document before it ends,
-    so reference counting frees it and the collector resumes with nothing
-    of it left to traverse.
+    The body is the life of one trace: fetch, ingest and rules. Decoded
+    JSON is a tree, so it holds no reference cycle for the collector to
+    find, yet every chunk of a streamed trace is some 800 entries, each a
+    dict and a list, enough to set off collections that traverse them; a
+    document parsed whole (a filtered or RPC trace, or the json.loads
+    fallback) is a tree of them. The body drops the trace before it ends,
+    so reference counting frees all of it and the collector resumes with
+    nothing of it left to traverse.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -457,3 +488,118 @@ def reconstruct_document(
     doc: dict, root_target: int, relaxed: bool = False, select: Select = every_step
 ) -> ReconstructedTrace:
     return reconstruct(parse_trace_document(doc), root_target, relaxed, select)
+
+
+# -- streamed trace text (module docstring) ------------------------------------
+
+TEXT_CHUNK = 1 << 16  # characters of entries that one scanner call decodes
+
+_raw_decode = json.JSONDecoder().raw_decode  # the scanner json.loads uses
+_scan_string = json.decoder.scanstring
+_skip_space = re.compile(r"[ \t\n\r]*").match  # JSON whitespace, as json.loads skips it
+_next_cut = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{").search
+
+
+class Unstreamable(Exception):
+    """The text is not in the shape the stream reads; json.loads decides."""
+
+
+def _decoded(text: str, pos: int = 0) -> tuple:
+    """(value, end) of the JSON value at text[pos]; Unstreamable if none."""
+    try:
+        return _raw_decode(text, pos)
+    except (ValueError, RecursionError):
+        raise Unstreamable from None
+
+
+def _expect(text: str, pos: int, char: str) -> int:
+    """The position after `char` at text[pos], and the whitespace after it."""
+    if text[pos:pos + 1] != char:
+        raise Unstreamable
+    return _skip_space(text, pos + 1).end()
+
+
+def stream_trace_text(text: str) -> tuple[dict, Iterator[list]]:
+    """(members, chunks) of a trace text: the members of its outer object
+    that come before structLogs, and the entries of its structLogs array, a
+    list per chunk. Unstreamable when the text fits in one chunk, or is not
+    an object whose members lead up to a structLogs array, or, raised by
+    the chunks, when an entry does not decode or anything follows the array
+    but the end of the object."""
+    if len(text) <= TEXT_CHUNK:  # one scanner call either way: json.loads makes it
+        raise Unstreamable
+    pos = _expect(text, _skip_space(text, 0).end(), "{")
+    members: dict = {}
+    while True:
+        if text[pos:pos + 1] != '"':
+            raise Unstreamable
+        try:
+            key, pos = _scan_string(text, pos + 1)
+        except ValueError:
+            raise Unstreamable from None
+        pos = _expect(text, _skip_space(text, pos).end(), ":")
+        if key == "structLogs":
+            return members, _chunks(text, _expect(text, pos, "["))
+        members[key], pos = _decoded(text, pos)  # the last of duplicates wins, as in json.loads
+        pos = _expect(text, _skip_space(text, pos).end(), ",")
+
+
+def _chunks(text: str, pos: int) -> Iterator[list]:
+    """The entries of the array whose first entry (or closing bracket) is
+    at text[pos], a list per chunk; then a check that the object ends."""
+    closed = text[pos:pos + 1] == "]"
+    if closed:
+        pos += 1
+    while not closed:
+        cut = _next_cut(text, pos + TEXT_CHUNK)
+        if cut is None:  # the rest of the array, in one call
+            entries, end = _decoded("[" + text[pos:])
+            yield entries
+            pos += end - 1
+            break
+        span = "[" + text[pos:cut.start() + 1] + "]"
+        try:
+            entries, end = _raw_decode(span)
+        except (ValueError, RecursionError):
+            end = 0
+        if end == len(span):
+            yield entries
+            pos = cut.end() - 1
+            continue
+        entries = []  # the cut is inside an entry: read the span entry by entry
+        while pos <= cut.start() and not closed:
+            entry, pos = _decoded(text, pos)
+            entries.append(entry)
+            pos = _skip_space(text, pos).end()
+            closed = text[pos:pos + 1] == "]"
+            pos = pos + 1 if closed else _expect(text, pos, ",")
+        yield entries
+    if _expect(text, _skip_space(text, pos).end(), "}") != len(text):
+        raise Unstreamable
+
+
+def reconstruct_text(
+    text: str, root_target: int, relaxed: bool = False, select: Select = every_step
+) -> ReconstructedTrace:
+    """reconstruct_document(json.loads(text), ...), streamed: the text is
+    decoded a chunk at a time into the one walk (module docstring). Raises
+    what json.loads raises (ValueError, RecursionError) for a text that is
+    not JSON, and what the document walk raises for a malformed trace."""
+    try:
+        members, chunks = stream_trace_text(text)
+        parsed = parse_trace_document({**members, "structLogs": []})  # the header alone
+        parsed.struct_logs = chain.from_iterable(chunks)
+        return reconstruct(parsed, root_target, relaxed, select)
+    except (Unstreamable, TraceParseError, ReconstructionError):
+        pass
+    return reconstruct_document(json.loads(text), root_target, relaxed, select)
+
+
+def reconstruct_trace(
+    trace, root_target: int, relaxed: bool = False, select: Select = every_step
+) -> ReconstructedTrace:
+    """The trace of an explorer's answer: a JSON text (str) is streamed
+    (reconstruct_text), anything else is a parsed document."""
+    if isinstance(trace, str):
+        return reconstruct_text(trace, root_target, relaxed, select)
+    return reconstruct_document(trace, root_target, relaxed, select)

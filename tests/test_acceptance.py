@@ -6,15 +6,19 @@ Criterion 4 builds five padded traces and four pre-populated states, so this
 module is the slow one; everything else finishes in seconds.
 """
 
+import gc
 import json
 import statistics
 import time
+import tracemalloc
+from unittest import mock
 
 import pytest
 
 import oracles
+import evmsleuth.explorer
 from evmsleuth.explorer import CachedExplorer, LocalExplorer
-from evmsleuth.fixtures import build_suite, scale_fixture, write_fixture
+from evmsleuth.fixtures import build_suite, read_vuln_doc, scale_fixture, write_fixture
 from evmsleuth.interpreter import STEP_COUNTER
 from evmsleuth.model import IntTypeBounds, wrap_arith
 from evmsleuth.orchestrator import (
@@ -220,6 +224,87 @@ def test_criterion_4_performance_shape(scaled_root):
         problems,
         f"R²={r_squared:.4f} spread={spread:.2f}x cached<local at all sizes {elapsed:.0f}s",
     )
+
+
+# -- evm ingest memory: flat in trace length --
+
+# Traced heap an evm investigation may hold beyond one copy of its trace
+# text, at every instruction magnitude and in every mode. Parsing the
+# 84k-step trace whole took about 46 MB on top of its 6.6 MB text; streamed,
+# it takes under 2 MB: one chunk of entries, and the walk's memo of the
+# distinct stack words it has checked, which grows by some 10 bytes a step
+# in these traces (about 4 MB at 336k steps).
+INGEST_MEMORY_CEILING_MB = 8.0
+
+
+def _traced_peaks(run) -> tuple[int, int]:
+    """tracemalloc peaks of run(), split at every text read (a file, or a
+    cache entry's payload): (the highest during a read, the highest
+    anywhere else). A read holds the file's bytes and the str decoded from
+    them at once; from then on only the str is alive."""
+    reads, rest = [0], [0]
+
+    def reading(real):
+        def read(*args, **kwargs):
+            rest.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            try:
+                return real(*args, **kwargs)
+            finally:
+                reads.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.reset_peak()
+
+        return read
+
+    backend = evmsleuth.explorer
+    with (
+        mock.patch.object(backend, "_read_text", reading(backend._read_text)),
+        mock.patch.object(backend, "_stored_payload", reading(backend._stored_payload)),
+    ):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run()
+            rest.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return max(reads), max(rest)
+
+
+def test_evm_ingest_memory_is_flat_in_trace_length(scaled_root, tmp_path):
+    # the trace text is the one thing whose size grows with the trace: no
+    # parsed document of it is ever held, in local, cached cold (a miss
+    # writes the entry in a streamed pass of its own), cached warm, or
+    # customTracer mode (the filter keeps only the entries it selects)
+    problems = []
+    ceiling = INGEST_MEMORY_CEILING_MB * 2**20
+    worst = 0.0
+    for magnitude in INSTRUCTION_MAGNITUDES:
+        directory = scaled_fixture_dir(scaled_root, "instructions", magnitude)
+        size = max(path.stat().st_size for path in (directory / "traces").glob("*.json"))
+        spec = VulnSpec.from_document(read_vuln_doc(directory))
+        cache = tmp_path / f"cache-{magnitude}"
+        for mode in ("local", "cold", "warm", "customTracer"):
+
+            def investigate():
+                explorer = LocalExplorer(directory)
+                if mode in ("cold", "warm"):
+                    explorer = CachedExplorer(explorer, cache)
+                level_mode = "cached" if mode in ("cold", "warm") else mode
+                config = InvestigationConfig(
+                    tag=f"memory-{mode}", spec=spec, explorer=explorer, mode=level_mode
+                )
+                assert len(run_investigation(config).detections) == 1
+
+            read, rest = _traced_peaks(investigate)
+            over = (read - 2 * size, rest - size)
+            worst = max(worst, *over)
+            if max(over) >= ceiling:
+                problems.append(
+                    f"{magnitude} {mode}: {max(over) / 2**20:.1f} MB over the trace text"
+                )
+    print(f"evm ingest memory: at most {worst / 2**20:.2f} MB over the trace text", flush=True)
+    assert not problems, "; ".join(problems)
 
 
 # -- 5: oracle equivalence, reconstruction vs interpreter --

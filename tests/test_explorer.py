@@ -1,5 +1,7 @@
 """Explorer backends: local archive, JSON-RPC, and the read-through cache."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -25,10 +27,12 @@ from evmsleuth.explorer import (
     RpcExplorer,
     apply_tracer,
     canonical_tracer,
+    walk_trace,
 )
 from evmsleuth.fixtures import SCENARIO_NAMES, build_fixture_chain, write_fixture
 from evmsleuth.hashing import digest
 from evmsleuth.model import address_hex, storage_hex
+from evmsleuth.traces import reconstruct_document
 
 SEED = 11
 
@@ -184,7 +188,7 @@ def test_local_storage_defaults_to_zero(local):
 
 def test_local_trace_round_trip(fixture, local):
     txh = fixture.archive.labels.exploit_hashes()[0]
-    assert local.tx_trace(txh) == fixture.archive.traces[txh]
+    assert json.loads(local.tx_trace(txh)) == fixture.archive.traces[txh]
     spec = {"pcSet": [0], "includeCallBoundaries": True}
     assert local.tx_trace(txh, spec) == apply_tracer(fixture.archive.traces[txh], spec)
 
@@ -194,8 +198,16 @@ def test_local_missing_trace_is_a_gap(local):
         local.tx_trace(bytes(32))
 
 
+def read_trace(explorer, tx_hash, tracer=None):
+    """tx_hash's trace from explorer, walked from an arbitrary root."""
+    trace = explorer.tx_trace(tx_hash, tracer)
+    return walk_trace(explorer, trace, tx_hash, tracer, 0xAB, tracer is not None)
+
+
+@pytest.mark.parametrize("tracer", [None, {"pcSet": [0]}], ids=["full", "filtered"])
 @pytest.mark.parametrize("damage", ["bad-json", "non-utf8", "directory", "deep-json"])
-def test_local_corrupt_trace_is_a_protocol_error(archive_dir, tmp_path, damage):
+def test_local_corrupt_trace_is_a_protocol_error(archive_dir, tmp_path, damage, tracer):
+    # a full trace's text is decoded by the walk, a filtered one's by the filter
     clone = tmp_path / "clone"
     shutil.copytree(archive_dir, clone)
     victim = bytes(32)
@@ -207,7 +219,7 @@ def test_local_corrupt_trace_is_a_protocol_error(archive_dir, tmp_path, damage):
             {"bad-json": b"{nope", "non-utf8": b'{"structLogs": "\xff"}', "deep-json": _DEEP}[damage]
         )
     with pytest.raises(ProtocolError, match="unreadable"):
-        LocalExplorer(clone).tx_trace(victim)
+        read_trace(LocalExplorer(clone), victim, tracer)
 
 
 def test_local_missing_state_snapshot_is_a_gap(fixture, archive_dir, tmp_path):
@@ -291,9 +303,9 @@ def test_cache_cold_then_warm(local, tmp_path):
 def test_cache_replays_across_instances(local, tmp_path, fixture):
     txh = fixture.archive.labels.exploit_hashes()[0]
     first = CachedExplorer(local, tmp_path / "cache")
-    doc = first.tx_trace(txh)
+    doc = json.loads(first.tx_trace(txh))
     second = CachedExplorer(local, tmp_path / "cache")
-    assert second.tx_trace(txh) == doc
+    assert json.loads(second.tx_trace(txh)) == doc
     assert second.hits == 1 and second.fetches == {}
 
 
@@ -400,16 +412,53 @@ def test_cache_drops_corrupt_entries(local, tmp_path, tamper):
     assert cache.hits == 1
 
 
+@pytest.mark.parametrize("payload", [b"{nope", _DEEP], ids=["non-json", "too-deep"])
+def test_cache_drops_a_trace_payload_the_walk_cannot_decode(fixture, local, tmp_path, payload):
+    # a trace hit is answered as text and decoded by the walk; an entry
+    # whose digest matches a payload that does not decode is still dropped,
+    # counted as dropped and not as a hit, fetched again and rewritten
+    txh = fixture.archive.labels.exploit_hashes()[0]
+    root = next(tx.to for b in fixture.archive.chain.blocks for tx in b.txs if tx.hash == txh)
+    cache = CachedExplorer(local, tmp_path / "cache")
+    cache.tx_trace(txh)
+    (victim,) = (tmp_path / "cache").glob("*.json")
+    good = victim.read_bytes()
+    victim.write_bytes(_consistent_entry(payload)(good, None))
+    trace = cache.tx_trace(txh)
+    assert isinstance(trace, str) and cache.hits == 1
+    rec = walk_trace(cache, trace, txh, None, root)
+    assert rec == reconstruct_document(fixture.archive.traces[txh], root)
+    assert (cache.hits, cache.dropped) == (0, 1)
+    assert cache.by_kind["trace"] == {"hits": 0, "dropped": 1, "innerCalls": 2}
+    assert cache.fetches[json.loads(good)["key"]] == 2
+    assert victim.read_bytes() == good
+
+
+@pytest.mark.parametrize("tracer", [None, {"pcSet": [0]}], ids=["full", "filtered"])
+def test_cache_over_a_trace_file_that_is_not_json_counts_no_fetch(archive_dir, tmp_path, tracer):
+    # the inner read fails, as it did when the local explorer parsed the
+    # file itself: no entry, no fetch, no inner call
+    clone = tmp_path / "clone"
+    shutil.copytree(archive_dir, clone)
+    victim = bytes(32)
+    (clone / "traces" / f"{victim.hex()}.json").write_bytes(b'{"failed": false, nope')
+    cache = CachedExplorer(LocalExplorer(clone), tmp_path / "cache")
+    with pytest.raises(ProtocolError, match="unreadable"):
+        read_trace(cache, victim, tracer)
+    assert cache.fetches == {} and cache.by_kind["trace"]["innerCalls"] == 0
+    assert list((tmp_path / "cache").iterdir()) == []
+
+
 def test_cache_write_failure_leaves_no_file(local, tmp_path, monkeypatch):
     cache = CachedExplorer(local, tmp_path / "cache")
 
-    def torn_write(path, data):
+    def torn_write(path, prefix, pieces):
         with open(path, "wb") as handle:
-            handle.write(data[: len(data) // 2])
+            handle.write(prefix)
         raise OSError(28, "No space left on device")
 
     with monkeypatch.context() as patch:
-        patch.setattr(Path, "write_bytes", torn_write)
+        patch.setattr("evmsleuth.explorer._write_entry", torn_write)
         with pytest.raises(UsageError, match="No space"):
             cache.get_balance(0xDEAD, 0)
     assert list((tmp_path / "cache").iterdir()) == []
@@ -601,9 +650,10 @@ class _Shim(ThreadingHTTPServer):
         if method == "debug_traceTransaction":
             spec = params[1]["tracerConfig"] if len(params) > 1 else None
             try:
-                return local.tx_trace(bytes.fromhex(params[0][2:]), spec)
+                trace = local.tx_trace(bytes.fromhex(params[0][2:]), spec)
             except ArchiveGapError:
                 return None
+            return json.loads(trace) if isinstance(trace, str) else trace
         if method == "eth_getStorageAt":
             addr, key, number = (int(p, 16) for p in params)
             return hex(local.get_storage(addr, key, number))
@@ -644,7 +694,7 @@ def test_rpc_mirrors_the_local_archive(rpc, shim, local, fixture):
         assert rpc.collect_block_details(number) == local.collect_block_details(number)
         assert len(shim.seen) == before + 1  # the block alone, no parent
     txh = fixture.archive.labels.exploit_hashes()[0]
-    assert rpc.tx_trace(txh) == local.tx_trace(txh)
+    assert rpc.tx_trace(txh) == json.loads(local.tx_trace(txh))
     contract = contract_of(fixture)
     tip = local.height()
     assert rpc.get_balance(contract, tip) == local.get_balance(contract, tip)
@@ -730,6 +780,45 @@ def test_rpc_malformed_replies_are_protocol_errors(rpc, shim, waits, mode):
     with pytest.raises(ProtocolError):
         rpc.height()
     assert len(shim.seen) == 1 and waits == []
+
+
+def test_rpc_reply_longer_than_the_cap_is_a_protocol_error(rpc, shim, waits, local, monkeypatch):
+    size = len(json.dumps({"jsonrpc": "2.0", "id": 1, "result": hex(local.height())}).encode())
+    monkeypatch.setattr("evmsleuth.explorer.REPLY_CAP_BYTES", size)
+    assert rpc.height() == local.height()  # a reply of exactly the cap
+    monkeypatch.setattr("evmsleuth.explorer.REPLY_CAP_BYTES", size - 1)
+    with pytest.raises(ProtocolError) as refused:
+        rpc.height()
+    assert str(refused.value) == (
+        f"eth_blockNumber: bad rpc reply: reply longer than REPLY_CAP_BYTES ({size - 1} bytes)"
+    )
+    assert len(shim.seen) == 2 and waits == []  # refused at once, not tried again
+
+
+def test_rpc_trace_over_the_cap_is_a_skip_record(shim, local, fixture, archive_dir, monkeypatch):
+    # block replies fit under the cap, the exploit traces do not: each is
+    # a skip record of the run, and the run itself ends well
+    shim.reset(local)
+    blocks = [
+        len(json.dumps({"jsonrpc": "2.0", "id": 1, "result": shim.answer(
+            {"method": "eth_getBlockByNumber", "params": [hex(n), True]}
+        )}).encode())
+        for n in range(local.height() + 1)
+    ]
+    exploits = fixture.archive.labels.exploit_hashes()
+    traces = [len(json.dumps(fixture.archive.traces[h]).encode()) for h in exploits]
+    assert max(blocks) + 100 < min(traces)
+    monkeypatch.setattr("evmsleuth.explorer.REPLY_CAP_BYTES", max(blocks) + 100)
+    vuln = next((archive_dir / "vulns").glob("*.json"))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(
+            ["investigate", "-t", "x", "-e", f"rpc[url={shim.url}]", "-d", f"evm[vuln={vuln}]"]
+        )
+    assert code == 0
+    skips = json.loads(out.getvalue())["skips"]
+    assert skips and all("longer than REPLY_CAP_BYTES" in skip for skip in skips)
+    assert len(skips) >= len(exploits)
 
 
 @pytest.mark.parametrize("method", ["eth_getStorageAt", "eth_getBalance"])

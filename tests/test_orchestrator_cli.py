@@ -1,11 +1,13 @@
 """End-to-end investigation runs and the command-line surface."""
 
 import contextlib
+import functools
 import gc
 import io
 import json
 import shutil
 import weakref
+from types import SimpleNamespace
 from unittest import mock
 from urllib.error import HTTPError, URLError
 
@@ -13,7 +15,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from evmsleuth import filters, orchestrator
+from damages import damage, damaged
+from evmsleuth import filters, orchestrator, traces
 from evmsleuth.cli import (
     build_detector,
     build_explorer,
@@ -732,8 +735,8 @@ def test_trace_ingest_runs_with_the_collector_paused(
     for module in (orchestrator, filters):
         monkeypatch.setattr(
             module,
-            "reconstruct_document",
-            lambda *args, _real=module.reconstruct_document, **kw: (
+            "walk_trace",
+            lambda *args, _real=module.walk_trace, **kw: (
                 seen.append(gc.isenabled()) or _real(*args, **kw)
             ),
         )
@@ -751,28 +754,34 @@ def test_trace_ingest_runs_with_the_collector_paused(
         assert "skipped" in " ".join(json.loads(out)["skips"])
 
 
-@pytest.mark.parametrize("run", ["evm-local", "analysis-skip", "internal-discovery"])
-def test_each_trace_document_dies_inside_its_pause(
+@pytest.mark.parametrize(
+    "run", ["evm-local", "evm-cached", "analysis-skip", "internal-discovery"]
+)
+def test_each_trace_dies_inside_its_pause(
     capsys, monkeypatch, bank, bank_dir, bec_dir, tmp_path, run
 ):
-    # the collector resumes with nothing of the document left to traverse
+    # the collector resumes with nothing of the trace left to traverse:
+    # every JSON object decoded from it, in a streamed chunk or (after the
+    # walk refused the trace) in the document json.loads made, is gone
     base = bec_dir if run == "internal-discovery" else bank_dir
     if run == "analysis-skip":
         victim = bank.archive.labels.exploit_hashes()[0]
         base = _archive_with(base, tmp_path, victim, _bad_pc)
 
-    class Document(dict):  # a dict that can be watched through a weak reference
+    class Decoded(dict):  # a dict that can be watched through a weak reference
         pass
 
-    documents = []
-    real_trace = LocalExplorer.tx_trace
+    decoded = []
 
-    def tx_trace(self, *args):
-        doc = Document(real_trace(self, *args))
-        documents.append(weakref.ref(doc))
-        return doc
+    def watched_object(pairs):
+        obj = Decoded(pairs)
+        decoded.append(weakref.ref(obj))
+        return obj
 
-    monkeypatch.setattr(LocalExplorer, "tx_trace", tx_trace)
+    watched_decoder = json.JSONDecoder(object_hook=watched_object)
+    watched_loads = functools.partial(json.loads, object_hook=watched_object)
+    monkeypatch.setattr(traces, "_raw_decode", watched_decoder.raw_decode)
+    monkeypatch.setattr(traces, "json", SimpleNamespace(loads=watched_loads))
     alive_at_resume = []
     for module in (orchestrator, filters):
 
@@ -780,12 +789,15 @@ def test_each_trace_document_dies_inside_its_pause(
         def watched(_real=module.gc_paused):
             with _real():
                 yield
-                alive_at_resume.extend(ref() is not None for ref in documents)
+                alive_at_resume.extend(ref() is not None for ref in decoded)
 
         monkeypatch.setattr(module, "gc_paused", watched)
-    code, out, _ = run_cli(capsys, "investigate", "-t", "x", "-e", f"local[dir={base}]")
-    assert code == 0
-    assert documents and alive_at_resume and not any(alive_at_resume)
+    cache = ["-c", str(tmp_path / "cache")] if run == "evm-cached" else []
+    argv = ["investigate", "-t", "x", "-e", f"local[dir={base}]", *cache]
+    for _ in range(2 if cache else 1):  # cold, then warm
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+    assert decoded and alive_at_resume and not any(alive_at_resume)
 
 
 def test_block_level_never_pauses_the_collector(capsys, monkeypatch, bank_dir):
@@ -1171,62 +1183,6 @@ def fuzz_archives(bank_dir, bec, bec_dir):
     return [bank_dir, bec_dir]
 
 
-_JUNK_OPS = st.one_of(
-    st.text(max_size=6),
-    st.text(max_size=3).map(lambda tail: "PUSH" + tail),
-    st.sampled_from(["PUSH", "PUSH33", "CALL", "DELEGATECALL", "SSTORE", "STOP", "JUMP"]),
-    st.none(),
-    st.integers(),
-)
-
-
-_CODECS = ["utf-16", "utf-32", "utf-8-sig", "indent"]
-
-
-@st.composite
-def damage(draw, original: bytes, kinds=("truncate", "flip", "splice", "junk-op")) -> tuple:
-    """One damage to a JSON file's bytes: a truncation, a byte flip, a
-    splice of one of its own stretches, a re-encoding (another Unicode
-    encoding, or the same document re-serialised with indentation), or, in
-    a trace, one op renamed to junk."""
-    size = len(original)
-    kind = draw(st.sampled_from(kinds))
-    if kind == "truncate":
-        return kind, draw(st.integers(0, size - 1))
-    if kind == "flip":
-        return kind, draw(st.integers(0, size - 1)), draw(st.integers(1, 255))
-    if kind == "splice":
-        start = draw(st.integers(0, size - 1))
-        end = draw(st.integers(start + 1, min(size, start + 80)))
-        at = draw(st.integers(0, size))
-        return kind, start, end, at, draw(st.integers(at, min(size, at + 80)))
-    if kind == "re-encode":
-        return kind, draw(st.sampled_from(_CODECS))
-    steps = len(json.loads(original)["structLogs"])
-    return kind, draw(st.integers(0, max(steps - 1, 0))), draw(_JUNK_OPS)
-
-
-def _damaged(original: bytes, plan: tuple) -> bytes:
-    kind, *args = plan
-    if kind == "truncate":
-        return original[: args[0]]
-    if kind == "flip":
-        at, mask = args
-        return original[:at] + bytes([original[at] ^ mask]) + original[at + 1:]
-    if kind == "splice":
-        start, end, at, cut = args
-        return original[:at] + original[start:end] + original[cut:]
-    if kind == "re-encode":
-        if args[0] == "indent":
-            return json.dumps(json.loads(original), indent=1).encode()
-        return original.decode().encode(args[0])
-    index, op = args
-    doc = json.loads(original)
-    if doc["structLogs"]:  # a transfer to a code-free account has no step
-        doc["structLogs"][index]["op"] = op
-    return json.dumps(doc).encode()
-
-
 @given(data=st.data())
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_damaged_trace_file_is_never_a_traceback(fuzz_archives, data):
@@ -1235,7 +1191,7 @@ def test_damaged_trace_file_is_never_a_traceback(fuzz_archives, data):
     base = data.draw(st.sampled_from(fuzz_archives))
     path = data.draw(st.sampled_from(sorted((base / "traces").glob("*.json"))))
     original = path.read_bytes()
-    path.write_bytes(_damaged(original, data.draw(damage(original))))
+    path.write_bytes(damaged(original, data.draw(damage(original))))
     try:
         for detector in ("evm", "evm[mode=customTracer]"):
             code, out, err = _investigate(["-e", f"local[dir={base}]", "-d", detector])
@@ -1293,8 +1249,8 @@ def test_damaged_archive_or_cache_file_is_never_a_traceback(damage_targets, data
     path = data.draw(st.sampled_from(files))
     original = path.read_bytes()
     kinds = ("truncate", "flip", "splice", "re-encode")
-    damaged = _damaged(original, data.draw(damage(original, kinds)))
-    path.write_bytes(damaged)
+    broken = damaged(original, data.draw(damage(original, kinds)))
+    path.write_bytes(broken)
     try:
         for argv in runs:
             code, out, err = _investigate(argv)
@@ -1309,7 +1265,7 @@ def test_damaged_archive_or_cache_file_is_never_a_traceback(damage_targets, data
             # the damaged entry is dropped, fetched again and rewritten as
             # it was; nothing else about the run changes
             stats = doc["explorerStats"]
-            changed = damaged != original
+            changed = broken != original
             assert (stats["dropped"], stats["innerCalls"]) == (changed, changed)
             assert _results(doc) == _results(warm)
             assert path.read_bytes() == original
