@@ -1,49 +1,23 @@
-"""Blocks, receipts, world-state bookkeeping and the archive directory layout.
+"""The read side of a chain.json transaction object.
 
-A chain here is the forensic source of truth: an ordered block list plus a
-world state mapping every block's state root to a full account snapshot, so
-historical lookups never replay transactions. The on-disk layout (chain.json,
-states/, code/, traces/, labels.json, vulns/, disasm/) is frozen in
-docs/formats.md; all quantities serialize as 0x-hex strings.
+A block's transactions (docs/formats.md) are read into Transaction by
+tx_from_document, which names the first field that is missing or
+malformed, and written back by tx_to_document. filters and explorer hold
+transactions as Transaction; this module is all they need of a chain.
 
-Stored snapshots are shared objects: treat anything returned by
-WorldState.get() as read-only. Executing on top of one goes through
-execute_transaction, which clones internally.
+Building an archive (blocks, receipts, snapshots, labels, the miner that
+executes transactions and the writer of the archive directory) is producer
+code: it lives in evmsleuth.fixtures.archive, so reading an archive loads
+nothing that executes a transaction.
 """
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
-from .errors import ArchiveGapError, ProtocolError, UsageError
-from .hashing import digest, tx_hash
-from .interpreter import (
-    DEFAULT_GAS_LIMIT,
-    ExecutionOutcome,
-    LogEntry,
-    execute_transaction,
-    trace_to_document,
-)
-from .model import (
-    Address,
-    GlobalState,
-    address_hex,
-    hash_hex,
-    state_root,
-    storage_hex,
-    word_hex,
-)
-
-GENESIS_PARENT = b"\x00" * 32
-
-STATUS_OK = "success"
-STATUS_FAILED = "failure"
-
-EXPLOIT_CLASSES = ("overflow", "dos", "reentrancy")
-BENIGN = "benign"
+from .errors import ProtocolError
+from .model import Address, address_hex, hash_hex, word_hex
 
 
 @dataclass(frozen=True)
@@ -54,229 +28,11 @@ class Transaction:
     value: int
     data: bytes
     nonce: int
-    gas_limit: int = DEFAULT_GAS_LIMIT
+    gas_limit: int
 
     @property
     def selector(self) -> bytes | None:
         return self.data[:4] if len(self.data) >= 4 else None
-
-
-def make_transaction(
-    sender: Address,
-    to: Address,
-    value: int,
-    data: bytes = b"",
-    nonce: int = 0,
-    gas_limit: int = DEFAULT_GAS_LIMIT,
-) -> Transaction:
-    if data and len(data) < 4:
-        raise UsageError("calldata must be empty or carry a 4-byte selector")
-    return Transaction(
-        hash=tx_hash(sender, to, value, data, nonce),
-        sender=sender,
-        to=to,
-        value=value,
-        data=data,
-        nonce=nonce,
-        gas_limit=gas_limit,
-    )
-
-
-@dataclass(frozen=True)
-class Receipt:
-    status: str
-    gas_used: int
-    logs: tuple[LogEntry, ...] = ()
-
-
-@dataclass(frozen=True)
-class Block:
-    number: int
-    hash: bytes
-    parent: bytes
-    state_root: bytes
-    txs: tuple[Transaction, ...]
-    receipts: tuple[Receipt, ...]
-
-
-def _block_hash(number: int, parent: bytes, root: bytes, txs: tuple[Transaction, ...]) -> bytes:
-    parts = [b"bk01", number.to_bytes(8, "big"), parent, root]
-    parts.extend(t.hash for t in txs)
-    return digest(b"".join(parts))
-
-
-class Blockchain:
-    def __init__(self):
-        self.blocks: list[Block] = []
-
-    @property
-    def height(self) -> int:
-        return len(self.blocks) - 1
-
-    @property
-    def tip(self) -> Block:
-        return self.blocks[-1]
-
-    def block(self, number: int) -> Block:
-        if not 0 <= number < len(self.blocks):
-            raise ArchiveGapError(f"no block {number} (height {self.height})")
-        return self.blocks[number]
-
-    def append(self, block: Block):
-        if self.blocks:
-            if block.number != self.tip.number + 1 or block.parent != self.tip.hash:
-                raise UsageError("block does not extend the tip")
-        elif block.number != 0 or block.parent != GENESIS_PARENT:
-            raise UsageError("genesis block malformed")
-        self.blocks.append(block)
-
-
-class WorldState:
-    """Map from state roots to historical snapshots (the archive's omega)."""
-
-    def __init__(self):
-        self.snapshots: dict[bytes, GlobalState] = {}
-
-    def add(self, state: GlobalState) -> bytes:
-        root = state_root(state)
-        self.snapshots.setdefault(root, state)
-        return root
-
-    def get(self, root: bytes) -> GlobalState:
-        found = self.snapshots.get(root)
-        if found is None:
-            raise ArchiveGapError(f"no snapshot for state root {hash_hex(root)}")
-        return found
-
-    def __contains__(self, root: bytes) -> bool:
-        return root in self.snapshots
-
-
-@dataclass(frozen=True)
-class Label:
-    exploit_class: str
-    mechanism: str
-
-
-class LabelStore:
-    def __init__(self):
-        self.labels: dict[bytes, Label] = {}
-
-    def add(self, txh: bytes, exploit_class: str, mechanism: str = ""):
-        if exploit_class not in EXPLOIT_CLASSES and exploit_class != BENIGN:
-            raise UsageError(f"unknown exploit class {exploit_class!r}")
-        self.labels[txh] = Label(exploit_class, mechanism)
-
-    def get(self, txh: bytes) -> Label | None:
-        return self.labels.get(txh)
-
-    def exploit_hashes(self, exploit_class: str | None = None) -> list[bytes]:
-        return [
-            h
-            for h, label in self.labels.items()
-            if label.exploit_class != BENIGN
-            and (exploit_class is None or label.exploit_class == exploit_class)
-        ]
-
-
-@dataclass
-class Archive:
-    """Everything an archive node can answer from: chain, snapshots, traces."""
-
-    chain: Blockchain
-    world: WorldState
-    traces: dict[bytes, dict] = field(default_factory=dict)
-    labels: LabelStore = field(default_factory=LabelStore)
-
-
-@dataclass
-class MinedBlock:
-    block: Block
-    state: GlobalState
-    outcomes: list[ExecutionOutcome]
-
-
-def make_genesis(state: GlobalState) -> tuple[Blockchain, WorldState]:
-    chain = Blockchain()
-    world = WorldState()
-    root = world.add(state)
-    chain.append(
-        Block(
-            number=0,
-            hash=_block_hash(0, GENESIS_PARENT, root, ()),
-            parent=GENESIS_PARENT,
-            state_root=root,
-            txs=(),
-            receipts=(),
-        )
-    )
-    return chain, world
-
-
-def mine_block(
-    chain: Blockchain,
-    world: WorldState,
-    pool: list[Transaction],
-    selection: list[bytes] | None = None,
-) -> MinedBlock:
-    """Execute the selected pool transactions in order on top of the tip.
-
-    Failed transactions stay in the block with failure receipts and no state
-    effect. Appends the block and stores the post-state snapshot; returns
-    the block together with the per-transaction outcomes (for trace export).
-    """
-    by_hash = {t.hash: t for t in pool}
-    if selection is None:
-        chosen = list(pool)
-    else:
-        missing = [h for h in selection if h not in by_hash]
-        if missing:
-            raise UsageError(f"selection not in pool: {hash_hex(missing[0])}")
-        chosen = [by_hash[h] for h in selection]
-
-    parent = chain.tip
-    state = world.get(parent.state_root)
-    outcomes: list[ExecutionOutcome] = []
-    receipts: list[Receipt] = []
-    for tx in chosen:
-        outcome = execute_transaction(
-            state, tx.sender, tx.to, tx.value, tx.data, tx.gas_limit
-        )
-        outcomes.append(outcome)
-        status = STATUS_OK if outcome.status == "success" else STATUS_FAILED
-        receipts.append(Receipt(status, outcome.gas_used, tuple(outcome.logs)))
-        state = outcome.final_state
-
-    root = world.add(state)
-    block = Block(
-        number=parent.number + 1,
-        hash=_block_hash(parent.number + 1, parent.hash, root, tuple(chosen)),
-        parent=parent.hash,
-        state_root=root,
-        txs=tuple(chosen),
-        receipts=tuple(receipts),
-    )
-    chain.append(block)
-    return MinedBlock(block, state, outcomes)
-
-
-def mine_and_record(archive: Archive, pool: list[Transaction]) -> MinedBlock:
-    """mine_block plus trace capture into the archive."""
-    mined = mine_block(archive.chain, archive.world, pool)
-    for tx, outcome in zip(mined.block.txs, mined.outcomes):
-        archive.traces[tx.hash] = trace_to_document(outcome)
-    return mined
-
-
-# -- serialization --
-
-
-def _log_to_doc(entry: LogEntry) -> dict:
-    return {
-        "address": address_hex(entry.address),
-        "topics": [word_hex(t) for t in entry.topics],
-        "data": "0x" + entry.data.hex(),
-    }
 
 
 def tx_to_document(tx: Transaction) -> dict:
@@ -336,73 +92,3 @@ def tx_from_document(doc: dict) -> Transaction:
         gas_limit=_tx_field(doc, "gasLimit"),
     )
 
-
-def block_to_document(block: Block) -> dict:
-    return {
-        "number": block.number,
-        "hash": hash_hex(block.hash),
-        "parentHash": hash_hex(block.parent),
-        "stateRoot": hash_hex(block.state_root),
-        "transactions": [tx_to_document(t) for t in block.txs],
-        "receipts": [
-            {
-                "status": r.status,
-                "gasUsed": r.gas_used,
-                "logs": [_log_to_doc(entry) for entry in r.logs],
-            }
-            for r in block.receipts
-        ],
-    }
-
-
-def state_to_document(state: GlobalState) -> dict:
-    accounts = {}
-    for addr in sorted(state.accounts):
-        acct = state.accounts[addr]
-        accounts[address_hex(addr)] = {
-            "nonce": acct.nonce,
-            "balance": word_hex(acct.balance),
-            "codeHash": hash_hex(acct.code_hash),
-            "storage": {
-                storage_hex(k): storage_hex(acct.storage[k])
-                for k in sorted(acct.storage)
-                if acct.storage[k]
-            },
-        }
-    return {"stateRoot": hash_hex(state_root(state)), "accounts": accounts}
-
-
-def _dump(path: Path, document: dict, compact: bool = False):
-    if compact:
-        path.write_text(json.dumps(document, separators=(",", ":"), sort_keys=True) + "\n")
-    else:
-        path.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
-
-
-def write_archive(archive: Archive, directory: str | Path):
-    base = Path(directory)
-    for sub in ("states", "code", "traces"):
-        (base / sub).mkdir(parents=True, exist_ok=True)
-
-    _dump(
-        base / "chain.json",
-        {"blocks": [block_to_document(b) for b in archive.chain.blocks]},
-    )
-
-    code_seen: dict[bytes, bytes] = {}
-    for root, state in sorted(archive.world.snapshots.items()):
-        _dump(base / "states" / f"{root.hex()}.json", state_to_document(state))
-        code_seen.update(state.code_store)
-    for code_digest, code in sorted(code_seen.items()):
-        (base / "code" / f"{code_digest.hex()}.hex").write_text(code.hex() + "\n")
-
-    for txh, trace in sorted(archive.traces.items()):
-        _dump(base / "traces" / f"{txh.hex()}.json", trace, compact=True)
-
-    _dump(
-        base / "labels.json",
-        {
-            hash_hex(h): {"class": label.exploit_class, "mechanism": label.mechanism}
-            for h, label in sorted(archive.labels.labels.items())
-        },
-    )

@@ -47,7 +47,7 @@ from .orchestrator import (
     run_investigation,
     scaled_fixture_dir,
 )
-from .rules_evm import VulnSpec
+from .rules_evm import VulnSpec, read_vuln_doc, read_vuln_file
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -167,8 +167,6 @@ def build_explorer(spec_text: str, cache_dir: str | None):
 
 
 def load_vuln_spec(detector_params: dict, explorer_text: str) -> VulnSpec:
-    from .fixtures import read_vuln_doc, read_vuln_file
-
     path = detector_params.pop("vuln", None)
     if path is not None:
         return VulnSpec.from_document(read_vuln_file(path))

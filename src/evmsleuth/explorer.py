@@ -74,6 +74,7 @@ from .errors import ArchiveGapError, ProtocolError, UsageError
 from .hashing import digest, new_digest
 from .model import address_hex, hash_hex, storage_hex, word_hex
 from .traces import (
+    CALL_OPS,
     ReconstructedTrace,
     Select,
     Unstreamable,
@@ -81,8 +82,6 @@ from .traces import (
     reconstruct_trace,
     stream_trace_text,
 )
-
-_CALL_OPS = ("CALL", "DELEGATECALL", "STATICCALL")
 
 
 def canonical_tracer(tracer_spec: dict | None) -> dict | None:
@@ -110,9 +109,12 @@ def _tracer_keeps(tracer_spec: dict) -> Callable[[object], bool]:
 
     def keeps(step) -> bool:
         try:
-            return step["pc"] in keep_pcs or (boundaries and step["op"] in _CALL_OPS)
+            pc, op = step["pc"], step["op"]
         except (TypeError, KeyError):
             return True
+        if type(pc) is not int or not isinstance(op, str):  # as ingest reads them
+            return True
+        return pc in keep_pcs or (boundaries and op in CALL_OPS)
 
     return keeps
 
@@ -122,7 +124,8 @@ def apply_tracer(doc: dict, tracer_spec: dict) -> dict:
 
     A document without a structLogs list passes through unchanged, and so
     does an entry the filter cannot read (not an object, no pc or op, a pc
-    that is no set member): trace ingest rejects them with its own message.
+    that is not an int, an op that is not a string): trace ingest rejects
+    them with its own message, as it does in a full trace.
     """
     keeps = _tracer_keeps(tracer_spec)
     if not isinstance(doc, dict) or not isinstance(doc.get("structLogs"), list):

@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from typing import Iterator
 
 from .chain import Transaction, tx_from_document
 from .errors import (
@@ -295,13 +296,27 @@ def _feed_address(text: str, what: str, line: int) -> int:
 def _feed_int(text: str, what: str, line: int) -> int:
     if not (text.isascii() and text.isdigit()):
         raise FeedError(f"{what} must be a decimal integer, got {text!r}", line)
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise FeedError(f"{what} is too long: {len(text)} digits", line) from None
+
+
+def _feed_records(text: str) -> Iterator[list[str]]:
+    """The CSV records of a feed; what the csv module cannot read (a field
+    past its size limit, a stray carriage return, a NUL before Python 3.11)
+    is a FeedError at the reader's line."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as err:
+        raise FeedError(f"unreadable CSV: {err}", reader.line_num) from None
 
 
 def parse_csv_feed(text: str) -> list[TxRef]:
-    reader = csv.reader(io.StringIO(text))
+    records = _feed_records(text)
     try:
-        header = next(reader)
+        header = next(records)
     except StopIteration:
         raise FeedError("feed is empty", 1) from None
     if tuple(header) != FEED_COLUMNS:
@@ -309,7 +324,7 @@ def parse_csv_feed(text: str) -> list[TxRef]:
             f"bad header: expected {','.join(FEED_COLUMNS)}, got {','.join(header)}", 1
         )
     rows = []
-    for line, record in enumerate(reader, start=2):
+    for line, record in enumerate(records, start=2):
         if not record:
             continue
         if len(record) != len(FEED_COLUMNS):

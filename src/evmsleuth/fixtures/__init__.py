@@ -1,4 +1,10 @@
-"""Hand-assembled vulnerable contracts and the labeled chains built from them."""
+"""Hand-assembled vulnerable contracts and the labeled chains built from them.
+
+This package is the archive producer: the interpreter, the miner and
+archive writer (archive), the assembler and the scenarios. The investigator
+is everything outside it and never imports it; it reads what the producer
+wrote.
+"""
 
 from .scenarios import (  # noqa: F401
     EXPLOIT_COUNTS,
@@ -6,8 +12,6 @@ from .scenarios import (  # noqa: F401
     ScenarioFixture,
     build_fixture_chain,
     build_suite,
-    read_vuln_doc,
-    read_vuln_file,
     scale_fixture,
     write_fixture,
 )

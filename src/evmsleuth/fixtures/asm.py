@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import UsageError
-from ..interpreter import MNEMONICS, OPCODES
+from .interpreter import MNEMONICS, OPCODES
 
 _LABEL_WIDTH = 2  # labels assemble to PUSH2 <offset>
 

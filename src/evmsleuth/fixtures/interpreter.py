@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import words
-from .errors import UsageError
-from .model import GlobalState, address_hex, word_hex, storage_hex
-from .words import ADDRESS_MASK, WORD_MASK
+from .. import words
+from ..errors import UsageError
+from ..model import GlobalState, address_hex, word_hex, storage_hex
+from ..words import ADDRESS_MASK, WORD_MASK
 
 STACK_LIMIT = 1024
 MEMORY_LIMIT = 1 << 20

@@ -26,19 +26,19 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..chain import (
+from ..chain import Transaction
+from ..errors import UsageError
+from ..hashing import function_selector
+from ..model import Address, GlobalState, address_hex, hash_hex
+from .archive import (
+    BENIGN,
     Archive,
     MinedBlock,
-    Transaction,
-    BENIGN,
     make_genesis,
     make_transaction,
     mine_and_record,
     write_archive,
 )
-from ..errors import ConfigError, UsageError
-from ..hashing import function_selector
-from ..model import Address, GlobalState, address_hex, hash_hex
 from .asm import Assembler, Program, disassemble
 
 # -- cast of addresses (stable across seeds; randomness drives amounts only) --
@@ -1026,22 +1026,3 @@ def write_fixture(fixture: ScenarioFixture, directory: str | Path):
     )
     (base / "disasm" / f"{fixture.name}.txt").write_text(fixture.disasm)
 
-
-def read_vuln_file(path: str | Path) -> dict:
-    """The JSON document in a vuln descriptor file. UsageError if there is no
-    such file, ConfigError if it cannot be read or is not UTF-8 JSON; both
-    name the path."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise UsageError(f"no vulnerability description at {path}") from None
-    except (OSError, ValueError) as err:  # ValueError: bad UTF-8 or bad JSON
-        raise ConfigError(f"cannot read vulnerability description at {path}: {err}") from None
-
-
-def read_vuln_doc(directory: str | Path) -> dict:
-    """Load the single vuln descriptor from a fixture directory."""
-    vulns = sorted(Path(directory).glob("vulns/*.json"))
-    if not vulns:
-        raise UsageError(f"no vulns/*.json under {directory}")
-    return read_vuln_file(vulns[0])

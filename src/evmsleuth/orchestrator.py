@@ -21,7 +21,10 @@ Per-transaction and per-block failures degrade to skip records in the
 report; only configuration problems and an unreachable archive abort a run.
 The report carries wall-clock per phase and the number of interpreter steps
 executed, so "block level does no replay" is a measurable claim rather than
-a promise.
+a promise. The interpreter is producer code (evmsleuth.fixtures.interpreter)
+that no module of the investigator imports, so stepsInterpreted reads its
+STEP_COUNTER from sys.modules when something else loaded it, a test that
+built its fixtures in-process say, and is 0 when it is not loaded.
 
 Read once: run_investigation makes one filters.ReadState, which the filter
 and the level share and which dies with the investigation. Each block is
@@ -57,17 +60,17 @@ cost shape is about, and it holds no trace.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import interpreter
 from .errors import ArchiveGapError, ProtocolError, SleuthError, UsageError
 from .explorer import CachedExplorer, ExplorerView, LocalExplorer, walk_trace
 from .filters import FilterQuery, ReadState, TxRef, tx_list
 from .model import address_hex
 from .rules_block import evaluate_block
-from .rules_evm import TxContext, VulnSpec, evaluate_trace
+from .rules_evm import TxContext, VulnSpec, evaluate_trace, read_vuln_doc
 from .traces import gc_paused
 
 LEVELS = ("evm", "block")
@@ -158,11 +161,18 @@ def _tracer_spec(config: InvestigationConfig) -> dict | None:
     return {"pcSet": pcs, "includeCallBoundaries": True}
 
 
+def _steps_interpreted() -> int:
+    """Instructions the fixture interpreter has executed in this process;
+    0 when it is not loaded, as it never is by an investigation alone."""
+    interpreter = sys.modules.get("evmsleuth.fixtures.interpreter")
+    return 0 if interpreter is None else interpreter.STEP_COUNTER.value
+
+
 def run_investigation(config: InvestigationConfig) -> Report:
     spec = config.spec
     query = config.query or default_query(spec)
     timings = {"filter": 0.0, "fetch": 0.0, "analyze": 0.0}
-    steps_before = interpreter.STEP_COUNTER.value
+    steps_before = _steps_interpreted()
     t_start = time.perf_counter()
 
     # the evm level reuses the full traces internal discovery walks for it
@@ -197,7 +207,7 @@ def run_investigation(config: InvestigationConfig) -> Report:
 
     timings["total"] = time.perf_counter() - t_start
     report.timings = timings
-    report.steps_interpreted = interpreter.STEP_COUNTER.value - steps_before
+    report.steps_interpreted = _steps_interpreted() - steps_before
     if isinstance(config.explorer, CachedExplorer):
         ex = config.explorer
         report.explorer_stats = {
@@ -346,8 +356,6 @@ def bench(
     one untimed warm-up run populates the cache first, so the numbers show
     steady-state cost rather than first-touch I/O.
     """
-    from .fixtures import read_vuln_doc
-
     table = []
     for magnitude in magnitudes:
         directory = scaled_fixture_dir(root, axis, magnitude)

@@ -1,13 +1,14 @@
 """Instruction-level indicators of compromise over reconstructed traces.
 
-A vuln descriptor names the weak spot as code addresses plus pcs. VulnSpec
-folds those locations into one gate, {code address: pcs}, and a step is
-gated when the gate lists its pc for the code it executes (the code, not the
-storage identity, so DELEGATECALL borrowers of the vulnerable code are
-seen). VulnSpec.gates is that test as a step predicate: the evm level hands
-it to trace ingest, which then builds only the gated steps. evaluate_trace
-walks the steps once and hands only gated steps to the rule class's
-per-step check:
+A vuln descriptor names the weak spot as code addresses plus pcs
+(read_vuln_file reads one from a file, read_vuln_doc from a fixture
+directory's vulns/). VulnSpec folds those locations into one gate,
+{code address: pcs}, and a step is gated when the gate lists its pc for
+the code it executes (the code, not the storage identity, so DELEGATECALL
+borrowers of the vulnerable code are seen). VulnSpec.gates is that test as
+a step predicate: the evm level hands it to trace ingest, which then builds
+only the gated steps. evaluate_trace walks the steps once and hands only
+gated steps to the rule class's per-step check:
 
   overflow    flagged arithmetic whose exact integer value leaves the
               declared type's range (modular ADDMOD/MULMOD never flag)
@@ -24,10 +25,12 @@ downstream reporting can say so.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
-from .errors import ConfigError
+from .errors import ConfigError, UsageError
 from .model import IntTypeBounds, address_hex, hash_hex, wrap_arith, word_hex
 from .traces import ReconstructedStep, ReconstructedTrace
 from .words import ARITH_ARITY
@@ -123,6 +126,26 @@ class VulnSpec:
         if not isinstance(value, int) or value < 0:
             raise ConfigError("toArgIndex must be None or a non-negative index")
         return value
+
+
+def read_vuln_file(path: str | Path) -> dict:
+    """The JSON document in a vuln descriptor file. UsageError if there is no
+    such file, ConfigError if it cannot be read or is not UTF-8 JSON; both
+    name the path."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise UsageError(f"no vulnerability description at {path}") from None
+    except (OSError, ValueError) as err:  # ValueError: bad UTF-8 or bad JSON
+        raise ConfigError(f"cannot read vulnerability description at {path}: {err}") from None
+
+
+def read_vuln_doc(directory: str | Path) -> dict:
+    """Load the single vuln descriptor from a fixture directory."""
+    vulns = sorted(Path(directory).glob("vulns/*.json"))
+    if not vulns:
+        raise UsageError(f"no vulns/*.json under {directory}")
+    return read_vuln_file(vulns[0])
 
 
 @dataclass(frozen=True)

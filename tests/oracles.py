@@ -152,7 +152,7 @@ def replay_block(chain, world, number):
     caller can compare the root against the stored header and each
     outcome's step trace against the archived trace.
     """
-    from evmsleuth.interpreter import execute_transaction
+    from evmsleuth.fixtures.interpreter import execute_transaction
     from evmsleuth.model import state_root
 
     block = chain.block(number)

@@ -16,10 +16,11 @@ from unittest import mock
 import pytest
 
 import oracles
+from isolated import modules_loaded, run_isolated_cli
 import evmsleuth.explorer
 from evmsleuth.explorer import CachedExplorer, LocalExplorer
-from evmsleuth.fixtures import build_suite, read_vuln_doc, scale_fixture, write_fixture
-from evmsleuth.interpreter import STEP_COUNTER
+from evmsleuth.fixtures import build_suite, scale_fixture, write_fixture
+from evmsleuth.fixtures.interpreter import STEP_COUNTER
 from evmsleuth.model import IntTypeBounds, wrap_arith
 from evmsleuth.orchestrator import (
     InvestigationConfig,
@@ -27,7 +28,7 @@ from evmsleuth.orchestrator import (
     run_investigation,
     scaled_fixture_dir,
 )
-from evmsleuth.rules_evm import VulnSpec
+from evmsleuth.rules_evm import VulnSpec, read_vuln_doc
 from evmsleuth.traces import reconstruct_document
 from evmsleuth.words import ARITH_ARITY
 
@@ -166,7 +167,47 @@ def test_criterion_2_block_level_misses(suite, suite_dirs):
 # -- 3: no-replay guarantee --
 
 
-def test_criterion_3_block_level_interprets_nothing(suite, suite_dirs):
+def _producer_loads(bank_dir, work) -> tuple[int, list[str]]:
+    """Run the investigator's commands over Bank, each in a fresh process:
+    both levels in every mode, internal discovery, a feed, export-feed,
+    and a bare import of evmsleuth.cli. Returns the number of runs and one
+    problem for each run that failed or loaded a module of the producer
+    (evmsleuth.fixtures, which holds the interpreter)."""
+    explorer = ["-e", f"local[dir={bank_dir}]"]
+    feed = work / "feed.csv"
+    evm_cache, block_cache = str(work / "evm-cache"), str(work / "block-cache")
+    investigations = (
+        ["-d", "evm"],
+        ["-d", "evm", "-c", evm_cache],  # cold
+        ["-d", "evm", "-c", evm_cache],  # warm
+        ["-d", "evm[mode=customTracer]"],
+        ["-d", "evm", "-f", "spec[internal=true]"],
+        ["-d", "evm", "-f", f"feed[path={feed}]"],
+        ["-d", "block"],
+        ["-d", "block", "-c", block_cache],  # cold
+        ["-d", "block", "-c", block_cache],  # warm
+    )
+    commands = [
+        [],
+        ["export-feed", *explorer],
+        *(["investigate", "-t", "c3", *explorer, *rest] for rest in investigations),
+    ]
+    problems = []
+    for argv in commands:
+        what = " ".join(argv) or "import evmsleuth.cli"
+        run = run_isolated_cli(*argv)
+        if run.returncode != 0:
+            problems.append(f"{what}: exit {run.returncode}")
+            continue
+        if argv[:1] == ["export-feed"]:
+            feed.write_text(run.stdout)
+        producer = sorted(m for m in modules_loaded(run) if m.startswith("evmsleuth.fixtures"))
+        if producer:
+            problems.append(f"{what} loaded {', '.join(producer)}")
+    return len(commands), problems
+
+
+def test_criterion_3_block_level_interprets_nothing(suite, suite_dirs, tmp_path):
     problems = []
     before = STEP_COUNTER.value
     blocks = 0
@@ -180,7 +221,13 @@ def test_criterion_3_block_level_interprets_nothing(suite, suite_dirs):
         problems.append(f"interpreter ran {executed} steps during block-level analysis")
     if blocks == 0:
         problems.append("no blocks were evaluated, counter check is vacuous")
-    verdict(3, "no-replay-guarantee", problems, f"0 steps over {blocks} evaluated blocks")
+    # structural: the investigator cannot replay, it never loads the interpreter
+    runs, loads = _producer_loads(suite_dirs["Bank"], tmp_path)
+    problems.extend(loads)
+    verdict(
+        3, "no-replay-guarantee", problems,
+        f"0 steps over {blocks} evaluated blocks; {runs} fresh runs loaded no producer module",
+    )
 
 
 # -- 4: performance shape --

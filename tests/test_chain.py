@@ -6,20 +6,19 @@ import json
 import pytest
 
 from oracles import replay_block
-from evmsleuth.chain import (
+from evmsleuth.chain import tx_from_document, tx_to_document
+from evmsleuth.errors import ArchiveGapError, ProtocolError, UsageError
+from evmsleuth.explorer import LocalExplorer
+from evmsleuth.fixtures.archive import (
     Archive,
     LabelStore,
     make_genesis,
     make_transaction,
     mine_and_record,
     mine_block,
-    tx_from_document,
-    tx_to_document,
     write_archive,
 )
-from evmsleuth.errors import ArchiveGapError, ProtocolError, UsageError
-from evmsleuth.explorer import LocalExplorer
-from evmsleuth.interpreter import MNEMONICS
+from evmsleuth.fixtures.interpreter import MNEMONICS
 from evmsleuth.model import GlobalState, hash_hex
 
 SENDER = 0xAA01

@@ -3,19 +3,15 @@
 import contextlib
 import io
 import json
-import os
 import shutil
-import subprocess
 import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from pathlib import Path
-
 import pytest
 
-import evmsleuth
+from isolated import modules_loaded, run_isolated_cli
 from evmsleuth.cli import main
 from evmsleuth.errors import ArchiveGapError, ProtocolError, UsageError
 from evmsleuth.explorer import (
@@ -924,19 +920,6 @@ def test_investigate_over_rpc_matches_local(capsys, rpc, shim, scenario_dirs, sc
     assert docs[1] == docs[0]
 
 
-# Runs the CLI with `requests` unimportable, then reports on stderr which
-# transport modules the run loaded.
-_ISOLATED_CLI = """
-import json, sys
-sys.modules["requests"] = None
-from evmsleuth.cli import main
-code = main(sys.argv[1:])
-loaded = sorted(m for m in ("http.client", "urllib.request") if m in sys.modules)
-print(json.dumps(loaded), file=sys.stderr)
-sys.exit(code)
-"""
-
-
 @pytest.mark.parametrize(
     "kind, transport", [("local", []), ("rpc", ["http.client", "urllib.request"])]
 )
@@ -948,13 +931,9 @@ def test_investigation_needs_no_requests_and_loads_the_transport_lazily(
     assert main([*argv, f"local[dir={archive_dir}]"]) == 0
     want = json.loads(capsys.readouterr().out)
     explorer = f"local[dir={archive_dir}]" if kind == "local" else f"rpc[url={shim.url}]"
-    env = dict(os.environ, PYTHONPATH=str(Path(evmsleuth.__file__).parents[1]))
-    run = subprocess.run(
-        [sys.executable, "-c", _ISOLATED_CLI, *argv, explorer],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    run = run_isolated_cli(*argv, explorer)
     assert run.returncode == 0, run.stderr
-    assert json.loads(run.stderr.splitlines()[-1]) == transport
+    assert sorted(modules_loaded(run) & {"http.client", "urllib.request"}) == transport
     got = json.loads(run.stdout)
     for doc in (got, want):
         doc.pop("timings")

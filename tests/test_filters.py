@@ -262,9 +262,36 @@ def test_feed_accepts_blank_lines_and_empty_selector():
         (feed(TOP.replace("0xaabbccdd", "0xzzzzzzzz")), "input_selector is not hex", 2),
         (feed(TOP.replace("0xaabbccdd", "0xaa bb cc")), "input_selector is not hex", 2),
         (feed(TOP.replace(A40, "0x-" + "a" * 39, 1)), "from is not hex", 2),
+        pytest.param(
+            feed(TOP.replace(",10,", ",1" + "0" * 5000 + ",")), "value is too long: 5001 digits",
+            2, id="value-past-the-int-digit-limit",
+        ),
+        # what the csv module cannot read: a field past its 131,072-character
+        # limit, a carriage return inside an unquoted field, and (before
+        # Python 3.11; from 3.11 on the field fails its own check) a NUL
+        pytest.param(
+            feed(TOP.replace(H64, "0x" + "1" * 200_000)), "field larger than field limit", 2,
+            id="long-tx-hash",
+        ),
+        pytest.param(
+            feed(TOP, TOP.replace(A40, "0x" + "a" * 131_072, 1)), "field larger", 3,
+            id="long-from-on-line-3",
+        ),
+        pytest.param(
+            HEADER + "x" * 131_072 + "\n", "field larger than field limit", 1, id="long-header"
+        ),
+        pytest.param(
+            feed(TOP.replace(",false", ",fal\rse")), "new-line character", 2,
+            id="carriage-return-in-a-field",
+        ),
+        pytest.param(
+            feed(TOP.replace(H64, H64[:-1] + "\x00")), "line contains NUL|tx_hash is not hex", 2,
+            id="nul",
+        ),
     ],
 )
 def test_feed_rejects_malformed_rows(text, fragment, line):
     with pytest.raises(FeedError, match=fragment) as err:
         parse_csv_feed(text)
     assert err.value.line == line
+

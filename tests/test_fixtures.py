@@ -9,14 +9,14 @@ from evmsleuth.fixtures import (
     SCENARIO_NAMES,
     build_fixture_chain,
     build_suite,
-    read_vuln_doc,
     scale_fixture,
     write_fixture,
 )
 from evmsleuth.fixtures.asm import Assembler, disassemble
 from evmsleuth.hashing import function_selector
-from evmsleuth.interpreter import MNEMONICS, execute_transaction
+from evmsleuth.fixtures.interpreter import MNEMONICS, execute_transaction
 from evmsleuth.model import GlobalState
+from evmsleuth.rules_evm import read_vuln_doc
 
 SEED = 11
 

@@ -3,7 +3,7 @@
 import pytest
 
 from evmsleuth.hashing import function_selector
-from evmsleuth.interpreter import (
+from evmsleuth.fixtures.interpreter import (
     DEFAULT_GAS_LIMIT,
     GAS_COSTS,
     MNEMONICS,

@@ -26,7 +26,7 @@ from evmsleuth.cli import (
     parse_shared,
     split_params,
 )
-from evmsleuth.errors import ConfigError, UsageError
+from evmsleuth.errors import ConfigError, FeedError, UsageError
 from evmsleuth.explorer import CachedExplorer, LocalExplorer, apply_tracer
 from evmsleuth.filters import (
     FilterQuery,
@@ -604,6 +604,38 @@ def test_cli_custom_tracer_over_an_unreadable_trace_is_a_skip_record(
     assert f"tx 0x{victim.hex()}: analysis failed, skipped ({message})" in doc["skips"]
 
 
+def _int_op(trace):
+    trace["structLogs"][1]["op"] = 7
+
+
+def _text_pc(trace):
+    trace["structLogs"][1]["pc"] = str(trace["structLogs"][1]["pc"])
+
+
+@pytest.mark.parametrize(
+    "damage, fault", [(_int_op, "bad op 7"), (_text_pc, "bad pc '")], ids=["int-op", "text-pc"]
+)
+@pytest.mark.parametrize("detector", ["evm", "evm[mode=customTracer]"])
+def test_cli_entry_of_the_wrong_type_is_the_same_skip_in_both_modes(
+    capsys, bank, bank_dir, tmp_path, detector, damage, fault
+):
+    # the pc filter keeps an entry whose pc is not an int or whose op is not
+    # a string, so ingest rejects it in customTracer mode as it does in a
+    # full trace, instead of the filter dropping it unread
+    clone, victim, _ = _damaged_exploit_trace(bank, bank_dir, tmp_path, damage)
+    code, out, _ = run_cli(
+        capsys, "investigate", "-t", "x", "-e", f"local[dir={clone}]", "-d", detector
+    )
+    assert code == 0
+    doc = json.loads(out)
+    (skip,) = doc["skips"]
+    assert skip.startswith(f"tx 0x{victim.hex()}: analysis failed, skipped (step ")
+    assert fault in skip
+    flagged = {d["txHash"] for d in doc["detections"]}
+    assert len(flagged) == len(bank.archive.labels.exploit_hashes()) - 1
+    assert "0x" + victim.hex() not in flagged
+
+
 def _bad_pc(trace):
     trace["structLogs"][1]["pc"] = -5
 
@@ -989,6 +1021,34 @@ def test_cli_export_feed_rejects_feed_input(capsys, bank_dir, tmp_path):
     assert code == 2 and "does not re-export" in err
 
 
+def _long_tx_hash(fields):
+    fields[1] = "0x" + "1" * 200_000  # past the csv module's field limit
+
+
+def _nul_in_tx_hash(fields):
+    fields[1] = fields[1][:-1] + "\x00"  # unreadable to the csv module before 3.11
+
+
+@pytest.mark.parametrize("damage", [_long_tx_hash, _nul_in_tx_hash], ids=["long-tx-hash", "nul"])
+@pytest.mark.parametrize(
+    "command", [["investigate", "-t", "x"], ["export-feed"]], ids=["investigate", "export-feed"]
+)
+def test_cli_feed_the_csv_module_cannot_read_exits_2(capsys, bank_dir, tmp_path, command, damage):
+    code, out, _ = run_cli(capsys, "export-feed", "-e", f"local[dir={bank_dir}]")
+    assert code == 0
+    lines = out.splitlines()
+    fields = lines[2].split(",")
+    damage(fields)
+    lines[2] = ",".join(fields)
+    feed_path = tmp_path / "feed.csv"
+    feed_path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(
+        capsys, *command, "-e", f"local[dir={bank_dir}]", "-f", f"feed[path={feed_path}]"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("evmsleuth: line 3: ")
+
+
 def test_cli_fixtures_build_and_scale(capsys, tmp_path):
     out_dir = tmp_path / "built"
     code, _, err = run_cli(
@@ -1272,3 +1332,90 @@ def test_damaged_archive_or_cache_file_is_never_a_traceback(damage_targets, data
     finally:
         path.write_bytes(original)
 
+
+
+# -- hostile feeds --
+
+# The csv module's default field size limit.
+CSV_FIELD_LIMIT = 131_072
+
+
+@pytest.fixture(scope="module")
+def bank_feed(spec, bank_dir, tmp_path_factory):
+    """Bank's exported feed as lines, and the path a drawn feed is written to."""
+    rows = tx_list(ReadState(LocalExplorer(bank_dir)), default_query(spec))
+    return write_csv_feed(rows).splitlines(), tmp_path_factory.mktemp("feeds") / "feed.csv"
+
+
+def _past_the_field_limit(draw) -> str:
+    unit = draw(st.text(min_size=1, max_size=3))
+    return unit * (CSV_FIELD_LIMIT // len(unit) + draw(st.integers(1, 1000)))
+
+
+@st.composite
+def _column_damage(draw) -> str:
+    """What a damaged column may hold instead of its value."""
+    kind = draw(st.sampled_from(["text", "digits", "hex", "long", "quoted"]))
+    if kind == "text":
+        return draw(st.text(max_size=80))
+    if kind == "digits":  # up to past the int() digit limit
+        return draw(st.sampled_from(["0", "9"])) * draw(st.integers(1, 6000))
+    if kind == "hex":
+        return "0x" + draw(st.text(alphabet="0123456789abcdefABCDEF x", max_size=70))
+    if kind == "long":
+        return _past_the_field_limit(draw)
+    return '"' + draw(st.text(max_size=20)) + draw(st.sampled_from(['"', '""', ""]))
+
+
+@st.composite
+def hostile_feed(draw, lines: list[str]) -> str:
+    """Free text (after the feed's header or alone), the exported feed with
+    one column damaged (a field past the csv module's field limit among the
+    damages), or the exported feed with one hostile edit: a BOM, a NUL, CRLF
+    or lone CR line ends, an unbalanced quote, or a line past that limit."""
+    header, rows = lines[0], lines[1:]
+    kind = draw(st.sampled_from(["free", "column", "hostile"]))
+    if kind == "free":
+        prefix = draw(st.sampled_from(["", header + "\n"]))
+        return prefix + draw(st.text())
+    if kind == "column":
+        index = draw(st.integers(0, len(rows) - 1))
+        fields = rows[index].split(",")
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(_column_damage())
+        damaged_rows = [*rows[:index], ",".join(fields), *rows[index + 1:]]
+        return "\n".join([header, *damaged_rows]) + "\n"
+    text = "\n".join(lines) + "\n"
+    edit = draw(st.sampled_from(["bom", "nul", "crlf", "cr", "quote", "long-line"]))
+    if edit == "bom":
+        return "\ufeff" + text
+    if edit == "crlf":
+        return text.replace("\n", "\r\n")
+    if edit == "cr":
+        return text.replace("\n", "\r")
+    if edit == "long-line":
+        at = draw(st.integers(1, len(lines)))
+        long_line = ",".join(_past_the_field_limit(draw) for _ in range(2))
+        return "\n".join([*lines[:at], long_line, *lines[at:]]) + "\n"
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + {"nul": "\x00", "quote": '"'}[edit] + text[at:]
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_hostile_feed_is_never_a_traceback(bank_dir, bank_feed, data):
+    lines, path = bank_feed
+    text = data.draw(hostile_feed(lines))
+    try:
+        parse_csv_feed(text)
+    except FeedError:
+        pass
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    for level in ("evm", "block"):
+        code, out, err = _investigate(
+            ["-e", f"local[dir={bank_dir}]", "-d", level, "-f", f"feed[path={path}]"]
+        )
+        assert code in (0, 2), err
+        if code == 0:
+            check_totals(json.loads(out))
+        else:
+            assert out == "" and err.startswith("evmsleuth: ")
