@@ -79,7 +79,8 @@ from .traces import (
     Select,
     Unstreamable,
     every_step,
-    reconstruct_trace,
+    reconstruct_document,
+    reconstruct_text,
     stream_trace_text,
 )
 
@@ -202,23 +203,30 @@ def walk_trace(
     tx_hash: bytes,
     tracer_spec: dict | None,
     root_target: int,
-    relaxed: bool = False,
     select: Select = every_step,
 ) -> ReconstructedTrace:
-    """The walk (traces.reconstruct_trace) over `trace`, the answer of
-    explorer.tx_trace(tx_hash, tracer_spec). A text answer is decoded here
-    and nowhere before, so here is where one that is not JSON is found:
-    from a cache it is a hit whose payload does not decode, which the cache
-    drops and fetches again (CachedExplorer.refetch_trace) before the walk
-    runs once more; from any other explorer it is a ProtocolError naming
-    the trace. TraceParseError and ReconstructionError are the walk's."""
+    """The walk over `trace`, the answer of explorer.tx_trace(tx_hash,
+    tracer_spec), relaxed when pc-filtered. A text answer is streamed
+    (traces.reconstruct_text): it is decoded here and nowhere before, so
+    here is where one that is not JSON is found: from a cache it is a hit
+    whose payload does not decode, which the cache drops and fetches again
+    (CachedExplorer.refetch_trace) before the walk runs once more; from any
+    other explorer it is a ProtocolError naming the trace. TraceParseError
+    and ReconstructionError are the walk's."""
+    relaxed = tracer_spec is not None
+
+    def walk(trace) -> ReconstructedTrace:
+        if isinstance(trace, str):
+            return reconstruct_text(trace, root_target, relaxed, select)
+        return reconstruct_document(trace, root_target, relaxed, select)
+
     try:
-        return reconstruct_trace(trace, root_target, relaxed, select)
+        return walk(trace)
     except (ValueError, RecursionError) as err:  # json.loads refused the text
         if not isinstance(explorer, CachedExplorer):
             raise _not_json(_trace_what(tx_hash), err) from None
     trace = explorer.refetch_trace(tx_hash, tracer_spec)
-    return reconstruct_trace(trace, root_target, relaxed, select)
+    return walk(trace)
 
 
 _HASH = re.compile(r"0x[0-9a-fA-F]{64}")

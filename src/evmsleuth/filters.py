@@ -159,7 +159,7 @@ class ReadState:
         with gc_paused():  # the trace lives and dies in here
             trace = self.explorer.tx_trace(tx.hash)
             try:
-                return walk_trace(self.explorer, trace, tx.hash, None, tx.to, select=select)
+                return walk_trace(self.explorer, trace, tx.hash, None, tx.to, select)
             except (TraceParseError, ReconstructionError) as err:
                 raise ProtocolError(
                     f"internal discovery: trace for {hash_hex(tx.hash)} is malformed: {err}"
@@ -279,13 +279,13 @@ def write_csv_feed(rows: list[TxRef]) -> str:
 def _feed_hex(text: str, what: str, line: int, size: int) -> bytes:
     """Exactly `size` bytes written as 0x + 2*size hex digits."""
     if not (text.startswith("0x") and len(text) == 2 + 2 * size):
-        raise FeedError(f"{what} must be 0x + {2 * size} hex chars, got {text!r}", line)
+        raise FeedError(f"{what} must be 0x + {2 * size} hex chars, got {text!r:.80}", line)
     try:
         raw = bytes.fromhex(text[2:])
     except ValueError:
         raw = b""
     if len(raw) != size:  # fromhex also skips embedded spaces
-        raise FeedError(f"{what} is not hex: {text!r}", line)
+        raise FeedError(f"{what} is not hex: {text!r:.80}", line)
     return raw
 
 
@@ -295,7 +295,7 @@ def _feed_address(text: str, what: str, line: int) -> int:
 
 def _feed_int(text: str, what: str, line: int) -> int:
     if not (text.isascii() and text.isdigit()):
-        raise FeedError(f"{what} must be a decimal integer, got {text!r}", line)
+        raise FeedError(f"{what} must be a decimal integer, got {text!r:.80}", line)
     try:
         return int(text)
     except ValueError:  # past sys.get_int_max_str_digits()
@@ -321,7 +321,7 @@ def parse_csv_feed(text: str) -> list[TxRef]:
         raise FeedError("feed is empty", 1) from None
     if tuple(header) != FEED_COLUMNS:
         raise FeedError(
-            f"bad header: expected {','.join(FEED_COLUMNS)}, got {','.join(header)}", 1
+            f"bad header: expected {','.join(FEED_COLUMNS)}, got {','.join(header):.80}", 1
         )
     rows = []
     for line, record in enumerate(records, start=2):
@@ -333,7 +333,7 @@ def parse_csv_feed(text: str) -> list[TxRef]:
             )
         number, txh, sender, to, value, selector, internal, parent = record
         if internal not in ("true", "false"):
-            raise FeedError(f"internal must be true or false, got {internal!r}", line)
+            raise FeedError(f"internal must be true or false, got {internal!r:.80}", line)
         is_internal = internal == "true"
         if is_internal and not parent:
             raise FeedError("internal row without parent_tx_hash", line)

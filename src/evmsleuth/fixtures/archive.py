@@ -1,4 +1,5 @@
-"""Blocks, receipts, world-state bookkeeping, the miner and the archive writer.
+"""Blocks, receipts, transaction hashes, world-state bookkeeping, the miner
+and the archive writer.
 
 This is the producer side of an archive. A chain here is the forensic
 source of truth: an ordered block list plus a world state mapping every
@@ -23,16 +24,8 @@ from pathlib import Path
 
 from ..chain import Transaction, tx_to_document
 from ..errors import ArchiveGapError, UsageError
-from ..hashing import digest, tx_hash
-from ..model import (
-    Address,
-    GlobalState,
-    address_hex,
-    hash_hex,
-    state_root,
-    storage_hex,
-    word_hex,
-)
+from ..hashing import digest
+from ..model import Address, address_hex, hash_hex, storage_hex, word_hex
 from .interpreter import (
     DEFAULT_GAS_LIMIT,
     ExecutionOutcome,
@@ -40,6 +33,7 @@ from .interpreter import (
     execute_transaction,
     trace_to_document,
 )
+from .state import GlobalState, state_root
 
 GENESIS_PARENT = b"\x00" * 32
 
@@ -48,6 +42,22 @@ STATUS_FAILED = "failure"
 
 EXPLOIT_CLASSES = ("overflow", "dos", "reentrancy")
 BENIGN = "benign"
+
+
+def tx_hash(sender: int, to: int, value: int, data: bytes, nonce: int) -> bytes:
+    """Canonical transaction hash over the fixed-width field serialization."""
+    buf = b"".join(
+        (
+            b"tx01",
+            sender.to_bytes(20, "big"),
+            to.to_bytes(20, "big"),
+            value.to_bytes(32, "big"),
+            nonce.to_bytes(8, "big"),
+            len(data).to_bytes(4, "big"),
+            data,
+        )
+    )
+    return digest(buf)
 
 
 def make_transaction(

@@ -28,8 +28,9 @@ from dataclasses import dataclass, field
 
 from .. import words
 from ..errors import UsageError
-from ..model import GlobalState, address_hex, word_hex, storage_hex
+from ..model import address_hex, word_hex, storage_hex
 from ..words import ADDRESS_MASK, WORD_MASK
+from .state import GlobalState
 
 STACK_LIMIT = 1024
 MEMORY_LIMIT = 1 << 20

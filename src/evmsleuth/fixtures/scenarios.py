@@ -29,7 +29,7 @@ from pathlib import Path
 from ..chain import Transaction
 from ..errors import UsageError
 from ..hashing import function_selector
-from ..model import Address, GlobalState, address_hex, hash_hex
+from ..model import Address, address_hex, hash_hex
 from .archive import (
     BENIGN,
     Archive,
@@ -40,6 +40,7 @@ from .archive import (
     write_archive,
 )
 from .asm import Assembler, Program, disassemble
+from .state import GlobalState
 
 # -- cast of addresses (stable across seeds; randomness drives amounts only) --
 
@@ -956,19 +957,13 @@ _BUILDERS = {
 }
 
 
-def build_fixture_chain(scenario: str, seed: int = 0, **knobs):
-    """Build one scenario (or all of them for scenario == "all").
-
-    Extra knobs (pad_iters, prepopulate, lean) only apply to the scenarios
-    that define them; scale_fixture is the supported way in.
-    """
-    if scenario == "all":
-        return build_suite(seed)
+def build_fixture_chain(scenario: str, seed: int = 0) -> ScenarioFixture:
+    """Build one scenario; scale_fixture builds the scaled variants."""
     builder = _BUILDERS.get(scenario)
     if builder is None:
         known = ", ".join(SCENARIO_NAMES)
-        raise UsageError(f"unknown scenario {scenario!r} (expected one of: {known}, all)")
-    return builder(seed, **knobs)
+        raise UsageError(f"unknown scenario {scenario!r} (expected one of: {known})")
+    return builder(seed)
 
 
 def build_suite(seed: int = 0) -> dict[str, ScenarioFixture]:

@@ -1,9 +1,11 @@
 """Digest helpers shared across the package.
 
-All identifiers (state roots, code hashes, transaction hashes, function
-selectors, mapping slots) are derived from sha256 over domain-tagged
-canonical byte strings. The exact layouts are frozen in docs/formats.md;
-changing any of them invalidates previously written fixture directories.
+digest and new_digest are sha256: the cache names and checks its entries
+with them, and the producer derives state roots, code hashes and
+transaction hashes from domain-tagged canonical byte strings.
+function_selector and mapping_slot give a watched function's selector and a
+mapping entry's storage slot. The exact layouts are frozen in
+docs/formats.md; changing any of them invalidates fixture directories.
 """
 
 import hashlib
@@ -17,9 +19,6 @@ def digest(data: bytes) -> bytes:
 def new_digest():
     """An incremental digest: update() it piece by piece, then digest()."""
     return hashlib.sha256()
-
-
-EMPTY_CODE_HASH = digest(b"")
 
 
 def function_selector(signature: str) -> bytes:
@@ -48,24 +47,3 @@ def mapping_slot(index: int, key: int) -> int:
     if not 0 <= key < WORD_MODULUS:
         raise ValueError("key out of word range")
     return ((index << ADDRESS_BITS) + key) % WORD_MODULUS
-
-
-def tx_hash(sender: int, to: int, value: int, data: bytes, nonce: int) -> bytes:
-    """Canonical transaction hash over the fixed-width field serialization."""
-    buf = b"".join(
-        (
-            b"tx01",
-            sender.to_bytes(20, "big"),
-            to.to_bytes(20, "big"),
-            value.to_bytes(32, "big"),
-            nonce.to_bytes(8, "big"),
-            len(data).to_bytes(4, "big"),
-            data,
-        )
-    )
-    return digest(buf)
-
-
-def internal_tx_hash(parent_hash: bytes, call_index: int) -> bytes:
-    """Synthetic identifier for an internal transaction."""
-    return digest(b"itx1" + parent_hash + call_index.to_bytes(4, "big"))

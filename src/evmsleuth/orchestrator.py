@@ -255,9 +255,7 @@ def _run_evm_level(config, rows, report, timings, reads):
             t0 = time.perf_counter()
             try:
                 if rec is None:
-                    rec = walk_trace(
-                        explorer, trace, tx_hash, tracer, tx.to, tracer is not None, spec.gates
-                    )
+                    rec = walk_trace(explorer, trace, tx_hash, tracer, tx.to, spec.gates)
                 ctx = TxContext(tx_hash, number, rec.failed)
                 found, notes = evaluate_trace(rec, spec, ctx)
             except (ArchiveGapError, ProtocolError) as err:  # the text is not JSON (walk_trace)

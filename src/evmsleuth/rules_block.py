@@ -6,10 +6,11 @@ fields. No trace is fetched and no instruction is interpreted, which is the
 whole point: the archive already stores every block boundary, so lookup
 replaces re-execution.
 
-A state view is anything with balance_of(addr) and storage_at(addr, key);
-GlobalState snapshots qualify directly, and the explorer layer provides a
-point-query adapter with the same two methods so the rules run identically
-over remote state.
+A state view is anything with balance_of(addr) and storage_at(addr, key).
+The explorer layer provides a point-query adapter with these two methods
+over the state an archive recorded at each block edge, so the rules run
+identically over a local archive and a remote node. They never build or
+mutate a world state.
 
 The conditions are deliberately coarse (documented trade-off): effects that
 cancel within one block, or that enter through a transaction addressed to

@@ -593,13 +593,3 @@ def reconstruct_text(
     except (Unstreamable, TraceParseError, ReconstructionError):
         pass
     return reconstruct_document(json.loads(text), root_target, relaxed, select)
-
-
-def reconstruct_trace(
-    trace, root_target: int, relaxed: bool = False, select: Select = every_step
-) -> ReconstructedTrace:
-    """The trace of an explorer's answer: a JSON text (str) is streamed
-    (reconstruct_text), anything else is a parsed document."""
-    if isinstance(trace, str):
-        return reconstruct_text(trace, root_target, relaxed, select)
-    return reconstruct_document(trace, root_target, relaxed, select)

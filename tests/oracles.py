@@ -153,7 +153,7 @@ def replay_block(chain, world, number):
     outcome's step trace against the archived trace.
     """
     from evmsleuth.fixtures.interpreter import execute_transaction
-    from evmsleuth.model import state_root
+    from evmsleuth.fixtures.state import state_root
 
     block = chain.block(number)
     if number == 0:

@@ -19,7 +19,8 @@ from evmsleuth.fixtures.archive import (
     write_archive,
 )
 from evmsleuth.fixtures.interpreter import MNEMONICS
-from evmsleuth.model import GlobalState, hash_hex
+from evmsleuth.fixtures.state import GlobalState
+from evmsleuth.model import hash_hex
 
 SENDER = 0xAA01
 OTHER = 0xAA02

@@ -197,7 +197,7 @@ def test_local_missing_trace_is_a_gap(local):
 def read_trace(explorer, tx_hash, tracer=None):
     """tx_hash's trace from explorer, walked from an arbitrary root."""
     trace = explorer.tx_trace(tx_hash, tracer)
-    return walk_trace(explorer, trace, tx_hash, tracer, 0xAB, tracer is not None)
+    return walk_trace(explorer, trace, tx_hash, tracer, 0xAB)
 
 
 @pytest.mark.parametrize("tracer", [None, {"pcSet": [0]}], ids=["full", "filtered"])

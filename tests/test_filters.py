@@ -295,3 +295,43 @@ def test_feed_rejects_malformed_rows(text, fragment, line):
         parse_csv_feed(text)
     assert err.value.line == line
 
+
+@pytest.mark.parametrize(
+    "text, prefix",
+    [
+        pytest.param(
+            feed(TOP.replace(H64, "0x" + "1" * 99_998)), "line 2: tx_hash must be 0x + 64",
+            id="long-tx-hash",
+        ),
+        pytest.param(
+            feed(TOP.replace(H64, "0x" + "z" * 99_998)), "line 2: tx_hash must be 0x + 64",
+            id="long-non-hex-tx-hash",
+        ),
+        pytest.param(
+            feed(TOP, TOP.replace(",10,", "," + "x" * 100_000 + ",")),
+            "line 3: value must be a decimal integer", id="long-value",
+        ),
+        pytest.param(
+            feed(TOP.replace(",false", "," + "f" * 100_000)), "line 2: internal must be",
+            id="long-internal",
+        ),
+        pytest.param("h" * 100_000 + "\n", "line 1: bad header: expected", id="long-header"),
+    ],
+)
+def test_feed_error_echoes_a_bounded_prefix(text, prefix):
+    # the message names the line and the field and quotes at most 80
+    # characters of the offending text, however long that text is
+    with pytest.raises(FeedError) as err:
+        parse_csv_feed(text)
+    message = str(err.value)
+    assert message.startswith(prefix) and len(message) < 300
+
+
+def test_feed_error_quotes_a_short_value_whole():
+    with pytest.raises(FeedError) as err:
+        parse_csv_feed(feed(TOP.replace(H64, "0x11")))
+    assert str(err.value) == "line 2: tx_hash must be 0x + 64 hex chars, got '0x11'"
+    with pytest.raises(FeedError) as err:
+        parse_csv_feed("a,b\n")
+    assert str(err.value) == f"line 1: bad header: expected {HEADER}, got a,b"
+

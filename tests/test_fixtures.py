@@ -15,7 +15,7 @@ from evmsleuth.fixtures import (
 from evmsleuth.fixtures.asm import Assembler, disassemble
 from evmsleuth.hashing import function_selector
 from evmsleuth.fixtures.interpreter import MNEMONICS, execute_transaction
-from evmsleuth.model import GlobalState
+from evmsleuth.fixtures.state import GlobalState
 from evmsleuth.rules_evm import read_vuln_doc
 
 SEED = 11
@@ -169,9 +169,11 @@ def test_different_seeds_differ():
     assert a.archive.chain.tip.hash != b.archive.chain.tip.hash
 
 
-def test_unknown_scenario():
-    with pytest.raises(UsageError):
-        build_fixture_chain("NoSuchThing")
+@pytest.mark.parametrize("name", ["NoSuchThing", "all"])
+def test_unknown_scenario(name):
+    # "all" is the CLI's word for the whole suite, not a scenario
+    with pytest.raises(UsageError, match=f"unknown scenario '{name}'"):
+        build_fixture_chain(name)
 
 
 def test_write_and_read_vuln_doc(tmp_path):

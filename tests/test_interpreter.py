@@ -12,7 +12,7 @@ from evmsleuth.fixtures.interpreter import (
     trace_to_document,
     valid_jumpdests,
 )
-from evmsleuth.model import GlobalState, state_root
+from evmsleuth.fixtures.state import GlobalState, state_root
 
 SENDER = 0xAAAA
 CONTRACT = 0xC0DE

@@ -1049,6 +1049,28 @@ def test_cli_feed_the_csv_module_cannot_read_exits_2(capsys, bank_dir, tmp_path,
     assert err.startswith("evmsleuth: line 3: ")
 
 
+@pytest.mark.parametrize(
+    "command", [["investigate", "-t", "x"], ["export-feed"]], ids=["investigate", "export-feed"]
+)
+def test_cli_feed_error_line_stays_short(capsys, bank_dir, tmp_path, command):
+    # a 100,000-character tx_hash (under the csv module's field limit) is
+    # named on one stderr line that quotes only a prefix of it
+    code, out, _ = run_cli(capsys, "export-feed", "-e", f"local[dir={bank_dir}]")
+    assert code == 0
+    lines = out.splitlines()
+    fields = lines[2].split(",")
+    fields[1] = "0x" + "1" * 99_998
+    lines[2] = ",".join(fields)
+    feed_path = tmp_path / "feed.csv"
+    feed_path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(
+        capsys, *command, "-e", f"local[dir={bank_dir}]", "-f", f"feed[path={feed_path}]"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("evmsleuth: line 3: tx_hash must be 0x + 64 hex chars")
+    assert err.count("\n") == 1 and len(err) < 300
+
+
 def test_cli_fixtures_build_and_scale(capsys, tmp_path):
     out_dir = tmp_path / "built"
     code, _, err = run_cli(
