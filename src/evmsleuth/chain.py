@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ProtocolError
-from .model import Address, address_hex, hash_hex, word_hex
+from .words import Address, address_hex, hash_hex, word_hex
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,6 @@ from urllib.parse import urlsplit
 from .chain import tx_from_document, tx_to_document
 from .errors import ArchiveGapError, ProtocolError, UsageError
 from .hashing import digest, new_digest
-from .model import address_hex, hash_hex, storage_hex, word_hex
 from .traces import (
     CALL_OPS,
     ReconstructedTrace,
@@ -83,6 +82,7 @@ from .traces import (
     reconstruct_text,
     stream_trace_text,
 )
+from .words import address_hex, hash_hex, storage_hex, word_hex
 
 
 def canonical_tracer(tracer_spec: dict | None) -> dict | None:
@@ -427,12 +427,13 @@ class RpcExplorer:
     Retry-After delta-seconds held to the same cap; when the tries run out
     the answer is an archive gap (the data exists, we cannot reach it). Any
     other HTTP status, a truncated or non-JSON body, a body longer than
-    REPLY_CAP_BYTES, a reply that is not a JSON-RPC response and an RPC
-    error are protocol errors at once. A reply is parsed whole, trace
-    replies included, so a trace is walked as a document. A null
-    result is a gap. The url must be printable ASCII, http or https, with a
-    host and without user credentials, and retries at least 1, or the
-    explorer is a usage error and opens no connection.
+    REPLY_CAP_BYTES, a reply that is not a JSON-RPC response, an RPC error
+    and a reply without a result, whatever its error holds, are protocol
+    errors at once. A reply is parsed whole, trace replies included, so a
+    trace is walked as a document. A null result is a gap. The url must be
+    printable ASCII, http or https, with a host and without user
+    credentials, and retries at least 1, or the explorer is a usage error
+    and opens no connection.
     """
 
     def __init__(self, url: str, retries: int = 3, timeout: float = 10.0):
@@ -493,8 +494,9 @@ class RpcExplorer:
             raise ProtocolError(f"{method}: bad rpc reply: {err}") from None
         if not isinstance(reply, dict) or ("result" not in reply and "error" not in reply):
             raise ProtocolError(f"{method}: reply is not a jsonrpc response")
-        if reply.get("error"):
-            raise ProtocolError(f"{method}: rpc error {reply['error']!r}")
+        error = reply.get("error")
+        if error or "result" not in reply:
+            raise ProtocolError(f"{method}: rpc error {error!r:.80}")
         return reply["result"]
 
     def height(self) -> int:

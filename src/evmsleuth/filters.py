@@ -40,8 +40,8 @@ from .errors import (
 )
 from .explorer import walk_trace
 from .hashing import function_selector
-from .model import address_hex, hash_hex
 from .traces import CALL_OPS, ReconstructedTrace, Select, gc_paused
+from .words import address_hex, hash_hex
 
 FEED_COLUMNS = (
     "block_number",

@@ -25,7 +25,7 @@ from pathlib import Path
 from ..chain import Transaction, tx_to_document
 from ..errors import ArchiveGapError, UsageError
 from ..hashing import digest
-from ..model import Address, address_hex, hash_hex, storage_hex, word_hex
+from ..words import Address, address_hex, hash_hex, storage_hex, word_hex
 from .interpreter import (
     DEFAULT_GAS_LIMIT,
     ExecutionOutcome,
@@ -147,9 +147,6 @@ class WorldState:
             raise ArchiveGapError(f"no snapshot for state root {hash_hex(root)}")
         return found
 
-    def __contains__(self, root: bytes) -> bool:
-        return root in self.snapshots
-
 
 @dataclass(frozen=True)
 class Label:
@@ -216,28 +213,18 @@ def mine_block(
     chain: Blockchain,
     world: WorldState,
     pool: list[Transaction],
-    selection: list[bytes] | None = None,
 ) -> MinedBlock:
-    """Execute the selected pool transactions in order on top of the tip.
+    """Execute the pool transactions in order on top of the tip.
 
     Failed transactions stay in the block with failure receipts and no state
     effect. Appends the block and stores the post-state snapshot; returns
     the block together with the per-transaction outcomes (for trace export).
     """
-    by_hash = {t.hash: t for t in pool}
-    if selection is None:
-        chosen = list(pool)
-    else:
-        missing = [h for h in selection if h not in by_hash]
-        if missing:
-            raise UsageError(f"selection not in pool: {hash_hex(missing[0])}")
-        chosen = [by_hash[h] for h in selection]
-
     parent = chain.tip
     state = world.get(parent.state_root)
     outcomes: list[ExecutionOutcome] = []
     receipts: list[Receipt] = []
-    for tx in chosen:
+    for tx in pool:
         outcome = execute_transaction(
             state, tx.sender, tx.to, tx.value, tx.data, tx.gas_limit
         )
@@ -249,10 +236,10 @@ def mine_block(
     root = world.add(state)
     block = Block(
         number=parent.number + 1,
-        hash=_block_hash(parent.number + 1, parent.hash, root, tuple(chosen)),
+        hash=_block_hash(parent.number + 1, parent.hash, root, tuple(pool)),
         parent=parent.hash,
         state_root=root,
-        txs=tuple(chosen),
+        txs=tuple(pool),
         receipts=tuple(receipts),
     )
     chain.append(block)

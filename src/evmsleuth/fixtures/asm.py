@@ -8,7 +8,7 @@ obtain exact vulnerable-location offsets without counting bytes by hand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import UsageError
 from .interpreter import MNEMONICS, OPCODES
@@ -73,11 +73,6 @@ class Assembler:
     def mark(self, name: str) -> "Assembler":
         """Name the pc of the next emitted instruction."""
         self._annotations[len(self._items)] = name
-        return self
-
-    def raw(self, blob: bytes) -> "Assembler":
-        """Append literal bytes (used for bulk no-op padding)."""
-        self._items.append(_Item("raw", name=blob.hex(), size=len(blob)))
         return self
 
     # -- composite helpers used by every fixture contract --
@@ -156,10 +151,6 @@ class Assembler:
                 blob.append(MNEMONICS[f"PUSH{_LABEL_WIDTH}"])
                 blob.extend(target.to_bytes(_LABEL_WIDTH, "big"))
                 lines.append(f"{at:#06x}  PUSH2 {target:#06x}  ; -> {item.name}{note}")
-            elif item.kind == "raw":
-                chunk = bytes.fromhex(item.name)
-                blob.extend(chunk)
-                lines.append(f"{at:#06x}  .pad {len(chunk)} bytes{note}")
             else:  # pragma: no cover
                 raise UsageError(item.kind)
         return Program(bytes(blob), marks, labels, "\n".join(lines) + "\n")

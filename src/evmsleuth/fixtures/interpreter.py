@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 
 from .. import words
 from ..errors import UsageError
-from ..model import address_hex, word_hex, storage_hex
-from ..words import ADDRESS_MASK, WORD_MASK
+from ..words import ADDRESS_MASK, WORD_MASK, address_hex, storage_hex, word_hex
 from .state import GlobalState
 
 STACK_LIMIT = 1024

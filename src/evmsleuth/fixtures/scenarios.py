@@ -29,7 +29,7 @@ from pathlib import Path
 from ..chain import Transaction
 from ..errors import UsageError
 from ..hashing import function_selector
-from ..model import Address, address_hex, hash_hex
+from ..words import Address, address_hex, hash_hex
 from .archive import (
     BENIGN,
     Archive,
@@ -39,7 +39,7 @@ from .archive import (
     mine_and_record,
     write_archive,
 )
-from .asm import Assembler, Program, disassemble
+from .asm import Assembler, Program
 from .state import GlobalState
 
 # -- cast of addresses (stable across seeds; randomness drives amounts only) --
@@ -1012,12 +1012,17 @@ def scale_fixture(scenario: str, axis: str, magnitude: int, seed: int = 0) -> Sc
 
 
 def write_fixture(fixture: ScenarioFixture, directory: str | Path):
+    """Write the fixture's archive, descriptor and disassembly under
+    directory; UsageError naming it if the files cannot be written."""
     base = Path(directory)
-    write_archive(fixture.archive, base)
-    (base / "vulns").mkdir(exist_ok=True)
-    (base / "disasm").mkdir(exist_ok=True)
-    (base / "vulns" / f"{fixture.name}.json").write_text(
-        json.dumps(fixture.vuln, indent=1, sort_keys=True) + "\n"
-    )
-    (base / "disasm" / f"{fixture.name}.txt").write_text(fixture.disasm)
+    try:
+        write_archive(fixture.archive, base)
+        (base / "vulns").mkdir(exist_ok=True)
+        (base / "disasm").mkdir(exist_ok=True)
+        (base / "vulns" / f"{fixture.name}.json").write_text(
+            json.dumps(fixture.vuln, indent=1, sort_keys=True) + "\n"
+        )
+        (base / "disasm" / f"{fixture.name}.txt").write_text(fixture.disasm)
+    except OSError as err:
+        raise UsageError(f"cannot write fixture at {base}: {err.strerror or err}") from None
 

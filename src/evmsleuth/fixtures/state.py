@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..hashing import digest
-from ..model import Address, Word
+from ..words import Address, Word
 
 EMPTY_CODE_HASH = digest(b"")
 

@@ -68,10 +68,10 @@ from pathlib import Path
 from .errors import ArchiveGapError, ProtocolError, SleuthError, UsageError
 from .explorer import CachedExplorer, ExplorerView, LocalExplorer, walk_trace
 from .filters import FilterQuery, ReadState, TxRef, tx_list
-from .model import address_hex
 from .rules_block import evaluate_block
 from .rules_evm import TxContext, VulnSpec, evaluate_trace, read_vuln_doc
 from .traces import gc_paused
+from .words import address_hex
 
 LEVELS = ("evm", "block")
 MODES = ("local", "cached", "customTracer")

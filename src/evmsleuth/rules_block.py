@@ -22,11 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError
 from .hashing import mapping_slot
-from .model import hash_hex
 from .rules_evm import VulnSpec
-from .words import ADDRESS_MASK
+from .words import ADDRESS_MASK, hash_hex
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,8 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import ConfigError, UsageError
-from .model import IntTypeBounds, address_hex, hash_hex, wrap_arith, word_hex
 from .traces import ReconstructedStep, ReconstructedTrace
-from .words import ARITH_ARITY
+from .words import ARITH_ARITY, IntTypeBounds, address_hex, hash_hex, word_hex, wrap_arith
 
 
 RULE_CLASSES = ("overflow", "dos", "reentrancy")

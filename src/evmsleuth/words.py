@@ -1,11 +1,16 @@
-"""Word kernel: 256-bit words and bounds-checked arithmetic.
+"""Word layer: 256-bit words, their hex forms, integer-type bounds and
+bounds-checked arithmetic.
 
-Arithmetic shared by the interpreter and the overflow rule, keyed by opcode
-mnemonic, plus the word and address constants every other module uses.
-This module must not import anything else from the package.
+Words and addresses are plain ints (words in [0, 2**256), addresses in
+[0, 2**160)); address_hex, hash_hex, word_hex and storage_hex spell them
+the way the archive formats do. word_result is the EVM machine result of
+an arithmetic mnemonic, which the interpreter runs on every arithmetic
+step. wrap_arith is the one bounds-checked path: a flagged opcode's
+machine result, its exact value and an over/underflow verdict against an
+IntTypeBounds, which the overflow rule and the arithmetic oracle both use.
+This module imports nothing from the package but `errors`.
 
 Conventions:
-- words are Python ints in [0, 2**256); addresses are ints in [0, 2**160);
 - "signed" means two's-complement interpretation at full word width;
 - the machine result of an operation is always the EVM modular semantics on
   raw words, independent of how a bounds check interprets the operands;
@@ -14,6 +19,12 @@ Conventions:
   values are clamped to None once the exponent guarantees every 256-bit
   type's range is exceeded.
 """
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .errors import UsageError
 
 # There is one kernel; pipebench/run.py still records its name in the run
 # metadata, so the constant stays.
@@ -26,6 +37,9 @@ SIGN_BIT = 1 << (WORD_BITS - 1)
 
 ADDRESS_BITS = 160
 ADDRESS_MASK = (1 << ADDRESS_BITS) - 1
+
+Address = int
+Word = int
 
 # Operand count of every bounds-checked arithmetic mnemonic.
 ARITH_ARITY = {
@@ -43,20 +57,35 @@ ARITH_ARITY = {
 _EXP_CLAMP = 520
 
 
+def address_hex(addr: Address) -> str:
+    return f"0x{addr:040x}"
+
+
+def hash_hex(h: bytes) -> str:
+    return "0x" + h.hex()
+
+
+def word_hex(value: Word) -> str:
+    """Minimal lowercase hex with 0x prefix (trace stack convention)."""
+    return hex(value)
+
+
+def storage_hex(value: Word) -> str:
+    """64-char zero-padded lowercase hex, no prefix (storage map convention)."""
+    return f"{value:064x}"
+
+
 def to_signed(word):
     """Two's-complement read of a raw word."""
     return word - WORD_MODULUS if word & SIGN_BIT else word
 
 
-def _sdiv_machine(a, b):
-    if b == 0:
+def _truncating_div(x, y):
+    """x / y rounded toward zero, and 0 when y is 0 (the EVM's rule)."""
+    if y == 0:
         return 0
-    sa = to_signed(a)
-    sb = to_signed(b)
-    q = abs(sa) // abs(sb)
-    if (sa < 0) != (sb < 0):
-        q = -q
-    return q & WORD_MASK
+    q = abs(x) // abs(y)
+    return -q if (x < 0) != (y < 0) else q
 
 
 def word_result(op, a, b, c=0):
@@ -68,7 +97,7 @@ def word_result(op, a, b, c=0):
     if op == "SUB":
         return (a - b) & WORD_MASK
     if op == "SDIV":
-        return _sdiv_machine(a, b)
+        return _truncating_div(to_signed(a), to_signed(b)) & WORD_MASK
     if op == "ADDMOD":
         return (a + b) % c if c else 0
     if op == "MULMOD":
@@ -93,12 +122,7 @@ def exact_value(op, a, b, c=0, signed=False):
     if op == "SUB":
         return za - zb, False
     if op == "SDIV":
-        if b == 0:
-            return 0, False
-        q = abs(za) // abs(zb)
-        if (za < 0) != (zb < 0):
-            q = -q
-        return q, False
+        return _truncating_div(za, zb), False
     if op == "EXP":
         exp = b  # raw, unsigned by definition
         if za == 0:
@@ -113,18 +137,62 @@ def exact_value(op, a, b, c=0, signed=False):
     raise ValueError(f"unknown arithmetic op {op!r}")
 
 
-def check_bounds(op, a, b, c, tmin, tmax, signed):
-    """Full wrap-and-check: (result, exact, out_of_bounds, clamped).
+@dataclass(frozen=True)
+class IntTypeBounds:
+    """Inclusive range of a Solidity-style integer type."""
 
-    ADDMOD/MULMOD are never out of bounds: their semantics are explicitly
-    modular, so the pre-mod exact value is diagnostic only. A clamped EXP is
-    out of bounds by construction (|value| >= 2**521 exceeds every 256-bit
-    type in whichever direction its sign points).
+    min: int
+    max: int
+
+    def __post_init__(self):
+        if self.min > self.max:
+            raise UsageError(f"empty bounds [{self.min}, {self.max}]")
+
+    @property
+    def signed(self) -> bool:
+        return self.min < 0
+
+
+@dataclass(frozen=True)
+class ArithOutcome:
+    """Result of a bounds-checked arithmetic operation.
+
+    result is the 256-bit machine value. z_result is the exact integer value
+    of the operation under the bounds' signedness, or None when z_clamped
+    (an EXP whose value provably exceeds every 256-bit range).
+    out_of_bounds is the over/underflow verdict against the bounds.
     """
+
+    result: Word
+    z_result: int | None
+    out_of_bounds: bool
+    z_clamped: bool = False
+
+
+def wrap_arith(op: str, operands: list[Word], bounds: IntTypeBounds) -> ArithOutcome:
+    """Bounds-checked modular arithmetic for the flagged opcode set.
+
+    op must be one of ADD MUL SUB SDIV ADDMOD MULMOD EXP; ADDMOD/MULMOD take
+    three operands, the rest two. ADDMOD/MULMOD are never out of bounds:
+    their semantics are explicitly modular, so the pre-mod exact value is
+    diagnostic only. A clamped EXP is out of bounds by construction
+    (|value| >= 2**521 exceeds every 256-bit type in whichever direction its
+    sign points). Division by zero yields result 0 and is in bounds.
+    """
+    want = ARITH_ARITY.get(op)
+    if want is None:
+        raise UsageError(f"{op} is not a bounds-checked arithmetic opcode")
+    if len(operands) != want:
+        raise UsageError(f"{op} takes {want} operands, got {len(operands)}")
+    for value in operands:
+        if not 0 <= value <= WORD_MASK:
+            raise UsageError(f"operand {value} outside the word domain")
+    a, b = operands[0], operands[1]
+    c = operands[2] if want == 3 else 0
     result = word_result(op, a, b, c)
-    z, clamped = exact_value(op, a, b, c, signed)
-    if ARITH_ARITY[op] == 3:
-        return result, z, False, False
+    z, clamped = exact_value(op, a, b, c, bounds.signed)
+    if want == 3:
+        return ArithOutcome(result, z, False)
     if clamped:
-        return result, None, True, True
-    return result, z, (z < tmin or z > tmax), False
+        return ArithOutcome(result, None, True, True)
+    return ArithOutcome(result, z, not bounds.min <= z <= bounds.max)

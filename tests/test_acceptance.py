@@ -21,7 +21,6 @@ import evmsleuth.explorer
 from evmsleuth.explorer import CachedExplorer, LocalExplorer
 from evmsleuth.fixtures import build_suite, scale_fixture, write_fixture
 from evmsleuth.fixtures.interpreter import STEP_COUNTER
-from evmsleuth.model import IntTypeBounds, wrap_arith
 from evmsleuth.orchestrator import (
     InvestigationConfig,
     bench,
@@ -30,7 +29,7 @@ from evmsleuth.orchestrator import (
 )
 from evmsleuth.rules_evm import VulnSpec, read_vuln_doc
 from evmsleuth.traces import reconstruct_document
-from evmsleuth.words import ARITH_ARITY
+from evmsleuth.words import ARITH_ARITY, IntTypeBounds, wrap_arith
 
 SEED = 11
 

@@ -20,7 +20,7 @@ from evmsleuth.fixtures.archive import (
 )
 from evmsleuth.fixtures.interpreter import MNEMONICS
 from evmsleuth.fixtures.state import GlobalState
-from evmsleuth.model import hash_hex
+from evmsleuth.words import hash_hex
 
 SENDER = 0xAA01
 OTHER = 0xAA02
@@ -90,16 +90,6 @@ def test_mine_block_failed_tx_leaves_state_unchanged():
     # block exists and carries the tx, but its post-state equals the pre-state
     assert mined.block.state_root == pre_root
     assert mined.block.txs == (overdraft,)
-
-
-def test_mine_block_selection_subset_and_order():
-    arch = fresh_archive()
-    t1 = make_transaction(SENDER, OTHER, 1, nonce=0)
-    t2 = make_transaction(SENDER, OTHER, 2, nonce=1)
-    mined = mine_block(arch.chain, arch.world, [t1, t2], selection=[t2.hash])
-    assert mined.block.txs == (t2,)
-    with pytest.raises(UsageError):
-        mine_block(arch.chain, arch.world, [t1], selection=[t2.hash])
 
 
 def test_block_lookup_gap():

@@ -8,12 +8,15 @@ import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isolated import modules_loaded, run_isolated_cli
 from evmsleuth.cli import main
-from evmsleuth.errors import ArchiveGapError, ProtocolError, UsageError
+from evmsleuth.errors import ArchiveGapError, ProtocolError, SleuthError, UsageError
 from evmsleuth.explorer import (
     BACKOFF_BASE_S,
     BACKOFF_CAP_S,
@@ -27,8 +30,8 @@ from evmsleuth.explorer import (
 )
 from evmsleuth.fixtures import SCENARIO_NAMES, build_fixture_chain, write_fixture
 from evmsleuth.hashing import digest
-from evmsleuth.model import address_hex, storage_hex
 from evmsleuth.traces import reconstruct_document
+from evmsleuth.words import address_hex, storage_hex
 
 SEED = 11
 
@@ -859,6 +862,96 @@ def test_cli_bad_rpc_url_or_retries_exits_2(capsys, monkeypatch, archive_dir, ur
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("evmsleuth: rpc ")
+
+
+# -- json-rpc reply envelopes, answered without a server --
+
+# Each explorer call with the JSON-RPC method it sends; a trace answer is
+# also walked, as an investigation would.
+_RPC_CALLS = {
+    "eth_blockNumber": lambda rpc: rpc.height(),
+    "eth_getBlockByNumber": lambda rpc: rpc.collect_block_details(1),
+    "debug_traceTransaction": lambda rpc: walk_trace(
+        rpc, rpc.tx_trace(bytes(32)), bytes(32), None, 0xAB
+    ),
+    "eth_getStorageAt": lambda rpc: rpc.get_storage(0xDEAD, 0, 1),
+    "eth_getBalance": lambda rpc: rpc.get_balance(0xDEAD, 1),
+}
+
+
+def _answer_with(reply):
+    """A stand-in for http_post that answers every request with reply."""
+    data = json.dumps(reply).encode()
+    return lambda url, body, timeout: data
+
+
+@pytest.mark.parametrize("method", sorted(_RPC_CALLS))
+@pytest.mark.parametrize(
+    "error",
+    [None, False, 0, "", {}, []],
+    ids=["null", "false", "zero", "empty-string", "empty-object", "empty-list"],
+)
+def test_rpc_reply_without_a_result_is_a_protocol_error(monkeypatch, method, error):
+    monkeypatch.setattr(
+        "evmsleuth.explorer.http_post", _answer_with({"jsonrpc": "2.0", "id": 1, "error": error})
+    )
+    with pytest.raises(ProtocolError) as refused:
+        _RPC_CALLS[method](RpcExplorer("http://127.0.0.1:1"))
+    assert str(refused.value) == f"{method}: rpc error {error!r}"
+
+
+def test_rpc_error_message_is_bounded(monkeypatch):
+    rpc = RpcExplorer("http://127.0.0.1:1")
+    short = {"code": -32000, "message": "boom"}
+    monkeypatch.setattr("evmsleuth.explorer.http_post", _answer_with({"id": 1, "error": short}))
+    with pytest.raises(ProtocolError) as refused:
+        rpc.height()
+    assert str(refused.value) == f"eth_blockNumber: rpc error {short!r}"
+    monkeypatch.setattr(
+        "evmsleuth.explorer.http_post", _answer_with({"id": 1, "error": "x" * 100_000})
+    )
+    with pytest.raises(ProtocolError) as refused:
+        rpc.height()
+    assert len(str(refused.value)) < 300
+
+
+def test_cli_reply_without_a_result_exits_3(capsys, monkeypatch, archive_dir):
+    monkeypatch.setattr(
+        "evmsleuth.explorer.http_post", _answer_with({"jsonrpc": "2.0", "id": 1, "error": None})
+    )
+    vuln = next((archive_dir / "vulns").glob("*.json"))
+    code = main(
+        ["investigate", "-t", "x", "-e", "rpc[url=http://127.0.0.1:1]", "-d", f"evm[vuln={vuln}]"]
+    )
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("evmsleuth: ") and len(err) < 300
+
+
+_JSON = st.recursive(
+    st.sampled_from([None, False, True, 0, "", {}, []])
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=20),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=10), children, max_size=4),
+    max_leaves=12,
+)
+_ENVELOPES = st.fixed_dictionaries(
+    {}, optional={"jsonrpc": _JSON, "id": _JSON, "result": _JSON, "error": _JSON}
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reply=_ENVELOPES)
+def test_rpc_any_reply_envelope_answers_or_is_a_sleuth_error(reply):
+    rpc = RpcExplorer("http://127.0.0.1:1")
+    with mock.patch("evmsleuth.explorer.http_post", _answer_with(reply)):
+        for call in _RPC_CALLS.values():
+            try:
+                call(rpc)
+            except SleuthError:
+                pass
 
 
 def test_rpc_cached_composition(rpc, shim, tmp_path, local):

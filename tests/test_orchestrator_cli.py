@@ -38,7 +38,6 @@ from evmsleuth.filters import (
 )
 from evmsleuth.fixtures import build_fixture_chain, scale_fixture, write_fixture
 from evmsleuth.hashing import function_selector
-from evmsleuth.model import hash_hex
 from evmsleuth.orchestrator import (
     InvestigationConfig,
     bench,
@@ -48,6 +47,7 @@ from evmsleuth.orchestrator import (
     scaled_fixture_dir,
 )
 from evmsleuth.rules_evm import VulnSpec
+from evmsleuth.words import hash_hex
 
 SEED = 11
 
@@ -880,6 +880,22 @@ def test_cli_unusable_user_paths_exit_2(capsys, bank_dir, user_paths, switch, te
     )
     assert code == 2 and out == ""
     assert str(path) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--scenario", "Bank", "--out", "{}/x"],
+        ["scale", "--axis", "storage", "--magnitude", "10", "--out", "{}/y"],
+        ["scale", "--axis", "storage", "--magnitude", "10", "--root", "{}"],
+    ],
+    ids=["build", "scale-out", "scale-root"],
+)
+def test_cli_fixture_output_under_a_regular_file_exits_2(capsys, user_paths, argv):
+    regular = user_paths["regular"]
+    code, out, err = run_cli(capsys, "fixtures", *(arg.format(regular) for arg in argv))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and str(regular) in err
 
 
 def _drop_block_field(name):

@@ -4,9 +4,9 @@ import pytest
 
 from evmsleuth.errors import ConfigError
 from evmsleuth.fixtures import build_fixture_chain
-from evmsleuth.model import address_hex, word_hex
 from evmsleuth.rules_evm import Detection, TxContext, VulnSpec, evaluate_trace
 from evmsleuth.traces import reconstruct_document
+from evmsleuth.words import address_hex, word_hex
 
 SEED = 11
 

@@ -17,7 +17,6 @@ from evmsleuth import traces
 from evmsleuth.errors import ProtocolError
 from evmsleuth.explorer import CachedExplorer, _filter_text, apply_tracer
 from evmsleuth.fixtures import build_fixture_chain
-from evmsleuth.model import hash_hex
 from evmsleuth.traces import (
     TEXT_CHUNK,
     every_step,
@@ -25,6 +24,7 @@ from evmsleuth.traces import (
     reconstruct_text,
     stream_trace_text,
 )
+from evmsleuth.words import hash_hex
 
 SEED = 11
 ROOT = 0xAA01

@@ -1,11 +1,18 @@
-"""Kernel-level checks: the word kernel against the independent oracle."""
+"""Word layer: machine results and bounds-checked arithmetic against the
+independent oracle, integer-type bounds, frozen examples."""
 
 import pytest
 
 import oracles
 from evmsleuth import words
+from evmsleuth.errors import UsageError
+from evmsleuth.words import IntTypeBounds, wrap_arith
 
 CASES_PER_OP = 2_000
+
+UINT8 = IntTypeBounds(0, 255)
+UINT256 = IntTypeBounds(0, oracles.M - 1)
+INT256 = IntTypeBounds(-oracles.HALF, oracles.HALF - 1)
 
 
 @pytest.mark.parametrize("op", oracles.ALL_OPS)
@@ -15,9 +22,13 @@ def test_machine_result_matches_oracle(op):
 
 
 @pytest.mark.parametrize("op", oracles.ALL_OPS)
-def test_check_bounds_matches_oracle(op):
+def test_wrap_arith_matches_oracle(op):
     for a, b, c, _, signed, lo, hi in oracles.arith_cases(op, CASES_PER_OP, seed=17):
-        result, z, oob, clamped = words.check_bounds(op, a, b, c, lo, hi, signed)
+        # the bounds carry the signedness: the oracle's flag must agree
+        assert (lo < 0) == signed
+        operands = [a, b, c] if op in oracles.TERNARY_OPS else [a, b]
+        out = wrap_arith(op, operands, IntTypeBounds(lo, hi))
+        result, z, oob, clamped = out.result, out.z_result, out.out_of_bounds, out.z_clamped
         assert result == oracles.machine_result(op, a, b, c)
         assert oob == oracles.bounds_verdict(op, a, b, c, lo, hi, signed)
         expected_z = oracles.exact_when_feasible(op, a, b, c, signed)
@@ -42,36 +53,80 @@ def test_arity_table_matches_oracle():
 def test_sdiv_edges():
     intmin = 1 << 255
     # MIN / -1 wraps back to MIN at machine level; exact value +2**255
-    result, z, oob, _ = words.check_bounds(
-        "SDIV", intmin, oracles.M - 1, 0, -(1 << 255), (1 << 255) - 1, True
-    )
-    assert result == intmin
-    assert z == 1 << 255
-    assert oob
+    out = wrap_arith("SDIV", [intmin, oracles.M - 1], INT256)
+    assert out.result == intmin
+    assert out.z_result == 1 << 255
+    assert out.out_of_bounds
     # division by zero is zero and in bounds
-    result, z, oob, _ = words.check_bounds("SDIV", 7, 0, 0, 0, 255, False)
-    assert result == 0 and z == 0 and not oob
+    out = wrap_arith("SDIV", [7, 0], UINT8)
+    assert out.result == 0 and out.z_result == 0 and not out.out_of_bounds
 
 
 def test_exp_exponent_is_always_unsigned():
     # 2 ** (2**256 - 1) under int256 bounds: the exponent must not be read
     # as -1; the value is astronomic, clamped, out of bounds.
-    result, z, oob, clamped = words.check_bounds(
-        "EXP", 2, oracles.M - 1, 0, -(1 << 255), (1 << 255) - 1, True
-    )
-    assert result == oracles.machine_result("EXP", 2, oracles.M - 1)
-    assert z is None and clamped and oob
+    out = wrap_arith("EXP", [2, oracles.M - 1], INT256)
+    assert out.result == oracles.machine_result("EXP", 2, oracles.M - 1)
+    assert out.z_result is None and out.z_clamped and out.out_of_bounds
 
 
 def test_ternary_never_out_of_bounds():
-    result, z, oob, clamped = words.check_bounds(
-        "MULMOD", oracles.M - 1, oracles.M - 1, 97, 0, 255, False
-    )
-    assert result == ((oracles.M - 1) * (oracles.M - 1)) % 97
-    assert z == (oracles.M - 1) * (oracles.M - 1)
-    assert not oob and not clamped
+    out = wrap_arith("MULMOD", [oracles.M - 1, oracles.M - 1, 97], UINT8)
+    assert out.result == ((oracles.M - 1) * (oracles.M - 1)) % 97
+    assert out.z_result == (oracles.M - 1) * (oracles.M - 1)
+    assert not out.out_of_bounds and not out.z_clamped
     # modulus zero short-circuits to zero
     assert words.word_result("ADDMOD", 5, 6, 0) == 0
+
+
+def test_bounds_rejects_inverted_range():
+    with pytest.raises(UsageError):
+        IntTypeBounds(5, 4)
+
+
+# -- wrap_arith: frozen examples --
+
+
+def test_add_wraparound():
+    out = wrap_arith("ADD", [(1 << 256) - 1, 1], UINT256)
+    assert out.result == 0
+    assert out.z_result == 1 << 256
+    assert out.out_of_bounds
+
+
+def test_sub_underflow():
+    out = wrap_arith("SUB", [0, 1], UINT256)
+    assert out.result == (1 << 256) - 1
+    assert out.z_result == -1
+    assert out.out_of_bounds
+
+
+def test_mul_doubling_overflow():
+    # oracle: 2 * 2**255 == 2**256, one past UINT256.max
+    out = wrap_arith("MUL", [2, 1 << 255], UINT256)
+    assert out.result == 0
+    assert out.z_result == 1 << 256
+    assert out.out_of_bounds
+
+
+def test_exp_small_in_range():
+    out = wrap_arith("EXP", [2, 3], UINT256)
+    assert out.result == 8
+    assert out.z_result == 8
+    assert not out.out_of_bounds
+
+
+def test_wrap_arith_usage_errors():
+    with pytest.raises(UsageError):
+        wrap_arith("DIV", [1, 2], UINT256)
+    with pytest.raises(UsageError):
+        wrap_arith("ADD", [1, 2, 3], UINT256)
+    with pytest.raises(UsageError):
+        wrap_arith("ADDMOD", [1, 2], UINT256)
+    with pytest.raises(UsageError):
+        wrap_arith("ADD", [1 << 256, 0], UINT256)
+    with pytest.raises(UsageError):
+        wrap_arith("ADD", [-1, 0], UINT256)
 
 
 def test_signed_helpers():
