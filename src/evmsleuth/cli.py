@@ -43,7 +43,6 @@ from .filters import FilterQuery, ReadState, parse_csv_feed, tx_list, write_csv_
 from .orchestrator import (
     InvestigationConfig,
     bench,
-    default_query,
     run_investigation,
     scaled_fixture_dir,
 )
@@ -94,10 +93,6 @@ def parse_component(text: str) -> tuple[str, dict[str, str]]:
     return name, params
 
 
-def _take(params: dict, key: str, default=None):
-    return params.pop(key, default)
-
-
 def _reject_leftovers(params: dict, where: str):
     if params:
         raise UsageError(f"unknown {where} parameter(s): {', '.join(sorted(params))}")
@@ -146,17 +141,17 @@ def _read_user_file(path: str, what: str) -> str:
 def build_explorer(spec_text: str, cache_dir: str | None):
     name, params = parse_component(spec_text)
     if name == "local":
-        directory = _take(params, "dir")
+        directory = params.pop("dir", None)
         if directory is None:
             raise UsageError("local explorer needs dir=PATH")
         _reject_leftovers(params, "explorer")
         inner = LocalExplorer(directory)
     elif name == "rpc":
-        url = _take(params, "url")
+        url = params.pop("url", None)
         if url is None:
             raise UsageError("rpc explorer needs url=URL")
-        retries = _int_param(_take(params, "retries", "3"), "retries")
-        timeout = _seconds_param(_take(params, "timeout", "10"), "timeout")
+        retries = _int_param(params.pop("retries", "3"), "retries")
+        timeout = _seconds_param(params.pop("timeout", "10"), "timeout")
         _reject_leftovers(params, "explorer")
         inner = RpcExplorer(url, retries=retries, timeout=timeout)
     else:
@@ -184,12 +179,12 @@ def build_detector(spec_text: str, explorer_text: str, cache_dir: str | None):
     if name not in ("evm", "block"):
         raise UsageError(f"unknown detector level {name!r} (use evm or block)")
     spec = load_vuln_spec(params, explorer_text)
-    rule = _take(params, "rule")
+    rule = params.pop("rule", None)
     if rule is not None and rule != spec.rule:
         raise ConfigError(
             f"detector rule {rule!r} does not match the description's {spec.rule!r}"
         )
-    mode = _take(params, "mode", "local")
+    mode = params.pop("mode", "local")
     if mode not in ("local", "customTracer"):
         raise UsageError(f"detector mode must be local or customTracer, got {mode!r}")
     if cache_dir is not None:
@@ -202,18 +197,18 @@ def build_detector(spec_text: str, explorer_text: str, cache_dir: str | None):
 
 def build_filter(spec_text: str | None, spec: VulnSpec, shared: dict):
     """Returns (query, feed_rows). Exactly one is non-None."""
-    base = default_query(spec)
+    base = spec.query
     name, params = ("spec", {}) if spec_text is None else parse_component(spec_text)
 
     if name == "feed":
-        path = _take(params, "path")
+        path = params.pop("path", None)
         if path is None:
             raise UsageError("feed filter needs path=FILE.csv")
         _reject_leftovers(params, "filter")
         return None, parse_csv_feed(_read_user_file(path, "feed"))
 
     if name == "select":
-        sigs = _take(params, "sigs")
+        sigs = params.pop("sigs", None)
         if not sigs:
             raise UsageError("select filter needs sigs=SIG|SIG|...")
         selectors = tuple(s for s in sigs.split("|") if s)
@@ -222,8 +217,8 @@ def build_filter(spec_text: str | None, spec: VulnSpec, shared: dict):
     else:
         raise UsageError(f"unknown filter {name!r} (use spec, select, or feed)")
 
-    lo = _int_param(_take(params, "from", str(base.block_range[0])), "from")
-    hi = _int_param(_take(params, "to", str(base.block_range[1])), "to")
+    lo = _int_param(params.pop("from", str(base.block_range[0])), "from")
+    hi = _int_param(params.pop("to", str(base.block_range[1])), "to")
     internal = base.include_internal
     if "internal" in params:
         internal = _bool_param(params.pop("internal"), "internal")
@@ -350,10 +345,7 @@ def cmd_bench(args) -> int:
 def cmd_export_feed(args) -> int:
     shared = parse_shared(args.param)
     explorer = build_explorer(args.explorer, args.cache)
-    detector_params = {}
-    if args.vuln:
-        detector_params["vuln"] = args.vuln
-    spec = load_vuln_spec(detector_params, args.explorer)
+    spec = load_vuln_spec({"vuln": args.vuln} if args.vuln else {}, args.explorer)
     query, feed = build_filter(args.filter, spec, shared)
     if feed is not None:
         raise UsageError("export-feed scans the chain; it does not re-export a feed")

@@ -35,12 +35,11 @@ Trace answers: a str is always a JSON text, anything else a parsed
 document. LocalExplorer answers a full trace with the file's text, which
 walk_trace decodes into the walk, a chunk at a time when it is longer than
 one (traces.reconstruct_text, whose module docstring has the chunk and
-fallback rules), so a text that is not JSON is found there, and is the
-same ProtocolError a trace file that is not JSON always was. A pc-filtered
-trace is the filter's document, built as the file's entries stream past,
-so only the kept entries are ever held; a document the filter passes
-through unchanged is answered with its text. RpcExplorer answers with the
-parsed reply, walked as a document.
+fallback rules), so a text that is not JSON is found there, as a
+ProtocolError. A pc-filtered trace is the filter's document, built as the
+file's entries stream past, so only the kept entries are ever held; a
+document the filter passes through unchanged is answered with its text.
+RpcExplorer answers with the parsed reply, walked as a document.
 
 RpcExplorer speaks JSON-RPC 2.0 over the standard library's HTTP client,
 through the one function http_post; the package has no runtime dependency.
@@ -637,17 +636,16 @@ class CachedExplorer:
     Traces stream. A trace hit answers the payload text unparsed, and the
     walk decodes it (walk_trace); a payload that then does not decode is
     dropped and fetched again through refetch_trace, and counts as dropped,
-    not as a hit, exactly as when the hit parsed it. A miss whose inner
-    answer is a text (LocalExplorer's full trace) writes the canonical
-    payload in a streamed pass of its own: chunk by chunk, each chunk's
-    entries serialised compact with sorted keys, written and hashed piece
-    by piece, never joined into one string. A text the stream does not
-    read is parsed whole and written as a document would be, and one that
-    is not JSON is the ProtocolError a local trace file that is not JSON
-    always was. The entry bytes are those of a document answer in every
-    case (docs/formats.md). The miss then answers the inner text itself:
-    a text of the same document as the entry, so the walk gives the same
-    result over either, and no second copy is made.
+    not as a hit. A miss whose inner answer is a text (LocalExplorer's full
+    trace) writes the canonical payload in a streamed pass of its own:
+    chunk by chunk, each chunk's entries serialised compact with sorted
+    keys, written and hashed piece by piece, never joined into one string.
+    A text the stream does not read is parsed whole and written as a
+    document would be, and one that is not JSON is a ProtocolError, as over
+    a local trace file. The entry bytes are those of a document answer in
+    every case (docs/formats.md). The miss then answers the inner text
+    itself: a text of the same document as the entry, so the walk gives the
+    same result over either, and no second copy is made.
 
     fetches maps each cache key to the number of inner calls made for it;
     by_kind counts hits, drops and inner calls per query kind, and hits and

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import UsageError
-from .interpreter import MNEMONICS, OPCODES
+from .interpreter import MNEMONICS
 
 _LABEL_WIDTH = 2  # labels assemble to PUSH2 <offset>
 
@@ -155,25 +155,3 @@ class Assembler:
                 raise UsageError(item.kind)
         return Program(bytes(blob), marks, labels, "\n".join(lines) + "\n")
 
-
-def disassemble(code: bytes, notes: dict[int, str] | None = None) -> str:
-    """Linear disassembly with optional per-pc annotations."""
-    notes = notes or {}
-    lines = []
-    pc = 0
-    while pc < len(code):
-        byte = code[pc]
-        name = OPCODES.get(byte)
-        suffix = f"  ; {notes[pc]}" if pc in notes else ""
-        if name is None:
-            lines.append(f"{pc:#06x}  DB {byte:#04x}{suffix}")
-            pc += 1
-        elif name.startswith("PUSH"):
-            width = int(name[4:])
-            imm = int.from_bytes(code[pc + 1 : pc + 1 + width].ljust(width, b"\x00"), "big")
-            lines.append(f"{pc:#06x}  {name} {imm:#x}{suffix}")
-            pc += 1 + width
-        else:
-            lines.append(f"{pc:#06x}  {name}{suffix}")
-            pc += 1
-    return "\n".join(lines) + "\n"

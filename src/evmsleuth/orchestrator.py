@@ -18,7 +18,8 @@ backend directly, "cached" puts a persistent read-through cache in front,
 instead of complete ones.
 
 Per-transaction and per-block failures degrade to skip records in the
-report; only configuration problems and an unreachable archive abort a run.
+report; only configuration problems (a bad descriptor is refused before
+the run, by VulnSpec.from_document) and an unreachable archive abort a run.
 The report carries wall-clock per phase and the number of interpreter steps
 executed, so "block level does no replay" is a measurable claim rather than
 a promise. The interpreter is producer code (evmsleuth.fixtures.interpreter)
@@ -37,7 +38,7 @@ read) and the block level (no trace) keep nothing; a feed scans nothing,
 so the level fetches each trace and each block once. In cached mode the
 report's explorerStats.hits counts the hits of these single reads: a
 block or trace the level takes from the read state is no cache lookup.
-A transaction object is still read twice: by the read state, and by
+A transaction object is read twice: by the read state, and by
 LocalExplorer's check of every block when it opens the archive
 (explorer.block_envelope, the check behind exit 3).
 
@@ -45,17 +46,17 @@ Streamed ingest: a trace that arrives as JSON text (a local trace file, a
 cache entry) is decoded by the walk, a chunk at a time when it is longer
 than one (explorer.walk_trace, traces.reconstruct_text). So the JSON decode
 of a trace is timed in "analyze" with the walk and the rules, and "fetch"
-is the read of its text. A text that turns out not to be JSON is still a
-"fetch failed" skip record, with the text it always had.
+is the read of its text. A text that is not JSON is a "fetch failed" skip
+record that quotes the decode error.
 
 At the evm level each transaction's fetch, ingest and rules run with the
 cyclic garbage collector paused (traces.gc_paused), and the trace is
 dropped before the pause ends. Decoded JSON is a tree with no reference
 cycle, so reference counting frees all of it and the collector never has
 to traverse the containers of the chunks streamed through the walk, or of
-a document parsed whole; nothing is lost by the pause. The block level is
-left as it is: its cost is the per-query snapshot read that the paper's
-cost shape is about, and it holds no trace.
+a document parsed whole; nothing is lost by the pause. The block level
+runs with the collector on: its cost is the per-query snapshot read that
+the paper's cost shape is about, and it holds no trace.
 """
 
 from __future__ import annotations
@@ -145,15 +146,6 @@ class Report:
         return doc
 
 
-def default_query(spec: VulnSpec) -> FilterQuery:
-    return FilterQuery(
-        contract=spec.contract,
-        selectors=spec.selectors,
-        include_internal=spec.include_internal,
-        block_range=tuple(spec.block_range),
-    )
-
-
 def _tracer_spec(config: InvestigationConfig) -> dict | None:
     if config.mode != "customTracer":
         return None
@@ -170,7 +162,7 @@ def _steps_interpreted() -> int:
 
 def run_investigation(config: InvestigationConfig) -> Report:
     spec = config.spec
-    query = config.query or default_query(spec)
+    query = config.query or spec.query
     timings = {"filter": 0.0, "fetch": 0.0, "analyze": 0.0}
     steps_before = _steps_interpreted()
     t_start = time.perf_counter()
@@ -274,7 +266,7 @@ def _run_evm_level(config, rows, report, timings, reads):
 def _run_block_level(config, rows, report, timings, reads):
     spec = config.spec
     explorer = config.explorer
-    selectors = default_query(spec).selector_bytes()
+    selectors = spec.query.selector_bytes()
 
     by_block: dict[int, list[TxRef]] = {}
     for row in rows:

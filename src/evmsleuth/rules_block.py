@@ -53,14 +53,13 @@ def decode_arg(data: bytes, index: int) -> int | None:
 
 def check_overflow(pre, post, tx, spec: VulnSpec) -> tuple[bool, dict, list[str]]:
     contract = spec.contract
-    slot = spec.slot("balanceOfSlot")
     notes: list[str] = []
-    sender_key = mapping_slot(slot, tx.sender)
+    sender_key = mapping_slot(spec.slot, tx.sender)
     sb0 = pre.storage_at(contract, sender_key)
     sb1 = post.storage_at(contract, sender_key)
     fired = sb1 > sb0
     detail = {"senderBefore": str(sb0), "senderAfter": str(sb1)}
-    arg_index = spec.to_arg_index()
+    arg_index = spec.to_arg_index
     if arg_index is not None:
         raw = decode_arg(tx.data, arg_index)
         if raw is None:
@@ -70,7 +69,7 @@ def check_overflow(pre, post, tx, spec: VulnSpec) -> tuple[bool, dict, list[str]
             )
         else:
             to = raw & ADDRESS_MASK
-            to_key = mapping_slot(slot, to)
+            to_key = mapping_slot(spec.slot, to)
             tb0 = pre.storage_at(contract, to_key)
             tb1 = post.storage_at(contract, to_key)
             detail["receiverBefore"] = str(tb0)
@@ -81,17 +80,15 @@ def check_overflow(pre, post, tx, spec: VulnSpec) -> tuple[bool, dict, list[str]
 
 def check_dos(pre, post, tx, spec: VulnSpec) -> tuple[bool, dict, list[str]]:
     contract = spec.contract
-    slot = spec.slot("highestBidSlot")
-    bid0 = pre.storage_at(contract, slot)
-    bid1 = post.storage_at(contract, slot)
+    bid0 = pre.storage_at(contract, spec.slot)
+    bid1 = post.storage_at(contract, spec.slot)
     fired = tx.value > bid0 and bid1 == bid0
     return fired, {"value": str(tx.value), "highBid": str(bid0)}, []
 
 
 def check_reentrancy(pre, post, tx, spec: VulnSpec) -> tuple[bool, dict, list[str]]:
     contract = spec.contract
-    slot = spec.slot("userBalancesSlot")
-    owed = pre.storage_at(contract, mapping_slot(slot, tx.sender))
+    owed = pre.storage_at(contract, mapping_slot(spec.slot, tx.sender))
     held0 = pre.balance_of(contract)
     held1 = post.balance_of(contract)
     fired = held1 != held0 - owed

@@ -1,14 +1,26 @@
 """Instruction-level indicators of compromise over reconstructed traces.
 
-A vuln descriptor names the weak spot as code addresses plus pcs
-(read_vuln_file reads one from a file, read_vuln_doc from a fixture
-directory's vulns/). VulnSpec folds those locations into one gate,
-{code address: pcs}, and a step is gated when the gate lists its pc for
-the code it executes (the code, not the storage identity, so DELEGATECALL
-borrowers of the vulnerable code are seen). VulnSpec.gates is that test as
-a step predicate: the evm level hands it to trace ingest, which then builds
-only the gated steps. evaluate_trace walks the steps once and hands only
-gated steps to the rule class's per-step check:
+A vuln descriptor names the weak spot as code addresses plus pcs.
+VulnSpec.from_document is its one reader: it resolves every field an
+investigation uses, once, and a field that is missing or not of its type
+is a ConfigError naming it, so a bad descriptor is exit 2 when it is read,
+at either level and in every mode. scenario is a string; contractAddress
+and each vulnLocs[i].codeAddress are 0x and 40 hex digits; pcOffsets are
+non-negative integers; the rule's slot param is a non-negative integer, at
+least 1 where it indexes a mapping (balanceOfSlot, userBalancesSlot);
+typeMin and typeMax are integers or decimal strings, min <= max;
+toArgIndex is absent, null or a non-negative integer; filter.selectors is
+a non-empty list of canonical signatures, filter.includeInternal a boolean
+and filter.blockRange two integers with 0 < lo <= hi. An integer is a JSON
+integer, never a boolean. A param the rule does not use is not read.
+
+VulnSpec folds the locations into one gate, {code address: pcs}, and a
+step is gated when the gate lists its pc for the code it executes (the
+code, not the storage identity, so DELEGATECALL borrowers of the
+vulnerable code are seen). VulnSpec.gates is that test as a step
+predicate: the evm level hands it to trace ingest, which then builds only
+the gated steps. evaluate_trace walks the steps once and hands only gated
+steps to the rule class's per-step check:
 
   overflow    flagged arithmetic whose exact integer value leaves the
               declared type's range (modular ADDMOD/MULMOD never flag)
@@ -26,116 +38,136 @@ downstream reporting can say so.
 from __future__ import annotations
 
 import json
+import re
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 from .errors import ConfigError, UsageError
+from .filters import FilterQuery
 from .traces import ReconstructedStep, ReconstructedTrace
 from .words import ARITH_ARITY, IntTypeBounds, address_hex, hash_hex, word_hex, wrap_arith
 
 
 RULE_CLASSES = ("overflow", "dos", "reentrancy")
 
-_REQUIRED_PARAMS = {
-    "overflow": ("typeMin", "typeMax", "balanceOfSlot"),
-    "dos": ("highestBidSlot",),
-    "reentrancy": ("userBalancesSlot",),
+# Each rule's slot param and its least value: 1 for a mapping (mapping_slot).
+_SLOT_PARAMS = {
+    "overflow": ("balanceOfSlot", 1),
+    "dos": ("highestBidSlot", 0),
+    "reentrancy": ("userBalancesSlot", 1),
 }
+
+_ADDRESS = re.compile(r"0x[0-9a-fA-F]{40}").fullmatch
+_DECIMAL = re.compile(r"-?[0-9]{1,4300}").fullmatch  # int() reads at most 4300 digits
+
+
+def _check(value, name: str, ok: Callable[[object], object], want: str):
+    if not ok(value):
+        raise ConfigError(f"vuln descriptor: {name} must be {want}, got {reprlib.repr(value)}")
+    return value
+
+
+def _field(obj: dict, name: str, ok: Callable[[object], object], want: str):
+    """The member of obj that the last part of the dotted name names, checked."""
+    key = name.rpartition(".")[2]
+    if key not in obj:
+        raise ConfigError(f"vuln descriptor: {name} is missing")
+    return _check(obj[key], name, ok, want)
+
+
+def _is_object(value) -> bool:
+    return isinstance(value, dict)
+
+
+def _address(obj: dict, name: str) -> int:
+    ok = lambda v: isinstance(v, str) and _ADDRESS(v)
+    return int(_field(obj, name, ok, "0x and 40 hex digits"), 16)
+
+
+def _integer(obj: dict, name: str, least: int = 0) -> int:
+    # type(), not isinstance(): a bool is an int to Python, not to JSON
+    ok = lambda v: type(v) is int and v >= least
+    return _field(obj, name, ok, f"an integer of at least {least}")
+
+
+def _type_bound(params: dict, name: str) -> int:
+    ok = lambda v: type(v) is int or isinstance(v, str) and _DECIMAL(v)
+    return int(_field(params, name, ok, "an integer or a decimal string"))
 
 
 @dataclass(frozen=True)
 class VulnSpec:
-    """Parsed vuln descriptor: where to look and what the rule needs."""
+    """A resolved vuln descriptor: where to look and what the rule needs."""
 
     scenario: str
     contract: int
     rule: str
     gate: dict[int, frozenset[int]]  # code address -> vulnerable pcs
-    params: dict
-    selectors: tuple[str, ...]
-    include_internal: bool
-    block_range: tuple[int, int]
+    query: FilterQuery  # the descriptor's own filter
+    slot: int  # the rule's slot param
+    bounds: IntTypeBounds | None = None  # overflow only: typeMin..typeMax
+    to_arg_index: int | None = None  # overflow only: the receiver's argument
 
     @classmethod
-    def from_document(cls, doc: dict) -> "VulnSpec":
-        try:
-            scenario = doc["scenario"]
-            contract = int(doc["contractAddress"], 16)
-            rule = doc["rule"]
-            raw_locs = doc["vulnLocs"]
-            params = doc["params"]
-            filt = doc["filter"]
-            selectors = tuple(filt["selectors"])
-            include_internal = bool(filt["includeInternal"])
-            lo, hi = filt["blockRange"]
-        except (KeyError, TypeError, ValueError) as err:
-            raise ConfigError(f"malformed vuln descriptor: {err!r}") from None
-        if rule not in RULE_CLASSES:
-            raise ConfigError(f"unknown rule class {rule!r}")
-        if not isinstance(params, dict):
-            raise ConfigError("params must be an object")
-        for name in _REQUIRED_PARAMS[rule]:
-            if name not in params:
-                raise ConfigError(f"rule {rule!r} needs param {name!r}")
+    def from_document(cls, doc) -> "VulnSpec":
+        """Resolve every field (module docstring); ConfigError naming the
+        first field that is missing or not of its type."""
+        doc = _check(doc, "the document", _is_object, "an object")
+        scenario = _field(doc, "scenario", lambda v: isinstance(v, str), "a string")
+        contract = _address(doc, "contractAddress")
+        rule = _field(doc, "rule", RULE_CLASSES.__contains__, "one of " + ", ".join(RULE_CLASSES))
+        locs = _field(doc, "vulnLocs", lambda v: isinstance(v, list) and v, "a non-empty list")
         gate: dict[int, frozenset[int]] = {}
+        is_pcs = lambda v: isinstance(v, list) and all(type(pc) is int and pc >= 0 for pc in v)
+        for i, loc in enumerate(locs):
+            where = f"vulnLocs[{i}]"
+            code = _address(_check(loc, where, _is_object, "an object"), where + ".codeAddress")
+            pcs = _field(loc, where + ".pcOffsets", is_pcs, "a list of non-negative integers")
+            gate[code] = gate.get(code, frozenset()) | frozenset(pcs)
+
+        params = _field(doc, "params", _is_object, "an object")
+        slot_name, least = _SLOT_PARAMS[rule]
+        slot = _integer(params, "params." + slot_name, least)
+        bounds = to_arg_index = None
+        if rule == "overflow":
+            low = _type_bound(params, "params.typeMin")
+            high = _check(_type_bound(params, "params.typeMax"), "params.typeMax",
+                          lambda v: v >= low, f"at least typeMin ({low})")
+            bounds = IntTypeBounds(low, high)
+            if params.get("toArgIndex") is not None:
+                to_arg_index = _integer(params, "params.toArgIndex")
+
+        filt = _field(doc, "filter", _is_object, "an object")
+        is_sigs = lambda v: isinstance(v, list) and v and all(isinstance(sig, str) for sig in v)
+        selectors = _field(filt, "filter.selectors", is_sigs, "a non-empty list of signatures")
+        is_bool = lambda v: isinstance(v, bool)
+        internal = _field(filt, "filter.includeInternal", is_bool, "a boolean")
+        is_range = lambda v: (isinstance(v, list) and len(v) == 2
+                              and all(type(n) is int for n in v) and 0 < v[0] <= v[1])
+        span = _field(filt, "filter.blockRange", is_range, "two integers with 0 < lo <= hi")
         try:
-            for entry in raw_locs:
-                code = int(entry["codeAddress"], 16)
-                pcs = frozenset(int(pc) for pc in entry["pcOffsets"])
-                gate[code] = gate.get(code, frozenset()) | pcs
-        except (KeyError, TypeError, ValueError) as err:
-            raise ConfigError(f"malformed vulnLocs entry: {err!r}") from None
-        if not gate:
-            raise ConfigError("vulnLocs is empty")
-        if not (isinstance(lo, int) and isinstance(hi, int) and 0 < lo <= hi):
-            raise ConfigError(f"bad blockRange [{lo}, {hi}]")
-        return cls(
-            scenario,
-            contract,
-            rule,
-            gate,
-            dict(params),
-            selectors,
-            include_internal,
-            (lo, hi),
-        )
+            query = FilterQuery(contract, tuple(selectors), internal, tuple(span))
+        except UsageError as err:  # a signature that is not canonical
+            raise ConfigError(f"vuln descriptor: filter.selectors: {err}") from None
+        return cls(scenario, contract, rule, gate, query, slot, bounds, to_arg_index)
 
     def gates(self, pc: int, op: str, code: int) -> bool:
         """The step predicate of the gate: does the gate list this pc for
         the code the step executes?"""
         return pc in self.gate.get(code, ())
 
-    def bounds(self) -> IntTypeBounds:
-        try:
-            return IntTypeBounds(int(self.params["typeMin"]), int(self.params["typeMax"]))
-        except (KeyError, ValueError, TypeError) as err:
-            raise ConfigError(f"bad type bounds in params: {err!r}") from None
-
-    def slot(self, name: str) -> int:
-        value = self.params.get(name)
-        if not isinstance(value, int) or value < 0:
-            raise ConfigError(f"param {name!r} must be a non-negative slot index")
-        return value
-
-    def to_arg_index(self) -> int | None:
-        value = self.params.get("toArgIndex")
-        if value is None:
-            return None
-        if not isinstance(value, int) or value < 0:
-            raise ConfigError("toArgIndex must be None or a non-negative index")
-        return value
-
 
 def read_vuln_file(path: str | Path) -> dict:
     """The JSON document in a vuln descriptor file. UsageError if there is no
-    such file, ConfigError if it cannot be read or is not UTF-8 JSON; both
-    name the path."""
+    such file, ConfigError if it cannot be read or is not UTF-8 JSON (nested
+    too deep to parse included); both name the path."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise UsageError(f"no vulnerability description at {path}") from None
-    except (OSError, ValueError) as err:  # ValueError: bad UTF-8 or bad JSON
+    except (OSError, ValueError, RecursionError) as err:  # ValueError: bad UTF-8 or JSON
         raise ConfigError(f"cannot read vulnerability description at {path}: {err}") from None
 
 
@@ -193,7 +225,7 @@ StepCheck = Callable[[ReconstructedStep], tuple[dict | None, str | None]]
 
 
 def overflow_check(spec: VulnSpec) -> StepCheck:
-    bounds = spec.bounds()
+    bounds = spec.bounds
 
     def check(step):
         arity = ARITH_ARITY.get(step.op)
@@ -222,9 +254,7 @@ def dos_check(spec: VulnSpec) -> StepCheck:
     def check(step):
         if step.op != "CALL":
             return None, None
-        site = step.call
-        if site is None:
-            return None, "CALL without operands, skipped"
+        site = step.call  # every selected call step has one (traces.decode_steps)
         if site.status is None:
             return None, (
                 "CALL status unavailable (filtered trace without call records), skipped"

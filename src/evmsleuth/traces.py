@@ -59,21 +59,22 @@ is one scanner call over "[" + text[a:b+1] + "]", where a is the start of
 the chunk's first entry and b the closing brace of the first "},{" (JSON
 whitespace allowed around the comma) at or past a + TEXT_CHUNK; the rest of
 the array is one call too. The scanner is deterministic, so that span
-parses in full exactly when b closes an entry of the array; when the "},{"
-lies inside a string or a nested value, the span is read entry by entry
-instead. One call per chunk, not one per entry, because the C scanner
-forgets its memo of object keys at the end of every call. A text no longer
-than one chunk is not streamed at all: json.loads decodes it in the one
-call the stream would make, without the stream's set-up, which made short
-traces (a few kB, as in the scenario suite) 5-15% slower to ingest.
+parses in full exactly when b closes an entry of the array; a "},{" inside
+a string or a nested value stops the stream (see Fallback), and no entry
+of a producer, a cache or a geth structLog holds one. One call per chunk,
+not one per entry, because the C scanner forgets its memo of object keys
+at the end of every call. A text no longer than one chunk is not streamed
+at all: json.loads decodes it in the one call the stream would make,
+without the stream's set-up, which made short traces (a few kB, as in the
+scenario suite) 5-15% slower to ingest.
 
 Fallback: the stream reads one shape only: an object whose members lead
 up to a structLogs array and which ends right after it (of duplicate
 members before the array the last wins, as in json.loads). On anything
-else (a decode error, a member after the array, so a second structLogs
-too, a BOM, a fault in the header or in the walk) it stops, and the text
-is read again with json.loads and walked as a document
-(reconstruct_document). So the steps, and the exception type,
+else (a decode error, a chunk cut inside an entry, a member after the
+array, so a second structLogs too, a BOM, a fault in the header or in the
+walk) it stops, and the text is read again with json.loads and walked as
+a document (reconstruct_document). So the steps, and the exception type,
 message and step index of a refused trace, are those of json.loads and
 the document walk by construction; only a short, malformed or unusual
 trace is ever held as a whole document.
@@ -547,33 +548,19 @@ def stream_trace_text(text: str) -> tuple[dict, Iterator[list]]:
 def _chunks(text: str, pos: int) -> Iterator[list]:
     """The entries of the array whose first entry (or closing bracket) is
     at text[pos], a list per chunk; then a check that the object ends."""
-    closed = text[pos:pos + 1] == "]"
-    if closed:
+    if text[pos:pos + 1] == "]":
         pos += 1
-    while not closed:
-        cut = _next_cut(text, pos + TEXT_CHUNK)
-        if cut is None:  # the rest of the array, in one call
-            entries, end = _decoded("[" + text[pos:])
-            yield entries
-            pos += end - 1
-            break
-        span = "[" + text[pos:cut.start() + 1] + "]"
-        try:
-            entries, end = _raw_decode(span)
-        except (ValueError, RecursionError):
-            end = 0
-        if end == len(span):
+    else:
+        while (cut := _next_cut(text, pos + TEXT_CHUNK)) is not None:
+            span = "[" + text[pos:cut.start() + 1] + "]"
+            entries, end = _decoded(span)
+            if end != len(span):  # the cut lies inside a string or a nested value
+                raise Unstreamable
             yield entries
             pos = cut.end() - 1
-            continue
-        entries = []  # the cut is inside an entry: read the span entry by entry
-        while pos <= cut.start() and not closed:
-            entry, pos = _decoded(text, pos)
-            entries.append(entry)
-            pos = _skip_space(text, pos).end()
-            closed = text[pos:pos + 1] == "]"
-            pos = pos + 1 if closed else _expect(text, pos, ",")
+        entries, end = _decoded("[" + text[pos:])  # the rest of the array, in one call
         yield entries
+        pos += end - 1
     if _expect(text, _skip_space(text, pos).end(), "}") != len(text):
         raise Unstreamable
 

@@ -12,7 +12,7 @@ from evmsleuth.fixtures import (
     scale_fixture,
     write_fixture,
 )
-from evmsleuth.fixtures.asm import Assembler, disassemble
+from evmsleuth.fixtures.asm import Assembler
 from evmsleuth.hashing import function_selector
 from evmsleuth.fixtures.interpreter import MNEMONICS, execute_transaction
 from evmsleuth.fixtures.state import GlobalState
@@ -93,15 +93,6 @@ def test_dispatch_routes_by_selector():
     assert run(sel_a) == 1
     assert run(sel_b) == 2
     assert run(b"\x00\x00\x00\x00") == 0  # falls through to STOP
-
-
-def test_disassemble_mentions_marks():
-    a = Assembler()
-    a.push(5).mark("poke").push(1).op("SSTORE").op("STOP")
-    program = a.assemble()
-    text = disassemble(program.code, {program.marks["poke"]: "poke"})
-    assert "poke" in text
-    assert "SSTORE" in text
 
 
 # -- scenario suite --

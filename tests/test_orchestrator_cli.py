@@ -42,7 +42,6 @@ from evmsleuth.orchestrator import (
     InvestigationConfig,
     bench,
     bench_investigation,
-    default_query,
     run_investigation,
     scaled_fixture_dir,
 )
@@ -208,7 +207,7 @@ def test_empty_filter_runs_clean(spec, bank_dir):
         contract=spec.contract,
         selectors=("nothing()",),
         include_internal=False,
-        block_range=spec.block_range,
+        block_range=spec.query.block_range,
     )
     report = run_investigation(
         config_for(spec, LocalExplorer(bank_dir), query=query)
@@ -220,7 +219,7 @@ def test_empty_filter_runs_clean(spec, bank_dir):
 
 def test_feed_rows_replace_the_scan(spec, bank_dir):
     explorer = LocalExplorer(bank_dir)
-    rows = tx_list(ReadState(explorer), default_query(spec))
+    rows = tx_list(ReadState(explorer), spec.query)
     scanned = run_investigation(config_for(spec, explorer))
     fed = run_investigation(config_for(spec, explorer, feed=rows))
     assert json.dumps(fed.detections) == json.dumps(scanned.detections)
@@ -396,7 +395,7 @@ def test_build_detector_variants(bank_dir):
 
 def test_build_filter_variants(spec):
     query, feed = build_filter(None, spec, {})
-    assert feed is None and query == default_query(spec)
+    assert feed is None and query == spec.query
     query, _ = build_filter("spec[from=2,to=4,internal=true]", spec, {})
     assert query.block_range == (2, 4) and query.include_internal is True
     query, _ = build_filter("select[sigs=vote(uint256,uint256)|poke()]", spec, {})
@@ -675,7 +674,7 @@ def test_cli_malformed_trace_in_internal_discovery_exits_3(
     bec_dir = tmp_path / "bec"
     write_fixture(bec, bec_dir)
     bystander = bec.archive.chain.block(1).txs[0]
-    wanted = default_query(VulnSpec.from_document(bec.vuln)).selector_bytes()
+    wanted = VulnSpec.from_document(bec.vuln).query.selector_bytes()
     assert bystander.data[:4] not in wanted
     trace_path = bec_dir / "traces" / f"{bystander.hash.hex()}.json"
     trace = json.loads(trace_path.read_text())
@@ -966,7 +965,7 @@ def creation_dir(bank_dir, tmp_path):
 @pytest.mark.parametrize("level", ["evm", "block"])
 def test_cli_feed_naming_a_creation_transaction(capsys, spec, creation_dir, tmp_path, level):
     feed = tmp_path / "creation.csv"
-    selector = function_selector(spec.selectors[0])
+    selector = function_selector(spec.query.selectors[0])
     row = TxRef(3, CREATION, 0, spec.contract, 0, selector, False, None)
     feed.write_text(write_csv_feed([row]))
     code, out, _ = run_cli(
@@ -1007,7 +1006,7 @@ def test_cli_export_feed_round_trip(capsys, bank, spec, bank_dir, tmp_path):
     code, out, err = run_cli(capsys, "export-feed", "-e", f"local[dir={bank_dir}]")
     assert code == 0
     rows = parse_csv_feed(out)
-    assert rows == tx_list(ReadState(LocalExplorer(bank_dir)), default_query(spec))
+    assert rows == tx_list(ReadState(LocalExplorer(bank_dir)), spec.query)
     assert "candidate rows" in err
 
     feed_path = tmp_path / "feed.csv"
@@ -1022,6 +1021,45 @@ def test_cli_export_feed_round_trip(capsys, bank, spec, bank_dir, tmp_path):
         capsys, "investigate", "-t", "fed", "-e", f"local[dir={bank_dir}]"
     )
     assert json.loads(fed_out)["detections"] == json.loads(scan_out)["detections"]
+
+
+def test_cli_export_feed_reads_the_vuln_option(capsys, bank, bank_dir, tmp_path):
+    # --vuln replaces the archive's own descriptor: the same one scans the
+    # same rows, one naming another contract finds none, a bad one is exit 2
+    _, implicit, _ = run_cli(capsys, "export-feed", "-e", f"local[dir={bank_dir}]")
+    vuln = tmp_path / "vuln.json"
+    vuln.write_text(json.dumps(bank.vuln))
+    code, same, _ = run_cli(
+        capsys, "export-feed", "-e", f"local[dir={bank_dir}]", "--vuln", str(vuln)
+    )
+    assert code == 0 and same == implicit and len(parse_csv_feed(same)) > 0
+    other = dict(bank.vuln, contractAddress="0x" + "0" * 39 + "1")
+    vuln.write_text(json.dumps(other))
+    code, out, _ = run_cli(
+        capsys, "export-feed", "-e", f"local[dir={bank_dir}]", "--vuln", str(vuln)
+    )
+    assert code == 0 and parse_csv_feed(out) == []
+    vuln.write_text(json.dumps(dict(bank.vuln, contractAddress="0x1")))
+    code, out, err = run_cli(
+        capsys, "export-feed", "-e", f"local[dir={bank_dir}]", "--vuln", str(vuln)
+    )
+    assert code == 2 and out == "" and "contractAddress" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["-d", "evm[vuln=/no/such/vuln.json]"], "no vulnerability description at"),
+        (["-d", "block[vuln=/no/such/vuln.json]"], "no vulnerability description at"),
+        (["-f", "spec[internal=yes]"], "internal must be true or false"),
+    ],
+)
+def test_cli_bad_detector_or_filter_parameter_exits_2(capsys, bank_dir, argv, message):
+    code, out, err = run_cli(
+        capsys, "investigate", "-t", "x", "-e", f"local[dir={bank_dir}]", *argv
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("evmsleuth: ") and message in err
 
 
 def test_cli_export_feed_rejects_feed_input(capsys, bank_dir, tmp_path):
@@ -1150,7 +1188,7 @@ def path_set(bank_dir, tmp_path_factory):
     empty.write_text("")
     vuln = bank_dir / "vulns" / "Bank.json"
     feed = base / "feed.csv"
-    query = default_query(VulnSpec.from_document(json.loads(vuln.read_text())))
+    query = VulnSpec.from_document(json.loads(vuln.read_text())).query
     feed.write_text(write_csv_feed(tx_list(ReadState(LocalExplorer(bank_dir)), query)))
     (base / "cache").mkdir()
     kinds = [str(p) for p in (base / "absent", base, regular, latin1, empty)]
@@ -1381,7 +1419,7 @@ CSV_FIELD_LIMIT = 131_072
 @pytest.fixture(scope="module")
 def bank_feed(spec, bank_dir, tmp_path_factory):
     """Bank's exported feed as lines, and the path a drawn feed is written to."""
-    rows = tx_list(ReadState(LocalExplorer(bank_dir)), default_query(spec))
+    rows = tx_list(ReadState(LocalExplorer(bank_dir)), spec.query)
     return write_csv_feed(rows).splitlines(), tmp_path_factory.mktemp("feeds") / "feed.csv"
 
 

@@ -270,7 +270,7 @@ def test_big_step_lookup_reads_the_stored_edge(bank):
 def test_bank_blocks_flag_exactly_the_completed_exploits(bank):
     chain, world = bank.archive.chain, bank.archive.world
     spec = VulnSpec.from_document(bank.vuln)
-    wanted = {function_selector(sig) for sig in spec.selectors}
+    wanted = {function_selector(sig) for sig in spec.query.selectors}
     exploit_blocks = set()
     probe_blocks = set()
     labeled = set(bank.archive.labels.exploit_hashes())

@@ -3,10 +3,11 @@
 import pytest
 
 from evmsleuth.errors import ConfigError
+from evmsleuth.filters import FilterQuery
 from evmsleuth.fixtures import build_fixture_chain
 from evmsleuth.rules_evm import Detection, TxContext, VulnSpec, evaluate_trace
 from evmsleuth.traces import reconstruct_document
-from evmsleuth.words import address_hex, word_hex
+from evmsleuth.words import IntTypeBounds, address_hex, word_hex
 
 SEED = 11
 
@@ -18,7 +19,7 @@ CTX = TxContext(tx_hash=TX, block_number=4, failed=False)
 UINT256_MAX = str(2**256 - 1)
 
 _PARAMS = {
-    "overflow": {"typeMin": "0", "typeMax": UINT256_MAX, "balanceOfSlot": 0},
+    "overflow": {"typeMin": "0", "typeMax": UINT256_MAX, "balanceOfSlot": 1},
     "dos": {"highestBidSlot": 1},
     "reentrancy": {"userBalancesSlot": 2},
 }
@@ -82,26 +83,83 @@ def test_from_document_round_trip():
     assert spec.contract == CONTRACT
     assert spec.rule == "dos"
     assert spec.gate == {CONTRACT: frozenset({3, 7})}
-    assert spec.selectors == ("poke()",)
-    assert spec.include_internal is False
-    assert spec.block_range == (1, 5)
+    assert spec.query == FilterQuery(CONTRACT, ("poke()",), False, (1, 5))
+    assert (spec.slot, spec.bounds, spec.to_arg_index) == (1, None, None)
+
+
+def test_from_document_resolves_the_overflow_params():
+    params = {"typeMin": -128, "typeMax": "127", "balanceOfSlot": 3, "toArgIndex": 2}
+    spec = spec_for("overflow", params=params)
+    assert (spec.slot, spec.bounds, spec.to_arg_index) == (3, IntTypeBounds(-128, 127), 2)
+    spec = spec_for("overflow", params=dict(params, toArgIndex=None))
+    assert spec.to_arg_index is None
+
+
+def test_from_document_leaves_unused_params_unread():
+    # typeMin is no dos param; highestBidSlot is a scalar slot, so 0 is one
+    spec = spec_for("dos", params={"highestBidSlot": 0, "typeMin": "x"})
+    assert spec.slot == 0
+
+
+def _set(path, value):
+    """A mutation that sets the descriptor field at path (a key sequence)."""
+
+    def mutate(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+
+    return mutate
+
+
+_BAD_PCS = r"vulnLocs\[0\].pcOffsets must be a list of non-negative integers"
 
 
 @pytest.mark.parametrize(
     "mutate, fragment",
     [
-        (lambda d: d.pop("scenario"), "malformed vuln descriptor"),
-        (lambda d: d.pop("params"), "malformed vuln descriptor"),
-        (lambda d: d.__setitem__("contractAddress", "pond"), "malformed vuln"),
-        (lambda d: d.__setitem__("rule", "phish"), "unknown rule class"),
-        (lambda d: d.__setitem__("vulnLocs", []), "vulnLocs is empty"),
-        (lambda d: d.__setitem__("vulnLocs", [{"codeAddress": "0x1"}]), "vulnLocs entry"),
-        (lambda d: d.__setitem__("vulnLocs", 5), "vulnLocs entry"),
-        (lambda d: d.__setitem__("params", 5), "params must be an object"),
-        (lambda d: d["filter"].__setitem__("blockRange", [0, 5]), "bad blockRange"),
-        (lambda d: d["filter"].__setitem__("blockRange", [3, 2]), "bad blockRange"),
-        (lambda d: d["filter"].__setitem__("blockRange", ["1", 2]), "bad blockRange"),
-        (lambda d: d["filter"].__setitem__("blockRange", [1, 2, 3]), "malformed vuln"),
+        (lambda d: d.pop("scenario"), "scenario is missing"),
+        (lambda d: d.pop("params"), "params is missing"),
+        (lambda d: d["filter"].pop("includeInternal"), "filter.includeInternal is missing"),
+        (_set(["scenario"], 7), "scenario must be a string"),
+        (_set(["contractAddress"], "pond"), "contractAddress must be 0x and 40 hex digits"),
+        (_set(["contractAddress"], "0x" + "0" * 60 + "c0de"), "contractAddress must be"),
+        (_set(["contractAddress"], "%040x" % CONTRACT), "contractAddress must be"),
+        (_set(["rule"], "phish"), "rule must be one of overflow, dos, reentrancy"),
+        (_set(["rule"], ["dos"]), "rule must be one of"),
+        (_set(["vulnLocs"], []), "vulnLocs must be a non-empty list"),
+        (_set(["vulnLocs"], 5), "vulnLocs must be a non-empty list"),
+        (_set(["vulnLocs"], [5]), r"vulnLocs\[0\] must be an object"),
+        (_set(["vulnLocs"], [{"codeAddress": "0x1"}]), r"vulnLocs\[0\].codeAddress must be"),
+        (_set(["vulnLocs", 0, "pcOffsets"], 4), r"vulnLocs\[0\].pcOffsets must be a list"),
+        (_set(["vulnLocs", 0, "pcOffsets"], [211.7]), _BAD_PCS),
+        (_set(["vulnLocs", 0, "pcOffsets"], [4, -5]), _BAD_PCS),
+        (_set(["vulnLocs", 0, "pcOffsets"], [True]), _BAD_PCS),
+        (_set(["vulnLocs", 0, "pcOffsets"], ["4"]), _BAD_PCS),
+        (_set(["params"], 5), "params must be an object"),
+        (_set(["params", "balanceOfSlot"], -1), "balanceOfSlot must be an integer of at least 1"),
+        (_set(["params", "balanceOfSlot"], 0), "balanceOfSlot must be an integer of at least 1"),
+        (_set(["params", "balanceOfSlot"], "1"), "params.balanceOfSlot must be"),
+        (_set(["params", "typeMin"], "x"), "params.typeMin must be an integer or a decimal string"),
+        (_set(["params", "typeMin"], " 0"), "params.typeMin must be"),
+        (_set(["params", "typeMin"], 0.0), "params.typeMin must be"),
+        (_set(["params", "typeMax"], False), "params.typeMax must be"),
+        (_set(["params", "typeMax"], "-1"), r"params.typeMax must be at least typeMin \(0\)"),
+        (_set(["params", "toArgIndex"], -1), "params.toArgIndex must be an integer of at least 0"),
+        (_set(["params", "toArgIndex"], "2"), "params.toArgIndex must be"),
+        (_set(["filter"], []), "filter must be an object"),
+        (_set(["filter", "selectors"], []), "filter.selectors must be a non-empty list"),
+        (_set(["filter", "selectors"], "poke()"), "filter.selectors must be a non-empty list"),
+        (_set(["filter", "selectors"], [["(", ")"]]), "filter.selectors must be"),
+        (_set(["filter", "selectors"], ["poke ()"]), "filter.selectors: not a canonical"),
+        (_set(["filter", "includeInternal"], "false"), "filter.includeInternal must be a boolean"),
+        (_set(["filter", "includeInternal"], 0), "filter.includeInternal must be a boolean"),
+        (_set(["filter", "blockRange"], [0, 5]), "filter.blockRange must be two integers"),
+        (_set(["filter", "blockRange"], [3, 2]), "filter.blockRange must be"),
+        (_set(["filter", "blockRange"], ["1", 2]), "filter.blockRange must be"),
+        (_set(["filter", "blockRange"], [True, 2]), "filter.blockRange must be"),
+        (_set(["filter", "blockRange"], [1, 2, 3]), "filter.blockRange must be"),
     ],
 )
 def test_from_document_rejects_malformed(mutate, fragment):
@@ -111,10 +169,17 @@ def test_from_document_rejects_malformed(mutate, fragment):
         VulnSpec.from_document(src)
 
 
+@pytest.mark.parametrize("doc", [[], "descriptor", None, 5])
+def test_from_document_rejects_a_non_object(doc):
+    with pytest.raises(ConfigError, match="vuln descriptor: the document must be an object"):
+        VulnSpec.from_document(doc)
+
+
 @pytest.mark.parametrize(
     "rule, missing",
     [
         ("overflow", "typeMax"),
+        ("overflow", "balanceOfSlot"),
         ("dos", "highestBidSlot"),
         ("reentrancy", "userBalancesSlot"),
     ],
@@ -122,32 +187,14 @@ def test_from_document_rejects_malformed(mutate, fragment):
 def test_each_rule_requires_its_params(rule, missing):
     params = dict(_PARAMS[rule])
     del params[missing]
-    with pytest.raises(ConfigError, match=f"needs param {missing!r}"):
+    with pytest.raises(ConfigError, match=f"params.{missing} is missing"):
         spec_for(rule, params=params)
 
 
-def test_bounds_and_slot_accessors():
-    spec = spec_for("overflow")
-    bounds = spec.bounds()
-    assert (bounds.min, bounds.max) == (0, 2**256 - 1)
-    assert spec.slot("balanceOfSlot") == 0
-    with pytest.raises(ConfigError, match="non-negative slot"):
-        spec.slot("nonexistent")
-    bad = spec_for("overflow", params={"typeMin": "x", "typeMax": "1", "balanceOfSlot": 0})
-    with pytest.raises(ConfigError, match="bad type bounds"):
-        bad.bounds()
-    negative = spec_for("dos", params={"highestBidSlot": -1})
-    with pytest.raises(ConfigError, match="non-negative slot"):
-        negative.slot("highestBidSlot")
-
-
-def test_to_arg_index_accessor():
-    assert spec_for("overflow").to_arg_index() is None
-    params = dict(_PARAMS["overflow"], toArgIndex=2)
-    assert spec_for("overflow", params=params).to_arg_index() == 2
-    params["toArgIndex"] = -1
-    with pytest.raises(ConfigError, match="toArgIndex"):
-        spec_for("overflow", params=params).to_arg_index()
+def test_an_error_message_shows_a_long_value_cut_short():
+    with pytest.raises(ConfigError) as refused:
+        spec_for("dos", params={"highestBidSlot": "9" * 100_000})
+    assert len(str(refused.value)) < 120
 
 
 # -- overflow rule --
@@ -186,7 +233,7 @@ def test_underflow_depends_on_signedness():
     signed_params = {
         "typeMin": str(-(2**255)),
         "typeMax": str(2**255 - 1),
-        "balanceOfSlot": 0,
+        "balanceOfSlot": 1,
     }
     signed = spec_for("overflow", pcs=(35,), params=signed_params)
     hits, _ = evaluate_trace(rec, signed, CTX)
@@ -218,11 +265,17 @@ def test_overflow_skips_short_stacks_with_a_note():
     assert notes == ["step 2: MUL with 1 stack words, skipped"]
 
 
-def test_bad_bounds_fail_the_trace_even_without_gated_steps():
-    params = {"typeMin": "x", "typeMax": "1", "balanceOfSlot": 0}
-    spec = spec_for("overflow", pcs=(99,), params=params)
-    with pytest.raises(ConfigError, match="bad type bounds"):
-        evaluate_trace(arith_trace("MUL", (2**255, 2)), spec, CTX)
+def test_bad_bounds_fail_when_the_descriptor_is_read():
+    # not on the first gated step of some trace, in the middle of a run
+    params = {"typeMin": "x", "typeMax": "1", "balanceOfSlot": 1}
+    with pytest.raises(ConfigError, match="params.typeMin must be"):
+        spec_for("overflow", pcs=(99,), params=params)
+
+
+def test_a_gated_step_that_is_not_arithmetic_is_no_hit_and_no_note():
+    spec = spec_for("overflow", pcs=(33,))  # the PUSH1 before the MUL
+    hits, notes = evaluate_trace(arith_trace("MUL", (2**255, 2)), spec, CTX)
+    assert hits == [] and notes == []
 
 
 def test_locations_sharing_a_code_address_merge_into_one_gate():

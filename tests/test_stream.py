@@ -226,26 +226,43 @@ def _walks_alike(text: str):
     assert [e for chunk in stream_trace_text(text)[1] for e in chunk] == doc["structLogs"]
 
 
-def test_a_cut_inside_a_string_reads_that_span_entry_by_entry(monkeypatch, streamed_only):
+def _falls_back(monkeypatch, text: str):
+    """text streams up to a chunk that does not parse, and reconstruct_text
+    then gives what one document walk of json.loads(text) gives."""
+    with pytest.raises(traces.Unstreamable):
+        _chunk_sizes(text)
+    walks = []
+    real = traces.reconstruct_document
+    monkeypatch.setattr(traces, "reconstruct_document", lambda *a: walks.append(a) or real(*a))
+    assert reconstruct_text(text, ROOT) == real(json.loads(text), ROOT)
+    assert len(walks) == 1
+
+
+def test_a_cut_inside_a_string_falls_back_to_json_loads(monkeypatch):
     entries = _entries(6)
     entries[0]["note"] = "a},{b"
     monkeypatch.setattr(traces, "TEXT_CHUNK", 1)
-    _walks_alike(_text(entries))
-    # the span up to the cut in the string is read entry by entry, up to
-    # and including the entry the cut lies in; then chunks resume
-    assert _chunk_sizes(_text(entries))[0] == 1
+    _falls_back(monkeypatch, _text(entries))
 
 
 @pytest.mark.parametrize("where", ["call", "storage-and-call"])
-def test_a_cut_inside_a_nested_object_reads_that_span_entry_by_entry(
-    monkeypatch, streamed_only, where
-):
+def test_a_cut_inside_a_nested_object_falls_back_to_json_loads(monkeypatch, where):
     entries = _entries(6)
     entries[1]["call"] = {"to": "0x1", "value": "0x0", "logs": [{"a": 1}, {"b": 2}]}
     if where == "storage-and-call":
         entries[1]["storage"] = {"0x1": "0x2"}
     monkeypatch.setattr(traces, "TEXT_CHUNK", 1)
-    _walks_alike(_text(entries))
+    _falls_back(monkeypatch, _text(entries))
+
+
+def test_data_after_the_closing_brace_is_the_json_loads_error():
+    text = _text(_entries(2000)) + "{}"
+    assert len(text) > TEXT_CHUNK
+    with pytest.raises(json.JSONDecodeError) as whole:
+        json.loads(text)
+    with pytest.raises(json.JSONDecodeError) as streamed:
+        reconstruct_text(text, ROOT)
+    assert str(streamed.value) == str(whole.value)
 
 
 @pytest.mark.parametrize("offset", [0, -1])

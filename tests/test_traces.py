@@ -743,6 +743,15 @@ def test_call_with_bare_stack_is_reconstruction_error():
         reconstruct_document(src, CALLER)
 
 
+def test_recorded_delegatecall_has_no_value():
+    # a DELEGATECALL inherits the caller's value, whatever its record says
+    extension = {"to": "0x%x" % TARGET, "value": "0x5", "input": "0x", "status": 1}
+    rec = reconstruct_document(nested_doc(op="DELEGATECALL", extension=extension), CALLER)
+    site = rec.steps[1].call
+    assert (site.op, site.to, site.value, site.status) == ("DELEGATECALL", TARGET, None, 1)
+    assert site.child_id == CALLER and site.child_code == TARGET
+
+
 def test_gate_requires_identity_and_code():
     rec = reconstruct_document(nested_doc(op="DELEGATECALL"), CALLER)
     root_step = rec.steps[0]
