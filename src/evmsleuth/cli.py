@@ -6,6 +6,10 @@
     evmsleuth bench --root DIR --axis storage --magnitudes 500,2000 --level block
     evmsleuth export-feed -e local[dir=PATH]
 
+fixtures and bench import the producer (evmsleuth.fixtures, the harness in
+evmsleuth.fixtures.bench) when they run; investigate and export-feed never
+load it.
+
 Component switches take a name with optional bracketed parameters:
 
     name
@@ -24,7 +28,6 @@ completed (detections are data, not a status), 2 configuration problem,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -40,12 +43,7 @@ from .errors import (
 )
 from .explorer import CachedExplorer, LocalExplorer, RpcExplorer
 from .filters import FilterQuery, ReadState, parse_csv_feed, tx_list, write_csv_feed
-from .orchestrator import (
-    InvestigationConfig,
-    bench,
-    run_investigation,
-    scaled_fixture_dir,
-)
+from .orchestrator import InvestigationConfig, run_investigation
 from .rules_evm import VulnSpec, read_vuln_doc, read_vuln_file
 
 EXIT_OK = 0
@@ -297,6 +295,8 @@ def _print_summary(report):
 
 def cmd_fixtures(args) -> int:
     from .fixtures import SCENARIO_NAMES, build_fixture_chain, scale_fixture, write_fixture
+    from .fixtures.bench import scaled_fixture_dir
+    from .fixtures.scenarios import SCALED_SCENARIOS
 
     if args.action == "build":
         out = Path(args.out)
@@ -308,10 +308,7 @@ def cmd_fixtures(args) -> int:
             print(f"{name}: {fixture.archive.chain.height} blocks -> {target}", file=sys.stderr)
         return EXIT_OK
 
-    scenario = args.scenario or (
-        "DelayedUnderflow" if args.axis == "instructions" else "TargetUnderflow"
-    )
-    fixture = scale_fixture(scenario, args.axis, args.magnitude, seed=args.seed)
+    fixture = scale_fixture(SCALED_SCENARIOS[args.axis], args.axis, args.magnitude, seed=args.seed)
     target = Path(args.out) if args.out else scaled_fixture_dir(args.root, args.axis, args.magnitude)
     write_fixture(fixture, target)
     print(
@@ -321,6 +318,8 @@ def cmd_fixtures(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .fixtures.bench import bench, write_csv
+
     magnitudes = [_int_param(m, "magnitude") for m in args.magnitudes.split(",") if m]
     if not magnitudes:
         raise UsageError("--magnitudes needs at least one integer")
@@ -328,17 +327,7 @@ def cmd_bench(args) -> int:
         args.root, args.axis, magnitudes,
         mode=args.mode, level=args.level, repeats=args.repeats,
     )
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(
-        ["axis", "magnitude", "mode", "level", "repeats",
-         "analyze_s", "fetch_s", "total_s", "detections", "steps_interpreted"]
-    )
-    for row in table:
-        writer.writerow(
-            [row["axis"], row["magnitude"], row["mode"], row["level"], row["repeats"],
-             row["analyze"], row["fetch"], row["total"],
-             row["detections"], row["stepsInterpreted"]]
-        )
+    write_csv(table, sys.stdout)
     return EXIT_OK
 
 
@@ -388,8 +377,6 @@ def make_parser() -> argparse.ArgumentParser:
     build.add_argument("--seed", type=int, default=0)
     build.set_defaults(handler=cmd_fixtures)
     scale = fixsub.add_parser("scale", help="generate one scaled fixture")
-    scale.add_argument("--scenario", default=None,
-                       help="defaults to the axis's canonical scenario")
     scale.add_argument("--axis", required=True, choices=["instructions", "storage"])
     scale.add_argument("--magnitude", required=True, type=int)
     scale.add_argument("--root", default=".",

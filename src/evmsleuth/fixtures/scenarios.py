@@ -975,6 +975,10 @@ def _exploit_trace_steps(fixture: ScenarioFixture) -> int:
     return len(fixture.archive.traces[txh]["structLogs"])
 
 
+# The scenario each cost axis scales.
+SCALED_SCENARIOS = {"instructions": "DelayedUnderflow", "storage": "TargetUnderflow"}
+
+
 def scale_fixture(scenario: str, axis: str, magnitude: int, seed: int = 0) -> ScenarioFixture:
     """Scaled variants for the two cost axes.
 
@@ -984,9 +988,11 @@ def scale_fixture(scenario: str, axis: str, magnitude: int, seed: int = 0) -> Sc
     """
     if magnitude < 0:
         raise UsageError("magnitude must be non-negative")
+    if axis not in SCALED_SCENARIOS:
+        raise UsageError(f"unknown axis {axis!r} (expected instructions or storage)")
+    if scenario != SCALED_SCENARIOS[axis]:
+        raise UsageError(f"{axis} axis scales {SCALED_SCENARIOS[axis]} only")
     if axis == "instructions":
-        if scenario != "DelayedUnderflow":
-            raise UsageError("instruction axis scales DelayedUnderflow only")
         if magnitude == 0:
             return _build_delayed(seed)
         if magnitude > INSTRUCTION_CEILING:
@@ -1000,15 +1006,11 @@ def scale_fixture(scenario: str, axis: str, magnitude: int, seed: int = 0) -> Sc
         if abs(got - magnitude) > 0.02 * magnitude:  # pragma: no cover
             raise UsageError(f"padding landed at {got} steps, wanted {magnitude}")
         return fixture
-    if axis == "storage":
-        if scenario != "TargetUnderflow":
-            raise UsageError("storage axis scales TargetUnderflow only")
-        if magnitude == 0:
-            return _build_target(seed)
-        if magnitude > STORAGE_CEILING:
-            raise UsageError(f"magnitude {magnitude} above ceiling {STORAGE_CEILING}")
-        return _build_target(seed, prepopulate=magnitude, lean=True)
-    raise UsageError(f"unknown axis {axis!r} (expected instructions or storage)")
+    if magnitude == 0:
+        return _build_target(seed)
+    if magnitude > STORAGE_CEILING:
+        raise UsageError(f"magnitude {magnitude} above ceiling {STORAGE_CEILING}")
+    return _build_target(seed, prepopulate=magnitude, lean=True)
 
 
 def write_fixture(fixture: ScenarioFixture, directory: str | Path):

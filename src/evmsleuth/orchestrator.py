@@ -64,13 +64,12 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .errors import ArchiveGapError, ProtocolError, SleuthError, UsageError
-from .explorer import CachedExplorer, ExplorerView, LocalExplorer, walk_trace
+from .explorer import CachedExplorer, ExplorerView, walk_trace
 from .filters import FilterQuery, ReadState, TxRef, tx_list
 from .rules_block import evaluate_block
-from .rules_evm import TxContext, VulnSpec, evaluate_trace, read_vuln_doc
+from .rules_evm import TxContext, VulnSpec, evaluate_trace
 from .traces import gc_paused
 from .words import address_hex
 
@@ -300,74 +299,3 @@ def _run_block_level(config, rows, report, timings, reads):
         if detection is not None:
             report.detections.append(detection.to_document())
         report.skips.extend(notes)
-
-
-# -- performance harness ---------------------------------------------------------
-
-
-def bench_investigation(config: InvestigationConfig, repeats: int = 3) -> dict:
-    """Best-of-N wall clock for one investigation. Repeats exist because
-    block-level runs finish fast enough for scheduler noise to matter."""
-    if repeats < 1:
-        raise UsageError("repeats must be at least 1")
-    best_report = None
-    for _ in range(repeats):
-        report = run_investigation(config)
-        if best_report is None or report.timings["analyze"] < best_report.timings["analyze"]:
-            best_report = report
-    return {
-        "tag": config.tag,
-        "level": config.level,
-        "mode": config.mode,
-        "repeats": repeats,
-        "analyze": round(best_report.timings["analyze"], 6),
-        "fetch": round(best_report.timings["fetch"], 6),
-        "total": round(best_report.timings["total"], 6),
-        "detections": len(best_report.detections),
-        "stepsInterpreted": best_report.steps_interpreted,
-    }
-
-
-def scaled_fixture_dir(root: str | Path, axis: str, magnitude: int) -> Path:
-    return Path(root) / f"{axis}-{magnitude}"
-
-
-def bench(
-    root: str | Path,
-    axis: str,
-    magnitudes: list[int],
-    mode: str = "local",
-    level: str = "evm",
-    repeats: int = 3,
-) -> list[dict]:
-    """Measure analyze time per magnitude over pre-built scaled fixtures.
-
-    Fixture generation is not part of the measurement; with mode "cached"
-    one untimed warm-up run populates the cache first, so the numbers show
-    steady-state cost rather than first-touch I/O.
-    """
-    table = []
-    for magnitude in magnitudes:
-        directory = scaled_fixture_dir(root, axis, magnitude)
-        if not directory.is_dir():
-            raise UsageError(
-                f"no scaled fixture at {directory}; run fixtures scale first"
-            )
-        spec = VulnSpec.from_document(read_vuln_doc(directory))
-        explorer = LocalExplorer(directory)
-        if mode == "cached":
-            explorer = CachedExplorer(explorer, directory / f".cache-{level}")
-        config = InvestigationConfig(
-            tag=f"{axis}-{magnitude}",
-            spec=spec,
-            explorer=explorer,
-            level=level,
-            mode=mode,
-        )
-        if mode == "cached":
-            run_investigation(config)  # warm-up, untimed
-        row = bench_investigation(config, repeats=repeats)
-        row["axis"] = axis
-        row["magnitude"] = magnitude
-        table.append(row)
-    return table

@@ -1,6 +1,7 @@
 """Hypothesis strategies that damage a JSON file's bytes, shared by the
 tests that feed damaged archives, cache entries and trace texts to the
-program."""
+program, and the paths and re-encodings of the JSON values whose fields
+the descriptor and RPC reply tests damage."""
 
 import json
 
@@ -60,3 +61,38 @@ def damaged(original: bytes, plan: tuple) -> bytes:
     if doc["structLogs"]:  # a transfer to a code-free account has no step
         doc["structLogs"][index]["op"] = op
     return json.dumps(doc).encode()
+
+
+def json_paths(value, prefix=()):
+    """The key path of every member and item inside a JSON value."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield (*prefix, key)
+        yield from json_paths(item, (*prefix, key))
+
+
+def re_encodings(value) -> list:
+    """The same value written another way."""
+    if value is None:
+        return ["null", 0, []]
+    if isinstance(value, bool):
+        return [str(value).lower(), int(value)]
+    if isinstance(value, int):
+        return [str(value), float(value), hex(value), [value]]
+    if isinstance(value, float):
+        return [str(value)]
+    if isinstance(value, str):
+        out = [" " + value, value.upper(), [value]]
+        if value.startswith("0x"):
+            out += [value[2:], "0x" + value[2:].zfill(64), int(value, 16)]
+        if value.lstrip("-").isdigit():
+            out += [int(value), float(value), hex(int(value))]
+        return out
+    if isinstance(value, list):
+        return [{str(i): item for i, item in enumerate(value)}, value[:1], value * 2]
+    return [[[key, item] for key, item in value.items()], list(value.values())]

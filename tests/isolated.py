@@ -1,7 +1,8 @@
 """The command line run in a fresh interpreter, for tests about what a run
 loads: `requests` is made unimportable, evmsleuth's main runs on the given
 arguments, and the names of the modules the process holds at its end are
-written as the last line of its stderr."""
+written as the last line of its stderr. Processes started together can be
+held at a gate, so that their runs overlap."""
 
 import json
 import os
@@ -15,20 +16,39 @@ _SCRIPT = """
 import json, sys
 sys.modules["requests"] = None
 from evmsleuth.cli import main
-code = main(sys.argv[1:]) if sys.argv[1:] else 0
+go, argv = sys.argv[1], sys.argv[2:]
+if go:
+    import os, time
+    print("ready", file=sys.stderr, flush=True)
+    while not os.path.exists(go):
+        time.sleep(0.001)
+code = main(argv) if argv else 0
 print(json.dumps(sorted(sys.modules)), file=sys.stderr)
 sys.exit(code)
 """
 
 
+def start_isolated_cli(*argv: str, go: str = "") -> subprocess.Popen:
+    """Start `evmsleuth argv` in a fresh interpreter, with pipes for its
+    output. Given a path `go`, the process imports evmsleuth.cli, writes
+    "ready" as its first stderr line and runs only once `go` exists."""
+    env = dict(os.environ, PYTHONPATH=str(Path(evmsleuth.__file__).parents[1]))
+    return subprocess.Popen(
+        [sys.executable, "-c", _SCRIPT, go, *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+
+
 def run_isolated_cli(*argv: str) -> subprocess.CompletedProcess:
     """`evmsleuth argv` in a fresh interpreter; with no argv, the process
     only imports evmsleuth.cli."""
-    env = dict(os.environ, PYTHONPATH=str(Path(evmsleuth.__file__).parents[1]))
-    return subprocess.run(
-        [sys.executable, "-c", _SCRIPT, *argv],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    with start_isolated_cli(*argv) as process:
+        try:
+            out, err = process.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            raise
+    return subprocess.CompletedProcess(process.args, process.returncode, out, err)
 
 
 def modules_loaded(run: subprocess.CompletedProcess) -> set[str]:

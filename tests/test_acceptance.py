@@ -20,13 +20,9 @@ from isolated import modules_loaded, run_isolated_cli
 import evmsleuth.explorer
 from evmsleuth.explorer import CachedExplorer, LocalExplorer
 from evmsleuth.fixtures import build_suite, scale_fixture, write_fixture
+from evmsleuth.fixtures.bench import bench, scaled_fixture_dir
 from evmsleuth.fixtures.interpreter import STEP_COUNTER
-from evmsleuth.orchestrator import (
-    InvestigationConfig,
-    bench,
-    run_investigation,
-    scaled_fixture_dir,
-)
+from evmsleuth.orchestrator import InvestigationConfig, run_investigation
 from evmsleuth.rules_evm import VulnSpec, read_vuln_doc
 from evmsleuth.traces import reconstruct_document
 from evmsleuth.words import ARITH_ARITY, IntTypeBounds, wrap_arith

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from damages import json_paths, re_encodings
 from evmsleuth.cli import main
 from evmsleuth.errors import ConfigError
 from evmsleuth.fixtures import build_fixture_chain, write_fixture
@@ -107,19 +108,6 @@ def test_a_bad_field_is_exit_2_at_either_level(archives, tmp_path, case, detecto
 # -- any one field dropped, retyped or re-encoded --
 
 
-def _paths(value, prefix=()):
-    """The key path of every member and item inside a JSON value."""
-    if isinstance(value, dict):
-        items = value.items()
-    elif isinstance(value, list):
-        items = enumerate(value)
-    else:
-        return
-    for key, item in items:
-        yield (*prefix, key)
-        yield from _paths(item, (*prefix, key))
-
-
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: (
@@ -129,35 +117,13 @@ _JSON = st.recursive(
 )
 
 
-def _re_encodings(value) -> list:
-    """The same value written another way."""
-    if value is None:
-        return ["null", 0, []]
-    if isinstance(value, bool):
-        return [str(value).lower(), int(value)]
-    if isinstance(value, int):
-        return [str(value), float(value), hex(value), [value]]
-    if isinstance(value, float):
-        return [str(value)]
-    if isinstance(value, str):
-        out = [" " + value, value.upper(), [value]]
-        if value.startswith("0x"):
-            out += [value[2:], "0x" + value[2:].zfill(64), int(value, 16)]
-        if value.lstrip("-").isdigit():
-            out += [int(value), float(value), hex(int(value))]
-        return out
-    if isinstance(value, list):
-        return [{str(i): item for i, item in enumerate(value)}, value[:1], value * 2]
-    return [[[key, item] for key, item in value.items()], list(value.values())]
-
-
 @st.composite
 def edited_descriptors(draw, archives):
     """(archive, descriptor) with one field of a scenario's descriptor
     dropped, replaced by any JSON value, or re-encoded."""
     archive, doc = archives[draw(st.sampled_from(SCENARIOS))]
     doc = json.loads(json.dumps(doc))
-    *parents, last = draw(st.sampled_from(list(_paths(doc))))
+    *parents, last = draw(st.sampled_from(list(json_paths(doc))))
     owner = doc
     for key in parents:
         owner = owner[key]
@@ -167,7 +133,7 @@ def edited_descriptors(draw, archives):
     elif how == "retype":
         owner[last] = draw(_JSON)
     else:
-        owner[last] = draw(st.sampled_from(_re_encodings(owner[last])))
+        owner[last] = draw(st.sampled_from(re_encodings(owner[last])))
     return archive, doc
 
 

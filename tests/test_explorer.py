@@ -5,16 +5,18 @@ import io
 import json
 import shutil
 import sys
+import tempfile
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from isolated import modules_loaded, run_isolated_cli
+from damages import json_paths, re_encodings
+from isolated import modules_loaded, run_isolated_cli, start_isolated_cli
 from evmsleuth.cli import main
 from evmsleuth.errors import ArchiveGapError, ProtocolError, SleuthError, UsageError
 from evmsleuth.explorer import (
@@ -31,7 +33,7 @@ from evmsleuth.explorer import (
 from evmsleuth.fixtures import SCENARIO_NAMES, build_fixture_chain, write_fixture
 from evmsleuth.hashing import digest
 from evmsleuth.traces import reconstruct_document
-from evmsleuth.words import address_hex, storage_hex
+from evmsleuth.words import address_hex, hash_hex, storage_hex
 
 SEED = 11
 
@@ -524,6 +526,34 @@ def test_cache_shared_by_concurrent_writers_never_reads_a_torn_entry(tmp_path):
     assert [p.name for p in directory.iterdir()] == [path.name]
 
 
+def test_cache_shared_by_concurrent_processes_matches_one_process(archive_dir, tmp_path, capsys):
+    # three cold runs at once, each with internal discovery so that each
+    # writes every block and trace entry of the archive
+    argv = ["investigate", "-t", "x", "-e", f"local[dir={archive_dir}]",
+            "-f", "spec[internal=true]", "-c"]
+    assert main([*argv, str(tmp_path / "alone")]) == 0
+    want = json.loads(capsys.readouterr().out)
+    go = tmp_path / "go"
+    processes = [start_isolated_cli(*argv, str(tmp_path / "shared"), go=str(go)) for _ in range(3)]
+    try:
+        for process in processes:
+            assert process.stderr.readline() == "ready\n"
+        go.touch()
+        outputs = [process.communicate(timeout=120) for process in processes]
+    finally:
+        for process in processes:
+            process.kill()
+            process.wait()
+    for process, (out, err) in zip(processes, outputs):
+        assert process.returncode == 0, err
+        doc = json.loads(out)
+        assert (doc["detections"], doc["skips"]) == (want["detections"], want["skips"])
+    shared = {path.name: path.read_bytes() for path in (tmp_path / "shared").iterdir()}
+    alone = {path.name: path.read_bytes() for path in (tmp_path / "alone").iterdir()}
+    assert [name for name in shared if name.endswith(".tmp")] == []
+    assert shared == alone
+
+
 def test_cache_counts_per_kind(local, tmp_path):
     cache = CachedExplorer(local, tmp_path / "cache")
     cache.get_balance(0xDEAD, 0)
@@ -575,14 +605,19 @@ class _Handler(BaseHTTPRequestHandler):
             body = {"jsonrpc": "2.0", "id": payload["id"], "result": "zz"}
         else:
             body = {"jsonrpc": "2.0", "id": payload["id"], "result": server.answer(payload)}
+        damaged = server.damage and server.damage(payload, body)
+        if damaged:
+            self._reply(*damaged)
+            return
         data = json.dumps(body).encode()
         # a truncated body: the connection closes before Content-Length bytes
-        self._reply(data, len(data) + 10 if mode == "truncated" else len(data))
+        self._reply(data, {"Content-Length": str(len(data) + 10 if mode == "truncated" else len(data))})
 
-    def _reply(self, data, length=None):
+    def _reply(self, data, framing=None):
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data) if length is None else length))
+        for name, value in (framing or {"Content-Length": str(len(data))}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
 
@@ -611,7 +646,9 @@ class _Shim(ThreadingHTTPServer):
     an HTTP status (int), "garbage", "deep" (JSON nested too deep to
     decode), "rpcerror", "nonsense" or "truncated";
     `faults` lists modes (or "drop", a closed connection) that the next
-    requests take first. `replies` fixes the result of a method."""
+    requests take first. `replies` fixes the result of a method. `damage`,
+    given a request and its reply body, returns the reply's bytes and
+    framing headers, or None to send the body as it is."""
 
     daemon_threads = True
 
@@ -626,6 +663,7 @@ class _Shim(ThreadingHTTPServer):
         self.faults = []
         self.retry_after = None
         self.replies = {}
+        self.damage = None
         self.seen = []
 
     @property
@@ -1031,3 +1069,219 @@ def test_investigation_needs_no_requests_and_loads_the_transport_lazily(
     for doc in (got, want):
         doc.pop("timings")
     assert got == want
+
+
+
+# -- damage inside an RPC result, through the command line --
+
+# The runs each drawn damage goes through: the evm level plain, over a
+# pc-filtered trace and with internal discovery, and the block level; each
+# with and without a cache, but for the pc-filtered one, which takes none.
+_RUNS = {
+    "evm": ["-d", "evm[vuln={vuln}]"],
+    "customTracer": ["-d", "evm[vuln={vuln},mode=customTracer]"],
+    "internal": ["-d", "evm[vuln={vuln}]", "-f", "spec[internal=true]"],
+    "block": ["-d", "block[vuln={vuln}]"],
+}
+_POINT_METHODS = ("eth_getStorageAt", "eth_getBalance")
+
+
+def _fractional(value, path: tuple) -> tuple:
+    """path with each index i into an n-item list written (i + 0.5) / n,
+    so that it lands in a shorter copy of the list too (a pc-filtered
+    trace)."""
+    steps = []
+    for step in path:
+        steps.append((step + 0.5) / len(value) if isinstance(value, list) else step)
+        value = value[step]
+    return tuple(steps)
+
+
+def _at(container, step):
+    """The key or index of container at one fractional path step; None
+    where the step leads nowhere."""
+    if isinstance(container, list):
+        return int(step * len(container)) if container else None
+    return step if isinstance(container, dict) and step in container else None
+
+
+def _changed(value, how: str, arg):
+    """value retyped to arg, or re-encoded: written the arg-th other way."""
+    if how == "retype":
+        return arg
+    encodings = re_encodings(value)
+    return encodings[arg % len(encodings)]
+
+
+def _edited(result, path: tuple, how: str, arg):
+    """A copy of result with its member at path dropped, retyped or
+    re-encoded; an unchanged copy when the path leads nowhere in it."""
+    result = owner = json.loads(json.dumps(result))
+    for step in path[:-1]:
+        key = _at(owner, step)
+        if key is None:
+            return result
+        owner = owner[key]
+    key = _at(owner, path[-1])
+    if key is not None and how == "drop":
+        del owner[key]
+    elif key is not None:
+        owner[key] = _changed(owner[key], how, arg)
+    return result
+
+
+def _framed(data: bytes, framing: tuple) -> tuple[bytes, dict]:
+    """The bytes and framing headers of a reply body sent with damaged
+    framing."""
+    kind, *args = framing
+    if kind == "truncate":
+        data = data[: int(args[0] * len(data))]
+    elif kind == "short-length":
+        return data, {"Content-Length": str(int(args[0] * len(data)))}
+    elif kind == "long-length":
+        return data, {"Content-Length": str(len(data) + args[0])}
+    elif kind == "batch":
+        data = b"[" + data + b"]"
+    elif kind == "twice":
+        data += data
+    elif kind == "re-encode":
+        data = data.decode().encode(args[0])
+    elif kind == "prefix":
+        data = args[0] + data
+    elif kind == "chunked":  # chunk sizes off by `lie`, maybe no last chunk
+        size, lie, terminated = args
+        pieces = [data[at : at + size] for at in range(0, len(data), size)]
+        data = b"".join(b"%x\r\n%s\r\n" % (len(piece) + lie, piece) for piece in pieces)
+        return data + b"0\r\n\r\n" * terminated, {"Transfer-Encoding": "chunked"}
+    return data, {"Content-Length": str(len(data))}
+
+
+_FRAMINGS = st.one_of(
+    st.tuples(st.sampled_from(["truncate", "short-length"]), st.floats(0, 1, exclude_max=True)),
+    st.tuples(st.just("long-length"), st.integers(1, 100)),
+    st.tuples(st.sampled_from(["batch", "twice"])),
+    st.tuples(st.just("re-encode"), st.sampled_from(["utf-16", "utf-32", "utf-8-sig"])),
+    st.tuples(st.just("prefix"), st.binary(min_size=1, max_size=4)),
+    st.tuples(st.just("chunked"), st.integers(1, 4096), st.integers(-2, 2), st.booleans()),
+)
+
+
+@st.composite
+def reply_damages(draw, local):
+    """(method, target, damage): one damage to every reply of `method` whose
+    first parameter is `target` (a block number or a transaction hash in
+    hex; None for any point answer). The damage drops, retypes or
+    re-encodes one field of the correct result, or the result itself, or
+    frames the reply body wrongly. A path is drawn from the correct full
+    result, and a re-encoding is made of the value the reply holds there."""
+    method = draw(st.sampled_from(["eth_getBlockByNumber", "debug_traceTransaction", *_POINT_METHODS]))
+    if method == "eth_getBlockByNumber":
+        number = draw(st.integers(0, local.height()))
+        target, result = hex(number), _rpc_block(local.collect_block_details(number)["block"])
+    elif method == "debug_traceTransaction":
+        traces = sorted(path.stem for path in (local.base / "traces").glob("*.json"))
+        tx_hash = bytes.fromhex(draw(st.sampled_from(traces)))
+        target, result = hash_hex(tx_hash), json.loads(local.tx_trace(tx_hash))
+    else:
+        target, result = None, None  # the point answer itself is the field
+    if draw(st.booleans()):
+        return method, target, ("frame", draw(_FRAMINGS))
+    path = _fractional(result, draw(st.sampled_from([(), *json_paths(result)])))
+    how = draw(st.sampled_from(["drop", "retype", "re-encode"]))
+    arg = draw(_JSON if how == "retype" else st.integers(0, 8))
+    return method, target, ("edit", path, how, arg)
+
+
+def _damaging(method, target, damage):
+    """The shim's damage hook for one drawn damage."""
+
+    def hook(payload, body):
+        if payload["method"] != method or target not in (None, payload["params"][0]):
+            return None
+        if damage[0] == "frame":
+            return _framed(json.dumps(body).encode(), damage[1])
+        _, path, how, arg = damage
+        if path:
+            body = dict(body, result=_edited(body["result"], path, how, arg))
+        elif how == "drop":
+            body = {key: item for key, item in body.items() if key != "result"}
+        else:
+            body = dict(body, result=_changed(body["result"], how, arg))
+        data = json.dumps(body).encode()
+        return data, {"Content-Length": str(len(data))}
+
+    return hook
+
+
+def _investigate_over(capsys, shim, vuln, run, cache):
+    """(exit code, report without timings or None, stderr) of one run."""
+    argv = [arg.format(vuln=vuln) for arg in _RUNS[run]]
+    extra = ["-c", cache] if cache else []
+    code = main(["investigate", "-t", "x", "-e", f"rpc[url={shim.url}]", *argv, *extra])
+    out, err = capsys.readouterr()
+    if code != 0:
+        assert out == "" and err.startswith("evmsleuth: ") and err.count("\n") == 1, err
+        return code, None, err
+    doc = json.loads(out)
+    doc.pop("timings")
+    return code, doc, err
+
+
+def _apart_from(doc, label):
+    """What a damaged trace of the transaction named label must not touch:
+    the other transactions' detections and skip records."""
+    return (
+        [d for d in doc["detections"] if f"tx {d.get('txHash')}" != label],
+        [s for s in doc["skips"] if s.startswith("tx ") and not s.startswith(label)],
+    )
+
+
+@pytest.fixture(scope="module")
+def damage_work(tmp_path_factory):
+    """A directory for the runs' caches, and the undamaged reports by
+    (run, cached)."""
+    return tmp_path_factory.mktemp("damaged-replies"), {}
+
+
+# Each draw costs seven investigations over HTTP, about 0.5 s for Bank.
+@given(data=st.data())
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+def test_damaged_rpc_results_are_exit_3_or_skip_records(
+    capsys, rpc, shim, archive_dir, damage_work, data
+):
+    local = LocalExplorer(archive_dir)
+    vuln = next((archive_dir / "vulns").glob("*.json"))
+    method, target, damage = data.draw(reply_damages(local))
+    work, undamaged = damage_work
+    for run in _RUNS:
+        for cached in (False, True)[: 1 if run == "customTracer" else 2]:
+            shim.reset(local)
+            if (run, cached) not in undamaged:
+                cache = tempfile.mkdtemp(dir=work) if cached else None
+                code, undamaged[run, cached], err = _investigate_over(
+                    capsys, shim, vuln, run, cache
+                )
+                assert code == 0, err
+            want = undamaged[run, cached]
+            shim.damage = _damaging(method, target, damage)
+            cache = tempfile.mkdtemp(dir=work) if cached else None
+            code, doc, err = _investigate_over(capsys, shim, vuln, run, cache)
+            assert code in (0, 3), err
+            if method == "debug_traceTransaction":
+                # a damaged trace is a skip record, or exit 3 under internal discovery
+                if run == "block":
+                    assert doc == want
+                elif run != "internal":
+                    assert code == 0, err
+                    assert doc["totals"]["candidates"] == want["totals"]["candidates"]
+                if doc is not None:
+                    assert _apart_from(doc, f"tx {target}") == _apart_from(want, f"tx {target}")
+            elif method in _POINT_METHODS:
+                if run == "block":  # a point answer is read only at the block level
+                    assert code == 0, err
+                else:
+                    assert doc == want

@@ -37,14 +37,9 @@ from evmsleuth.filters import (
     write_csv_feed,
 )
 from evmsleuth.fixtures import build_fixture_chain, scale_fixture, write_fixture
+from evmsleuth.fixtures.bench import bench, scaled_fixture_dir
 from evmsleuth.hashing import function_selector
-from evmsleuth.orchestrator import (
-    InvestigationConfig,
-    bench,
-    bench_investigation,
-    run_investigation,
-    scaled_fixture_dir,
-)
+from evmsleuth.orchestrator import InvestigationConfig, run_investigation
 from evmsleuth.rules_evm import VulnSpec
 from evmsleuth.words import hash_hex
 
@@ -297,10 +292,10 @@ def test_block_run_skips_unreadable_state(bank, spec, bank_dir, tmp_path, damage
 # -- performance harness --
 
 
-def test_bench_investigation_shapes(spec, bank_dir):
+def test_bench_row_shapes(scaled_root):
     with pytest.raises(UsageError, match="at least 1"):
-        bench_investigation(config_for(spec, LocalExplorer(bank_dir)), repeats=0)
-    row = bench_investigation(config_for(spec, LocalExplorer(bank_dir)), repeats=2)
+        bench(scaled_root, "instructions", [0], repeats=0)
+    (row,) = bench(scaled_root, "instructions", [0], repeats=2)
     assert row["repeats"] == 2
     assert row["detections"] > 0
     assert row["analyze"] >= 0 and row["total"] >= row["analyze"]
@@ -1157,12 +1152,16 @@ def test_cli_fixtures_build_and_scale(capsys, tmp_path):
     assert lines[1].startswith("instructions,0,local,evm,1,")
 
 
-def test_cli_bench_rejects_bad_magnitudes(capsys, tmp_path):
-    code, _, err = run_cli(
+@pytest.mark.parametrize(
+    "magnitudes, message",
+    [(",", "--magnitudes needs at least one integer"), ("-5", "magnitude must be non-negative")],
+)
+def test_cli_bench_rejects_bad_magnitudes(capsys, tmp_path, magnitudes, message):
+    code, out, err = run_cli(
         capsys,
-        "bench", "--root", str(tmp_path), "--axis", "storage", "--magnitudes", ",",
+        "bench", "--root", str(tmp_path), "--axis", "storage", "--magnitudes", magnitudes,
     )
-    assert code == 2 and "at least one integer" in err
+    assert code == 2 and out == "" and err == f"evmsleuth: {message}\n"
 
 
 
