@@ -75,32 +75,32 @@ def parse_component(text: str) -> tuple[str, dict[str, str]]:
     """'name' or 'name[k=v,k=v]' -> (name, params)."""
     if "[" not in text:
         if "]" in text:
-            raise UsageError(f"unbalanced brackets in {text!r}")
+            raise UsageError(f"unbalanced brackets in {text!r:.80}")
         return text, {}
     name, _, rest = text.partition("[")
     if not rest.endswith("]"):
-        raise UsageError(f"missing closing bracket in {text!r}")
+        raise UsageError(f"missing closing bracket in {text!r:.80}")
     params = {}
     body = rest[:-1]
     if body:
         for pair in split_params(body):
             key, eq, value = pair.partition("=")
             if not eq or not key:
-                raise UsageError(f"expected key=value in {text!r}, got {pair!r}")
+                raise UsageError(f"expected key=value in {text!r:.80}, got {pair!r:.80}")
             params[key] = value
     return name, params
 
 
 def _reject_leftovers(params: dict, where: str):
     if params:
-        raise UsageError(f"unknown {where} parameter(s): {', '.join(sorted(params))}")
+        raise UsageError(f"unknown {where} parameter(s): {', '.join(sorted(params)):.80}")
 
 
 def _int_param(value: str, what: str) -> int:
     try:
         return int(value, 0)
     except ValueError:
-        raise UsageError(f"{what} must be an integer, got {value!r}") from None
+        raise UsageError(f"{what} must be an integer, got {value!r:.80}") from None
 
 
 def _seconds_param(value: str, what: str) -> float:
@@ -111,7 +111,7 @@ def _seconds_param(value: str, what: str) -> float:
     # socket timeouts overflow a little above 9e9 s; a day is bound enough
     if not 0 < seconds <= 86400:
         raise UsageError(
-            f"{what} must be a positive number of seconds up to 86400, got {value!r}"
+            f"{what} must be a positive number of seconds up to 86400, got {value!r:.80}"
         )
     return seconds
 
@@ -119,7 +119,7 @@ def _seconds_param(value: str, what: str) -> float:
 def _bool_param(value: str, what: str) -> bool:
     if value in ("true", "false"):
         return value == "true"
-    raise UsageError(f"{what} must be true or false, got {value!r}")
+    raise UsageError(f"{what} must be true or false, got {value!r:.80}")
 
 
 def _read_user_file(path: str, what: str) -> str:
@@ -153,7 +153,7 @@ def build_explorer(spec_text: str, cache_dir: str | None):
         _reject_leftovers(params, "explorer")
         inner = RpcExplorer(url, retries=retries, timeout=timeout)
     else:
-        raise UsageError(f"unknown explorer {name!r} (use local or rpc)")
+        raise UsageError(f"unknown explorer {name!r:.80} (use local or rpc)")
     if cache_dir is not None:
         return CachedExplorer(inner, cache_dir)
     return inner
@@ -175,16 +175,16 @@ def load_vuln_spec(detector_params: dict, explorer_text: str) -> VulnSpec:
 def build_detector(spec_text: str, explorer_text: str, cache_dir: str | None):
     name, params = parse_component(spec_text)
     if name not in ("evm", "block"):
-        raise UsageError(f"unknown detector level {name!r} (use evm or block)")
+        raise UsageError(f"unknown detector level {name!r:.80} (use evm or block)")
     spec = load_vuln_spec(params, explorer_text)
     rule = params.pop("rule", None)
     if rule is not None and rule != spec.rule:
         raise ConfigError(
-            f"detector rule {rule!r} does not match the description's {spec.rule!r}"
+            f"detector rule {rule!r:.80} does not match the description's {spec.rule!r}"
         )
     mode = params.pop("mode", "local")
     if mode not in ("local", "customTracer"):
-        raise UsageError(f"detector mode must be local or customTracer, got {mode!r}")
+        raise UsageError(f"detector mode must be local or customTracer, got {mode!r:.80}")
     if cache_dir is not None:
         if mode == "customTracer":
             raise UsageError("pick one mode: -c (cached) or mode=customTracer")
@@ -213,7 +213,7 @@ def build_filter(spec_text: str | None, spec: VulnSpec, shared: dict):
     elif name == "spec":
         selectors = base.selectors
     else:
-        raise UsageError(f"unknown filter {name!r} (use spec, select, or feed)")
+        raise UsageError(f"unknown filter {name!r:.80} (use spec, select, or feed)")
 
     lo = _int_param(params.pop("from", str(base.block_range[0])), "from")
     hi = _int_param(params.pop("to", str(base.block_range[1])), "to")
@@ -234,7 +234,7 @@ def parse_shared(pairs: list[str]) -> dict:
     for pair in pairs:
         key, eq, value = pair.partition("=")
         if not eq or not key:
-            raise UsageError(f"-p expects key=value, got {pair!r}")
+            raise UsageError(f"-p expects key=value, got {pair!r:.80}")
         shared[key] = value
     return shared
 

@@ -59,6 +59,7 @@ streamed pass of its own (see CachedExplorer).
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import re
@@ -173,6 +174,8 @@ def _read_text(path: Path, what: str) -> str:
     except FileNotFoundError:
         raise ArchiveGapError(f"no {what}") from None
     except (OSError, ValueError) as err:  # ValueError: bad UTF-8
+        if isinstance(err, OSError) and err.errno == errno.ENAMETOOLONG:  # quote a prefix of the name
+            err = f"[Errno {err.errno}] {err.strerror}: {err.filename!r:.80}"
         raise ProtocolError(f"{what} unreadable: {err}") from None
 
 
@@ -281,7 +284,7 @@ def block_envelope(doc, where: str) -> dict:
 class LocalExplorer:
     def __init__(self, directory: str | Path):
         self.base = Path(directory)
-        chain = _read_json(self.base / "chain.json", f"chain.json under {self.base}")
+        chain = _read_json(self.base / "chain.json", f"chain.json under {self.base!s:.80}")
         blocks = chain.get("blocks") if isinstance(chain, dict) else None
         if not isinstance(blocks, list):
             raise ProtocolError("chain.json has no blocks list")
@@ -430,15 +433,16 @@ class RpcExplorer:
     and a reply without a result, whatever its error holds, are protocol
     errors at once. A reply is parsed whole, trace replies included, so a
     trace is walked as a document. A null result is a gap. The url must be
-    printable ASCII, http or https, with a host and without user
-    credentials, and retries at least 1, or the explorer is a usage error
-    and opens no connection.
+    printable ASCII, http or https, with a host whose DNS labels are 1 to
+    63 characters and without user credentials, and retries at least 1, or
+    the explorer is a usage error and opens no connection.
     """
 
     def __init__(self, url: str, retries: int = 3, timeout: float = 10.0):
         try:
             parts = urlsplit(url)
             parts.port  # raises ValueError for a port that is not a number
+            (parts.hostname or "").encode("idna")  # UnicodeError: empty or overlong DNS label
         except ValueError:
             parts = None
         if (
@@ -449,7 +453,7 @@ class RpcExplorer:
             or parts.username is not None  # urllib would take it for the host
         ):
             raise UsageError(
-                f"rpc url must be http:// or https:// with a host and no user, got {url!r}"
+                f"rpc url must be http:// or https:// with a host and no user, got {url!r:.80}"
             )
         if retries < 1:
             raise UsageError(f"rpc retries is the number of tries, at least 1, got {retries}")

@@ -65,14 +65,14 @@ class FilterQuery:
     def __post_init__(self):
         lo, hi = self.block_range
         if lo < 0 or hi < lo:
-            raise UsageError(f"bad block range {lo}..{hi}")
+            raise UsageError(f"bad block range {lo!s:.80}..{hi!s:.80}")
         if not self.selectors:
             raise UsageError("filter needs at least one function signature")
         for sig in self.selectors:
             try:
                 function_selector(sig)
             except (TypeError, ValueError):
-                raise UsageError(f"not a canonical function signature: {sig!r}") from None
+                raise UsageError(f"not a canonical function signature: {sig!r:.80}") from None
 
     def selector_bytes(self) -> frozenset[bytes]:
         return frozenset(function_selector(sig) for sig in self.selectors)

@@ -116,11 +116,6 @@ class Blockchain:
     def tip(self) -> Block:
         return self.blocks[-1]
 
-    def block(self, number: int) -> Block:
-        if not 0 <= number < len(self.blocks):
-            raise ArchiveGapError(f"no block {number} (height {self.height})")
-        return self.blocks[number]
-
     def append(self, block: Block):
         if self.blocks:
             if block.number != self.tip.number + 1 or block.parent != self.tip.hash:
@@ -162,9 +157,6 @@ class LabelStore:
         if exploit_class not in EXPLOIT_CLASSES and exploit_class != BENIGN:
             raise UsageError(f"unknown exploit class {exploit_class!r}")
         self.labels[txh] = Label(exploit_class, mechanism)
-
-    def get(self, txh: bytes) -> Label | None:
-        return self.labels.get(txh)
 
     def exploit_hashes(self, exploit_class: str | None = None) -> list[bytes]:
         return [

@@ -7,6 +7,7 @@ investigation loads neither it nor the rest of the producer.
 from __future__ import annotations
 
 import csv
+import tempfile
 from pathlib import Path
 
 from ..errors import UsageError
@@ -40,7 +41,10 @@ def bench(
     enough for scheduler noise to matter.
 
     With mode "cached" one untimed warm-up run fills the cache first, so the
-    numbers show steady-state cost rather than first-touch I/O.
+    numbers show steady-state cost rather than first-touch I/O. The cache is
+    a temporary directory per magnitude, removed after its timed runs: its
+    entries are keyed by query, not by archive, so one kept beside the
+    fixture could answer a rescaled fixture from the old archive.
     """
     if repeats < 1:
         raise UsageError("repeats must be at least 1")
@@ -50,16 +54,17 @@ def bench(
         if not directory.is_dir():
             raise UsageError(f"no scaled fixture at {directory}; run fixtures scale first")
         spec = VulnSpec.from_document(read_vuln_doc(directory))
-        explorer = LocalExplorer(directory)
-        if mode == "cached":
-            explorer = CachedExplorer(explorer, directory / f".cache-{level}")
-        config = InvestigationConfig(
-            tag=directory.name, spec=spec, explorer=explorer, level=level, mode=mode
-        )
-        if mode == "cached":
-            run_investigation(config)  # warm-up, untimed
-        runs = (run_investigation(config) for _ in range(repeats))
-        best = min(runs, key=lambda report: report.timings["analyze"])
+        with tempfile.TemporaryDirectory(prefix="evmsleuth-bench-") as cache_dir:
+            explorer = LocalExplorer(directory)
+            if mode == "cached":
+                explorer = CachedExplorer(explorer, cache_dir)
+            config = InvestigationConfig(
+                tag=directory.name, spec=spec, explorer=explorer, level=level, mode=mode
+            )
+            if mode == "cached":
+                run_investigation(config)  # warm-up, untimed
+            runs = (run_investigation(config) for _ in range(repeats))
+            best = min(runs, key=lambda report: report.timings["analyze"])
         timings = best.timings
         table.append({
             "axis": axis, "magnitude": magnitude, "mode": mode, "level": level,

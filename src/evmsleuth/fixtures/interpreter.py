@@ -1,9 +1,14 @@
 """Small-step bytecode interpreter with structured trace emission.
 
 Scope is deliberately narrow: the opcode subset the bundled fixtures need,
-a flat versioned gas cost table, and call semantics where the callee
-receives all remaining gas minus a fixed caller reserve. No memory
-expansion pricing, no 63/64 rule, no contract creation.
+and call semantics where the callee receives all remaining gas minus a
+fixed caller reserve. No memory expansion pricing, no 63/64 rule, no
+contract creation.
+
+One table, OPCODE_TABLE, gives each opcode its byte (the standard EVM
+assignment), stack effect and flat gas cost; its gas column is the frozen
+v1 table in docs/formats.md ("Interpreter gas table (v1)"). MNEMONICS and
+GAS_COSTS are read from it.
 
 Trace contract (frozen in docs/formats.md):
 - every *completed* instruction emits exactly one TraceStep with the
@@ -56,155 +61,62 @@ class _StepCounter:
 STEP_COUNTER = _StepCounter()
 
 
-# -- opcode numbering (mirrors the standard EVM byte assignments) --
+# -- the opcode table: mnemonic -> (byte, pops, pushes, gas) --
 
-_BASE_OPCODES = {
-    0x00: "STOP",
-    0x01: "ADD",
-    0x02: "MUL",
-    0x03: "SUB",
-    0x05: "SDIV",
-    0x08: "ADDMOD",
-    0x09: "MULMOD",
-    0x0A: "EXP",
-    0x10: "LT",
-    0x11: "GT",
-    0x14: "EQ",
-    0x15: "ISZERO",
-    0x16: "AND",
-    0x17: "OR",
-    0x19: "NOT",
-    0x31: "BALANCE",
-    0x33: "CALLER",
-    0x34: "CALLVALUE",
-    0x35: "CALLDATALOAD",
-    0x36: "CALLDATASIZE",
-    0x47: "SELFBALANCE",
-    0x50: "POP",
-    0x51: "MLOAD",
-    0x52: "MSTORE",
-    0x54: "SLOAD",
-    0x55: "SSTORE",
-    0x56: "JUMP",
-    0x57: "JUMPI",
-    0x58: "PC",
-    0x5A: "GAS",
-    0x5B: "JUMPDEST",
-    0xA0: "LOG0",
-    0xA1: "LOG1",
-    0xA2: "LOG2",
-    0xF1: "CALL",
-    0xF3: "RETURN",
-    0xF4: "DELEGATECALL",
-    0xFA: "STATICCALL",
-    0xFD: "REVERT",
+OPCODE_TABLE: dict[str, tuple[int, int, int, int]] = {
+    "STOP": (0x00, 0, 0, 0),
+    "ADD": (0x01, 2, 1, 3),
+    "MUL": (0x02, 2, 1, 5),
+    "SUB": (0x03, 2, 1, 3),
+    "SDIV": (0x05, 2, 1, 5),
+    "ADDMOD": (0x08, 3, 1, 8),
+    "MULMOD": (0x09, 3, 1, 8),
+    "EXP": (0x0A, 2, 1, 10),
+    "LT": (0x10, 2, 1, 3),
+    "GT": (0x11, 2, 1, 3),
+    "EQ": (0x14, 2, 1, 3),
+    "ISZERO": (0x15, 1, 1, 3),
+    "AND": (0x16, 2, 1, 3),
+    "OR": (0x17, 2, 1, 3),
+    "NOT": (0x19, 1, 1, 3),
+    "BALANCE": (0x31, 1, 1, 20),
+    "CALLER": (0x33, 0, 1, 2),
+    "CALLVALUE": (0x34, 0, 1, 2),
+    "CALLDATALOAD": (0x35, 1, 1, 3),
+    "CALLDATASIZE": (0x36, 0, 1, 2),
+    "SELFBALANCE": (0x47, 0, 1, 5),
+    "POP": (0x50, 1, 0, 2),
+    "MLOAD": (0x51, 1, 1, 3),
+    "MSTORE": (0x52, 2, 0, 3),
+    "SLOAD": (0x54, 1, 1, 50),
+    "SSTORE": (0x55, 2, 0, 200),
+    "JUMP": (0x56, 1, 0, 8),
+    "JUMPI": (0x57, 2, 0, 10),
+    "PC": (0x58, 0, 1, 2),
+    "GAS": (0x5A, 0, 1, 2),
+    "JUMPDEST": (0x5B, 0, 0, 1),
+    "LOG0": (0xA0, 2, 0, 100),
+    "LOG1": (0xA1, 3, 0, 150),
+    "LOG2": (0xA2, 4, 0, 200),
+    "CALL": (0xF1, 5, 1, 100),
+    "RETURN": (0xF3, 2, 0, 0),
+    "DELEGATECALL": (0xF4, 4, 1, 100),
+    "STATICCALL": (0xFA, 4, 1, 100),
+    "REVERT": (0xFD, 2, 0, 0),
 }
-
-OPCODES: dict[int, str] = dict(_BASE_OPCODES)
 for _n in range(1, 33):
-    OPCODES[0x60 + _n - 1] = f"PUSH{_n}"
+    OPCODE_TABLE[f"PUSH{_n}"] = (0x5F + _n, 0, 1, 3)
 for _n in range(1, 17):
-    OPCODES[0x80 + _n - 1] = f"DUP{_n}"
-    OPCODES[0x90 + _n - 1] = f"SWAP{_n}"
+    OPCODE_TABLE[f"DUP{_n}"] = (0x7F + _n, _n, _n + 1, 3)
+    OPCODE_TABLE[f"SWAP{_n}"] = (0x8F + _n, _n + 1, _n + 1, 3)
 
-MNEMONICS: dict[str, int] = {name: byte for byte, name in OPCODES.items()}
+MNEMONICS: dict[str, int] = {name: row[0] for name, row in OPCODE_TABLE.items()}
+GAS_COSTS: dict[str, int] = {name: row[3] for name, row in OPCODE_TABLE.items()}
 
+# byte -> (op, pops, pushes, gas): one lookup decodes an instruction.
+_DECODE = {row[0]: (name, *row[1:]) for name, row in OPCODE_TABLE.items()}
+_SYNTHESIZED_STOP = _DECODE[MNEMONICS["STOP"]]
 _JUMPDEST_BYTE = MNEMONICS["JUMPDEST"]
-
-# (pops, pushes) per mnemonic.
-_ARITY: dict[str, tuple[int, int]] = {
-    "STOP": (0, 0),
-    "ADD": (2, 1),
-    "MUL": (2, 1),
-    "SUB": (2, 1),
-    "SDIV": (2, 1),
-    "ADDMOD": (3, 1),
-    "MULMOD": (3, 1),
-    "EXP": (2, 1),
-    "LT": (2, 1),
-    "GT": (2, 1),
-    "EQ": (2, 1),
-    "ISZERO": (1, 1),
-    "AND": (2, 1),
-    "OR": (2, 1),
-    "NOT": (1, 1),
-    "BALANCE": (1, 1),
-    "CALLER": (0, 1),
-    "CALLVALUE": (0, 1),
-    "CALLDATALOAD": (1, 1),
-    "CALLDATASIZE": (0, 1),
-    "SELFBALANCE": (0, 1),
-    "POP": (1, 0),
-    "MLOAD": (1, 1),
-    "MSTORE": (2, 0),
-    "SLOAD": (1, 1),
-    "SSTORE": (2, 0),
-    "JUMP": (1, 0),
-    "JUMPI": (2, 0),
-    "PC": (0, 1),
-    "GAS": (0, 1),
-    "JUMPDEST": (0, 0),
-    "LOG0": (2, 0),
-    "LOG1": (3, 0),
-    "LOG2": (4, 0),
-    "CALL": (5, 1),
-    "DELEGATECALL": (4, 1),
-    "STATICCALL": (4, 1),
-    "RETURN": (2, 0),
-    "REVERT": (2, 0),
-}
-for _n in range(1, 33):
-    _ARITY[f"PUSH{_n}"] = (0, 1)
-for _n in range(1, 17):
-    _ARITY[f"DUP{_n}"] = (_n, _n + 1)
-    _ARITY[f"SWAP{_n}"] = (_n + 1, _n + 1)
-
-GAS_COSTS: dict[str, int] = {
-    "STOP": 0,
-    "ADD": 3,
-    "MUL": 5,
-    "SUB": 3,
-    "SDIV": 5,
-    "ADDMOD": 8,
-    "MULMOD": 8,
-    "EXP": 10,
-    "LT": 3,
-    "GT": 3,
-    "EQ": 3,
-    "ISZERO": 3,
-    "AND": 3,
-    "OR": 3,
-    "NOT": 3,
-    "BALANCE": 20,
-    "CALLER": 2,
-    "CALLVALUE": 2,
-    "CALLDATALOAD": 3,
-    "CALLDATASIZE": 2,
-    "SELFBALANCE": 5,
-    "POP": 2,
-    "MLOAD": 3,
-    "MSTORE": 3,
-    "SLOAD": 50,
-    "SSTORE": 200,
-    "JUMP": 8,
-    "JUMPI": 10,
-    "PC": 2,
-    "GAS": 2,
-    "JUMPDEST": 1,
-    "LOG0": 100,
-    "LOG1": 150,
-    "LOG2": 200,
-    "CALL": 100,
-    "DELEGATECALL": 100,
-    "STATICCALL": 100,
-    "RETURN": 0,
-    "REVERT": 0,
-}
-for _n in range(1, 33):
-    GAS_COSTS[f"PUSH{_n}"] = 3
-for _n in range(1, 17):
-    GAS_COSTS[f"DUP{_n}"] = 3
-    GAS_COSTS[f"SWAP{_n}"] = 3
 
 FAULT_OUT_OF_GAS = "out-of-gas"
 FAULT_STACK_UNDERFLOW = "stack-underflow"
@@ -274,22 +186,11 @@ class ActivationRecord:
 
 
 @dataclass
-class ActivationStack:
-    frames: list[ActivationRecord] = field(default_factory=list)
-
-    def top(self) -> ActivationRecord:
-        return self.frames[-1]
-
-    @property
-    def depth(self) -> int:
-        return len(self.frames)
-
-
-@dataclass
 class EVMState:
-    """Machine configuration: activation stack plus the global state."""
+    """Machine configuration: the call frames (root first) plus the global
+    state."""
 
-    frames: ActivationStack
+    frames: list[ActivationRecord]
     world: GlobalState
     trace: list[TraceStep] = field(default_factory=list)
     # Completion bookkeeping, set when the root frame ends.
@@ -354,40 +255,23 @@ def _write_memory(frame: ActivationRecord, offset: int, data: bytes):
     frame.memory[offset:end] = data
 
 
-def step(vm: EVMState) -> TraceStep | None:
-    """Execute one small step. Returns the emitted TraceStep, or None when
-    the machine only unwound a faulting frame. vm.finished flips when the
-    root frame ends.
-    """
-    if vm.finished:
-        raise UsageError("machine already finished")
-    frame = vm.frames.top()
-    try:
-        return _execute_one(vm, frame)
-    except _Fault as fault:
-        _complete_frame(vm, success=False, data=b"", fault=fault.kind)
-        return None
-
-
-def _execute_one(vm: EVMState, frame: ActivationRecord) -> TraceStep:
+def _execute_one(vm: EVMState, frame: ActivationRecord):
+    """Execute one small step of the top frame; a _Fault means it emitted
+    nothing. vm.finished flips when the root frame ends."""
     code = frame.code
     pc = frame.pc
-    synthesized_stop = pc >= len(code)
-    if synthesized_stop:
-        op = "STOP"
-        cost = 0
+    if pc >= len(code):
+        row = _SYNTHESIZED_STOP
     else:
-        byte = code[pc]
-        op = OPCODES.get(byte)
-        if op is None:
+        row = _DECODE.get(code[pc])
+        if row is None:
             raise _Fault(FAULT_INVALID_OPCODE)
-        cost = GAS_COSTS[op]
+    op, pops, pushes, cost = row
 
     if frame.gas < cost:
         raise _Fault(FAULT_OUT_OF_GAS)
 
     stack = frame.stack
-    pops, pushes = _ARITY[op]
     if len(stack) < pops:
         raise _Fault(FAULT_STACK_UNDERFLOW)
     if len(stack) - pops + pushes > STACK_LIMIT:
@@ -409,7 +293,7 @@ def _execute_one(vm: EVMState, frame: ActivationRecord) -> TraceStep:
         op=op,
         gas=frame.gas,
         gas_cost=cost,
-        depth=vm.frames.depth,
+        depth=len(vm.frames),
         stack=tuple(stack),
         frame_id=frame.id,
         code_address=frame.code_address,
@@ -418,9 +302,9 @@ def _execute_one(vm: EVMState, frame: ActivationRecord) -> TraceStep:
     frame.gas -= cost
     STEP_COUNTER.bump()
 
-    if synthesized_stop or op == "STOP":
+    if op == "STOP":
         _complete_frame(vm, success=True, data=b"")
-        return emitted
+        return
 
     next_pc = pc + 1
 
@@ -437,7 +321,7 @@ def _execute_one(vm: EVMState, frame: ActivationRecord) -> TraceStep:
     elif op in words.ARITH_ARITY:
         a = stack.pop()
         b = stack.pop()
-        n = stack.pop() if words.ARITH_ARITY[op] == 3 else 0
+        n = stack.pop() if pops == 3 else 0
         stack.append(words.word_result(op, a, b, n))
     elif op == "LT":
         a = stack.pop()
@@ -522,12 +406,11 @@ def _execute_one(vm: EVMState, frame: ActivationRecord) -> TraceStep:
         data = _read_bytes(frame.memory, offset, size)
         frame.pc = next_pc
         _complete_frame(vm, success=(op == "RETURN"), data=data, revert=(op == "REVERT"))
-        return emitted
+        return
     else:  # pragma: no cover - table and dispatch are kept in sync
         raise _Fault(FAULT_INVALID_OPCODE)
 
     frame.pc = next_pc
-    return emitted
 
 
 def _do_call(vm: EVMState, frame: ActivationRecord, op: str, emitted: TraceStep):
@@ -594,11 +477,11 @@ def _do_call(vm: EVMState, frame: ActivationRecord, op: str, emitted: TraceStep)
     child.gas = forwarded
     child.call_step = emitted
     frame.pc += 1  # resume past the call once the child completes
-    vm.frames.frames.append(child)
+    vm.frames.append(child)
 
 
 def _complete_frame(vm: EVMState, success: bool, data: bytes, revert: bool = False, fault: str | None = None):
-    child = vm.frames.frames.pop()
+    child = vm.frames.pop()
     world = vm.world
     if success:
         status = 1
@@ -608,8 +491,8 @@ def _complete_frame(vm: EVMState, success: bool, data: bytes, revert: bool = Fal
         if fault is not None:
             child.gas = 0  # a fault consumes everything forwarded
 
-    if vm.frames.frames:
-        parent = vm.frames.top()
+    if vm.frames:
+        parent = vm.frames[-1]
         parent.gas += child.gas
         parent.stack.append(status)
         if success:
@@ -686,10 +569,13 @@ def execute_transaction(
         journal_mark=work.checkpoint(),
     )
     root.memory = bytearray(data)
-    vm = EVMState(frames=ActivationStack(frames=[root]), world=work)
+    vm = EVMState(frames=[root], world=work)
 
     while not vm.finished:
-        step(vm)
+        try:
+            _execute_one(vm, vm.frames[-1])
+        except _Fault as fault:
+            _complete_frame(vm, success=False, data=b"", fault=fault.kind)
 
     if vm.success:
         gas_used = gas_limit - vm.gas_left

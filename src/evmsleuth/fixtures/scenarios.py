@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..chain import Transaction
@@ -114,7 +114,6 @@ class ScenarioFixture:
     vuln: dict
     disasm: str
     contract: Address
-    programs: dict[int, Program] = field(default_factory=dict)
 
 
 # -- session scaffolding ------------------------------------------------------
@@ -229,7 +228,7 @@ class _Session:
             f"== code at {address_hex(addr)} ==\n{programs[addr].listing}\n"
             for addr in sorted(programs)
         )
-        return ScenarioFixture(name, self.archive, vuln, listing, contract, programs)
+        return ScenarioFixture(name, self.archive, vuln, listing, contract)
 
 
 def _ping_program() -> Program:

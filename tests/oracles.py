@@ -155,10 +155,10 @@ def replay_block(chain, world, number):
     from evmsleuth.fixtures.interpreter import execute_transaction
     from evmsleuth.fixtures.state import state_root
 
-    block = chain.block(number)
+    block = chain.blocks[number]
     if number == 0:
         return block.state_root, []
-    state = world.get(chain.block(number - 1).state_root)
+    state = world.get(chain.blocks[number - 1].state_root)
     outcomes = []
     for tx in block.txs:
         outcome = execute_transaction(state, tx.sender, tx.to, tx.value, tx.data, tx.gas_limit)

@@ -151,7 +151,7 @@ def test_criterion_2_block_level_misses(suite, suite_dirs):
         if name != "SimulationBECToken":
             continue
         missed = set(labels.exploit_hashes()) - flagged
-        mechanisms = sorted(labels.get(h).mechanism for h in missed)
+        mechanisms = sorted(labels.labels[h].mechanism for h in missed)
         if len(missed) != 4:
             problems.append(f"BEC missed {len(missed)} exploits, expected 4")
         if mechanisms != ["occluded", "proxied", "proxied", "proxied"]:
@@ -360,7 +360,7 @@ def test_criterion_5_reconstruction_matches_interpreter(suite):
         chain = fixture.archive.chain
         world = fixture.archive.world
         for number in range(1, len(chain.blocks)):
-            block = chain.block(number)
+            block = chain.blocks[number]
             root, outcomes = oracles.replay_block(chain, world, number)
             if root != block.state_root:
                 problems.append(f"{name} block {number}: replayed root differs")

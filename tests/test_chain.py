@@ -7,7 +7,7 @@ import pytest
 
 from oracles import replay_block
 from evmsleuth.chain import tx_from_document, tx_to_document
-from evmsleuth.errors import ArchiveGapError, ProtocolError, UsageError
+from evmsleuth.errors import ProtocolError, UsageError
 from evmsleuth.explorer import LocalExplorer
 from evmsleuth.fixtures.archive import (
     Archive,
@@ -92,12 +92,6 @@ def test_mine_block_failed_tx_leaves_state_unchanged():
     assert mined.block.txs == (overdraft,)
 
 
-def test_block_lookup_gap():
-    arch = fresh_archive()
-    with pytest.raises(ArchiveGapError):
-        arch.chain.block(3)
-
-
 # -- replay --
 
 
@@ -108,13 +102,13 @@ def test_replay_block_reproduces_stored_roots():
     mine_and_record(arch, [make_transaction(OTHER, SENDER, 50, nonce=0)])
     for n in range(arch.chain.height + 1):
         root, _ = replay_block(arch.chain, arch.world, n)
-        assert root == arch.chain.block(n).state_root
+        assert root == arch.chain.blocks[n].state_root
 
 
 def test_replay_genesis_is_identity():
     arch = fresh_archive()
     root, outcomes = replay_block(arch.chain, arch.world, 0)
-    assert root == arch.chain.block(0).state_root
+    assert root == arch.chain.blocks[0].state_root
     assert outcomes == []
 
 
@@ -128,7 +122,7 @@ def test_label_store_roundtrip_and_validation():
     assert store.exploit_hashes() == [txh]
     assert store.exploit_hashes("overflow") == [txh]
     assert store.exploit_hashes("dos") == []
-    assert store.get(bytes(32)) is None
+    assert bytes(32) not in store.labels
     with pytest.raises(UsageError):
         store.add(bytes(32), "not-a-rule")
 

@@ -121,7 +121,7 @@ def test_tx_list_ignores_other_functions(bank, bank_explorer):
     listed = {row.tx_hash for row in rows}
     wanted = query.selector_bytes()
     for n in range(1, chain.height + 1):
-        for tx in chain.block(n).txs:
+        for tx in chain.blocks[n].txs:
             watched = tx.to == query.contract and tx.data[:4] in wanted
             assert (tx.hash in listed) == watched
 
@@ -143,7 +143,7 @@ def test_scan_holds_only_blocks_with_candidates(bank, bank_explorer):
     with_rows = {row.block_number for row in rows}
     assert with_rows and set(fetched) - with_rows
     for number in range(lo, hi + 1):
-        assert reads.transactions(number) == tuple(bank.archive.chain.block(number).txs)
+        assert reads.transactions(number) == tuple(bank.archive.chain.blocks[number].txs)
     assert sorted(fetched[hi - lo + 1:]) == sorted(set(fetched) - with_rows)
 
 

@@ -113,7 +113,7 @@ def test_every_block_replays_to_stored_root(suite):
         chain, world = fixture.archive.chain, fixture.archive.world
         for n in range(chain.height + 1):
             root, _ = replay_block(chain, world, n)
-            assert root == chain.block(n).state_root, (name, n)
+            assert root == chain.blocks[n].state_root, (name, n)
 
 
 def test_vuln_docs_are_complete(suite):
@@ -184,7 +184,7 @@ def test_bec_has_proxied_and_occluded_mechanisms(suite):
     labels = fixture.archive.labels
     mechanisms = {}
     for txh in labels.exploit_hashes():
-        mechanisms.setdefault(labels.get(txh).mechanism, []).append(txh)
+        mechanisms.setdefault(labels.labels[txh].mechanism, []).append(txh)
     assert len(mechanisms.get("proxied", [])) == 3
     assert len(mechanisms.get("occluded", [])) == 1
     assert fixture.vuln["filter"]["includeInternal"] is True
@@ -193,7 +193,7 @@ def test_bec_has_proxied_and_occluded_mechanisms(suite):
     chain = fixture.archive.chain
     tx_to = {}
     for n in range(1, chain.height + 1):
-        for tx in chain.block(n).txs:
+        for tx in chain.blocks[n].txs:
             tx_to[tx.hash] = tx.to
     for txh in mechanisms["proxied"]:
         assert tx_to[txh] != contract
@@ -215,7 +215,7 @@ def test_bank_probe_is_sole_failed_exploit(suite):
         if fixture.archive.traces[txh]["failed"]
     ]
     assert len(failed) == 1
-    assert fixture.archive.labels.get(failed[0]).mechanism == "reverting-probe"
+    assert fixture.archive.labels.labels[failed[0]].mechanism == "reverting-probe"
 
 
 # -- scaling --
@@ -238,7 +238,7 @@ def test_scale_instructions_zero_returns_base():
 def test_scale_storage_adds_rows():
     fixture = scale_fixture("TargetUnderflow", "storage", 500, seed=SEED)
     contract = int(fixture.vuln["contractAddress"], 16)
-    state = fixture.archive.world.get(fixture.archive.chain.block(0).state_root)
+    state = fixture.archive.world.get(fixture.archive.chain.blocks[0].state_root)
     rows = len(state.accounts[contract].storage)
     assert rows >= 500
 

@@ -1,5 +1,8 @@
 """Interpreter semantics: stepping, calls, rollback, trace emission."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from evmsleuth.hashing import function_selector
@@ -431,6 +434,55 @@ def test_valid_jumpdests_skips_push_immediates():
     # PUSH2 0x5b5b embeds two JUMPDEST bytes that must not count
     code = bytes([MNEMONICS["PUSH2"], 0x5B, 0x5B]) + op("JUMPDEST")
     assert valid_jumpdests(code) == frozenset({3})
+
+
+# The standard EVM byte of each named opcode the interpreter implements.
+_STANDARD_BYTES = {
+    "STOP": 0x00, "ADD": 0x01, "MUL": 0x02, "SUB": 0x03, "SDIV": 0x05,
+    "ADDMOD": 0x08, "MULMOD": 0x09, "EXP": 0x0A, "LT": 0x10, "GT": 0x11,
+    "EQ": 0x14, "ISZERO": 0x15, "AND": 0x16, "OR": 0x17, "NOT": 0x19,
+    "BALANCE": 0x31, "CALLER": 0x33, "CALLVALUE": 0x34, "CALLDATALOAD": 0x35,
+    "CALLDATASIZE": 0x36, "SELFBALANCE": 0x47, "POP": 0x50, "MLOAD": 0x51,
+    "MSTORE": 0x52, "SLOAD": 0x54, "SSTORE": 0x55, "JUMP": 0x56, "JUMPI": 0x57,
+    "PC": 0x58, "GAS": 0x5A, "JUMPDEST": 0x5B, "LOG0": 0xA0, "LOG1": 0xA1,
+    "LOG2": 0xA2, "CALL": 0xF1, "RETURN": 0xF3, "DELEGATECALL": 0xF4,
+    "STATICCALL": 0xFA, "REVERT": 0xFD,
+}
+
+
+def test_mnemonics_are_the_standard_evm_bytes():
+    expected = dict(_STANDARD_BYTES)
+    expected.update({f"PUSH{n}": 0x5F + n for n in range(1, 33)})
+    expected.update({f"DUP{n}": 0x7F + n for n in range(1, 17)})
+    expected.update({f"SWAP{n}": 0x8F + n for n in range(1, 17)})
+    assert MNEMONICS == expected
+
+
+def _documented_gas_table() -> dict[str, int]:
+    """The "Interpreter gas table (v1)" section of docs/formats.md, one
+    entry per opcode; `PUSH1`..`PUSH32` stands for the 32 PUSH opcodes."""
+    text = (Path(__file__).parents[1] / "docs" / "formats.md").read_text(encoding="utf-8")
+    section = text.split("## Interpreter gas table (v1)\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = line.split("|")
+        if len(cells) != 4 or not cells[1].strip().isdigit():
+            continue
+        for first, last in re.findall(r"`(\w+)`(?:\.\.`(\w+)`)?", cells[2]):
+            stem = first.rstrip("0123456789")
+            if last:
+                low, high = int(first[len(stem):]), int(last[len(stem):])
+                names = [f"{stem}{n}" for n in range(low, high + 1)]
+            else:
+                names = [first]
+            for name in names:
+                assert name not in table, f"{name} listed twice"
+                table[name] = int(cells[1])
+    return table
+
+
+def test_gas_costs_are_the_documented_v1_table():
+    assert GAS_COSTS == _documented_gas_table()
 
 
 def test_gas_monotone_within_frames():

@@ -261,7 +261,7 @@ def test_block_run_skips_unreadable_state(bank, spec, bank_dir, tmp_path, damage
     shutil.copytree(bank_dir, clone)
     baseline = run_investigation(config_for(spec, LocalExplorer(clone), level="block"))
     victim = int(baseline.detections[0]["blockNumber"])
-    root = bank.archive.chain.block(victim - 1).state_root
+    root = bank.archive.chain.blocks[victim - 1].state_root
     snapshot = clone / "states" / f"{root.hex()}.json"
     doc = json.loads(snapshot.read_text())
     accounts = doc["accounts"].values()
@@ -312,8 +312,12 @@ def test_bench_reads_scaled_fixtures(scaled_root):
     row = table[0]
     assert row["axis"] == "instructions" and row["magnitude"] == 0
     assert row["detections"] > 0
+    directory = scaled_fixture_dir(scaled_root, "instructions", 0)
+    listed = sorted(directory.rglob("*"))
     cached = bench(scaled_root, "instructions", [0], mode="cached", repeats=1)
     assert cached[0]["detections"] == row["detections"]
+    # the cache lived in a temporary directory: nothing was left by the fixture
+    assert sorted(directory.rglob("*")) == listed
 
 
 # -- component grammar --
@@ -668,7 +672,7 @@ def test_cli_malformed_trace_in_internal_discovery_exits_3(
     bec = build_fixture_chain("SimulationBECToken", seed=SEED)
     bec_dir = tmp_path / "bec"
     write_fixture(bec, bec_dir)
-    bystander = bec.archive.chain.block(1).txs[0]
+    bystander = bec.archive.chain.blocks[1].txs[0]
     wanted = VulnSpec.from_document(bec.vuln).query.selector_bytes()
     assert bystander.data[:4] not in wanted
     trace_path = bec_dir / "traces" / f"{bystander.hash.hex()}.json"
@@ -755,7 +759,7 @@ def test_trace_ingest_runs_with_the_collector_paused(
         if which == "exploit":
             victim = fixture.archive.labels.exploit_hashes()[0]
         else:
-            victim = fixture.archive.chain.block(1).txs[0].hash
+            victim = fixture.archive.chain.blocks[1].txs[0].hash
         base = _archive_with(base, tmp_path, victim, edit)
     seen = []
     for module in (orchestrator, filters):
@@ -1117,6 +1121,46 @@ def test_cli_feed_error_line_stays_short(capsys, bank_dir, tmp_path, command):
     )
     assert code == 2 and out == ""
     assert err.startswith("evmsleuth: line 3: tx_hash must be 0x + 64 hex chars")
+    assert err.count("\n") == 1 and len(err) < 300
+
+
+_LONG = "x" * 100_000
+
+
+@pytest.mark.parametrize(
+    "explorer, args, expected_code",
+    [
+        (None, ["-f", f"spec[from={_LONG}]"], 2),
+        (None, ["-f", f"spec[internal={_LONG}]"], 2),
+        (None, ["-f", _LONG], 2),
+        (None, ["-f", f"spec[{_LONG}=1]"], 2),
+        (None, ["-f", f"select[sigs={_LONG}]"], 2),
+        (None, ["-d", _LONG], 2),
+        (None, ["-d", f"evm[{_LONG}=1]"], 2),
+        (None, ["-d", f"evm[mode={_LONG}]"], 2),
+        (None, ["-d", f"evm[rule={_LONG}]"], 2),
+        (None, ["-p", _LONG], 2),
+        (None, ["-p", "from=" + "9" * 4000], 2),
+        (_LONG, [], 2),
+        (f"local[dir=BANK,{_LONG}=1]", [], 2),
+        (f"rpc[url=http://127.0.0.1:1,timeout={_LONG}]", [], 2),
+        (f"rpc[url=ftp://{_LONG}]", [], 2),
+        (f"local[dir=/nonexistent/{_LONG}]", [], 3),
+    ],
+    ids=[
+        "spec-from", "spec-internal", "filter-name", "filter-parameter", "select-sigs",
+        "detector-name", "detector-parameter", "detector-mode", "detector-rule",
+        "p-without-equals", "p-from-digits", "explorer-name", "explorer-parameter",
+        "rpc-timeout", "rpc-url", "local-dir",
+    ],
+)
+def test_cli_error_line_quotes_a_long_value_cut_short(capsys, bank_dir, explorer, args, expected_code):
+    # a command-line value of 100,000 characters (4,000 digits for -p from)
+    # is named on one stderr line that quotes only a prefix of it
+    explorer = f"local[dir={bank_dir}]" if explorer is None else explorer.replace("BANK", str(bank_dir))
+    code, out, err = run_cli(capsys, "investigate", "-t", "x", "-e", explorer, *args)
+    assert code == expected_code and out == ""
+    assert err.startswith("evmsleuth: ")
     assert err.count("\n") == 1 and len(err) < 300
 
 

@@ -245,8 +245,8 @@ def test_evaluate_block_propagates_notes():
 
 def big_step_lookup(chain, world, number: int):
     """The σ0/σn edge of block `number` straight from stored snapshots."""
-    block = chain.block(number)
-    parent = chain.block(number - 1)
+    block = chain.blocks[number]
+    parent = chain.blocks[number - 1]
     return world.get(parent.state_root), world.get(block.state_root)
 
 
@@ -276,7 +276,7 @@ def test_bank_blocks_flag_exactly_the_completed_exploits(bank):
     labeled = set(bank.archive.labels.exploit_hashes())
     flagged = set()
     for n in range(1, chain.height + 1):
-        block = chain.block(n)
+        block = chain.blocks[n]
         candidates = [
             tx
             for tx in block.txs
