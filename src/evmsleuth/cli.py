@@ -41,10 +41,10 @@ from .errors import (
     TraceParseError,
     UsageError,
 )
-from .explorer import CachedExplorer, LocalExplorer, RpcExplorer
+from .explorer import CachedExplorer, LocalExplorer, RpcExplorer, read_json, read_text
 from .filters import FilterQuery, ReadState, parse_csv_feed, tx_list, write_csv_feed
 from .orchestrator import InvestigationConfig, run_investigation
-from .rules_evm import VulnSpec, read_vuln_doc, read_vuln_file
+from .rules_evm import VulnSpec, read_vuln_doc
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -122,17 +122,6 @@ def _bool_param(value: str, what: str) -> bool:
     raise UsageError(f"{what} must be true or false, got {value!r:.80}")
 
 
-def _read_user_file(path: str, what: str) -> str:
-    """Text of a file named on the command line; UsageError if it is
-    missing, not a readable file, or not UTF-8."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise UsageError(f"no {what} at {path}") from None
-    except (OSError, UnicodeDecodeError) as err:
-        raise UsageError(f"cannot read {what} at {path}: {err}") from None
-
-
 # -- component construction -------------------------------------------------------
 
 
@@ -162,7 +151,8 @@ def build_explorer(spec_text: str, cache_dir: str | None):
 def load_vuln_spec(detector_params: dict, explorer_text: str) -> VulnSpec:
     path = detector_params.pop("vuln", None)
     if path is not None:
-        return VulnSpec.from_document(read_vuln_file(path))
+        what = f"vulnerability description at {path}"
+        return VulnSpec.from_document(read_json(path, what, UsageError, ConfigError))
     name, params = parse_component(explorer_text)
     if name == "local" and "dir" in params:
         return VulnSpec.from_document(read_vuln_doc(params["dir"]))
@@ -203,7 +193,7 @@ def build_filter(spec_text: str | None, spec: VulnSpec, shared: dict):
         if path is None:
             raise UsageError("feed filter needs path=FILE.csv")
         _reject_leftovers(params, "filter")
-        return None, parse_csv_feed(_read_user_file(path, "feed"))
+        return None, parse_csv_feed(read_text(path, f"feed at {path}", UsageError, UsageError))
 
     if name == "select":
         sigs = params.pop("sigs", None)

@@ -23,6 +23,14 @@ A point query answers a checked word on every backend: a JSON-RPC quantity
 or snapshot balance is 0x + 1 to 64 hex digits, a snapshot storage value
 64 hex digits, and anything else is a ProtocolError.
 
+read_text and read_json are the one reader of every file a run names:
+the archive's files here, and the feed and the vulnerability description
+the command line or a fixture names. A file that is not there is the
+caller's `missing` error, "no WHAT"; any other fault its `unreadable`
+error, "WHAT unreadable: ERR". A name the system refuses as too long
+(ENAMETOOLONG) is quoted cut to 80 characters, any other whole
+(quoted_fault). The cache reads and writes its own entries.
+
 LocalExplorer reads a fixture/archive directory. chain.json is parsed and
 checked once at construction (it is the index); state snapshots are re-read
 from disk on every storage/balance query, and only the account and field a
@@ -166,17 +174,29 @@ class ExplorerView:
         return self.explorer.get_storage(addr, key, self.number)
 
 
-def _read_text(path: Path, what: str) -> str:
-    """The text of the file at path: ArchiveGapError if there is no such
-    file, ProtocolError if it cannot be read or is not UTF-8."""
+def quoted_fault(what: str, err: Exception) -> tuple[str, str]:
+    """what, naming a file, and err, met using it, as an error message
+    quotes them: cut to 80 characters each when the system refused the
+    name as too long (ENAMETOOLONG), else whole."""
+    if isinstance(err, OSError) and err.errno == errno.ENAMETOOLONG:
+        return f"{what:.80}", f"[Errno {err.errno}] {err.strerror}: {err.filename!r:.80}"
+    return what, str(err)
+
+
+def read_text(
+    path: str | Path, what: str, missing=ArchiveGapError, unreadable=ProtocolError
+) -> str:
+    """The text of the file at path, which `what` names: missing("no WHAT")
+    if there is no such file, unreadable("WHAT unreadable: ERR") if it
+    cannot be read or is not UTF-8."""
     try:
-        return path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
     except FileNotFoundError:
-        raise ArchiveGapError(f"no {what}") from None
+        raise missing(f"no {what}") from None
     except (OSError, ValueError) as err:  # ValueError: bad UTF-8
-        if isinstance(err, OSError) and err.errno == errno.ENAMETOOLONG:  # quote a prefix of the name
-            err = f"[Errno {err.errno}] {err.strerror}: {err.filename!r:.80}"
-        raise ProtocolError(f"{what} unreadable: {err}") from None
+        what, reason = quoted_fault(what, err)
+        raise unreadable(f"{what} unreadable: {reason}") from None
 
 
 def _not_json(what: str, err: Exception) -> ProtocolError:
@@ -185,14 +205,14 @@ def _not_json(what: str, err: Exception) -> ProtocolError:
     return ProtocolError(f"{what} unreadable: {err}")
 
 
-def _read_json(path: Path, what: str):
-    """The JSON document at path: as _read_text, and ProtocolError if the
-    text is not JSON."""
-    text = _read_text(path, what)
+def read_json(path: str | Path, what: str, missing=ArchiveGapError, unreadable=ProtocolError):
+    """The JSON document at path: as read_text, and unreadable("WHAT
+    unreadable: ERR") if the text is not JSON."""
+    text = read_text(path, what, missing, unreadable)
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as err:
-        raise _not_json(what, err) from None
+        raise unreadable(f"{what} unreadable: {err}") from None
 
 
 def _trace_what(tx_hash: bytes) -> str:
@@ -284,7 +304,7 @@ def block_envelope(doc, where: str) -> dict:
 class LocalExplorer:
     def __init__(self, directory: str | Path):
         self.base = Path(directory)
-        chain = _read_json(self.base / "chain.json", f"chain.json under {self.base!s:.80}")
+        chain = read_json(self.base / "chain.json", f"chain.json under {self.base}")
         blocks = chain.get("blocks") if isinstance(chain, dict) else None
         if not isinstance(blocks, list):
             raise ProtocolError("chain.json has no blocks list")
@@ -312,7 +332,7 @@ class LocalExplorer:
         """The trace file's text, or with a tracer spec the filtered
         document (see the module docstring)."""
         what = _trace_what(tx_hash)
-        text = _read_text(self.base / "traces" / f"{tx_hash.hex()}.json", what)
+        text = read_text(self.base / "traces" / f"{tx_hash.hex()}.json", what)
         if tracer_spec is None:
             return text
         try:
@@ -323,7 +343,7 @@ class LocalExplorer:
     def _state_doc(self, number: int) -> dict:
         root = self._block_doc(number)["stateRoot"]
         path = self.base / "states" / f"{root[2:]}.json"
-        return _read_json(path, f"state snapshot for block {number} (root {root})")
+        return read_json(path, f"state snapshot for block {number} (root {root})")
 
     def _account_field(self, addr: int, number: int, name: str):
         """(value, where): field `name` of account addr in the snapshot of
@@ -662,7 +682,8 @@ class CachedExplorer:
         try:
             self.base.mkdir(parents=True, exist_ok=True)
         except OSError as err:
-            raise UsageError(f"cache directory {self.base} unusable: {err}") from None
+            where, reason = quoted_fault(f"cache directory {self.base}", err)
+            raise UsageError(f"{where} unusable: {reason}") from None
         self.fetches: dict[str, int] = {}
         self.by_kind: dict[str, dict[str, int]] = {}
 

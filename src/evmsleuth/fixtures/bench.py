@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 from ..errors import UsageError
-from ..explorer import CachedExplorer, LocalExplorer
+from ..explorer import CachedExplorer, LocalExplorer, quoted_fault
 from ..orchestrator import InvestigationConfig, run_investigation
 from ..rules_evm import VulnSpec, read_vuln_doc
 
@@ -51,8 +51,14 @@ def bench(
     table = []
     for magnitude in magnitudes:
         directory = scaled_fixture_dir(root, axis, magnitude)
-        if not directory.is_dir():
-            raise UsageError(f"no scaled fixture at {directory}; run fixtures scale first")
+        where = f"scaled fixture at {directory}"
+        try:
+            found = directory.is_dir()
+        except OSError as err:  # a name too long to look up
+            where, _ = quoted_fault(where, err)
+            found = False
+        if not found:
+            raise UsageError(f"no {where}; run fixtures scale first")
         spec = VulnSpec.from_document(read_vuln_doc(directory))
         with tempfile.TemporaryDirectory(prefix="evmsleuth-bench-") as cache_dir:
             explorer = LocalExplorer(directory)

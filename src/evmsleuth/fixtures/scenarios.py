@@ -28,6 +28,7 @@ from pathlib import Path
 
 from ..chain import Transaction
 from ..errors import UsageError
+from ..explorer import quoted_fault
 from ..hashing import function_selector
 from ..words import Address, address_hex, hash_hex
 from .archive import (
@@ -113,7 +114,6 @@ class ScenarioFixture:
     archive: Archive
     vuln: dict
     disasm: str
-    contract: Address
 
 
 # -- session scaffolding ------------------------------------------------------
@@ -128,6 +128,7 @@ class _Session:
         self.genesis = GlobalState()
         self.archive: Archive | None = None
         self.pending: list[Transaction] = []
+        self.programs: dict[Address, Program] = {}
         self._nonces: dict[Address, int] = {}
         self._expect: dict[bytes, str] = {}
 
@@ -135,7 +136,9 @@ class _Session:
         self.genesis.set_balance(address, balance)
 
     def install(self, address: Address, program: Program, balance: int = 0):
-        self.genesis.ensure_account(address)
+        """Put program's code at address and its listing in the fixture's
+        disassembly."""
+        self.programs[address] = program
         self.genesis.install_code(address, program.code)
         if balance:
             self.genesis.set_balance(address, balance)
@@ -144,6 +147,8 @@ class _Session:
         self.genesis.set_storage(address, key, value)
 
     def begin(self):
+        # the sink of some noise transfers, left out of the disassembly
+        self.genesis.install_code(PING, Assembler().op("STOP").assemble().code)
         chain, world = make_genesis(self.genesis)
         self.archive = Archive(chain, world)
 
@@ -197,20 +202,19 @@ class _Session:
 
     def fixture(
         self,
-        name: str,
         contract: Address,
         rule: str,
-        programs: dict[int, Program],
         marks: list[tuple[int, str]],
         params: dict,
         selectors: list[str],
         include_internal: bool,
     ) -> ScenarioFixture:
+        programs = self.programs
         locs: dict[int, list[int]] = {}
         for addr, mark in marks:
             locs.setdefault(addr, []).append(programs[addr].marks[mark])
         vuln = {
-            "scenario": name,
+            "scenario": self.name,
             "contractAddress": address_hex(contract),
             "rule": rule,
             "vulnLocs": [
@@ -228,11 +232,17 @@ class _Session:
             f"== code at {address_hex(addr)} ==\n{programs[addr].listing}\n"
             for addr in sorted(programs)
         )
-        return ScenarioFixture(name, self.archive, vuln, listing, contract)
+        return ScenarioFixture(self.name, self.archive, vuln, listing)
 
 
-def _ping_program() -> Program:
-    return Assembler().op("STOP").assemble()
+def _overflow_params(balance_slot: int, to_arg_index: int | None) -> dict:
+    """The params of an overflow descriptor over uint256 arithmetic."""
+    return {
+        "typeMin": "0",
+        "typeMax": str(_UINT256_MAX),
+        "balanceOfSlot": balance_slot,
+        "toArgIndex": to_arg_index,
+    }
 
 
 def _reentry_agent(
@@ -308,15 +318,14 @@ def _bank_program() -> Program:
 
 def _build_bank(seed: int) -> ScenarioFixture:
     s = _Session("Bank", seed)
-    bank = _bank_program()
-    agent = _reentry_agent(BANK, "withdraw(uint256)", (), BANK_AGENT, abort=False)
-    agent_abort = _reentry_agent(BANK, "withdraw(uint256)", (), BANK_AGENT_ABORT, abort=True)
     atk, atk2 = _ATTACKERS[0], _ATTACKERS[1]
     s.fund_cast(atk, atk2)
-    s.install(BANK, bank, balance=100_000)
-    s.install(BANK_AGENT, agent)
-    s.install(BANK_AGENT_ABORT, agent_abort)
-    s.install(PING, _ping_program())
+    s.install(BANK, _bank_program(), balance=100_000)
+    s.install(BANK_AGENT, _reentry_agent(BANK, "withdraw(uint256)", (), BANK_AGENT, abort=False))
+    s.install(
+        BANK_AGENT_ABORT,
+        _reentry_agent(BANK, "withdraw(uint256)", (), BANK_AGENT_ABORT, abort=True),
+    )
     s.begin()
 
     u1, u2 = _USERS[0], _USERS[1]
@@ -375,10 +384,8 @@ def _build_bank(seed: int) -> ScenarioFixture:
     s.seal()
 
     return s.fixture(
-        "Bank",
         BANK,
         "reentrancy",
-        {BANK: bank, BANK_AGENT: agent, BANK_AGENT_ABORT: agent_abort},
         [(BANK, "clear")],
         {"userBalancesSlot": 1},
         ["withdraw(uint256)"],
@@ -435,16 +442,14 @@ def _vote_program() -> Program:
 
 def _build_product_vote(seed: int) -> ScenarioFixture:
     s = _Session("ProductVote", seed)
-    vote = _vote_program()
     product = 3
-    agent = _reentry_agent(
-        PRODUCT_VOTE, "vote(uint256,uint256)", (product,), VOTE_AGENT, abort=False
-    )
     atk = _ATTACKERS[2]
     s.fund_cast(atk)
-    s.install(PRODUCT_VOTE, vote, balance=1_000)
-    s.install(VOTE_AGENT, agent)
-    s.install(PING, _ping_program())
+    s.install(PRODUCT_VOTE, _vote_program(), balance=1_000)
+    s.install(
+        VOTE_AGENT,
+        _reentry_agent(PRODUCT_VOTE, "vote(uint256,uint256)", (product,), VOTE_AGENT, abort=False),
+    )
     s.begin()
 
     def register(beneficiary: Address, value: int, sender: Address):
@@ -484,10 +489,8 @@ def _build_product_vote(seed: int) -> ScenarioFixture:
     s.seal()
 
     return s.fixture(
-        "ProductVote",
         PRODUCT_VOTE,
         "reentrancy",
-        {PRODUCT_VOTE: vote, VOTE_AGENT: agent},
         [(PRODUCT_VOTE, "clear")],
         {"userBalancesSlot": 1},
         ["vote(uint256,uint256)"],
@@ -546,14 +549,11 @@ def _kotet_agent_program() -> Program:
 
 def _build_kotet(seed: int) -> ScenarioFixture:
     s = _Session("SimulationKotET", seed)
-    kotet = _kotet_program()
-    agent = _kotet_agent_program()
     atk = _ATTACKERS[3]
     victims = _USERS[2:6]
     s.fund_cast(atk)
-    s.install(KOTET, kotet, balance=1_000_000)
-    s.install(KOTET_AGENT, agent)
-    s.install(PING, _ping_program())
+    s.install(KOTET, _kotet_program(), balance=1_000_000)
+    s.install(KOTET_AGENT, _kotet_agent_program())
     s.preset(KOTET, 1, 100)
     s.preset(KOTET, 2, ADMIN)
     s.begin()
@@ -590,10 +590,8 @@ def _build_kotet(seed: int) -> ScenarioFixture:
     s.noise_block()
 
     return s.fixture(
-        "SimulationKotET",
         KOTET,
         "dos",
-        {KOTET: kotet, KOTET_AGENT: agent},
         [(KOTET, "refund")],
         {"highestBidSlot": 1},
         ["claimThrone()"],
@@ -675,12 +673,9 @@ def _bec_proxy_program() -> Program:
 
 def _build_bec_token(seed: int) -> ScenarioFixture:
     s = _Session("SimulationBECToken", seed)
-    bec = _bec_program()
-    proxy = _bec_proxy_program()
     s.fund_cast(*_ATTACKERS)
-    s.install(BEC_TOKEN, bec)
-    s.install(BEC_PROXY, proxy)
-    s.install(PING, _ping_program())
+    s.install(BEC_TOKEN, _bec_program())
+    s.install(BEC_PROXY, _bec_proxy_program())
     s.begin()
 
     traders = _USERS[:4]
@@ -737,17 +732,10 @@ def _build_bec_token(seed: int) -> ScenarioFixture:
     s.seal()
 
     return s.fixture(
-        "SimulationBECToken",
         BEC_TOKEN,
         "overflow",
-        {BEC_TOKEN: bec, BEC_PROXY: proxy},
         [(BEC_TOKEN, "amount")],
-        {
-            "typeMin": "0",
-            "typeMax": str(_UINT256_MAX),
-            "balanceOfSlot": 1,
-            "toArgIndex": 0,
-        },
+        _overflow_params(1, 0),
         ["batchTransfer(uint256,uint256,uint256)"],
         include_internal=True,
     )
@@ -805,12 +793,10 @@ def _delayed_program(pad_iters: int = 0) -> Program:
 
 def _build_delayed(seed: int, pad_iters: int = 0, lean: bool = False) -> ScenarioFixture:
     s = _Session("DelayedUnderflow", seed)
-    delayed = _delayed_program(pad_iters)
     count = 1 if lean else EXPLOIT_COUNTS["DelayedUnderflow"]
     claimants = _ATTACKERS[:count]
     s.fund_cast(*claimants)
-    s.install(DELAYED, delayed)
-    s.install(PING, _ping_program())
+    s.install(DELAYED, _delayed_program(pad_iters))
     s.begin()
 
     def grant(who: Address, amount: int):
@@ -853,17 +839,10 @@ def _build_delayed(seed: int, pad_iters: int = 0, lean: bool = False) -> Scenari
             s.seal()
 
     return s.fixture(
-        "DelayedUnderflow",
         DELAYED,
         "overflow",
-        {DELAYED: delayed},
         [(DELAYED, "debit")],
-        {
-            "typeMin": "0",
-            "typeMax": str(_UINT256_MAX),
-            "balanceOfSlot": 2,
-            "toArgIndex": None,
-        },
+        _overflow_params(2, None),
         ["claim(uint256)"],
         include_internal=False,
     )
@@ -888,12 +867,10 @@ def _target_program() -> Program:
 
 def _build_target(seed: int, prepopulate: int = 0, lean: bool = False) -> ScenarioFixture:
     s = _Session("TargetUnderflow", seed)
-    target = _target_program()
     count = 4 if lean else EXPLOIT_COUNTS["TargetUnderflow"]
     redeemers = _ATTACKERS[:count]
     s.fund_cast(*redeemers)
-    s.install(TARGET, target)
-    s.install(PING, _ping_program())
+    s.install(TARGET, _target_program())
     holders = () if lean else _USERS[:4]
     for u in holders:
         s.preset(TARGET, (1 << 160) + u, 10_000)
@@ -928,17 +905,10 @@ def _build_target(seed: int, prepopulate: int = 0, lean: bool = False) -> Scenar
         s.seal()
 
     return s.fixture(
-        "TargetUnderflow",
         TARGET,
         "overflow",
-        {TARGET: target},
         [(TARGET, "debit")],
-        {
-            "typeMin": "0",
-            "typeMax": str(_UINT256_MAX),
-            "balanceOfSlot": 1,
-            "toArgIndex": None,
-        },
+        _overflow_params(1, None),
         ["redeem(uint256)"],
         include_internal=False,
     )
@@ -961,7 +931,7 @@ def build_fixture_chain(scenario: str, seed: int = 0) -> ScenarioFixture:
     builder = _BUILDERS.get(scenario)
     if builder is None:
         known = ", ".join(SCENARIO_NAMES)
-        raise UsageError(f"unknown scenario {scenario!r} (expected one of: {known})")
+        raise UsageError(f"unknown scenario {scenario!r:.80} (expected one of: {known})")
     return builder(seed)
 
 
@@ -1025,5 +995,6 @@ def write_fixture(fixture: ScenarioFixture, directory: str | Path):
         )
         (base / "disasm" / f"{fixture.name}.txt").write_text(fixture.disasm)
     except OSError as err:
-        raise UsageError(f"cannot write fixture at {base}: {err.strerror or err}") from None
+        where, _ = quoted_fault(f"fixture at {base}", err)
+        raise UsageError(f"cannot write {where}: {err.strerror or err}") from None
 

@@ -44,9 +44,6 @@ class GlobalState:
 
     # -- queries (never create accounts) --
 
-    def account(self, addr: Address) -> Account | None:
-        return self.accounts.get(addr)
-
     def balance_of(self, addr: Address) -> int:
         acct = self.accounts.get(addr)
         return acct.balance if acct else 0
@@ -154,6 +151,3 @@ def state_root(state: GlobalState) -> bytes:
         parts.append(acct.code_hash)
         parts.append(storage_root(acct.storage))
     return digest(b"".join(parts))
-
-
-EMPTY_STATE_ROOT = digest(b"st01")

@@ -69,7 +69,7 @@ from .errors import ArchiveGapError, ProtocolError, SleuthError, UsageError
 from .explorer import CachedExplorer, ExplorerView, walk_trace
 from .filters import FilterQuery, ReadState, TxRef, tx_list
 from .rules_block import evaluate_block
-from .rules_evm import TxContext, VulnSpec, evaluate_trace
+from .rules_evm import VulnSpec, evaluate_trace
 from .traces import gc_paused
 from .words import address_hex
 
@@ -247,8 +247,7 @@ def _run_evm_level(config, rows, report, timings, reads):
             try:
                 if rec is None:
                     rec = walk_trace(explorer, trace, tx_hash, tracer, tx.to, spec.gates)
-                ctx = TxContext(tx_hash, number, rec.failed)
-                found, notes = evaluate_trace(rec, spec, ctx)
+                found, notes = evaluate_trace(rec, spec, tx_hash, number)
             except (ArchiveGapError, ProtocolError) as err:  # the text is not JSON (walk_trace)
                 report.skips.append(f"{label}: fetch failed, skipped ({err})")
                 continue

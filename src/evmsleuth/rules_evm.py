@@ -37,7 +37,6 @@ downstream reporting can say so.
 
 from __future__ import annotations
 
-import json
 import re
 import reprlib
 from dataclasses import dataclass
@@ -45,6 +44,7 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import ConfigError, UsageError
+from .explorer import read_json
 from .filters import FilterQuery
 from .traces import ReconstructedStep, ReconstructedTrace
 from .words import ARITH_ARITY, IntTypeBounds, address_hex, hash_hex, word_hex, wrap_arith
@@ -159,35 +159,13 @@ class VulnSpec:
         return pc in self.gate.get(code, ())
 
 
-def read_vuln_file(path: str | Path) -> dict:
-    """The JSON document in a vuln descriptor file. UsageError if there is no
-    such file, ConfigError if it cannot be read or is not UTF-8 JSON (nested
-    too deep to parse included); both name the path."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise UsageError(f"no vulnerability description at {path}") from None
-    except (OSError, ValueError, RecursionError) as err:  # ValueError: bad UTF-8 or JSON
-        raise ConfigError(f"cannot read vulnerability description at {path}: {err}") from None
-
-
 def read_vuln_doc(directory: str | Path) -> dict:
     """Load the single vuln descriptor from a fixture directory."""
     vulns = sorted(Path(directory).glob("vulns/*.json"))
     if not vulns:
         raise UsageError(f"no vulns/*.json under {directory}")
-    return read_vuln_file(vulns[0])
-
-
-@dataclass(frozen=True)
-class TxContext:
-    tx_hash: bytes
-    block_number: int
-    failed: bool
-
-    @property
-    def status(self) -> str:
-        return "failed" if self.failed else "success"
+    path = vulns[0]
+    return read_json(path, f"vulnerability description at {path}", UsageError, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -288,14 +266,16 @@ STEP_CHECKS = {
 
 
 def evaluate_trace(
-    rec: ReconstructedTrace, spec: VulnSpec, ctx: TxContext
+    rec: ReconstructedTrace, spec: VulnSpec, tx_hash: bytes, block_number: int
 ) -> tuple[list[Detection], list[str]]:
-    """Run the spec's rule over the gated steps of one reconstructed trace.
+    """Run the spec's rule over the gated steps of one reconstructed trace,
+    that of transaction tx_hash in block block_number.
 
     Returns every detection in step order, plus a note for each gated step
     the rule had to skip.
     """
     check = STEP_CHECKS[spec.rule](spec)
+    status = "failed" if rec.failed else "success"
     hits: list[Detection] = []
     notes: list[str] = []
     for step in rec.steps:
@@ -308,14 +288,14 @@ def evaluate_trace(
             hits.append(
                 Detection(
                     rule=spec.rule,
-                    tx_hash=ctx.tx_hash,
-                    block_number=ctx.block_number,
+                    tx_hash=tx_hash,
+                    block_number=block_number,
                     raw_index=step.raw_index,
                     pc=step.pc,
                     depth=step.depth,
                     frame_id=step.frame_id,
                     code_address=step.code_address,
-                    tx_status=ctx.status,
+                    tx_status=status,
                     detail=detail,
                 )
             )

@@ -300,7 +300,7 @@ def _traced_peaks(run) -> tuple[int, int]:
 
     backend = evmsleuth.explorer
     with (
-        mock.patch.object(backend, "_read_text", reading(backend._read_text)),
+        mock.patch.object(backend, "read_text", reading(backend.read_text)),
         mock.patch.object(backend, "_stored_payload", reading(backend._stored_payload)),
     ):
         gc.collect()

@@ -1127,38 +1127,51 @@ def test_cli_feed_error_line_stays_short(capsys, bank_dir, tmp_path, command):
 _LONG = "x" * 100_000
 
 
+def _investigate(*args, explorer="local[dir=BANK]"):
+    return ["investigate", "-t", "x", "-e", explorer, *args]
+
+
 @pytest.mark.parametrize(
-    "explorer, args, expected_code",
+    "argv, expected_code",
     [
-        (None, ["-f", f"spec[from={_LONG}]"], 2),
-        (None, ["-f", f"spec[internal={_LONG}]"], 2),
-        (None, ["-f", _LONG], 2),
-        (None, ["-f", f"spec[{_LONG}=1]"], 2),
-        (None, ["-f", f"select[sigs={_LONG}]"], 2),
-        (None, ["-d", _LONG], 2),
-        (None, ["-d", f"evm[{_LONG}=1]"], 2),
-        (None, ["-d", f"evm[mode={_LONG}]"], 2),
-        (None, ["-d", f"evm[rule={_LONG}]"], 2),
-        (None, ["-p", _LONG], 2),
-        (None, ["-p", "from=" + "9" * 4000], 2),
-        (_LONG, [], 2),
-        (f"local[dir=BANK,{_LONG}=1]", [], 2),
-        (f"rpc[url=http://127.0.0.1:1,timeout={_LONG}]", [], 2),
-        (f"rpc[url=ftp://{_LONG}]", [], 2),
-        (f"local[dir=/nonexistent/{_LONG}]", [], 3),
+        (_investigate("-f", f"spec[from={_LONG}]"), 2),
+        (_investigate("-f", f"spec[internal={_LONG}]"), 2),
+        (_investigate("-f", _LONG), 2),
+        (_investigate("-f", f"spec[{_LONG}=1]"), 2),
+        (_investigate("-f", f"select[sigs={_LONG}]"), 2),
+        (_investigate("-d", _LONG), 2),
+        (_investigate("-d", f"evm[{_LONG}=1]"), 2),
+        (_investigate("-d", f"evm[mode={_LONG}]"), 2),
+        (_investigate("-d", f"evm[rule={_LONG}]"), 2),
+        (_investigate("-p", _LONG), 2),
+        (_investigate("-p", "from=" + "9" * 4000), 2),
+        (_investigate(explorer=_LONG), 2),
+        (_investigate(explorer=f"local[dir=BANK,{_LONG}=1]"), 2),
+        (_investigate(explorer=f"rpc[url=http://127.0.0.1:1,timeout={_LONG}]"), 2),
+        (_investigate(explorer=f"rpc[url=ftp://{_LONG}]"), 2),
+        (_investigate(explorer=f"local[dir=/nonexistent/{_LONG}]"), 3),
+        (_investigate("-f", f"feed[path={_LONG}]"), 2),
+        (_investigate("-d", f"evm[vuln={_LONG}]"), 2),
+        (["export-feed", "-e", "local[dir=BANK]", "--vuln", _LONG], 2),
+        (_investigate("-c", _LONG), 2),
+        (["fixtures", "build", "--scenario", "Bank", "--out", _LONG], 2),
+        (["fixtures", "scale", "--axis", "storage", "--magnitude", "10", "--root", _LONG], 2),
+        (["bench", "--root", _LONG, "--axis", "storage", "--magnitudes", "10"], 2),
+        (["fixtures", "build", "--scenario", _LONG, "--out", "BANK/unbuilt"], 2),
     ],
     ids=[
         "spec-from", "spec-internal", "filter-name", "filter-parameter", "select-sigs",
         "detector-name", "detector-parameter", "detector-mode", "detector-rule",
         "p-without-equals", "p-from-digits", "explorer-name", "explorer-parameter",
-        "rpc-timeout", "rpc-url", "local-dir",
+        "rpc-timeout", "rpc-url", "local-dir", "feed-path", "detector-vuln",
+        "export-feed-vuln", "cache-dir", "fixtures-out", "fixtures-root", "bench-root",
+        "fixtures-scenario",
     ],
 )
-def test_cli_error_line_quotes_a_long_value_cut_short(capsys, bank_dir, explorer, args, expected_code):
+def test_cli_error_line_quotes_a_long_value_cut_short(capsys, bank_dir, argv, expected_code):
     # a command-line value of 100,000 characters (4,000 digits for -p from)
     # is named on one stderr line that quotes only a prefix of it
-    explorer = f"local[dir={bank_dir}]" if explorer is None else explorer.replace("BANK", str(bank_dir))
-    code, out, err = run_cli(capsys, "investigate", "-t", "x", "-e", explorer, *args)
+    code, out, err = run_cli(capsys, *(arg.replace("BANK", str(bank_dir)) for arg in argv))
     assert code == expected_code and out == ""
     assert err.startswith("evmsleuth: ")
     assert err.count("\n") == 1 and len(err) < 300

@@ -5,7 +5,7 @@ import pytest
 from evmsleuth.errors import ConfigError
 from evmsleuth.filters import FilterQuery
 from evmsleuth.fixtures import build_fixture_chain
-from evmsleuth.rules_evm import Detection, TxContext, VulnSpec, evaluate_trace
+from evmsleuth.rules_evm import Detection, VulnSpec, evaluate_trace
 from evmsleuth.traces import reconstruct_document
 from evmsleuth.words import IntTypeBounds, address_hex, word_hex
 
@@ -14,7 +14,7 @@ SEED = 11
 CONTRACT = 0xC0DE
 ATTACKER = 0xBAD0
 TX = bytes(range(32))
-CTX = TxContext(tx_hash=TX, block_number=4, failed=False)
+BLOCK = 4
 
 UINT256_MAX = str(2**256 - 1)
 
@@ -203,7 +203,7 @@ def test_an_error_message_shows_a_long_value_cut_short():
 def test_overflow_flags_wrapping_multiply():
     spec = spec_for("overflow", pcs=(35,))
     rec = arith_trace("MUL", (2**255, 2))
-    hits, notes = evaluate_trace(rec, spec, CTX)
+    hits, notes = evaluate_trace(rec, spec, TX, BLOCK)
     assert notes == []
     assert len(hits) == 1
     hit = hits[0]
@@ -218,14 +218,14 @@ def test_overflow_flags_wrapping_multiply():
 
 def test_overflow_ignores_in_range_arithmetic():
     spec = spec_for("overflow", pcs=(35,))
-    hits, notes = evaluate_trace(arith_trace("MUL", (5, 3)), spec, CTX)
+    hits, notes = evaluate_trace(arith_trace("MUL", (5, 3)), spec, TX, BLOCK)
     assert hits == [] and notes == []
 
 
 def test_underflow_depends_on_signedness():
     unsigned = spec_for("overflow", pcs=(35,))
     rec = arith_trace("SUB", (1, 0))  # top of stack is the minuend
-    hits, _ = evaluate_trace(rec, unsigned, CTX)
+    hits, _ = evaluate_trace(rec, unsigned, TX, BLOCK)
     assert len(hits) == 1
     assert hits[0].detail["zResult"] == "-1"
     assert hits[0].detail["result"] == word_hex(2**256 - 1)
@@ -236,7 +236,7 @@ def test_underflow_depends_on_signedness():
         "balanceOfSlot": 1,
     }
     signed = spec_for("overflow", pcs=(35,), params=signed_params)
-    hits, _ = evaluate_trace(rec, signed, CTX)
+    hits, _ = evaluate_trace(rec, signed, TX, BLOCK)
     assert hits == []
 
 
@@ -244,14 +244,14 @@ def test_underflow_depends_on_signedness():
 def test_modular_ops_never_flag(op):
     spec = spec_for("overflow", pcs=(35,))
     rec = arith_trace(op, (5, 2**256 - 1, 2**256 - 1))
-    hits, notes = evaluate_trace(rec, spec, CTX)
+    hits, notes = evaluate_trace(rec, spec, TX, BLOCK)
     assert hits == [] and notes == []
 
 
 def test_clamped_exponentiation_flags_without_exact_value():
     spec = spec_for("overflow", pcs=(35,))
     rec = arith_trace("EXP", (2**20, 3))  # base on top, huge exponent below
-    hits, _ = evaluate_trace(rec, spec, CTX)
+    hits, _ = evaluate_trace(rec, spec, TX, BLOCK)
     assert len(hits) == 1
     assert hits[0].detail["zResult"] is None
     assert hits[0].detail["zClamped"] is True
@@ -260,7 +260,7 @@ def test_clamped_exponentiation_flags_without_exact_value():
 def test_overflow_skips_short_stacks_with_a_note():
     spec = spec_for("overflow", pcs=(35,))
     rec = arith_trace("MUL", (2,))
-    hits, notes = evaluate_trace(rec, spec, CTX)
+    hits, notes = evaluate_trace(rec, spec, TX, BLOCK)
     assert hits == []
     assert notes == ["step 2: MUL with 1 stack words, skipped"]
 
@@ -274,7 +274,7 @@ def test_bad_bounds_fail_when_the_descriptor_is_read():
 
 def test_a_gated_step_that_is_not_arithmetic_is_no_hit_and_no_note():
     spec = spec_for("overflow", pcs=(33,))  # the PUSH1 before the MUL
-    hits, notes = evaluate_trace(arith_trace("MUL", (2**255, 2)), spec, CTX)
+    hits, notes = evaluate_trace(arith_trace("MUL", (2**255, 2)), spec, TX, BLOCK)
     assert hits == [] and notes == []
 
 
@@ -296,17 +296,17 @@ def test_locations_sharing_a_code_address_merge_into_one_gate():
     split_spec = VulnSpec.from_document(split)
     joint_spec = spec_for("overflow", pcs=(35, 36))
     assert split_spec.gate == joint_spec.gate == {CONTRACT: frozenset({35, 36})}
-    hits, notes = evaluate_trace(rec, split_spec, CTX)
+    hits, notes = evaluate_trace(rec, split_spec, TX, BLOCK)
     assert [hit.pc for hit in hits] == [35, 36] and notes == []
-    assert (hits, notes) == evaluate_trace(rec, joint_spec, CTX)
+    assert (hits, notes) == evaluate_trace(rec, joint_spec, TX, BLOCK)
 
 
 def test_overflow_requires_location_match():
     off_pc = spec_for("overflow", pcs=(99,))
     rec = arith_trace("MUL", (2**255, 2))
-    assert evaluate_trace(rec, off_pc, CTX) == ([], [])
+    assert evaluate_trace(rec, off_pc, TX, BLOCK) == ([], [])
     off_code = spec_for("overflow", pcs=(35,), code=ATTACKER)
-    assert evaluate_trace(rec, off_code, CTX) == ([], [])
+    assert evaluate_trace(rec, off_code, TX, BLOCK) == ([], [])
 
 
 # -- dos rule --
@@ -332,7 +332,7 @@ def failed_call_trace(op="CALL", status=0, extension=None):
 def test_dos_flags_refused_transfer():
     spec = spec_for("dos", pcs=(2,))
     rec = reconstruct_document(failed_call_trace(), CONTRACT)
-    hits, notes = evaluate_trace(rec, spec, CTX)
+    hits, notes = evaluate_trace(rec, spec, TX, BLOCK)
     assert notes == []
     assert len(hits) == 1
     hit = hits[0]
@@ -347,7 +347,7 @@ def test_dos_flags_refused_transfer():
 def test_dos_ignores_successful_calls():
     spec = spec_for("dos", pcs=(2,))
     rec = reconstruct_document(failed_call_trace(status=1), CONTRACT)
-    assert evaluate_trace(rec, spec, CTX) == ([], [])
+    assert evaluate_trace(rec, spec, TX, BLOCK) == ([], [])
 
 
 def test_dos_ignores_staticcall():
@@ -357,13 +357,13 @@ def test_dos_ignores_staticcall():
     rec = reconstruct_document(
         failed_call_trace(op="STATICCALL", extension=extension), CONTRACT
     )
-    assert evaluate_trace(rec, spec, CTX) == ([], [])
+    assert evaluate_trace(rec, spec, TX, BLOCK) == ([], [])
 
 
 def test_dos_notes_unavailable_status():
     spec = spec_for("dos", pcs=(2,))
     rec = reconstruct_document(failed_call_trace(), CONTRACT, relaxed=True)
-    hits, notes = evaluate_trace(rec, spec, CTX)
+    hits, notes = evaluate_trace(rec, spec, TX, BLOCK)
     assert hits == []
     assert notes == [
         "step 1: CALL status unavailable (filtered trace without call records), skipped"
@@ -372,9 +372,10 @@ def test_dos_notes_unavailable_status():
 
 def test_dos_on_failed_transaction_keeps_status():
     spec = spec_for("dos", pcs=(2,))
-    rec = reconstruct_document(failed_call_trace(), CONTRACT)
-    ctx = TxContext(tx_hash=TX, block_number=9, failed=True)
-    hits, _ = evaluate_trace(rec, spec, ctx)
+    trace = failed_call_trace()
+    trace["failed"] = True
+    rec = reconstruct_document(trace, CONTRACT)
+    hits, _ = evaluate_trace(rec, spec, TX, 9)
     assert hits[0].tx_status == "failed"
     assert hits[0].to_document()["txStatus"] == "failed"
 
@@ -409,7 +410,7 @@ def reentrant_trace(second_op="CALL", sstore_stack=(9, 3), relaxed=False):
 
 def test_reentrancy_flags_nested_activation():
     spec = spec_for("reentrancy", pcs=(2,))
-    hits, notes = evaluate_trace(reentrant_trace(), spec, CTX)
+    hits, notes = evaluate_trace(reentrant_trace(), spec, TX, BLOCK)
     assert notes == []
     assert len(hits) == 1
     hit = hits[0]
@@ -430,7 +431,7 @@ def test_reentrancy_ignores_top_level_store():
         ]
     )
     rec = reconstruct_document(src, CONTRACT)
-    assert evaluate_trace(rec, spec, CTX) == ([], [])
+    assert evaluate_trace(rec, spec, TX, BLOCK) == ([], [])
 
 
 def test_reentrancy_covers_delegatecall_without_a_code_gate():
@@ -438,7 +439,7 @@ def test_reentrancy_covers_delegatecall_without_a_code_gate():
     # attacker's own storage, yet a deeper activation of that identity
     # exists, and the vulnerable instruction is genuinely executing
     spec = spec_for("reentrancy", pcs=(2,))
-    hits, _ = evaluate_trace(reentrant_trace(second_op="DELEGATECALL"), spec, CTX)
+    hits, _ = evaluate_trace(reentrant_trace(second_op="DELEGATECALL"), spec, TX, BLOCK)
     assert len(hits) == 1
     hit = hits[0]
     assert hit.frame_id == ATTACKER
@@ -450,7 +451,7 @@ def test_reentrancy_covers_delegatecall_without_a_code_gate():
 def test_reentrancy_reports_unknown_write_as_null():
     spec = spec_for("reentrancy", pcs=(2,))
     rec = reentrant_trace(sstore_stack=(), relaxed=True)
-    hits, _ = evaluate_trace(rec, spec, CTX)
+    hits, _ = evaluate_trace(rec, spec, TX, BLOCK)
     assert len(hits) == 1
     assert hits[0].detail["slot"] is None
     assert hits[0].detail["value"] is None
@@ -499,8 +500,7 @@ def test_bank_exploits_all_flag_reentrancy():
     failed_seen = False
     for txh, raw in fixture.archive.traces.items():
         rec = reconstruct_document(raw, spec.contract)
-        ctx = TxContext(txh, 0, raw["failed"])
-        hits, _ = evaluate_trace(rec, spec, ctx)
+        hits, _ = evaluate_trace(rec, spec, txh, 0)
         if hits:
             flagged.add(txh)
             failed_seen = failed_seen or raw["failed"]

@@ -4,7 +4,6 @@ import random
 
 from evmsleuth.fixtures.state import (
     EMPTY_CODE_HASH,
-    EMPTY_STATE_ROOT,
     GlobalState,
     state_root,
     storage_root,
@@ -16,7 +15,7 @@ from evmsleuth.fixtures.state import (
 def test_reads_never_create_accounts():
     state = GlobalState()
     assert state.balance_of(0x1) == 0
-    assert state.account(0x1) is None
+    assert 0x1 not in state.accounts
     assert state.storage_at(0x1, 0) == 0
     assert state.code_of(0x1) == b""
     assert state.accounts == {}
@@ -88,10 +87,9 @@ def test_install_code_roundtrip():
 
 def test_empty_state_golden_root():
     # frozen by the canonical-serialization doc: digest of the bare domain tag
-    assert EMPTY_STATE_ROOT.hex() == (
+    assert state_root(GlobalState()).hex() == (
         "9438d8a4458031fd1d0beab61093e543e75b9ec7f1ef5f7793bf43ad4338b734"
     )
-    assert state_root(GlobalState()) == EMPTY_STATE_ROOT
 
 
 def test_root_invariant_under_insertion_order():
@@ -121,7 +119,7 @@ def test_root_sensitive_to_single_storage_value():
 def test_root_sensitive_to_account_presence():
     one = GlobalState()
     one.ensure_account(0xA)
-    assert state_root(one) != EMPTY_STATE_ROOT
+    assert state_root(one) != state_root(GlobalState())
 
 
 def test_zero_entries_do_not_affect_storage_root():
