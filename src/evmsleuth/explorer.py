@@ -25,10 +25,11 @@ or snapshot balance is 0x + 1 to 64 hex digits, a snapshot storage value
 
 read_text and read_json are the one reader of every file a run names:
 the archive's files here, and the feed and the vulnerability description
-the command line or a fixture names. A file that is not there is the
-caller's `missing` error, "no WHAT"; any other fault its `unreadable`
-error, "WHAT unreadable: ERR". A name the system refuses as too long
-(ENAMETOOLONG) is quoted cut to 80 characters, any other whole
+the command line or a fixture names; open_text is read_text for a trace
+file, which it may answer open (see Trace answers). A file that is not
+there is the caller's `missing` error, "no WHAT"; any other fault its
+`unreadable` error, "WHAT unreadable: ERR". A name the system refuses as
+too long (ENAMETOOLONG) is quoted cut to 80 characters, any other whole
 (quoted_fault). The cache reads and writes its own entries.
 
 LocalExplorer reads a fixture/archive directory. chain.json is parsed and
@@ -39,15 +40,25 @@ archive node that charges per point query, it is what the cache exists to
 absorb, and it is what makes analysis cost grow with state size when no
 cache is in front.
 
-Trace answers: a str is always a JSON text, anything else a parsed
-document. LocalExplorer answers a full trace with the file's text, which
-walk_trace decodes into the walk, a chunk at a time when it is longer than
-one (traces.reconstruct_text, whose module docstring has the chunk and
-fallback rules), so a text that is not JSON is found there, as a
-ProtocolError. A pc-filtered trace is the filter's document, built as the
-file's entries stream past, so only the kept entries are ever held; a
-document the filter passes through unchanged is answered with its text.
-RpcExplorer answers with the parsed reply, walked as a document.
+Trace answers: a str or a TextSpan is always a JSON text, anything else
+a parsed document. A text longer than TEXT_CHUNK bytes does not cross
+this boundary as a str: it crosses as a TextSpan, an open, re-readable
+byte span of the file that holds it (a trace file, or the payload of a
+cache entry, on the descriptor whose digest was checked), which
+traces.stream_blocks reads a TEXT_CHUNK-byte block at a time and whose
+text() is the whole text, as read_text reads a file. Whoever takes a
+TextSpan closes it: walk_trace, which walks every trace answer;
+LocalExplorer.tx_trace, once its customTracer filter has read one; the
+cache, when the write of a miss fails. A text
+of at most TEXT_CHUNK bytes is read in one call and answered as a str.
+LocalExplorer answers a full trace with the file's text (open_text),
+which walk_trace decodes into the walk, a block and a chunk at a time when
+it is a span (traces.reconstruct_span, whose module docstring has the
+block, chunk and fallback rules), so a text that is not JSON, or not
+UTF-8, is found there, as a ProtocolError. A pc-filtered trace is the
+filter's document, built as the span's entries stream past, so only the
+kept entries are ever held. RpcExplorer answers with the parsed reply,
+walked as a document.
 
 RpcExplorer speaks JSON-RPC 2.0 over the standard library's HTTP client,
 through the one function http_post; the package has no runtime dependency.
@@ -60,8 +71,9 @@ CachedExplorer is a read-through wrapper over any backend. Entries are
 persisted one file per query with a content digest and written atomically;
 corrupted entries are discarded and refetched. Per-key fetch counters and
 per-kind hit/drop counters make cache behavior checkable rather than
-assumed. A trace hit is answered with the entry's payload text, decoded by
-the walk; a miss over a text answer writes the canonical payload in a
+assumed. A trace hit is answered with the entry's payload text, a long one
+hashed a block at a time and answered as its TextSpan, decoded by the
+walk; a miss over a text answer writes the canonical payload in a
 streamed pass of its own (see CachedExplorer).
 """
 
@@ -72,23 +84,27 @@ import json
 import os
 import re
 import threading
+from contextlib import contextmanager, nullcontext
+from functools import partial
 from pathlib import Path
 from time import sleep
-from typing import Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, ContextManager, Iterable, Iterator
 from urllib.parse import urlsplit
 
 from .chain import tx_from_document, tx_to_document
-from .errors import ArchiveGapError, ProtocolError, UsageError
+from .errors import ArchiveGapError, ProtocolError, SleuthError, UsageError
 from .hashing import digest, new_digest
 from .traces import (
     CALL_OPS,
+    TEXT_CHUNK,
     ReconstructedTrace,
     Select,
     Unstreamable,
     every_step,
     reconstruct_document,
+    reconstruct_span,
     reconstruct_text,
-    stream_trace_text,
+    stream_blocks,
 )
 from .words import address_hex, hash_hex, storage_hex, word_hex
 
@@ -144,20 +160,21 @@ def apply_tracer(doc: dict, tracer_spec: dict) -> dict:
     return out
 
 
-def _filter_text(text: str, tracer_spec: dict):
-    """apply_tracer(json.loads(text), tracer_spec), with the entries
-    filtered as they stream (traces.stream_trace_text), and the text itself
-    for a document the filter passes through unchanged. Raises what
-    json.loads raises for a text that is not JSON."""
-    keeps = _tracer_keeps(tracer_spec)
-    try:
-        members, chunks = stream_trace_text(text)
-        logs = [step for chunk in chunks for step in chunk if keeps(step)]
-    except Unstreamable:
-        doc = json.loads(text)
-        filtered = apply_tracer(doc, tracer_spec)
-        return text if filtered is doc else filtered
-    return {**members, "structLogs": logs}
+def _filter_text(trace: str | TextSpan, tracer_spec: dict):
+    """apply_tracer(json.loads(text), tracer_spec) of the trace text, a
+    TextSpan's entries filtered as they stream (traces.stream_blocks), so
+    only the kept ones are held. Raises what TextSpan.text() and json.loads
+    raise for a text that is not JSON."""
+    if isinstance(trace, TextSpan):
+        keeps = _tracer_keeps(tracer_spec)
+        try:
+            members, chunks = stream_blocks(trace.blocks())
+            logs = [step for chunk in chunks for step in chunk if keeps(step)]
+        except Unstreamable:
+            trace = trace.text()
+        else:
+            return {**members, "structLogs": logs}
+    return apply_tracer(json.loads(trace), tracer_spec)
 
 
 class ExplorerView:
@@ -183,20 +200,99 @@ def quoted_fault(what: str, err: Exception) -> tuple[str, str]:
     return what, str(err)
 
 
+@contextmanager
+def _read_faults(what: str, missing, unreadable):
+    """The faults of reading the file that `what` names, as the reader's
+    errors: missing("no WHAT") if there is no such file, unreadable("WHAT
+    unreadable: ERR") if it cannot be read or is not UTF-8."""
+    try:
+        yield
+    except FileNotFoundError:
+        raise missing(f"no {what}") from None
+    except (OSError, ValueError) as err:  # ValueError: bad UTF-8
+        what, reason = quoted_fault(what, err)
+        raise unreadable(f"{what} unreadable: {reason}") from None
+
+
 def read_text(
     path: str | Path, what: str, missing=ArchiveGapError, unreadable=ProtocolError
 ) -> str:
     """The text of the file at path, which `what` names: missing("no WHAT")
     if there is no such file, unreadable("WHAT unreadable: ERR") if it
     cannot be read or is not UTF-8."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
-    except FileNotFoundError:
-        raise missing(f"no {what}") from None
-    except (OSError, ValueError) as err:  # ValueError: bad UTF-8
-        what, reason = quoted_fault(what, err)
-        raise unreadable(f"{what} unreadable: {reason}") from None
+    with _read_faults(what, missing, unreadable), open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
+def _file_text(data: bytes) -> str:
+    """The text of a file's bytes as read_text reads it: UTF-8, with
+    "\\r\\n" and "\\r" read as "\\n" (a file opened in text mode)."""
+    return str(data, "utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
+class TextSpan:
+    """Bytes start to stop of the open binary file handle: a JSON text
+    longer than TEXT_CHUNK bytes, answered in place of the text (module
+    docstring). blocks() reads it from start, a TEXT_CHUNK-byte block at a
+    time, and text() whole, as read_text reads a file; a fault of either
+    is raised as faults() maps it. close() closes the file; the span is
+    also a context manager that does."""
+
+    def __init__(
+        self, handle: BinaryIO, start: int, stop: int, faults: Callable[[], ContextManager]
+    ):
+        self.handle = handle
+        self.start = start
+        self.stop = stop
+        self.faults = faults
+
+    def blocks(self) -> Iterator[bytes]:
+        with self.faults():
+            self.handle.seek(self.start)
+            left = self.stop - self.start
+            while left > 0 and (block := self.handle.read(min(TEXT_CHUNK, left))):
+                left -= len(block)
+                yield block
+
+    def text(self) -> str:
+        with self.faults():
+            self.handle.seek(self.start)
+            return _file_text(self.handle.read(self.stop - self.start))
+
+    def close(self):
+        self.handle.close()
+
+    def __enter__(self) -> TextSpan:
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+def _consumed(trace) -> ContextManager:
+    """A context manager for the block that uses the trace answer `trace`,
+    which closes it after, if it is a TextSpan."""
+    return trace if isinstance(trace, TextSpan) else nullcontext()
+
+
+def open_text(
+    path: str | Path, what: str, missing=ArchiveGapError, unreadable=ProtocolError
+) -> str | TextSpan:
+    """read_text(path, what, missing, unreadable) of a file of at most
+    TEXT_CHUNK bytes; a longer one is answered open, as the TextSpan of the
+    whole file, whose faults are read_text's. The caller closes it."""
+    faults = partial(_read_faults, what, missing, unreadable)
+    with faults():
+        handle = open(path, "rb")
+        try:
+            data = handle.read(TEXT_CHUNK + 1)
+            if len(data) > TEXT_CHUNK:
+                return TextSpan(handle, 0, os.fstat(handle.fileno()).st_size, faults)
+        except BaseException:
+            handle.close()
+            raise
+        handle.close()
+        return _file_text(data)
 
 
 def _not_json(what: str, err: Exception) -> ProtocolError:
@@ -228,19 +324,23 @@ def walk_trace(
     select: Select = every_step,
 ) -> ReconstructedTrace:
     """The walk over `trace`, the answer of explorer.tx_trace(tx_hash,
-    tracer_spec), relaxed when pc-filtered. A text answer is streamed
-    (traces.reconstruct_text): it is decoded here and nowhere before, so
-    here is where one that is not JSON is found: from a cache it is a hit
-    whose payload does not decode, which the cache drops and fetches again
+    tracer_spec), relaxed when pc-filtered; a TextSpan answer is closed
+    when the walk ends. A text answer is decoded here and nowhere before, a
+    TextSpan's streamed (traces.reconstruct_span), so here is where one
+    that is not JSON is found: from a cache it is a hit whose payload does
+    not decode, which the cache drops and fetches again
     (CachedExplorer.refetch_trace) before the walk runs once more; from any
     other explorer it is a ProtocolError naming the trace. TraceParseError
     and ReconstructionError are the walk's."""
     relaxed = tracer_spec is not None
 
     def walk(trace) -> ReconstructedTrace:
-        if isinstance(trace, str):
-            return reconstruct_text(trace, root_target, relaxed, select)
-        return reconstruct_document(trace, root_target, relaxed, select)
+        with _consumed(trace):
+            if isinstance(trace, TextSpan):
+                return reconstruct_span(trace, root_target, relaxed, select)
+            if isinstance(trace, str):
+                return reconstruct_text(trace, root_target, relaxed, select)
+            return reconstruct_document(trace, root_target, relaxed, select)
 
     try:
         return walk(trace)
@@ -328,17 +428,20 @@ class LocalExplorer:
     def collect_block_details(self, number: int) -> dict:
         return {"block": self._block_doc(number)}
 
-    def tx_trace(self, tx_hash: bytes, tracer_spec: dict | None = None) -> str | dict:
-        """The trace file's text, or with a tracer spec the filtered
-        document (see the module docstring)."""
+    def tx_trace(
+        self, tx_hash: bytes, tracer_spec: dict | None = None
+    ) -> str | TextSpan | dict:
+        """The trace file's text (open_text), or with a tracer spec the
+        filtered document (see the module docstring)."""
         what = _trace_what(tx_hash)
-        text = read_text(self.base / "traces" / f"{tx_hash.hex()}.json", what)
+        trace = open_text(self.base / "traces" / f"{tx_hash.hex()}.json", what)
         if tracer_spec is None:
-            return text
-        try:
-            return _filter_text(text, tracer_spec)
-        except (ValueError, RecursionError) as err:
-            raise _not_json(what, err) from None
+            return trace
+        with _consumed(trace):
+            try:
+                return _filter_text(trace, tracer_spec)
+            except (ValueError, RecursionError) as err:
+                raise _not_json(what, err) from None
 
     def _state_doc(self, number: int) -> dict:
         root = self._block_doc(number)["stateRoot"]
@@ -592,7 +695,7 @@ def _write_entry(path: Path, prefix: bytes, pieces: Iterable[str]):
 
 def _canonical_pieces(members: dict, chunks: Iterator[list]) -> Iterator[str]:
     """The compact sorted-key JSON of a streamed trace text
-    (traces.stream_trace_text), in pieces of a chunk each; Unstreamable,
+    (traces.stream_blocks), in pieces of a chunk each; Unstreamable,
     raised by the chunks, when the text turns out not to stream."""
     low = _compact({k: v for k, v in members.items() if k < "structLogs"})[:-1]
     high = _compact({k: v for k, v in members.items() if k > "structLogs"})[1:]
@@ -605,24 +708,24 @@ def _canonical_pieces(members: dict, chunks: Iterator[list]) -> Iterator[str]:
     yield "]" + ("," if len(high) > 1 else "") + high
 
 
-def _write_text_entry(path: Path, prefix: bytes, text: str):
+def _write_text_entry(path: Path, prefix: bytes, trace: str | TextSpan):
     """Write the entry of a payload that arrived as JSON text, the payload
-    in canonical form: streamed when the text streams, else parsed whole.
-    Raises what json.loads raises for a text that is not JSON."""
-    try:
-        members, chunks = stream_trace_text(text)
-        _write_entry(path, prefix, _canonical_pieces(members, chunks))
-    except Unstreamable:
-        _write_entry(path, prefix, (_compact(json.loads(text)),))
+    in canonical form: streamed when it is a TextSpan that streams, else
+    parsed whole. Raises what TextSpan.text() and json.loads raise for a
+    text that is not JSON."""
+    if isinstance(trace, TextSpan):
+        try:
+            members, chunks = stream_blocks(trace.blocks())
+            _write_entry(path, prefix, _canonical_pieces(members, chunks))
+            return
+        except Unstreamable:
+            trace = trace.text()
+    _write_entry(path, prefix, (_compact(json.loads(trace)),))
 
 
-def _stored_payload(path: Path, prefix: bytes, parse: bool = True):
-    """The payload of the entry at path, written by _write_entry with this
-    key prefix, parsed (or as text, unparsed); ValueError (or
-    RecursionError, for a payload nested too deep to parse) for any other
-    bytes, FileNotFoundError if absent."""
-    with open(path, "rb") as handle:
-        data = handle.read()
+def _entry_body(data: bytes, prefix: bytes) -> memoryview:
+    """The payload bytes of entry bytes data, written by _write_entry with
+    this key prefix; ValueError for any other bytes."""
     tail = data[-_TAIL_SIZE:]
     if (
         len(data) < len(prefix) + _TAIL_SIZE
@@ -634,11 +737,61 @@ def _stored_payload(path: Path, prefix: bytes, parse: bool = True):
     body = memoryview(data)[len(prefix) : -_TAIL_SIZE]
     if digest(body).hex().encode() != tail[len(_TAIL_HEAD) : -2]:
         raise ValueError("payload digest mismatch")
-    text = str(body, "utf-8")
+    return body
+
+
+def _stored_payload(path: Path, prefix: bytes):
+    """The payload of the entry at path, written by _write_entry with this
+    key prefix, parsed; ValueError (or RecursionError, for a payload nested
+    too deep to parse) for any other bytes, FileNotFoundError if absent."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    text = str(_entry_body(data, prefix), "utf-8")
     # the file bytes go before the parse, so a hit holds one copy of the
     # payload text at a time, like a local read
-    del data, body
-    return json.loads(text) if parse else text
+    del data
+    return json.loads(text)
+
+
+def _unreadable_entry(path: Path, err: OSError) -> UsageError:
+    return UsageError(f"cache entry {path} unreadable: {err}")
+
+
+@contextmanager
+def _entry_faults(path: Path):
+    """An OSError reading the cache entry at path is a UsageError."""
+    try:
+        yield
+    except OSError as err:
+        raise _unreadable_entry(path, err) from None
+
+
+def _stored_trace(path: Path, prefix: bytes) -> str | TextSpan:
+    """The trace payload of the entry at path, checked as _stored_payload
+    checks a payload: its text when it has at most TEXT_CHUNK bytes, else
+    its TextSpan, open, hashed a block at a time (the caller closes it).
+    ValueError for bytes that are no entry of this key, FileNotFoundError
+    if absent."""
+    head = len(prefix) + TEXT_CHUNK + _TAIL_SIZE  # the longest entry read as text
+    handle = open(path, "rb")
+    try:
+        data = handle.read(head + 1)
+        if len(data) > head:
+            if not data.startswith(prefix):
+                raise ValueError("not a cache entry for this key")
+            stop = os.fstat(handle.fileno()).st_size - _TAIL_SIZE
+            span = TextSpan(handle, len(prefix), stop, partial(_entry_faults, path))
+            hasher = new_digest()
+            for block in span.blocks():
+                hasher.update(block)
+            if handle.read() != _TAIL_HEAD + hasher.hexdigest().encode() + b'"}':
+                raise ValueError("payload digest mismatch")
+            return span
+    except BaseException:
+        handle.close()
+        raise
+    handle.close()
+    return str(_entry_body(data, prefix), "utf-8")
 
 
 class CachedExplorer:
@@ -657,19 +810,24 @@ class CachedExplorer:
     runs sharing a directory never read a torn entry. height() is never
     cached: it is the one answer that legitimately changes between runs.
 
-    Traces stream. A trace hit answers the payload text unparsed, and the
-    walk decodes it (walk_trace); a payload that then does not decode is
-    dropped and fetched again through refetch_trace, and counts as dropped,
-    not as a hit. A miss whose inner answer is a text (LocalExplorer's full
-    trace) writes the canonical payload in a streamed pass of its own:
-    chunk by chunk, each chunk's entries serialised compact with sorted
-    keys, written and hashed piece by piece, never joined into one string.
-    A text the stream does not read is parsed whole and written as a
-    document would be, and one that is not JSON is a ProtocolError, as over
-    a local trace file. The entry bytes are those of a document answer in
-    every case (docs/formats.md). The miss then answers the inner text
-    itself: a text of the same document as the entry, so the walk gives the
-    same result over either, and no second copy is made.
+    Traces stream. A trace hit is answered unparsed: a payload of at most
+    TEXT_CHUNK bytes as its text, a longer one as its TextSpan, after a
+    pass that hashes it a block at a time; the walk then reads the span
+    again, on the same descriptor, so an entry unlinked or replaced after
+    the check is still the entry that was checked. A payload that then
+    does not decode is dropped and fetched again through refetch_trace,
+    and counts as dropped, not as a hit. A miss whose inner answer is a
+    TextSpan (LocalExplorer's long trace) writes the canonical payload in a
+    streamed pass of its own: chunk by chunk, each chunk's entries
+    serialised compact with sorted keys, written and hashed piece by piece,
+    never joined into one string. A text the stream does not read, and a
+    str, are parsed whole and written as a document would be; one that is
+    not JSON is a ProtocolError, as over a local trace file, and like one
+    that cannot be read it counts as no fetch. The entry bytes are those of
+    a document answer in every case (docs/formats.md). The miss then
+    answers the inner text itself: a text of the same document as the
+    entry, so the walk gives the same result over either, and no second
+    copy is made.
 
     fetches maps each cache key to the number of inner calls made for it;
     by_kind counts hits, drops and inner calls per query kind, and hits and
@@ -700,8 +858,9 @@ class CachedExplorer:
 
     def _lookup(self, kind: str, key_parts: list, fetch, undecodable: bool = False):
         """The stored payload of the query, or fetch()'s answer, written.
-        A trace payload is answered as text. undecodable: the stored payload
-        was answered as a hit but does not decode; drop it and fetch."""
+        A trace payload is answered as text (_stored_trace). undecodable:
+        the stored payload was answered as a hit but does not decode; drop
+        it and fetch."""
         key = _compact([kind, *key_parts])
         path = self.base / f"{digest(key.encode()).hex()}.json"
         prefix = b'{"key":' + json.dumps(key).encode() + b',"payload":'
@@ -710,30 +869,36 @@ class CachedExplorer:
             if undecodable:
                 counts["hits"] -= 1
                 raise ValueError("payload does not decode")
-            payload = _stored_payload(path, prefix, parse=kind != "trace")
+            if kind == "trace":
+                payload = _stored_trace(path, prefix)
+            else:
+                payload = _stored_payload(path, prefix)
         except FileNotFoundError:
             pass
         except (ValueError, RecursionError):
             counts["dropped"] += 1
             path.unlink(missing_ok=True)
         except OSError as err:
-            raise UsageError(f"cache entry {path} unreadable: {err}") from None
+            raise _unreadable_entry(path, err) from None
         else:
             counts["hits"] += 1
             return payload
         payload = fetch()
         tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         try:
-            if isinstance(payload, str):
+            if isinstance(payload, (str, TextSpan)):
                 _write_text_entry(tmp, prefix, payload)
             else:
                 _write_entry(tmp, prefix, (_compact(payload),))
             os.replace(tmp, path)
         except BaseException as err:
             tmp.unlink(missing_ok=True)
-            # a text answer that is not JSON is a failed inner call, as the
-            # inner's own parse of it was: it counts as no fetch
-            if not isinstance(err, (ValueError, RecursionError)):
+            if isinstance(payload, TextSpan):
+                payload.close()
+            # a text answer that cannot be read (its reader's error) or is
+            # not JSON is a failed inner call, as the inner's own read and
+            # parse of a whole text were: it counts as no fetch
+            if not isinstance(err, (ValueError, RecursionError, SleuthError)):
                 self._count_fetch(key, counts)
             if isinstance(err, OSError):
                 raise UsageError(f"cache entry {path} not written: {err}") from None
@@ -750,10 +915,14 @@ class CachedExplorer:
             "block", [number], lambda: self.inner.collect_block_details(number)
         )
 
-    def tx_trace(self, tx_hash: bytes, tracer_spec: dict | None = None) -> str | dict:
+    def tx_trace(
+        self, tx_hash: bytes, tracer_spec: dict | None = None
+    ) -> str | TextSpan | dict:
         return self._trace(tx_hash, tracer_spec, False)
 
-    def refetch_trace(self, tx_hash: bytes, tracer_spec: dict | None = None) -> str | dict:
+    def refetch_trace(
+        self, tx_hash: bytes, tracer_spec: dict | None = None
+    ) -> str | TextSpan | dict:
         """tx_trace again, after the walk found that the payload of its hit
         does not decode: the entry is dropped, fetched and written again."""
         return self._trace(tx_hash, tracer_spec, True)

@@ -43,11 +43,13 @@ LocalExplorer's check of every block when it opens the archive
 (explorer.block_envelope, the check behind exit 3).
 
 Streamed ingest: a trace that arrives as JSON text (a local trace file, a
-cache entry) is decoded by the walk, a chunk at a time when it is longer
-than one (explorer.walk_trace, traces.reconstruct_text). So the JSON decode
-of a trace is timed in "analyze" with the walk and the rules, and "fetch"
-is the read of its text. A text that is not JSON is a "fetch failed" skip
-record that quotes the decode error.
+cache entry) is decoded by the walk, a block and a chunk at a time when it
+is longer than one chunk (explorer.walk_trace, traces.reconstruct_span).
+So the JSON decode of a trace is timed in "analyze" with the walk and the
+rules, and "fetch" is the read of its text, or for a long one the opening
+of its file and, for a cache hit, the pass that checks its digest; the
+read of a long text is timed in "analyze" too. A text that is not JSON, or
+not UTF-8, is a "fetch failed" skip record that quotes the error.
 
 At the evm level each transaction's fetch, ingest and rules run with the
 cyclic garbage collector paused (traces.gc_paused), and the trace is

@@ -51,37 +51,48 @@ one; in strict mode it can also be read off the caller's resume step. A
 filtered trace without call records has no third source, so status comes
 back None and status-dependent rules stay quiet there.
 
-Streaming: a trace that arrives as JSON text (reconstruct_text) is not
-parsed whole. stream_trace_text reads the outer object's members up to the
-structLogs array, then hands out the array's entries a chunk at a time, so
-no more than one chunk of parsed entries is alive during the walk. A chunk
-is one scanner call over "[" + text[a:b+1] + "]", where a is the start of
-the chunk's first entry and b the closing brace of the first "},{" (JSON
-whitespace allowed around the comma) at or past a + TEXT_CHUNK; the rest of
-the array is one call too. The scanner is deterministic, so that span
-parses in full exactly when b closes an entry of the array; a "},{" inside
-a string or a nested value stops the stream (see Fallback), and no entry
-of a producer, a cache or a geth structLog holds one. One call per chunk,
-not one per entry, because the C scanner forgets its memo of object keys
-at the end of every call. A text no longer than one chunk is not streamed
-at all: json.loads decodes it in the one call the stream would make,
-without the stream's set-up, which made short traces (a few kB, as in the
-scenario suite) 5-15% slower to ingest.
+Streaming: a trace text longer than TEXT_CHUNK bytes arrives as a span,
+an open file region that can be read again (explorer.TextSpan): its
+blocks() are the text's UTF-8 bytes, TEXT_CHUNK at a time, and text() is
+the whole text, read as a file opened in text mode reads it. The text is
+not held whole. stream_blocks decodes the blocks through an incremental
+UTF-8 decoder as far as it needs them: it reads the outer object's
+members up to the structLogs array, then hands out the array's entries a
+chunk at a time, so memory holds one block and one chunk of parsed
+entries, whatever the trace's length. A block edge may fall anywhere: in
+a character, a member or a cut; a character is decoded once its last
+byte is in, and a scanner call is repeated over more blocks until what it
+reads can no longer change. A chunk is one scanner call over "[" +
+text[a:b+1] + "]", where a is the start of the chunk's first entry and b
+the closing brace of the first "},{" (JSON whitespace allowed around the
+comma) at or past a + TEXT_CHUNK characters; the rest of the array is one
+call too. The scanner is deterministic, so that span parses in full
+exactly when b closes an entry of the array; a "},{" inside a string or a
+nested value stops the stream (see Fallback), and no entry of a producer,
+a cache or a geth structLog holds one. One call per chunk, not one per
+entry, because the C scanner forgets its memo of object keys at the end
+of every call. A text of at most TEXT_CHUNK bytes arrives as a str and is
+not streamed at all (reconstruct_text): json.loads decodes it in the one
+call the stream would make, without the stream's set-up, which made short
+traces (a few kB, as in the scenario suite) 5-15% slower to ingest.
 
-Fallback: the stream reads one shape only: an object whose members lead
-up to a structLogs array and which ends right after it (of duplicate
+Fallback: the stream reads one shape only: UTF-8, an object whose members
+lead up to a structLogs array and which ends right after it (of duplicate
 members before the array the last wins, as in json.loads). On anything
-else (a decode error, a chunk cut inside an entry, a member after the
-array, so a second structLogs too, a BOM, a fault in the header or in the
-walk) it stops, and the text is read again with json.loads and walked as
-a document (reconstruct_document). So the steps, and the exception type,
-message and step index of a refused trace, are those of json.loads and
-the document walk by construction; only a short, malformed or unusual
-trace is ever held as a whole document.
+else (bytes that are not UTF-8, a decode error, a chunk cut inside an
+entry, a member after the array, so a second structLogs too, a BOM, a
+fault in the header or in the walk) it stops, and the span is read again
+whole through span.text(), whose faults are its reader's, then with
+json.loads, and walked as a document (reconstruct_document). So the
+steps, and the exception type, message and step index of a refused
+trace, are those of the whole read, json.loads and the document walk by
+construction; only a short, malformed or unusual trace is ever held as a
+whole text or document.
 """
 
 from __future__ import annotations
 
+import codecs
 import gc
 import json
 import re
@@ -493,12 +504,18 @@ def reconstruct_document(
 
 # -- streamed trace text (module docstring) ------------------------------------
 
-TEXT_CHUNK = 1 << 16  # characters of entries that one scanner call decodes
+# Characters of entries that one scanner call decodes, and bytes of the
+# blocks a span is read in.
+TEXT_CHUNK = 1 << 16
 
 _raw_decode = json.JSONDecoder().raw_decode  # the scanner json.loads uses
 _scan_string = json.decoder.scanstring
 _skip_space = re.compile(r"[ \t\n\r]*").match  # JSON whitespace, as json.loads skips it
 _next_cut = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{").search
+# A scanner that stops fewer than this many characters before the end of
+# the text read so far may have stopped at a block edge: a number cut as
+# "1.", "1e" or "1e+" reads as 1. Three more characters settle it.
+_SETTLED = 3
 
 
 class Unstreamable(Exception):
@@ -513,70 +530,129 @@ def _decoded(text: str, pos: int = 0) -> tuple:
         raise Unstreamable from None
 
 
-def _expect(text: str, pos: int, char: str) -> int:
-    """The position after `char` at text[pos], and the whitespace after it."""
-    if text[pos:pos + 1] != char:
-        raise Unstreamable
-    return _skip_space(text, pos + 1).end()
+class _BlockText:
+    """The text that UTF-8 blocks spell, decoded as far as the stream has
+    needed it. text holds it from the first character the stream may still
+    read; ended is set once the blocks have run out."""
+
+    def __init__(self, blocks: Iterator[bytes]):
+        self._blocks = blocks
+        self._decode = codecs.getincrementaldecoder("utf-8")().decode
+        self.text = ""
+        self.ended = False
+
+    def more(self, pos: int):
+        """Drop the characters before pos and append the next block's, so
+        that pos is now 0. Called only before the end."""
+        block = next(self._blocks, b"")
+        self.ended = not block
+        try:
+            self.text = self.text[pos:] + self._decode(block, self.ended)
+        except ValueError:  # not UTF-8, or a character cut at the end
+            raise Unstreamable from None
+
+    def char(self, pos: int) -> tuple[str, int]:
+        """(c, p): c the first character at or after pos that is not JSON
+        whitespace and p its position, or ("", p) at the end of the text."""
+        while (end := _skip_space(self.text, pos).end()) == len(self.text) and not self.ended:
+            self.more(pos)
+            pos = 0
+        return self.text[end:end + 1], end
+
+    def expect(self, pos: int, char: str) -> int:
+        """The position after char, the first character at or after pos
+        that is not whitespace; Unstreamable if that is another."""
+        found, pos = self.char(pos)
+        if found != char:
+            raise Unstreamable
+        return pos + 1
+
+    def scanned(self, scan: Callable, pos: int) -> tuple:
+        """(value, end) that scan (_raw_decode, or _scan_string after a
+        quote) reads at pos, as it reads it in the whole text."""
+        while True:
+            try:
+                value, end = scan(self.text, pos)
+                if end + _SETTLED <= len(self.text) or self.ended:
+                    return value, end
+            except (ValueError, RecursionError):
+                if self.ended:
+                    raise Unstreamable from None
+            self.more(pos)
+            pos = 0
 
 
-def stream_trace_text(text: str) -> tuple[dict, Iterator[list]]:
-    """(members, chunks) of a trace text: the members of its outer object
-    that come before structLogs, and the entries of its structLogs array, a
-    list per chunk. Unstreamable when the text fits in one chunk, or is not
-    an object whose members lead up to a structLogs array, or, raised by
-    the chunks, when an entry does not decode or anything follows the array
-    but the end of the object."""
-    if len(text) <= TEXT_CHUNK:  # one scanner call either way: json.loads makes it
-        raise Unstreamable
-    pos = _expect(text, _skip_space(text, 0).end(), "{")
+def stream_blocks(blocks: Iterable[bytes]) -> tuple[dict, Iterator[list]]:
+    """(members, chunks) of the JSON text that UTF-8 blocks spell: the
+    members of its outer object that come before structLogs, and the
+    entries of its structLogs array, a list per chunk. Unstreamable when
+    the text is not UTF-8 or not an object whose members lead up to a
+    structLogs array, or, raised by the chunks, when an entry does not
+    decode or anything follows the array but the end of the object."""
+    text = _BlockText(iter(blocks))
+    pos = text.expect(0, "{")
     members: dict = {}
     while True:
-        if text[pos:pos + 1] != '"':
-            raise Unstreamable
-        try:
-            key, pos = _scan_string(text, pos + 1)
-        except ValueError:
-            raise Unstreamable from None
-        pos = _expect(text, _skip_space(text, pos).end(), ":")
+        key, pos = text.scanned(_scan_string, text.expect(pos, '"'))
+        pos = text.expect(pos, ":")
         if key == "structLogs":
-            return members, _chunks(text, _expect(text, pos, "["))
-        members[key], pos = _decoded(text, pos)  # the last of duplicates wins, as in json.loads
-        pos = _expect(text, _skip_space(text, pos).end(), ",")
+            return members, _chunks(text, text.expect(pos, "["))
+        _, pos = text.char(pos)
+        # the last of duplicates wins, as in json.loads
+        members[key], pos = text.scanned(_raw_decode, pos)
+        pos = text.expect(pos, ",")
 
 
-def _chunks(text: str, pos: int) -> Iterator[list]:
+def _chunks(text: _BlockText, pos: int) -> Iterator[list]:
     """The entries of the array whose first entry (or closing bracket) is
-    at text[pos], a list per chunk; then a check that the object ends."""
-    if text[pos:pos + 1] == "]":
+    the first character at or after text.text[pos] that is not whitespace,
+    a list per chunk; then a check that the object ends with the text."""
+    found, pos = text.char(pos)
+    if found == "]":
         pos += 1
     else:
-        while (cut := _next_cut(text, pos + TEXT_CHUNK)) is not None:
-            span = "[" + text[pos:cut.start() + 1] + "]"
+        while True:
+            cut = _next_cut(text.text, pos + TEXT_CHUNK)
+            if cut is None:
+                if text.ended:
+                    break
+                text.more(pos)
+                pos = 0
+                continue
+            span = "[" + text.text[pos:cut.start() + 1] + "]"
             entries, end = _decoded(span)
             if end != len(span):  # the cut lies inside a string or a nested value
                 raise Unstreamable
             yield entries
             pos = cut.end() - 1
-        entries, end = _decoded("[" + text[pos:])  # the rest of the array, in one call
+        entries, end = _decoded("[" + text.text[pos:])  # the rest of the array, in one call
         yield entries
         pos += end - 1
-    if _expect(text, _skip_space(text, pos).end(), "}") != len(text):
+    if text.char(text.expect(pos, "}"))[0]:
         raise Unstreamable
 
 
-def reconstruct_text(
-    text: str, root_target: int, relaxed: bool = False, select: Select = every_step
+def reconstruct_span(
+    span, root_target: int, relaxed: bool = False, select: Select = every_step
 ) -> ReconstructedTrace:
-    """reconstruct_document(json.loads(text), ...), streamed: the text is
-    decoded a chunk at a time into the one walk (module docstring). Raises
-    what json.loads raises (ValueError, RecursionError) for a text that is
-    not JSON, and what the document walk raises for a malformed trace."""
+    """reconstruct_document(json.loads(span.text()), ...), streamed: the
+    text's blocks (span.blocks()) are decoded as the walk reaches them, and
+    its entries a chunk at a time (module docstring). Raises what
+    span.text() and json.loads raise for a text that is not JSON, and what
+    the document walk raises for a malformed trace."""
     try:
-        members, chunks = stream_trace_text(text)
+        members, chunks = stream_blocks(span.blocks())
         parsed = parse_trace_document({**members, "structLogs": []})  # the header alone
         parsed.struct_logs = chain.from_iterable(chunks)
         return reconstruct(parsed, root_target, relaxed, select)
     except (Unstreamable, TraceParseError, ReconstructionError):
         pass
+    return reconstruct_text(span.text(), root_target, relaxed, select)
+
+
+def reconstruct_text(
+    text: str, root_target: int, relaxed: bool = False, select: Select = every_step
+) -> ReconstructedTrace:
+    """reconstruct_document(json.loads(text), ...): a text that arrives
+    whole, decoded in one call."""
     return reconstruct_document(json.loads(text), root_target, relaxed, select)

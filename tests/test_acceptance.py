@@ -6,24 +6,25 @@ Criterion 4 builds five padded traces and four pre-populated states, so this
 module is the slow one; everything else finishes in seconds.
 """
 
-import gc
 import json
+import os
 import statistics
+import subprocess
+import sys
 import time
-import tracemalloc
-from unittest import mock
+from pathlib import Path
 
 import pytest
 
 import oracles
 from isolated import modules_loaded, run_isolated_cli
-import evmsleuth.explorer
+import evmsleuth
 from evmsleuth.explorer import CachedExplorer, LocalExplorer
 from evmsleuth.fixtures import build_suite, scale_fixture, write_fixture
 from evmsleuth.fixtures.bench import bench, scaled_fixture_dir
 from evmsleuth.fixtures.interpreter import STEP_COUNTER
 from evmsleuth.orchestrator import InvestigationConfig, run_investigation
-from evmsleuth.rules_evm import VulnSpec, read_vuln_doc
+from evmsleuth.rules_evm import VulnSpec
 from evmsleuth.traces import reconstruct_document
 from evmsleuth.words import ARITH_ARITY, IntTypeBounds, wrap_arith
 
@@ -270,82 +271,92 @@ def test_criterion_4_performance_shape(scaled_root):
 
 # -- evm ingest memory: flat in trace length --
 
-# Traced heap an evm investigation may hold beyond one copy of its trace
-# text, at every instruction magnitude and in every mode. Parsing the
-# 84k-step trace whole took about 46 MB on top of its 6.6 MB text; streamed,
-# it takes under 2 MB: one chunk of entries, and the walk's memo of the
-# distinct stack words it has checked, which grows by some 10 bytes a step
-# in these traces (about 4 MB at 336k steps).
+# Peak resident memory an evm investigation may add, at every instruction
+# magnitude and in every mode. Parsing the 84k-step trace whole took about
+# 46 MB on top of its 6.6 MB text; reading it as a whole text took the
+# text twice over. Streamed from its file a block at a time it takes some
+# 2 MB: a block, one chunk of entries, and the walk's memo of the distinct
+# stack words it has checked, which grows by some 10 bytes a step in these
+# traces (about 4 MB at 336k steps).
 INGEST_MEMORY_CEILING_MB = 8.0
 
+# One investigation in a fresh interpreter: the peak resident memory it
+# added to the process (getrusage's ru_maxrss, in kilobytes on Linux), and
+# its number of detections, as JSON on stdout.
+_MEASURED_INVESTIGATION = """
+import json, resource, sys
+from evmsleuth.explorer import CachedExplorer, LocalExplorer
+from evmsleuth.orchestrator import InvestigationConfig, run_investigation
+from evmsleuth.rules_evm import VulnSpec, read_vuln_doc
 
-def _traced_peaks(run) -> tuple[int, int]:
-    """tracemalloc peaks of run(), split at every text read (a file, or a
-    cache entry's payload): (the highest during a read, the highest
-    anywhere else). A read holds the file's bytes and the str decoded from
-    them at once; from then on only the str is alive."""
-    reads, rest = [0], [0]
+directory, mode, cache = sys.argv[1:]
+spec = VulnSpec.from_document(read_vuln_doc(directory))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+explorer = LocalExplorer(directory)
+if mode in ("cold", "warm"):
+    explorer = CachedExplorer(explorer, cache)
+config = InvestigationConfig(
+    tag=f"memory-{mode}", spec=spec, explorer=explorer,
+    mode="cached" if mode in ("cold", "warm") else mode,
+)
+detections = len(run_investigation(config).detections)
+added = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(json.dumps({"addedKiB": added, "detections": detections}))
+"""
 
-    def reading(real):
-        def read(*args, **kwargs):
-            rest.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.reset_peak()
-            try:
-                return real(*args, **kwargs)
-            finally:
-                reads.append(tracemalloc.get_traced_memory()[1])
-                tracemalloc.reset_peak()
 
-        return read
+# Runs the investigations named in argv[2], a JSON list of argument
+# lists, each in a fresh interpreter of its own that runs argv[1], and
+# prints what they print as a JSON list. Linux carries a process's peak
+# resident memory across exec, so a child started straight from the test
+# process would start at the test process's peak; the children of this
+# small process start at its own.
+_LAUNCHER = """
+import json, subprocess, sys
 
-    backend = evmsleuth.explorer
-    with (
-        mock.patch.object(backend, "read_text", reading(backend.read_text)),
-        mock.patch.object(backend, "_stored_payload", reading(backend._stored_payload)),
-    ):
-        gc.collect()
-        tracemalloc.start()
-        try:
-            run()
-            rest.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    return max(reads), max(rest)
+script, runs = sys.argv[1], json.loads(sys.argv[2])
+out = []
+for argv in runs:
+    child = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+    if child.returncode != 0:
+        sys.exit(child.stderr)
+    out.append(json.loads(child.stdout))
+print(json.dumps(out))
+"""
 
 
 def test_evm_ingest_memory_is_flat_in_trace_length(scaled_root, tmp_path):
-    # the trace text is the one thing whose size grows with the trace: no
-    # parsed document of it is ever held, in local, cached cold (a miss
-    # writes the entry in a streamed pass of its own), cached warm, or
-    # customTracer mode (the filter keeps only the entries it selects)
+    # no copy of a trace text longer than a chunk, and no parsed document
+    # of it, is ever held, in local, cached cold (a miss writes the entry
+    # in a streamed pass of its own), cached warm (a hit is hashed, then
+    # walked, a block at a time), or customTracer mode (the filter keeps
+    # only the entries it selects). Each investigation runs in a fresh
+    # process, so the peak it adds is its own.
+    runs = [
+        (magnitude, mode)
+        for magnitude in INSTRUCTION_MAGNITUDES
+        for mode in ("local", "cold", "warm", "customTracer")
+    ]
+    argv = [
+        [str(scaled_fixture_dir(scaled_root, "instructions", magnitude)), mode,
+         str(tmp_path / f"cache-{magnitude}")]
+        for magnitude, mode in runs
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(evmsleuth.__file__).parents[1]))
+    launcher = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, _MEASURED_INVESTIGATION, json.dumps(argv)],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert launcher.returncode == 0, launcher.stderr
     problems = []
-    ceiling = INGEST_MEMORY_CEILING_MB * 2**20
     worst = 0.0
-    for magnitude in INSTRUCTION_MAGNITUDES:
-        directory = scaled_fixture_dir(scaled_root, "instructions", magnitude)
-        size = max(path.stat().st_size for path in (directory / "traces").glob("*.json"))
-        spec = VulnSpec.from_document(read_vuln_doc(directory))
-        cache = tmp_path / f"cache-{magnitude}"
-        for mode in ("local", "cold", "warm", "customTracer"):
-
-            def investigate():
-                explorer = LocalExplorer(directory)
-                if mode in ("cold", "warm"):
-                    explorer = CachedExplorer(explorer, cache)
-                level_mode = "cached" if mode in ("cold", "warm") else mode
-                config = InvestigationConfig(
-                    tag=f"memory-{mode}", spec=spec, explorer=explorer, mode=level_mode
-                )
-                assert len(run_investigation(config).detections) == 1
-
-            read, rest = _traced_peaks(investigate)
-            over = (read - 2 * size, rest - size)
-            worst = max(worst, *over)
-            if max(over) >= ceiling:
-                problems.append(
-                    f"{magnitude} {mode}: {max(over) / 2**20:.1f} MB over the trace text"
-                )
-    print(f"evm ingest memory: at most {worst / 2**20:.2f} MB over the trace text", flush=True)
+    for (magnitude, mode), measured in zip(runs, json.loads(launcher.stdout)):
+        assert measured["detections"] == 1, (magnitude, mode)
+        added = measured["addedKiB"] / 1024
+        worst = max(worst, added)
+        if added >= INGEST_MEMORY_CEILING_MB:
+            problems.append(f"{magnitude} {mode}: {added:.1f} MB")
+    print(f"evm ingest memory: an investigation adds at most {worst:.2f} MB", flush=True)
     assert not problems, "; ".join(problems)
 
 

@@ -26,6 +26,7 @@ from evmsleuth.explorer import (
     ExplorerView,
     LocalExplorer,
     RpcExplorer,
+    TextSpan,
     apply_tracer,
     canonical_tracer,
     walk_trace,
@@ -415,8 +416,9 @@ def test_cache_drops_corrupt_entries(local, tmp_path, tamper):
 
 @pytest.mark.parametrize("payload", [b"{nope", _DEEP], ids=["non-json", "too-deep"])
 def test_cache_drops_a_trace_payload_the_walk_cannot_decode(fixture, local, tmp_path, payload):
-    # a trace hit is answered as text and decoded by the walk; an entry
-    # whose digest matches a payload that does not decode is still dropped,
+    # a trace hit is answered as text (a TextSpan when longer than a chunk,
+    # as the deep payload is) and decoded by the walk; an entry whose
+    # digest matches a payload that does not decode is still dropped,
     # counted as dropped and not as a hit, fetched again and rewritten
     txh = fixture.archive.labels.exploit_hashes()[0]
     root = next(tx.to for b in fixture.archive.chain.blocks for tx in b.txs if tx.hash == txh)
@@ -426,7 +428,7 @@ def test_cache_drops_a_trace_payload_the_walk_cannot_decode(fixture, local, tmp_
     good = victim.read_bytes()
     victim.write_bytes(_consistent_entry(payload)(good, None))
     trace = cache.tx_trace(txh)
-    assert isinstance(trace, str) and cache.hits == 1
+    assert isinstance(trace, (str, TextSpan)) and cache.hits == 1
     rec = walk_trace(cache, trace, txh, None, root)
     assert rec == reconstruct_document(fixture.archive.traces[txh], root)
     assert (cache.hits, cache.dropped) == (0, 1)
