@@ -10,6 +10,14 @@ fixtures and bench import the producer (evmsleuth.fixtures, the harness in
 evmsleuth.fixtures.bench) when they run; investigate and export-feed never
 load it.
 
+main builds a fresh parser on every call: the root parser and the subparser
+of the one command that argv[0] names, or every command's when argv names
+none (no arguments, -h, a typo). The help, usage and error texts are those
+of the full parser either way. On Python 3.11 with 2 shared vCPUs, building
+all four takes about 0.8 ms and building one about 0.2 ms, and a warm-cache
+block-level investigation of a storage-32000 fixture takes 1.8 ms in-process
+with the full parser, 1.3 ms without. Nothing is kept between calls.
+
 Component switches take a name with optional bracketed parameters:
 
     name
@@ -125,27 +133,34 @@ def _bool_param(value: str, what: str) -> bool:
 # -- component construction -------------------------------------------------------
 
 
-def build_explorer(spec_text: str, cache_dir: str | None):
+def build_explorer(spec_text: str):
     name, params = parse_component(spec_text)
     if name == "local":
         directory = params.pop("dir", None)
         if directory is None:
             raise UsageError("local explorer needs dir=PATH")
         _reject_leftovers(params, "explorer")
-        inner = LocalExplorer(directory)
-    elif name == "rpc":
+        return LocalExplorer(directory)
+    if name == "rpc":
         url = params.pop("url", None)
         if url is None:
             raise UsageError("rpc explorer needs url=URL")
         retries = _int_param(params.pop("retries", "3"), "retries")
         timeout = _seconds_param(params.pop("timeout", "10"), "timeout")
         _reject_leftovers(params, "explorer")
-        inner = RpcExplorer(url, retries=retries, timeout=timeout)
-    else:
-        raise UsageError(f"unknown explorer {name!r:.80} (use local or rpc)")
-    if cache_dir is not None:
-        return CachedExplorer(inner, cache_dir)
-    return inner
+        return RpcExplorer(url, retries=retries, timeout=timeout)
+    raise UsageError(f"unknown explorer {name!r:.80} (use local or rpc)")
+
+
+def with_cache(explorer, cache_dir: str | None):
+    """explorer, or a CachedExplorer over it when -c names a directory.
+    Called once the rest of the command line is read, so that a refused
+    command line creates no cache directory."""
+    if cache_dir is None:
+        return explorer
+    if not cache_dir:
+        raise UsageError("-c needs a cache directory, got an empty path")
+    return CachedExplorer(explorer, cache_dir)
 
 
 def load_vuln_spec(detector_params: dict, explorer_text: str) -> VulnSpec:
@@ -234,13 +249,13 @@ def parse_shared(pairs: list[str]) -> dict:
 
 def cmd_investigate(args) -> int:
     shared = parse_shared(args.param)
-    explorer = build_explorer(args.explorer, args.cache)
+    explorer = build_explorer(args.explorer)
     level, spec, mode = build_detector(args.detector, args.explorer, args.cache)
     query, feed = build_filter(args.filter, spec, shared)
     config = InvestigationConfig(
         tag=args.tag,
         spec=spec,
-        explorer=explorer,
+        explorer=with_cache(explorer, args.cache),
         level=level,
         mode=mode,
         shared_params=shared,
@@ -323,12 +338,12 @@ def cmd_bench(args) -> int:
 
 def cmd_export_feed(args) -> int:
     shared = parse_shared(args.param)
-    explorer = build_explorer(args.explorer, args.cache)
+    explorer = build_explorer(args.explorer)
     spec = load_vuln_spec({"vuln": args.vuln} if args.vuln else {}, args.explorer)
     query, feed = build_filter(args.filter, spec, shared)
     if feed is not None:
         raise UsageError("export-feed scans the chain; it does not re-export a feed")
-    rows = tx_list(ReadState(explorer), query)
+    rows = tx_list(ReadState(with_cache(explorer, args.cache)), query)
     sys.stdout.write(write_csv_feed(rows))
     print(f"{len(rows)} candidate rows", file=sys.stderr)
     return EXIT_OK
@@ -337,14 +352,7 @@ def cmd_export_feed(args) -> int:
 # -- argument surface --------------------------------------------------------------
 
 
-def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="evmsleuth",
-        description="Post-factum exploit detection over EVM archive data.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    inv = sub.add_parser("investigate", help="run one detector level over an archive")
+def _investigate_arguments(inv: argparse.ArgumentParser):
     inv.add_argument("-t", "--tag", required=True, help="run label, echoed in the report")
     inv.add_argument("-p", dest="param", action="append", default=[],
                      metavar="KEY=VALUE", help="shared parameter (repeatable)")
@@ -359,7 +367,8 @@ def make_parser() -> argparse.ArgumentParser:
                      help="cache directory (switches mode to cached)")
     inv.set_defaults(handler=cmd_investigate)
 
-    fix = sub.add_parser("fixtures", help="build or scale labeled fixture chains")
+
+def _fixtures_arguments(fix: argparse.ArgumentParser):
     fixsub = fix.add_subparsers(dest="action", required=True)
     build = fixsub.add_parser("build", help="generate a scenario (or all six)")
     build.add_argument("--scenario", default="all")
@@ -375,7 +384,8 @@ def make_parser() -> argparse.ArgumentParser:
     scale.add_argument("--seed", type=int, default=0)
     scale.set_defaults(handler=cmd_fixtures)
 
-    ben = sub.add_parser("bench", help="measure analyze time over scaled fixtures")
+
+def _bench_arguments(ben: argparse.ArgumentParser):
     ben.add_argument("--root", required=True)
     ben.add_argument("--axis", required=True, choices=["instructions", "storage"])
     ben.add_argument("--magnitudes", required=True, help="comma-separated integers")
@@ -384,7 +394,8 @@ def make_parser() -> argparse.ArgumentParser:
     ben.add_argument("--repeats", type=int, default=3)
     ben.set_defaults(handler=cmd_bench)
 
-    feed = sub.add_parser("export-feed", help="write the candidate list as CSV")
+
+def _export_feed_arguments(feed: argparse.ArgumentParser):
     feed.add_argument("-e", dest="explorer", required=True, metavar="EXPLORER")
     feed.add_argument("-f", dest="filter", default=None, metavar="FILTER")
     feed.add_argument("-p", dest="param", action="append", default=[], metavar="KEY=VALUE")
@@ -392,12 +403,41 @@ def make_parser() -> argparse.ArgumentParser:
     feed.add_argument("--vuln", default=None, help="vulnerability description JSON")
     feed.set_defaults(handler=cmd_export_feed)
 
+
+# name -> (help, the function that adds its arguments), in the order -h lists them
+COMMANDS = {
+    "investigate": ("run one detector level over an archive", _investigate_arguments),
+    "fixtures": ("build or scale labeled fixture chains", _fixtures_arguments),
+    "bench": ("measure analyze time over scaled fixtures", _bench_arguments),
+    "export-feed": ("write the candidate list as CSV", _export_feed_arguments),
+}
+
+
+def make_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser. With the name of a command, only that command's
+    subparser is built; its help, usage and error texts are those of the
+    full parser, which is built for any other command (or none)."""
+    parser = argparse.ArgumentParser(
+        prog="evmsleuth",
+        description="Post-factum exploit detection over EVM archive data.",
+    )
+    known = command in COMMANDS
+    # the usage line lists every command either way; with no command given
+    # a metavar would replace "command" in the "required" error, so the
+    # full parser sets none
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}" if known else None
+    )
+    for name in (command,) if known else COMMANDS:
+        help_text, add_arguments = COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = make_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.handler(args)
     except (UsageError, ConfigError, FeedError, TraceParseError, ReconstructionError) as err:

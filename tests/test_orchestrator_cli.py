@@ -1,11 +1,13 @@
 """End-to-end investigation runs and the command-line surface."""
 
+import argparse
 import contextlib
 import functools
 import gc
 import io
 import json
 import shutil
+import sys
 import weakref
 from types import SimpleNamespace
 from unittest import mock
@@ -22,9 +24,11 @@ from evmsleuth.cli import (
     build_explorer,
     build_filter,
     main,
+    make_parser,
     parse_component,
     parse_shared,
     split_params,
+    with_cache,
 )
 from evmsleuth.errors import ConfigError, FeedError, UsageError
 from evmsleuth.explorer import CachedExplorer, LocalExplorer, apply_tracer
@@ -353,22 +357,25 @@ def test_parse_shared_pairs():
 
 
 def test_build_explorer_variants(bank_dir, tmp_path):
-    explorer = build_explorer(f"local[dir={bank_dir}]", None)
+    explorer = build_explorer(f"local[dir={bank_dir}]")
     assert isinstance(explorer, LocalExplorer)
-    wrapped = build_explorer(f"local[dir={bank_dir}]", str(tmp_path / "cache"))
-    assert isinstance(wrapped, CachedExplorer)
+    assert with_cache(explorer, None) is explorer
+    wrapped = with_cache(explorer, str(tmp_path / "cache"))
+    assert isinstance(wrapped, CachedExplorer) and wrapped.inner is explorer
+    with pytest.raises(UsageError, match="empty path"):
+        with_cache(explorer, "")
     with pytest.raises(UsageError, match="needs dir=PATH"):
-        build_explorer("local", None)
+        build_explorer("local")
     with pytest.raises(UsageError, match="unknown explorer"):
-        build_explorer("csv", None)
+        build_explorer("csv")
     with pytest.raises(UsageError, match="unknown explorer parameter"):
-        build_explorer(f"local[dir={bank_dir},turbo=1]", None)
+        build_explorer(f"local[dir={bank_dir},turbo=1]")
     with pytest.raises(UsageError, match="needs url=URL"):
-        build_explorer("rpc", None)
-    assert build_explorer("rpc[url=http://localhost:1,timeout=2.5]", None).timeout == 2.5
+        build_explorer("rpc")
+    assert build_explorer("rpc[url=http://localhost:1,timeout=2.5]").timeout == 2.5
     for bad in ("abc", "0", "-1", "inf", "nan"):
         with pytest.raises(UsageError, match="timeout must be a positive number"):
-            build_explorer(f"rpc[url=http://localhost:1,timeout={bad}]", None)
+            build_explorer(f"rpc[url=http://localhost:1,timeout={bad}]")
 
 
 def test_build_detector_variants(bank_dir):
@@ -1219,6 +1226,141 @@ def test_cli_bench_rejects_bad_magnitudes(capsys, tmp_path, magnitudes, message)
         "bench", "--root", str(tmp_path), "--axis", "storage", "--magnitudes", magnitudes,
     )
     assert code == 2 and out == "" and err == f"evmsleuth: {message}\n"
+
+
+# -- the argument surface --
+
+# main builds only the parser of the command argv[0] names; every argv here
+# must read as it does through the parser of every command
+_INVESTIGATE = ["investigate", "-t", "x", "-e", "local[dir=/tmp/bank]"]
+_SCALE = ["fixtures", "scale", "--axis", "storage", "--magnitude", "10"]
+_BENCH = ["bench", "--root", "r", "--axis", "storage", "--magnitudes", "1,2"]
+_REFUSED_ARGVS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["-h", "investigate"],
+    ["investigate", "-h"],
+    ["fixtures", "-h"],
+    ["fixtures", "build", "-h"],
+    ["fixtures", "scale", "-h"],
+    ["bench", "-h"],
+    ["export-feed", "-h"],
+    ["frobnicate"],
+    ["investigat", "-t", "x"],
+    ["investigate"],
+    ["investigate", "-e", "local[dir=/tmp/bank]"],
+    ["investigate", "-t"],
+    ["fixtures"],
+    ["fixtures", "build"],
+    ["fixtures", "scale", "--axis", "storage"],
+    ["fixtures", "scale", "--axis", "depth", "--magnitude", "10"],
+    ["fixtures", "scale", "--axis", "storage", "--magnitude", "ten"],
+    ["bench", "--root", "r", "--axis", "storage"],
+    ["export-feed"],
+    [*_INVESTIGATE, "--bogus"],
+    [*_INVESTIGATE, "fixtures"],
+    ["fixtures", "--bogus"],
+    ["fixtures", "build", "--out", "o", "--bogus"],
+    [*_SCALE, "--bogus"],
+    [*_BENCH, "--bogus"],
+    [*_BENCH, "--mode", "turbo"],
+    ["export-feed", "-e", "local[dir=/tmp/bank]", "--bogus"],
+]
+_VALID_ARGVS = [
+    _INVESTIGATE,
+    [*_INVESTIGATE, "-p", "from=1", "-p", "to=2", "-f", "spec", "-d", "block", "-c", "c"],
+    ["fixtures", "build", "--out", "o"],
+    ["fixtures", "build", "--scenario", "Bank", "--out", "o", "--seed", "11"],
+    _SCALE,
+    [*_SCALE, "--root", "r", "--out", "o", "--seed", "3"],
+    _BENCH,
+    [*_BENCH, "--mode", "cached", "--level", "block", "--repeats", "1"],
+    ["export-feed", "-e", "local[dir=/tmp/bank]"],
+    ["export-feed", "-e", "e", "-f", "spec", "-p", "from=1", "-c", "c", "--vuln", "v.json"],
+]
+
+
+def _refusal(capsys, call) -> tuple[object, str, str]:
+    with pytest.raises(SystemExit) as exit_info:
+        call()
+    captured = capsys.readouterr()
+    return exit_info.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", _REFUSED_ARGVS, ids=" ".join)
+def test_cli_refusals_read_as_through_the_full_parser(capsys, argv):
+    expected = _refusal(capsys, lambda: make_parser().parse_args(argv))
+    assert _refusal(capsys, lambda: main(argv)) == expected
+
+
+def test_cli_usage_texts_name_the_commands(capsys):
+    # what the full parser says too, pinned: the usage line lists every
+    # command, and a missing one is called "command"
+    usage = "usage: evmsleuth [-h] {investigate,fixtures,bench,export-feed} ...\n"
+    assert _refusal(capsys, lambda: main([])) == (
+        2, "", usage + "evmsleuth: error: the following arguments are required: command\n"
+    )
+    assert _refusal(capsys, lambda: main([*_INVESTIGATE, "--bogus"])) == (
+        2, "", usage + "evmsleuth: error: unrecognized arguments: --bogus\n"
+    )
+
+
+@pytest.mark.parametrize("argv", _VALID_ARGVS, ids=" ".join)
+def test_cli_arguments_parse_as_through_the_full_parser(argv):
+    parser = make_parser(argv[0])
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(commands.choices) == [argv[0]]
+    assert parser.parse_args(argv) == make_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [[], _INVESTIGATE + ["--bogus"], ["fixtures", "scale", "-h"]])
+def test_cli_main_without_arguments_reads_sys_argv(capsys, monkeypatch, argv):
+    expected = _refusal(capsys, lambda: make_parser().parse_args(argv))
+    monkeypatch.setattr(sys, "argv", ["evmsleuth", *argv])
+    assert _refusal(capsys, main) == expected
+
+
+@pytest.mark.parametrize(
+    "command", [["investigate", "-t", "x"], ["investigate", "-t", "x", "-d", "block"], ["export-feed"]],
+    ids=["evm", "block", "export-feed"],
+)
+def test_cli_empty_cache_directory_exits_2(capsys, monkeypatch, bank_dir, tmp_path, command):
+    # Path("") is the current directory: the cache must not land there
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *command, "-e", f"local[dir={bank_dir}]", "-c", "")
+    assert (code, out) == (2, "")
+    assert err == "evmsleuth: -c needs a cache directory, got an empty path\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code",
+    [
+        (["investigate", "-t", "x", "-d", "evm[mode=customTracer]"], 2),
+        (["investigate", "-t", "x", "-d", "evm[bogus=1]"], 2),
+        (["investigate", "-t", "x", "-d", "evm[vuln=missing.json]"], 2),
+        (["investigate", "-t", "x", "-f", "bogus"], 2),
+        (["investigate", "-t", "x", "-p", "from=abc"], 2),
+        (["investigate", "-t", "x", "-f", "feed[path=missing.csv]"], 2),
+        (["export-feed", "-f", "bogus"], 2),
+        (["export-feed", "--vuln", "missing.json"], 2),
+        (["export-feed", "-p", "to=abc"], 2),
+        (["export-feed", "-f", "feed[path=feed.csv]"], 2),
+        (["investigate", "-t", "x", "-e", "local[dir=no-archive]"], 3),
+        (["export-feed", "-e", "local[dir=no-archive]"], 3),
+    ],
+)
+def test_cli_refused_command_line_creates_no_cache_directory(
+    capsys, monkeypatch, bank_dir, tmp_path, argv, expected_code
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "feed.csv").write_text("block_number,tx_hash\n")
+    explorer = [] if "-e" in argv else ["-e", f"local[dir={bank_dir}]"]
+    code, out, err = run_cli(capsys, *argv, *explorer, "-c", "NEW")
+    assert (code, out) == (expected_code, "")
+    assert err.startswith("evmsleuth: ") and err.count("\n") == 1
+    assert not (tmp_path / "NEW").exists()
 
 
 
