@@ -130,6 +130,14 @@ def _bool_param(value: str, what: str) -> bool:
     raise UsageError(f"{what} must be true or false, got {value!r:.80}")
 
 
+def _named_path(value: str, switch: str, what: str) -> str:
+    """value, the path that switch names; UsageError if it is empty, since
+    an empty path names the working directory (Path("") is ".")."""
+    if not value:
+        raise UsageError(f"{switch} needs {what}, got an empty path")
+    return value
+
+
 # -- component construction -------------------------------------------------------
 
 
@@ -140,7 +148,7 @@ def build_explorer(spec_text: str):
         if directory is None:
             raise UsageError("local explorer needs dir=PATH")
         _reject_leftovers(params, "explorer")
-        return LocalExplorer(directory)
+        return LocalExplorer(_named_path(directory, "local dir=", "an archive directory"))
     if name == "rpc":
         url = params.pop("url", None)
         if url is None:
@@ -158,14 +166,13 @@ def with_cache(explorer, cache_dir: str | None):
     command line creates no cache directory."""
     if cache_dir is None:
         return explorer
-    if not cache_dir:
-        raise UsageError("-c needs a cache directory, got an empty path")
-    return CachedExplorer(explorer, cache_dir)
+    return CachedExplorer(explorer, _named_path(cache_dir, "-c", "a cache directory"))
 
 
 def load_vuln_spec(detector_params: dict, explorer_text: str) -> VulnSpec:
     path = detector_params.pop("vuln", None)
     if path is not None:
+        _named_path(path, "vuln=", "a vulnerability description")
         what = f"vulnerability description at {path}"
         return VulnSpec.from_document(read_json(path, what, UsageError, ConfigError))
     name, params = parse_component(explorer_text)
@@ -207,6 +214,7 @@ def build_filter(spec_text: str | None, spec: VulnSpec, shared: dict):
         path = params.pop("path", None)
         if path is None:
             raise UsageError("feed filter needs path=FILE.csv")
+        _named_path(path, "feed path=", "a feed file")
         _reject_leftovers(params, "filter")
         return None, parse_csv_feed(read_text(path, f"feed at {path}", UsageError, UsageError))
 
@@ -304,7 +312,7 @@ def cmd_fixtures(args) -> int:
     from .fixtures.scenarios import SCALED_SCENARIOS
 
     if args.action == "build":
-        out = Path(args.out)
+        out = Path(_named_path(args.out, "--out", "an output directory"))
         names = SCENARIO_NAMES if args.scenario == "all" else (args.scenario,)
         for name in names:
             fixture = build_fixture_chain(name, seed=args.seed)
@@ -313,8 +321,12 @@ def cmd_fixtures(args) -> int:
             print(f"{name}: {fixture.archive.chain.height} blocks -> {target}", file=sys.stderr)
         return EXIT_OK
 
+    root = _named_path(args.root, "--root", "a fixture root directory")
+    if args.out is None:
+        target = scaled_fixture_dir(root, args.axis, args.magnitude)
+    else:
+        target = Path(_named_path(args.out, "--out", "an output directory"))
     fixture = scale_fixture(SCALED_SCENARIOS[args.axis], args.axis, args.magnitude, seed=args.seed)
-    target = Path(args.out) if args.out else scaled_fixture_dir(args.root, args.axis, args.magnitude)
     write_fixture(fixture, target)
     print(
         f"{fixture.name}: {args.axis}={args.magnitude} -> {target}", file=sys.stderr
@@ -329,7 +341,7 @@ def cmd_bench(args) -> int:
     if not magnitudes:
         raise UsageError("--magnitudes needs at least one integer")
     table = bench(
-        args.root, args.axis, magnitudes,
+        _named_path(args.root, "--root", "a fixture root directory"), args.axis, magnitudes,
         mode=args.mode, level=args.level, repeats=args.repeats,
     )
     write_csv(table, sys.stdout)
@@ -339,7 +351,9 @@ def cmd_bench(args) -> int:
 def cmd_export_feed(args) -> int:
     shared = parse_shared(args.param)
     explorer = build_explorer(args.explorer)
-    spec = load_vuln_spec({"vuln": args.vuln} if args.vuln else {}, args.explorer)
+    if args.vuln is not None:
+        _named_path(args.vuln, "--vuln", "a vulnerability description")
+    spec = load_vuln_spec({} if args.vuln is None else {"vuln": args.vuln}, args.explorer)
     query, feed = build_filter(args.filter, spec, shared)
     if feed is not None:
         raise UsageError("export-feed scans the chain; it does not re-export a feed")

@@ -3,7 +3,7 @@
 All backends answer the same five questions:
 
   collect_block_details(n)   {"block": envelope}: block n's envelope alone
-  tx_trace(hash, tracer)     full or pc-filtered trace: its JSON text or document
+  tx_trace(hash, tracer)     full or pc-filtered trace: its document, or a span
   get_storage(addr, key, n)  storage word as of block n's post-state
   get_balance(addr, n)       balance as of block n's post-state
   height()                   newest block number
@@ -25,10 +25,11 @@ or snapshot balance is 0x + 1 to 64 hex digits, a snapshot storage value
 
 read_text and read_json are the one reader of every file a run names:
 the archive's files here, and the feed and the vulnerability description
-the command line or a fixture names; open_text is read_text for a trace
+the command line or a fixture names; open_json is read_json for a trace
 file, which it may answer open (see Trace answers). A file that is not
-there is the caller's `missing` error, "no WHAT"; any other fault its
-`unreadable` error, "WHAT unreadable: ERR". A name the system refuses as
+there is the caller's `missing` error, "no WHAT"; any other fault, a
+text that is not JSON included, its `unreadable` error, "WHAT
+unreadable: ERR". A name the system refuses as
 too long (ENAMETOOLONG) is quoted cut to 80 characters, any other whole
 (quoted_fault). The cache reads and writes its own entries.
 
@@ -40,25 +41,25 @@ archive node that charges per point query, it is what the cache exists to
 absorb, and it is what makes analysis cost grow with state size when no
 cache is in front.
 
-Trace answers: a str or a TextSpan is always a JSON text, anything else
-a parsed document. A text longer than TEXT_CHUNK bytes does not cross
-this boundary as a str: it crosses as a TextSpan, an open, re-readable
-byte span of the file that holds it (a trace file, or the payload of a
-cache entry, on the descriptor whose digest was checked), which
-traces.stream_blocks reads a TEXT_CHUNK-byte block at a time and whose
-text() is the whole text, as read_text reads a file. Whoever takes a
-TextSpan closes it: walk_trace, which walks every trace answer;
-LocalExplorer.tx_trace, once its customTracer filter has read one; the
-cache, when the write of a miss fails. A text
-of at most TEXT_CHUNK bytes is read in one call and answered as a str.
-LocalExplorer answers a full trace with the file's text (open_text),
-which walk_trace decodes into the walk, a block and a chunk at a time when
-it is a span (traces.reconstruct_span, whose module docstring has the
-block, chunk and fallback rules), so a text that is not JSON, or not
-UTF-8, is found there, as a ProtocolError. A pc-filtered trace is the
-filter's document, built as the span's entries stream past, so only the
-kept entries are ever held. RpcExplorer answers with the parsed reply,
-walked as a document.
+Trace answers: a trace crosses this boundary in one of two forms, a
+parsed document or a traces.TextSpan, never as a str. A JSON text of at
+most TEXT_CHUNK bytes is read in one call and decoded where it is read,
+once: a trace file by open_json, a cache hit by the cache's entry
+reader. A longer text crosses as a TextSpan, an open, re-readable byte
+span of the file that holds it (a trace file, or the payload of a cache
+entry, on the descriptor whose digest was checked), which
+traces.read_trace streams a TEXT_CHUNK-byte block at a time and, when
+the text does not stream, decodes whole under the span's faults (the
+traces module docstring has the block, chunk and fallback rules). So a
+text that is not JSON, or not UTF-8, is found where it is read when it
+is short and by the walk when it is long, as the same ProtocolError
+naming the trace, "trace for 0x... unreadable: ERR". Whoever takes a
+TextSpan closes it: walk_trace, which walks every trace answer
+(traces.reconstruct_trace); LocalExplorer.tx_trace, once its
+customTracer filter has read one; the cache, when the write of a miss
+fails. A pc-filtered trace is the filter's document, built as a span's
+entries stream past, so only the kept entries are ever held.
+RpcExplorer answers with the parsed reply, walked as a document.
 
 RpcExplorer speaks JSON-RPC 2.0 over the standard library's HTTP client,
 through the one function http_post; the package has no runtime dependency.
@@ -71,10 +72,10 @@ CachedExplorer is a read-through wrapper over any backend. Entries are
 persisted one file per query with a content digest and written atomically;
 corrupted entries are discarded and refetched. Per-key fetch counters and
 per-kind hit/drop counters make cache behavior checkable rather than
-assumed. A trace hit is answered with the entry's payload text, a long one
-hashed a block at a time and answered as its TextSpan, decoded by the
-walk; a miss over a text answer writes the canonical payload in a
-streamed pass of its own (see CachedExplorer).
+assumed. A hit is answered with the entry's payload parsed, or a long
+trace payload hashed a block at a time and answered as its TextSpan; a
+miss over a span answer writes the canonical payload in a streamed pass
+of its own (see CachedExplorer).
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ from contextlib import contextmanager, nullcontext
 from functools import partial
 from pathlib import Path
 from time import sleep
-from typing import BinaryIO, Callable, ContextManager, Iterable, Iterator
+from typing import Callable, ContextManager, Iterable, Iterator
 from urllib.parse import urlsplit
 
 from .chain import tx_from_document, tx_to_document
@@ -99,12 +100,11 @@ from .traces import (
     TEXT_CHUNK,
     ReconstructedTrace,
     Select,
-    Unstreamable,
+    TextSpan,
     every_step,
-    reconstruct_document,
-    reconstruct_span,
-    reconstruct_text,
-    stream_blocks,
+    file_text,
+    read_trace,
+    reconstruct_trace,
 )
 from .words import address_hex, hash_hex, storage_hex, word_hex
 
@@ -160,21 +160,18 @@ def apply_tracer(doc: dict, tracer_spec: dict) -> dict:
     return out
 
 
-def _filter_text(trace: str | TextSpan, tracer_spec: dict):
-    """apply_tracer(json.loads(text), tracer_spec) of the trace text, a
-    TextSpan's entries filtered as they stream (traces.stream_blocks), so
-    only the kept ones are held. Raises what TextSpan.text() and json.loads
-    raise for a text that is not JSON."""
-    if isinstance(trace, TextSpan):
-        keeps = _tracer_keeps(tracer_spec)
-        try:
-            members, chunks = stream_blocks(trace.blocks())
-            logs = [step for chunk in chunks for step in chunk if keeps(step)]
-        except Unstreamable:
-            trace = trace.text()
-        else:
-            return {**members, "structLogs": logs}
-    return apply_tracer(json.loads(trace), tracer_spec)
+def filter_trace(trace, tracer_spec: dict):
+    """apply_tracer of the trace answer `trace`, a document or a TextSpan,
+    whose entries are filtered as they stream (traces.read_trace), so only
+    the kept ones are held."""
+    keeps = _tracer_keeps(tracer_spec)
+    return read_trace(
+        trace,
+        lambda doc: apply_tracer(doc, tracer_spec),
+        lambda members, chunks: {
+            **members, "structLogs": [step for chunk in chunks for step in chunk if keeps(step)]
+        },
+    )
 
 
 class ExplorerView:
@@ -204,12 +201,14 @@ def quoted_fault(what: str, err: Exception) -> tuple[str, str]:
 def _read_faults(what: str, missing, unreadable):
     """The faults of reading the file that `what` names, as the reader's
     errors: missing("no WHAT") if there is no such file, unreadable("WHAT
-    unreadable: ERR") if it cannot be read or is not UTF-8."""
+    unreadable: ERR") if it cannot be read, is not UTF-8 or, when the body
+    decodes it, is not JSON."""
     try:
         yield
     except FileNotFoundError:
         raise missing(f"no {what}") from None
-    except (OSError, ValueError) as err:  # ValueError: bad UTF-8
+    # ValueError: bad UTF-8, or bad JSON; RecursionError: JSON nested too deep
+    except (OSError, ValueError, RecursionError) as err:
         what, reason = quoted_fault(what, err)
         raise unreadable(f"{what} unreadable: {reason}") from None
 
@@ -224,63 +223,18 @@ def read_text(
         return handle.read()
 
 
-def _file_text(data: bytes) -> str:
-    """The text of a file's bytes as read_text reads it: UTF-8, with
-    "\\r\\n" and "\\r" read as "\\n" (a file opened in text mode)."""
-    return str(data, "utf-8").replace("\r\n", "\n").replace("\r", "\n")
-
-
-class TextSpan:
-    """Bytes start to stop of the open binary file handle: a JSON text
-    longer than TEXT_CHUNK bytes, answered in place of the text (module
-    docstring). blocks() reads it from start, a TEXT_CHUNK-byte block at a
-    time, and text() whole, as read_text reads a file; a fault of either
-    is raised as faults() maps it. close() closes the file; the span is
-    also a context manager that does."""
-
-    def __init__(
-        self, handle: BinaryIO, start: int, stop: int, faults: Callable[[], ContextManager]
-    ):
-        self.handle = handle
-        self.start = start
-        self.stop = stop
-        self.faults = faults
-
-    def blocks(self) -> Iterator[bytes]:
-        with self.faults():
-            self.handle.seek(self.start)
-            left = self.stop - self.start
-            while left > 0 and (block := self.handle.read(min(TEXT_CHUNK, left))):
-                left -= len(block)
-                yield block
-
-    def text(self) -> str:
-        with self.faults():
-            self.handle.seek(self.start)
-            return _file_text(self.handle.read(self.stop - self.start))
-
-    def close(self):
-        self.handle.close()
-
-    def __enter__(self) -> TextSpan:
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-
 def _consumed(trace) -> ContextManager:
     """A context manager for the block that uses the trace answer `trace`,
     which closes it after, if it is a TextSpan."""
     return trace if isinstance(trace, TextSpan) else nullcontext()
 
 
-def open_text(
+def open_json(
     path: str | Path, what: str, missing=ArchiveGapError, unreadable=ProtocolError
-) -> str | TextSpan:
-    """read_text(path, what, missing, unreadable) of a file of at most
+) -> object | TextSpan:
+    """read_json(path, what, missing, unreadable) of a file of at most
     TEXT_CHUNK bytes; a longer one is answered open, as the TextSpan of the
-    whole file, whose faults are read_text's. The caller closes it."""
+    whole file, whose faults are read_json's. The caller closes it."""
     faults = partial(_read_faults, what, missing, unreadable)
     with faults():
         handle = open(path, "rb")
@@ -292,23 +246,15 @@ def open_text(
             handle.close()
             raise
         handle.close()
-        return _file_text(data)
-
-
-def _not_json(what: str, err: Exception) -> ProtocolError:
-    # err is what json.loads raised: ValueError for bad JSON, RecursionError
-    # for JSON nested too deep
-    return ProtocolError(f"{what} unreadable: {err}")
+        return json.loads(file_text(data))
 
 
 def read_json(path: str | Path, what: str, missing=ArchiveGapError, unreadable=ProtocolError):
     """The JSON document at path: as read_text, and unreadable("WHAT
     unreadable: ERR") if the text is not JSON."""
     text = read_text(path, what, missing, unreadable)
-    try:
+    with _read_faults(what, missing, unreadable):
         return json.loads(text)
-    except (ValueError, RecursionError) as err:
-        raise unreadable(f"{what} unreadable: {err}") from None
 
 
 def _trace_what(tx_hash: bytes) -> str:
@@ -324,31 +270,24 @@ def walk_trace(
     select: Select = every_step,
 ) -> ReconstructedTrace:
     """The walk over `trace`, the answer of explorer.tx_trace(tx_hash,
-    tracer_spec), relaxed when pc-filtered; a TextSpan answer is closed
-    when the walk ends. A text answer is decoded here and nowhere before, a
-    TextSpan's streamed (traces.reconstruct_span), so here is where one
-    that is not JSON is found: from a cache it is a hit whose payload does
-    not decode, which the cache drops and fetches again
-    (CachedExplorer.refetch_trace) before the walk runs once more; from any
-    other explorer it is a ProtocolError naming the trace. TraceParseError
-    and ReconstructionError are the walk's."""
+    tracer_spec), relaxed when pc-filtered (traces.reconstruct_trace); a
+    TextSpan answer is closed when the walk ends. A span from a cache hit
+    whose payload then does not decode (json.loads raises) is dropped and
+    fetched again (CachedExplorer.refetch_trace) before the walk runs once
+    more; any other span maps that fault to its reader's ProtocolError.
+    TraceParseError and ReconstructionError are the walk's."""
     relaxed = tracer_spec is not None
 
     def walk(trace) -> ReconstructedTrace:
         with _consumed(trace):
-            if isinstance(trace, TextSpan):
-                return reconstruct_span(trace, root_target, relaxed, select)
-            if isinstance(trace, str):
-                return reconstruct_text(trace, root_target, relaxed, select)
-            return reconstruct_document(trace, root_target, relaxed, select)
+            return reconstruct_trace(trace, root_target, relaxed, select)
 
     try:
         return walk(trace)
-    except (ValueError, RecursionError) as err:  # json.loads refused the text
+    except (ValueError, RecursionError):  # json.loads refused a span's text
         if not isinstance(explorer, CachedExplorer):
-            raise _not_json(_trace_what(tx_hash), err) from None
-    trace = explorer.refetch_trace(tx_hash, tracer_spec)
-    return walk(trace)
+            raise
+    return walk(explorer.refetch_trace(tx_hash, tracer_spec))
 
 
 _HASH = re.compile(r"0x[0-9a-fA-F]{64}")
@@ -428,20 +367,15 @@ class LocalExplorer:
     def collect_block_details(self, number: int) -> dict:
         return {"block": self._block_doc(number)}
 
-    def tx_trace(
-        self, tx_hash: bytes, tracer_spec: dict | None = None
-    ) -> str | TextSpan | dict:
-        """The trace file's text (open_text), or with a tracer spec the
-        filtered document (see the module docstring)."""
-        what = _trace_what(tx_hash)
-        trace = open_text(self.base / "traces" / f"{tx_hash.hex()}.json", what)
+    def tx_trace(self, tx_hash: bytes, tracer_spec: dict | None = None) -> dict | TextSpan:
+        """The trace file's document, or a long one's TextSpan (open_json),
+        or with a tracer spec the filtered document (filter_trace)."""
+        path = self.base / "traces" / f"{tx_hash.hex()}.json"
+        trace = open_json(path, _trace_what(tx_hash))
         if tracer_spec is None:
             return trace
         with _consumed(trace):
-            try:
-                return _filter_text(trace, tracer_spec)
-            except (ValueError, RecursionError) as err:
-                raise _not_json(what, err) from None
+            return filter_trace(trace, tracer_spec)
 
     def _state_doc(self, number: int) -> dict:
         root = self._block_doc(number)["stateRoot"]
@@ -708,21 +642,6 @@ def _canonical_pieces(members: dict, chunks: Iterator[list]) -> Iterator[str]:
     yield "]" + ("," if len(high) > 1 else "") + high
 
 
-def _write_text_entry(path: Path, prefix: bytes, trace: str | TextSpan):
-    """Write the entry of a payload that arrived as JSON text, the payload
-    in canonical form: streamed when it is a TextSpan that streams, else
-    parsed whole. Raises what TextSpan.text() and json.loads raise for a
-    text that is not JSON."""
-    if isinstance(trace, TextSpan):
-        try:
-            members, chunks = stream_blocks(trace.blocks())
-            _write_entry(path, prefix, _canonical_pieces(members, chunks))
-            return
-        except Unstreamable:
-            trace = trace.text()
-    _write_entry(path, prefix, (_compact(json.loads(trace)),))
-
-
 def _entry_body(data: bytes, prefix: bytes) -> memoryview:
     """The payload bytes of entry bytes data, written by _write_entry with
     this key prefix; ValueError for any other bytes."""
@@ -740,19 +659,6 @@ def _entry_body(data: bytes, prefix: bytes) -> memoryview:
     return body
 
 
-def _stored_payload(path: Path, prefix: bytes):
-    """The payload of the entry at path, written by _write_entry with this
-    key prefix, parsed; ValueError (or RecursionError, for a payload nested
-    too deep to parse) for any other bytes, FileNotFoundError if absent."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    text = str(_entry_body(data, prefix), "utf-8")
-    # the file bytes go before the parse, so a hit holds one copy of the
-    # payload text at a time, like a local read
-    del data
-    return json.loads(text)
-
-
 def _unreadable_entry(path: Path, err: OSError) -> UsageError:
     return UsageError(f"cache entry {path} unreadable: {err}")
 
@@ -766,17 +672,18 @@ def _entry_faults(path: Path):
         raise _unreadable_entry(path, err) from None
 
 
-def _stored_trace(path: Path, prefix: bytes) -> str | TextSpan:
-    """The trace payload of the entry at path, checked as _stored_payload
-    checks a payload: its text when it has at most TEXT_CHUNK bytes, else
-    its TextSpan, open, hashed a block at a time (the caller closes it).
-    ValueError for bytes that are no entry of this key, FileNotFoundError
-    if absent."""
-    head = len(prefix) + TEXT_CHUNK + _TAIL_SIZE  # the longest entry read as text
+def _stored_payload(path: Path, prefix: bytes, spans: bool):
+    """The payload of the entry at path, written by _write_entry with this
+    key prefix, parsed; or, when spans is set and the payload is longer
+    than TEXT_CHUNK bytes, its TextSpan, open, after a pass that hashes it
+    a block at a time (the caller closes it). ValueError (or
+    RecursionError, for a payload nested too deep to parse) for any other
+    bytes, FileNotFoundError if absent."""
+    head = len(prefix) + TEXT_CHUNK + _TAIL_SIZE  # the longest trace entry parsed whole
     handle = open(path, "rb")
     try:
-        data = handle.read(head + 1)
-        if len(data) > head:
+        data = handle.read(head + 1 if spans else -1)
+        if spans and len(data) > head:
             if not data.startswith(prefix):
                 raise ValueError("not a cache entry for this key")
             stop = os.fstat(handle.fileno()).st_size - _TAIL_SIZE
@@ -791,7 +698,11 @@ def _stored_trace(path: Path, prefix: bytes) -> str | TextSpan:
         handle.close()
         raise
     handle.close()
-    return str(_entry_body(data, prefix), "utf-8")
+    text = str(_entry_body(data, prefix), "utf-8")
+    # the file bytes go before the parse, so a hit holds one copy of the
+    # payload text at a time, like a local read
+    del data
+    return json.loads(text)
 
 
 class CachedExplorer:
@@ -810,24 +721,26 @@ class CachedExplorer:
     runs sharing a directory never read a torn entry. height() is never
     cached: it is the one answer that legitimately changes between runs.
 
-    Traces stream. A trace hit is answered unparsed: a payload of at most
-    TEXT_CHUNK bytes as its text, a longer one as its TextSpan, after a
-    pass that hashes it a block at a time; the walk then reads the span
-    again, on the same descriptor, so an entry unlinked or replaced after
-    the check is still the entry that was checked. A payload that then
-    does not decode is dropped and fetched again through refetch_trace,
-    and counts as dropped, not as a hit. A miss whose inner answer is a
-    TextSpan (LocalExplorer's long trace) writes the canonical payload in a
-    streamed pass of its own: chunk by chunk, each chunk's entries
-    serialised compact with sorted keys, written and hashed piece by piece,
-    never joined into one string. A text the stream does not read, and a
-    str, are parsed whole and written as a document would be; one that is
-    not JSON is a ProtocolError, as over a local trace file, and like one
-    that cannot be read it counts as no fetch. The entry bytes are those of
-    a document answer in every case (docs/formats.md). The miss then
-    answers the inner text itself: a text of the same document as the
-    entry, so the walk gives the same result over either, and no second
-    copy is made.
+    Traces stream. A trace hit whose payload has at most TEXT_CHUNK bytes
+    is answered as every other hit is, parsed; a payload that does not
+    decode is dropped there. A longer one is answered as its TextSpan,
+    after a pass that hashes it a block at a time; the walk then reads the
+    span again, on the same descriptor, so an entry unlinked or replaced
+    after the check is still the entry that was checked. A long payload
+    that then does not decode is dropped and fetched again through
+    refetch_trace, and counts as dropped, not as a hit. A miss is written
+    by one writer through traces.read_trace: a document answer as the
+    compact sorted-key JSON of the document; a TextSpan answer
+    (LocalExplorer's long trace) in a streamed pass of its own: chunk by
+    chunk, each chunk's entries serialised compact with sorted keys,
+    written and hashed piece by piece, never joined into one string. A
+    span the stream does not read is parsed whole and written as its
+    document would be; one that is not JSON is its reader's ProtocolError,
+    and like one that cannot be read it counts as no fetch. The entry
+    bytes are those of a document answer in every case (docs/formats.md).
+    The miss then answers the inner answer itself: for a span, a text of
+    the same document as the entry, so the walk gives the same result over
+    either, and no second copy is made.
 
     fetches maps each cache key to the number of inner calls made for it;
     by_kind counts hits, drops and inner calls per query kind, and hits and
@@ -857,10 +770,10 @@ class CachedExplorer:
         return self.inner.height()
 
     def _lookup(self, kind: str, key_parts: list, fetch, undecodable: bool = False):
-        """The stored payload of the query, or fetch()'s answer, written.
-        A trace payload is answered as text (_stored_trace). undecodable:
-        the stored payload was answered as a hit but does not decode; drop
-        it and fetch."""
+        """The stored payload of the query (_stored_payload, which answers a
+        long trace payload as its span), or fetch()'s answer, written.
+        undecodable: the stored payload was answered as a hit but does not
+        decode; drop it and fetch."""
         key = _compact([kind, *key_parts])
         path = self.base / f"{digest(key.encode()).hex()}.json"
         prefix = b'{"key":' + json.dumps(key).encode() + b',"payload":'
@@ -869,10 +782,7 @@ class CachedExplorer:
             if undecodable:
                 counts["hits"] -= 1
                 raise ValueError("payload does not decode")
-            if kind == "trace":
-                payload = _stored_trace(path, prefix)
-            else:
-                payload = _stored_payload(path, prefix)
+            payload = _stored_payload(path, prefix, kind == "trace")
         except FileNotFoundError:
             pass
         except (ValueError, RecursionError):
@@ -885,20 +795,23 @@ class CachedExplorer:
             return payload
         payload = fetch()
         tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        write = partial(_write_entry, tmp, prefix)
         try:
-            if isinstance(payload, (str, TextSpan)):
-                _write_text_entry(tmp, prefix, payload)
-            else:
-                _write_entry(tmp, prefix, (_compact(payload),))
+            read_trace(
+                payload,
+                lambda doc: write((_compact(doc),)),
+                lambda members, chunks: write(_canonical_pieces(members, chunks)),
+            )
             os.replace(tmp, path)
         except BaseException as err:
             tmp.unlink(missing_ok=True)
             if isinstance(payload, TextSpan):
                 payload.close()
-            # a text answer that cannot be read (its reader's error) or is
-            # not JSON is a failed inner call, as the inner's own read and
-            # parse of a whole text were: it counts as no fetch
-            if not isinstance(err, (ValueError, RecursionError, SleuthError)):
+            # a span answer that cannot be read or is not JSON (its reader's
+            # error) is a failed inner call, as the inner's own read and
+            # parse of a short text were, and so is a document nested too
+            # deep to write: it counts as no fetch
+            if not isinstance(err, (RecursionError, SleuthError)):
                 self._count_fetch(key, counts)
             if isinstance(err, OSError):
                 raise UsageError(f"cache entry {path} not written: {err}") from None
@@ -915,29 +828,25 @@ class CachedExplorer:
             "block", [number], lambda: self.inner.collect_block_details(number)
         )
 
-    def tx_trace(
-        self, tx_hash: bytes, tracer_spec: dict | None = None
-    ) -> str | TextSpan | dict:
+    def tx_trace(self, tx_hash: bytes, tracer_spec: dict | None = None) -> dict | TextSpan:
         return self._trace(tx_hash, tracer_spec, False)
 
-    def refetch_trace(
-        self, tx_hash: bytes, tracer_spec: dict | None = None
-    ) -> str | TextSpan | dict:
-        """tx_trace again, after the walk found that the payload of its hit
-        does not decode: the entry is dropped, fetched and written again."""
+    def refetch_trace(self, tx_hash: bytes, tracer_spec: dict | None = None) -> dict | TextSpan:
+        """tx_trace again, after the walk found that the long payload of its
+        hit does not decode: the entry is dropped, fetched and written
+        again."""
         return self._trace(tx_hash, tracer_spec, True)
 
     def _trace(self, tx_hash: bytes, tracer_spec: dict | None, undecodable: bool):
-        spec = canonical_tracer(tracer_spec)
         try:
             return self._lookup(
                 "trace",
-                [hash_hex(tx_hash), spec],
+                [hash_hex(tx_hash), canonical_tracer(tracer_spec)],
                 lambda: self.inner.tx_trace(tx_hash, tracer_spec),
                 undecodable,
             )
-        except (ValueError, RecursionError) as err:  # a text answer that is not JSON
-            raise _not_json(_trace_what(tx_hash), err) from None
+        except RecursionError as err:  # json.dumps refused a document nested too deep
+            raise ProtocolError(f"{_trace_what(tx_hash)} unreadable: {err}") from None
 
     def get_storage(self, addr: int, key: int, number: int) -> int:
         return self._lookup(

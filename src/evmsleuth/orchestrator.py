@@ -42,14 +42,15 @@ A transaction object is read twice: by the read state, and by
 LocalExplorer's check of every block when it opens the archive
 (explorer.block_envelope, the check behind exit 3).
 
-Streamed ingest: a trace that arrives as JSON text (a local trace file, a
-cache entry) is decoded by the walk, a block and a chunk at a time when it
-is longer than one chunk (explorer.walk_trace, traces.reconstruct_span).
-So the JSON decode of a trace is timed in "analyze" with the walk and the
-rules, and "fetch" is the read of its text, or for a long one the opening
-of its file and, for a cache hit, the pass that checks its digest; the
-read of a long text is timed in "analyze" too. A text that is not JSON, or
-not UTF-8, is a "fetch failed" skip record that quotes the error.
+Trace decode: a trace text of at most one chunk (a local trace file, a
+cache entry) is decoded by its reader, once, where it is read, so its
+JSON decode is timed in "fetch" with the read. A longer text arrives as a
+span and is decoded by the walk, a block and a chunk at a time
+(explorer.walk_trace, traces.reconstruct_trace), so its decode is timed
+in "analyze" with the walk and the rules, and "fetch" is the opening of
+its file and, for a cache hit, the pass that checks its digest. A text
+that is not JSON, or not UTF-8, is a "fetch failed" skip record that
+quotes the error, found at either place.
 
 At the evm level each transaction's fetch, ingest and rules run with the
 cyclic garbage collector paused (traces.gc_paused), and the trace is
@@ -250,7 +251,7 @@ def _run_evm_level(config, rows, report, timings, reads):
                 if rec is None:
                     rec = walk_trace(explorer, trace, tx_hash, tracer, tx.to, spec.gates)
                 found, notes = evaluate_trace(rec, spec, tx_hash, number)
-            except (ArchiveGapError, ProtocolError) as err:  # the text is not JSON (walk_trace)
+            except (ArchiveGapError, ProtocolError) as err:  # a long text is not JSON
                 report.skips.append(f"{label}: fetch failed, skipped ({err})")
                 continue
             except SleuthError as err:

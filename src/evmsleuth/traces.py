@@ -51,43 +51,46 @@ one; in strict mode it can also be read off the caller's resume step. A
 filtered trace without call records has no third source, so status comes
 back None and status-dependent rules stay quiet there.
 
-Streaming: a trace text longer than TEXT_CHUNK bytes arrives as a span,
-an open file region that can be read again (explorer.TextSpan): its
-blocks() are the text's UTF-8 bytes, TEXT_CHUNK at a time, and text() is
-the whole text, read as a file opened in text mode reads it. The text is
-not held whole. stream_blocks decodes the blocks through an incremental
-UTF-8 decoder as far as it needs them: it reads the outer object's
-members up to the structLogs array, then hands out the array's entries a
-chunk at a time, so memory holds one block and one chunk of parsed
-entries, whatever the trace's length. A block edge may fall anywhere: in
-a character, a member or a cut; a character is decoded once its last
-byte is in, and a scanner call is repeated over more blocks until what it
-reads can no longer change. A chunk is one scanner call over "[" +
-text[a:b+1] + "]", where a is the start of the chunk's first entry and b
-the closing brace of the first "},{" (JSON whitespace allowed around the
-comma) at or past a + TEXT_CHUNK characters; the rest of the array is one
-call too. The scanner is deterministic, so that span parses in full
-exactly when b closes an entry of the array; a "},{" inside a string or a
-nested value stops the stream (see Fallback), and no entry of a producer,
-a cache or a geth structLog holds one. One call per chunk, not one per
-entry, because the C scanner forgets its memo of object keys at the end
-of every call. A text of at most TEXT_CHUNK bytes arrives as a str and is
-not streamed at all (reconstruct_text): json.loads decodes it in the one
-call the stream would make, without the stream's set-up, which made short
-traces (a few kB, as in the scenario suite) 5-15% slower to ingest.
+Streaming: a trace reaches the walk in one of two forms, and read_trace
+is the one reader of both. A document is read as it is: a filtered or
+RPC trace, and a text of at most TEXT_CHUNK bytes, which its reader (a
+trace file, a cache entry) decodes where it reads it, with json.loads,
+in the one call the stream would make, without the stream's set-up,
+which made short traces (a few kB, as in the scenario suite) 5-15%
+slower to ingest. A longer text arrives as a TextSpan, an open file
+region that can be read again: its blocks() are the text's UTF-8 bytes,
+TEXT_CHUNK at a time, and text() is the whole text, read as a file
+opened in text mode reads it. The text is not held whole. stream_blocks
+decodes the blocks through an incremental UTF-8 decoder as far as it
+needs them: it reads the outer object's members up to the structLogs
+array, then hands out the array's entries a chunk at a time, so memory
+holds one block and one chunk of parsed entries, whatever the trace's
+length. A block edge may fall anywhere: in a character, a member or a
+cut; a character is decoded once its last byte is in, and a scanner
+call is repeated over more blocks until what it reads can no longer
+change. A chunk is one scanner call over "[" + text[a:b+1] + "]", where
+a is the start of the chunk's first entry and b the closing brace of
+the first "},{" (JSON whitespace allowed around the comma) at or past
+a + TEXT_CHUNK characters; the rest of the array is one call too. The
+scanner is deterministic, so that span parses in full exactly when b
+closes an entry of the array; a "},{" inside a string or a nested value
+stops the stream (see Fallback), and no entry of a producer, a cache or
+a geth structLog holds one. One call per chunk, not one per entry,
+because the C scanner forgets its memo of object keys at the end of
+every call.
 
 Fallback: the stream reads one shape only: UTF-8, an object whose members
 lead up to a structLogs array and which ends right after it (of duplicate
 members before the array the last wins, as in json.loads). On anything
 else (bytes that are not UTF-8, a decode error, a chunk cut inside an
 entry, a member after the array, so a second structLogs too, a BOM, a
-fault in the header or in the walk) it stops, and the span is read again
-whole through span.text(), whose faults are its reader's, then with
-json.loads, and walked as a document (reconstruct_document). So the
-steps, and the exception type, message and step index of a refused
-trace, are those of the whole read, json.loads and the document walk by
-construction; only a short, malformed or unusual trace is ever held as a
-whole text or document.
+fault in the header or in the walk) it stops, and read_trace reads the
+span again whole through span.text(), then json.loads, both under the
+span's faults(), and hands the document to the whole-document consumer
+(for the walk, reconstruct_document). So the steps, and the exception
+type, message and step index of a refused trace, are those of the whole
+read, json.loads and the document walk by construction; only a short,
+malformed or unusual trace is ever held as a whole text or document.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, ContextManager, Iterable, Iterator
 
 from .errors import ReconstructionError, TraceParseError
 from .words import ADDRESS_MASK, WORD_MASK
@@ -482,10 +485,10 @@ def gc_paused() -> Iterator[None]:
     JSON is a tree, so it holds no reference cycle for the collector to
     find, yet every chunk of a streamed trace is some 800 entries, each a
     dict and a list, enough to set off collections that traverse them; a
-    document parsed whole (a filtered or RPC trace, or the json.loads
-    fallback) is a tree of them. The body drops the trace before it ends,
-    so reference counting frees all of it and the collector resumes with
-    nothing of it left to traverse.
+    document parsed whole (a short trace, a filtered or RPC trace, or the
+    json.loads fallback) is a tree of them. The body drops the trace
+    before it ends, so reference counting frees all of it and the
+    collector resumes with nothing of it left to traverse.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -520,6 +523,52 @@ _SETTLED = 3
 
 class Unstreamable(Exception):
     """The text is not in the shape the stream reads; json.loads decides."""
+
+
+def file_text(data: bytes) -> str:
+    """The text of a file's bytes as a file opened in text mode reads it:
+    UTF-8, with "\\r\\n" and "\\r" read as "\\n"."""
+    return str(data, "utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
+class TextSpan:
+    """Bytes start to stop of the open binary file handle: a JSON text
+    longer than TEXT_CHUNK bytes, answered in place of its document
+    (module docstring). blocks() reads it from start, a TEXT_CHUNK-byte
+    block at a time, and text() whole, as file_text reads a file; a fault
+    of either, and of the decode of text() in read_trace, is raised as the
+    context manager faults() maps it. close() closes the file; the span is
+    also a context manager that does."""
+
+    def __init__(
+        self, handle: BinaryIO, start: int, stop: int, faults: Callable[[], ContextManager]
+    ):
+        self.handle = handle
+        self.start = start
+        self.stop = stop
+        self.faults = faults
+
+    def blocks(self) -> Iterator[bytes]:
+        with self.faults():
+            self.handle.seek(self.start)
+            left = self.stop - self.start
+            while left > 0 and (block := self.handle.read(min(TEXT_CHUNK, left))):
+                left -= len(block)
+                yield block
+
+    def text(self) -> str:
+        with self.faults():
+            self.handle.seek(self.start)
+            return file_text(self.handle.read(self.stop - self.start))
+
+    def close(self):
+        self.handle.close()
+
+    def __enter__(self) -> TextSpan:
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
 def _decoded(text: str, pos: int = 0) -> tuple:
@@ -632,27 +681,37 @@ def _chunks(text: _BlockText, pos: int) -> Iterator[list]:
         raise Unstreamable
 
 
-def reconstruct_span(
-    span, root_target: int, relaxed: bool = False, select: Select = every_step
-) -> ReconstructedTrace:
-    """reconstruct_document(json.loads(span.text()), ...), streamed: the
-    text's blocks (span.blocks()) are decoded as the walk reaches them, and
-    its entries a chunk at a time (module docstring). Raises what
-    span.text() and json.loads raise for a text that is not JSON, and what
-    the document walk raises for a malformed trace."""
+def read_trace(trace, whole: Callable, streamed: Callable):
+    """A trace answer read by one of two consumers: whole(trace) of a
+    document; of a TextSpan, streamed(members, chunks) of its text as
+    stream_blocks reads it, or, when the text does not stream or streamed
+    raises a walk fault (TraceParseError, ReconstructionError), whole of
+    json.loads(span.text()), decoded under the span's faults (module
+    docstring). So the result, and the type and message of a fault, are
+    whole's over the document by construction, and a text that is not
+    JSON raises what the span's reader maps json.loads's error to."""
+    if not isinstance(trace, TextSpan):
+        return whole(trace)
     try:
-        members, chunks = stream_blocks(span.blocks())
+        return streamed(*stream_blocks(trace.blocks()))
+    except (Unstreamable, TraceParseError, ReconstructionError):
+        pass
+    with trace.faults():
+        doc = json.loads(trace.text())
+    return whole(doc)
+
+
+def reconstruct_trace(
+    trace, root_target: int, relaxed: bool = False, select: Select = every_step
+) -> ReconstructedTrace:
+    """reconstruct_document of trace, a document, or of a TextSpan's text,
+    its entries walked a chunk at a time as they stream (read_trace)."""
+
+    def streamed(members: dict, chunks: Iterator[list]) -> ReconstructedTrace:
         parsed = parse_trace_document({**members, "structLogs": []})  # the header alone
         parsed.struct_logs = chain.from_iterable(chunks)
         return reconstruct(parsed, root_target, relaxed, select)
-    except (Unstreamable, TraceParseError, ReconstructionError):
-        pass
-    return reconstruct_text(span.text(), root_target, relaxed, select)
 
-
-def reconstruct_text(
-    text: str, root_target: int, relaxed: bool = False, select: Select = every_step
-) -> ReconstructedTrace:
-    """reconstruct_document(json.loads(text), ...): a text that arrives
-    whole, decoded in one call."""
-    return reconstruct_document(json.loads(text), root_target, relaxed, select)
+    return read_trace(
+        trace, lambda doc: reconstruct_document(doc, root_target, relaxed, select), streamed
+    )

@@ -210,7 +210,7 @@ def test_archive_roundtrip(tmp_path):
                 assert local.get_storage(addr, key, block.number) == value
     assert arch.traces
     for txh, trace in arch.traces.items():
-        assert json.loads(local.tx_trace(txh)) == trace  # a full trace is answered as its text
+        assert local.tx_trace(txh) == trace  # a short full trace is answered as its document
     labels = json.loads((tmp_path / "labels.json").read_text())
     assert labels == {
         hash_hex(h): {"class": label.exploit_class, "mechanism": label.mechanism}

@@ -33,7 +33,7 @@ from evmsleuth.explorer import (
 )
 from evmsleuth.fixtures import SCENARIO_NAMES, build_fixture_chain, write_fixture
 from evmsleuth.hashing import digest
-from evmsleuth.traces import reconstruct_document
+from evmsleuth.traces import TEXT_CHUNK, reconstruct_document
 from evmsleuth.words import address_hex, hash_hex, storage_hex
 
 SEED = 11
@@ -190,7 +190,7 @@ def test_local_storage_defaults_to_zero(local):
 
 def test_local_trace_round_trip(fixture, local):
     txh = fixture.archive.labels.exploit_hashes()[0]
-    assert json.loads(local.tx_trace(txh)) == fixture.archive.traces[txh]
+    assert local.tx_trace(txh) == fixture.archive.traces[txh]  # a short text, decoded
     spec = {"pcSet": [0], "includeCallBoundaries": True}
     assert local.tx_trace(txh, spec) == apply_tracer(fixture.archive.traces[txh], spec)
 
@@ -305,9 +305,10 @@ def test_cache_cold_then_warm(local, tmp_path):
 def test_cache_replays_across_instances(local, tmp_path, fixture):
     txh = fixture.archive.labels.exploit_hashes()[0]
     first = CachedExplorer(local, tmp_path / "cache")
-    doc = json.loads(first.tx_trace(txh))
+    doc = first.tx_trace(txh)
+    assert doc == fixture.archive.traces[txh] and first.fetches
     second = CachedExplorer(local, tmp_path / "cache")
-    assert json.loads(second.tx_trace(txh)) == doc
+    assert second.tx_trace(txh) == doc
     assert second.hits == 1 and second.fetches == {}
 
 
@@ -414,26 +415,32 @@ def test_cache_drops_corrupt_entries(local, tmp_path, tamper):
     assert cache.hits == 1
 
 
-@pytest.mark.parametrize("payload", [b"{nope", _DEEP], ids=["non-json", "too-deep"])
+@pytest.mark.parametrize(
+    "payload", [b"{nope", b'{"a":"\xff"}', _DEEP], ids=["non-json", "non-utf8", "too-deep"]
+)
 def test_cache_drops_a_trace_payload_the_walk_cannot_decode(fixture, local, tmp_path, payload):
-    # a trace hit is answered as text (a TextSpan when longer than a chunk,
-    # as the deep payload is) and decoded by the walk; an entry whose
-    # digest matches a payload that does not decode is still dropped,
-    # counted as dropped and not as a hit, fetched again and rewritten
+    # a short trace payload is decoded at the hit, a long one (the deep
+    # payload) is answered as its TextSpan and decoded by the walk; an
+    # entry whose digest matches a payload that does not decode is dropped
+    # at either place, counted as dropped and not as a hit, fetched again
+    # and rewritten
     txh = fixture.archive.labels.exploit_hashes()[0]
     root = next(tx.to for b in fixture.archive.chain.blocks for tx in b.txs if tx.hash == txh)
-    cache = CachedExplorer(local, tmp_path / "cache")
-    cache.tx_trace(txh)
+    CachedExplorer(local, tmp_path / "cache").tx_trace(txh)
     (victim,) = (tmp_path / "cache").glob("*.json")
     good = victim.read_bytes()
     victim.write_bytes(_consistent_entry(payload)(good, None))
+    cache = CachedExplorer(local, tmp_path / "cache")
     trace = cache.tx_trace(txh)
-    assert isinstance(trace, (str, TextSpan)) and cache.hits == 1
+    if len(payload) > TEXT_CHUNK:
+        assert isinstance(trace, TextSpan) and cache.hits == 1
+    else:
+        assert trace == fixture.archive.traces[txh] and (cache.hits, cache.dropped) == (0, 1)
     rec = walk_trace(cache, trace, txh, None, root)
     assert rec == reconstruct_document(fixture.archive.traces[txh], root)
     assert (cache.hits, cache.dropped) == (0, 1)
-    assert cache.by_kind["trace"] == {"hits": 0, "dropped": 1, "innerCalls": 2}
-    assert cache.fetches[json.loads(good)["key"]] == 2
+    assert cache.by_kind["trace"] == {"hits": 0, "dropped": 1, "innerCalls": 1}
+    assert cache.fetches == {json.loads(good)["key"]: 1}
     assert victim.read_bytes() == good
 
 
@@ -448,6 +455,24 @@ def test_cache_over_a_trace_file_that_is_not_json_counts_no_fetch(archive_dir, t
     cache = CachedExplorer(LocalExplorer(clone), tmp_path / "cache")
     with pytest.raises(ProtocolError, match="unreadable"):
         read_trace(cache, victim, tracer)
+    assert cache.fetches == {} and cache.by_kind["trace"]["innerCalls"] == 0
+    assert list((tmp_path / "cache").iterdir()) == []
+
+
+def test_cache_over_a_trace_document_too_deep_to_write_counts_no_fetch(tmp_path):
+    # json.dumps refuses the document, nested deeper than its recursion
+    # limit: the trace is unreadable, as a text nested that deep is
+    deep: list = []
+    for _ in range(100_000):
+        deep = [deep]
+
+    class Inner:
+        def tx_trace(self, tx_hash, tracer_spec=None):
+            return {"structLogs": [], "deep": deep}
+
+    cache = CachedExplorer(Inner(), tmp_path / "cache")
+    with pytest.raises(ProtocolError, match=f"trace for {hash_hex(bytes(32))} unreadable: "):
+        cache.tx_trace(bytes(32))
     assert cache.fetches == {} and cache.by_kind["trace"]["innerCalls"] == 0
     assert list((tmp_path / "cache").iterdir()) == []
 
@@ -692,7 +717,10 @@ class _Shim(ThreadingHTTPServer):
                 trace = local.tx_trace(bytes.fromhex(params[0][2:]), spec)
             except ArchiveGapError:
                 return None
-            return json.loads(trace) if isinstance(trace, str) else trace
+            if isinstance(trace, TextSpan):  # a long trace, sent whole as a node sends it
+                with trace:
+                    return json.loads(trace.text())
+            return trace
         if method == "eth_getStorageAt":
             addr, key, number = (int(p, 16) for p in params)
             return hex(local.get_storage(addr, key, number))
@@ -726,6 +754,38 @@ def rpc(shim, local, waits):
     return RpcExplorer(shim.url, retries=3, timeout=5.0)
 
 
+def test_a_short_trace_reaches_the_walk_as_one_document_four_ways(
+    rpc, local, fixture, tmp_path, monkeypatch
+):
+    # a trace file, a cold cache miss, a warm cache hit and an RPC reply
+    # answer one short trace as equal documents, which walk alike; the
+    # cold miss decodes the file's text once, for its entry and the walk
+    txh = fixture.archive.labels.exploit_hashes()[0]
+    root = next(tx.to for b in fixture.archive.chain.blocks for tx in b.txs if tx.hash == txh)
+    doc = fixture.archive.traces[txh]
+    assert (local.base / "traces" / f"{txh.hex()}.json").stat().st_size <= TEXT_CHUNK
+    decodes = []
+    real_loads = json.loads
+    cold = CachedExplorer(local, tmp_path / "cache")
+    with monkeypatch.context() as patch:
+        patch.setattr(json, "loads", lambda *a, **kw: decodes.append(a) or real_loads(*a, **kw))
+        cold_answer = cold.tx_trace(txh)
+        cold_walk = walk_trace(cold, cold_answer, txh, None, root)
+    assert len(decodes) == 1 and cold.by_kind["trace"]["innerCalls"] == 1
+    warm = CachedExplorer(local, tmp_path / "cache")
+    answers = {
+        "file": (local, local.tx_trace(txh)),
+        "cold": (cold, cold_answer),
+        "warm": (warm, warm.tx_trace(txh)),
+        "rpc": (rpc, rpc.tx_trace(txh)),
+    }
+    assert warm.hits == 1 and warm.fetches == {}
+    for how, (explorer, answer) in answers.items():
+        assert type(answer) is dict and answer == doc, how
+        assert walk_trace(explorer, answer, txh, None, root) == cold_walk, how
+    assert cold_walk == reconstruct_document(doc, root)
+
+
 def test_rpc_mirrors_the_local_archive(rpc, shim, local, fixture):
     assert rpc.height() == local.height()
     for number in range(local.height() + 1):
@@ -733,7 +793,7 @@ def test_rpc_mirrors_the_local_archive(rpc, shim, local, fixture):
         assert rpc.collect_block_details(number) == local.collect_block_details(number)
         assert len(shim.seen) == before + 1  # the block alone, no parent
     txh = fixture.archive.labels.exploit_hashes()[0]
-    assert rpc.tx_trace(txh) == json.loads(local.tx_trace(txh))
+    assert rpc.tx_trace(txh) == local.tx_trace(txh) == fixture.archive.traces[txh]
     contract = contract_of(fixture)
     tip = local.height()
     assert rpc.get_balance(contract, tip) == local.get_balance(contract, tip)
@@ -1193,7 +1253,7 @@ def reply_damages(draw, local):
     elif method == "debug_traceTransaction":
         traces = sorted(path.stem for path in (local.base / "traces").glob("*.json"))
         tx_hash = bytes.fromhex(draw(st.sampled_from(traces)))
-        target, result = hash_hex(tx_hash), json.loads(local.tx_trace(tx_hash))
+        target, result = hash_hex(tx_hash), local.tx_trace(tx_hash)
     else:
         target, result = None, None  # the point answer itself is the field
     if draw(st.booleans()):

@@ -798,8 +798,9 @@ def test_each_trace_dies_inside_its_pause(
     capsys, monkeypatch, bank, bank_dir, bec_dir, tmp_path, run
 ):
     # the collector resumes with nothing of the trace left to traverse:
-    # every JSON object decoded from it, in a streamed chunk or (after the
-    # walk refused the trace) in the document json.loads made, is gone
+    # every JSON object decoded from it, in a streamed chunk, in the
+    # document json.loads made of a short text where it was read (a trace
+    # file, a cache entry), or after the walk refused a long one, is gone
     base = bec_dir if run == "internal-discovery" else bank_dir
     if run == "analysis-skip":
         victim = bank.archive.labels.exploit_hashes()[0]
@@ -819,6 +820,9 @@ def test_each_trace_dies_inside_its_pause(
     watched_loads = functools.partial(json.loads, object_hook=watched_object)
     monkeypatch.setattr(traces, "_raw_decode", watched_decoder.raw_decode)
     monkeypatch.setattr(traces, "json", SimpleNamespace(loads=watched_loads))
+    monkeypatch.setattr(
+        "evmsleuth.explorer.json", SimpleNamespace(loads=watched_loads, dumps=json.dumps)
+    )
     alive_at_resume = []
     for module in (orchestrator, filters):
 
@@ -1331,6 +1335,51 @@ def test_cli_empty_cache_directory_exits_2(capsys, monkeypatch, bank_dir, tmp_pa
     code, out, err = run_cli(capsys, *command, "-e", f"local[dir={bank_dir}]", "-c", "")
     assert (code, out) == (2, "")
     assert err == "evmsleuth: -c needs a cache directory, got an empty path\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+_RUN = ["investigate", "-t", "x", "-e"]
+_RUN_ARCHIVE = [*_RUN, "local[dir=ARCHIVE]"]
+_SCALE_STORAGE = ["fixtures", "scale", "--axis", "storage", "--magnitude", "10"]
+_EMPTY_PATHS = {
+    # name: (argv, with ARCHIVE for an archive outside the working
+    # directory; the message before ", got an empty path"), as for -c
+    # (test_cli_empty_cache_directory_exits_2)
+    "local-dir": ([*_RUN, "local[dir=]"], "local dir= needs an archive directory"),
+    "export-feed-dir": (["export-feed", "-e", "local[dir=]"], "local dir= needs an archive directory"),
+    "detector-vuln": (
+        [*_RUN_ARCHIVE, "-d", "evm[vuln=]"],
+        "vuln= needs a vulnerability description",
+    ),
+    "feed-path": (
+        [*_RUN_ARCHIVE, "-f", "feed[path=]"],
+        "feed path= needs a feed file",
+    ),
+    "export-feed-vuln": (
+        ["export-feed", "-e", "local[dir=ARCHIVE]", "--vuln", ""],
+        "--vuln needs a vulnerability description",
+    ),
+    "fixtures-build-out": (
+        ["fixtures", "build", "--scenario", "Bank", "--out", ""], "--out needs an output directory"
+    ),
+    "fixtures-scale-out": ([*_SCALE_STORAGE, "--out", ""], "--out needs an output directory"),
+    "fixtures-scale-root": ([*_SCALE_STORAGE, "--root", ""], "--root needs a fixture root directory"),
+    "bench-root": (
+        ["bench", "--root", "", "--axis", "storage", "--magnitudes", "10"],
+        "--root needs a fixture root directory",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EMPTY_PATHS))
+def test_cli_empty_path_exits_2_and_writes_nothing(capsys, monkeypatch, bank_dir, tmp_path, name):
+    # Path("") is the current directory: no command reads or writes there
+    # when a path it names is empty
+    argv, message = _EMPTY_PATHS[name]
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *(arg.replace("ARCHIVE", str(bank_dir)) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err == f"evmsleuth: {message}, got an empty path\n"
     assert list(tmp_path.iterdir()) == []
 
 

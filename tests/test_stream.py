@@ -1,8 +1,9 @@
 """Streamed trace text: the block reader (traces.stream_blocks) under the
 walk, the customTracer filter, a cache miss's canonical write and a cache
-hit gives what json.loads of the whole text gives, for every text, in
-every outer shape, at every chunk boundary and at every block edge; and a
-long trace's faults, and its file descriptors, end as a whole read's do."""
+hit, each one call of traces.read_trace, gives what json.loads of the
+whole text gives, for every text, in every outer shape, at every chunk
+boundary and at every block edge; and a long trace's faults, and its
+file descriptors, end as a whole read's do."""
 
 import contextlib
 import io
@@ -15,21 +16,21 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from damages import damage, damaged
 from evmsleuth import explorer, traces
 from evmsleuth.cli import main
-from evmsleuth.errors import ProtocolError
+from evmsleuth.errors import ArchiveGapError, ProtocolError
 from evmsleuth.explorer import (
     _TAIL_SIZE,
     CachedExplorer,
-    TextSpan,
-    _filter_text,
     _read_faults,
     apply_tracer,
-    open_text,
+    filter_trace,
+    open_json,
+    read_json,
     read_text,
     walk_trace,
 )
@@ -37,10 +38,11 @@ from evmsleuth.fixtures import build_fixture_chain, scale_fixture, write_fixture
 from evmsleuth.hashing import digest
 from evmsleuth.traces import (
     TEXT_CHUNK,
+    TextSpan,
     Unstreamable,
     every_step,
     reconstruct_document,
-    reconstruct_span,
+    reconstruct_trace,
     stream_blocks,
 )
 from evmsleuth.words import hash_hex
@@ -72,10 +74,10 @@ def outcome(work):
 class Span(TextSpan):
     """The TextSpan of bytes data, read in blocks of the given sizes (the
     last size repeats), or cut at the given offsets. Faults are raised as
-    they occur."""
+    they occur, or as the given faults map them."""
 
-    def __init__(self, data: bytes, sizes=(TEXT_CHUNK,), cuts=()):
-        super().__init__(io.BytesIO(data), 0, len(data), contextlib.nullcontext)
+    def __init__(self, data: bytes, sizes=(TEXT_CHUNK,), cuts=(), faults=contextlib.nullcontext):
+        super().__init__(io.BytesIO(data), 0, len(data), faults)
         self.data = data
         self.sizes = list(sizes)
         self.cuts = list(cuts)
@@ -189,7 +191,7 @@ def test_streamed_walk_equals_the_document_walk(samples, data):
     select = data.draw(st.sampled_from([every_step, sstores]))
     block = data.draw(st.sampled_from(BLOCKS))
     with mock.patch.object(traces, "TEXT_CHUNK", data.draw(st.sampled_from(CHUNKS))):
-        streamed = outcome(lambda: reconstruct_span(Span(text, [block]), root, relaxed, select))
+        streamed = outcome(lambda: reconstruct_trace(Span(text, [block]), root, relaxed, select))
     assert streamed == whole_walk(text, root, relaxed, select)
 
 
@@ -203,7 +205,7 @@ def test_streamed_filter_equals_the_document_filter(samples, data):
     }
     block = data.draw(st.sampled_from(BLOCKS))
     with mock.patch.object(traces, "TEXT_CHUNK", data.draw(st.sampled_from(CHUNKS))):
-        streamed = outcome(lambda: _filter_text(Span(text, [block]), spec))
+        streamed = outcome(lambda: filter_trace(Span(text, [block]), spec))
     whole = outcome(lambda: apply_tracer(json.loads(Span(text).text()), spec))
     if isinstance(whole, tuple):
         assert streamed == whole
@@ -225,9 +227,12 @@ class Answers:
 @_settings(200)
 def test_cache_miss_over_a_text_writes_the_entry_of_its_document(samples, data):
     # the streamed canonical write of a span answer, against the write of
-    # the document json.loads makes of its text
+    # the document json.loads makes of its text; the span's faults are a
+    # trace file's (LocalExplorer), so a text that is not JSON is its
+    # reader's error
     text, _ = data.draw(trace_texts(samples))
-    span = Span(text, [data.draw(st.sampled_from(BLOCKS))])
+    faults = partial(_read_faults, f"trace for {hash_hex(TX)}", ArchiveGapError, ProtocolError)
+    span = Span(text, [data.draw(st.sampled_from(BLOCKS))], faults=faults)
     chunk = data.draw(st.sampled_from(CHUNKS))
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(traces, "TEXT_CHUNK", chunk):
         streamed = CachedExplorer(Answers(span), Path(tmp) / "streamed")
@@ -240,7 +245,6 @@ def test_cache_miss_over_a_text_writes_the_entry_of_its_document(samples, data):
             assert not any(Path(tmp, "streamed").iterdir())
             assert span.handle.closed
             return
-        assume(not isinstance(doc, str))  # an inner explorer answers a str as text
         answer = streamed.tx_trace(TX)
         CachedExplorer(Answers(doc), Path(tmp) / "parsed").tx_trace(TX)
         (entry,) = Path(tmp, "streamed").iterdir()
@@ -269,7 +273,7 @@ def _text(entries: list, **members) -> bytes:
 
 @pytest.fixture
 def streamed_only(monkeypatch):
-    """Makes reconstruct_span fail rather than fall back to json.loads."""
+    """Makes reconstruct_trace fail rather than fall back to json.loads."""
 
     def refused(*args):
         raise AssertionError("the stream fell back to json.loads")
@@ -284,20 +288,20 @@ def _chunk_sizes(span) -> list:
 
 def _walks_alike(data: bytes, **span):
     doc = json.loads(data)
-    assert reconstruct_span(Span(data, **span), ROOT) == reconstruct_document(doc, ROOT)
+    assert reconstruct_trace(Span(data, **span), ROOT) == reconstruct_document(doc, ROOT)
     chunks = stream_blocks(Span(data, **span).blocks())[1]
     assert [e for chunk in chunks for e in chunk] == doc["structLogs"]
 
 
 def _falls_back(monkeypatch, data: bytes):
-    """data streams up to a chunk that does not parse, and reconstruct_span
+    """data streams up to a chunk that does not parse, and reconstruct_trace
     then gives what one document walk of json.loads of the text gives."""
     with pytest.raises(Unstreamable):
         _chunk_sizes(Span(data))
     walks = []
     real = traces.reconstruct_document
     monkeypatch.setattr(traces, "reconstruct_document", lambda *a: walks.append(a) or real(*a))
-    assert reconstruct_span(Span(data), ROOT) == real(json.loads(data), ROOT)
+    assert reconstruct_trace(Span(data), ROOT) == real(json.loads(data), ROOT)
     assert len(walks) == 1
 
 
@@ -325,7 +329,7 @@ def test_data_after_the_closing_brace_is_the_json_loads_error(block):
     with pytest.raises(json.JSONDecodeError) as whole:
         json.loads(data)
     with pytest.raises(json.JSONDecodeError) as streamed:
-        reconstruct_span(Span(data, [block]), ROOT)
+        reconstruct_trace(Span(data, [block]), ROOT)
     assert str(streamed.value) == str(whole.value)
 
 
@@ -356,7 +360,7 @@ def test_an_empty_array_streams(monkeypatch, streamed_only):
     data = _text([])
     for block in BLOCKS:
         assert _chunk_sizes(Span(data, [block])) == []
-        rec = reconstruct_span(Span(data, [block]), ROOT)
+        rec = reconstruct_trace(Span(data, [block]), ROOT)
         assert rec.steps == [] and rec.gas == 21_000
 
 
@@ -372,7 +376,7 @@ def test_a_duplicate_structlogs_walks_the_last_one():
     # json.loads keeps the last of duplicate keys, and so does the stream,
     # by falling back to it
     data = _text(_entries(3))[:-2] + b',"structLogs":' + compact(_entries(1)).encode() + b"}"
-    rec = reconstruct_span(Span(data), ROOT)
+    rec = reconstruct_trace(Span(data), ROOT)
     assert [s.op for s in rec.steps] == ["JUMPDEST", "STOP"]
 
 
@@ -396,7 +400,7 @@ def test_a_block_edge_inside_a_multibyte_character(monkeypatch, streamed_only):
     assert doc["comment"] == "ü€😀"
     for where in (data.index("ü€😀".encode()), data.rindex("ü€😀".encode())):
         for span in _every_cut(data, where, where + len("ü€😀".encode())):
-            assert reconstruct_span(span, ROOT) == reconstruct_document(doc, ROOT)
+            assert reconstruct_trace(span, ROOT) == reconstruct_document(doc, ROOT)
             members, chunks = stream_blocks(span.blocks())
             assert members["comment"] == "ü€😀"
             assert [e for chunk in chunks for e in chunk] == doc["structLogs"]
@@ -411,7 +415,7 @@ def test_a_block_edge_inside_a_cut(monkeypatch, streamed_only):
     cut = data.index(b"} \r\n ,\t {")
     for cut_at in range(cut, cut + 10):
         assert _chunk_sizes(Span(data, cuts=[cut_at])) == [1] * 9
-        assert reconstruct_span(Span(data, cuts=[cut_at]), ROOT) == reconstruct_document(doc, ROOT)
+        assert reconstruct_trace(Span(data, cuts=[cut_at]), ROOT) == reconstruct_document(doc, ROOT)
 
 
 @pytest.mark.parametrize("value", [21_000, 1.5, -2.5e-3, 1e300, True, None, "0x", [1, {}]])
@@ -434,7 +438,7 @@ def test_a_header_the_blocks_cannot_settle_falls_back(monkeypatch):
     for span in _every_cut(data, 0, 40):
         with pytest.raises(Unstreamable):
             stream_blocks(span.blocks())
-        assert outcome(lambda: reconstruct_span(span, ROOT)) == whole_walk(data)
+        assert outcome(lambda: reconstruct_trace(span, ROOT)) == whole_walk(data)
 
 
 @pytest.mark.parametrize("block", [7, 64])
@@ -442,7 +446,8 @@ def test_a_block_edge_inside_a_cache_entry_tail(monkeypatch, tmp_path, block):
     # payloads one byte apart put the edge of the file's block grid at
     # every byte of the sha256 tail: each hit is checked and walked whole,
     # and a tail with one digit changed is dropped
-    monkeypatch.setattr(explorer, "TEXT_CHUNK", block)
+    for module in (explorer, traces):  # the entry reader's split, the span's blocks
+        monkeypatch.setattr(module, "TEXT_CHUNK", block)
     for pad in range(block + _TAIL_SIZE):
         doc = json.loads(_text(_entries(3), note="x" * pad))
         cache = tmp_path / f"cache-{pad}"
@@ -480,13 +485,17 @@ def test_a_span_reads_the_text_a_text_mode_read_gives(tmp_path, data):
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_a_file_of_at_most_one_chunk_is_read_whole(tmp_path, extra):
+    # and decoded there, as read_json decodes it, with its error
     path = tmp_path / "trace.json"
     data = b"{" + b" " * (TEXT_CHUNK - 2 + extra) + b"}"
     path.write_bytes(data)
-    answer = open_text(path, "trace")
     if len(data) <= TEXT_CHUNK:
-        assert answer == data.decode()
+        assert open_json(path, "trace") == {}
+        path.write_bytes(data[:-1] + b"]")
+        refused = outcome(lambda: open_json(path, "trace"))
+        assert refused == outcome(lambda: read_json(path, "trace")) and refused[0] is ProtocolError
     else:
+        answer = open_json(path, "trace")
         with answer:
             assert isinstance(answer, TextSpan) and answer.text() == data.decode()
         assert answer.handle.closed
@@ -594,11 +603,11 @@ def test_a_long_entry_changed_between_check_and_walk_walks_what_was_checked(
     cache = tmp_path / "cache"
     code, local = _investigate(capsys, long_dir, "local")
     _investigate(capsys, long_dir, "local", cache)
-    real = explorer._stored_trace
+    real = explorer._stored_payload
     raced = []
 
-    def racing(path, prefix):
-        answer = real(path, prefix)
+    def racing(path, prefix, spans):
+        answer = real(path, prefix, spans)
         if isinstance(answer, TextSpan):
             raced.append(path)
             if change == "unlinked":
@@ -609,7 +618,7 @@ def test_a_long_entry_changed_between_check_and_walk_walks_what_was_checked(
                 os.replace(tmp, path)
         return answer
 
-    monkeypatch.setattr(explorer, "_stored_trace", racing)
+    monkeypatch.setattr(explorer, "_stored_payload", racing)
     code, warm = _investigate(capsys, long_dir, "local", cache)
     assert code == 0 and warm["detections"] == local["detections"]
     assert raced and warm["explorerStats"] == _stats(blocks=(2, 0, 0), traces=(1, 0, 0))
