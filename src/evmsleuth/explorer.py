@@ -25,13 +25,13 @@ or snapshot balance is 0x + 1 to 64 hex digits, a snapshot storage value
 
 read_text and read_json are the one reader of every file a run names:
 the archive's files here, and the feed and the vulnerability description
-the command line or a fixture names; open_json is read_json for a trace
-file, which it may answer open (see Trace answers). A file that is not
-there is the caller's `missing` error, "no WHAT"; any other fault, a
-text that is not JSON included, its `unreadable` error, "WHAT
-unreadable: ERR". A name the system refuses as
-too long (ENAMETOOLONG) is quoted cut to 80 characters, any other whole
-(quoted_fault). The cache reads and writes its own entries.
+the command line or a fixture names; a trace file is answered open, with
+read_json's faults (see Trace answers). A file that is not there is the
+caller's `missing` error, "no WHAT"; any other fault, a text that is not
+JSON included, its `unreadable` error, "WHAT unreadable: ERR". A name
+the system refuses as too long (ENAMETOOLONG) is quoted cut to 80
+characters, any other whole (quoted_fault). The cache reads and writes
+its own entries.
 
 LocalExplorer reads a fixture/archive directory. chain.json is parsed and
 checked once at construction (it is the index); state snapshots are re-read
@@ -42,23 +42,22 @@ absorb, and it is what makes analysis cost grow with state size when no
 cache is in front.
 
 Trace answers: a trace crosses this boundary in one of two forms, a
-parsed document or a traces.TextSpan, never as a str. A JSON text of at
-most TEXT_CHUNK bytes is read in one call and decoded where it is read,
-once: a trace file by open_json, a cache hit by the cache's entry
-reader. A longer text crosses as a TextSpan, an open, re-readable byte
-span of the file that holds it (a trace file, or the payload of a cache
-entry, on the descriptor whose digest was checked), which
-traces.read_trace streams a TEXT_CHUNK-byte block at a time and, when
-the text does not stream, decodes whole under the span's faults (the
-traces module docstring has the block, chunk and fallback rules). So a
-text that is not JSON, or not UTF-8, is found where it is read when it
-is short and by the walk when it is long, as the same ProtocolError
-naming the trace, "trace for 0x... unreadable: ERR". Whoever takes a
-TextSpan closes it: walk_trace, which walks every trace answer
-(traces.reconstruct_trace); LocalExplorer.tx_trace, once its
-customTracer filter has read one; the cache, when the write of a miss
-fails. A pc-filtered trace is the filter's document, built as a span's
-entries stream past, so only the kept entries are ever held.
+parsed document or a traces.TextSpan, never as a str. Every trace text
+read from a file is answered as its TextSpan, an open, re-readable byte
+span of what holds it: the whole trace file (LocalExplorer opens it, and
+reads nothing), or the payload of a cache entry, in the entry bytes a
+hit read and checked, or on the descriptor whose digest was checked.
+traces.read_trace alone decodes a span, in one json.loads when it has at
+most TEXT_CHUNK bytes and a TEXT_CHUNK-byte block at a time when longer
+(the traces module docstring has the block, chunk and fallback rules),
+and it closes the span. So a trace file that is not JSON, or not UTF-8,
+is found by whoever reads its span, the walk (walk_trace, which walks
+every trace answer through traces.reconstruct_trace), the customTracer
+filter or a cache miss, as the same ProtocolError naming the trace,
+"trace for 0x... unreadable: ERR"; a cache payload that does not decode
+is dropped and fetched again by the walk. A pc-filtered trace is the
+filter's document, built as a span's entries stream past, so only the
+kept entries are ever held.
 RpcExplorer answers with the parsed reply, walked as a document.
 
 RpcExplorer speaks JSON-RPC 2.0 over the standard library's HTTP client,
@@ -72,24 +71,25 @@ CachedExplorer is a read-through wrapper over any backend. Entries are
 persisted one file per query with a content digest and written atomically;
 corrupted entries are discarded and refetched. Per-key fetch counters and
 per-kind hit/drop counters make cache behavior checkable rather than
-assumed. A hit is answered with the entry's payload parsed, or a long
-trace payload hashed a block at a time and answered as its TextSpan; a
-miss over a span answer writes the canonical payload in a streamed pass
-of its own (see CachedExplorer).
+assumed. A hit is answered with the entry's payload parsed, or a trace
+payload as its TextSpan; a miss answers what its writer read, the
+document it wrote or, after a streamed pass, the span of the entry (see
+CachedExplorer).
 """
 
 from __future__ import annotations
 
 import errno
+import io
 import json
 import os
 import re
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 from time import sleep
-from typing import Callable, ContextManager, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 from urllib.parse import urlsplit
 
 from .chain import tx_from_document, tx_to_document
@@ -102,7 +102,6 @@ from .traces import (
     Select,
     TextSpan,
     every_step,
-    file_text,
     read_trace,
     reconstruct_trace,
 )
@@ -223,32 +222,6 @@ def read_text(
         return handle.read()
 
 
-def _consumed(trace) -> ContextManager:
-    """A context manager for the block that uses the trace answer `trace`,
-    which closes it after, if it is a TextSpan."""
-    return trace if isinstance(trace, TextSpan) else nullcontext()
-
-
-def open_json(
-    path: str | Path, what: str, missing=ArchiveGapError, unreadable=ProtocolError
-) -> object | TextSpan:
-    """read_json(path, what, missing, unreadable) of a file of at most
-    TEXT_CHUNK bytes; a longer one is answered open, as the TextSpan of the
-    whole file, whose faults are read_json's. The caller closes it."""
-    faults = partial(_read_faults, what, missing, unreadable)
-    with faults():
-        handle = open(path, "rb")
-        try:
-            data = handle.read(TEXT_CHUNK + 1)
-            if len(data) > TEXT_CHUNK:
-                return TextSpan(handle, 0, os.fstat(handle.fileno()).st_size, faults)
-        except BaseException:
-            handle.close()
-            raise
-        handle.close()
-        return json.loads(file_text(data))
-
-
 def read_json(path: str | Path, what: str, missing=ArchiveGapError, unreadable=ProtocolError):
     """The JSON document at path: as read_text, and unreadable("WHAT
     unreadable: ERR") if the text is not JSON."""
@@ -270,24 +243,20 @@ def walk_trace(
     select: Select = every_step,
 ) -> ReconstructedTrace:
     """The walk over `trace`, the answer of explorer.tx_trace(tx_hash,
-    tracer_spec), relaxed when pc-filtered (traces.reconstruct_trace); a
-    TextSpan answer is closed when the walk ends. A span from a cache hit
-    whose payload then does not decode (json.loads raises) is dropped and
-    fetched again (CachedExplorer.refetch_trace) before the walk runs once
-    more; any other span maps that fault to its reader's ProtocolError.
+    tracer_spec), relaxed when pc-filtered (traces.reconstruct_trace),
+    which closes a TextSpan answer. A span from a cache hit whose payload
+    then does not decode (json.loads raises) is dropped and fetched again
+    (CachedExplorer.refetch_trace) before the walk runs once more; any
+    other span maps that fault to its reader's ProtocolError.
     TraceParseError and ReconstructionError are the walk's."""
     relaxed = tracer_spec is not None
-
-    def walk(trace) -> ReconstructedTrace:
-        with _consumed(trace):
-            return reconstruct_trace(trace, root_target, relaxed, select)
-
     try:
-        return walk(trace)
-    except (ValueError, RecursionError):  # json.loads refused a span's text
+        return reconstruct_trace(trace, root_target, relaxed, select)
+    except (ValueError, RecursionError):  # a span's text did not decode
         if not isinstance(explorer, CachedExplorer):
             raise
-    return walk(explorer.refetch_trace(tx_hash, tracer_spec))
+    trace = explorer.refetch_trace(tx_hash, tracer_spec)
+    return reconstruct_trace(trace, root_target, relaxed, select)
 
 
 _HASH = re.compile(r"0x[0-9a-fA-F]{64}")
@@ -350,6 +319,8 @@ class LocalExplorer:
         self._by_number: dict[int, dict] = {}
         for doc in blocks:
             block = block_envelope(doc, "chain.json")
+            if block["number"] in self._by_number:
+                raise ProtocolError(f"chain.json lists block {block['number']} twice")
             self._by_number[block["number"]] = block
         if not self._by_number:
             raise ArchiveGapError("chain.json lists no blocks")
@@ -368,14 +339,18 @@ class LocalExplorer:
         return {"block": self._block_doc(number)}
 
     def tx_trace(self, tx_hash: bytes, tracer_spec: dict | None = None) -> dict | TextSpan:
-        """The trace file's document, or a long one's TextSpan (open_json),
-        or with a tracer spec the filtered document (filter_trace)."""
-        path = self.base / "traces" / f"{tx_hash.hex()}.json"
-        trace = open_json(path, _trace_what(tx_hash))
-        if tracer_spec is None:
-            return trace
-        with _consumed(trace):
-            return filter_trace(trace, tracer_spec)
+        """The TextSpan of the whole trace file, whose faults are
+        read_json's, or with a tracer spec the filtered document
+        (filter_trace)."""
+        faults = partial(_read_faults, _trace_what(tx_hash), ArchiveGapError, ProtocolError)
+        with faults():
+            handle = open(self.base / "traces" / f"{tx_hash.hex()}.json", "rb")
+            try:
+                trace = TextSpan(handle, 0, os.fstat(handle.fileno()).st_size, faults)
+            except BaseException:
+                handle.close()
+                raise
+        return trace if tracer_spec is None else filter_trace(trace, tracer_spec)
 
     def _state_doc(self, number: int) -> dict:
         root = self._block_doc(number)["stateRoot"]
@@ -614,9 +589,9 @@ def _compact(value) -> str:
     return json.dumps(value, separators=(",", ":"), sort_keys=True)
 
 
-def _write_entry(path: Path, prefix: bytes, pieces: Iterable[str]):
+def _write_entry(path: Path, prefix: bytes, pieces: Iterable[str]) -> int:
     """Write the entry whose payload text is the concatenation of pieces,
-    a piece at a time."""
+    a piece at a time; the offset at which the payload ends."""
     hasher = new_digest()
     with open(path, "wb") as out:
         out.write(prefix)
@@ -624,7 +599,9 @@ def _write_entry(path: Path, prefix: bytes, pieces: Iterable[str]):
             data = piece.encode()
             hasher.update(data)
             out.write(data)
+        stop = out.tell()
         out.write(_TAIL_HEAD + hasher.hexdigest().encode() + b'"}')
+    return stop
 
 
 def _canonical_pieces(members: dict, chunks: Iterator[list]) -> Iterator[str]:
@@ -674,12 +651,14 @@ def _entry_faults(path: Path):
 
 def _stored_payload(path: Path, prefix: bytes, spans: bool):
     """The payload of the entry at path, written by _write_entry with this
-    key prefix, parsed; or, when spans is set and the payload is longer
-    than TEXT_CHUNK bytes, its TextSpan, open, after a pass that hashes it
-    a block at a time (the caller closes it). ValueError (or
-    RecursionError, for a payload nested too deep to parse) for any other
-    bytes, FileNotFoundError if absent."""
-    head = len(prefix) + TEXT_CHUNK + _TAIL_SIZE  # the longest trace entry parsed whole
+    key prefix: parsed, or when spans is set its TextSpan, open (the
+    caller closes it): over the entry bytes read and checked in memory,
+    or, for a payload longer than TEXT_CHUNK bytes, over the file, after a
+    pass that hashes it a block at a time. ValueError (or RecursionError,
+    for a payload nested too deep to parse) for any other bytes,
+    FileNotFoundError if absent."""
+    head = len(prefix) + TEXT_CHUNK + _TAIL_SIZE  # the longest trace entry read whole
+    faults = partial(_entry_faults, path)
     handle = open(path, "rb")
     try:
         data = handle.read(head + 1 if spans else -1)
@@ -687,7 +666,7 @@ def _stored_payload(path: Path, prefix: bytes, spans: bool):
             if not data.startswith(prefix):
                 raise ValueError("not a cache entry for this key")
             stop = os.fstat(handle.fileno()).st_size - _TAIL_SIZE
-            span = TextSpan(handle, len(prefix), stop, partial(_entry_faults, path))
+            span = TextSpan(handle, len(prefix), stop, faults)
             hasher = new_digest()
             for block in span.blocks():
                 hasher.update(block)
@@ -698,10 +677,13 @@ def _stored_payload(path: Path, prefix: bytes, spans: bool):
         handle.close()
         raise
     handle.close()
-    text = str(_entry_body(data, prefix), "utf-8")
+    body = _entry_body(data, prefix)
+    if spans:
+        return TextSpan(io.BytesIO(data), len(prefix), len(prefix) + len(body), faults)
+    text = str(body, "utf-8")
     # the file bytes go before the parse, so a hit holds one copy of the
     # payload text at a time, like a local read
-    del data
+    del data, body
     return json.loads(text)
 
 
@@ -721,26 +703,27 @@ class CachedExplorer:
     runs sharing a directory never read a torn entry. height() is never
     cached: it is the one answer that legitimately changes between runs.
 
-    Traces stream. A trace hit whose payload has at most TEXT_CHUNK bytes
-    is answered as every other hit is, parsed; a payload that does not
-    decode is dropped there. A longer one is answered as its TextSpan,
-    after a pass that hashes it a block at a time; the walk then reads the
-    span again, on the same descriptor, so an entry unlinked or replaced
-    after the check is still the entry that was checked. A long payload
-    that then does not decode is dropped and fetched again through
-    refetch_trace, and counts as dropped, not as a hit. A miss is written
-    by one writer through traces.read_trace: a document answer as the
-    compact sorted-key JSON of the document; a TextSpan answer
-    (LocalExplorer's long trace) in a streamed pass of its own: chunk by
-    chunk, each chunk's entries serialised compact with sorted keys,
-    written and hashed piece by piece, never joined into one string. A
-    span the stream does not read is parsed whole and written as its
-    document would be; one that is not JSON is its reader's ProtocolError,
-    and like one that cannot be read it counts as no fetch. The entry
-    bytes are those of a document answer in every case (docs/formats.md).
-    The miss then answers the inner answer itself: for a span, a text of
-    the same document as the entry, so the walk gives the same result over
-    either, and no second copy is made.
+    Traces stream. A trace hit is answered as the TextSpan of its payload,
+    not decoded: one of at most TEXT_CHUNK bytes over the entry bytes the
+    hit read and checked, a longer one on the file, after a pass that
+    hashes it a block at a time; the walk then reads the span again, on
+    the same descriptor, so an entry unlinked or replaced after the check
+    is still the entry that was checked. A payload that then does not
+    decode is dropped and fetched again through refetch_trace, and counts
+    as dropped, not as a hit. A miss is written by one writer through
+    traces.read_trace, which answers what it read: a document answer, or a
+    span it decodes whole, as the compact sorted-key JSON of the document,
+    and answers that document; a longer TextSpan answer (LocalExplorer's
+    long trace) in a streamed pass of its own: chunk by chunk, each
+    chunk's entries serialised compact with sorted keys, written and
+    hashed piece by piece, never joined into one string, and answers the
+    span of the entry it wrote, opened before the rename. A span the
+    stream does not read is parsed whole and written as its document
+    would be; one that is not JSON is its reader's ProtocolError, and
+    like one that cannot be read it counts as no fetch. The entry bytes
+    are those of a document answer in every case (docs/formats.md), so
+    the walk gives the same result over any answer, and no second copy
+    is made.
 
     fetches maps each cache key to the number of inner calls made for it;
     by_kind counts hits, drops and inner calls per query kind, and hits and
@@ -771,9 +754,9 @@ class CachedExplorer:
 
     def _lookup(self, kind: str, key_parts: list, fetch, undecodable: bool = False):
         """The stored payload of the query (_stored_payload, which answers a
-        long trace payload as its span), or fetch()'s answer, written.
-        undecodable: the stored payload was answered as a hit but does not
-        decode; drop it and fetch."""
+        trace payload as its span), or what the writer of fetch()'s answer
+        read (CachedExplorer). undecodable: the stored payload was answered
+        as a hit but does not decode; drop it and fetch."""
         key = _compact([kind, *key_parts])
         path = self.base / f"{digest(key.encode()).hex()}.json"
         prefix = b'{"key":' + json.dumps(key).encode() + b',"payload":'
@@ -796,17 +779,24 @@ class CachedExplorer:
         payload = fetch()
         tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         write = partial(_write_entry, tmp, prefix)
+
+        def written(doc):
+            write((_compact(doc),))
+            return doc
+
+        def streamed(members: dict, chunks: Iterator[list]) -> TextSpan:
+            stop = write(_canonical_pieces(members, chunks))
+            # opened before the rename, so the span reads the entry written
+            return TextSpan(open(tmp, "rb"), len(prefix), stop, partial(_entry_faults, path))
+
+        answer = None
         try:
-            read_trace(
-                payload,
-                lambda doc: write((_compact(doc),)),
-                lambda members, chunks: write(_canonical_pieces(members, chunks)),
-            )
+            answer = read_trace(payload, written, streamed)
             os.replace(tmp, path)
         except BaseException as err:
             tmp.unlink(missing_ok=True)
-            if isinstance(payload, TextSpan):
-                payload.close()
+            if isinstance(answer, TextSpan):
+                answer.close()
             # a span answer that cannot be read or is not JSON (its reader's
             # error) is a failed inner call, as the inner's own read and
             # parse of a short text were, and so is a document nested too
@@ -817,7 +807,7 @@ class CachedExplorer:
                 raise UsageError(f"cache entry {path} not written: {err}") from None
             raise
         self._count_fetch(key, counts)
-        return payload
+        return answer
 
     def _count_fetch(self, key: str, counts: dict):
         self.fetches[key] = self.fetches.get(key, 0) + 1
@@ -832,9 +822,8 @@ class CachedExplorer:
         return self._trace(tx_hash, tracer_spec, False)
 
     def refetch_trace(self, tx_hash: bytes, tracer_spec: dict | None = None) -> dict | TextSpan:
-        """tx_trace again, after the walk found that the long payload of its
-        hit does not decode: the entry is dropped, fetched and written
-        again."""
+        """tx_trace again, after the walk found that the payload of its hit
+        does not decode: the entry is dropped, fetched and written again."""
         return self._trace(tx_hash, tracer_spec, True)
 
     def _trace(self, tx_hash: bytes, tracer_spec: dict | None, undecodable: bool):

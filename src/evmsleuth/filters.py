@@ -111,10 +111,11 @@ class ReadState:
     level in local or cached mode), None for any other level. With a gate,
     internal discovery walks each trace it scans once, selecting call steps
     or gated steps, and keeps, for each transaction that yields a candidate
-    row, the trace of its gated steps alone: the trace the level's own walk
-    would build. The level takes it with take_trace and neither fetches nor
-    walks that trace again. Without a gate the scan selects call steps and
-    keeps nothing.
+    row, the scanned trace as walked: its call steps besides the gated
+    ones, which the level's rules pass over as they pass over any ungated
+    step (rules_evm.evaluate_trace). The level takes it with take_trace and
+    neither fetches nor walks that trace again. Without a gate the scan
+    selects call steps and keeps nothing.
 
     One investigation makes one ReadState and drops it at its end; nothing
     is shared between investigations.
@@ -125,7 +126,7 @@ class ReadState:
         self.gate = gate
         # block number -> (transactions in block order, by hash)
         self._blocks: dict[int, tuple[tuple[Transaction, ...], dict[bytes, Transaction]]] = {}
-        # (tx hash, root it was walked from) -> the trace of its gated steps
+        # (tx hash, root it was walked from) -> its scanned trace
         self._kept: dict[tuple[bytes, int], ReconstructedTrace] = {}
 
     def _block(self, number: int) -> tuple:
@@ -168,15 +169,12 @@ class ReadState:
                 del trace
 
     def keep(self, tx: Transaction, rec: ReconstructedTrace):
-        """Keep the gated steps of tx's scanned trace for the level."""
-        gate = self.gate
-        if gate is not None:
-            steps = [s for s in rec.steps if gate(s.pc, s.op, s.code_address)]
-            gated = ReconstructedTrace(rec.failed, rec.gas, rec.return_value, steps)
-            self._kept[tx.hash, tx.to] = gated
+        """Keep tx's scanned trace for the level, given a gate."""
+        if self.gate is not None:
+            self._kept[tx.hash, tx.to] = rec
 
     def take_trace(self, tx: Transaction) -> ReconstructedTrace | None:
-        """The gated trace kept for tx's hash walked from tx's own root, and
+        """The trace kept for tx's hash walked from tx's own root, and
         forgotten here; None if none was kept."""
         return self._kept.pop((tx.hash, tx.to), None)
 

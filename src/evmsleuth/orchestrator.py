@@ -42,15 +42,16 @@ A transaction object is read twice: by the read state, and by
 LocalExplorer's check of every block when it opens the archive
 (explorer.block_envelope, the check behind exit 3).
 
-Trace decode: a trace text of at most one chunk (a local trace file, a
-cache entry) is decoded by its reader, once, where it is read, so its
-JSON decode is timed in "fetch" with the read. A longer text arrives as a
-span and is decoded by the walk, a block and a chunk at a time
-(explorer.walk_trace, traces.reconstruct_trace), so its decode is timed
-in "analyze" with the walk and the rules, and "fetch" is the opening of
-its file and, for a cache hit, the pass that checks its digest. A text
-that is not JSON, or not UTF-8, is a "fetch failed" skip record that
-quotes the error, found at either place.
+Trace decode: a trace text read from a file (a local trace file, a
+cache entry) arrives as a span and is decoded by the walk
+(explorer.walk_trace, traces.reconstruct_trace), in one call when it is
+at most one chunk and a block and a chunk at a time when longer, so its
+decode is timed in "analyze" with the walk and the rules, and "fetch"
+is the opening of its file and, for a cache hit, the check of its
+digest. A cache miss reads the text within "fetch", to write its entry,
+and answers a short one as the document it decoded. A text that is not
+JSON, or not UTF-8, is a "fetch failed" skip record that quotes the
+error.
 
 At the evm level each transaction's fetch, ingest and rules run with the
 cyclic garbage collector paused (traces.gc_paused), and the trace is
@@ -251,7 +252,7 @@ def _run_evm_level(config, rows, report, timings, reads):
                 if rec is None:
                     rec = walk_trace(explorer, trace, tx_hash, tracer, tx.to, spec.gates)
                 found, notes = evaluate_trace(rec, spec, tx_hash, number)
-            except (ArchiveGapError, ProtocolError) as err:  # a long text is not JSON
+            except (ArchiveGapError, ProtocolError) as err:  # a text is not JSON
                 report.skips.append(f"{label}: fetch failed, skipped ({err})")
                 continue
             except SleuthError as err:

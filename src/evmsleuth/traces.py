@@ -52,15 +52,18 @@ filtered trace without call records has no third source, so status comes
 back None and status-dependent rules stay quiet there.
 
 Streaming: a trace reaches the walk in one of two forms, and read_trace
-is the one reader of both. A document is read as it is: a filtered or
-RPC trace, and a text of at most TEXT_CHUNK bytes, which its reader (a
-trace file, a cache entry) decodes where it reads it, with json.loads,
-in the one call the stream would make, without the stream's set-up,
-which made short traces (a few kB, as in the scenario suite) 5-15%
-slower to ingest. A longer text arrives as a TextSpan, an open file
-region that can be read again: its blocks() are the text's UTF-8 bytes,
-TEXT_CHUNK at a time, and text() is the whole text, read as a file
-opened in text mode reads it. The text is not held whole. stream_blocks
+is the one reader of both, the one place that decides how a text is
+decoded and the one place that closes it. A document is read as it is:
+a filtered or RPC trace, or a document a cache miss decoded to write its
+entry. A text read from a file (a trace file, a cache entry) arrives as
+a TextSpan, an open byte region of the file, or of the entry bytes a
+cache hit has read and checked, that can be read again: its blocks() are
+the text's UTF-8 bytes, TEXT_CHUNK at a time, and text() is the whole
+text, read as a file opened in text mode reads it. A span of at most
+TEXT_CHUNK bytes is decoded by one json.loads of text(), the one call
+the stream would make, without the stream's set-up, which made short
+traces (a few kB, as in the scenario suite) 5-15% slower to ingest. A
+longer one streams, and its text is not held whole. stream_blocks
 decodes the blocks through an incremental UTF-8 decoder as far as it
 needs them: it reads the outer object's members up to the structLogs
 array, then hands out the array's entries a chunk at a time, so memory
@@ -525,20 +528,14 @@ class Unstreamable(Exception):
     """The text is not in the shape the stream reads; json.loads decides."""
 
 
-def file_text(data: bytes) -> str:
-    """The text of a file's bytes as a file opened in text mode reads it:
-    UTF-8, with "\\r\\n" and "\\r" read as "\\n"."""
-    return str(data, "utf-8").replace("\r\n", "\n").replace("\r", "\n")
-
-
 class TextSpan:
-    """Bytes start to stop of the open binary file handle: a JSON text
-    longer than TEXT_CHUNK bytes, answered in place of its document
-    (module docstring). blocks() reads it from start, a TEXT_CHUNK-byte
-    block at a time, and text() whole, as file_text reads a file; a fault
-    of either, and of the decode of text() in read_trace, is raised as the
-    context manager faults() maps it. close() closes the file; the span is
-    also a context manager that does."""
+    """Bytes start to stop of the open binary file handle: a trace's JSON
+    text, answered in place of its document (module docstring). blocks()
+    reads it from start, a TEXT_CHUNK-byte block at a time, and text()
+    whole, as a file opened in text mode reads it; a fault of blocks(),
+    and of text() and its decode, which read_trace runs under faults(), is
+    raised as that context manager maps it. close() closes the file; the
+    span is also a context manager that does."""
 
     def __init__(
         self, handle: BinaryIO, start: int, stop: int, faults: Callable[[], ContextManager]
@@ -557,9 +554,11 @@ class TextSpan:
                 yield block
 
     def text(self) -> str:
-        with self.faults():
-            self.handle.seek(self.start)
-            return file_text(self.handle.read(self.stop - self.start))
+        self.handle.seek(self.start)
+        text = str(self.handle.read(self.stop - self.start), "utf-8")
+        # "\r\n" and "\r" read as "\n", as in text mode; the test spares the
+        # two scans of a text without one, and a cache entry never has one
+        return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
     def close(self):
         self.handle.close()
@@ -683,21 +682,24 @@ def _chunks(text: _BlockText, pos: int) -> Iterator[list]:
 
 def read_trace(trace, whole: Callable, streamed: Callable):
     """A trace answer read by one of two consumers: whole(trace) of a
-    document; of a TextSpan, streamed(members, chunks) of its text as
-    stream_blocks reads it, or, when the text does not stream or streamed
-    raises a walk fault (TraceParseError, ReconstructionError), whole of
-    json.loads(span.text()), decoded under the span's faults (module
+    document. A TextSpan is closed once read: of at most TEXT_CHUNK bytes,
+    whole of json.loads(span.text()), decoded under the span's faults;
+    longer, streamed(members, chunks) of its text as stream_blocks reads
+    it, or, when the text does not stream or streamed raises a walk fault
+    (TraceParseError, ReconstructionError), whole of its decode (module
     docstring). So the result, and the type and message of a fault, are
     whole's over the document by construction, and a text that is not
     JSON raises what the span's reader maps json.loads's error to."""
     if not isinstance(trace, TextSpan):
         return whole(trace)
-    try:
-        return streamed(*stream_blocks(trace.blocks()))
-    except (Unstreamable, TraceParseError, ReconstructionError):
-        pass
-    with trace.faults():
-        doc = json.loads(trace.text())
+    with trace:
+        if trace.stop - trace.start > TEXT_CHUNK:
+            try:
+                return streamed(*stream_blocks(trace.blocks()))
+            except (Unstreamable, TraceParseError, ReconstructionError):
+                pass
+        with trace.faults():
+            doc = json.loads(trace.text())
     return whole(doc)
 
 
@@ -705,7 +707,8 @@ def reconstruct_trace(
     trace, root_target: int, relaxed: bool = False, select: Select = every_step
 ) -> ReconstructedTrace:
     """reconstruct_document of trace, a document, or of a TextSpan's text,
-    its entries walked a chunk at a time as they stream (read_trace)."""
+    decoded whole or, when long, walked a chunk at a time as its entries
+    stream (read_trace)."""
 
     def streamed(members: dict, chunks: Iterator[list]) -> ReconstructedTrace:
         parsed = parse_trace_document({**members, "structLogs": []})  # the header alone

@@ -210,7 +210,9 @@ def test_archive_roundtrip(tmp_path):
                 assert local.get_storage(addr, key, block.number) == value
     assert arch.traces
     for txh, trace in arch.traces.items():
-        assert local.tx_trace(txh) == trace  # a short full trace is answered as its document
+        with local.tx_trace(txh) as span:  # a full trace is answered as the span of its file
+            assert (span.start, span.stop) == (0, span.handle.seek(0, 2))
+            assert json.loads(span.text()) == trace
     labels = json.loads((tmp_path / "labels.json").read_text())
     assert labels == {
         hash_hex(h): {"class": label.exploit_class, "mechanism": label.mechanism}

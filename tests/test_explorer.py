@@ -188,9 +188,22 @@ def test_local_storage_defaults_to_zero(local):
     assert local.get_balance(0xDEAD, 0) == 0
 
 
-def test_local_trace_round_trip(fixture, local):
+def document(answer):
+    """The document of a trace answer: itself, or its span's text decoded,
+    and the span closed."""
+    if not isinstance(answer, TextSpan):
+        return answer
+    with answer:
+        return json.loads(answer.text())
+
+
+def test_local_trace_round_trip(fixture, local, archive_dir):
     txh = fixture.archive.labels.exploit_hashes()[0]
-    assert local.tx_trace(txh) == fixture.archive.traces[txh]  # a short text, decoded
+    path = archive_dir / "traces" / f"{txh.hex()}.json"
+    assert path.stat().st_size <= TEXT_CHUNK
+    span = local.tx_trace(txh)  # a short text too is answered open, not decoded
+    assert isinstance(span, TextSpan) and (span.start, span.stop) == (0, path.stat().st_size)
+    assert document(span) == fixture.archive.traces[txh] and span.handle.closed
     spec = {"pcSet": [0], "includeCallBoundaries": True}
     assert local.tx_trace(txh, spec) == apply_tracer(fixture.archive.traces[txh], spec)
 
@@ -276,6 +289,21 @@ def test_local_rejects_missing_or_broken_chain(tmp_path):
         LocalExplorer(empty)
 
 
+def test_local_rejects_a_block_number_listed_twice(archive_dir, tmp_path, capsys):
+    # a second copy of block 3 without its transactions would otherwise
+    # hide the first copy's, and the exploits among them
+    clone = tmp_path / "clone"
+    shutil.copytree(archive_dir, clone)
+    chain = json.loads((clone / "chain.json").read_text())
+    chain["blocks"].append(dict(chain["blocks"][3], transactions=[]))
+    (clone / "chain.json").write_text(json.dumps(chain))
+    with pytest.raises(ProtocolError, match="^chain.json lists block 3 twice$"):
+        LocalExplorer(clone)
+    assert main(["investigate", "-t", "x", "-e", f"local[dir={clone}]", "-d", "evm"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "chain.json lists block 3 twice" in err
+
+
 def test_explorer_view_pins_the_block(fixture, local):
     contract = contract_of(fixture)
     n = fixture.archive.chain.height
@@ -308,7 +336,7 @@ def test_cache_replays_across_instances(local, tmp_path, fixture):
     doc = first.tx_trace(txh)
     assert doc == fixture.archive.traces[txh] and first.fetches
     second = CachedExplorer(local, tmp_path / "cache")
-    assert second.tx_trace(txh) == doc
+    assert document(second.tx_trace(txh)) == doc
     assert second.hits == 1 and second.fetches == {}
 
 
@@ -319,7 +347,7 @@ def test_cache_keys_distinguish_tracer_specs(local, tmp_path, fixture):
     cache.tx_trace(txh, {"pcSet": [0]})
     assert len(cache.fetches) == 2
     # spec normalization makes equivalent specs share one entry
-    cache.tx_trace(txh, {"pcSet": {0}, "includeCallBoundaries": True})
+    cache.tx_trace(txh, {"pcSet": {0}, "includeCallBoundaries": True}).close()
     assert len(cache.fetches) == 2 and cache.hits == 1
 
 
@@ -419,11 +447,10 @@ def test_cache_drops_corrupt_entries(local, tmp_path, tamper):
     "payload", [b"{nope", b'{"a":"\xff"}', _DEEP], ids=["non-json", "non-utf8", "too-deep"]
 )
 def test_cache_drops_a_trace_payload_the_walk_cannot_decode(fixture, local, tmp_path, payload):
-    # a short trace payload is decoded at the hit, a long one (the deep
-    # payload) is answered as its TextSpan and decoded by the walk; an
-    # entry whose digest matches a payload that does not decode is dropped
-    # at either place, counted as dropped and not as a hit, fetched again
-    # and rewritten
+    # a trace payload, short or long (the deep payload), is answered as its
+    # TextSpan and decoded by the walk; an entry whose digest matches a
+    # payload that does not decode is dropped there, counted as dropped
+    # and not as a hit, fetched again and rewritten
     txh = fixture.archive.labels.exploit_hashes()[0]
     root = next(tx.to for b in fixture.archive.chain.blocks for tx in b.txs if tx.hash == txh)
     CachedExplorer(local, tmp_path / "cache").tx_trace(txh)
@@ -432,10 +459,7 @@ def test_cache_drops_a_trace_payload_the_walk_cannot_decode(fixture, local, tmp_
     victim.write_bytes(_consistent_entry(payload)(good, None))
     cache = CachedExplorer(local, tmp_path / "cache")
     trace = cache.tx_trace(txh)
-    if len(payload) > TEXT_CHUNK:
-        assert isinstance(trace, TextSpan) and cache.hits == 1
-    else:
-        assert trace == fixture.archive.traces[txh] and (cache.hits, cache.dropped) == (0, 1)
+    assert isinstance(trace, TextSpan) and (cache.hits, cache.dropped) == (1, 0)
     rec = walk_trace(cache, trace, txh, None, root)
     assert rec == reconstruct_document(fixture.archive.traces[txh], root)
     assert (cache.hits, cache.dropped) == (0, 1)
@@ -717,10 +741,7 @@ class _Shim(ThreadingHTTPServer):
                 trace = local.tx_trace(bytes.fromhex(params[0][2:]), spec)
             except ArchiveGapError:
                 return None
-            if isinstance(trace, TextSpan):  # a long trace, sent whole as a node sends it
-                with trace:
-                    return json.loads(trace.text())
-            return trace
+            return document(trace)  # sent whole, as a node sends it
         if method == "eth_getStorageAt":
             addr, key, number = (int(p, 16) for p in params)
             return hex(local.get_storage(addr, key, number))
@@ -758,32 +779,47 @@ def test_a_short_trace_reaches_the_walk_as_one_document_four_ways(
     rpc, local, fixture, tmp_path, monkeypatch
 ):
     # a trace file, a cold cache miss, a warm cache hit and an RPC reply
-    # answer one short trace as equal documents, which walk alike; the
-    # cold miss decodes the file's text once, for its entry and the walk
+    # each decode one short trace once between the read and the walk: the
+    # file and the hit are answered as spans the walk decodes, the miss as
+    # the document it decoded to write its entry, the reply as parsed; and
+    # the four walk alike
     txh = fixture.archive.labels.exploit_hashes()[0]
     root = next(tx.to for b in fixture.archive.chain.blocks for tx in b.txs if tx.hash == txh)
     doc = fixture.archive.traces[txh]
     assert (local.base / "traces" / f"{txh.hex()}.json").stat().st_size <= TEXT_CHUNK
+    caller = threading.get_ident()
     decodes = []
     real_loads = json.loads
+
+    def counted(*args, **kwargs):
+        if threading.get_ident() == caller:  # not the shim's own
+            decodes.append(args)
+        return real_loads(*args, **kwargs)
+
     cold = CachedExplorer(local, tmp_path / "cache")
-    with monkeypatch.context() as patch:
-        patch.setattr(json, "loads", lambda *a, **kw: decodes.append(a) or real_loads(*a, **kw))
-        cold_answer = cold.tx_trace(txh)
-        cold_walk = walk_trace(cold, cold_answer, txh, None, root)
-    assert len(decodes) == 1 and cold.by_kind["trace"]["innerCalls"] == 1
     warm = CachedExplorer(local, tmp_path / "cache")
-    answers = {
-        "file": (local, local.tx_trace(txh)),
-        "cold": (cold, cold_answer),
-        "warm": (warm, warm.tx_trace(txh)),
-        "rpc": (rpc, rpc.tx_trace(txh)),
-    }
+    walks = {}
+    for how, explorer, form in [
+        ("file", local, TextSpan),
+        ("cold", cold, dict),
+        ("warm", warm, TextSpan),
+        ("rpc", rpc, dict),
+    ]:
+        decodes.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(json, "loads", counted)
+            answer = explorer.tx_trace(txh)
+            assert type(answer) is form, how
+            walks[how] = walk_trace(explorer, answer, txh, None, root)
+        assert len(decodes) == 1, how
+        if form is dict:
+            assert answer == doc, how
+        else:
+            assert answer.handle.closed, how
+    assert cold.by_kind["trace"]["innerCalls"] == 1
     assert warm.hits == 1 and warm.fetches == {}
-    for how, (explorer, answer) in answers.items():
-        assert type(answer) is dict and answer == doc, how
-        assert walk_trace(explorer, answer, txh, None, root) == cold_walk, how
-    assert cold_walk == reconstruct_document(doc, root)
+    assert all(rec == walks["cold"] for rec in walks.values())
+    assert walks["cold"] == reconstruct_document(doc, root)
 
 
 def test_rpc_mirrors_the_local_archive(rpc, shim, local, fixture):
@@ -793,7 +829,7 @@ def test_rpc_mirrors_the_local_archive(rpc, shim, local, fixture):
         assert rpc.collect_block_details(number) == local.collect_block_details(number)
         assert len(shim.seen) == before + 1  # the block alone, no parent
     txh = fixture.archive.labels.exploit_hashes()[0]
-    assert rpc.tx_trace(txh) == local.tx_trace(txh) == fixture.archive.traces[txh]
+    assert rpc.tx_trace(txh) == document(local.tx_trace(txh)) == fixture.archive.traces[txh]
     contract = contract_of(fixture)
     tip = local.height()
     assert rpc.get_balance(contract, tip) == local.get_balance(contract, tip)
@@ -1253,7 +1289,7 @@ def reply_damages(draw, local):
     elif method == "debug_traceTransaction":
         traces = sorted(path.stem for path in (local.base / "traces").glob("*.json"))
         tx_hash = bytes.fromhex(draw(st.sampled_from(traces)))
-        target, result = hash_hex(tx_hash), local.tx_trace(tx_hash)
+        target, result = hash_hex(tx_hash), document(local.tx_trace(tx_hash))
     else:
         target, result = None, None  # the point answer itself is the field
     if draw(st.booleans()):

@@ -22,25 +22,26 @@ from hypothesis import strategies as st
 from damages import damage, damaged
 from evmsleuth import explorer, traces
 from evmsleuth.cli import main
-from evmsleuth.errors import ArchiveGapError, ProtocolError
+from evmsleuth.errors import ArchiveGapError, ProtocolError, UsageError
 from evmsleuth.explorer import (
     _TAIL_SIZE,
     CachedExplorer,
+    LocalExplorer,
     _read_faults,
     apply_tracer,
     filter_trace,
-    open_json,
     read_json,
     read_text,
     walk_trace,
 )
-from evmsleuth.fixtures import build_fixture_chain, scale_fixture, write_fixture
+from evmsleuth.fixtures import SCENARIO_NAMES, build_fixture_chain, scale_fixture, write_fixture
 from evmsleuth.hashing import digest
 from evmsleuth.traces import (
     TEXT_CHUNK,
     TextSpan,
     Unstreamable,
     every_step,
+    read_trace,
     reconstruct_document,
     reconstruct_trace,
     stream_blocks,
@@ -229,7 +230,8 @@ def test_cache_miss_over_a_text_writes_the_entry_of_its_document(samples, data):
     # the streamed canonical write of a span answer, against the write of
     # the document json.loads makes of its text; the span's faults are a
     # trace file's (LocalExplorer), so a text that is not JSON is its
-    # reader's error
+    # reader's error. The miss closes the span it read and answers what
+    # its writer read: the document, or the span of the entry it streamed
     text, _ = data.draw(trace_texts(samples))
     faults = partial(_read_faults, f"trace for {hash_hex(TX)}", ArchiveGapError, ProtocolError)
     span = Span(text, [data.draw(st.sampled_from(BLOCKS))], faults=faults)
@@ -249,7 +251,13 @@ def test_cache_miss_over_a_text_writes_the_entry_of_its_document(samples, data):
         CachedExplorer(Answers(doc), Path(tmp) / "parsed").tx_trace(TX)
         (entry,) = Path(tmp, "streamed").iterdir()
         assert entry.read_bytes() == Path(tmp, "parsed", entry.name).read_bytes()
-        assert answer is span and not span.handle.closed  # the walk reads the span again
+        assert span.handle.closed
+        if isinstance(answer, TextSpan):
+            with answer:
+                assert len(text) > chunk and answer.handle.name.endswith(".tmp")
+                assert answer.text() == compact(doc)
+        else:
+            assert answer == doc
 
 
 # -- fixed cases at the chunk boundary --
@@ -479,26 +487,38 @@ def test_a_span_reads_the_text_a_text_mode_read_gives(tmp_path, data):
     path = tmp_path / "trace.json"
     path.write_bytes(data)
     faults = partial(_read_faults, "trace", OSError, ProtocolError)  # read_text's mapping
+
+    def text(span):
+        with span.faults():  # as read_trace reads it
+            return span.text()
+
     with TextSpan(io.BytesIO(data), 0, len(data), faults) as span:
-        assert outcome(span.text) == outcome(lambda: read_text(path, "trace"))
+        assert outcome(lambda: text(span)) == outcome(lambda: read_text(path, "trace"))
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
-def test_a_file_of_at_most_one_chunk_is_read_whole(tmp_path, extra):
-    # and decoded there, as read_json decodes it, with its error
+def test_a_file_of_at_most_one_chunk_is_read_whole(monkeypatch, tmp_path, extra):
+    # and decoded in one json.loads, as read_json decodes it, with its
+    # error; a longer one is streamed first. Either way read_trace closes it
     path = tmp_path / "trace.json"
     data = b"{" + b" " * (TEXT_CHUNK - 2 + extra) + b"}"
-    path.write_bytes(data)
-    if len(data) <= TEXT_CHUNK:
-        assert open_json(path, "trace") == {}
-        path.write_bytes(data[:-1] + b"]")
-        refused = outcome(lambda: open_json(path, "trace"))
-        assert refused == outcome(lambda: read_json(path, "trace")) and refused[0] is ProtocolError
-    else:
-        answer = open_json(path, "trace")
-        with answer:
-            assert isinstance(answer, TextSpan) and answer.text() == data.decode()
-        assert answer.handle.closed
+    streams = []
+    monkeypatch.setattr(
+        traces, "stream_blocks", lambda blocks: streams.append(1) or stream_blocks(blocks)
+    )
+    faults = partial(_read_faults, "trace", ArchiveGapError, ProtocolError)  # read_json's
+
+    def read(data: bytes):
+        path.write_bytes(data)
+        span = TextSpan(open(path, "rb"), 0, len(data), faults)
+        try:
+            return outcome(lambda: read_trace(span, lambda doc: doc, None))
+        finally:
+            assert span.handle.closed
+
+    assert read(data) == {} and len(streams) == (len(data) > TEXT_CHUNK)
+    refused = read(data[:-1] + b"]")
+    assert refused == outcome(lambda: read_json(path, "trace")) and refused[0] is ProtocolError
 
 
 # -- long traces end to end: faults and file descriptors --
@@ -663,4 +683,84 @@ def test_no_investigation_leaves_a_descriptor_open(capsys, long_dir, tmp_path):
     )
     code, report = _investigate(capsys, clone, "local", tmp_path / "cache-good")
     assert report["explorerStats"]["dropped"] == 1 and report["detections"]
+    assert _open_descriptors() == before
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_long_miss_whose_entry_cannot_be_renamed_closes_its_answer(
+    monkeypatch, long_dir, tmp_path
+):
+    # the miss streamed the trace file into its entry and answers the span
+    # of that entry; a rename that fails leaves neither file nor descriptor
+    tx_hash = bytes.fromhex(_long_trace(long_dir).stem)
+    cache = CachedExplorer(LocalExplorer(long_dir), tmp_path / "cache")
+
+    def refused(src, dst):
+        raise PermissionError(13, "Permission denied", str(dst))
+
+    monkeypatch.setattr(explorer.os, "replace", refused)
+    before = _open_descriptors()
+    with pytest.raises(UsageError, match="not written: .*Permission denied"):
+        cache.tx_trace(tx_hash)
+    assert _open_descriptors() == before
+    assert not any((tmp_path / "cache").iterdir())
+    assert cache.by_kind["trace"] == {"hits": 0, "dropped": 0, "innerCalls": 1}
+
+
+@pytest.fixture(scope="module")
+def suite_dir(tmp_path_factory):
+    """The six scenarios' archives, whose traces are all short."""
+    base = tmp_path_factory.mktemp("suite")
+    for name in SCENARIO_NAMES:
+        write_fixture(build_fixture_chain(name, seed=SEED), base / name)
+    return base
+
+
+def _run(capsys, argv: list) -> dict:
+    assert main(["investigate", "-t", "suite", *argv]) == 0
+    return _without_timings(json.loads(capsys.readouterr().out))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_no_suite_investigation_leaves_a_short_trace_open(capsys, suite_dir, tmp_path):
+    # every short trace is answered as a span, by the trace file, a cold
+    # miss's entry or a warm hit, and whoever reads it closes it
+    before = _open_descriptors()
+    runs = {
+        "local": [], "tracer": ["-d", "evm[mode=customTracer]"],
+        "cold": ["-c", "{cache}"], "warm": ["-c", "{cache}"],
+        "internal": ["-f", "spec[internal=true]"],
+        "internal-cold": ["-f", "spec[internal=true]", "-c", "{cache}-internal"],
+        "internal-warm": ["-f", "spec[internal=true]", "-c", "{cache}-internal"],
+    }
+    for name in SCENARIO_NAMES:
+        cache = tmp_path / name
+        reports = {}
+        for run, extra in runs.items():
+            argv = ["-e", f"local[dir={suite_dir / name}]", *extra]
+            reports[run] = _run(capsys, [arg.format(cache=cache) for arg in argv])
+            assert _open_descriptors() == before, (name, run)
+        for run in ("tracer", "cold", "warm"):
+            assert reports[run]["detections"] == reports["local"]["detections"], (name, run)
+        assert reports["warm"]["explorerStats"]["byKind"]["trace"]["innerCalls"] == 0
+    # a short hit whose digest matches a payload that is not JSON: dropped
+    # by the walk and fetched again, once
+    cache = tmp_path / "Bank"
+    entry = next(
+        path for path in cache.glob("*.json")
+        if json.loads(json.loads(path.read_bytes())["key"])[0] == "trace"
+    )
+    good = entry.read_bytes()
+    key = json.loads(good)["key"]
+    payload = b"{nope"
+    entry.write_bytes(
+        b'{"key":' + json.dumps(key).encode() + b',"payload":' + payload
+        + b',"sha256":"' + digest(payload).hex().encode() + b'"}'
+    )
+    local = _run(capsys, ["-e", f"local[dir={suite_dir / 'Bank'}]"])
+    warm = _run(capsys, ["-e", f"local[dir={suite_dir / 'Bank'}]", "-c", str(cache)])
+    assert warm["detections"] == local["detections"]
+    traces_read = warm["explorerStats"]["byKind"]["trace"]
+    assert (traces_read["dropped"], traces_read["innerCalls"]) == (1, 1)
+    assert entry.read_bytes() == good
     assert _open_descriptors() == before
