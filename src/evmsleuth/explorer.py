@@ -23,15 +23,17 @@ A point query answers a checked word on every backend: a JSON-RPC quantity
 or snapshot balance is 0x + 1 to 64 hex digits, a snapshot storage value
 64 hex digits, and anything else is a ProtocolError.
 
-read_text and read_json are the one reader of every file a run names:
-the archive's files here, and the feed and the vulnerability description
-the command line or a fixture names; a trace file is answered open, with
-read_json's faults (see Trace answers). A file that is not there is the
-caller's `missing` error, "no WHAT"; any other fault, a text that is not
-JSON included, its `unreadable` error, "WHAT unreadable: ERR". A name
-the system refuses as too long (ENAMETOOLONG) is quoted cut to 80
-characters, any other whole (quoted_fault). The cache reads and writes
-its own entries.
+open_span is the one opener of every file a run names, and a TextSpan
+the one form its bytes are read in: the archive's files here, and the
+feed and the vulnerability description the command line or a fixture
+names. read_text reads a span's text, read_json decodes that text, and a
+trace file is answered as its span, open, with read_json's faults (see
+Trace answers). A file that is not there is the caller's `missing`
+error, "no WHAT"; any other fault, a text that is not JSON included, its
+`unreadable` error, "WHAT unreadable: ERR". A name the system refuses as
+too long (ENAMETOOLONG) is quoted cut to 80 characters, any other whole
+(quoted_fault). The cache reads and writes its own entries, and reads
+each one as a TextSpan too.
 
 LocalExplorer reads a fixture/archive directory. chain.json is parsed and
 checked once at construction (it is the index); state snapshots are re-read
@@ -44,20 +46,20 @@ cache is in front.
 Trace answers: a trace crosses this boundary in one of two forms, a
 parsed document or a traces.TextSpan, never as a str. Every trace text
 read from a file is answered as its TextSpan, an open, re-readable byte
-span of what holds it: the whole trace file (LocalExplorer opens it, and
-reads nothing), or the payload of a cache entry, in the entry bytes a
-hit read and checked, or on the descriptor whose digest was checked.
-traces.read_trace alone decodes a span, in one json.loads when it has at
-most TEXT_CHUNK bytes and a TEXT_CHUNK-byte block at a time when longer
-(the traces module docstring has the block, chunk and fallback rules),
-and it closes the span. So a trace file that is not JSON, or not UTF-8,
-is found by whoever reads its span, the walk (walk_trace, which walks
-every trace answer through traces.reconstruct_trace), the customTracer
-filter or a cache miss, as the same ProtocolError naming the trace,
-"trace for 0x... unreadable: ERR"; a cache payload that does not decode
-is dropped and fetched again by the walk. A pc-filtered trace is the
-filter's document, built as a span's entries stream past, so only the
-kept entries are ever held.
+span of what holds it: the whole trace file (LocalExplorer opens it with
+open_span, and reads nothing), or the payload of a cache entry, as the
+hit checked it (_stored_payload). traces.read_trace alone decodes a
+span, in one json.loads when it has at most TEXT_CHUNK bytes and a
+TEXT_CHUNK-byte block at a time when longer (the traces module docstring
+has the block, chunk and fallback rules), and it closes the span. So a
+trace file that is not JSON, or not UTF-8, is found by whoever reads its
+span, the walk (walk_trace, which walks every trace answer through
+traces.reconstruct_trace), the customTracer filter or a cache miss, as
+the same ProtocolError naming the trace, "trace for 0x...
+unreadable: ERR"; a cache payload that does not decode is dropped and
+fetched again by the walk. A pc-filtered trace is the filter's document,
+built as a span's entries stream past, so only the kept entries are ever
+held.
 RpcExplorer answers with the parsed reply, walked as a document.
 
 RpcExplorer speaks JSON-RPC 2.0 over the standard library's HTTP client,
@@ -71,10 +73,10 @@ CachedExplorer is a read-through wrapper over any backend. Entries are
 persisted one file per query with a content digest and written atomically;
 corrupted entries are discarded and refetched. Per-key fetch counters and
 per-kind hit/drop counters make cache behavior checkable rather than
-assumed. A hit is answered with the entry's payload parsed, or a trace
-payload as its TextSpan; a miss answers what its writer read, the
-document it wrote or, after a streamed pass, the span of the entry (see
-CachedExplorer).
+assumed. Every hit passes the one check, and is answered with the entry's
+payload parsed, or a trace payload as its TextSpan; a miss answers what
+its writer read, the document it wrote or, after a streamed pass, the
+span of the entry (see CachedExplorer).
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 from time import sleep
-from typing import Callable, Iterable, Iterator
+from typing import Callable, ContextManager, Iterable, Iterator
 from urllib.parse import urlsplit
 
 from .chain import tx_from_document, tx_to_document
@@ -212,14 +214,34 @@ def _read_faults(what: str, missing, unreadable):
         raise unreadable(f"{what} unreadable: {reason}") from None
 
 
+def open_span(path: str | Path, faults: Callable[[], ContextManager]) -> TextSpan:
+    """The TextSpan of the whole file at path, open (the caller closes it),
+    with faults as its reader's errors, which opening it raises too. A
+    file that cannot seek (a pipe, such as /dev/stdin) is read whole
+    first, into the span's bytes."""
+    with faults():
+        handle = open(path, "rb")
+        try:
+            if not handle.seekable():
+                data = handle.read()
+                handle.close()
+                handle = io.BytesIO(data)
+            return TextSpan(handle, 0, handle.seek(0, io.SEEK_END), faults)
+        except BaseException:
+            handle.close()
+            raise
+
+
 def read_text(
     path: str | Path, what: str, missing=ArchiveGapError, unreadable=ProtocolError
 ) -> str:
-    """The text of the file at path, which `what` names: missing("no WHAT")
-    if there is no such file, unreadable("WHAT unreadable: ERR") if it
-    cannot be read or is not UTF-8."""
-    with _read_faults(what, missing, unreadable), open(path, encoding="utf-8") as handle:
-        return handle.read()
+    """The text of the file at path, which `what` names, as a file opened in
+    text mode reads it (TextSpan.text): missing("no WHAT") if there is no
+    such file, unreadable("WHAT unreadable: ERR") if it cannot be read or
+    is not UTF-8."""
+    faults = partial(_read_faults, what, missing, unreadable)
+    with open_span(path, faults) as span, faults():
+        return span.text()
 
 
 def read_json(path: str | Path, what: str, missing=ArchiveGapError, unreadable=ProtocolError):
@@ -343,13 +365,7 @@ class LocalExplorer:
         read_json's, or with a tracer spec the filtered document
         (filter_trace)."""
         faults = partial(_read_faults, _trace_what(tx_hash), ArchiveGapError, ProtocolError)
-        with faults():
-            handle = open(self.base / "traces" / f"{tx_hash.hex()}.json", "rb")
-            try:
-                trace = TextSpan(handle, 0, os.fstat(handle.fileno()).st_size, faults)
-            except BaseException:
-                handle.close()
-                raise
+        trace = open_span(self.base / "traces" / f"{tx_hash.hex()}.json", faults)
         return trace if tracer_spec is None else filter_trace(trace, tracer_spec)
 
     def _state_doc(self, number: int) -> dict:
@@ -619,23 +635,6 @@ def _canonical_pieces(members: dict, chunks: Iterator[list]) -> Iterator[str]:
     yield "]" + ("," if len(high) > 1 else "") + high
 
 
-def _entry_body(data: bytes, prefix: bytes) -> memoryview:
-    """The payload bytes of entry bytes data, written by _write_entry with
-    this key prefix; ValueError for any other bytes."""
-    tail = data[-_TAIL_SIZE:]
-    if (
-        len(data) < len(prefix) + _TAIL_SIZE
-        or not data.startswith(prefix)
-        or tail[: len(_TAIL_HEAD)] != _TAIL_HEAD
-        or tail[-2:] != b'"}'
-    ):
-        raise ValueError("not a cache entry for this key")
-    body = memoryview(data)[len(prefix) : -_TAIL_SIZE]
-    if digest(body).hex().encode() != tail[len(_TAIL_HEAD) : -2]:
-        raise ValueError("payload digest mismatch")
-    return body
-
-
 def _unreadable_entry(path: Path, err: OSError) -> UsageError:
     return UsageError(f"cache entry {path} unreadable: {err}")
 
@@ -649,42 +648,33 @@ def _entry_faults(path: Path):
         raise _unreadable_entry(path, err) from None
 
 
-def _stored_payload(path: Path, prefix: bytes, spans: bool):
-    """The payload of the entry at path, written by _write_entry with this
-    key prefix: parsed, or when spans is set its TextSpan, open (the
-    caller closes it): over the entry bytes read and checked in memory,
-    or, for a payload longer than TEXT_CHUNK bytes, over the file, after a
-    pass that hashes it a block at a time. ValueError (or RecursionError,
-    for a payload nested too deep to parse) for any other bytes,
-    FileNotFoundError if absent."""
-    head = len(prefix) + TEXT_CHUNK + _TAIL_SIZE  # the longest trace entry read whole
-    faults = partial(_entry_faults, path)
+def _stored_payload(path: Path, prefix: bytes) -> TextSpan:
+    """The TextSpan of the payload of the entry at path, written by
+    _write_entry with this key prefix, open (the caller closes it), after
+    one pass that hashes it a block at a time and compares the tail: over
+    the entry bytes read, for a payload of at most TEXT_CHUNK bytes, or on
+    the file. ValueError for any other bytes, FileNotFoundError if
+    absent."""
+    head = len(prefix) + TEXT_CHUNK + _TAIL_SIZE  # the longest entry read whole
     handle = open(path, "rb")
     try:
-        data = handle.read(head + 1 if spans else -1)
-        if spans and len(data) > head:
-            if not data.startswith(prefix):
-                raise ValueError("not a cache entry for this key")
-            stop = os.fstat(handle.fileno()).st_size - _TAIL_SIZE
-            span = TextSpan(handle, len(prefix), stop, faults)
-            hasher = new_digest()
-            for block in span.blocks():
-                hasher.update(block)
-            if handle.read() != _TAIL_HEAD + hasher.hexdigest().encode() + b'"}':
-                raise ValueError("payload digest mismatch")
-            return span
+        data = handle.read(head + 1)
+        if not data.startswith(prefix):
+            raise ValueError("not a cache entry for this key")
+        if len(data) <= head:
+            handle.close()
+            handle = io.BytesIO(data)
+        stop = handle.seek(0, io.SEEK_END) - _TAIL_SIZE
+        span = TextSpan(handle, len(prefix), stop, partial(_entry_faults, path))
+        hasher = new_digest()
+        for block in span.blocks():
+            hasher.update(block)
+        if handle.read() != _TAIL_HEAD + hasher.hexdigest().encode() + b'"}':
+            raise ValueError("payload digest mismatch")
+        return span
     except BaseException:
         handle.close()
         raise
-    handle.close()
-    body = _entry_body(data, prefix)
-    if spans:
-        return TextSpan(io.BytesIO(data), len(prefix), len(prefix) + len(body), faults)
-    text = str(body, "utf-8")
-    # the file bytes go before the parse, so a hit holds one copy of the
-    # payload text at a time, like a local read
-    del data, body
-    return json.loads(text)
 
 
 class CachedExplorer:
@@ -694,36 +684,37 @@ class CachedExplorer:
 
         {"key":<key as a JSON string>,"payload":<compact payload>,"sha256":"<hex>"}
 
-    where the digest is taken over the payload bytes as stored. A hit reads
-    the file once, checks the key prefix and the digest against those bytes
-    and parses the payload once; a file in any other layout, or with a
-    mismatch, is dropped and the query goes inner again. Replayed answers
-    skip the inner backend entirely (and any re-validation the backend would
-    do). Entries are written to a temporary file and renamed into place, so
-    runs sharing a directory never read a torn entry. height() is never
-    cached: it is the one answer that legitimately changes between runs.
+    where the digest is taken over the payload bytes as stored. A hit of any
+    kind and length is checked in one pass (_stored_payload): the key
+    prefix, then the digest of the payload, hashed a block at a time,
+    against the tail. A trace payload is answered as its span, any other is
+    parsed once; a file in any other layout, with a mismatch, or whose
+    payload does not parse is dropped and the query goes inner again.
+    Replayed answers skip the inner backend entirely (and any re-validation
+    the backend would do). Entries are written to a temporary file and
+    renamed into place, so runs sharing a directory never read a torn entry.
+    height() is never cached: it is the one answer that legitimately changes
+    between runs.
 
     Traces stream. A trace hit is answered as the TextSpan of its payload,
     not decoded: one of at most TEXT_CHUNK bytes over the entry bytes the
-    hit read and checked, a longer one on the file, after a pass that
-    hashes it a block at a time; the walk then reads the span again, on
-    the same descriptor, so an entry unlinked or replaced after the check
-    is still the entry that was checked. A payload that then does not
-    decode is dropped and fetched again through refetch_trace, and counts
-    as dropped, not as a hit. A miss is written by one writer through
+    hit read and checked, a longer one on the file; the walk then reads the
+    span again, on the same descriptor, so an entry unlinked or replaced
+    after the check is still the entry that was checked. A payload that then
+    does not decode is dropped and fetched again through refetch_trace, and
+    counts as dropped, not as a hit. A miss is written by one writer through
     traces.read_trace, which answers what it read: a document answer, or a
     span it decodes whole, as the compact sorted-key JSON of the document,
     and answers that document; a longer TextSpan answer (LocalExplorer's
-    long trace) in a streamed pass of its own: chunk by chunk, each
-    chunk's entries serialised compact with sorted keys, written and
-    hashed piece by piece, never joined into one string, and answers the
-    span of the entry it wrote, opened before the rename. A span the
-    stream does not read is parsed whole and written as its document
-    would be; one that is not JSON is its reader's ProtocolError, and
-    like one that cannot be read it counts as no fetch. The entry bytes
-    are those of a document answer in every case (docs/formats.md), so
-    the walk gives the same result over any answer, and no second copy
-    is made.
+    long trace) in a streamed pass of its own: chunk by chunk, each chunk's
+    entries serialised compact with sorted keys, written and hashed piece by
+    piece, never joined into one string, and answers the span of the entry
+    it wrote, opened before the rename. A span the stream does not read is
+    parsed whole and written as its document would be; one that is not JSON
+    is its reader's ProtocolError, and like one that cannot be read it
+    counts as no fetch. The entry bytes are those of a document answer in
+    every case (docs/formats.md), so the walk gives the same result over any
+    answer, and no second copy is made.
 
     fetches maps each cache key to the number of inner calls made for it;
     by_kind counts hits, drops and inner calls per query kind, and hits and
@@ -753,10 +744,11 @@ class CachedExplorer:
         return self.inner.height()
 
     def _lookup(self, kind: str, key_parts: list, fetch, undecodable: bool = False):
-        """The stored payload of the query (_stored_payload, which answers a
-        trace payload as its span), or what the writer of fetch()'s answer
-        read (CachedExplorer). undecodable: the stored payload was answered
-        as a hit but does not decode; drop it and fetch."""
+        """The stored payload of the query (_stored_payload): a trace
+        payload as its span, any other decoded; or what the writer of
+        fetch()'s answer read (CachedExplorer). undecodable: the stored
+        payload was answered as a hit but does not decode; drop it and
+        fetch."""
         key = _compact([kind, *key_parts])
         path = self.base / f"{digest(key.encode()).hex()}.json"
         prefix = b'{"key":' + json.dumps(key).encode() + b',"payload":'
@@ -765,7 +757,10 @@ class CachedExplorer:
             if undecodable:
                 counts["hits"] -= 1
                 raise ValueError("payload does not decode")
-            payload = _stored_payload(path, prefix, kind == "trace")
+            payload = span = _stored_payload(path, prefix)
+            if kind != "trace":
+                with span:
+                    payload = json.loads(span.text())
         except FileNotFoundError:
             pass
         except (ValueError, RecursionError):

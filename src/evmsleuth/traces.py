@@ -529,13 +529,13 @@ class Unstreamable(Exception):
 
 
 class TextSpan:
-    """Bytes start to stop of the open binary file handle: a trace's JSON
-    text, answered in place of its document (module docstring). blocks()
-    reads it from start, a TEXT_CHUNK-byte block at a time, and text()
-    whole, as a file opened in text mode reads it; a fault of blocks(),
-    and of text() and its decode, which read_trace runs under faults(), is
-    raised as that context manager maps it. close() closes the file; the
-    span is also a context manager that does."""
+    """Bytes start to stop of the open binary file handle: the text of a
+    file or a cache payload, a trace's answered in place of its document
+    (module docstring). blocks() reads it from start, a TEXT_CHUNK-byte
+    block at a time, and text() whole, as a file opened in text mode reads
+    it; a fault of blocks(), and of text() and its decode, which read_trace
+    runs under faults(), is raised as that context manager maps it. close()
+    closes the file; the span is also a context manager that does."""
 
     def __init__(
         self, handle: BinaryIO, start: int, stop: int, faults: Callable[[], ContextManager]

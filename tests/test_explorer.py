@@ -330,7 +330,7 @@ def test_cache_cold_then_warm(local, tmp_path):
     assert len(cache.fetches) == 2
 
 
-def test_cache_replays_across_instances(local, tmp_path, fixture):
+def test_cache_replays_across_instances(local, tmp_path, fixture, monkeypatch):
     txh = fixture.archive.labels.exploit_hashes()[0]
     first = CachedExplorer(local, tmp_path / "cache")
     doc = first.tx_trace(txh)
@@ -338,6 +338,13 @@ def test_cache_replays_across_instances(local, tmp_path, fixture):
     second = CachedExplorer(local, tmp_path / "cache")
     assert document(second.tx_trace(txh)) == doc
     assert second.hits == 1 and second.fetches == {}
+    # a block entry longer than the in-memory bound is checked and read on the file
+    monkeypatch.setattr("evmsleuth.explorer.TEXT_CHUNK", 64)
+    block = first.collect_block_details(1)
+    assert len(json.dumps(block, separators=(",", ":"))) > 64
+    third = CachedExplorer(local, tmp_path / "cache")
+    assert third.collect_block_details(1) == block == local.collect_block_details(1)
+    assert third.hits == 1 and third.fetches == {}
 
 
 def test_cache_keys_distinguish_tracer_specs(local, tmp_path, fixture):
@@ -376,7 +383,8 @@ def test_cache_entry_layout_is_pinned(local, tmp_path, fixture):
 
 
 def _flip_payload_digit(data, other):
-    return data.replace(b'"payload":0', b'"payload":7')
+    at = data.index(b'"payload":') + len(b'"payload":')
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
 
 
 def _flip_digest_char(data, other):
@@ -399,47 +407,55 @@ def _pretty(data, other):
     return json.dumps(json.loads(data), indent=2, sort_keys=True).encode()
 
 
+_TAMPERS = {
+    "payload-digit": _flip_payload_digit,
+    "digest-char": _flip_digest_char,
+    "truncated": lambda data, other: data[: len(data) // 2],
+    "empty": lambda data, other: b"",
+    "unparseable": lambda data, other: b"{nope",
+    "non-utf8": _consistent_entry(b"\xff\xfe"),
+    "too-deep": _consistent_entry(_DEEP),
+    "other-key": lambda data, other: other,
+    "pretty-printed": _pretty,
+}
+
+# (query, another query's entry) of each kind of entry the tampers damage
+_ENTRIES = {
+    "balance": (lambda ex: ex.get_balance(0xDEAD, 0), lambda ex: ex.get_balance(0xDEAD, 1)),
+    "block": (lambda ex: ex.collect_block_details(1), lambda ex: ex.collect_block_details(2)),
+}
+
+
 @pytest.mark.parametrize(
-    "tamper",
+    "tamper, entry, bound",
     [
-        _flip_payload_digit,
-        _flip_digest_char,
-        lambda data, other: data[: len(data) // 2],
-        lambda data, other: b"",
-        lambda data, other: b"{nope",
-        _consistent_entry(b"\xff\xfe"),
-        _consistent_entry(_DEEP),
-        lambda data, other: other,
-        _pretty,
-    ],
-    ids=[
-        "payload-digit",
-        "digest-char",
-        "truncated",
-        "empty",
-        "unparseable",
-        "non-utf8",
-        "too-deep",
-        "other-key",
-        "pretty-printed",
+        pytest.param(tamper, entry, bound, id=where + name)
+        # a bound of one byte: the block entry is checked on the file
+        for where, entry, bound in [("", "balance", None), ("block-", "block", None),
+                                    ("on-file-", "block", 1)]
+        for name, tamper in _TAMPERS.items()
     ],
 )
-def test_cache_drops_corrupt_entries(local, tmp_path, tamper):
+def test_cache_drops_corrupt_entries(local, tmp_path, monkeypatch, tamper, entry, bound):
+    if bound is not None:
+        monkeypatch.setattr("evmsleuth.explorer.TEXT_CHUNK", bound)
+    query, other_query = _ENTRIES[entry]
+    expected = query(local)
     cache = CachedExplorer(local, tmp_path / "cache")
-    cache.get_balance(0xDEAD, 1)
+    other_query(cache)
     (other,) = (tmp_path / "cache").glob("*.json")
     other_bytes = other.read_bytes()
     other.unlink()
-    cache.get_balance(0xDEAD, 0)
+    query(cache)
     (victim,) = (tmp_path / "cache").glob("*.json")
     good = victim.read_bytes()
     victim.write_bytes(tamper(good, other_bytes))
     assert victim.read_bytes() != good
-    assert cache.get_balance(0xDEAD, 0) == 0
+    assert query(cache) == expected
     assert cache.dropped == 1
     assert cache.fetches[json.loads(good)["key"]] == 2
     assert victim.read_bytes() == good  # the refetch rewrote the entry
-    assert cache.get_balance(0xDEAD, 0) == 0
+    assert query(cache) == expected
     assert cache.hits == 1
 
 

@@ -480,20 +480,69 @@ def test_a_block_edge_inside_a_cache_entry_tail(monkeypatch, tmp_path, block):
 @pytest.mark.parametrize(
     "data",
     [b'{"a":\r\n"b"}', b'{"a":\r"b"}', b'{"a":"\r\n"}', b'\xef\xbb\xbf{"a":1}', b'{"a":"\xff"}',
-     b'{"a":"\xe2\x82"}', "{\"é\":\"€\"}".encode()],
-    ids=["crlf", "cr", "crlf-in-string", "bom", "bad-byte", "cut-character", "multibyte"],
+     b'{"a":"\xe2\x82"}', "{\"é\":\"€\"}".encode(), b"", None, "directory"],
+    ids=["crlf", "cr", "crlf-in-string", "bom", "bad-byte", "cut-character", "multibyte",
+         "empty", "missing", "directory"],
 )
 def test_a_span_reads_the_text_a_text_mode_read_gives(tmp_path, data):
+    # the reference is Python's own text-mode read, under read_text's faults
     path = tmp_path / "trace.json"
-    path.write_bytes(data)
-    faults = partial(_read_faults, "trace", OSError, ProtocolError)  # read_text's mapping
+    if data == "directory":
+        path.mkdir()
+    elif data is not None:
+        path.write_bytes(data)
+    faults = partial(_read_faults, "trace", ArchiveGapError, ProtocolError)
+
+    def text_mode() -> str:
+        with faults(), open(path, encoding="utf-8") as handle:
+            return handle.read()
+
+    def text_mode_json():
+        text = text_mode()
+        with faults():
+            return json.loads(text)
 
     def text(span):
         with span.faults():  # as read_trace reads it
             return span.text()
 
-    with TextSpan(io.BytesIO(data), 0, len(data), faults) as span:
-        assert outcome(lambda: text(span)) == outcome(lambda: read_text(path, "trace"))
+    reference = outcome(text_mode)
+    assert outcome(lambda: read_text(path, "trace")) == reference
+    assert outcome(lambda: read_json(path, "trace")) == outcome(text_mode_json)
+    if isinstance(data, bytes):
+        with TextSpan(io.BytesIO(data), 0, len(data), faults) as span:
+            assert outcome(lambda: text(span)) == reference
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize(
+    "data", [b'{"a":\r\n"b"}', b'{"a":"\xff"}', b""], ids=["crlf", "bad-byte", "empty"],
+)
+def test_a_pipe_reads_as_a_text_mode_read_of_it(data):
+    # a feed or a description piped in (/dev/stdin, a process substitution)
+    # cannot seek and has no size; it reads as Python's text-mode read does
+    faults = partial(_read_faults, "feed", ArchiveGapError, ProtocolError)
+
+    def piped(read):
+        out, into = os.pipe()
+        os.write(into, data)
+        os.close(into)
+        try:
+            return outcome(lambda: read(f"/dev/fd/{out}"))
+        finally:
+            os.close(out)
+
+    def text_mode(path) -> str:
+        with faults(), open(path, encoding="utf-8") as handle:
+            return handle.read()
+
+    def text_mode_json(path):
+        text = text_mode(path)
+        with faults():
+            return json.loads(text)
+
+    assert piped(lambda path: read_text(path, "feed")) == piped(text_mode)
+    assert piped(lambda path: read_json(path, "feed")) == piped(text_mode_json)
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -626,9 +675,9 @@ def test_a_long_entry_changed_between_check_and_walk_walks_what_was_checked(
     real = explorer._stored_payload
     raced = []
 
-    def racing(path, prefix, spans):
-        answer = real(path, prefix, spans)
-        if isinstance(answer, TextSpan):
+    def racing(path, prefix):
+        answer = real(path, prefix)
+        if answer.stop - answer.start > TEXT_CHUNK:  # checked on the file
             raced.append(path)
             if change == "unlinked":
                 path.unlink()
