@@ -101,9 +101,8 @@ from .traces import (
     CALL_OPS,
     TEXT_CHUNK,
     ReconstructedTrace,
-    Select,
+    Selection,
     TextSpan,
-    every_step,
     read_trace,
     reconstruct_trace,
 )
@@ -166,13 +165,12 @@ def filter_trace(trace, tracer_spec: dict):
     whose entries are filtered as they stream (traces.read_trace), so only
     the kept ones are held."""
     keeps = _tracer_keeps(tracer_spec)
-    return read_trace(
-        trace,
-        lambda doc: apply_tracer(doc, tracer_spec),
-        lambda members, chunks: {
-            **members, "structLogs": [step for chunk in chunks for step in chunk if keeps(step)]
-        },
-    )
+
+    def streamed(members: dict, chunks: Iterator[list]) -> dict:
+        kept = [step for chunk in chunks for step in chunk if keeps(step)]
+        return {**members, "structLogs": kept}  # members now holds those after the array too
+
+    return read_trace(trace, lambda doc: apply_tracer(doc, tracer_spec), streamed)
 
 
 class ExplorerView:
@@ -262,7 +260,7 @@ def walk_trace(
     tx_hash: bytes,
     tracer_spec: dict | None,
     root_target: int,
-    select: Select = every_step,
+    select: Selection = Selection(),
 ) -> ReconstructedTrace:
     """The walk over `trace`, the answer of explorer.tx_trace(tx_hash,
     tracer_spec), relaxed when pc-filtered (traces.reconstruct_trace),
@@ -623,15 +621,17 @@ def _write_entry(path: Path, prefix: bytes, pieces: Iterable[str]) -> int:
 def _canonical_pieces(members: dict, chunks: Iterator[list]) -> Iterator[str]:
     """The compact sorted-key JSON of a streamed trace text
     (traces.stream_blocks), in pieces of a chunk each; Unstreamable,
-    raised by the chunks, when the text turns out not to stream."""
+    raised by the chunks, when the text turns out not to stream. The
+    members that sort after structLogs are read once the chunks are
+    consumed, as some of them may follow the array in the text."""
     low = _compact({k: v for k, v in members.items() if k < "structLogs"})[:-1]
-    high = _compact({k: v for k, v in members.items() if k > "structLogs"})[1:]
     yield low + ("," if len(low) > 1 else "") + '"structLogs":['
     comma = ""
     for entries in chunks:
         if entries:
             yield comma + _compact(entries)[1:-1]
             comma = ","
+    high = _compact({k: v for k, v in members.items() if k > "structLogs"})[1:]
     yield "]" + ("," if len(high) > 1 else "") + high
 
 

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .explorer import walk_trace
 from .hashing import function_selector
-from .traces import CALL_OPS, ReconstructedTrace, Select, gc_paused
+from .traces import ReconstructedTrace, Selection, gc_paused
 from .words import address_hex, hash_hex
 
 FEED_COLUMNS = (
@@ -94,10 +94,6 @@ class TxRef:
     parent: bytes | None
 
 
-def _call_steps(pc: int, op: str, code: int) -> bool:
-    return op in CALL_OPS
-
-
 class ReadState:
     """The reads of one investigation, shared by its filter and its level.
 
@@ -107,13 +103,14 @@ class ReadState:
     forgets each block that yields no candidate, since the level never asks
     for it, so a long range is not held in memory.
 
-    gate is the step predicate of a level that reads full traces (the evm
-    level in local or cached mode), None for any other level. With a gate,
-    internal discovery walks each trace it scans once, selecting call steps
-    or gated steps, and keeps, for each transaction that yields a candidate
-    row, the scanned trace as walked: its call steps besides the gated
-    ones, which the level's rules pass over as they pass over any ungated
-    step (rules_evm.evaluate_trace). The level takes it with take_trace and
+    gate is the gate map {code address: pcs} (VulnSpec.gate) of a level
+    that reads full traces (the evm level in local or cached mode), None
+    for any other level. With a gate, internal discovery walks each trace
+    it scans once, selecting call steps and gated steps (traces.Selection),
+    and keeps, for each transaction that yields a candidate row, the
+    scanned trace as walked: its call steps besides the gated ones, which
+    the level's rules pass over as they pass over any ungated step
+    (rules_evm.evaluate_trace). The level takes it with take_trace and
     neither fetches nor walks that trace again. Without a gate the scan
     selects call steps and keeps nothing.
 
@@ -121,7 +118,7 @@ class ReadState:
     is shared between investigations.
     """
 
-    def __init__(self, explorer, gate: Select | None = None):
+    def __init__(self, explorer, gate: dict | None = None):
         self.explorer = explorer
         self.gate = gate
         # block number -> (transactions in block order, by hash)
@@ -153,10 +150,7 @@ class ReadState:
         """tx's full trace, checked in full, with its call steps built (and
         its gated steps, given a gate). A malformed trace is a ProtocolError
         naming the transaction."""
-        gate = self.gate
-        select = _call_steps if gate is None else (
-            lambda pc, op, code: op in CALL_OPS or gate(pc, op, code)
-        )
+        select = Selection({} if self.gate is None else self.gate, calls=True)
         with gc_paused():  # the trace lives and dies in here
             trace = self.explorer.tx_trace(tx.hash)
             try:

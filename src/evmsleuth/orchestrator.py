@@ -74,7 +74,7 @@ from .explorer import CachedExplorer, ExplorerView, walk_trace
 from .filters import FilterQuery, ReadState, TxRef, tx_list
 from .rules_block import evaluate_block
 from .rules_evm import VulnSpec, evaluate_trace
-from .traces import gc_paused
+from .traces import Selection, gc_paused
 from .words import address_hex
 
 LEVELS = ("evm", "block")
@@ -172,7 +172,7 @@ def run_investigation(config: InvestigationConfig) -> Report:
 
     # the evm level reuses the full traces internal discovery walks for it
     reuse = config.level == "evm" and config.mode != "customTracer"
-    reads = ReadState(config.explorer, spec.gates if reuse else None)
+    reads = ReadState(config.explorer, spec.gate if reuse else None)
     t0 = time.perf_counter()
     if config.feed is not None:
         rows = list(config.feed)
@@ -250,7 +250,7 @@ def _run_evm_level(config, rows, report, timings, reads):
             t0 = time.perf_counter()
             try:
                 if rec is None:
-                    rec = walk_trace(explorer, trace, tx_hash, tracer, tx.to, spec.gates)
+                    rec = walk_trace(explorer, trace, tx_hash, tracer, tx.to, Selection(spec.gate))
                 found, notes = evaluate_trace(rec, spec, tx_hash, number)
             except (ArchiveGapError, ProtocolError) as err:  # a text is not JSON
                 report.skips.append(f"{label}: fetch failed, skipped ({err})")

@@ -17,10 +17,10 @@ integer, never a boolean. A param the rule does not use is not read.
 VulnSpec folds the locations into one gate, {code address: pcs}, and a
 step is gated when the gate lists its pc for the code it executes (the
 code, not the storage identity, so DELEGATECALL borrowers of the
-vulnerable code are seen). VulnSpec.gates is that test as a step
-predicate: the evm level hands it to trace ingest, which then builds only
-the gated steps. evaluate_trace walks the steps once and hands only gated
-steps to the rule class's per-step check:
+vulnerable code are seen). The evm level hands the gate to trace ingest
+(traces.Selection), which then builds only the gated steps.
+evaluate_trace walks the steps once and hands only gated steps, by the
+same map, to the rule class's per-step check:
 
   overflow    flagged arithmetic whose exact integer value leaves the
               declared type's range (modular ADDMOD/MULMOD never flag)
@@ -153,11 +153,6 @@ class VulnSpec:
             raise ConfigError(f"vuln descriptor: filter.selectors: {err}") from None
         return cls(scenario, contract, rule, gate, query, slot, bounds, to_arg_index)
 
-    def gates(self, pc: int, op: str, code: int) -> bool:
-        """The step predicate of the gate: does the gate list this pc for
-        the code the step executes?"""
-        return pc in self.gate.get(code, ())
-
 
 def read_vuln_doc(directory: str | Path) -> dict:
     """Load the single vuln descriptor from a fixture directory."""
@@ -275,11 +270,12 @@ def evaluate_trace(
     the rule had to skip.
     """
     check = STEP_CHECKS[spec.rule](spec)
+    gate = spec.gate
     status = "failed" if rec.failed else "success"
     hits: list[Detection] = []
     notes: list[str] = []
     for step in rec.steps:
-        if not spec.gates(step.pc, step.op, step.code_address):
+        if step.pc not in gate.get(step.code_address, ()):
             continue
         detail, note = check(step)
         if note is not None:

@@ -8,13 +8,30 @@ executes under, the code address behind it, and the frames live below it.
 reconstruct joins the two into a ReconstructedTrace. Detection rules only
 ever see reconstructed steps.
 
-Selection: the walk takes a predicate over (pc, op, code address) and
-builds a ReconstructedStep only for the steps it selects. The evm rules
-select by VulnSpec's gate, internal discovery selects call steps, and
-every_step selects all of them. An unselected step is still checked in
-full (its fields and hex words, the sequence invariants, the frame it runs
-in, the bare-stack checks), so the selection changes what a trace yields,
-never whether it is accepted.
+Selection: the walk builds a ReconstructedStep only for the steps a
+Selection picks, a value and not a call per step: a gate map {code
+address: pcs}, which picks the steps whose pc it lists for the code they
+execute (None picks every step), and a flag that picks every call step
+besides. The evm rules select by VulnSpec's gate, internal discovery
+selects call steps (and the gated steps, when the level reuses its
+walks), and Selection() selects all of them. The walk looks up the pcs
+of a frame's code when it enters or returns to the frame, so a step pays
+one set membership test. An unselected step is still checked in full (its
+fields and hex words, the sequence invariants, the frame it runs in, the
+bare-stack checks), so the selection changes what a trace yields, never
+whether it is accepted.
+
+Frame edges: a step is at a frame edge when its depth differs from the
+previous step's or the previous step was a call. Only there does the walk
+take the pending call of its depth, check the root's first step and the
+depth changes, push and pop frames, drop the calls left pending above it
+and read the status of a call it resumes after. Any other step runs in the
+frame of the step before it, where none of that can change, so it checks
+its fields and, in strict mode, its pc against the one the previous
+step's op asks for (any after a jump, none after a terminal op). The
+faults, their order and their step index are those of a walk that makes
+every check at every step. An entry's storage and call members are
+looked up only when it has members besides the five fields and stack.
 
 Strict mode is for full traces and enforces the small-step invariants
 (stepwise depth changes, pc continuity inside a frame, resume pc after a
@@ -23,17 +40,21 @@ sequencing checks are dropped, and frame identity is derived only where
 the kept steps make it derivable (call-boundary steps included), otherwise
 reconstruction refuses rather than guessing.
 
-Per-walk memo: the walk keeps the set of ops and the set of stack words it
-has already accepted, so each distinct op of a trace, and each distinct
-word of at most 64 digits, is checked once. An op in the first set, or a stack whose words are all in the second,
-is not checked again. Any other op goes through the op check. Any other
-stack is read word by word, in order: a str that _WORD matches in full is
-one the per-word reader (_parse_hex_word) accepts at its first test, and
-only such a word enters the set; every other word goes to the reader.
-Membership is equality, and only a str with the same characters equals a
-str, so the memo cannot admit a word the reader would reject: a non-string
-word, hashable or not, always meets the reader. Both sets live for one
-walk only.
+Per-walk memo: the walk keeps the facts of each op it has accepted and
+the set of stack words it has accepted, so each distinct op of a trace,
+and each distinct word of at most 64 digits, is checked once. An op's
+facts are all the walk asks of it: its pc advance (the size of a PUSH, 1
+for any other op) and its kind (jump, terminal, SSTORE, call or none of
+these). An op met for the first time is looked up without raising, goes
+through the op check, and its facts are stored; an unhashable op is not
+a string and fails that check. A stack whose words are all in the set is
+not checked again. Any other stack is read word by word, in order: a str
+that _WORD matches in full is one the per-word reader (_parse_hex_word)
+accepts at its first test, and only such a word enters the set; every
+other word goes to the reader. Membership is equality, and only a str
+with the same characters equals a str, so the memo cannot admit a word
+the reader would reject: a non-string word, hashable or not, always meets
+the reader. Both memos live for one walk only.
 
 Integer fields: pc, gas, gasCost and depth are tested by one condition.
 Only when it fails does _field_fault find the fault, and it reports the
@@ -66,7 +87,8 @@ traces (a few kB, as in the scenario suite) 5-15% slower to ingest. A
 longer one streams, and its text is not held whole. stream_blocks
 decodes the blocks through an incremental UTF-8 decoder as far as it
 needs them: it reads the outer object's members up to the structLogs
-array, then hands out the array's entries a chunk at a time, so memory
+array, then hands out the array's entries a chunk at a time, then reads
+the members after the array, so memory
 holds one block and one chunk of parsed entries, whatever the trace's
 length. A block edge may fall anywhere: in a character, a member or a
 cut; a character is decoded once its last byte is in, and a scanner
@@ -83,11 +105,14 @@ because the C scanner forgets its memo of object keys at the end of
 every call.
 
 Fallback: the stream reads one shape only: UTF-8, an object whose members
-lead up to a structLogs array and which ends right after it (of duplicate
-members before the array the last wins, as in json.loads). On anything
+lead up to a structLogs array, after which come only members whose keys
+sort after "structLogs" (of duplicate members the last wins, as in
+json.loads). A compact sorted-key text, a cache entry's, has that shape;
+a member after the array that sorts lower would belong before it there,
+and a header member must be read before the walk starts. On anything
 else (bytes that are not UTF-8, a decode error, a chunk cut inside an
-entry, a member after the array, so a second structLogs too, a BOM, a
-fault in the header or in the walk) it stops, and read_trace reads the
+entry, such a member after the array, a second structLogs among them, a
+BOM, a fault in the header or in the walk) it stops, and read_trace reads the
 span again whole through span.text(), then json.loads, both under the
 span's faults(), and hands the document to the whole-document consumer
 (for the walk, reconstruct_document). So the steps, and the exception
@@ -105,7 +130,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
-from typing import BinaryIO, Callable, ContextManager, Iterable, Iterator
+from typing import BinaryIO, Callable, ContextManager, Iterable, Iterator, NamedTuple
 
 from .errors import ReconstructionError, TraceParseError
 from .words import ADDRESS_MASK, WORD_MASK
@@ -126,13 +151,25 @@ _BYTES = re.compile(r"(?:0[xX])?((?:[0-9a-fA-F]{2})*)").fullmatch
 
 _NO_WORDS: list = []  # the stack of an entry without one; never mutated
 
-# A step predicate: (pc, op, code address) -> build this step?
-Select = Callable[[int, str, int], bool]
+# What the walk needs to know of an op besides its pc advance: one kind.
+_PLAIN, _JUMP, _TERMINAL, _SSTORE, _CALL = range(5)
+_KINDS = {
+    **dict.fromkeys(CALL_OPS, _CALL),
+    **dict.fromkeys(TERMINAL_OPS, _TERMINAL),
+    "JUMP": _JUMP,
+    "JUMPI": _JUMP,
+    "SSTORE": _SSTORE,
+}
+_NO_PCS: frozenset = frozenset()
 
 
-def every_step(pc: int, op: str, code: int) -> bool:
-    """The select-all predicate."""
-    return True
+class Selection(NamedTuple):
+    """The steps a walk builds (module docstring): those whose pc the gate
+    lists for the code they execute, or every step when gate is None; with
+    calls, every call step besides."""
+
+    gate: dict | None = None  # code address -> its pcs (a set, or any container)
+    calls: bool = False
 
 
 def _parse_hex_word(text, raw_index: int) -> int:
@@ -151,6 +188,20 @@ def _parse_hex_word(text, raw_index: int) -> int:
 def _bad_op(op) -> bool:
     return not isinstance(op, str) or not op or (
         op.startswith("PUSH") and op not in _PUSH_SIZES
+    )
+
+
+def _op_facts(op, i: int) -> tuple[int, int]:
+    """(pc advance, kind) of the op of step i; TraceParseError if it is
+    malformed."""
+    if _bad_op(op):
+        raise TraceParseError(f"bad op {op!r}", i)
+    return _PUSH_SIZES.get(op, 1), _KINDS.get(op, _PLAIN)
+
+
+def _pc_fault(pc: int, prev_pc: int, prev_op: str, want: int, i: int):
+    raise TraceParseError(
+        f"pc {pc} after {prev_op} at {prev_pc} (expected {want}) without a jump", i
     )
 
 
@@ -266,7 +317,7 @@ def decode_steps(
     struct_logs: Iterable,
     root_target: int,
     relaxed: bool = False,
-    select: Select = every_step,
+    select: Selection = Selection(),
 ) -> list[ReconstructedStep]:
     """Walk the raw structLog entries once: check every entry, track the
     frames, and build the steps `select` asks for, in trace order.
@@ -290,10 +341,17 @@ def decode_steps(
     # the previous step's call, entered iff this step is one level deeper:
     # (call depth, child identity, child code, CallSite or None)
     opened = None
-    prev_pc = prev_op = prev_depth = None
-    # ops and stack words already accepted in this walk (module docstring)
-    known_ops: set = set()
+    # the previous step, and the pc the next one must have if it runs in
+    # the same frame: None after a jump (any), -1 after a terminal (none)
+    prev_pc = prev_op = prev_depth = want = None
+    # per op, and per stack word, what this walk has accepted (module docstring)
+    op_facts: dict = {}
     known_words: set = set()
+    # the selection: every step, or the steps whose pc is in pcs, the gated
+    # pcs of the frame's code, and with calls the call steps
+    gate, calls = select
+    everything = gate is None
+    pcs = _NO_PCS if everything else gate.get(code, _NO_PCS)
 
     for i, entry in enumerate(struct_logs):
         # -- fields
@@ -316,13 +374,12 @@ def decode_steps(
         ):
             _field_fault(pc, op, gas, gas_cost, depth, i)
         try:
-            known = op in known_ops
+            facts = op_facts.get(op)
         except TypeError:  # unhashable, so not a string
-            known = False
-        if not known:
-            if _bad_op(op):
-                raise TraceParseError(f"bad op {op!r}", i)
-            known_ops.add(op)
+            facts = None
+        if facts is None:
+            facts = op_facts[op] = _op_facts(op, i)
+        advance, kind = facts
         stack = entry.get("stack", _NO_WORDS)
         if not isinstance(stack, list):
             raise TraceParseError("stack is not a list", i)
@@ -336,94 +393,102 @@ def decode_steps(
                     known_words.add(text)
                 else:
                     _parse_hex_word(text, i)
-        storage = entry.get("storage")
-        if storage is not None:
-            if not isinstance(storage, dict):
-                raise TraceParseError("storage is not an object", i)
-            storage = sorted(
-                (_parse_hex_word(k, i), _parse_hex_word(v, i)) for k, v in storage.items()
-            )
-        recorded = entry.get("call")
-        if recorded is not None:
-            recorded = _call_record(recorded, i)
-
-        # -- sequence (strict mode)
-        resume = None
-        if not relaxed:
-            resume = pending.pop(depth, None)
-            if i == 0:
-                if depth != 1:
-                    raise TraceParseError(f"root frame starts at depth {depth}", 0)
-                if pc != 0:
-                    raise TraceParseError(f"root frame starts at pc {pc}", 0)
-            elif depth > prev_depth:
-                if depth > prev_depth + 1:
-                    raise TraceParseError(f"depth jumps from {prev_depth} to {depth}", i)
-                if prev_op not in CALL_OPS:
-                    raise TraceParseError(f"depth increases after non-call op {prev_op}", i)
-                if pc != 0:
-                    raise TraceParseError(f"child frame starts at pc {pc}", i)
-            elif depth == prev_depth:
-                if prev_op in TERMINAL_OPS:
-                    raise TraceParseError(
-                        f"step follows terminal op {prev_op} in the same frame", i
-                    )
-                if prev_op != "JUMP" and prev_op != "JUMPI":
-                    want = prev_pc + _PUSH_SIZES.get(prev_op, 1)
-                    if pc != want:
-                        raise TraceParseError(
-                            f"pc {pc} after {prev_op} at {prev_pc} "
-                            f"(expected {want}) without a jump",
-                            i,
-                        )
-            else:
-                if depth < prev_depth - 1:
-                    raise TraceParseError(f"depth drops from {prev_depth} to {depth}", i)
-                # stepwise descents through call ops leave the call that
-                # opened the frame below pending at this depth
-                call_pc = resume[0]
-                if pc != call_pc + 1:
-                    raise TraceParseError(
-                        f"resume pc {pc} does not follow call at {call_pc}", i
-                    )
-            prev_pc, prev_op, prev_depth = pc, op, depth
-
-        # -- frames
-        if opened is not None:
-            call_depth, child_id, child_code, site = opened
-            opened = None
-            if depth == call_depth + 1:
-                if site is not None:
-                    site.entered = True
-                    site.child_id, site.child_code = child_id, child_code
-                below = below + (frame_id,)
-                frame_id, code = child_id, child_code
-                frames.append((frame_id, code, below))
-        if depth != len(frames):
-            if depth > len(frames):
-                # strict sequences always descend through an entered call
-                raise ReconstructionError(
-                    f"step {i}: depth {depth} but only {len(frames)} frames known "
-                    "(filtered trace without call boundaries?)"
+        storage = recorded = None
+        if len(entry) > (5 if stack is _NO_WORDS else 6):  # more than the fields and stack
+            storage = entry.get("storage")
+            if storage is not None:
+                if not isinstance(storage, dict):
+                    raise TraceParseError("storage is not an object", i)
+                storage = sorted(
+                    (_parse_hex_word(k, i), _parse_hex_word(v, i)) for k, v in storage.items()
                 )
-            del frames[depth:]
-            frame_id, code, below = frames[-1]
-            # a call still pending deeper down ended its own frame without
-            # being entered; no later step may take its status
-            for stale in [d for d in pending if d > depth]:
-                del pending[stale]
-
-        if resume is not None:
-            # first step back in the caller: its stack top is the call status
-            site = resume[1]
-            if site is not None and site.status is None and stack:
-                site.status = int(stack[-1], 16)
-
-        if op == "SSTORE" and len(stack) < 2 and not storage and not relaxed:
-            raise ReconstructionError(f"step {i}: SSTORE with bare stack")
-        is_call = op in CALL_OPS
-        if is_call:
+            recorded = entry.get("call")
             if recorded is not None:
+                recorded = _call_record(recorded, i)
+
+        if depth != prev_depth or opened is not None:
+            # -- a frame edge: the sequence across it (strict mode)
+            resume = None
+            if not relaxed:
+                resume = pending.pop(depth, None)
+                if i == 0:
+                    if depth != 1:
+                        raise TraceParseError(f"root frame starts at depth {depth}", 0)
+                    if pc != 0:
+                        raise TraceParseError(f"root frame starts at pc {pc}", 0)
+                elif depth > prev_depth:
+                    if depth > prev_depth + 1:
+                        raise TraceParseError(f"depth jumps from {prev_depth} to {depth}", i)
+                    if opened is None:
+                        raise TraceParseError(f"depth increases after non-call op {prev_op}", i)
+                    if pc != 0:
+                        raise TraceParseError(f"child frame starts at pc {pc}", i)
+                elif depth == prev_depth:  # after a call that was not entered
+                    if pc != want:
+                        _pc_fault(pc, prev_pc, prev_op, want, i)
+                else:
+                    if depth < prev_depth - 1:
+                        raise TraceParseError(f"depth drops from {prev_depth} to {depth}", i)
+                    # stepwise descents through call ops leave the call that
+                    # opened the frame below pending at this depth
+                    call_pc = resume[0]
+                    if pc != call_pc + 1:
+                        raise TraceParseError(
+                            f"resume pc {pc} does not follow call at {call_pc}", i
+                        )
+
+            # -- the frames
+            if opened is not None:
+                call_depth, child_id, child_code, site = opened
+                opened = None
+                if depth == call_depth + 1:
+                    if site is not None:
+                        site.entered = True
+                        site.child_id, site.child_code = child_id, child_code
+                    below = below + (frame_id,)
+                    frame_id, code = child_id, child_code
+                    frames.append((frame_id, code, below))
+            if depth != len(frames):
+                if depth > len(frames):
+                    # strict sequences always descend through an entered call
+                    raise ReconstructionError(
+                        f"step {i}: depth {depth} but only {len(frames)} frames known "
+                        "(filtered trace without call boundaries?)"
+                    )
+                del frames[depth:]
+                frame_id, code, below = frames[-1]
+                # a call still pending deeper down ended its own frame without
+                # being entered; no later step may take its status
+                for stale in [d for d in pending if d > depth]:
+                    del pending[stale]
+
+            if resume is not None:
+                # first step back in the caller: its stack top is the call status
+                site = resume[1]
+                if site is not None and site.status is None and stack:
+                    site.status = int(stack[-1], 16)
+            if not everything:
+                pcs = gate.get(code, _NO_PCS)
+            prev_depth = depth
+        elif pc != want and not relaxed and want is not None:
+            # -- the sequence inside a frame (strict mode)
+            if want < 0:
+                raise TraceParseError(f"step follows terminal op {prev_op} in the same frame", i)
+            _pc_fault(pc, prev_pc, prev_op, want, i)
+
+        # -- what the op asks of this step, and of the next
+        if kind == _PLAIN:
+            want = pc + advance
+        elif kind == _JUMP:
+            want = None
+        elif kind == _TERMINAL:
+            want = -1
+        else:
+            want = pc + 1
+            if kind == _SSTORE:
+                if len(stack) < 2 and not storage and not relaxed:
+                    raise ReconstructionError(f"step {i}: SSTORE with bare stack")
+            elif recorded is not None:
                 to = recorded[0]
             elif len(stack) >= (3 if op == "CALL" else 2):
                 to = int(stack[-2], 16) & ADDRESS_MASK
@@ -432,15 +497,15 @@ def decode_steps(
 
         # -- the step itself, if selected
         site = None
-        if select(pc, op, code):
+        if everything or pc in pcs or (calls and kind == _CALL):
             words = tuple(int(text, 16) for text in stack)
             storage_write = None
-            if op == "SSTORE":
+            if kind == _SSTORE:
                 if len(words) >= 2:
                     storage_write = (words[-1], words[-2])
                 elif storage:
                     storage_write = storage[0]
-            if is_call:
+            elif kind == _CALL:
                 if recorded is not None:
                     _, value, data, status = recorded
                     if op == "DELEGATECALL":
@@ -460,9 +525,10 @@ def decode_steps(
                     frame_id, code, below, storage_write, site,
                 )
             )
-        if is_call:
+        if kind == _CALL:
             pending[depth] = (pc, site)
             opened = (depth, frame_id if op == "DELEGATECALL" else to, to, site)
+        prev_pc, prev_op = pc, op
 
     return out
 
@@ -471,7 +537,7 @@ def reconstruct(
     parsed: ParsedTrace,
     root_target: int,
     relaxed: bool = False,
-    select: Select = every_step,
+    select: Selection = Selection(),
 ) -> ReconstructedTrace:
     """The trace of a checked document header, holding the steps `select`
     picks from the walk over its entries (decode_steps)."""
@@ -503,7 +569,7 @@ def gc_paused() -> Iterator[None]:
 
 
 def reconstruct_document(
-    doc: dict, root_target: int, relaxed: bool = False, select: Select = every_step
+    doc: dict, root_target: int, relaxed: bool = False, select: Selection = Selection()
 ) -> ReconstructedTrace:
     return reconstruct(parse_trace_document(doc), root_target, relaxed, select)
 
@@ -632,29 +698,41 @@ class _BlockText:
 
 def stream_blocks(blocks: Iterable[bytes]) -> tuple[dict, Iterator[list]]:
     """(members, chunks) of the JSON text that UTF-8 blocks spell: the
-    members of its outer object that come before structLogs, and the
-    entries of its structLogs array, a list per chunk. Unstreamable when
-    the text is not UTF-8 or not an object whose members lead up to a
-    structLogs array, or, raised by the chunks, when an entry does not
-    decode or anything follows the array but the end of the object."""
+    members of its outer object but structLogs, and the entries of its
+    structLogs array, a list per chunk. members holds those before the
+    array at once and those after it once the chunks are consumed.
+    Unstreamable when the text is not UTF-8 or not an object whose members
+    lead up to a structLogs array, or, raised by the chunks, when an entry
+    does not decode, or a member after the array has a key that does not
+    sort after "structLogs", or the object does not end with the text."""
     text = _BlockText(iter(blocks))
     pos = text.expect(0, "{")
     members: dict = {}
     while True:
-        key, pos = text.scanned(_scan_string, text.expect(pos, '"'))
-        pos = text.expect(pos, ":")
+        key, pos = _member(text, pos, members)
         if key == "structLogs":
-            return members, _chunks(text, text.expect(pos, "["))
-        _, pos = text.char(pos)
-        # the last of duplicates wins, as in json.loads
-        members[key], pos = text.scanned(_raw_decode, pos)
+            return members, _chunks(text, text.expect(pos, "["), members)
         pos = text.expect(pos, ",")
 
 
-def _chunks(text: _BlockText, pos: int) -> Iterator[list]:
+def _member(text: _BlockText, pos: int, members: dict) -> tuple[str, int]:
+    """(key, p) of the member whose key starts at the first character at
+    or after pos that is not whitespace: p after the colon if the key is
+    structLogs, else after the value, put in members (the last of
+    duplicates wins, as in json.loads)."""
+    key, pos = text.scanned(_scan_string, text.expect(pos, '"'))
+    pos = text.expect(pos, ":")
+    if key != "structLogs":
+        _, pos = text.char(pos)
+        members[key], pos = text.scanned(_raw_decode, pos)
+    return key, pos
+
+
+def _chunks(text: _BlockText, pos: int, members: dict) -> Iterator[list]:
     """The entries of the array whose first entry (or closing bracket) is
     the first character at or after text.text[pos] that is not whitespace,
-    a list per chunk; then a check that the object ends with the text."""
+    a list per chunk; then the members after it, into members, and a check
+    that the object ends with the text."""
     found, pos = text.char(pos)
     if found == "]":
         pos += 1
@@ -676,7 +754,15 @@ def _chunks(text: _BlockText, pos: int) -> Iterator[list]:
         entries, end = _decoded("[" + text.text[pos:])  # the rest of the array, in one call
         yield entries
         pos += end - 1
-    if text.char(text.expect(pos, "}"))[0]:
+    found, pos = text.char(pos)
+    while found == ",":
+        # the canonical text puts a key that sorts lower before the array,
+        # and the header is read before it
+        key, pos = _member(text, pos + 1, members)
+        if key <= "structLogs":
+            raise Unstreamable
+        found, pos = text.char(pos)
+    if found != "}" or text.char(pos + 1)[0]:
         raise Unstreamable
 
 
@@ -704,7 +790,7 @@ def read_trace(trace, whole: Callable, streamed: Callable):
 
 
 def reconstruct_trace(
-    trace, root_target: int, relaxed: bool = False, select: Select = every_step
+    trace, root_target: int, relaxed: bool = False, select: Selection = Selection()
 ) -> ReconstructedTrace:
     """reconstruct_document of trace, a document, or of a TextSpan's text,
     decoded whole or, when long, walked a chunk at a time as its entries

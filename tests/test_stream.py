@@ -39,8 +39,8 @@ from evmsleuth.hashing import digest
 from evmsleuth.traces import (
     TEXT_CHUNK,
     TextSpan,
+    Selection,
     Unstreamable,
-    every_step,
     read_trace,
     reconstruct_document,
     reconstruct_trace,
@@ -58,10 +58,6 @@ BLOCKS = [1, 7, 64, TEXT_CHUNK]  # bytes
 
 def compact(value) -> str:
     return json.dumps(value, separators=(",", ":"), sort_keys=True)
-
-
-def sstores(pc, op, code):
-    return op == "SSTORE"
 
 
 def outcome(work):
@@ -99,7 +95,7 @@ class Span(TextSpan):
                 start = edge
 
 
-def whole_walk(data: bytes, root=ROOT, relaxed=False, select=every_step):
+def whole_walk(data: bytes, root=ROOT, relaxed=False, select=Selection()):
     """The outcome of json.loads of the whole text, then the document walk."""
     return outcome(
         lambda: reconstruct_document(json.loads(Span(data).text()), root, relaxed, select)
@@ -189,7 +185,8 @@ def _settings(examples):
 def test_streamed_walk_equals_the_document_walk(samples, data):
     text, root = data.draw(trace_texts(samples))
     relaxed = data.draw(st.booleans())
-    select = data.draw(st.sampled_from([every_step, sstores]))
+    thirds = Selection({root: range(0, 1 << 16, 3)}, calls=True)
+    select = data.draw(st.sampled_from([Selection(), thirds]))
     block = data.draw(st.sampled_from(BLOCKS))
     with mock.patch.object(traces, "TEXT_CHUNK", data.draw(st.sampled_from(CHUNKS))):
         streamed = outcome(lambda: reconstruct_trace(Span(text, [block]), root, relaxed, select))
@@ -386,6 +383,70 @@ def test_a_duplicate_structlogs_walks_the_last_one():
     data = _text(_entries(3))[:-2] + b',"structLogs":' + compact(_entries(1)).encode() + b"}"
     rec = reconstruct_trace(Span(data), ROOT)
     assert [s.op for s in rec.steps] == ["JUMPDEST", "STOP"]
+
+
+def _trailing(data: bytes, members: str) -> bytes:
+    """The text data, an object on one line, with members after its last."""
+    assert data.endswith(b"}\n")
+    return data[:-2] + members.encode() + b"}\n"
+
+
+def test_members_after_the_array_stream(monkeypatch, streamed_only):
+    # a member whose key sorts after structLogs may follow the array: the
+    # chunks put it in members as they end, the last of duplicates winning
+    monkeypatch.setattr(traces, "TEXT_CHUNK", 64)
+    data = b'{"zzz":0,' + _text(_entries(40))[1:]
+    data = _trailing(data, ' , "zzz" :\t[1, {"a": 2}] ,"structLogsX":"ü"')
+    doc = json.loads(data)
+    assert doc["zzz"] == [1, {"a": 2}]
+    tail = data.rindex(b'"zzz"')
+    for span in _every_cut(data, data.rindex(b"]", 0, tail) - 1, len(data)):
+        members, chunks = stream_blocks(span.blocks())
+        assert "structLogsX" not in members and members["zzz"] == 0
+        assert [e for chunk in chunks for e in chunk] == doc["structLogs"]
+        assert members == {k: v for k, v in doc.items() if k != "structLogs"}
+        assert reconstruct_trace(span, ROOT) == reconstruct_document(doc, ROOT)
+    assert filter_trace(Span(data), {"pcSet": [3]}) == apply_tracer(doc, {"pcSet": [3]})
+
+
+@pytest.mark.parametrize("key", ["gas", "failed", "returnValue", "aaa", "structLog", "structLogs"])
+def test_a_member_after_the_array_that_sorts_before_it_falls_back(monkeypatch, key):
+    # the header is read before the array, and the canonical text puts a
+    # lower key there too: the whole read decides
+    data = _trailing(_text(_entries(40)), f',"{key}":[]')
+    monkeypatch.setattr(traces, "TEXT_CHUNK", 64)
+    members, chunks = stream_blocks(Span(data).blocks())
+    with pytest.raises(Unstreamable):
+        list(chunks)
+    assert outcome(lambda: reconstruct_trace(Span(data), ROOT)) == whole_walk(data)
+
+
+def test_a_long_miss_with_a_trailing_member_walks_no_document(
+    capsys, monkeypatch, long_dir, tmp_path
+):
+    # cold and warm runs over a long trace with "zzz" after its array
+    # stream it, and the cold run's entry is that of the document answer
+    clone = _copy(long_dir, tmp_path)
+    path = _long_trace(clone)
+    data = path.read_bytes().rstrip()
+    path.write_bytes(data[:-1] + b',"zzz":1}')
+    doc = json.loads(path.read_bytes())
+    code, local = _investigate(capsys, clone, "local")
+    assert code == 0 and local["detections"]
+    walks = []
+    real = traces.reconstruct_document
+    monkeypatch.setattr(traces, "reconstruct_document", lambda *a: walks.append(a) or real(*a))
+    cache = tmp_path / "cache"
+    for run in ("cold", "warm"):
+        code, report = _investigate(capsys, clone, "local", cache)
+        assert code == 0 and report["detections"] == local["detections"], run
+    assert report["explorerStats"]["hits"] > 0 and report["explorerStats"]["innerCalls"] == 0
+    long_walks = [a for a in walks if len(a[0]["structLogs"]) > 100]
+    assert long_walks == []
+    tx_hash = bytes.fromhex(path.stem)
+    CachedExplorer(Answers(doc), tmp_path / "parsed").tx_trace(tx_hash)
+    (parsed,) = (tmp_path / "parsed").iterdir()
+    assert (cache / parsed.name).read_bytes() == parsed.read_bytes()
 
 
 # -- fixed cases at a block edge --

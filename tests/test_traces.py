@@ -16,8 +16,8 @@ from evmsleuth.traces import (
     CALL_OPS,
     CallSite,
     ReconstructedStep,
+    Selection,
     decode_steps,
-    every_step,
     parse_trace_document,
     reconstruct_document,
 )
@@ -140,9 +140,7 @@ def test_ingest_runs_through_the_module_globals(monkeypatch):
     for name in ("parse_trace_document", "decode_steps", "reconstruct"):
         spy(name, getattr(traces, name))
 
-    def sstores(pc, op, code):
-        return op == "SSTORE"
-
+    sstores = Selection({CALLER: frozenset({4})})  # the SSTORE's pc
     for relaxed in (False, True):
         seen.clear()
         rec = reconstruct_document(linear_doc(), CALLER, relaxed, sstores)
@@ -772,6 +770,16 @@ def suite():
     return build_suite(SEED)
 
 
+def selects(select: Selection, step: ReconstructedStep) -> bool:
+    """Does the selection pick this step of the select-all walk?"""
+    gate, calls = select
+    return (
+        gate is None
+        or step.pc in gate.get(step.code_address, ())
+        or (calls and step.op in CALL_OPS)
+    )
+
+
 def test_selected_walk_equals_the_filtered_full_walk(suite):
     # selection decides which steps are built, never what a built step
     # holds: frames, frames below, call status, entered and child frame all
@@ -781,22 +789,24 @@ def test_selected_walk_equals_the_filtered_full_walk(suite):
         spec = VulnSpec.from_document(fixture.vuln)
         pcs = sorted(pc for gated in spec.gate.values() for pc in gated)
         tracer = canonical_tracer({"pcSet": pcs, "includeCallBoundaries": True})
-        predicates = [
-            spec.gates,
-            lambda pc, op, code: op in CALL_OPS,
-            lambda pc, op, code: pc % 3 == 0,
-        ]
         for block in fixture.archive.chain.blocks:
             for tx in block.txs:
                 raw = fixture.archive.traces[tx.hash]
                 for relaxed, src in ((False, raw), (True, apply_tracer(raw, tracer))):
-                    full = reconstruct_document(src, tx.to, relaxed, every_step)
-                    for select in predicates:
+                    full = reconstruct_document(src, tx.to, relaxed, Selection())
+                    thirds = {s.code_address: range(0, 1 << 16, 3) for s in full.steps}
+                    selections = [
+                        Selection(spec.gate),
+                        Selection({}, calls=True),
+                        Selection(spec.gate, calls=True),
+                        Selection(thirds),
+                    ]
+                    for select in selections:
                         part = reconstruct_document(src, tx.to, relaxed, select)
                         assert (part.failed, part.gas, part.return_value) == (
                             full.failed, full.gas, full.return_value
                         )
-                        want = [s for s in full.steps if select(s.pc, s.op, s.code_address)]
+                        want = [s for s in full.steps if selects(select, s)]
                         assert part.steps == want, (name, tx.hash.hex(), relaxed)
                         checked += len(want)
                         for built in part.steps:
@@ -847,3 +857,128 @@ def test_filtered_fixture_trace_agrees_with_full(bank):
             assert frames[(s.gas, s.depth)] == (s.frame_id, s.code_address)
             hits += 1
     assert hits > 0
+
+
+# -- the walk against the reference walk --
+
+_CODES = (CALLER, TARGET, 0xCC03)
+_POOL = ("0x0", "0x1", "0x%x" % TARGET, "0x%x" % 0xCC03, "0x" + "f" * 64)
+
+
+def _one_in(draw, n: int) -> bool:
+    return draw(st.sampled_from([False] * (n - 1) + [True]))
+
+
+def _call_step(draw, pc: int, depth: int) -> dict:
+    """A call step to one of _CODES, its stack as the op reads it, now
+    and then with a recorded call extension."""
+    op = draw(st.sampled_from(sorted(CALL_OPS)))
+    to = "0x%x" % draw(st.sampled_from(_CODES))
+    words = ["0x5", to, "0x9c40"] if op == "CALL" else [to, "0x9c40"]
+    entry = step(pc, op, depth)
+    entry["stack"] = draw(st.lists(st.sampled_from(_POOL), max_size=2)) + words
+    if _one_in(draw, 4):
+        entry["call"] = {"to": to, "value": "0x0", "status": draw(st.sampled_from([None, 0, 1]))}
+    return entry
+
+
+@st.composite
+def _frame_steps(draw, out: list, depth: int):
+    """Append to out the steps of one frame at depth: calls entered or
+    not, each entered call followed by its resume step, now and then a
+    terminal op inside the frame, and an end on a terminal op, on a call
+    that is not entered, or on any step."""
+    pc = 0
+    for _ in range(draw(st.integers(0 if depth > 1 else 1, 6))):
+        kind = draw(st.sampled_from(["op", "push", "jump", "sstore", "call", "call"]))
+        stack = draw(st.lists(st.sampled_from(_POOL), max_size=3))
+        if kind == "call":
+            out.append(_call_step(draw, pc, depth))
+            if depth < 4 and draw(st.booleans()):
+                before = len(out)
+                draw(_frame_steps(out, depth + 1))
+                if len(out) > before:  # entered: the caller resumes
+                    out.append(step(pc + 1, "POP", depth))
+                    out[-1]["stack"] = draw(st.lists(st.sampled_from(_POOL), max_size=2))
+                    pc += 1
+            pc += 1
+            continue
+        if kind == "op":
+            ops = ["ADD", "POP", "JUMPDEST"] + ["STOP"] * _one_in(draw, 8)
+            out.append(step(pc, draw(st.sampled_from(ops)), depth))
+            pc += 1
+        elif kind == "push":
+            size = draw(st.integers(0, 32))
+            out.append(step(pc, f"PUSH{size}", depth))
+            pc += 1 + size
+        elif kind == "jump":
+            out.append(step(pc, draw(st.sampled_from(["JUMP", "JUMPI"])), depth))
+            pc = draw(st.integers(0, 40))
+        else:
+            out.append(step(pc, "SSTORE", depth))
+            if not _one_in(draw, 4):
+                stack += ["0x1", "0x2"]
+            if draw(st.booleans()):
+                out[-1]["storage"] = {draw(st.sampled_from(_POOL)): draw(st.sampled_from(_POOL))}
+            pc += 1
+        out[-1]["stack"] = stack
+    end = draw(st.sampled_from(["terminal", "call", "none"]))
+    if end == "terminal":
+        out.append(step(pc, draw(st.sampled_from(sorted(traces.TERMINAL_OPS))), depth))
+    elif end == "call":  # a call that ends its frame, so is never entered
+        out.append(_call_step(draw, pc, depth))
+
+
+_MUTATIONS = st.sampled_from([
+    {"pc": 7}, {"pc": -1}, {"depth": 1}, {"depth": 2}, {"depth": 3}, {"op": "STOP"},
+    {"op": "JUMP"}, {"op": "CALL"}, {"op": "SSTORE"}, {"op": "PUSH33"}, {"op": ["ADD"]},
+    {"stack": []}, {"stack": ["0xzz"]}, {"stack": None}, {"storage": "0x1"},
+    {"call": {"to": "0x1"}}, {"call": None}, {"gas": True},
+])
+
+
+@st.composite
+def _walk_cases(draw):
+    """(entries, relaxed, selection): a strict trace, or a relaxed one kept
+    in part, now and then with one entry changed."""
+    entries: list = []
+    draw(_frame_steps(entries, 1))
+    relaxed = draw(st.booleans())
+    if relaxed:  # a pc filter, with or without the call boundaries
+        keep = draw(st.lists(st.booleans(), min_size=len(entries), max_size=len(entries)))
+        boundaries = draw(st.booleans())
+        entries = [
+            e for e, kept in zip(entries, keep) if kept or (boundaries and e["op"] in CALL_OPS)
+        ]
+    if entries and _one_in(draw, 3):
+        at = draw(st.integers(0, len(entries) - 1))
+        entries[at] = "step" if _one_in(draw, 10) else {**entries[at], **draw(_MUTATIONS)}
+    gate = draw(
+        st.one_of(
+            st.none(),
+            st.dictionaries(st.sampled_from(_CODES), st.frozensets(st.integers(0, 40))),
+        )
+    )
+    return entries, relaxed, Selection(gate, draw(st.booleans()))
+
+
+def _walk_outcome(walk):
+    try:
+        return walk()
+    except (TraceParseError, ReconstructionError) as err:
+        return type(err), str(err), getattr(err, "raw_index", None)
+
+
+@given(_walk_cases())
+@settings(max_examples=300, deadline=None)
+def test_the_walk_equals_the_reference_walk(case):
+    # the same steps, or the same first fault (type, message, step index),
+    # as the predicate walk that did every frame check at every step
+    entries, relaxed, select = case
+    gate, calls = select
+
+    def predicate(pc, op, code):
+        return gate is None or pc in gate.get(code, ()) or (calls and op in CALL_OPS)
+
+    want = _walk_outcome(lambda: oracles.reference_walk(entries, CALLER, relaxed, predicate))
+    assert _walk_outcome(lambda: decode_steps(entries, CALLER, relaxed, select)) == want
