@@ -100,6 +100,7 @@ from .hashing import digest, new_digest
 from .traces import (
     CALL_OPS,
     TEXT_CHUNK,
+    IngestMemo,
     ReconstructedTrace,
     Selection,
     TextSpan,
@@ -261,22 +262,24 @@ def walk_trace(
     tracer_spec: dict | None,
     root_target: int,
     select: Selection = Selection(),
+    memo: IngestMemo | None = None,
 ) -> ReconstructedTrace:
     """The walk over `trace`, the answer of explorer.tx_trace(tx_hash,
-    tracer_spec), relaxed when pc-filtered (traces.reconstruct_trace),
-    which closes a TextSpan answer. A span from a cache hit whose payload
-    then does not decode (json.loads raises) is dropped and fetched again
-    (CachedExplorer.refetch_trace) before the walk runs once more; any
-    other span maps that fault to its reader's ProtocolError.
+    tracer_spec), relaxed when pc-filtered, through memo
+    (traces.reconstruct_trace, which closes a TextSpan answer). A span
+    from a cache hit whose payload then does not decode (json.loads
+    raises) is dropped and fetched again (CachedExplorer.refetch_trace)
+    before the walk runs once more, through the same memo; any other span
+    maps that fault to its reader's ProtocolError.
     TraceParseError and ReconstructionError are the walk's."""
     relaxed = tracer_spec is not None
     try:
-        return reconstruct_trace(trace, root_target, relaxed, select)
+        return reconstruct_trace(trace, root_target, relaxed, select, memo)
     except (ValueError, RecursionError):  # a span's text did not decode
         if not isinstance(explorer, CachedExplorer):
             raise
     trace = explorer.refetch_trace(tx_hash, tracer_spec)
-    return reconstruct_trace(trace, root_target, relaxed, select)
+    return reconstruct_trace(trace, root_target, relaxed, select, memo)
 
 
 _HASH = re.compile(r"0x[0-9a-fA-F]{64}")

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .explorer import walk_trace
 from .hashing import function_selector
-from .traces import ReconstructedTrace, Selection, gc_paused
+from .traces import IngestMemo, ReconstructedTrace, Selection, gc_paused
 from .words import address_hex, hash_hex
 
 FEED_COLUMNS = (
@@ -114,8 +114,14 @@ class ReadState:
     neither fetches nor walks that trace again. Without a gate the scan
     selects call steps and keeps nothing.
 
-    One investigation makes one ReadState and drops it at its end; nothing
-    is shared between investigations.
+    memo is the investigation's one traces.IngestMemo: the scan walks
+    every trace through it, and so does the level (orchestrator), so an
+    op or stack word is checked once per investigation, not once per
+    trace. It holds only what the walks accepted, and at most
+    traces.MEMO_CAP entries of each kind.
+
+    One investigation makes one ReadState and drops it at its end, and the
+    memo with it; nothing is shared between investigations.
     """
 
     def __init__(self, explorer, gate: dict | None = None):
@@ -125,6 +131,7 @@ class ReadState:
         self._blocks: dict[int, tuple[tuple[Transaction, ...], dict[bytes, Transaction]]] = {}
         # (tx hash, root it was walked from) -> its scanned trace
         self._kept: dict[tuple[bytes, int], ReconstructedTrace] = {}
+        self.memo = IngestMemo()
 
     def _block(self, number: int) -> tuple:
         entry = self._blocks.get(number)
@@ -154,7 +161,7 @@ class ReadState:
         with gc_paused():  # the trace lives and dies in here
             trace = self.explorer.tx_trace(tx.hash)
             try:
-                return walk_trace(self.explorer, trace, tx.hash, None, tx.to, select)
+                return walk_trace(self.explorer, trace, tx.hash, None, tx.to, select, self.memo)
             except (TraceParseError, ReconstructionError) as err:
                 raise ProtocolError(
                     f"internal discovery: trace for {hash_hex(tx.hash)} is malformed: {err}"

@@ -40,7 +40,10 @@ report's explorerStats.hits counts the hits of these single reads: a
 block or trace the level takes from the read state is no cache lookup.
 A transaction object is read twice: by the read state, and by
 LocalExplorer's check of every block when it opens the archive
-(explorer.block_envelope, the check behind exit 3).
+(explorer.block_envelope, the check behind exit 3). Every trace walk,
+the scan's and the level's, goes through the read state's one ingest
+memo (traces.IngestMemo), so each op and stack word is checked once per
+investigation.
 
 Trace decode: a trace text read from a file (a local trace file, a
 cache entry) arrives as a span and is decoded by the walk
@@ -250,7 +253,9 @@ def _run_evm_level(config, rows, report, timings, reads):
             t0 = time.perf_counter()
             try:
                 if rec is None:
-                    rec = walk_trace(explorer, trace, tx_hash, tracer, tx.to, Selection(spec.gate))
+                    rec = walk_trace(
+                        explorer, trace, tx_hash, tracer, tx.to, Selection(spec.gate), reads.memo
+                    )
                 found, notes = evaluate_trace(rec, spec, tx_hash, number)
             except (ArchiveGapError, ProtocolError) as err:  # a text is not JSON
                 report.skips.append(f"{label}: fetch failed, skipped ({err})")

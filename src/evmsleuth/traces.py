@@ -40,21 +40,29 @@ sequencing checks are dropped, and frame identity is derived only where
 the kept steps make it derivable (call-boundary steps included), otherwise
 reconstruction refuses rather than guessing.
 
-Per-walk memo: the walk keeps the facts of each op it has accepted and
-the set of stack words it has accepted, so each distinct op of a trace,
-and each distinct word of at most 64 digits, is checked once. An op's
-facts are all the walk asks of it: its pc advance (the size of a PUSH, 1
-for any other op) and its kind (jump, terminal, SSTORE, call or none of
-these). An op met for the first time is looked up without raising, goes
-through the op check, and its facts are stored; an unhashable op is not
-a string and fails that check. A stack whose words are all in the set is
-not checked again. Any other stack is read word by word, in order: a str
-that _WORD matches in full is one the per-word reader (_parse_hex_word)
-accepts at its first test, and only such a word enters the set; every
-other word goes to the reader. Membership is equality, and only a str
-with the same characters equals a str, so the memo cannot admit a word
-the reader would reject: a non-string word, hashable or not, always meets
-the reader. Both memos live for one walk only.
+Ingest memo: an IngestMemo holds the facts of each op the walks have
+accepted and the set of stack words they have accepted, so each distinct
+op, and each distinct word of at most 64 digits, is checked once per
+memo. An op's facts are all the walk asks of it: its pc advance (the size
+of a PUSH, 1 for any other op) and its kind (jump, terminal, SSTORE, call
+or none of these). An op met for the first time is looked up without
+raising, goes through the op check, and its facts are stored; an
+unhashable op is not a string and fails that check. A stack whose words
+are all in the set is not checked again. Any other stack is read word by
+word, in order: a str in the set is skipped, a str that _WORD matches in
+full is one the per-word reader (_parse_hex_word) accepts at its first
+test, and only such a word enters the set; every other word goes to the
+reader. Membership is equality, and only a str with the same characters
+equals a str, so the memo cannot admit a word the reader would reject: a
+non-string word, hashable or not, always meets the reader. An op's facts
+and a word's acceptance depend on nothing but the op or the word, so a
+memo shared by many walks changes no step and no fault. filters.ReadState
+makes one memo per investigation and hands it to every walk of it, the
+scan's and the level's, so the few dozen ops and words that the traces of
+one contract share are checked once, not once per trace; the memo dies
+with the ReadState. A walk handed no memo makes its own. Each of the two
+holds at most MEMO_CAP entries: past that an op or word is still checked,
+just not stored, so a memo cannot grow with trace length or count.
 
 Integer fields: pc, gas, gasCost and depth are tested by one condition.
 Only when it fails does _field_fault find the fault, and it reports the
@@ -161,6 +169,22 @@ _KINDS = {
     "SSTORE": _SSTORE,
 }
 _NO_PCS: frozenset = frozenset()
+
+# Entries an IngestMemo holds of each kind: above the 24,006 distinct stack
+# words of a 336k-step scaled exploit trace, so no trace it reads in
+# practice fills it, and at most some 6 MB of words when one does.
+MEMO_CAP = 1 << 15
+
+
+class IngestMemo:
+    """The ops, with their facts (pc advance, kind), and the stack words
+    that walks sharing this memo have accepted (module docstring)."""
+
+    __slots__ = ("ops", "words")
+
+    def __init__(self):
+        self.ops: dict = {}
+        self.words: set = set()
 
 
 class Selection(NamedTuple):
@@ -318,12 +342,15 @@ def decode_steps(
     root_target: int,
     relaxed: bool = False,
     select: Selection = Selection(),
+    memo: IngestMemo | None = None,
 ) -> list[ReconstructedStep]:
     """Walk the raw structLog entries once: check every entry, track the
     frames, and build the steps `select` asks for, in trace order.
 
     root_target is the transaction's `to` address: the identity and code of
-    the root frame. Raises TraceParseError for a malformed entry or a
+    the root frame. memo holds the ops and words earlier walks accepted
+    and takes those this one accepts; None walks through a fresh one
+    (module docstring). Raises TraceParseError for a malformed entry or a
     broken step sequence and ReconstructionError when a step cannot be
     mapped onto frames, at the first faulty entry (see the module
     docstring); in relaxed mode the only frame error is a step whose frame
@@ -344,9 +371,10 @@ def decode_steps(
     # the previous step, and the pc the next one must have if it runs in
     # the same frame: None after a jump (any), -1 after a terminal (none)
     prev_pc = prev_op = prev_depth = want = None
-    # per op, and per stack word, what this walk has accepted (module docstring)
-    op_facts: dict = {}
-    known_words: set = set()
+    # per op, and per stack word, what the walks have accepted (module docstring)
+    if memo is None:
+        memo = IngestMemo()
+    op_facts, known_words = memo.ops, memo.words
     # the selection: every step, or the steps whose pc is in pcs, the gated
     # pcs of the frame's code, and with calls the call steps
     gate, calls = select
@@ -378,7 +406,9 @@ def decode_steps(
         except TypeError:  # unhashable, so not a string
             facts = None
         if facts is None:
-            facts = op_facts[op] = _op_facts(op, i)
+            facts = _op_facts(op, i)
+            if len(op_facts) < MEMO_CAP:
+                op_facts[op] = facts
         advance, kind = facts
         stack = entry.get("stack", _NO_WORDS)
         if not isinstance(stack, list):
@@ -389,10 +419,14 @@ def decode_steps(
             known = False
         if not known:
             for text in stack:
-                if type(text) is str and _WORD(text):
-                    known_words.add(text)
-                else:
-                    _parse_hex_word(text, i)
+                if type(text) is str:
+                    if text in known_words:
+                        continue
+                    if _WORD(text):
+                        if len(known_words) < MEMO_CAP:
+                            known_words.add(text)
+                        continue
+                _parse_hex_word(text, i)
         storage = recorded = None
         if len(entry) > (5 if stack is _NO_WORDS else 6):  # more than the fields and stack
             storage = entry.get("storage")
@@ -538,10 +572,11 @@ def reconstruct(
     root_target: int,
     relaxed: bool = False,
     select: Selection = Selection(),
+    memo: IngestMemo | None = None,
 ) -> ReconstructedTrace:
     """The trace of a checked document header, holding the steps `select`
     picks from the walk over its entries (decode_steps)."""
-    steps = decode_steps(parsed.struct_logs, root_target, relaxed, select)
+    steps = decode_steps(parsed.struct_logs, root_target, relaxed, select, memo)
     return ReconstructedTrace(parsed.failed, parsed.gas, parsed.return_value, steps)
 
 
@@ -569,9 +604,13 @@ def gc_paused() -> Iterator[None]:
 
 
 def reconstruct_document(
-    doc: dict, root_target: int, relaxed: bool = False, select: Selection = Selection()
+    doc: dict,
+    root_target: int,
+    relaxed: bool = False,
+    select: Selection = Selection(),
+    memo: IngestMemo | None = None,
 ) -> ReconstructedTrace:
-    return reconstruct(parse_trace_document(doc), root_target, relaxed, select)
+    return reconstruct(parse_trace_document(doc), root_target, relaxed, select, memo)
 
 
 # -- streamed trace text (module docstring) ------------------------------------
@@ -790,7 +829,11 @@ def read_trace(trace, whole: Callable, streamed: Callable):
 
 
 def reconstruct_trace(
-    trace, root_target: int, relaxed: bool = False, select: Selection = Selection()
+    trace,
+    root_target: int,
+    relaxed: bool = False,
+    select: Selection = Selection(),
+    memo: IngestMemo | None = None,
 ) -> ReconstructedTrace:
     """reconstruct_document of trace, a document, or of a TextSpan's text,
     decoded whole or, when long, walked a chunk at a time as its entries
@@ -799,8 +842,8 @@ def reconstruct_trace(
     def streamed(members: dict, chunks: Iterator[list]) -> ReconstructedTrace:
         parsed = parse_trace_document({**members, "structLogs": []})  # the header alone
         parsed.struct_logs = chain.from_iterable(chunks)
-        return reconstruct(parsed, root_target, relaxed, select)
+        return reconstruct(parsed, root_target, relaxed, select, memo)
 
     return read_trace(
-        trace, lambda doc: reconstruct_document(doc, root_target, relaxed, select), streamed
+        trace, lambda doc: reconstruct_document(doc, root_target, relaxed, select, memo), streamed
     )

@@ -275,9 +275,10 @@ def test_criterion_4_performance_shape(scaled_root):
 # magnitude and in every mode. Parsing the 84k-step trace whole took about
 # 46 MB on top of its 6.6 MB text; reading it as a whole text took the
 # text twice over. Streamed from its file a block at a time it takes some
-# 2 MB: a block, one chunk of entries, and the walk's memo of the distinct
-# stack words it has checked, which grows by some 10 bytes a step in these
-# traces (about 4 MB at 336k steps).
+# 2 MB: a block, one chunk of entries, and the investigation's memo of the
+# distinct stack words it has checked. In these traces the memo grows by
+# some 10 bytes a step (about 4 MB at 336k steps, 24,006 words) until it
+# holds traces.MEMO_CAP words, above any magnitude here, and no further.
 INGEST_MEMORY_CEILING_MB = 8.0
 
 # One investigation in a fresh interpreter: the peak resident memory it

@@ -474,6 +474,32 @@ def test_cli_modes_agree(capsys, bank_dir, tmp_path):
     assert doc["explorerStats"]["hits"] > 0
 
 
+def test_each_investigation_checks_ops_and_words_afresh(capsys, monkeypatch, bank_dir):
+    # the ingest memo lives and dies with one investigation's read state: a
+    # second run in the same process makes every op and word check the
+    # first made, and within a run each op is checked once, however many
+    # of the run's traces use it
+    checked = {"_WORD": [], "_op_facts": []}
+    for name, seen in checked.items():
+        monkeypatch.setattr(
+            traces, name, lambda *args, _real=getattr(traces, name), _seen=seen: (
+                _seen.append(args[0]) or _real(*args)
+            ),
+        )
+    runs = []
+    for _ in range(2):
+        for seen in checked.values():
+            seen.clear()
+        code, out, _ = run_cli(capsys, "investigate", "-t", "x", "-e", f"local[dir={bank_dir}]")
+        assert code == 0 and json.loads(out)["detections"]
+        runs.append({name: list(seen) for name, seen in checked.items()})
+    first, second = runs
+    assert first["_WORD"] and first["_op_facts"]
+    assert len(second["_WORD"]) == len(first["_WORD"])
+    assert len(second["_op_facts"]) == len(first["_op_facts"])
+    assert len(set(first["_op_facts"])) == len(first["_op_facts"])
+
+
 def test_cli_selector_override_narrows_the_scan(capsys, bank_dir):
     code, out, _ = run_cli(
         capsys,

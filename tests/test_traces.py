@@ -1,6 +1,7 @@
 """Trace parsing, small-step validation, and frame reconstruction."""
 
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -127,7 +128,8 @@ def test_parse_rejects_malformed_documents(mutate, fragment):
 
 def test_ingest_runs_through_the_module_globals(monkeypatch):
     # wrappers set on the three stage names from outside the package must
-    # see every walk reconstruct_document runs, with what it walks
+    # see every walk reconstruct_document runs, with what it walks and the
+    # memo it walks through
     seen = []
 
     def spy(name, fn):
@@ -141,13 +143,14 @@ def test_ingest_runs_through_the_module_globals(monkeypatch):
         spy(name, getattr(traces, name))
 
     sstores = Selection({CALLER: frozenset({4})})  # the SSTORE's pc
+    memo = traces.IngestMemo()
     for relaxed in (False, True):
         seen.clear()
-        rec = reconstruct_document(linear_doc(), CALLER, relaxed, sstores)
+        rec = reconstruct_document(linear_doc(), CALLER, relaxed, sstores, memo)
         assert seen == [
             ("parse_trace_document", ()),
-            ("reconstruct", (CALLER, relaxed, sstores)),
-            ("decode_steps", (CALLER, relaxed, sstores)),
+            ("reconstruct", (CALLER, relaxed, sstores, memo)),
+            ("decode_steps", (CALLER, relaxed, sstores, memo)),
         ]
         assert [(s.raw_index, s.op) for s in rec.steps] == [(2, "SSTORE")]
 
@@ -969,16 +972,68 @@ def _walk_outcome(walk):
         return type(err), str(err), getattr(err, "raw_index", None)
 
 
+def _reference_outcome(entries, relaxed: bool, select: Selection):
+    """_walk_outcome of the predicate walk that does every frame check at
+    every step, picking the steps select picks."""
+    gate, calls = select
+
+    def predicate(pc, op, code):
+        return gate is None or pc in gate.get(code, ()) or (calls and op in CALL_OPS)
+
+    return _walk_outcome(lambda: oracles.reference_walk(entries, CALLER, relaxed, predicate))
+
+
 @given(_walk_cases())
 @settings(max_examples=300, deadline=None)
 def test_the_walk_equals_the_reference_walk(case):
     # the same steps, or the same first fault (type, message, step index),
     # as the predicate walk that did every frame check at every step
     entries, relaxed, select = case
-    gate, calls = select
-
-    def predicate(pc, op, code):
-        return gate is None or pc in gate.get(code, ()) or (calls and op in CALL_OPS)
-
-    want = _walk_outcome(lambda: oracles.reference_walk(entries, CALLER, relaxed, predicate))
+    want = _reference_outcome(entries, relaxed, select)
     assert _walk_outcome(lambda: decode_steps(entries, CALLER, relaxed, select)) == want
+
+
+# a change to one entry: one of the walk's mutations, a stack of pool
+# words with a junk word among them, or a junk op
+_SERIES_CHANGES = st.one_of(
+    _MUTATIONS,
+    st.builds(
+        lambda words, junk, at: {"stack": words[:at] + [junk] + words[at:]},
+        st.lists(st.sampled_from(_POOL), max_size=2),
+        _JUNK_WORDS,
+        st.integers(0, 2),
+    ),
+    st.builds(lambda op: {"op": op}, _JUNK_OPS),
+)
+
+
+@st.composite
+def _walk_series(draw):
+    """2-4 walk cases over the same pools of ops and words, several of
+    them carrying the same changed entry, so that a word or op one walk
+    refuses meets the memo in a later walk."""
+    change = draw(_SERIES_CHANGES)
+    series = []
+    for _ in range(draw(st.integers(2, 4))):
+        entries, relaxed, select = draw(_walk_cases())
+        if entries and draw(st.booleans()):
+            at = draw(st.integers(0, len(entries) - 1))
+            if isinstance(entries[at], dict):
+                entries[at] = {**entries[at], **change}
+        series.append((entries, relaxed, select))
+    return series
+
+
+@pytest.mark.parametrize("cap", [traces.MEMO_CAP, 2], ids=["memo", "full-memo"])
+@given(series=_walk_series())
+@settings(max_examples=200, deadline=None)
+def test_walks_through_one_memo_equal_fresh_reference_walks(cap, series):
+    # an investigation walks its traces through one memo: each walk gives
+    # what the reference walk gives with nothing carried over, also once
+    # the memo is full, and the memo never holds more than the cap
+    memo = traces.IngestMemo()
+    with mock.patch.object(traces, "MEMO_CAP", cap):
+        for entries, relaxed, select in series:
+            got = _walk_outcome(lambda: decode_steps(entries, CALLER, relaxed, select, memo))
+            assert got == _reference_outcome(entries, relaxed, select)
+            assert len(memo.ops) <= cap and len(memo.words) <= cap
