@@ -2,8 +2,13 @@
 
 A block's transactions (docs/formats.md) are read into Transaction by
 tx_from_document, which names the first field that is missing or
-malformed, and written back by tx_to_document. filters and explorer hold
-transactions as Transaction; this module is all they need of a chain.
+malformed, and written back by tx_to_document. The explorer reads each
+transaction object once, where it checks the block that holds it
+(explorer.block_envelope), and hands those values to the filters
+(block_transactions); it writes them back only to build a block's
+envelope document, and a cache hit is read from its stored document.
+filters and explorer hold transactions as Transaction; this module is all
+they need of a chain.
 
 Building an archive (blocks, receipts, snapshots, labels, the miner that
 executes transactions and the writer of the archive directory) is producer

@@ -1,8 +1,9 @@
 """Data access: local archive directories, JSON-RPC nodes, and a cache.
 
-All backends answer the same five questions:
+All backends answer the same six questions:
 
   collect_block_details(n)   {"block": envelope}: block n's envelope alone
+  block_transactions(n)      block n's transactions, checked, in block order
   tx_trace(hash, tracer)     full or pc-filtered trace: its document, or a span
   get_storage(addr, key, n)  storage word as of block n's post-state
   get_balance(addr, n)       balance as of block n's post-state
@@ -13,11 +14,15 @@ against n - 1.
 
 A block envelope is number, hash, parentHash, stateRoot and transactions,
 shaped as in chain.json (docs/formats.md); receipts are left out.
-block_envelope() is the one check that makes it: every backend's block
+block_envelope() is the one check of a block object: every backend's block
 object passes through it where it enters, and a missing or malformed field
-is a ProtocolError. RpcExplorer maps a JSON-RPC block to the archive shape
-first (hex number and nonce to ints, gas to gasLimit); extra fields are
-dropped.
+is a ProtocolError. It reads each transaction once, into a chain.Transaction
+(tx_from_document), and that read is the only one: block_transactions
+answers those values, and collect_block_details builds the envelope
+document from them on demand (envelope_document). RpcExplorer reads a
+JSON-RPC block in the archive shape (hex number and nonce to ints, gas to
+gasLimit); extra fields are dropped. CachedExplorer stores the envelope
+document, and reads the transactions of a hit from it.
 
 A point query answers a checked word on every backend: a JSON-RPC quantity
 or snapshot balance is 0x + 1 to 64 hex digits, a snapshot storage value
@@ -94,7 +99,7 @@ from time import sleep
 from typing import Callable, ContextManager, Iterable, Iterator
 from urllib.parse import urlsplit
 
-from .chain import tx_from_document, tx_to_document
+from .chain import Transaction, tx_from_document, tx_to_document
 from .errors import ArchiveGapError, ProtocolError, SleuthError, UsageError
 from .hashing import digest, new_digest
 from .traces import (
@@ -299,11 +304,12 @@ def _as_int(value, what: str, shape: re.Pattern = _QUANTITY) -> int:
     return int(match[1], 16)
 
 
-def block_envelope(doc, where: str) -> dict:
-    """The envelope of block object doc: its number, hash, parentHash,
-    stateRoot and transactions in the chain.json shape. ProtocolError names
-    the first field that is missing or malformed; each transaction is
-    checked by reading it with tx_from_document."""
+def block_envelope(doc, where: str, read_tx: Callable[[object], Transaction]) -> dict:
+    """The envelope of block object doc: its number, hash, parentHash and
+    stateRoot in the chain.json shape, and its transactions as a tuple of
+    the Transaction values read_tx reads. ProtocolError names the first
+    field that is missing or malformed, a transaction's prefixed with its
+    block."""
     number = doc.get("number") if isinstance(doc, dict) else None
     if not isinstance(number, int) or isinstance(number, bool):
         raise ProtocolError(f"{where} block without an int number: {doc!r:.80}")
@@ -320,7 +326,7 @@ def block_envelope(doc, where: str) -> dict:
     if not isinstance(txs, list):
         raise ProtocolError(f"{where} block {number}: transactions is not a list: {txs!r:.80}")
     try:
-        txs = [tx_to_document(tx_from_document(tx)) for tx in txs]
+        txs = tuple(map(read_tx, txs))
     except ProtocolError as err:
         raise ProtocolError(f"{where} block {number}: {err}") from None
     return {
@@ -332,6 +338,12 @@ def block_envelope(doc, where: str) -> dict:
     }
 
 
+def envelope_document(block: dict) -> dict:
+    """The chain.json shape of an envelope from block_envelope: its
+    transactions written back with tx_to_document."""
+    return dict(block, transactions=[tx_to_document(tx) for tx in block["transactions"]])
+
+
 class LocalExplorer:
     def __init__(self, directory: str | Path):
         self.base = Path(directory)
@@ -341,7 +353,7 @@ class LocalExplorer:
             raise ProtocolError("chain.json has no blocks list")
         self._by_number: dict[int, dict] = {}
         for doc in blocks:
-            block = block_envelope(doc, "chain.json")
+            block = block_envelope(doc, "chain.json", tx_from_document)
             if block["number"] in self._by_number:
                 raise ProtocolError(f"chain.json lists block {block['number']} twice")
             self._by_number[block["number"]] = block
@@ -352,14 +364,18 @@ class LocalExplorer:
     def height(self) -> int:
         return self._tip
 
-    def _block_doc(self, number: int) -> dict:
-        doc = self._by_number.get(number)
-        if doc is None:
+    def _block(self, number: int) -> dict:
+        block = self._by_number.get(number)
+        if block is None:
             raise ArchiveGapError(f"no block {number} in archive (tip {self._tip})")
-        return doc
+        return block
 
     def collect_block_details(self, number: int) -> dict:
-        return {"block": self._block_doc(number)}
+        return {"block": envelope_document(self._block(number))}
+
+    def block_transactions(self, number: int) -> tuple[Transaction, ...]:
+        """The transactions read when the archive was opened."""
+        return self._block(number)["transactions"]
 
     def tx_trace(self, tx_hash: bytes, tracer_spec: dict | None = None) -> dict | TextSpan:
         """The TextSpan of the whole trace file, whose faults are
@@ -370,7 +386,7 @@ class LocalExplorer:
         return trace if tracer_spec is None else filter_trace(trace, tracer_spec)
 
     def _state_doc(self, number: int) -> dict:
-        root = self._block_doc(number)["stateRoot"]
+        root = self._block(number)["stateRoot"]
         path = self.base / "states" / f"{root[2:]}.json"
         return read_json(path, f"state snapshot for block {number} (root {root})")
 
@@ -411,12 +427,14 @@ class LocalExplorer:
 # -- JSON-RPC backend ----------------------------------------------------------
 
 
-def _archive_tx(tx):
-    """A JSON-RPC transaction object with the archive's nonce and gasLimit."""
-    if not isinstance(tx, dict):
-        return tx
-    nonce = _as_int(tx.get("nonce"), "transaction nonce")
-    return dict(tx, nonce=nonce, gasLimit=_as_int(tx.get("gas"), "transaction gas"))
+def _rpc_tx(tx) -> Transaction:
+    """The transaction a JSON-RPC transaction object describes: its nonce
+    and gas quantities read as the archive's nonce and gasLimit, then
+    tx_from_document."""
+    if isinstance(tx, dict):
+        nonce = _as_int(tx.get("nonce"), "transaction nonce")
+        tx = dict(tx, nonce=nonce, gasLimit=_as_int(tx.get("gas"), "transaction gas"))
+    return tx_from_document(tx)
 
 
 # Retry policy of RpcExplorer. The wait before try k + 1 is
@@ -554,21 +572,26 @@ class RpcExplorer:
     def height(self) -> int:
         return _as_int(self._rpc("eth_blockNumber", []), "blockNumber")
 
-    def collect_block_details(self, number: int) -> dict:
+    def _block(self, number: int) -> dict:
+        """Block number's envelope, from one eth_getBlockByNumber reply."""
         result = self._rpc("eth_getBlockByNumber", [hex(number), True])
         if result is None:
             raise ArchiveGapError(f"no block {number} at {self.url}")
         if not isinstance(result, dict):
             raise ProtocolError("block reply is not an object")
         doc = dict(result, number=_as_int(result.get("number"), "block number"))
-        if isinstance(doc.get("transactions"), list):
-            doc["transactions"] = [_archive_tx(tx) for tx in doc["transactions"]]
-        block = block_envelope(doc, "eth_getBlockByNumber")
+        block = block_envelope(doc, "eth_getBlockByNumber", _rpc_tx)
         if block["number"] != number:
             raise ProtocolError(
                 f"eth_getBlockByNumber: asked for block {number}, got {block['number']}"
             )
-        return {"block": block}
+        return block
+
+    def collect_block_details(self, number: int) -> dict:
+        return {"block": envelope_document(self._block(number))}
+
+    def block_transactions(self, number: int) -> tuple[Transaction, ...]:
+        return self._block(number)["transactions"]
 
     def tx_trace(self, tx_hash: bytes, tracer_spec: dict | None = None) -> dict:
         params: list = [hash_hex(tx_hash)]
@@ -815,6 +838,12 @@ class CachedExplorer:
         return self._lookup(
             "block", [number], lambda: self.inner.collect_block_details(number)
         )
+
+    def block_transactions(self, number: int) -> tuple[Transaction, ...]:
+        """The transactions of collect_block_details' answer, read with
+        tx_from_document."""
+        block = self.collect_block_details(number)["block"]
+        return tuple(map(tx_from_document, block["transactions"]))
 
     def tx_trace(self, tx_hash: bytes, tracer_spec: dict | None = None) -> dict | TextSpan:
         return self._trace(tx_hash, tracer_spec, False)

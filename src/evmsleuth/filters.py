@@ -8,8 +8,8 @@ the contract indirectly (relays, wrappers), and each such hit is emitted as
 an internal row attributed to its enclosing transaction.
 
 A filter reads through a ReadState, the read state of one investigation,
-which the investigation's level then reads through too: each block is
-fetched and its transactions parsed once, and a trace internal discovery
+which the investigation's level then reads through too: each block's
+transactions are fetched once, and a trace internal discovery
 scanned for a candidate is not fetched or walked again by the evm level
 (see ReadState).
 
@@ -30,7 +30,7 @@ import io
 from dataclasses import dataclass
 from typing import Iterator
 
-from .chain import Transaction, tx_from_document
+from .chain import Transaction
 from .errors import (
     FeedError,
     ProtocolError,
@@ -97,9 +97,11 @@ class TxRef:
 class ReadState:
     """The reads of one investigation, shared by its filter and its level.
 
-    A block is fetched and its transactions parsed the first time it is
-    asked for, and answered from memory after that. A fetch or parse that
-    raises leaves nothing behind, so the next ask fetches again. The scan
+    A block's transactions are asked of the explorer the first time the
+    block is asked for (block_transactions, which answers the Transaction
+    values the explorer's own check read), and answered from memory after
+    that; nothing here parses a transaction object. A fetch that raises
+    leaves nothing behind, so the next ask fetches again. The scan
     forgets each block that yields no candidate, since the level never asks
     for it, so a long range is not held in memory.
 
@@ -136,8 +138,7 @@ class ReadState:
     def _block(self, number: int) -> tuple:
         entry = self._blocks.get(number)
         if entry is None:
-            block = self.explorer.collect_block_details(number)["block"]
-            txs = tuple(map(tx_from_document, block["transactions"]))
+            txs = self.explorer.block_transactions(number)
             entry = self._blocks[number] = (txs, {tx.hash: tx for tx in txs})
         return entry
 

@@ -28,8 +28,8 @@ STEP_COUNTER from sys.modules when something else loaded it, a test that
 built its fixtures in-process say, and is 0 when it is not loaded.
 
 Read once: run_investigation makes one filters.ReadState, which the filter
-and the level share and which dies with the investigation. Each block is
-fetched and its transactions parsed once. When internal discovery runs
+and the level share and which dies with the investigation. Each block's
+transactions are fetched once. When internal discovery runs
 and the evm level reads full traces (local or cached mode), the scan's one
 walk of a trace also builds the gated steps, and the level evaluates the
 trace kept for each candidate instead of fetching and walking it again.
@@ -38,9 +38,13 @@ read) and the block level (no trace) keep nothing; a feed scans nothing,
 so the level fetches each trace and each block once. In cached mode the
 report's explorerStats.hits counts the hits of these single reads: a
 block or trace the level takes from the read state is no cache lookup.
-A transaction object is read twice: by the read state, and by
-LocalExplorer's check of every block when it opens the archive
-(explorer.block_envelope, the check behind exit 3). Every trace walk,
+Each transaction object is read once, by the explorer's check of its
+block (explorer.block_envelope, the check behind exit 3, which
+LocalExplorer runs on every block when it opens the archive), and the
+read state takes the Transaction values that check read
+(block_transactions). The cache stores a block as its envelope document,
+so in cached mode each block entry, hit or just written, has its
+transactions read once more. Every trace walk,
 the scan's and the level's, goes through the read state's one ingest
 memo (traces.IngestMemo), so each op and stack word is checked once per
 investigation.

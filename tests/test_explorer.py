@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from damages import json_paths, re_encodings
 from isolated import modules_loaded, run_isolated_cli, start_isolated_cli
+from evmsleuth.chain import Transaction, tx_from_document
 from evmsleuth.cli import main
 from evmsleuth.errors import ArchiveGapError, ProtocolError, SleuthError, UsageError
 from evmsleuth.explorer import (
@@ -1125,6 +1126,35 @@ def test_rpc_cached_composition(rpc, shim, tmp_path, local):
     assert len(shim.seen) == before  # warm read never touches the wire
 
 
+def test_every_backend_answers_a_block_alike(rpc, local, tmp_path):
+    # Local, RPC and a cache over either answer one envelope document and
+    # one tuple of checked transactions for each block, and a cache writes
+    # the same block entry, byte for byte, over either backend, whichever
+    # question misses first
+    over_local = CachedExplorer(local, tmp_path / "over-local")
+    over_rpc = CachedExplorer(rpc, tmp_path / "over-rpc")
+    blocks = range(local.height() + 1)
+    assert any(local.block_transactions(number) for number in blocks)
+    for number in blocks:
+        doc = local.collect_block_details(number)
+        txs = local.block_transactions(number)
+        assert type(txs) is tuple and all(type(tx) is Transaction for tx in txs)
+        assert tuple(map(tx_from_document, doc["block"]["transactions"])) == txs
+        assert rpc.collect_block_details(number) == doc
+        assert rpc.block_transactions(number) == txs
+        assert over_local.collect_block_details(number) == doc  # miss
+        assert over_local.block_transactions(number) == txs  # hit
+        assert over_rpc.block_transactions(number) == txs  # miss
+        assert over_rpc.collect_block_details(number) == doc  # hit
+    for cache in (over_local, over_rpc):
+        assert cache.by_kind["block"] == {"hits": len(blocks), "dropped": 0, "innerCalls": len(blocks)}
+    entries = [
+        {path.name: path.read_bytes() for path in cache.base.iterdir()}
+        for cache in (over_local, over_rpc)
+    ]
+    assert len(entries[0]) == len(blocks) and entries[0] == entries[1]
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -1132,8 +1162,14 @@ def test_rpc_cached_composition(rpc, shim, tmp_path, local):
         (lambda block: block.update(number="one"), "block number is not a quantity"),
         (lambda block: block.pop("stateRoot"), "block 1 without stateRoot"),
         (lambda block: block.update(transactions=["0x" + "ab" * 32]), "not an object"),
-        (lambda block: block["transactions"][0].pop("gas"), "transaction gas is not a quantity"),
-        (lambda block: block["transactions"][0].update(nonce="0xz"), "nonce is not a quantity"),
+        (
+            lambda block: block["transactions"][0].pop("gas"),
+            "eth_getBlockByNumber block 1: transaction gas is not a quantity",
+        ),
+        (
+            lambda block: block["transactions"][0].update(nonce="0xz"),
+            "eth_getBlockByNumber block 1: transaction nonce is not a quantity",
+        ),
         (lambda block: block["transactions"][0].pop("input"), "transaction without input"),
     ],
 )

@@ -132,9 +132,9 @@ def test_scan_holds_only_blocks_with_candidates(bank, bank_explorer):
     fetched = []
 
     class Counting:
-        def collect_block_details(self, number):
+        def block_transactions(self, number):
             fetched.append(number)
-            return bank_explorer.collect_block_details(number)
+            return bank_explorer.block_transactions(number)
 
     reads = ReadState(Counting())
     rows = tx_list(reads, query_from(bank))

@@ -5,11 +5,12 @@ import contextlib
 import io
 import json
 import shutil
+import sys
 from collections import Counter
 
 import pytest
 
-from evmsleuth import traces
+from evmsleuth import chain, traces
 from evmsleuth.cli import main
 from evmsleuth.explorer import CachedExplorer, LocalExplorer
 from evmsleuth.fixtures import SCENARIO_NAMES, build_fixture_chain, write_fixture
@@ -52,7 +53,7 @@ def reads(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     for owner, layer in ((LocalExplorer, "archive"), (CachedExplorer, "cache")):
-        spy(owner, "collect_block_details", lambda ex, n, layer=layer: ("block", layer, n))
+        spy(owner, "block_transactions", lambda ex, n, layer=layer: ("block", layer, n))
         spy(
             owner,
             "tx_trace",
@@ -60,6 +61,50 @@ def reads(monkeypatch):
         )
     spy(traces, "decode_steps", lambda *args, **kwargs: ("walk",))
     return counts
+
+
+@pytest.fixture
+def tx_reads(monkeypatch):
+    """Counts of tx_from_document calls, under every name the package holds
+    it by, and the block numbers asked of a cache."""
+    counts = Counter()
+    real = chain.tx_from_document
+
+    def counted(doc):
+        counts["tx"] += 1
+        return real(doc)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("evmsleuth") and vars(module).get("tx_from_document") is real:
+            monkeypatch.setattr(module, "tx_from_document", counted)
+    cache_block = CachedExplorer.collect_block_details
+
+    def asked(ex, number):
+        counts[("cache", number)] += 1
+        return cache_block(ex, number)
+
+    monkeypatch.setattr(CachedExplorer, "collect_block_details", asked)
+    return counts
+
+
+@pytest.mark.parametrize("filt", sorted(FILTERS))
+@pytest.mark.parametrize("level", ["evm", "block"])
+@pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+def test_each_transaction_object_is_read_once(tx_reads, scenario_dirs, tmp_path, scenario, level, filt):
+    # opening the archive reads every transaction object of chain.json once,
+    # and the investigation takes those values; a cache block entry, hit or
+    # just written, is read once more
+    directory = scenario_dirs[scenario]
+    chain_doc = json.loads((directory / "chain.json").read_text())
+    in_block = {block["number"]: len(block["transactions"]) for block in chain_doc["blocks"]}
+    base = ["-e", f"local[dir={directory}]", "-d", level, *FILTERS[filt]]
+    cache = ["-c", str(tmp_path / "cache")]
+    for argv in (base, base + cache, base + cache):  # local, cold, warm
+        tx_reads.clear()
+        investigate(*argv)
+        asked = [key[1] for key in tx_reads if key != "tx"]
+        assert asked if "-c" in argv else not asked
+        assert tx_reads["tx"] == sum(in_block.values()) + sum(in_block[n] for n in asked)
 
 
 def scanned_transactions(directory) -> int:
