@@ -58,13 +58,13 @@ span, in one json.loads when it has at most TEXT_CHUNK bytes and a
 TEXT_CHUNK-byte block at a time when longer (the traces module docstring
 has the block, chunk and fallback rules), and it closes the span. So a
 trace file that is not JSON, or not UTF-8, is found by whoever reads its
-span, the walk (walk_trace, which walks every trace answer through
-traces.reconstruct_trace), the customTracer filter or a cache miss, as
-the same ProtocolError naming the trace, "trace for 0x...
+span, the walk (filters.ReadState.walk, which walks every trace answer
+through traces.reconstruct_trace), the customTracer filter or a cache
+miss, as the same ProtocolError naming the trace, "trace for 0x...
 unreadable: ERR"; a cache payload that does not decode is dropped and
-fetched again by the walk. A pc-filtered trace is the filter's document,
-built as a span's entries stream past, so only the kept entries are ever
-held.
+fetched again by the walk (CachedExplorer.refetch_trace). A pc-filtered
+trace is the filter's document, built as a span's entries stream past,
+so only the kept entries are ever held.
 RpcExplorer answers with the parsed reply, walked as a document.
 
 RpcExplorer speaks JSON-RPC 2.0 over the standard library's HTTP client,
@@ -105,12 +105,8 @@ from .hashing import digest, new_digest
 from .traces import (
     CALL_OPS,
     TEXT_CHUNK,
-    IngestMemo,
-    ReconstructedTrace,
-    Selection,
     TextSpan,
     read_trace,
-    reconstruct_trace,
 )
 from .words import address_hex, hash_hex, storage_hex, word_hex
 
@@ -258,33 +254,6 @@ def read_json(path: str | Path, what: str, missing=ArchiveGapError, unreadable=P
 
 def _trace_what(tx_hash: bytes) -> str:
     return f"trace for {hash_hex(tx_hash)}"
-
-
-def walk_trace(
-    explorer,
-    trace,
-    tx_hash: bytes,
-    tracer_spec: dict | None,
-    root_target: int,
-    select: Selection = Selection(),
-    memo: IngestMemo | None = None,
-) -> ReconstructedTrace:
-    """The walk over `trace`, the answer of explorer.tx_trace(tx_hash,
-    tracer_spec), relaxed when pc-filtered, through memo
-    (traces.reconstruct_trace, which closes a TextSpan answer). A span
-    from a cache hit whose payload then does not decode (json.loads
-    raises) is dropped and fetched again (CachedExplorer.refetch_trace)
-    before the walk runs once more, through the same memo; any other span
-    maps that fault to its reader's ProtocolError.
-    TraceParseError and ReconstructionError are the walk's."""
-    relaxed = tracer_spec is not None
-    try:
-        return reconstruct_trace(trace, root_target, relaxed, select, memo)
-    except (ValueError, RecursionError):  # a span's text did not decode
-        if not isinstance(explorer, CachedExplorer):
-            raise
-    trace = explorer.refetch_trace(tx_hash, tracer_spec)
-    return reconstruct_trace(trace, root_target, relaxed, select, memo)
 
 
 _HASH = re.compile(r"0x[0-9a-fA-F]{64}")

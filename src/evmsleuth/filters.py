@@ -9,9 +9,10 @@ an internal row attributed to its enclosing transaction.
 
 A filter reads through a ReadState, the read state of one investigation,
 which the investigation's level then reads through too: each block's
-transactions are fetched once, and a trace internal discovery
-scanned for a candidate is not fetched or walked again by the evm level
-(see ReadState).
+transactions are fetched once, every trace walk, the scan's and the
+level's, is ReadState.walk, and a trace internal discovery scanned for a
+candidate is not fetched or walked again by the evm level (see
+ReadState).
 
 Feeds round-trip through CSV so a candidate list can be exported, edited,
 or produced by some other tool and re-ingested. Column order is fixed:
@@ -38,9 +39,9 @@ from .errors import (
     TraceParseError,
     UsageError,
 )
-from .explorer import walk_trace
+from .explorer import CachedExplorer
 from .hashing import function_selector
-from .traces import IngestMemo, ReconstructedTrace, Selection, gc_paused
+from .traces import IngestMemo, ReconstructedTrace, Walk, gc_paused, reconstruct_trace
 from .words import address_hex, hash_hex
 
 FEED_COLUMNS = (
@@ -108,16 +109,17 @@ class ReadState:
     gate is the gate map {code address: pcs} (VulnSpec.gate) of a level
     that reads full traces (the evm level in local or cached mode), None
     for any other level. With a gate, internal discovery walks each trace
-    it scans once, selecting call steps and gated steps (traces.Selection),
-    and keeps, for each transaction that yields a candidate row, the
+    it scans once, selecting call steps and gated steps (traces.Walk), and
+    keeps, for each transaction that yields a candidate row, the
     scanned trace as walked: its call steps besides the gated ones, which
     the level's rules pass over as they pass over any ungated step
     (rules_evm.evaluate_trace). The level takes it with take_trace and
     neither fetches nor walks that trace again. Without a gate the scan
     selects call steps and keeps nothing.
 
-    memo is the investigation's one traces.IngestMemo: the scan walks
-    every trace through it, and so does the level (orchestrator), so an
+    walk is the one entry to the trace walk, for the scan and for the
+    level (orchestrator): it makes each walk's traces.Walk, and every walk
+    goes through memo, the investigation's one traces.IngestMemo, so an
     op or stack word is checked once per investigation, not once per
     trace. It holds only what the walks accepted, and at most
     traces.MEMO_CAP entries of each kind.
@@ -158,17 +160,37 @@ class ReadState:
         """tx's full trace, checked in full, with its call steps built (and
         its gated steps, given a gate). A malformed trace is a ProtocolError
         naming the transaction."""
-        select = Selection({} if self.gate is None else self.gate, calls=True)
+        gate = {} if self.gate is None else self.gate
         with gc_paused():  # the trace lives and dies in here
             trace = self.explorer.tx_trace(tx.hash)
             try:
-                return walk_trace(self.explorer, trace, tx.hash, None, tx.to, select, self.memo)
+                return self.walk(trace, tx, None, gate, calls=True)
             except (TraceParseError, ReconstructionError) as err:
                 raise ProtocolError(
                     f"internal discovery: trace for {hash_hex(tx.hash)} is malformed: {err}"
                 ) from None
             finally:
                 del trace
+
+    def walk(
+        self, trace, tx: Transaction, tracer_spec: dict | None, gate: dict | None, calls=False
+    ) -> ReconstructedTrace:
+        """The walk over trace, the answer of explorer.tx_trace(tx.hash,
+        tracer_spec), from tx's root: relaxed when pc-filtered, through
+        memo, building the steps of gate (all of them when None) and, with
+        calls, every call step (traces.reconstruct_trace, which closes a
+        TextSpan answer). A span from a cache hit whose payload then does
+        not decode (json.loads raises) is dropped and fetched again
+        (CachedExplorer.refetch_trace) before the walk runs once more;
+        any other span maps that fault to its reader's ProtocolError.
+        TraceParseError and ReconstructionError are the walk's."""
+        walk = Walk(gate, calls, tracer_spec is not None, self.memo)
+        try:
+            return reconstruct_trace(trace, tx.to, walk)
+        except (ValueError, RecursionError):  # a span's text did not decode
+            if not isinstance(self.explorer, CachedExplorer):
+                raise
+        return reconstruct_trace(self.explorer.refetch_trace(tx.hash, tracer_spec), tx.to, walk)
 
     def keep(self, tx: Transaction, rec: ReconstructedTrace):
         """Keep tx's scanned trace for the level, given a gate."""

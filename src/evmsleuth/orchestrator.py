@@ -44,14 +44,14 @@ LocalExplorer runs on every block when it opens the archive), and the
 read state takes the Transaction values that check read
 (block_transactions). The cache stores a block as its envelope document,
 so in cached mode each block entry, hit or just written, has its
-transactions read once more. Every trace walk,
-the scan's and the level's, goes through the read state's one ingest
-memo (traces.IngestMemo), so each op and stack word is checked once per
-investigation.
+transactions read once more. Every trace walk, the scan's and the
+level's, is the read state's (ReadState.walk) and goes through its one
+ingest memo (traces.IngestMemo), so each op and stack word is checked
+once per investigation.
 
 Trace decode: a trace text read from a file (a local trace file, a
 cache entry) arrives as a span and is decoded by the walk
-(explorer.walk_trace, traces.reconstruct_trace), in one call when it is
+(ReadState.walk, traces.reconstruct_trace), in one call when it is
 at most one chunk and a block and a chunk at a time when longer, so its
 decode is timed in "analyze" with the walk and the rules, and "fetch"
 is the opening of its file and, for a cache hit, the check of its
@@ -77,11 +77,11 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import ArchiveGapError, ProtocolError, SleuthError, UsageError
-from .explorer import CachedExplorer, ExplorerView, walk_trace
+from .explorer import CachedExplorer, ExplorerView
 from .filters import FilterQuery, ReadState, TxRef, tx_list
 from .rules_block import evaluate_block
 from .rules_evm import VulnSpec, evaluate_trace
-from .traces import Selection, gc_paused
+from .traces import gc_paused
 from .words import address_hex
 
 LEVELS = ("evm", "block")
@@ -257,9 +257,7 @@ def _run_evm_level(config, rows, report, timings, reads):
             t0 = time.perf_counter()
             try:
                 if rec is None:
-                    rec = walk_trace(
-                        explorer, trace, tx_hash, tracer, tx.to, Selection(spec.gate), reads.memo
-                    )
+                    rec = reads.walk(trace, tx, tracer, spec.gate)
                 found, notes = evaluate_trace(rec, spec, tx_hash, number)
             except (ArchiveGapError, ProtocolError) as err:  # a text is not JSON
                 report.skips.append(f"{label}: fetch failed, skipped ({err})")

@@ -18,7 +18,7 @@ VulnSpec folds the locations into one gate, {code address: pcs}, and a
 step is gated when the gate lists its pc for the code it executes (the
 code, not the storage identity, so DELEGATECALL borrowers of the
 vulnerable code are seen). The evm level hands the gate to trace ingest
-(traces.Selection), which then builds only the gated steps.
+(traces.Walk), which then builds only the gated steps.
 evaluate_trace walks the steps once and hands only gated steps, by the
 same map, to the rule class's per-step check:
 

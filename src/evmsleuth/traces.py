@@ -8,18 +8,20 @@ executes under, the code address behind it, and the frames live below it.
 reconstruct joins the two into a ReconstructedTrace. Detection rules only
 ever see reconstructed steps.
 
-Selection: the walk builds a ReconstructedStep only for the steps a
-Selection picks, a value and not a call per step: a gate map {code
-address: pcs}, which picks the steps whose pc it lists for the code they
-execute (None picks every step), and a flag that picks every call step
-besides. The evm rules select by VulnSpec's gate, internal discovery
-selects call steps (and the gated steps, when the level reuses its
-walks), and Selection() selects all of them. The walk looks up the pcs
-of a frame's code when it enters or returns to the frame, so a step pays
-one set membership test. An unselected step is still checked in full (its
+The walk value: one Walk says all a walk is asked besides its entries
+and root, and decode_steps unpacks it once. Its gate and calls say which
+steps the walk builds a ReconstructedStep for, a value and not a call per
+step: the gate map {code address: pcs} picks the steps whose pc it lists
+for the code they execute (None picks every step), and calls picks every
+call step besides. The evm rules select by VulnSpec's gate, internal
+discovery selects call steps (and the gated steps, when the level reuses
+its walks), and Walk() selects all of them. The walk looks up the pcs of
+a frame's code when it enters or returns to the frame, so a step pays one
+set membership test. An unselected step is still checked in full (its
 fields and hex words, the sequence invariants, the frame it runs in, the
 bare-stack checks), so the selection changes what a trace yields, never
-whether it is accepted.
+whether it is accepted. relaxed picks the mode (below), and memo the
+IngestMemo the walk checks through (Ingest memo).
 
 Frame edges: a step is at a frame edge when its depth differs from the
 previous step's or the previous step was a call. Only there does the walk
@@ -75,6 +77,10 @@ malformed field at step 9. Within one entry, a field fault
 (TraceParseError) comes before a sequence fault (TraceParseError), which
 comes before a frame fault (ReconstructionError).
 
+Callee: a call's `to` is read as the EVM reads an address word, its low
+160 bits, from the per-step call record when the producer included one
+and from the stack otherwise, so both name the same callee.
+
 Call status: taken from the per-step call record when the producer included
 one; in strict mode it can also be read off the caller's resume step. A
 filtered trace without call records has no third source, so status comes
@@ -123,10 +129,11 @@ entry, such a member after the array, a second structLogs among them, a
 BOM, a fault in the header or in the walk) it stops, and read_trace reads the
 span again whole through span.text(), then json.loads, both under the
 span's faults(), and hands the document to the whole-document consumer
-(for the walk, reconstruct_document). So the steps, and the exception
-type, message and step index of a refused trace, are those of the whole
-read, json.loads and the document walk by construction; only a short,
-malformed or unusual trace is ever held as a whole text or document.
+(for the walk, reconstruct of its parse_trace_document). So the steps,
+and the exception type, message and step index of a refused trace, are
+those of the whole read, json.loads and the document walk by
+construction; only a short, malformed or unusual trace is ever held as a
+whole text or document.
 """
 
 from __future__ import annotations
@@ -187,13 +194,17 @@ class IngestMemo:
         self.words: set = set()
 
 
-class Selection(NamedTuple):
-    """The steps a walk builds (module docstring): those whose pc the gate
-    lists for the code they execute, or every step when gate is None; with
-    calls, every call step besides."""
+class Walk(NamedTuple):
+    """What a walk is asked besides its entries and root (module
+    docstring): the steps it builds, those whose pc the gate lists for the
+    code they execute, or every step when gate is None, and with calls
+    every call step besides; relaxed for a pc-filtered trace; and the memo
+    it checks through, a fresh one when None."""
 
     gate: dict | None = None  # code address -> its pcs (a set, or any container)
     calls: bool = False
+    relaxed: bool = False
+    memo: IngestMemo | None = None
 
 
 def _parse_hex_word(text, raw_index: int) -> int:
@@ -319,7 +330,7 @@ def _call_record(call, i: int) -> tuple:
     if not isinstance(call, dict):
         raise TraceParseError("call is not an object", i)
     try:
-        to = _parse_hex_word(call["to"], i)
+        to = _parse_hex_word(call["to"], i) & ADDRESS_MASK
         value = _parse_hex_word(call["value"], i)
     except KeyError as missing:
         raise TraceParseError(f"call missing {missing.args[0]!r}", i) from None
@@ -338,21 +349,17 @@ def _call_record(call, i: int) -> tuple:
 
 
 def decode_steps(
-    struct_logs: Iterable,
-    root_target: int,
-    relaxed: bool = False,
-    select: Selection = Selection(),
-    memo: IngestMemo | None = None,
+    struct_logs: Iterable, root_target: int, walk: Walk = Walk()
 ) -> list[ReconstructedStep]:
     """Walk the raw structLog entries once: check every entry, track the
-    frames, and build the steps `select` asks for, in trace order.
+    frames, and build the steps `walk` selects, in trace order.
 
     root_target is the transaction's `to` address: the identity and code of
-    the root frame. memo holds the ops and words earlier walks accepted
-    and takes those this one accepts; None walks through a fresh one
-    (module docstring). Raises TraceParseError for a malformed entry or a
-    broken step sequence and ReconstructionError when a step cannot be
-    mapped onto frames, at the first faulty entry (see the module
+    the root frame. walk.memo holds the ops and words earlier walks
+    accepted and takes those this one accepts; None walks through a fresh
+    one (module docstring). Raises TraceParseError for a malformed entry
+    or a broken step sequence and ReconstructionError when a step cannot
+    be mapped onto frames, at the first faulty entry (see the module
     docstring); in relaxed mode the only frame error is a step whose frame
     has no origin among the kept steps (a filtered trace taken without call
     boundaries).
@@ -371,13 +378,13 @@ def decode_steps(
     # the previous step, and the pc the next one must have if it runs in
     # the same frame: None after a jump (any), -1 after a terminal (none)
     prev_pc = prev_op = prev_depth = want = None
+    gate, calls, relaxed, memo = walk
     # per op, and per stack word, what the walks have accepted (module docstring)
     if memo is None:
         memo = IngestMemo()
     op_facts, known_words = memo.ops, memo.words
     # the selection: every step, or the steps whose pc is in pcs, the gated
     # pcs of the frame's code, and with calls the call steps
-    gate, calls = select
     everything = gate is None
     pcs = _NO_PCS if everything else gate.get(code, _NO_PCS)
 
@@ -567,16 +574,10 @@ def decode_steps(
     return out
 
 
-def reconstruct(
-    parsed: ParsedTrace,
-    root_target: int,
-    relaxed: bool = False,
-    select: Selection = Selection(),
-    memo: IngestMemo | None = None,
-) -> ReconstructedTrace:
-    """The trace of a checked document header, holding the steps `select`
-    picks from the walk over its entries (decode_steps)."""
-    steps = decode_steps(parsed.struct_logs, root_target, relaxed, select, memo)
+def reconstruct(parsed: ParsedTrace, root_target: int, walk: Walk = Walk()) -> ReconstructedTrace:
+    """The trace of a checked document header, holding the steps `walk`
+    selects from the walk over its entries (decode_steps)."""
+    steps = decode_steps(parsed.struct_logs, root_target, walk)
     return ReconstructedTrace(parsed.failed, parsed.gas, parsed.return_value, steps)
 
 
@@ -601,16 +602,6 @@ def gc_paused() -> Iterator[None]:
     finally:
         if enabled:
             gc.enable()
-
-
-def reconstruct_document(
-    doc: dict,
-    root_target: int,
-    relaxed: bool = False,
-    select: Selection = Selection(),
-    memo: IngestMemo | None = None,
-) -> ReconstructedTrace:
-    return reconstruct(parse_trace_document(doc), root_target, relaxed, select, memo)
 
 
 # -- streamed trace text (module docstring) ------------------------------------
@@ -828,22 +819,17 @@ def read_trace(trace, whole: Callable, streamed: Callable):
     return whole(doc)
 
 
-def reconstruct_trace(
-    trace,
-    root_target: int,
-    relaxed: bool = False,
-    select: Selection = Selection(),
-    memo: IngestMemo | None = None,
-) -> ReconstructedTrace:
-    """reconstruct_document of trace, a document, or of a TextSpan's text,
+def reconstruct_trace(trace, root_target: int, walk: Walk = Walk()) -> ReconstructedTrace:
+    """The reconstruct of trace, a document, or of a TextSpan's text,
     decoded whole or, when long, walked a chunk at a time as its entries
     stream (read_trace)."""
+
+    def whole(doc) -> ReconstructedTrace:
+        return reconstruct(parse_trace_document(doc), root_target, walk)
 
     def streamed(members: dict, chunks: Iterator[list]) -> ReconstructedTrace:
         parsed = parse_trace_document({**members, "structLogs": []})  # the header alone
         parsed.struct_logs = chain.from_iterable(chunks)
-        return reconstruct(parsed, root_target, relaxed, select, memo)
+        return reconstruct(parsed, root_target, walk)
 
-    return read_trace(
-        trace, lambda doc: reconstruct_document(doc, root_target, relaxed, select, memo), streamed
-    )
+    return read_trace(trace, whole, streamed)

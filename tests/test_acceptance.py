@@ -25,7 +25,7 @@ from evmsleuth.fixtures.bench import bench, scaled_fixture_dir
 from evmsleuth.fixtures.interpreter import STEP_COUNTER
 from evmsleuth.orchestrator import InvestigationConfig, run_investigation
 from evmsleuth.rules_evm import VulnSpec
-from evmsleuth.traces import reconstruct_document
+from evmsleuth.traces import reconstruct_trace
 from evmsleuth.words import ARITH_ARITY, IntTypeBounds, wrap_arith
 
 SEED = 11
@@ -382,7 +382,7 @@ def test_criterion_5_reconstruction_matches_interpreter(suite):
                 if doc is None:
                     problems.append(f"{name} block {number}: missing stored trace")
                     continue
-                rebuilt = reconstruct_document(doc, tx.to)
+                rebuilt = reconstruct_trace(doc, tx.to)
                 transactions += 1
                 if len(rebuilt.steps) != len(outcome.trace):
                     problems.append(

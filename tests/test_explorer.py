@@ -30,11 +30,11 @@ from evmsleuth.explorer import (
     TextSpan,
     apply_tracer,
     canonical_tracer,
-    walk_trace,
 )
+from evmsleuth.filters import ReadState
 from evmsleuth.fixtures import SCENARIO_NAMES, build_fixture_chain, write_fixture
 from evmsleuth.hashing import digest
-from evmsleuth.traces import TEXT_CHUNK, reconstruct_document
+from evmsleuth.traces import TEXT_CHUNK, reconstruct_trace
 from evmsleuth.words import address_hex, hash_hex, storage_hex
 
 SEED = 11
@@ -214,10 +214,17 @@ def test_local_missing_trace_is_a_gap(local):
         local.tx_trace(bytes(32))
 
 
+def walk_answer(explorer, trace, tx_hash, tracer, root):
+    """The read state's walk over explorer's answer trace for tx_hash,
+    from root."""
+    tx = Transaction(tx_hash, 0, root, 0, b"", 0, 0)
+    return ReadState(explorer).walk(trace, tx, tracer, None)
+
+
 def read_trace(explorer, tx_hash, tracer=None):
     """tx_hash's trace from explorer, walked from an arbitrary root."""
     trace = explorer.tx_trace(tx_hash, tracer)
-    return walk_trace(explorer, trace, tx_hash, tracer, 0xAB)
+    return walk_answer(explorer, trace, tx_hash, tracer, 0xAB)
 
 
 @pytest.mark.parametrize("tracer", [None, {"pcSet": [0]}], ids=["full", "filtered"])
@@ -477,8 +484,8 @@ def test_cache_drops_a_trace_payload_the_walk_cannot_decode(fixture, local, tmp_
     cache = CachedExplorer(local, tmp_path / "cache")
     trace = cache.tx_trace(txh)
     assert isinstance(trace, TextSpan) and (cache.hits, cache.dropped) == (1, 0)
-    rec = walk_trace(cache, trace, txh, None, root)
-    assert rec == reconstruct_document(fixture.archive.traces[txh], root)
+    rec = walk_answer(cache, trace, txh, None, root)
+    assert rec == reconstruct_trace(fixture.archive.traces[txh], root)
     assert (cache.hits, cache.dropped) == (0, 1)
     assert cache.by_kind["trace"] == {"hits": 0, "dropped": 1, "innerCalls": 1}
     assert cache.fetches == {json.loads(good)["key"]: 1}
@@ -827,7 +834,7 @@ def test_a_short_trace_reaches_the_walk_as_one_document_four_ways(
             patch.setattr(json, "loads", counted)
             answer = explorer.tx_trace(txh)
             assert type(answer) is form, how
-            walks[how] = walk_trace(explorer, answer, txh, None, root)
+            walks[how] = walk_answer(explorer, answer, txh, None, root)
         assert len(decodes) == 1, how
         if form is dict:
             assert answer == doc, how
@@ -836,7 +843,7 @@ def test_a_short_trace_reaches_the_walk_as_one_document_four_ways(
     assert cold.by_kind["trace"]["innerCalls"] == 1
     assert warm.hits == 1 and warm.fetches == {}
     assert all(rec == walks["cold"] for rec in walks.values())
-    assert walks["cold"] == reconstruct_document(doc, root)
+    assert walks["cold"] == reconstruct_trace(doc, root)
 
 
 def test_rpc_mirrors_the_local_archive(rpc, shim, local, fixture):
@@ -1034,7 +1041,7 @@ def test_rpc_url_with_resolvable_host_is_accepted(url):
 _RPC_CALLS = {
     "eth_blockNumber": lambda rpc: rpc.height(),
     "eth_getBlockByNumber": lambda rpc: rpc.collect_block_details(1),
-    "debug_traceTransaction": lambda rpc: walk_trace(
+    "debug_traceTransaction": lambda rpc: walk_answer(
         rpc, rpc.tx_trace(bytes(32)), bytes(32), None, 0xAB
     ),
     "eth_getStorageAt": lambda rpc: rpc.get_storage(0xDEAD, 0, 1),

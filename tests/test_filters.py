@@ -2,6 +2,7 @@
 
 import pytest
 
+from evmsleuth.chain import Transaction
 from evmsleuth.errors import FeedError, UsageError
 from evmsleuth.explorer import LocalExplorer
 from evmsleuth.filters import (
@@ -172,6 +173,49 @@ def test_top_level_scan_misses_proxied_calls(bec, bec_explorer):
     assert all(not row.internal for row in without)
     proxied = {row.tx_hash for row in with_internal if row.internal}
     assert proxied and proxied.isdisjoint({row.tx_hash for row in without})
+
+
+class _OneTransaction:
+    """An explorer of block 1 holding tx alone, whose trace is trace."""
+
+    def __init__(self, tx: Transaction, trace: dict):
+        self.tx = tx
+        self.trace = trace
+
+    def block_transactions(self, number: int) -> tuple:
+        return (self.tx,)
+
+    def tx_trace(self, tx_hash: bytes, tracer_spec=None) -> dict:
+        return self.trace
+
+
+def test_internal_rows_read_a_recorded_callee_as_an_address():
+    # a relay's call record may write its callee as a full 256-bit word:
+    # its low 160 bits name the contract, as they do on the stack
+    contract, relay = 0xC0DE, 0x5E1A
+    selector = function_selector("poke()")
+    tx = Transaction(bytes(range(32)), 0xA11CE, relay, 0, b"", 0, 21_000)
+    query = FilterQuery(contract, ("poke()",), True, (1, 1))
+
+    def rows(to: int) -> list[TxRef]:
+        def entry(pc, op, depth, stack=(), **extra):
+            words = ["0x%x" % word for word in stack]
+            return {"pc": pc, "op": op, "gas": 50_000, "gasCost": 3, "depth": depth,
+                    "stack": words, **extra}
+
+        call = {"to": "0x%x" % to, "value": "0x0", "input": "0x" + selector.hex()}
+        entries = [
+            entry(0, "PUSH1", 1),
+            entry(2, "CALL", 1, (0, 0, 0, 0, 0, contract, 60_000), call=call),
+            entry(0, "STOP", 2),
+            entry(3, "STOP", 1, (1,)),
+        ]
+        trace = {"gas": 0, "failed": False, "returnValue": "0x", "structLogs": entries}
+        return tx_list(ReadState(_OneTransaction(tx, trace)), query)
+
+    want = [TxRef(1, tx.hash, relay, contract, 0, selector, True, tx.hash)]
+    assert rows(contract) == want
+    assert rows((0xDEAD << 160) | contract) == want
 
 
 # -- csv feed --

@@ -795,14 +795,12 @@ def test_trace_ingest_runs_with_the_collector_paused(
             victim = fixture.archive.chain.blocks[1].txs[0].hash
         base = _archive_with(base, tmp_path, victim, edit)
     seen = []
-    for module in (orchestrator, filters):
-        monkeypatch.setattr(
-            module,
-            "walk_trace",
-            lambda *args, _real=module.walk_trace, **kw: (
-                seen.append(gc.isenabled()) or _real(*args, **kw)
-            ),
-        )
+    real = filters.ReadState.walk
+    monkeypatch.setattr(
+        filters.ReadState,
+        "walk",
+        lambda *args, **kw: seen.append(gc.isenabled()) or real(*args, **kw),
+    )
     argv = [arg.format(tmp=tmp_path) for arg in extra]
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()

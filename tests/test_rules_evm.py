@@ -6,7 +6,7 @@ from evmsleuth.errors import ConfigError
 from evmsleuth.filters import FilterQuery
 from evmsleuth.fixtures import build_fixture_chain
 from evmsleuth.rules_evm import Detection, VulnSpec, evaluate_trace
-from evmsleuth.traces import reconstruct_document
+from evmsleuth.traces import Walk, reconstruct_trace
 from evmsleuth.words import IntTypeBounds, address_hex, word_hex
 
 SEED = 11
@@ -71,7 +71,7 @@ def arith_trace(op, stack):
             step(36, "STOP", 1),
         ]
     )
-    return reconstruct_document(src, CONTRACT)
+    return reconstruct_trace(src, CONTRACT)
 
 
 # -- vuln descriptor parsing --
@@ -279,7 +279,7 @@ def test_a_gated_step_that_is_not_arithmetic_is_no_hit_and_no_note():
 
 
 def test_locations_sharing_a_code_address_merge_into_one_gate():
-    rec = reconstruct_document(
+    rec = reconstruct_trace(
         doc(
             [
                 step(0, "PUSH32", 1),
@@ -331,7 +331,7 @@ def failed_call_trace(op="CALL", status=0, extension=None):
 
 def test_dos_flags_refused_transfer():
     spec = spec_for("dos", pcs=(2,))
-    rec = reconstruct_document(failed_call_trace(), CONTRACT)
+    rec = reconstruct_trace(failed_call_trace(), CONTRACT)
     hits, notes = evaluate_trace(rec, spec, TX, BLOCK)
     assert notes == []
     assert len(hits) == 1
@@ -346,7 +346,7 @@ def test_dos_flags_refused_transfer():
 
 def test_dos_ignores_successful_calls():
     spec = spec_for("dos", pcs=(2,))
-    rec = reconstruct_document(failed_call_trace(status=1), CONTRACT)
+    rec = reconstruct_trace(failed_call_trace(status=1), CONTRACT)
     assert evaluate_trace(rec, spec, TX, BLOCK) == ([], [])
 
 
@@ -354,7 +354,7 @@ def test_dos_ignores_staticcall():
     # a read-only probe cannot carry value, so a refused one is not a lockup
     extension = {"to": "0x%x" % ATTACKER, "value": "0x0", "status": 0}
     spec = spec_for("dos", pcs=(2,))
-    rec = reconstruct_document(
+    rec = reconstruct_trace(
         failed_call_trace(op="STATICCALL", extension=extension), CONTRACT
     )
     assert evaluate_trace(rec, spec, TX, BLOCK) == ([], [])
@@ -362,7 +362,7 @@ def test_dos_ignores_staticcall():
 
 def test_dos_notes_unavailable_status():
     spec = spec_for("dos", pcs=(2,))
-    rec = reconstruct_document(failed_call_trace(), CONTRACT, relaxed=True)
+    rec = reconstruct_trace(failed_call_trace(), CONTRACT, Walk(relaxed=True))
     hits, notes = evaluate_trace(rec, spec, TX, BLOCK)
     assert hits == []
     assert notes == [
@@ -374,7 +374,7 @@ def test_dos_on_failed_transaction_keeps_status():
     spec = spec_for("dos", pcs=(2,))
     trace = failed_call_trace()
     trace["failed"] = True
-    rec = reconstruct_document(trace, CONTRACT)
+    rec = reconstruct_trace(trace, CONTRACT)
     hits, _ = evaluate_trace(rec, spec, TX, 9)
     assert hits[0].tx_status == "failed"
     assert hits[0].to_document()["txStatus"] == "failed"
@@ -405,7 +405,7 @@ def reentrant_trace(second_op="CALL", sstore_stack=(9, 3), relaxed=False):
             step(4, "STOP", 1),
         ]
     )
-    return reconstruct_document(src, CONTRACT, relaxed=relaxed)
+    return reconstruct_trace(src, CONTRACT, Walk(relaxed=relaxed))
 
 
 def test_reentrancy_flags_nested_activation():
@@ -430,7 +430,7 @@ def test_reentrancy_ignores_top_level_store():
             step(3, "STOP", 1),
         ]
     )
-    rec = reconstruct_document(src, CONTRACT)
+    rec = reconstruct_trace(src, CONTRACT)
     assert evaluate_trace(rec, spec, TX, BLOCK) == ([], [])
 
 
@@ -499,7 +499,7 @@ def test_bank_exploits_all_flag_reentrancy():
     flagged = set()
     failed_seen = False
     for txh, raw in fixture.archive.traces.items():
-        rec = reconstruct_document(raw, spec.contract)
+        rec = reconstruct_trace(raw, spec.contract)
         hits, _ = evaluate_trace(rec, spec, txh, 0)
         if hits:
             flagged.add(txh)

@@ -13,6 +13,7 @@ import shutil
 import tempfile
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from damages import damage, damaged
 from evmsleuth import explorer, traces
+from evmsleuth.chain import Transaction
 from evmsleuth.cli import main
 from evmsleuth.errors import ArchiveGapError, ProtocolError, UsageError
 from evmsleuth.explorer import (
@@ -32,17 +34,16 @@ from evmsleuth.explorer import (
     filter_trace,
     read_json,
     read_text,
-    walk_trace,
 )
+from evmsleuth.filters import ReadState
 from evmsleuth.fixtures import SCENARIO_NAMES, build_fixture_chain, scale_fixture, write_fixture
 from evmsleuth.hashing import digest
 from evmsleuth.traces import (
     TEXT_CHUNK,
     TextSpan,
-    Selection,
     Unstreamable,
+    Walk,
     read_trace,
-    reconstruct_document,
     reconstruct_trace,
     stream_blocks,
 )
@@ -95,11 +96,9 @@ class Span(TextSpan):
                 start = edge
 
 
-def whole_walk(data: bytes, root=ROOT, relaxed=False, select=Selection()):
+def whole_walk(data: bytes, root=ROOT, walk=Walk()):
     """The outcome of json.loads of the whole text, then the document walk."""
-    return outcome(
-        lambda: reconstruct_document(json.loads(Span(data).text()), root, relaxed, select)
-    )
+    return outcome(lambda: reconstruct_trace(json.loads(Span(data).text()), root, walk))
 
 
 @pytest.fixture(scope="module")
@@ -185,12 +184,13 @@ def _settings(examples):
 def test_streamed_walk_equals_the_document_walk(samples, data):
     text, root = data.draw(trace_texts(samples))
     relaxed = data.draw(st.booleans())
-    thirds = Selection({root: range(0, 1 << 16, 3)}, calls=True)
-    select = data.draw(st.sampled_from([Selection(), thirds]))
+    thirds = Walk({root: range(0, 1 << 16, 3)}, calls=True)
+    select = data.draw(st.sampled_from([Walk(), thirds]))
+    walk = select._replace(relaxed=relaxed)
     block = data.draw(st.sampled_from(BLOCKS))
     with mock.patch.object(traces, "TEXT_CHUNK", data.draw(st.sampled_from(CHUNKS))):
-        streamed = outcome(lambda: reconstruct_trace(Span(text, [block]), root, relaxed, select))
-    assert streamed == whole_walk(text, root, relaxed, select)
+        streamed = outcome(lambda: reconstruct_trace(Span(text, [block]), root, walk))
+    assert streamed == whole_walk(text, root, walk)
 
 
 @given(data=st.data())
@@ -283,7 +283,7 @@ def streamed_only(monkeypatch):
     def refused(*args):
         raise AssertionError("the stream fell back to json.loads")
 
-    monkeypatch.setattr(traces, "reconstruct_document", refused)
+    monkeypatch.setattr(traces, "json", SimpleNamespace(loads=refused))
 
 
 def _chunk_sizes(span) -> list:
@@ -293,7 +293,7 @@ def _chunk_sizes(span) -> list:
 
 def _walks_alike(data: bytes, **span):
     doc = json.loads(data)
-    assert reconstruct_trace(Span(data, **span), ROOT) == reconstruct_document(doc, ROOT)
+    assert reconstruct_trace(Span(data, **span), ROOT) == reconstruct_trace(doc, ROOT)
     chunks = stream_blocks(Span(data, **span).blocks())[1]
     assert [e for chunk in chunks for e in chunk] == doc["structLogs"]
 
@@ -303,11 +303,12 @@ def _falls_back(monkeypatch, data: bytes):
     then gives what one document walk of json.loads of the text gives."""
     with pytest.raises(Unstreamable):
         _chunk_sizes(Span(data))
-    walks = []
-    real = traces.reconstruct_document
-    monkeypatch.setattr(traces, "reconstruct_document", lambda *a: walks.append(a) or real(*a))
-    assert reconstruct_trace(Span(data), ROOT) == real(json.loads(data), ROOT)
-    assert len(walks) == 1
+    decodes = []
+    monkeypatch.setattr(
+        traces, "json", SimpleNamespace(loads=lambda text: decodes.append(text) or json.loads(text))
+    )
+    assert reconstruct_trace(Span(data), ROOT) == reconstruct_trace(json.loads(data), ROOT)
+    assert len(decodes) == 1
 
 
 def test_a_cut_inside_a_string_falls_back_to_json_loads(monkeypatch):
@@ -405,7 +406,7 @@ def test_members_after_the_array_stream(monkeypatch, streamed_only):
         assert "structLogsX" not in members and members["zzz"] == 0
         assert [e for chunk in chunks for e in chunk] == doc["structLogs"]
         assert members == {k: v for k, v in doc.items() if k != "structLogs"}
-        assert reconstruct_trace(span, ROOT) == reconstruct_document(doc, ROOT)
+        assert reconstruct_trace(span, ROOT) == reconstruct_trace(doc, ROOT)
     assert filter_trace(Span(data), {"pcSet": [3]}) == apply_tracer(doc, {"pcSet": [3]})
 
 
@@ -433,16 +434,20 @@ def test_a_long_miss_with_a_trailing_member_walks_no_document(
     doc = json.loads(path.read_bytes())
     code, local = _investigate(capsys, clone, "local")
     assert code == 0 and local["detections"]
-    walks = []
-    real = traces.reconstruct_document
-    monkeypatch.setattr(traces, "reconstruct_document", lambda *a: walks.append(a) or real(*a))
+    decoded = []
+
+    def loads(text):
+        decoded.append(json.loads(text))
+        return decoded[-1]
+
+    monkeypatch.setattr(traces, "json", SimpleNamespace(loads=loads))
     cache = tmp_path / "cache"
     for run in ("cold", "warm"):
         code, report = _investigate(capsys, clone, "local", cache)
         assert code == 0 and report["detections"] == local["detections"], run
     assert report["explorerStats"]["hits"] > 0 and report["explorerStats"]["innerCalls"] == 0
-    long_walks = [a for a in walks if len(a[0]["structLogs"]) > 100]
-    assert long_walks == []
+    long_docs = [doc for doc in decoded if len(doc["structLogs"]) > 100]
+    assert long_docs == []
     tx_hash = bytes.fromhex(path.stem)
     CachedExplorer(Answers(doc), tmp_path / "parsed").tx_trace(tx_hash)
     (parsed,) = (tmp_path / "parsed").iterdir()
@@ -469,7 +474,7 @@ def test_a_block_edge_inside_a_multibyte_character(monkeypatch, streamed_only):
     assert doc["comment"] == "ü€😀"
     for where in (data.index("ü€😀".encode()), data.rindex("ü€😀".encode())):
         for span in _every_cut(data, where, where + len("ü€😀".encode())):
-            assert reconstruct_trace(span, ROOT) == reconstruct_document(doc, ROOT)
+            assert reconstruct_trace(span, ROOT) == reconstruct_trace(doc, ROOT)
             members, chunks = stream_blocks(span.blocks())
             assert members["comment"] == "ü€😀"
             assert [e for chunk in chunks for e in chunk] == doc["structLogs"]
@@ -484,7 +489,7 @@ def test_a_block_edge_inside_a_cut(monkeypatch, streamed_only):
     cut = data.index(b"} \r\n ,\t {")
     for cut_at in range(cut, cut + 10):
         assert _chunk_sizes(Span(data, cuts=[cut_at])) == [1] * 9
-        assert reconstruct_trace(Span(data, cuts=[cut_at]), ROOT) == reconstruct_document(doc, ROOT)
+        assert reconstruct_trace(Span(data, cuts=[cut_at]), ROOT) == reconstruct_trace(doc, ROOT)
 
 
 @pytest.mark.parametrize("value", [21_000, 1.5, -2.5e-3, 1e300, True, None, "0x", [1, {}]])
@@ -525,7 +530,8 @@ def test_a_block_edge_inside_a_cache_entry_tail(monkeypatch, tmp_path, block):
         hit = CachedExplorer(Answers(None), cache)
         trace = hit.tx_trace(TX)
         assert isinstance(trace, TextSpan) and hit.hits == 1
-        assert walk_trace(hit, trace, TX, None, ROOT) == reconstruct_document(doc, ROOT)
+        tx = Transaction(TX, 0, ROOT, 0, b"", 0, 0)
+        assert ReadState(hit).walk(trace, tx, None, None) == reconstruct_trace(doc, ROOT)
         assert trace.handle.closed
         good = entry.read_bytes()
         at = len(good) - 3 - pad % 64

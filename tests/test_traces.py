@@ -1,5 +1,7 @@
 """Trace parsing, small-step validation, and frame reconstruction."""
 
+import copy
+import dataclasses
 import itertools
 from unittest import mock
 
@@ -17,10 +19,10 @@ from evmsleuth.traces import (
     CALL_OPS,
     CallSite,
     ReconstructedStep,
-    Selection,
+    Walk,
     decode_steps,
     parse_trace_document,
-    reconstruct_document,
+    reconstruct_trace,
 )
 
 SEED = 11
@@ -128,8 +130,8 @@ def test_parse_rejects_malformed_documents(mutate, fragment):
 
 def test_ingest_runs_through_the_module_globals(monkeypatch):
     # wrappers set on the three stage names from outside the package must
-    # see every walk reconstruct_document runs, with what it walks and the
-    # memo it walks through
+    # see every walk reconstruct_trace runs, with the walk value it is
+    # handed, memo and all
     seen = []
 
     def spy(name, fn):
@@ -142,15 +144,15 @@ def test_ingest_runs_through_the_module_globals(monkeypatch):
     for name in ("parse_trace_document", "decode_steps", "reconstruct"):
         spy(name, getattr(traces, name))
 
-    sstores = Selection({CALLER: frozenset({4})})  # the SSTORE's pc
-    memo = traces.IngestMemo()
+    sstores = Walk({CALLER: frozenset({4})}, memo=traces.IngestMemo())  # the SSTORE's pc
     for relaxed in (False, True):
         seen.clear()
-        rec = reconstruct_document(linear_doc(), CALLER, relaxed, sstores, memo)
+        walk = sstores._replace(relaxed=relaxed)
+        rec = reconstruct_trace(linear_doc(), CALLER, walk)
         assert seen == [
             ("parse_trace_document", ()),
-            ("reconstruct", (CALLER, relaxed, sstores, memo)),
-            ("decode_steps", (CALLER, relaxed, sstores, memo)),
+            ("reconstruct", (CALLER, walk)),
+            ("decode_steps", (CALLER, walk)),
         ]
         assert [(s.raw_index, s.op) for s in rec.steps] == [(2, "SSTORE")]
 
@@ -188,7 +190,7 @@ def test_decode_rejects_malformed_steps(mutate, fragment, relaxed):
     if mutate(victim) is None and fragment == "entry is not an object":
         src["structLogs"][2] = "step"
     with pytest.raises(TraceParseError, match=fragment) as err:
-        reconstruct_document(src, CALLER, relaxed)
+        reconstruct_trace(src, CALLER, Walk(relaxed=relaxed))
     assert err.value.raw_index == 2
 
 
@@ -212,14 +214,14 @@ def test_decode_rejects_malformed_steps(mutate, fragment, relaxed):
 def test_decode_rejects_malformed_call_extensions(extension, fragment):
     src = nested_doc(extension=extension)
     with pytest.raises(TraceParseError, match=fragment) as err:
-        reconstruct_document(src, CALLER)
+        reconstruct_trace(src, CALLER)
     assert err.value.raw_index == 1
 
 
 def test_null_call_input_reads_as_absent():
     extension = {"to": "0x%x" % TARGET, "value": "0x0", "status": 1}
-    absent = reconstruct_document(nested_doc(extension=dict(extension)), CALLER)
-    null = reconstruct_document(nested_doc(extension={**extension, "input": None}), CALLER)
+    absent = reconstruct_trace(nested_doc(extension=dict(extension)), CALLER)
+    null = reconstruct_trace(nested_doc(extension={**extension, "input": None}), CALLER)
     assert null == absent
     assert null.steps[1].call.input == b""
 
@@ -309,7 +311,7 @@ def test_decode_steps_accepts_prefixless_and_uppercase_hex():
 @pytest.mark.parametrize("relaxed", [False, True], ids=["strict", "relaxed"])
 def test_decode_steps_rejects_malformed(mutation, relaxed):
     with pytest.raises(TraceParseError) as info:
-        decode_steps([_entry(), _entry(**{"pc": 2, **mutation})], CALLER, relaxed)
+        decode_steps([_entry(), _entry(**{"pc": 2, **mutation})], CALLER, Walk(relaxed=relaxed))
     assert info.value.raw_index == 1  # raw index of the offending entry
 
 
@@ -322,7 +324,7 @@ def test_the_first_faulty_field_in_field_order_decides(first, second):
     # reported field by field, in the order pc, op, gas, gasCost, depth
     faulty = _entry(**{"pc": 2, **{name: _BAD_FIELDS[name] for name in (first, second)}})
     with pytest.raises(TraceParseError) as info:
-        decode_steps([_entry(), faulty], CALLER, relaxed=True)
+        decode_steps([_entry(), faulty], CALLER, Walk(relaxed=True))
     assert str(info.value) == f"step 1: bad {first} {_BAD_FIELDS[first]!r}"
 
 
@@ -427,11 +429,11 @@ def test_memoised_walk_equals_the_word_by_word_reader(entries):
         want = _reference_walk(entries)
     except TraceParseError as err:
         with pytest.raises(TraceParseError) as info:
-            decode_steps(entries, CALLER, relaxed=True)
+            decode_steps(entries, CALLER, Walk(relaxed=True))
         got = info.value
         assert (type(got), str(got), got.raw_index) == (type(err), str(err), err.raw_index)
     else:
-        assert decode_steps(entries, CALLER, relaxed=True) == want
+        assert decode_steps(entries, CALLER, Walk(relaxed=True)) == want
 
 
 @pytest.mark.parametrize("op", ["PUSHZ", "PUSH", "PUSH33"])
@@ -441,7 +443,7 @@ def test_malformed_push_op_is_a_parse_error(op, relaxed):
     # a malformed entry in either mode, not a crash in the pc check
     src = mutated(linear_doc(), 1, op=op)
     with pytest.raises(TraceParseError, match=f"bad op '{op}'") as info:
-        reconstruct_document(src, CALLER, relaxed)
+        reconstruct_trace(src, CALLER, Walk(relaxed=relaxed))
     assert info.value.raw_index == 1
 
 
@@ -485,7 +487,7 @@ def mutated(src, index, **fields):
 )
 def test_strict_validation_rejects_broken_sequences(build, fragment, where):
     with pytest.raises(TraceParseError, match=fragment) as err:
-        reconstruct_document(build(), CALLER)
+        reconstruct_trace(build(), CALLER)
     assert err.value.raw_index == where
 
 
@@ -498,7 +500,7 @@ def test_depth_drop_of_two_is_rejected():
     ]
     src["structLogs"][5] = step(3, "POP", 1, (1,))
     with pytest.raises(TraceParseError, match="depth drops") as err:
-        reconstruct_document(src, CALLER)
+        reconstruct_trace(src, CALLER)
     assert err.value.raw_index == 5
 
 
@@ -511,7 +513,7 @@ def test_jumps_suspend_pc_continuity():
             step(10, "STOP", 1),
         ]
     )
-    rec = reconstruct_document(src, CALLER)
+    rec = reconstruct_trace(src, CALLER)
     assert [s.pc for s in rec.steps] == [0, 2, 9, 10]
 
 
@@ -525,7 +527,7 @@ def test_call_not_taken_keeps_sequence_valid():
             step(4, "STOP", 1),
         ]
     )
-    rec = reconstruct_document(src, CALLER)
+    rec = reconstruct_trace(src, CALLER)
     assert len(rec.steps) == 4
 
 
@@ -546,7 +548,7 @@ def test_call_that_ends_its_frame_takes_no_later_status():
             step(6, "STOP", 1, (1,)),
         ]
     )
-    rec = reconstruct_document(src, CALLER)
+    rec = reconstruct_trace(src, CALLER)
     calls = {s.raw_index: s.call for s in rec.steps if s.call is not None}
     assert calls[3].entered is False
     assert calls[3].status is None
@@ -563,7 +565,7 @@ def test_first_faulty_step_decides_the_error(sstore_at, gap_at, error):
     src["structLogs"][sstore_at]["op"] = "SSTORE"  # bare stack: no write known
     src["structLogs"][gap_at]["pc"] += 7
     with pytest.raises(error, match=f"step {min(sstore_at, gap_at)}:"):
-        reconstruct_document(src, CALLER)
+        reconstruct_trace(src, CALLER)
 
 
 @pytest.mark.parametrize(
@@ -577,7 +579,7 @@ def test_a_sequence_fault_and_a_field_fault_the_first_decides(gap_at, bad_word_a
     src["structLogs"][gap_at]["pc"] += 7
     src["structLogs"][bad_word_at]["stack"] = ["0xzz"]
     with pytest.raises(TraceParseError, match=fragment) as err:
-        reconstruct_document(src, CALLER)
+        reconstruct_trace(src, CALLER)
     assert err.value.raw_index == 1
 
 
@@ -588,22 +590,22 @@ def test_relaxed_accepts_filtered_traces():
     spec = canonical_tracer({"pcSet": [4], "includeCallBoundaries": False})
     filtered = apply_tracer(linear_doc(), spec)
     with pytest.raises(TraceParseError):
-        reconstruct_document(filtered, CALLER)
-    rec = reconstruct_document(filtered, CALLER, relaxed=True)
+        reconstruct_trace(filtered, CALLER)
+    rec = reconstruct_trace(filtered, CALLER, Walk(relaxed=True))
     assert [s.op for s in rec.steps] == ["SSTORE"]
 
 
 def test_relaxed_still_rejects_bad_depth():
     src = mutated(nested_doc(), 3, depth=-1)
     with pytest.raises(TraceParseError, match="bad depth") as err:
-        reconstruct_document(src, CALLER, relaxed=True)
+        reconstruct_trace(src, CALLER, Walk(relaxed=True))
     assert err.value.raw_index == 3
 
 
 def test_relaxed_still_runs_step_decoding():
     src = mutated(linear_doc(), 1, stack=["0xqq"])
     with pytest.raises(TraceParseError, match="bad hex word") as err:
-        reconstruct_document(src, CALLER, relaxed=True)
+        reconstruct_trace(src, CALLER, Walk(relaxed=True))
     assert err.value.raw_index == 1
 
 
@@ -616,7 +618,7 @@ def _writes(rec):
 
 
 def test_linear_reconstruction_assigns_root_frame():
-    rec = reconstruct_document(linear_doc(), CALLER)
+    rec = reconstruct_trace(linear_doc(), CALLER)
     assert all(s.frame_id == CALLER for s in rec.steps)
     assert all(s.code_address == CALLER for s in rec.steps)
     assert all(s.frames_below == () for s in rec.steps)
@@ -625,7 +627,7 @@ def test_linear_reconstruction_assigns_root_frame():
 
 
 def test_call_reconstruction_from_stack():
-    rec = reconstruct_document(nested_doc(), CALLER)
+    rec = reconstruct_trace(nested_doc(), CALLER)
     site = rec.steps[1].call
     assert site.op == "CALL"
     assert site.to == TARGET
@@ -648,15 +650,37 @@ def test_call_reconstruction_prefers_recorded_extension():
         "input": "0x" + data.hex(),
         "status": 0,
     }
-    rec = reconstruct_document(nested_doc(extension=extension), CALLER)
+    rec = reconstruct_trace(nested_doc(extension=extension), CALLER)
     site = rec.steps[1].call
     assert site.input == data
     assert site.status == 0  # recorded status wins over the backfill
     assert site.value == 5
 
 
+@pytest.mark.parametrize("op", ["CALL", "DELEGATECALL", "STATICCALL"])
+def test_a_recorded_callee_is_the_callee_the_stack_names(op):
+    # an address word is read as its low 160 bits, off the stack and out of
+    # the call record alike: one call, with and without its record, builds
+    # the same steps in the same frames (the record's empty input aside)
+    dirty = (0xDEAD << 160) | TARGET
+    bare = nested_doc(op=op)
+    bare["structLogs"][1]["stack"][-2] = "0x%x" % dirty
+    recorded = copy.deepcopy(bare)
+    value = "0x5" if op == "CALL" else "0x0"
+    recorded["structLogs"][1]["call"] = {"to": "0x%x" % dirty, "value": value}
+
+    def steps(src):
+        return [
+            dataclasses.replace(s, call=s.call and dataclasses.replace(s.call, input=None))
+            for s in reconstruct_trace(src, CALLER).steps
+        ]
+
+    assert steps(recorded) == steps(bare)
+    assert steps(bare)[1].call.to == steps(bare)[1].call.child_code == TARGET
+
+
 def test_delegatecall_keeps_caller_identity():
-    rec = reconstruct_document(nested_doc(op="DELEGATECALL"), CALLER)
+    rec = reconstruct_trace(nested_doc(op="DELEGATECALL"), CALLER)
     site = rec.steps[1].call
     assert site.value is None
     assert site.child_id == CALLER
@@ -672,7 +696,7 @@ def test_delegatecall_keeps_caller_identity():
 
 
 def test_staticcall_value_is_zero():
-    rec = reconstruct_document(nested_doc(op="STATICCALL"), CALLER)
+    rec = reconstruct_trace(nested_doc(op="STATICCALL"), CALLER)
     assert rec.steps[1].call.value == 0
 
 
@@ -685,7 +709,7 @@ def test_call_not_taken_reports_status_zero():
             step(4, "STOP", 1),
         ]
     )
-    rec = reconstruct_document(src, CALLER)
+    rec = reconstruct_trace(src, CALLER)
     site = rec.steps[1].call
     assert site.entered is False
     assert site.child_id is None and site.child_code is None
@@ -693,7 +717,7 @@ def test_call_not_taken_reports_status_zero():
 
 
 def test_relaxed_reconstruction_leaves_status_open():
-    rec = reconstruct_document(nested_doc(), CALLER, relaxed=True)
+    rec = reconstruct_trace(nested_doc(), CALLER, Walk(relaxed=True))
     assert rec.steps[1].call.status is None
 
 
@@ -702,13 +726,13 @@ def test_filtered_trace_without_boundaries_fails_reconstruction():
     spec = canonical_tracer({"pcSet": [3], "includeCallBoundaries": False})
     filtered = apply_tracer(nested_doc(), spec)
     with pytest.raises(ReconstructionError, match="without call boundaries"):
-        reconstruct_document(filtered, CALLER, relaxed=True)
+        reconstruct_trace(filtered, CALLER, Walk(relaxed=True))
 
 
 def test_filtered_trace_with_boundaries_keeps_frames():
     spec = canonical_tracer({"pcSet": [2], "includeCallBoundaries": True})
     filtered = apply_tracer(nested_doc(), spec)
-    rec = reconstruct_document(filtered, CALLER, relaxed=True)
+    rec = reconstruct_trace(filtered, CALLER, Walk(relaxed=True))
     inner = [s for s in rec.steps if s.op == "SSTORE"]
     assert len(inner) == 1
     assert inner[0].frame_id == TARGET
@@ -718,15 +742,15 @@ def test_filtered_trace_with_boundaries_keeps_frames():
 def test_sstore_with_bare_stack_is_strict_error():
     src = doc([step(0, "SSTORE", 1), step(1, "STOP", 1)])
     with pytest.raises(ReconstructionError, match="SSTORE with bare stack"):
-        reconstruct_document(src, CALLER)
-    rec = reconstruct_document(src, CALLER, relaxed=True)
+        reconstruct_trace(src, CALLER)
+    rec = reconstruct_trace(src, CALLER, Walk(relaxed=True))
     assert rec.steps[0].storage_write is None
     assert _writes(rec) == []
 
 
 def test_sstore_falls_back_to_storage_snapshot():
     src = doc([step(0, "SSTORE", 1, (), storage={"0x3": "0x9"}), step(1, "STOP", 1)])
-    rec = reconstruct_document(src, CALLER)
+    rec = reconstruct_trace(src, CALLER)
     assert rec.steps[0].storage_write == (3, 9)
 
 
@@ -738,23 +762,23 @@ def test_call_with_bare_stack_is_reconstruction_error():
         ]
     )
     with pytest.raises(ReconstructionError, match="CALL with bare stack"):
-        reconstruct_document(src, CALLER)
+        reconstruct_trace(src, CALLER)
     src = doc([step(0, "CALL", 1, (60_000,)), step(1, "STOP", 1)])
     with pytest.raises(ReconstructionError, match="CALL with bare stack"):
-        reconstruct_document(src, CALLER)
+        reconstruct_trace(src, CALLER)
 
 
 def test_recorded_delegatecall_has_no_value():
     # a DELEGATECALL inherits the caller's value, whatever its record says
     extension = {"to": "0x%x" % TARGET, "value": "0x5", "input": "0x", "status": 1}
-    rec = reconstruct_document(nested_doc(op="DELEGATECALL", extension=extension), CALLER)
+    rec = reconstruct_trace(nested_doc(op="DELEGATECALL", extension=extension), CALLER)
     site = rec.steps[1].call
     assert (site.op, site.to, site.value, site.status) == ("DELEGATECALL", TARGET, None, 1)
     assert site.child_id == CALLER and site.child_code == TARGET
 
 
 def test_gate_requires_identity_and_code():
-    rec = reconstruct_document(nested_doc(op="DELEGATECALL"), CALLER)
+    rec = reconstruct_trace(nested_doc(op="DELEGATECALL"), CALLER)
     root_step = rec.steps[0]
     assert root_step.frame_id == CALLER and root_step.code_address == CALLER
     assert not (root_step.frame_id == TARGET and root_step.code_address == TARGET)
@@ -773,9 +797,9 @@ def suite():
     return build_suite(SEED)
 
 
-def selects(select: Selection, step: ReconstructedStep) -> bool:
+def selects(select: Walk, step: ReconstructedStep) -> bool:
     """Does the selection pick this step of the select-all walk?"""
-    gate, calls = select
+    gate, calls = select.gate, select.calls
     return (
         gate is None
         or step.pc in gate.get(step.code_address, ())
@@ -796,16 +820,16 @@ def test_selected_walk_equals_the_filtered_full_walk(suite):
             for tx in block.txs:
                 raw = fixture.archive.traces[tx.hash]
                 for relaxed, src in ((False, raw), (True, apply_tracer(raw, tracer))):
-                    full = reconstruct_document(src, tx.to, relaxed, Selection())
+                    full = reconstruct_trace(src, tx.to, Walk(relaxed=relaxed))
                     thirds = {s.code_address: range(0, 1 << 16, 3) for s in full.steps}
                     selections = [
-                        Selection(spec.gate),
-                        Selection({}, calls=True),
-                        Selection(spec.gate, calls=True),
-                        Selection(thirds),
+                        Walk(spec.gate, relaxed=relaxed),
+                        Walk({}, calls=True, relaxed=relaxed),
+                        Walk(spec.gate, calls=True, relaxed=relaxed),
+                        Walk(thirds, relaxed=relaxed),
                     ]
                     for select in selections:
-                        part = reconstruct_document(src, tx.to, relaxed, select)
+                        part = reconstruct_trace(src, tx.to, select)
                         assert (part.failed, part.gas, part.return_value) == (
                             full.failed, full.gas, full.return_value
                         )
@@ -823,7 +847,7 @@ def test_fixture_traces_parse_strict(bank):
     checked = 0
     for block in bank.archive.chain.blocks:
         for tx in block.txs:
-            rec = reconstruct_document(bank.archive.traces[tx.hash], tx.to)
+            rec = reconstruct_trace(bank.archive.traces[tx.hash], tx.to)
             checked += 1
             if rec.steps:  # plain transfers to code-free accounts run nothing
                 assert rec.steps[0].pc == 0
@@ -835,7 +859,7 @@ def test_fixture_exploit_reenters_the_contract(bank):
     contract = int(bank.vuln["vulnLocs"][0]["codeAddress"], 16)
     deepest = 0
     for txh in bank.archive.labels.exploit_hashes():
-        rec = reconstruct_document(bank.archive.traces[txh], contract)
+        rec = reconstruct_trace(bank.archive.traces[txh], contract)
         for s in rec.steps:
             if s.frame_id == contract and contract in s.frames_below:
                 deepest = max(deepest, s.depth)
@@ -850,8 +874,8 @@ def test_filtered_fixture_trace_agrees_with_full(bank):
     spec = canonical_tracer({"pcSet": pcs, "includeCallBoundaries": True})
     txh = bank.archive.labels.exploit_hashes()[0]
     raw = bank.archive.traces[txh]
-    full = reconstruct_document(raw, contract)
-    part = reconstruct_document(apply_tracer(raw, spec), contract, relaxed=True)
+    full = reconstruct_trace(raw, contract)
+    part = reconstruct_trace(apply_tracer(raw, spec), contract, Walk(relaxed=True))
     # match steps by (gas, depth): gas decreases strictly within a frame
     frames = {(s.gas, s.depth): (s.frame_id, s.code_address) for s in full.steps}
     hits = 0
@@ -962,7 +986,7 @@ def _walk_cases(draw):
             st.dictionaries(st.sampled_from(_CODES), st.frozensets(st.integers(0, 40))),
         )
     )
-    return entries, relaxed, Selection(gate, draw(st.booleans()))
+    return entries, relaxed, Walk(gate, draw(st.booleans()))
 
 
 def _walk_outcome(walk):
@@ -972,10 +996,10 @@ def _walk_outcome(walk):
         return type(err), str(err), getattr(err, "raw_index", None)
 
 
-def _reference_outcome(entries, relaxed: bool, select: Selection):
+def _reference_outcome(entries, relaxed: bool, select: Walk):
     """_walk_outcome of the predicate walk that does every frame check at
     every step, picking the steps select picks."""
-    gate, calls = select
+    gate, calls = select.gate, select.calls
 
     def predicate(pc, op, code):
         return gate is None or pc in gate.get(code, ()) or (calls and op in CALL_OPS)
@@ -990,7 +1014,8 @@ def test_the_walk_equals_the_reference_walk(case):
     # as the predicate walk that did every frame check at every step
     entries, relaxed, select = case
     want = _reference_outcome(entries, relaxed, select)
-    assert _walk_outcome(lambda: decode_steps(entries, CALLER, relaxed, select)) == want
+    walk = select._replace(relaxed=relaxed)
+    assert _walk_outcome(lambda: decode_steps(entries, CALLER, walk)) == want
 
 
 # a change to one entry: one of the walk's mutations, a stack of pool
@@ -1034,6 +1059,7 @@ def test_walks_through_one_memo_equal_fresh_reference_walks(cap, series):
     memo = traces.IngestMemo()
     with mock.patch.object(traces, "MEMO_CAP", cap):
         for entries, relaxed, select in series:
-            got = _walk_outcome(lambda: decode_steps(entries, CALLER, relaxed, select, memo))
+            walk = select._replace(relaxed=relaxed, memo=memo)
+            got = _walk_outcome(lambda: decode_steps(entries, CALLER, walk))
             assert got == _reference_outcome(entries, relaxed, select)
             assert len(memo.ops) <= cap and len(memo.words) <= cap
