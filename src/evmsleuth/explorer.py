@@ -1,13 +1,12 @@
 """Data access: local archive directories, JSON-RPC nodes, and a cache.
 
-All backends answer the same six questions:
+All backends answer the same five questions:
 
   collect_block_details(n)   {"block": envelope}: block n's envelope alone
   block_transactions(n)      block n's transactions, checked, in block order
   tx_trace(hash, tracer)     full or pc-filtered trace: its document, or a span
   get_storage(addr, key, n)  storage word as of block n's post-state
   get_balance(addr, n)       balance as of block n's post-state
-  height()                   newest block number
 
 Post-state semantics throughout: the pre-state of block n is a query
 against n - 1.
@@ -22,7 +21,7 @@ answers those values, and collect_block_details builds the envelope
 document from them on demand (envelope_document). RpcExplorer reads a
 JSON-RPC block in the archive shape (hex number and nonce to ints, gas to
 gasLimit); extra fields are dropped. CachedExplorer stores the envelope
-document, and reads the transactions of a hit from it.
+document, and reads the transactions of a hit from it with block_envelope.
 
 A point query answers a checked word on every backend: a JSON-RPC quantity
 or snapshot balance is 0x + 1 to 64 hex digits, a snapshot storage value
@@ -108,7 +107,7 @@ from .traces import (
     TextSpan,
     read_trace,
 )
-from .words import address_hex, hash_hex, storage_hex, word_hex
+from .words import WORD_MASK, address_hex, hash_hex, storage_hex, word_hex
 
 
 def canonical_tracer(tracer_spec: dict | None) -> dict | None:
@@ -330,9 +329,6 @@ class LocalExplorer:
             raise ArchiveGapError("chain.json lists no blocks")
         self._tip = max(self._by_number)
 
-    def height(self) -> int:
-        return self._tip
-
     def _block(self, number: int) -> dict:
         block = self._by_number.get(number)
         if block is None:
@@ -457,8 +453,8 @@ _URL_TEXT = re.compile(r"[\x21-\x7e]+")  # printable ASCII, no spaces
 class RpcExplorer:
     """Archive access over JSON-RPC 2.0.
 
-    Method surface: eth_blockNumber, eth_getBlockByNumber,
-    debug_traceTransaction, eth_getStorageAt, eth_getBalance. Each request is
+    Method surface: eth_getBlockByNumber, debug_traceTransaction,
+    eth_getStorageAt, eth_getBalance. Each request is
     one POST through http_post, made at most `retries` times in all. A
     connection failure or timeout, and HTTP 429, 502, 503 or 504, is tried
     again after a capped exponential backoff, or after the reply's
@@ -537,9 +533,6 @@ class RpcExplorer:
         if error or "result" not in reply:
             raise ProtocolError(f"{method}: rpc error {error!r:.80}")
         return reply["result"]
-
-    def height(self) -> int:
-        return _as_int(self._rpc("eth_blockNumber", []), "blockNumber")
 
     def _block(self, number: int) -> dict:
         """Block number's envelope, from one eth_getBlockByNumber reply."""
@@ -672,6 +665,20 @@ def _stored_payload(path: Path, prefix: bytes) -> TextSpan:
         raise
 
 
+def _block_transactions(answer) -> tuple[Transaction, ...]:
+    """The transactions of a block answer, {"block": envelope}, read and
+    checked by block_envelope."""
+    block = answer.get("block") if isinstance(answer, dict) else None
+    return block_envelope(block, "cache", tx_from_document)["transactions"]
+
+
+def _checked_word(answer) -> int:
+    """answer, if it is a word: an int, not a bool, in [0, WORD_MASK]."""
+    if type(answer) is not int or not 0 <= answer <= WORD_MASK:
+        raise ProtocolError(f"cache answer is not a word: {answer!r:.80}")
+    return answer
+
+
 class CachedExplorer:
     """Persistent read-through cache over any explorer.
 
@@ -685,11 +692,14 @@ class CachedExplorer:
     against the tail. A trace payload is answered as its span, any other is
     parsed once; a file in any other layout, with a mismatch, or whose
     payload does not parse is dropped and the query goes inner again.
-    Replayed answers skip the inner backend entirely (and any re-validation
-    the backend would do). Entries are written to a temporary file and
-    renamed into place, so runs sharing a directory never read a torn entry.
-    height() is never cached: it is the one answer that legitimately changes
-    between runs.
+    Replayed answers skip the inner backend entirely, and pass their kind's
+    check in place of the backend's: block_transactions reads a block hit
+    with block_envelope, a point query's hit must be a word (an int, not a
+    bool, in [0, WORD_MASK]), and the walk reads a trace hit. A hit that
+    fails it has its digest but not its kind's shape: it is dropped (_drop),
+    counts as dropped, not as a hit, and is fetched again (_checked).
+    Entries are written to a temporary file and renamed into place, so runs
+    sharing a directory never read a torn entry.
 
     Traces stream. A trace hit is answered as the TextSpan of its payload,
     not decoded: one of at most TEXT_CHUNK bytes over the entry bytes the
@@ -735,23 +745,40 @@ class CachedExplorer:
     def dropped(self) -> int:
         return sum(counts["dropped"] for counts in self.by_kind.values())
 
-    def height(self) -> int:
-        return self.inner.height()
-
-    def _lookup(self, kind: str, key_parts: list, fetch, undecodable: bool = False):
-        """The stored payload of the query (_stored_payload): a trace
-        payload as its span, any other decoded; or what the writer of
-        fetch()'s answer read (CachedExplorer). undecodable: the stored
-        payload was answered as a hit but does not decode; drop it and
-        fetch."""
+    def _entry(self, kind: str, key_parts: list) -> tuple[str, Path, bytes, dict]:
+        """(key, path, key prefix, counts of its kind) of a query's entry."""
         key = _compact([kind, *key_parts])
         path = self.base / f"{digest(key.encode()).hex()}.json"
         prefix = b'{"key":' + json.dumps(key).encode() + b',"payload":'
         counts = self.by_kind.setdefault(kind, {"hits": 0, "dropped": 0, "innerCalls": 0})
+        return key, path, prefix, counts
+
+    def _drop(self, kind: str, key_parts: list):
+        """Drop the entry of a hit found wrong after it was answered, so the
+        next ask fetches it again; it counts as dropped, not as a hit."""
+        _, path, _, counts = self._entry(kind, key_parts)
+        path.unlink(missing_ok=True)
+        counts["hits"] -= 1
+        counts["dropped"] += 1
+
+    def _checked(self, kind: str, key_parts: list, ask: Callable, read: Callable):
+        """read(ask()), where ask answers the query. The inner backend
+        checks its own answers, so read refuses (ProtocolError) only a hit
+        whose payload has its digest but not its kind's shape: that entry
+        is dropped and asked for once more."""
+        answer = ask()
         try:
-            if undecodable:
-                counts["hits"] -= 1
-                raise ValueError("payload does not decode")
+            return read(answer)
+        except ProtocolError:
+            self._drop(kind, key_parts)
+        return read(ask())
+
+    def _lookup(self, kind: str, key_parts: list, fetch):
+        """The stored payload of the query (_stored_payload): a trace
+        payload as its span, any other decoded; or what the writer of
+        fetch()'s answer read (CachedExplorer)."""
+        key, path, prefix, counts = self._entry(kind, key_parts)
+        try:
             payload = span = _stored_payload(path, prefix)
             if kind != "trace":
                 with span:
@@ -809,40 +836,40 @@ class CachedExplorer:
         )
 
     def block_transactions(self, number: int) -> tuple[Transaction, ...]:
-        """The transactions of collect_block_details' answer, read with
-        tx_from_document."""
-        block = self.collect_block_details(number)["block"]
-        return tuple(map(tx_from_document, block["transactions"]))
+        """The transactions of collect_block_details' answer, read by
+        block_envelope (_checked)."""
+        return self._checked(
+            "block", [number], lambda: self.collect_block_details(number), _block_transactions
+        )
 
     def tx_trace(self, tx_hash: bytes, tracer_spec: dict | None = None) -> dict | TextSpan:
-        return self._trace(tx_hash, tracer_spec, False)
+        return self._trace(tx_hash, tracer_spec)
 
     def refetch_trace(self, tx_hash: bytes, tracer_spec: dict | None = None) -> dict | TextSpan:
         """tx_trace again, after the walk found that the payload of its hit
         does not decode: the entry is dropped, fetched and written again."""
-        return self._trace(tx_hash, tracer_spec, True)
+        self._drop("trace", [hash_hex(tx_hash), canonical_tracer(tracer_spec)])
+        return self._trace(tx_hash, tracer_spec)
 
-    def _trace(self, tx_hash: bytes, tracer_spec: dict | None, undecodable: bool):
+    def _trace(self, tx_hash: bytes, tracer_spec: dict | None):
         try:
             return self._lookup(
                 "trace",
                 [hash_hex(tx_hash), canonical_tracer(tracer_spec)],
                 lambda: self.inner.tx_trace(tx_hash, tracer_spec),
-                undecodable,
             )
         except RecursionError as err:  # json.dumps refused a document nested too deep
             raise ProtocolError(f"{_trace_what(tx_hash)} unreadable: {err}") from None
 
+    def _word(self, kind: str, key_parts: list, fetch) -> int:
+        """The word a point query answers (_checked)."""
+        ask = partial(self._lookup, kind, key_parts, fetch)
+        return self._checked(kind, key_parts, ask, _checked_word)
+
     def get_storage(self, addr: int, key: int, number: int) -> int:
-        return self._lookup(
-            "storage",
-            [address_hex(addr), word_hex(key), number],
-            lambda: self.inner.get_storage(addr, key, number),
-        )
+        fetch = partial(self.inner.get_storage, addr, key, number)
+        return self._word("storage", [address_hex(addr), word_hex(key), number], fetch)
 
     def get_balance(self, addr: int, number: int) -> int:
-        return self._lookup(
-            "balance",
-            [address_hex(addr), number],
-            lambda: self.inner.get_balance(addr, number),
-        )
+        fetch = partial(self.inner.get_balance, addr, number)
+        return self._word("balance", [address_hex(addr), number], fetch)

@@ -69,7 +69,8 @@ just not stored, so a memo cannot grow with trace length or count.
 Integer fields: pc, gas, gasCost and depth are tested by one condition.
 Only when it fails does _field_fault find the fault, and it reports the
 first in field order (pc, op, gas, gasCost, depth), as separate checks
-would.
+would. gas and gasCost are checked and not kept, as are the header's gas
+and returnValue: no rule, filter or report reads them.
 
 Error precedence: the first faulty step decides. The walk raises at the
 first entry that fails any check, so a sequence fault at step 3 wins over a
@@ -77,14 +78,21 @@ malformed field at step 9. Within one entry, a field fault
 (TraceParseError) comes before a sequence fault (TraceParseError), which
 comes before a frame fault (ReconstructionError).
 
-Callee: a call's `to` is read as the EVM reads an address word, its low
-160 bits, from the per-step call record when the producer included one
-and from the stack otherwise, so both name the same callee.
+Callee: a call step's CallSite holds what a rule or filter reads of the
+call: its to, value, input and status. Its `to` is read as the EVM reads
+an address word, its low 160 bits, from the per-step call record when the
+producer included one and from the stack otherwise, so both name the same
+callee. The frame a call opens is not copied into its site; the callee's
+own steps carry it. An entered call is followed by a step one level
+deeper, whose frame_id is the callee's storage identity (the caller's,
+for a DELEGATECALL) and whose code_address is the callee. A call that was
+not entered is followed by a step no deeper than the call.
 
 Call status: taken from the per-step call record when the producer included
-one; in strict mode it can also be read off the caller's resume step. A
-filtered trace without call records has no third source, so status comes
-back None and status-dependent rules stay quiet there.
+one; in strict mode it can also be read off the caller's resume step, the
+one fact the walk sets on a site after building it. A filtered trace
+without call records has no third source, so status comes back None and
+status-dependent rules stay quiet there.
 
 Streaming: a trace reaches the walk in one of two forms, and read_trace
 is the one reader of both, the one place that decides how a text is
@@ -263,8 +271,6 @@ class ParsedTrace:
     """A trace document whose header is checked; its entries are not yet."""
 
     failed: bool
-    gas: int
-    return_value: bytes
     struct_logs: Iterable  # raw structLog entries, checked by decode_steps
 
 
@@ -281,24 +287,19 @@ def parse_trace_document(doc: dict) -> ParsedTrace:
     raw_return = doc["returnValue"]
     if not isinstance(raw_return, str):
         raise TraceParseError("returnValue must be a hex string")
-    return_value = _hex_bytes(raw_return)
-    if return_value is None:
+    if _hex_bytes(raw_return) is None:
         raise TraceParseError(f"returnValue is not hex: {raw_return!r}")
     if not isinstance(doc["structLogs"], list):
         raise TraceParseError("structLogs must be a list")
-    return ParsedTrace(doc["failed"], doc["gas"], return_value, doc["structLogs"])
+    return ParsedTrace(doc["failed"], doc["structLogs"])
 
 
 @dataclass
 class CallSite:
-    op: str
     to: int
     value: int | None  # None for DELEGATECALL (inherits the caller's)
     input: bytes | None  # only the recorded extension carries calldata
-    entered: bool
     status: int | None
-    child_id: int | None
-    child_code: int | None
 
 
 @dataclass
@@ -306,8 +307,6 @@ class ReconstructedStep:
     raw_index: int
     pc: int
     op: str
-    gas: int
-    gas_cost: int
     depth: int
     stack: tuple[int, ...]
     frame_id: int
@@ -320,8 +319,6 @@ class ReconstructedStep:
 @dataclass
 class ReconstructedTrace:
     failed: bool
-    gas: int
-    return_value: bytes
     steps: list[ReconstructedStep]  # the selected steps, in trace order
 
 
@@ -373,7 +370,7 @@ def decode_steps(
     # as (call pc, CallSite of a selected call or None)
     pending: dict[int, tuple] = {}
     # the previous step's call, entered iff this step is one level deeper:
-    # (call depth, child identity, child code, CallSite or None)
+    # (call depth, child identity, child code)
     opened = None
     # the previous step, and the pc the next one must have if it runs in
     # the same frame: None after a jump (any), -1 after a terminal (none)
@@ -480,12 +477,9 @@ def decode_steps(
 
             # -- the frames
             if opened is not None:
-                call_depth, child_id, child_code, site = opened
+                call_depth, child_id, child_code = opened
                 opened = None
                 if depth == call_depth + 1:
-                    if site is not None:
-                        site.entered = True
-                        site.child_id, site.child_code = child_id, child_code
                     below = below + (frame_id,)
                     frame_id, code = child_id, child_code
                     frames.append((frame_id, code, below))
@@ -559,16 +553,15 @@ def decode_steps(
                         value = 0
                     else:
                         value = None
-                site = CallSite(op, to, value, data, False, status, None, None)
+                site = CallSite(to, value, data, status)
             out.append(
                 ReconstructedStep(
-                    i, pc, op, gas, gas_cost, depth, words,
-                    frame_id, code, below, storage_write, site,
+                    i, pc, op, depth, words, frame_id, code, below, storage_write, site
                 )
             )
         if kind == _CALL:
             pending[depth] = (pc, site)
-            opened = (depth, frame_id if op == "DELEGATECALL" else to, to, site)
+            opened = (depth, frame_id if op == "DELEGATECALL" else to, to)
         prev_pc, prev_op = pc, op
 
     return out
@@ -578,7 +571,7 @@ def reconstruct(parsed: ParsedTrace, root_target: int, walk: Walk = Walk()) -> R
     """The trace of a checked document header, holding the steps `walk`
     selects from the walk over its entries (decode_steps)."""
     steps = decode_steps(parsed.struct_logs, root_target, walk)
-    return ReconstructedTrace(parsed.failed, parsed.gas, parsed.return_value, steps)
+    return ReconstructedTrace(parsed.failed, steps)
 
 
 @contextmanager

@@ -3,6 +3,7 @@ tests that feed damaged archives, cache entries and trace texts to the
 program, and the paths and re-encodings of the JSON values whose fields
 the descriptor and RPC reply tests damage."""
 
+import hashlib
 import json
 
 from hypothesis import strategies as st
@@ -89,10 +90,35 @@ def re_encodings(value) -> list:
     if isinstance(value, str):
         out = [" " + value, value.upper(), [value]]
         if value.startswith("0x"):
-            out += [value[2:], "0x" + value[2:].zfill(64), int(value, 16)]
+            out += [value[2:], "0x" + value[2:].zfill(64)]
+            if len(value) > 2:  # "0x", empty calldata, spells no number
+                out.append(int(value, 16))
         if value.lstrip("-").isdigit():
             out += [int(value), float(value), hex(int(value))]
         return out
     if isinstance(value, list):
         return [{str(i): item for i, item in enumerate(value)}, value[:1], value * 2]
     return [[[key, item] for key, item in value.items()], list(value.values())]
+
+
+@st.composite
+def resealed(draw, entry: bytes) -> bytes:
+    """A cache entry's bytes with its payload, or one value inside it
+    (json_paths), written another way (re_encodings), and its sha256 taken
+    again over the new payload: an entry whose digest matches, so only the
+    check of its kind's shape can catch it."""
+    doc = json.loads(entry)
+    payload = doc["payload"]
+    path = draw(st.sampled_from([(), *json_paths(payload)]))
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]] if path else payload
+    new = draw(st.sampled_from(re_encodings(old)))
+    if path:
+        parent[path[-1]] = new
+    else:
+        payload = new
+    text = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+    sha = hashlib.sha256(text.encode()).hexdigest()
+    return f'{{"key":{json.dumps(doc["key"])},"payload":{text},"sha256":"{sha}"}}'.encode()

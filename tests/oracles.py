@@ -211,7 +211,7 @@ def reference_walk(struct_logs, root_target, relaxed=False, select=lambda pc, op
     # as (call pc, CallSite of a selected call or None)
     pending: dict[int, tuple] = {}
     # the previous step's call, entered iff this step is one level deeper:
-    # (call depth, child identity, child code, CallSite or None)
+    # (call depth, child identity, child code)
     opened = None
     prev_pc = prev_op = prev_depth = None
     # ops and stack words already accepted in this walk (module docstring)
@@ -313,12 +313,9 @@ def reference_walk(struct_logs, root_target, relaxed=False, select=lambda pc, op
 
         # -- frames
         if opened is not None:
-            call_depth, child_id, child_code, site = opened
+            call_depth, child_id, child_code = opened
             opened = None
             if depth == call_depth + 1:
-                if site is not None:
-                    site.entered = True
-                    site.child_id, site.child_code = child_id, child_code
                 below = below + (frame_id,)
                 frame_id, code = child_id, child_code
                 frames.append((frame_id, code, below))
@@ -376,15 +373,14 @@ def reference_walk(struct_logs, root_target, relaxed=False, select=lambda pc, op
                         value = 0
                     else:
                         value = None
-                site = CallSite(op, to, value, data, False, status, None, None)
+                site = CallSite(to, value, data, status)
             out.append(
                 ReconstructedStep(
-                    i, pc, op, gas, gas_cost, depth, words,
-                    frame_id, code, below, storage_write, site,
+                    i, pc, op, depth, words, frame_id, code, below, storage_write, site
                 )
             )
         if is_call:
             pending[depth] = (pc, site)
-            opened = (depth, frame_id if op == "DELEGATECALL" else to, to, site)
+            opened = (depth, frame_id if op == "DELEGATECALL" else to, to)
 
     return out

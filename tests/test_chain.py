@@ -7,7 +7,7 @@ import pytest
 
 from oracles import replay_block
 from evmsleuth.chain import tx_from_document, tx_to_document
-from evmsleuth.errors import ProtocolError, UsageError
+from evmsleuth.errors import ArchiveGapError, ProtocolError, UsageError
 from evmsleuth.explorer import LocalExplorer
 from evmsleuth.fixtures.archive import (
     Archive,
@@ -192,7 +192,9 @@ def test_archive_roundtrip(tmp_path):
     arch = build_small_archive()
     write_archive(arch, tmp_path)
     local = LocalExplorer(tmp_path)
-    assert local.height() == arch.chain.height
+    tip = arch.chain.height
+    with pytest.raises(ArchiveGapError, match=f"no block {tip + 1} in archive \\(tip {tip}\\)"):
+        local.collect_block_details(tip + 1)
     for block in arch.chain.blocks:
         details = local.collect_block_details(block.number)
         envelope = details["block"]

@@ -60,6 +60,12 @@ def local(archive_dir):
     return LocalExplorer(archive_dir)
 
 
+@pytest.fixture(scope="module")
+def tip(fixture):
+    """The newest block number of the archive."""
+    return fixture.archive.chain.height
+
+
 def contract_of(fixture):
     return int(fixture.vuln["contractAddress"], 16)
 
@@ -113,8 +119,10 @@ def test_apply_tracer_keeps_pcs_and_boundaries():
 # -- local archive --
 
 
-def test_local_height_matches_chain(fixture, local):
-    assert local.height() == fixture.archive.chain.height
+def test_local_tip_is_the_chain_height(local, tip):
+    assert local.collect_block_details(tip)["block"]["number"] == tip
+    with pytest.raises(ArchiveGapError, match=f"no block {tip + 1} in archive \\(tip {tip}\\)"):
+        local.collect_block_details(tip + 1)
 
 
 def test_local_block_envelope(fixture, local):
@@ -171,9 +179,9 @@ def test_local_rejects_a_malformed_block_envelope(archive_dir, tmp_path, damage,
         LocalExplorer(clone)
 
 
-def test_local_missing_block_is_a_gap(local):
+def test_local_missing_block_is_a_gap(local, tip):
     with pytest.raises(ArchiveGapError, match="no block"):
-        local.collect_block_details(local.height() + 1)
+        local.collect_block_details(tip + 1)
 
 
 def test_local_post_state_semantics(fixture, local):
@@ -430,7 +438,19 @@ _TAMPERS = {
 # (query, another query's entry) of each kind of entry the tampers damage
 _ENTRIES = {
     "balance": (lambda ex: ex.get_balance(0xDEAD, 0), lambda ex: ex.get_balance(0xDEAD, 1)),
+    "storage": (lambda ex: ex.get_storage(0xDEAD, 0, 0), lambda ex: ex.get_storage(0xDEAD, 0, 1)),
     "block": (lambda ex: ex.collect_block_details(1), lambda ex: ex.collect_block_details(2)),
+    "transactions": (lambda ex: ex.block_transactions(1), lambda ex: ex.block_transactions(2)),
+}
+
+# Payloads that are not their kind's shape: a point query's is not a word
+# (an int, not a bool, in [0, WORD_MASK]), and a block's transactions do
+# not pass block_envelope
+_NOT_WORDS = [b'"x"', b"true", b"-1", b"1.0", b"1" + b"0" * 78, b"[1]", b"null"]
+_WRONG_SHAPES = {
+    "balance": _NOT_WORDS,
+    "storage": _NOT_WORDS,
+    "transactions": [b'{"block":{"transactions":5}}', b'{"block":[]}', b"[]", b"null"],
 }
 
 
@@ -442,6 +462,11 @@ _ENTRIES = {
         for where, entry, bound in [("", "balance", None), ("block-", "block", None),
                                     ("on-file-", "block", 1)]
         for name, tamper in _TAMPERS.items()
+    ] + [
+        # re-sealed: the digest matches, the shape does not
+        pytest.param(_consistent_entry(payload), entry, None, id=f"wrong-shape-{entry}-{i}")
+        for entry, payloads in _WRONG_SHAPES.items()
+        for i, payload in enumerate(payloads)
     ],
 )
 def test_cache_drops_corrupt_entries(local, tmp_path, monkeypatch, tamper, entry, bound):
@@ -465,6 +490,29 @@ def test_cache_drops_corrupt_entries(local, tmp_path, monkeypatch, tamper, entry
     assert victim.read_bytes() == good  # the refetch rewrote the entry
     assert query(cache) == expected
     assert cache.hits == 1
+
+
+def test_cache_drops_no_entry_when_the_inner_backend_refuses(tmp_path):
+    # only a hit is checked for its kind's shape: the inner backend's own
+    # refusal of a miss is its error, raised once, with nothing dropped
+    class Inner:
+        calls = 0
+
+        def collect_block_details(self, number):
+            Inner.calls += 1
+            raise ProtocolError("bad block reply")
+
+        def get_balance(self, addr, number):
+            Inner.calls += 1
+            raise ProtocolError("bad balance reply")
+
+    cache = CachedExplorer(Inner(), tmp_path / "cache")
+    for ask in (lambda: cache.block_transactions(1), lambda: cache.get_balance(0xDEAD, 1)):
+        with pytest.raises(ProtocolError, match="bad .* reply"):
+            ask()
+    assert Inner.calls == 2
+    assert cache.hits == cache.dropped == 0
+    assert list((tmp_path / "cache").iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -563,12 +611,12 @@ def test_cache_path_faults_are_usage_errors(local, tmp_path):
 
 def test_cache_shared_by_concurrent_writers_never_reads_a_torn_entry(tmp_path):
     class Inner:
-        def get_balance(self, addr, number):
-            return list(range(50_000))  # a few hundred KB per entry
+        def collect_block_details(self, number):
+            return {"block": list(range(50_000))}  # a few hundred KB per entry
 
     directory = tmp_path / "cache"
     caches = [CachedExplorer(Inner(), directory) for _ in range(4)]
-    caches[0].get_balance(1, 0)
+    caches[0].collect_block_details(0)
     (path,) = directory.glob("*.json")
     stop = time.monotonic() + 1.0
     errors = []
@@ -578,7 +626,7 @@ def test_cache_shared_by_concurrent_writers_never_reads_a_torn_entry(tmp_path):
             while time.monotonic() < stop:
                 if rewrite:
                     path.unlink(missing_ok=True)
-                cache.get_balance(1, 0)
+                cache.collect_block_details(0)
         except Exception as err:  # reported below
             errors.append(err)
 
@@ -641,11 +689,11 @@ def test_cache_counts_per_kind(local, tmp_path):
     assert cache.hits == 1 and cache.dropped == 0
 
 
-def test_cache_never_caches_height(local, tmp_path):
-    cache = CachedExplorer(local, tmp_path / "cache")
-    assert cache.height() == local.height()
-    assert cache.fetches == {} and cache.hits == 0
-    assert list((tmp_path / "cache").glob("*.json")) == []
+def test_no_backend_answers_a_chain_height():
+    # the five questions of the module docstring are all a backend answers;
+    # no investigation asks for the newest block number
+    for backend in (LocalExplorer, RpcExplorer, CachedExplorer):
+        assert not hasattr(backend, "height"), backend
 
 
 # -- json-rpc backend --
@@ -751,8 +799,6 @@ class _Shim(ThreadingHTTPServer):
         local = self.local
         if method in self.replies:
             return self.replies[method]
-        if method == "eth_blockNumber":
-            return hex(local.height())
         if method == "eth_getBlockByNumber":
             try:
                 block = local.collect_block_details(int(params[0], 16))["block"]
@@ -846,16 +892,14 @@ def test_a_short_trace_reaches_the_walk_as_one_document_four_ways(
     assert walks["cold"] == reconstruct_trace(doc, root)
 
 
-def test_rpc_mirrors_the_local_archive(rpc, shim, local, fixture):
-    assert rpc.height() == local.height()
-    for number in range(local.height() + 1):
+def test_rpc_mirrors_the_local_archive(rpc, shim, local, fixture, tip):
+    for number in range(tip + 1):
         before = len(shim.seen)
         assert rpc.collect_block_details(number) == local.collect_block_details(number)
         assert len(shim.seen) == before + 1  # the block alone, no parent
     txh = fixture.archive.labels.exploit_hashes()[0]
     assert rpc.tx_trace(txh) == document(local.tx_trace(txh)) == fixture.archive.traces[txh]
     contract = contract_of(fixture)
-    tip = local.height()
     assert rpc.get_balance(contract, tip) == local.get_balance(contract, tip)
     assert rpc.get_storage(contract, 1, tip) == local.get_storage(contract, 1, tip)
 
@@ -871,16 +915,16 @@ def test_rpc_sends_the_declarative_tracer(rpc, shim, fixture):
     }
 
 
-def test_rpc_missing_data_is_a_gap(rpc, local):
+def test_rpc_missing_data_is_a_gap(rpc, tip):
     with pytest.raises(ArchiveGapError, match="no block"):
-        rpc.collect_block_details(local.height() + 5)
+        rpc.collect_block_details(tip + 5)
     with pytest.raises(ArchiveGapError, match="no trace"):
         rpc.tx_trace(bytes(32))
 
 
 def test_rpc_retries_transient_drops(rpc, shim, waits):
     shim.faults = ["drop", "drop"]
-    assert rpc.height() == shim.local.height()
+    assert rpc.collect_block_details(1) == shim.local.collect_block_details(1)
     assert len(shim.seen) == 1  # dropped requests never reached the decoder
     assert waits == [BACKOFF_BASE_S, 2 * BACKOFF_BASE_S]
 
@@ -888,14 +932,14 @@ def test_rpc_retries_transient_drops(rpc, shim, waits):
 def test_rpc_unreachable_endpoint_is_a_gap(waits):
     probe = RpcExplorer("http://127.0.0.1:1", retries=2, timeout=1.0)
     with pytest.raises(ArchiveGapError, match="unreachable after 2"):
-        probe.height()
+        probe.get_balance(0xDEAD, 1)
     assert waits == [BACKOFF_BASE_S]
 
 
 @pytest.mark.parametrize("status", [429, 502, 503, 504])
 def test_rpc_retries_busy_replies(rpc, shim, waits, status):
     shim.faults = [status, status]
-    assert rpc.height() == shim.local.height()
+    assert rpc.collect_block_details(1) == shim.local.collect_block_details(1)
     assert len(shim.seen) == 3
     assert waits == [BACKOFF_BASE_S, 2 * BACKOFF_BASE_S]
 
@@ -913,7 +957,7 @@ def test_rpc_retries_busy_replies(rpc, shim, waits, status):
 def test_rpc_honours_retry_after_up_to_the_cap(rpc, shim, waits, retry_after, wait):
     shim.faults = [429]
     shim.retry_after = retry_after
-    assert rpc.height() == shim.local.height()
+    assert rpc.collect_block_details(1) == shim.local.collect_block_details(1)
     assert len(shim.seen) == 2
     assert waits == [wait]
 
@@ -937,24 +981,30 @@ def test_rpc_busy_after_the_bound_is_a_gap(shim, local, waits, status):
 def test_rpc_malformed_replies_are_protocol_errors(rpc, shim, waits, mode):
     shim.mode = mode
     with pytest.raises(ProtocolError):
-        rpc.height()
+        rpc.get_balance(0xDEAD, 1)
     assert len(shim.seen) == 1 and waits == []
 
 
-def test_rpc_reply_longer_than_the_cap_is_a_protocol_error(rpc, shim, waits, local, monkeypatch):
-    size = len(json.dumps({"jsonrpc": "2.0", "id": 1, "result": hex(local.height())}).encode())
+def test_rpc_reply_longer_than_the_cap_is_a_protocol_error(
+    rpc, shim, waits, local, fixture, tip, monkeypatch
+):
+    contract = int(fixture.vuln["contractAddress"], 16)
+    balance = local.get_balance(contract, tip)
+    size = len(json.dumps({"jsonrpc": "2.0", "id": 1, "result": hex(balance)}).encode())
     monkeypatch.setattr("evmsleuth.explorer.REPLY_CAP_BYTES", size)
-    assert rpc.height() == local.height()  # a reply of exactly the cap
+    assert rpc.get_balance(contract, tip) == balance  # a reply of exactly the cap
     monkeypatch.setattr("evmsleuth.explorer.REPLY_CAP_BYTES", size - 1)
     with pytest.raises(ProtocolError) as refused:
-        rpc.height()
+        rpc.get_balance(contract, tip)
     assert str(refused.value) == (
-        f"eth_blockNumber: bad rpc reply: reply longer than REPLY_CAP_BYTES ({size - 1} bytes)"
+        f"eth_getBalance: bad rpc reply: reply longer than REPLY_CAP_BYTES ({size - 1} bytes)"
     )
     assert len(shim.seen) == 2 and waits == []  # refused at once, not tried again
 
 
-def test_rpc_trace_over_the_cap_is_a_skip_record(shim, local, fixture, archive_dir, monkeypatch):
+def test_rpc_trace_over_the_cap_is_a_skip_record(
+    shim, local, fixture, tip, archive_dir, monkeypatch
+):
     # block replies fit under the cap, the exploit traces do not: each is
     # a skip record of the run, and the run itself ends well
     shim.reset(local)
@@ -962,7 +1012,7 @@ def test_rpc_trace_over_the_cap_is_a_skip_record(shim, local, fixture, archive_d
         len(json.dumps({"jsonrpc": "2.0", "id": 1, "result": shim.answer(
             {"method": "eth_getBlockByNumber", "params": [hex(n), True]}
         )}).encode())
-        for n in range(local.height() + 1)
+        for n in range(tip + 1)
     ]
     exploits = fixture.archive.labels.exploit_hashes()
     traces = [len(json.dumps(fixture.archive.traces[h]).encode()) for h in exploits]
@@ -1039,7 +1089,6 @@ def test_rpc_url_with_resolvable_host_is_accepted(url):
 # Each explorer call with the JSON-RPC method it sends; a trace answer is
 # also walked, as an investigation would.
 _RPC_CALLS = {
-    "eth_blockNumber": lambda rpc: rpc.height(),
     "eth_getBlockByNumber": lambda rpc: rpc.collect_block_details(1),
     "debug_traceTransaction": lambda rpc: walk_answer(
         rpc, rpc.tx_trace(bytes(32)), bytes(32), None, 0xAB
@@ -1075,13 +1124,13 @@ def test_rpc_error_message_is_bounded(monkeypatch):
     short = {"code": -32000, "message": "boom"}
     monkeypatch.setattr("evmsleuth.explorer.http_post", _answer_with({"id": 1, "error": short}))
     with pytest.raises(ProtocolError) as refused:
-        rpc.height()
-    assert str(refused.value) == f"eth_blockNumber: rpc error {short!r}"
+        rpc.get_balance(0xDEAD, 1)
+    assert str(refused.value) == f"eth_getBalance: rpc error {short!r}"
     monkeypatch.setattr(
         "evmsleuth.explorer.http_post", _answer_with({"id": 1, "error": "x" * 100_000})
     )
     with pytest.raises(ProtocolError) as refused:
-        rpc.height()
+        rpc.get_balance(0xDEAD, 1)
     assert len(str(refused.value)) < 300
 
 
@@ -1124,23 +1173,23 @@ def test_rpc_any_reply_envelope_answers_or_is_a_sleuth_error(reply):
                 pass
 
 
-def test_rpc_cached_composition(rpc, shim, tmp_path, local):
+def test_rpc_cached_composition(rpc, shim, tmp_path, tip):
     cache = CachedExplorer(rpc, tmp_path / "cache")
-    n = local.height()
+    n = tip
     details = cache.collect_block_details(n)
     before = len(shim.seen)
     assert cache.collect_block_details(n) == details
     assert len(shim.seen) == before  # warm read never touches the wire
 
 
-def test_every_backend_answers_a_block_alike(rpc, local, tmp_path):
+def test_every_backend_answers_a_block_alike(rpc, local, tip, tmp_path):
     # Local, RPC and a cache over either answer one envelope document and
     # one tuple of checked transactions for each block, and a cache writes
     # the same block entry, byte for byte, over either backend, whichever
     # question misses first
     over_local = CachedExplorer(local, tmp_path / "over-local")
     over_rpc = CachedExplorer(rpc, tmp_path / "over-rpc")
-    blocks = range(local.height() + 1)
+    blocks = range(tip + 1)
     assert any(local.block_transactions(number) for number in blocks)
     for number in blocks:
         doc = local.collect_block_details(number)
@@ -1334,7 +1383,7 @@ _FRAMINGS = st.one_of(
 
 
 @st.composite
-def reply_damages(draw, local):
+def reply_damages(draw, local, tip):
     """(method, target, damage): one damage to every reply of `method` whose
     first parameter is `target` (a block number or a transaction hash in
     hex; None for any point answer). The damage drops, retypes or
@@ -1343,7 +1392,7 @@ def reply_damages(draw, local):
     result, and a re-encoding is made of the value the reply holds there."""
     method = draw(st.sampled_from(["eth_getBlockByNumber", "debug_traceTransaction", *_POINT_METHODS]))
     if method == "eth_getBlockByNumber":
-        number = draw(st.integers(0, local.height()))
+        number = draw(st.integers(0, tip))
         target, result = hex(number), _rpc_block(local.collect_block_details(number)["block"])
     elif method == "debug_traceTransaction":
         traces = sorted(path.stem for path in (local.base / "traces").glob("*.json"))
@@ -1418,11 +1467,11 @@ def damage_work(tmp_path_factory):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
 def test_damaged_rpc_results_are_exit_3_or_skip_records(
-    capsys, rpc, shim, archive_dir, damage_work, data
+    capsys, rpc, shim, archive_dir, tip, damage_work, data
 ):
     local = LocalExplorer(archive_dir)
     vuln = next((archive_dir / "vulns").glob("*.json"))
-    method, target, damage = data.draw(reply_damages(local))
+    method, target, damage = data.draw(reply_damages(local, tip))
     work, undamaged = damage_work
     for run in _RUNS:
         for cached in (False, True)[: 1 if run == "customTracer" else 2]:

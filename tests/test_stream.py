@@ -24,7 +24,7 @@ from damages import damage, damaged
 from evmsleuth import explorer, traces
 from evmsleuth.chain import Transaction
 from evmsleuth.cli import main
-from evmsleuth.errors import ArchiveGapError, ProtocolError, UsageError
+from evmsleuth.errors import ArchiveGapError, ProtocolError, TraceParseError, UsageError
 from evmsleuth.explorer import (
     _TAIL_SIZE,
     CachedExplorer,
@@ -367,7 +367,14 @@ def test_an_empty_array_streams(monkeypatch, streamed_only):
     for block in BLOCKS:
         assert _chunk_sizes(Span(data, [block])) == []
         rec = reconstruct_trace(Span(data, [block]), ROOT)
-        assert rec.steps == [] and rec.gas == 21_000
+        assert rec.steps == [] and rec.failed is False
+    # the header's gas and returnValue are checked, not kept: a bad one is
+    # refused, by the stream and by the whole read it falls back to
+    with mock.patch.object(traces, "json", json):
+        for bad, message in (({"gas": -1}, "gas must be"), ({"returnValue": "0xz"}, "not hex")):
+            for block in BLOCKS:
+                with pytest.raises(TraceParseError, match=message):
+                    reconstruct_trace(Span(_text([], **bad), [block]), ROOT)
 
 
 def test_an_array_shorter_than_a_chunk_is_one_chunk(streamed_only):

@@ -18,6 +18,7 @@ from evmsleuth.rules_evm import VulnSpec
 from evmsleuth.traces import (
     CALL_OPS,
     CallSite,
+    ParsedTrace,
     ReconstructedStep,
     Walk,
     decode_steps,
@@ -90,18 +91,19 @@ def nested_doc(op="CALL", extension=None):
 def test_parse_accepts_minimal_linear_trace():
     src = linear_doc()
     parsed = parse_trace_document(src)
-    assert parsed.failed is False
-    assert parsed.gas == 1234
-    assert parsed.return_value == b""
+    # gas and returnValue are checked (below) and not kept
+    assert parsed == ParsedTrace(False, src["structLogs"])
     assert parsed.struct_logs is src["structLogs"]  # the walk checks them
 
 
-def test_parse_decodes_return_value_and_failed():
+def test_parse_reads_failed_and_accepts_a_hex_return_value():
     src = doc([step(0, "STOP", 1)], failed=True)
     src["returnValue"] = "0xdeadbeef"
     parsed = parse_trace_document(src)
     assert parsed.failed is True
-    assert parsed.return_value == bytes.fromhex("deadbeef")
+    src["returnValue"] = "0xdeadbee"  # an odd number of digits spells no bytes
+    with pytest.raises(TraceParseError, match="returnValue is not hex"):
+        parse_trace_document(src)
 
 
 @pytest.mark.parametrize(
@@ -242,7 +244,7 @@ def _entry(**overrides):
 def test_decode_steps_basic():
     steps = decode_steps([_entry()], CALLER)
     assert steps == [
-        ReconstructedStep(0, 0, "PUSH1", 100, 3, 1, (1, 255), CALLER, CALLER, (), None, None)
+        ReconstructedStep(0, 0, "PUSH1", 1, (1, 255), CALLER, CALLER, (), None, None)
     ]
 
 
@@ -256,7 +258,7 @@ def test_decode_steps_storage_and_call():
     )
     (built,) = decode_steps([call], CALLER)
     to = int("ab" * 20, 16)
-    assert built.call == CallSite("CALL", to, 7, bytes.fromhex("1234"), False, 1, None, None)
+    assert built.call == CallSite(to, 7, bytes.fromhex("1234"), 1)
 
 
 def test_decode_steps_accepts_prefixless_and_uppercase_hex():
@@ -264,7 +266,7 @@ def test_decode_steps_accepts_prefixless_and_uppercase_hex():
     assert built.stack == (255, 171, 1)
     src = doc([step(0, "STOP", 1)])
     src["returnValue"] = "0XAB"
-    assert parse_trace_document(src).return_value == b"\xab"
+    assert parse_trace_document(src).failed is False
 
 
 @pytest.mark.parametrize(
@@ -386,8 +388,7 @@ def _reference_walk(entries: list) -> list[ReconstructedStep]:
         write = (words[-1], words[-2]) if op == "SSTORE" and len(words) >= 2 else None
         out.append(
             ReconstructedStep(
-                i, entry["pc"], op, entry["gas"], entry["gasCost"], 1, words,
-                CALLER, CALLER, (), write, None,
+                i, entry["pc"], op, 1, words, CALLER, CALLER, (), write, None,
             )
         )
     return out
@@ -550,10 +551,13 @@ def test_call_that_ends_its_frame_takes_no_later_status():
     )
     rec = reconstruct_trace(src, CALLER)
     calls = {s.raw_index: s.call for s in rec.steps if s.call is not None}
-    assert calls[3].entered is False
+    depths = [s.depth for s in rec.steps]
+    # the call at 3 was not entered: its next step is back in the root
+    assert (depths[3], depths[4]) == (2, 1)
     assert calls[3].status is None
-    assert (calls[1].entered, calls[1].status) == (True, 1)
-    assert (calls[5].entered, calls[5].status) == (True, 1)
+    # those at 1 and 5 were: their next steps are one level deeper
+    assert (depths[1], depths[2]) == (depths[5], depths[6]) == (1, 2)
+    assert calls[1].status == calls[5].status == 1
 
 
 @pytest.mark.parametrize(
@@ -629,12 +633,14 @@ def test_linear_reconstruction_assigns_root_frame():
 def test_call_reconstruction_from_stack():
     rec = reconstruct_trace(nested_doc(), CALLER)
     site = rec.steps[1].call
-    assert site.op == "CALL"
+    assert rec.steps[1].op == "CALL"
     assert site.to == TARGET
     assert site.value == 5
     assert site.input is None  # stack words carry no calldata
-    assert site.entered is True
-    assert site.child_id == site.child_code == TARGET
+    # entered: the callee's first step is one level deeper, in its frame
+    entered = rec.steps[2]
+    assert entered.depth == rec.steps[1].depth + 1
+    assert entered.frame_id == entered.code_address == TARGET
     assert site.status == 1  # backfilled from the resume step's stack top
     child = rec.steps[3]
     assert child.frame_id == child.code_address == TARGET
@@ -676,15 +682,16 @@ def test_a_recorded_callee_is_the_callee_the_stack_names(op):
         ]
 
     assert steps(recorded) == steps(bare)
-    assert steps(bare)[1].call.to == steps(bare)[1].call.child_code == TARGET
+    assert steps(bare)[1].call.to == steps(bare)[2].code_address == TARGET
 
 
 def test_delegatecall_keeps_caller_identity():
     rec = reconstruct_trace(nested_doc(op="DELEGATECALL"), CALLER)
     site = rec.steps[1].call
     assert site.value is None
-    assert site.child_id == CALLER
-    assert site.child_code == TARGET
+    entered = rec.steps[2]
+    assert entered.frame_id == CALLER
+    assert entered.code_address == TARGET
     child = rec.steps[3]
     assert child.frame_id == CALLER
     assert child.code_address == TARGET
@@ -711,8 +718,10 @@ def test_call_not_taken_reports_status_zero():
     )
     rec = reconstruct_trace(src, CALLER)
     site = rec.steps[1].call
-    assert site.entered is False
-    assert site.child_id is None and site.child_code is None
+    # not entered: the caller's next step runs at its depth, in its frame
+    after = rec.steps[2]
+    assert after.depth == rec.steps[1].depth
+    assert (after.frame_id, after.code_address, after.frames_below) == (CALLER, CALLER, ())
     assert site.status == 0
 
 
@@ -773,8 +782,10 @@ def test_recorded_delegatecall_has_no_value():
     extension = {"to": "0x%x" % TARGET, "value": "0x5", "input": "0x", "status": 1}
     rec = reconstruct_trace(nested_doc(op="DELEGATECALL", extension=extension), CALLER)
     site = rec.steps[1].call
-    assert (site.op, site.to, site.value, site.status) == ("DELEGATECALL", TARGET, None, 1)
-    assert site.child_id == CALLER and site.child_code == TARGET
+    assert rec.steps[1].op == "DELEGATECALL"
+    assert (site.to, site.value, site.status) == (TARGET, None, 1)
+    entered = rec.steps[2]
+    assert entered.frame_id == CALLER and entered.code_address == TARGET
 
 
 def test_gate_requires_identity_and_code():
@@ -809,8 +820,9 @@ def selects(select: Walk, step: ReconstructedStep) -> bool:
 
 def test_selected_walk_equals_the_filtered_full_walk(suite):
     # selection decides which steps are built, never what a built step
-    # holds: frames, frames below, call status, entered and child frame all
-    # come out as in the select-all walk, in both modes
+    # holds: frames, frames below and call status all come out as in the
+    # select-all walk, in both modes, and among the built calls are entered
+    # ones (the select-all walk's next step is one level deeper)
     checked = entered = backfilled = 0
     for name, fixture in suite.items():
         spec = VulnSpec.from_document(fixture.vuln)
@@ -821,6 +833,7 @@ def test_selected_walk_equals_the_filtered_full_walk(suite):
                 raw = fixture.archive.traces[tx.hash]
                 for relaxed, src in ((False, raw), (True, apply_tracer(raw, tracer))):
                     full = reconstruct_trace(src, tx.to, Walk(relaxed=relaxed))
+                    depth_at = {s.raw_index: s.depth for s in full.steps}
                     thirds = {s.code_address: range(0, 1 << 16, 3) for s in full.steps}
                     selections = [
                         Walk(spec.gate, relaxed=relaxed),
@@ -830,15 +843,13 @@ def test_selected_walk_equals_the_filtered_full_walk(suite):
                     ]
                     for select in selections:
                         part = reconstruct_trace(src, tx.to, select)
-                        assert (part.failed, part.gas, part.return_value) == (
-                            full.failed, full.gas, full.return_value
-                        )
+                        assert part.failed == full.failed
                         want = [s for s in full.steps if selects(select, s)]
                         assert part.steps == want, (name, tx.hash.hex(), relaxed)
                         checked += len(want)
                         for built in part.steps:
                             if built.call is not None:
-                                entered += built.call.entered
+                                entered += depth_at.get(built.raw_index + 1) == built.depth + 1
                                 backfilled += not relaxed and built.call.status is not None
     assert checked > 1000 and entered > 10 and backfilled > 10
 
@@ -875,13 +886,17 @@ def test_filtered_fixture_trace_agrees_with_full(bank):
     txh = bank.archive.labels.exploit_hashes()[0]
     raw = bank.archive.traces[txh]
     full = reconstruct_trace(raw, contract)
-    part = reconstruct_trace(apply_tracer(raw, spec), contract, Walk(relaxed=True))
-    # match steps by (gas, depth): gas decreases strictly within a frame
-    frames = {(s.gas, s.depth): (s.frame_id, s.code_address) for s in full.steps}
+    filtered = apply_tracer(raw, spec)
+    part = reconstruct_trace(filtered, contract, Walk(relaxed=True))
+    # match each kept step to the full trace's: the filter keeps the entry
+    # objects themselves
+    position = {id(entry): i for i, entry in enumerate(raw["structLogs"])}
+    frames = {s.raw_index: (s.frame_id, s.code_address) for s in full.steps}
     hits = 0
     for s in part.steps:
         if s.pc in pcs:
-            assert frames[(s.gas, s.depth)] == (s.frame_id, s.code_address)
+            i = position[id(filtered["structLogs"][s.raw_index])]
+            assert frames[i] == (s.frame_id, s.code_address)
             hits += 1
     assert hits > 0
 
