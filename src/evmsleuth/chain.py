@@ -7,6 +7,10 @@ transaction object once, where it checks the block that holds it
 (explorer.block_envelope), and hands those values to the filters
 (block_transactions); it writes them back only to build a block's
 envelope document, and a cache hit is read from its stored document.
+So tx_from_document runs for each transaction when an archive is opened
+and on every block cache hit: a dict of the common shape is read after
+one test of all its fields, and any other field by field (_tx_by_field),
+which finds the first fault and words its message.
 filters and explorer hold transactions as Transaction; this module is all
 they need of a chain.
 
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import ProtocolError
 from .words import Address, address_hex, hash_hex, word_hex
@@ -77,9 +82,38 @@ def _tx_field(doc: dict, name: str):
     raise ProtocolError(f"transaction {name} is malformed: {value!r:.80}")
 
 
+# The hex fields of a transaction object, hash, from, to, value and input,
+# joined by spaces: the common shape in one test (input's digit count, which
+# must be even, is tested apart). A creation's null to is tested as _NO_TO.
+_TX_SHAPE = re.compile(
+    r"0x[0-9a-fA-F]{64} 0x[0-9a-fA-F]{40} 0x[0-9a-fA-F]{40} 0x[0-9a-fA-F]{1,64} 0x[0-9a-fA-F]*"
+).fullmatch
+_NO_TO = "0x" + "0" * 40
+_TX_FIELDS = itemgetter("hash", "from", "to", "value", "input", "nonce", "gasLimit")
+
+
 def tx_from_document(doc: dict) -> Transaction:
     """The transaction a chain.json transaction object describes; ProtocolError
-    names the first field that is missing or malformed."""
+    names the first field that is missing or malformed. A dict of the common
+    shape is read after one test of its fields; any other, field by field
+    (_tx_by_field), which finds the first fault."""
+    try:
+        tx_hash, sender, to, value, data, nonce, gas_limit = _TX_FIELDS(doc)
+        hex_fields = " ".join((tx_hash, sender, _NO_TO if to is None else to, value, data))
+    except (TypeError, KeyError):  # not a dict, a field missing, or one not a string
+        return _tx_by_field(doc)
+    shape = type(doc) is dict and _TX_SHAPE(hex_fields) and not len(data) % 2
+    counts = type(nonce) is int and type(gas_limit) is int and nonce >= 0 and gas_limit >= 0
+    if not (shape and counts):
+        return _tx_by_field(doc)
+    return Transaction(
+        bytes.fromhex(tx_hash[2:]), int(sender, 16), None if to is None else int(to, 16),
+        int(value, 16), bytes.fromhex(data[2:]), nonce, gas_limit,
+    )
+
+
+def _tx_by_field(doc) -> Transaction:
+    """tx_from_document, reading and checking one field at a time."""
     if not isinstance(doc, dict):
         raise ProtocolError(f"transaction is not an object: {doc!r:.80}")
     try:
@@ -96,4 +130,3 @@ def tx_from_document(doc: dict) -> Transaction:
         nonce=_tx_field(doc, "nonce"),
         gas_limit=_tx_field(doc, "gasLimit"),
     )
-

@@ -60,10 +60,11 @@ trace file that is not JSON, or not UTF-8, is found by whoever reads its
 span, the walk (filters.ReadState.walk, which walks every trace answer
 through traces.reconstruct_trace), the customTracer filter or a cache
 miss, as the same ProtocolError naming the trace, "trace for 0x...
-unreadable: ERR"; a cache payload that does not decode is dropped and
-fetched again by the walk (CachedExplorer.refetch_trace). A pc-filtered
-trace is the filter's document, built as a span's entries stream past,
-so only the kept entries are ever held.
+unreadable: ERR"; a cache payload that does not decode, or that the walk
+refuses, is dropped and fetched again by the walk
+(CachedExplorer.refetch_trace). A pc-filtered trace is the filter's
+document, built as a span's entries stream past, so only the kept entries
+are ever held.
 RpcExplorer answers with the parsed reply, walked as a document.
 
 RpcExplorer speaks JSON-RPC 2.0 over the standard library's HTTP client,
@@ -77,10 +78,12 @@ CachedExplorer is a read-through wrapper over any backend. Entries are
 persisted one file per query with a content digest and written atomically;
 corrupted entries are discarded and refetched. Per-key fetch counters and
 per-kind hit/drop counters make cache behavior checkable rather than
-assumed. Every hit passes the one check, and is answered with the entry's
-payload parsed, or a trace payload as its TextSpan; a miss answers what
-its writer read, the document it wrote or, after a streamed pass, the
-span of the entry (see CachedExplorer).
+assumed. Every hit passes the one check (_stored_payload), which takes a
+short entry in one open, one read and one sha256 pass, and is answered
+with the entry's payload parsed, or a trace payload as its TextSpan; a
+miss answers what its writer read, the document it wrote or, after a
+streamed pass, the span of the entry (see CachedExplorer). The key and
+the entries are written by JSON encoders built once.
 """
 
 from __future__ import annotations
@@ -197,20 +200,25 @@ def quoted_fault(what: str, err: Exception) -> tuple[str, str]:
     return what, str(err)
 
 
-@contextmanager
-def _read_faults(what: str, missing, unreadable):
+class _read_faults:
     """The faults of reading the file that `what` names, as the reader's
     errors: missing("no WHAT") if there is no such file, unreadable("WHAT
     unreadable: ERR") if it cannot be read, is not UTF-8 or, when the body
     decodes it, is not JSON."""
-    try:
-        yield
-    except FileNotFoundError:
-        raise missing(f"no {what}") from None
-    # ValueError: bad UTF-8, or bad JSON; RecursionError: JSON nested too deep
-    except (OSError, ValueError, RecursionError) as err:
-        what, reason = quoted_fault(what, err)
-        raise unreadable(f"{what} unreadable: {reason}") from None
+
+    def __init__(self, what: str, missing, unreadable):
+        self.what, self.missing, self.unreadable = what, missing, unreadable
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, _kind, err, _traceback):
+        if isinstance(err, FileNotFoundError):
+            raise self.missing(f"no {self.what}") from None
+        # ValueError: bad UTF-8, or bad JSON; RecursionError: JSON nested too deep
+        if isinstance(err, (OSError, ValueError, RecursionError)):
+            what, reason = quoted_fault(self.what, err)
+            raise self.unreadable(f"{what} unreadable: {reason}") from None
 
 
 def open_span(path: str | Path, faults: Callable[[], ContextManager]) -> TextSpan:
@@ -587,8 +595,10 @@ _TAIL_HEAD = b',"sha256":"'
 _TAIL_SIZE = len(_TAIL_HEAD) + 64 + 2
 
 
-def _compact(value) -> str:
-    return json.dumps(value, separators=(",", ":"), sort_keys=True)
+# json.dumps(value, separators=(",", ":"), sort_keys=True) and json.dumps(key)
+# of a str key, from encoders built once
+_compact = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+_key_text = json.encoder.encode_basestring_ascii
 
 
 def _write_entry(path: Path, prefix: bytes, pieces: Iterable[str]) -> int:
@@ -638,13 +648,17 @@ def _entry_faults(path: Path):
 
 def _stored_payload(path: Path, prefix: bytes) -> TextSpan:
     """The TextSpan of the payload of the entry at path, written by
-    _write_entry with this key prefix, open (the caller closes it), after
-    one pass that hashes it a block at a time and compares the tail: over
-    the entry bytes read, for a payload of at most TEXT_CHUNK bytes, or on
-    the file. ValueError for any other bytes, FileNotFoundError if
-    absent."""
-    head = len(prefix) + TEXT_CHUNK + _TAIL_SIZE  # the longest entry read whole
-    handle = open(path, "rb")
+    _write_entry with this key prefix, open (the caller closes it), once
+    the prefix and, against the payload's digest, the tail are checked. An
+    entry of at most len(prefix) + TEXT_CHUNK + _TAIL_SIZE bytes is checked
+    in the bytes of its one read, and its span reads those; a longer one
+    in one pass on the file, a block at a time. ValueError for any other
+    bytes, FileNotFoundError if absent."""
+    start = len(prefix)
+    head = start + TEXT_CHUNK + _TAIL_SIZE  # the longest entry read whole
+    faults = partial(_entry_faults, path)
+    hasher = new_digest()
+    handle = open(path, "rb", buffering=0)  # one read(2) takes a short entry whole
     try:
         data = handle.read(head + 1)
         if not data.startswith(prefix):
@@ -652,14 +666,17 @@ def _stored_payload(path: Path, prefix: bytes) -> TextSpan:
         if len(data) <= head:
             handle.close()
             handle = io.BytesIO(data)
-        stop = handle.seek(0, io.SEEK_END) - _TAIL_SIZE
-        span = TextSpan(handle, len(prefix), stop, partial(_entry_faults, path))
-        hasher = new_digest()
-        for block in span.blocks():
-            hasher.update(block)
-        if handle.read() != _TAIL_HEAD + hasher.hexdigest().encode() + b'"}':
+            stop = max(start, len(data) - _TAIL_SIZE)  # shorter than both: a short tail
+            hasher.update(memoryview(data)[start:stop])
+            tail = data[stop:]
+        else:
+            stop = handle.seek(0, io.SEEK_END) - _TAIL_SIZE
+            for block in TextSpan(handle, start, stop, faults).blocks():
+                hasher.update(block)
+            tail = handle.read()
+        if tail != _TAIL_HEAD + hasher.hexdigest().encode() + b'"}':
             raise ValueError("payload digest mismatch")
-        return span
+        return TextSpan(handle, start, stop, faults)
     except BaseException:
         handle.close()
         raise
@@ -687,11 +704,12 @@ class CachedExplorer:
         {"key":<key as a JSON string>,"payload":<compact payload>,"sha256":"<hex>"}
 
     where the digest is taken over the payload bytes as stored. A hit of any
-    kind and length is checked in one pass (_stored_payload): the key
-    prefix, then the digest of the payload, hashed a block at a time,
-    against the tail. A trace payload is answered as its span, any other is
-    parsed once; a file in any other layout, with a mismatch, or whose
-    payload does not parse is dropped and the query goes inner again.
+    kind is checked in one pass (_stored_payload): the key prefix, then the
+    digest of the payload against the tail; an entry whose payload has at
+    most TEXT_CHUNK bytes in the bytes of its one read, a longer one on the
+    file, a block at a time. A trace payload is answered as its span, any
+    other is parsed once; a file in any other layout, with a mismatch, or
+    whose payload does not parse is dropped and the query goes inner again.
     Replayed answers skip the inner backend entirely, and pass their kind's
     check in place of the backend's: block_transactions reads a block hit
     with block_envelope, a point query's hit must be a word (an int, not a
@@ -706,20 +724,22 @@ class CachedExplorer:
     hit read and checked, a longer one on the file; the walk then reads the
     span again, on the same descriptor, so an entry unlinked or replaced
     after the check is still the entry that was checked. A payload that then
-    does not decode is dropped and fetched again through refetch_trace, and
-    counts as dropped, not as a hit. A miss is written by one writer through
-    traces.read_trace, which answers what it read: a document answer, or a
-    span it decodes whole, as the compact sorted-key JSON of the document,
-    and answers that document; a longer TextSpan answer (LocalExplorer's
-    long trace) in a streamed pass of its own: chunk by chunk, each chunk's
-    entries serialised compact with sorted keys, written and hashed piece by
-    piece, never joined into one string, and answers the span of the entry
-    it wrote, opened before the rename. A span the stream does not read is
-    parsed whole and written as its document would be; one that is not JSON
-    is its reader's ProtocolError, and like one that cannot be read it
-    counts as no fetch. The entry bytes are those of a document answer in
-    every case (docs/formats.md), so the walk gives the same result over any
-    answer, and no second copy is made.
+    does not decode, or that the walk refuses, is dropped and fetched again
+    through refetch_trace, once, and counts as dropped, not as a hit; only a
+    hit is (trace_hit), and the walk's fault over the fetched answer stands.
+    A miss is written by one writer through traces.read_trace, which answers
+    what it read: a document answer, or a span it decodes whole, as the
+    compact sorted-key JSON of the document, and answers that document; a
+    longer TextSpan answer (LocalExplorer's long trace) in a streamed pass
+    of its own: chunk by chunk, each chunk's entries serialised compact with
+    sorted keys, written and hashed piece by piece, never joined into one
+    string, and answers the span of the entry it wrote, opened before the
+    rename. A span the stream does not read is parsed whole and written as
+    its document would be; one that is not JSON is its reader's
+    ProtocolError, and like one that cannot be read it counts as no fetch.
+    The entry bytes are those of a document answer in every case
+    (docs/formats.md), so the walk gives the same result over any answer,
+    and no second copy is made.
 
     fetches maps each cache key to the number of inner calls made for it;
     by_kind counts hits, drops and inner calls per query kind, and hits and
@@ -749,7 +769,7 @@ class CachedExplorer:
         """(key, path, key prefix, counts of its kind) of a query's entry."""
         key = _compact([kind, *key_parts])
         path = self.base / f"{digest(key.encode()).hex()}.json"
-        prefix = b'{"key":' + json.dumps(key).encode() + b',"payload":'
+        prefix = b'{"key":' + _key_text(key).encode() + b',"payload":'
         counts = self.by_kind.setdefault(kind, {"hits": 0, "dropped": 0, "innerCalls": 0})
         return key, path, prefix, counts
 
@@ -845,9 +865,16 @@ class CachedExplorer:
     def tx_trace(self, tx_hash: bytes, tracer_spec: dict | None = None) -> dict | TextSpan:
         return self._trace(tx_hash, tracer_spec)
 
+    def trace_hit(self, tx_hash: bytes, tracer_spec: dict | None = None) -> bool:
+        """Whether tx_trace answered this query from its entry: no inner
+        call was made for its key."""
+        key_parts = [hash_hex(tx_hash), canonical_tracer(tracer_spec)]
+        return self._entry("trace", key_parts)[0] not in self.fetches
+
     def refetch_trace(self, tx_hash: bytes, tracer_spec: dict | None = None) -> dict | TextSpan:
         """tx_trace again, after the walk found that the payload of its hit
-        does not decode: the entry is dropped, fetched and written again."""
+        does not decode, or refused it: the entry is dropped, fetched and
+        written again."""
         self._drop("trace", [hash_hex(tx_hash), canonical_tracer(tracer_spec)])
         return self._trace(tx_hash, tracer_spec)
 

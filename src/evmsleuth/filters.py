@@ -179,18 +179,21 @@ class ReadState:
         tracer_spec), from tx's root: relaxed when pc-filtered, through
         memo, building the steps of gate (all of them when None) and, with
         calls, every call step (traces.reconstruct_trace, which closes a
-        TextSpan answer). A span from a cache hit whose payload then does
-        not decode (json.loads raises) is dropped and fetched again
-        (CachedExplorer.refetch_trace) before the walk runs once more;
-        any other span maps that fault to its reader's ProtocolError.
-        TraceParseError and ReconstructionError are the walk's."""
+        TextSpan answer). A cache hit whose payload then does not decode
+        (json.loads raises), or that the walk refuses (TraceParseError,
+        ReconstructionError), is dropped and fetched again
+        (CachedExplorer.refetch_trace) before the walk runs once more, and
+        the fault of that walk stands; any other span maps a decode fault
+        to its reader's ProtocolError, and any other answer's walk fault
+        stands."""
         walk = Walk(gate, calls, tracer_spec is not None, self.memo)
         try:
             return reconstruct_trace(trace, tx.to, walk)
-        except (ValueError, RecursionError):  # a span's text did not decode
-            if not isinstance(self.explorer, CachedExplorer):
+        except (ValueError, RecursionError, TraceParseError, ReconstructionError):
+            cache = self.explorer
+            if not (isinstance(cache, CachedExplorer) and cache.trace_hit(tx.hash, tracer_spec)):
                 raise
-        return reconstruct_trace(self.explorer.refetch_trace(tx.hash, tracer_spec), tx.to, walk)
+        return reconstruct_trace(cache.refetch_trace(tx.hash, tracer_spec), tx.to, walk)
 
     def keep(self, tx: Transaction, rec: ReconstructedTrace):
         """Keep tx's scanned trace for the level, given a gate."""

@@ -2,11 +2,14 @@
 
 import dataclasses
 import json
+from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import replay_block
-from evmsleuth.chain import tx_from_document, tx_to_document
+from evmsleuth.chain import _tx_by_field, tx_from_document, tx_to_document
 from evmsleuth.errors import ArchiveGapError, ProtocolError, UsageError
 from evmsleuth.explorer import LocalExplorer
 from evmsleuth.fixtures.archive import (
@@ -172,6 +175,77 @@ _GOOD_TX = tx_to_document(make_transaction(SENDER, CONTRACT, 9, b"\x01\x02\x03\x
 def test_tx_from_document_rejects_malformed(doc, message):
     with pytest.raises(ProtocolError, match=message):
         tx_from_document(doc)
+
+
+def _hex(digits: int):
+    return st.text(alphabet="0123456789abcdefABCDEF", min_size=digits, max_size=digits)
+
+
+@st.composite
+def tx_documents(draw) -> dict:
+    """A transaction object in the chain.json shape, hex in either case."""
+    return {
+        "hash": "0x" + draw(_hex(64)),
+        "from": "0x" + draw(_hex(40)),
+        "to": draw(st.none() | _hex(40).map("0x".__add__)),
+        "value": "0x" + draw(st.integers(1, 64).flatmap(_hex)),
+        "input": "0x" + draw(st.integers(0, 40).flatmap(lambda n: _hex(2 * n))),
+        "nonce": draw(st.integers(0, 2**70)),
+        "gasLimit": draw(st.integers(0, 2**70)),
+    }
+
+
+_MISSING = object()
+
+# What one field of a transaction object may hold in place of its value
+_TX_DAMAGES = {
+    "missing": lambda value: _MISSING,
+    "null": lambda value: None,
+    "true": lambda value: True,
+    "negative": lambda value: -1,
+    "empty": lambda value: "",
+    "float": lambda value: 1.5,
+    "list": lambda value: [value],
+    "text": lambda value: str(value),  # an int as text
+    "0X": lambda value: "0X" + str(value)[2:],
+    "upper": lambda value: str(value).upper(),  # 0X and uppercase digits
+    "upper-digits": lambda value: "0x" + str(value)[2:].upper(),
+    "digit-more": lambda value: str(value) + "a",  # 65 digits in a hash, odd in an input
+    "digit-fewer": lambda value: str(value)[:-1],  # 63 digits in a hash
+    "no-prefix": lambda value: str(value)[2:],
+    "space": lambda value: f" {value}",
+}
+
+
+def _damaged_tx(doc: dict, name: str, damage: str) -> dict:
+    value = _TX_DAMAGES[damage](doc[name])
+    rest = {k: v for k, v in doc.items() if k != name}
+    return rest if value is _MISSING else {**rest, name: value}
+
+
+@pytest.mark.parametrize("damage", sorted(_TX_DAMAGES))
+@pytest.mark.parametrize("name", sorted(_GOOD_TX))
+@settings(max_examples=10, deadline=None)
+@given(doc=tx_documents(), data=st.data())
+def test_tx_from_document_reads_as_the_per_field_reader(name, damage, doc, data):
+    # the one-test reader of the common shape answers what the per-field
+    # reader answers, a Transaction or the ProtocolError naming the first
+    # fault: on the shape, with one field damaged, with a second one
+    # damaged too, and on what is not a dict
+
+    def answer(read, doc):
+        try:
+            return read(doc)
+        except ProtocolError as err:
+            return f"ProtocolError: {err}"
+
+    once = _damaged_tx(doc, name, damage)
+    second = data.draw(st.sampled_from(sorted(once)))
+    twice = _damaged_tx(once, second, data.draw(st.sampled_from(sorted(_TX_DAMAGES))))
+    for each in (doc, once, twice, [doc], None, MappingProxyType(doc)):
+        assert answer(tx_from_document, each) == answer(_tx_by_field, each)
+    tx = tx_from_document(doc)
+    assert tx_from_document(tx_to_document(tx)) == tx
 
 
 # -- archive directories --

@@ -8,6 +8,7 @@ import sys
 import tempfile
 import threading
 import time
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from unittest import mock
 
@@ -19,7 +20,13 @@ from damages import json_paths, re_encodings
 from isolated import modules_loaded, run_isolated_cli, start_isolated_cli
 from evmsleuth.chain import Transaction, tx_from_document
 from evmsleuth.cli import main
-from evmsleuth.errors import ArchiveGapError, ProtocolError, SleuthError, UsageError
+from evmsleuth.errors import (
+    ArchiveGapError,
+    ProtocolError,
+    SleuthError,
+    TraceParseError,
+    UsageError,
+)
 from evmsleuth.explorer import (
     BACKOFF_BASE_S,
     BACKOFF_CAP_S,
@@ -28,6 +35,7 @@ from evmsleuth.explorer import (
     LocalExplorer,
     RpcExplorer,
     TextSpan,
+    _compact,
     apply_tracer,
     canonical_tracer,
 )
@@ -538,6 +546,113 @@ def test_cache_drops_a_trace_payload_the_walk_cannot_decode(fixture, local, tmp_
     assert cache.by_kind["trace"] == {"hits": 0, "dropped": 1, "innerCalls": 1}
     assert cache.fetches == {json.loads(good)["key"]: 1}
     assert victim.read_bytes() == good
+
+
+def _gas_as_text(doc: dict) -> dict:
+    """A trace document with its first step's gas written as a string,
+    which the walk refuses."""
+    first = dict(doc["structLogs"][0], gas=str(doc["structLogs"][0]["gas"]))
+    return dict(doc, structLogs=[first, *doc["structLogs"][1:]])
+
+
+def test_cache_drops_a_trace_hit_the_walk_refuses(fixture, local, tmp_path):
+    # a trace payload with its digest that decodes but that the walk
+    # refuses is dropped there too, counted as dropped and not as a hit,
+    # fetched again, rewritten and walked once more
+    txh = fixture.archive.labels.exploit_hashes()[0]
+    root = next(tx.to for b in fixture.archive.chain.blocks for tx in b.txs if tx.hash == txh)
+    CachedExplorer(local, tmp_path / "cache").tx_trace(txh)
+    (victim,) = (tmp_path / "cache").glob("*.json")
+    good = victim.read_bytes()
+    refused = _compact(_gas_as_text(json.loads(good)["payload"])).encode()
+    victim.write_bytes(_consistent_entry(refused)(good, None))
+    cache = CachedExplorer(local, tmp_path / "cache")
+    rec = walk_answer(cache, cache.tx_trace(txh), txh, None, root)
+    assert rec == reconstruct_trace(fixture.archive.traces[txh], root)
+    assert cache.by_kind["trace"] == {"hits": 0, "dropped": 1, "innerCalls": 1}
+    assert cache.fetches == {json.loads(good)["key"]: 1}
+    assert victim.read_bytes() == good
+
+
+def test_only_a_trace_hit_the_walk_refuses_is_dropped(fixture, archive_dir, tmp_path):
+    # the inner backend's answer that the walk refuses is the walk's fault,
+    # with nothing dropped; the entry written of it is then a hit the walk
+    # refuses, dropped and fetched once, and the fetched answer's fault stands
+    txh = fixture.archive.labels.exploit_hashes()[0]
+    clone = tmp_path / "clone"
+    shutil.copytree(archive_dir, clone)
+    path = clone / "traces" / f"{txh.hex()}.json"
+    path.write_text(json.dumps(_gas_as_text(json.loads(path.read_text()))))
+    for dropped in (0, 1):
+        cache = CachedExplorer(LocalExplorer(clone), tmp_path / "cache")
+        with pytest.raises(TraceParseError, match="bad gas"):
+            read_trace(cache, txh)
+        assert cache.by_kind["trace"] == {"hits": 0, "dropped": dropped, "innerCalls": 1}
+        assert len(list((tmp_path / "cache").glob("*.json"))) == 1
+
+
+# A query of each kind whose one entry the edge test sizes, with its answer
+# read whole
+_EDGE_QUERIES = {
+    "balance": lambda ex, txh: ex.get_balance(0xDEAD, 0),
+    "block": lambda ex, txh: ex.collect_block_details(1),
+    "trace": lambda ex, txh: document(ex.tx_trace(txh)),
+}
+
+
+@pytest.mark.parametrize("damage", [None, "prefix-and-tail", "tail-short"])
+@pytest.mark.parametrize("over", [-1, 0, 1])
+@pytest.mark.parametrize("kind", sorted(_EDGE_QUERIES))
+def test_a_short_hit_is_checked_in_one_read_at_its_edge(
+    fixture, local, tmp_path, monkeypatch, kind, over, damage
+):
+    # payloads of TEXT_CHUNK - 1, TEXT_CHUNK and TEXT_CHUNK + 1 bytes: the
+    # first two are checked in the bytes of one read, the last on the file;
+    # each hits with the answer a fresh miss gives, and an entry cut to its
+    # prefix and tail, or one byte short, is one drop and one refetch
+    query = partial(_EDGE_QUERIES[kind], txh=fixture.archive.labels.exploit_hashes()[0])
+    expected = query(CachedExplorer(local, tmp_path / "cache"))
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    good = entry.read_bytes()
+    key = json.loads(good)["key"]
+    prefix = b'{"key":' + json.dumps(key).encode() + b',"payload":'
+    tail = good[good.rindex(b',"sha256":"'):]
+    monkeypatch.setattr(
+        "evmsleuth.explorer.TEXT_CHUNK", len(good) - len(prefix) - len(tail) - over
+    )
+    if damage is not None:
+        entry.write_bytes(prefix + tail if damage == "prefix-and-tail" else good[:-1])
+    cache = CachedExplorer(local, tmp_path / "cache")
+    assert query(cache) == expected
+    if damage is None:
+        assert (cache.hits, cache.dropped, cache.fetches) == (1, 0, {})
+    else:
+        assert (cache.hits, cache.dropped, cache.fetches) == (0, 1, {key: 1})
+        assert entry.read_bytes() == good
+
+
+# JSON text with non-ASCII characters, lone surrogates, control characters
+# and the characters JSON escapes
+_JSON_TEXT = st.text(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\xe9\u4e2d\ud800\U0001f600')
+    | st.characters(exclude_categories=())
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(value=_JSON_VALUES, kind=_JSON_TEXT, key_parts=st.lists(_JSON_VALUES, max_size=3))
+def test_cache_encoders_write_what_json_dumps_writes(tmp_path_factory, value, kind, key_parts):
+    # the encoders the cache builds once write what json.dumps writes: the
+    # compact sorted-key JSON of any value, and a key as a JSON string
+    assert _compact(value) == json.dumps(value, separators=(",", ":"), sort_keys=True)
+    cache = CachedExplorer(None, tmp_path_factory.getbasetemp() / "encoders")
+    key, _, prefix, _ = cache._entry(kind, key_parts)
+    assert key == json.dumps([kind, *key_parts], separators=(",", ":"), sort_keys=True)
+    assert prefix == b'{"key":' + json.dumps(key).encode() + b',"payload":'
 
 
 @pytest.mark.parametrize("tracer", [None, {"pcSet": [0]}], ids=["full", "filtered"])

@@ -9,6 +9,7 @@ import json
 import shutil
 import sys
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 from urllib.error import HTTPError, URLError
@@ -30,7 +31,13 @@ from evmsleuth.cli import (
     split_params,
     with_cache,
 )
-from evmsleuth.errors import ConfigError, FeedError, UsageError
+from evmsleuth.errors import (
+    ConfigError,
+    FeedError,
+    ReconstructionError,
+    TraceParseError,
+    UsageError,
+)
 from evmsleuth.explorer import CachedExplorer, LocalExplorer, apply_tracer
 from evmsleuth.filters import (
     FilterQuery,
@@ -42,7 +49,7 @@ from evmsleuth.filters import (
 )
 from evmsleuth.fixtures import build_fixture_chain, scale_fixture, write_fixture
 from evmsleuth.fixtures.bench import bench, scaled_fixture_dir
-from evmsleuth.hashing import function_selector
+from evmsleuth.hashing import digest, function_selector
 from evmsleuth.orchestrator import InvestigationConfig, run_investigation
 from evmsleuth.rules_evm import VulnSpec
 from evmsleuth.words import hash_hex
@@ -1648,6 +1655,25 @@ def damage_targets(bank_dir, bec, bec_dir, tmp_path_factory):
     return targets
 
 
+def _walk_refuses(entry: bytes, runs: list) -> bool:
+    """Whether entry is a trace entry whose payload the walk refuses
+    (TraceParseError, ReconstructionError), walked from its transaction's
+    target in the archive that runs read."""
+    doc = json.loads(entry)
+    kind, *parts = json.loads(doc["key"])
+    if kind != "trace":
+        return False
+    tx_hash, tracer = parts
+    base = runs[0][runs[0].index("-e") + 1].removeprefix("local[dir=").removesuffix("]")
+    blocks = json.loads((Path(base) / "chain.json").read_text())["blocks"]
+    (to,) = (tx["to"] for b in blocks for tx in b["transactions"] if tx["hash"] == tx_hash)
+    try:
+        traces.reconstruct_trace(doc["payload"], int(to, 16), traces.Walk(relaxed=bool(tracer)))
+    except (TraceParseError, ReconstructionError):
+        return True
+    return False
+
+
 @given(data=st.data())
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_damaged_archive_or_cache_file_is_never_a_traceback(damage_targets, data):
@@ -1663,6 +1689,8 @@ def test_damaged_archive_or_cache_file_is_never_a_traceback(damage_targets, data
         broken = data.draw(resealed(original))
     else:
         broken = damaged(original, data.draw(damage(original, kinds)))
+    # a re-sealed trace entry the walk refuses is dropped and fetched again
+    refused = reseal and _walk_refuses(broken, runs)
     path.write_bytes(broken)
     try:
         for argv in runs:
@@ -1673,7 +1701,7 @@ def test_damaged_archive_or_cache_file_is_never_a_traceback(damage_targets, data
                 continue
             doc = json.loads(out)
             check_totals(doc)
-            if warm is None or reseal:
+            if warm is None or reseal and not refused:
                 continue
             # the damaged entry is dropped, fetched again and rewritten as
             # it was; nothing else about the run changes
@@ -1684,6 +1712,37 @@ def test_damaged_archive_or_cache_file_is_never_a_traceback(damage_targets, data
             assert path.read_bytes() == original
     finally:
         path.write_bytes(original)
+
+
+def test_a_trace_entry_the_walk_refuses_is_fetched_again(bank_dir, tmp_path):
+    # Bank's trace entries re-sealed with their first step's gas written as
+    # a string: payloads with their digests that the walk refuses. The first
+    # warm run drops each and fetches it again, the second hits the
+    # rewritten entries, and both report the local run's detections
+    local = ["-e", f"local[dir={bank_dir}]", "-d", "evm"]
+    code, out, err = _investigate(local)
+    expected = json.loads(out)["detections"]
+    assert code == 0 and len(expected) == 6, err
+    cached = [*local, "-c", str(tmp_path / "cache")]
+    assert _investigate(cached)[0] == 0
+    resealed_entries = 0
+    for path in (tmp_path / "cache").glob("*.json"):
+        entry = json.loads(path.read_bytes())
+        if json.loads(entry["key"])[0] != "trace":
+            continue
+        first = entry["payload"]["structLogs"][0]
+        first["gas"] = str(first["gas"])
+        text = json.dumps(entry["payload"], separators=(",", ":"), sort_keys=True)
+        sha = digest(text.encode()).hex()
+        path.write_text(f'{{"key":{json.dumps(entry["key"])},"payload":{text},"sha256":"{sha}"}}')
+        resealed_entries += 1
+    assert resealed_entries == 8
+    for dropped in (resealed_entries, 0):
+        code, out, err = _investigate(cached)
+        doc = json.loads(out)
+        assert code == 0 and doc["skips"] == [] and doc["detections"] == expected, err
+        stats = {"hits": resealed_entries - dropped, "dropped": dropped, "innerCalls": dropped}
+        assert doc["explorerStats"]["byKind"]["trace"] == stats
 
 
 
