@@ -13,15 +13,15 @@ against n - 1.
 
 A block envelope is number, hash, parentHash, stateRoot and transactions,
 shaped as in chain.json (docs/formats.md); receipts are left out.
-block_envelope() is the one check of a block object: every backend's block
-object passes through it where it enters, and a missing or malformed field
-is a ProtocolError. It reads each transaction once, into a chain.Transaction
-(tx_from_document), and that read is the only one: block_transactions
-answers those values, and collect_block_details builds the envelope
-document from them on demand (envelope_document). RpcExplorer reads a
-JSON-RPC block in the archive shape (hex number and nonce to ints, gas to
-gasLimit); extra fields are dropped. CachedExplorer stores the envelope
-document, and reads the transactions of a hit from it with block_envelope.
+block_envelope() is the one check of a block object, and it reads each
+transaction once, into a chain.Transaction (tx_from_document). Every
+backend answers a block through one _block(n), the checked envelope:
+LocalExplorer from memory, RpcExplorer from one eth_getBlockByNumber reply
+(hex number and nonce to ints, gas to gasLimit, extra fields dropped),
+CachedExplorer from its entry or from the inner document it writes. The
+two block questions are written once over it, collect_block_details (the
+envelope document, envelope_document) and block_transactions (the
+envelope's Transaction values), and assigned into each backend class.
 
 A point query answers a checked word on every backend: a JSON-RPC quantity
 or snapshot balance is 0x + 1 to 64 hex digits, a snapshot storage value
@@ -49,22 +49,17 @@ cache is in front.
 
 Trace answers: a trace crosses this boundary in one of two forms, a
 parsed document or a traces.TextSpan, never as a str. Every trace text
-read from a file is answered as its TextSpan, an open, re-readable byte
-span of what holds it: the whole trace file (LocalExplorer opens it with
-open_span, and reads nothing), or the payload of a cache entry, as the
-hit checked it (_stored_payload). traces.read_trace alone decodes a
-span, in one json.loads when it has at most TEXT_CHUNK bytes and a
-TEXT_CHUNK-byte block at a time when longer (the traces module docstring
-has the block, chunk and fallback rules), and it closes the span. So a
-trace file that is not JSON, or not UTF-8, is found by whoever reads its
-span, the walk (filters.ReadState.walk, which walks every trace answer
-through traces.reconstruct_trace), the customTracer filter or a cache
-miss, as the same ProtocolError naming the trace, "trace for 0x...
-unreadable: ERR"; a cache payload that does not decode, or that the walk
-refuses, is dropped and fetched again by the walk
-(CachedExplorer.refetch_trace). A pc-filtered trace is the filter's
-document, built as a span's entries stream past, so only the kept entries
-are ever held.
+read from a file is answered as its TextSpan: the whole trace file
+(LocalExplorer opens it with open_span, and reads nothing), or the payload
+of a cache entry, as the hit checked it (_stored_payload).
+traces.read_trace alone decodes a span, whole when it has at most
+TEXT_CHUNK bytes and a block at a time when longer (the traces module
+docstring has the rules), and closes it. So a trace file that is not JSON,
+or not UTF-8, is found by whoever reads its span, the walk
+(filters.ReadState.walk), the customTracer filter or a cache miss, as the
+same ProtocolError naming the trace, "trace for 0x... unreadable: ERR". A
+pc-filtered trace is the filter's document, built as a span's entries
+stream past, so only the kept entries are ever held.
 RpcExplorer answers with the parsed reply, walked as a document.
 
 RpcExplorer speaks JSON-RPC 2.0 over the standard library's HTTP client,
@@ -74,16 +69,16 @@ within one bound on the number of tries, with capped backoff that honours
 Retry-After. The transport modules are imported on the first request, so a
 run over a local archive never loads them.
 
-CachedExplorer is a read-through wrapper over any backend. Entries are
-persisted one file per query with a content digest and written atomically;
-corrupted entries are discarded and refetched. Per-key fetch counters and
-per-kind hit/drop counters make cache behavior checkable rather than
-assumed. Every hit passes the one check (_stored_payload), which takes a
-short entry in one open, one read and one sha256 pass, and is answered
-with the entry's payload parsed, or a trace payload as its TextSpan; a
-miss answers what its writer read, the document it wrote or, after a
-streamed pass, the span of the entry (see CachedExplorer). The key and
-the entries are written by JSON encoders built once.
+CachedExplorer is a read-through wrapper over any backend, one file per
+query with a content digest, written atomically. Every answer is checked
+where it is read, in one place (CachedExplorer._lookup): a hit's bytes by
+_stored_payload, then a block or point payload by its kind's read; a hit
+that fails either is dropped and fetched once. A trace hit is answered as
+its span, which the walk checks; the span's `again` asks the query once
+more, and the walk takes that second chance. A miss's answer is checked
+by the same read before its entry is renamed into place, so the inner
+backend's fault writes nothing. Per-key fetch counters and per-kind
+hit/drop counters make cache behavior checkable rather than assumed.
 """
 
 from __future__ import annotations
@@ -259,10 +254,6 @@ def read_json(path: str | Path, what: str, missing=ArchiveGapError, unreadable=P
         return json.loads(text)
 
 
-def _trace_what(tx_hash: bytes) -> str:
-    return f"trace for {hash_hex(tx_hash)}"
-
-
 _HASH = re.compile(r"0x[0-9a-fA-F]{64}")
 
 # A JSON-RPC quantity, and a balance in a state snapshot: 0x + 1 to 64 hex
@@ -320,6 +311,21 @@ def envelope_document(block: dict) -> dict:
     return dict(block, transactions=[tx_to_document(tx) for tx in block["transactions"]])
 
 
+# The two block questions, over a backend's _block(n), its checked envelope
+# of block n. Each backend class assigns them as its own, so each class
+# holds them in its __dict__.
+
+
+def collect_block_details(self, number: int) -> dict:
+    """{"block": envelope}: the document of block number's envelope."""
+    return {"block": envelope_document(self._block(number))}
+
+
+def block_transactions(self, number: int) -> tuple[Transaction, ...]:
+    """Block number's transactions, as its envelope holds them."""
+    return self._block(number)["transactions"]
+
+
 class LocalExplorer:
     def __init__(self, directory: str | Path):
         self.base = Path(directory)
@@ -343,18 +349,15 @@ class LocalExplorer:
             raise ArchiveGapError(f"no block {number} in archive (tip {self._tip})")
         return block
 
-    def collect_block_details(self, number: int) -> dict:
-        return {"block": envelope_document(self._block(number))}
-
-    def block_transactions(self, number: int) -> tuple[Transaction, ...]:
-        """The transactions read when the archive was opened."""
-        return self._block(number)["transactions"]
+    collect_block_details = collect_block_details
+    block_transactions = block_transactions
 
     def tx_trace(self, tx_hash: bytes, tracer_spec: dict | None = None) -> dict | TextSpan:
         """The TextSpan of the whole trace file, whose faults are
         read_json's, or with a tracer spec the filtered document
         (filter_trace)."""
-        faults = partial(_read_faults, _trace_what(tx_hash), ArchiveGapError, ProtocolError)
+        what = f"trace for {hash_hex(tx_hash)}"
+        faults = partial(_read_faults, what, ArchiveGapError, ProtocolError)
         trace = open_span(self.base / "traces" / f"{tx_hash.hex()}.json", faults)
         return trace if tracer_spec is None else filter_trace(trace, tracer_spec)
 
@@ -557,11 +560,8 @@ class RpcExplorer:
             )
         return block
 
-    def collect_block_details(self, number: int) -> dict:
-        return {"block": envelope_document(self._block(number))}
-
-    def block_transactions(self, number: int) -> tuple[Transaction, ...]:
-        return self._block(number)["transactions"]
+    collect_block_details = collect_block_details
+    block_transactions = block_transactions
 
     def tx_trace(self, tx_hash: bytes, tracer_spec: dict | None = None) -> dict:
         params: list = [hash_hex(tx_hash)]
@@ -682,11 +682,11 @@ def _stored_payload(path: Path, prefix: bytes) -> TextSpan:
         raise
 
 
-def _block_transactions(answer) -> tuple[Transaction, ...]:
-    """The transactions of a block answer, {"block": envelope}, read and
+def _block_entry(answer) -> dict:
+    """The envelope of a block payload, {"block": envelope}, read and
     checked by block_envelope."""
     block = answer.get("block") if isinstance(answer, dict) else None
-    return block_envelope(block, "cache", tx_from_document)["transactions"]
+    return block_envelope(block, "cache", tx_from_document)
 
 
 def _checked_word(answer) -> int:
@@ -703,30 +703,34 @@ class CachedExplorer:
 
         {"key":<key as a JSON string>,"payload":<compact payload>,"sha256":"<hex>"}
 
-    where the digest is taken over the payload bytes as stored. A hit of any
-    kind is checked in one pass (_stored_payload): the key prefix, then the
-    digest of the payload against the tail; an entry whose payload has at
-    most TEXT_CHUNK bytes in the bytes of its one read, a longer one on the
-    file, a block at a time. A trace payload is answered as its span, any
-    other is parsed once; a file in any other layout, with a mismatch, or
-    whose payload does not parse is dropped and the query goes inner again.
-    Replayed answers skip the inner backend entirely, and pass their kind's
-    check in place of the backend's: block_transactions reads a block hit
-    with block_envelope, a point query's hit must be a word (an int, not a
-    bool, in [0, WORD_MASK]), and the walk reads a trace hit. A hit that
-    fails it has its digest but not its kind's shape: it is dropped (_drop),
-    counts as dropped, not as a hit, and is fetched again (_checked).
-    Entries are written to a temporary file and renamed into place, so runs
-    sharing a directory never read a torn entry.
+    where the digest is taken over the payload bytes as stored. Every
+    query is answered by _lookup, and every answer is checked there, once,
+    by the same steps for a hit and a miss.
+
+    A hit of any kind is checked in one pass (_stored_payload): the key
+    prefix, then the digest of the payload against the tail; an entry whose
+    payload has at most TEXT_CHUNK bytes in the bytes of its one read, a
+    longer one on the file, a block at a time. A block or point payload is
+    then parsed and read by its kind's read: block_envelope for a block
+    (_block, under both block questions), the word check for a point query
+    (an int, not a bool, in [0, WORD_MASK]). A hit that fails the pass, does
+    not parse or fails the read is a bad entry: it counts as dropped, not as
+    a hit, is unlinked, and the query goes inner again. Replayed answers
+    skip the inner backend entirely. Entries are written to a temporary file
+    and renamed into place, so runs sharing a directory never read a torn
+    entry.
 
     Traces stream. A trace hit is answered as the TextSpan of its payload,
     not decoded: one of at most TEXT_CHUNK bytes over the entry bytes the
     hit read and checked, a longer one on the file; the walk then reads the
     span again, on the same descriptor, so an entry unlinked or replaced
-    after the check is still the entry that was checked. A payload that then
-    does not decode, or that the walk refuses, is dropped and fetched again
-    through refetch_trace, once, and counts as dropped, not as a hit; only a
-    hit is (trace_hit), and the walk's fault over the fetched answer stands.
+    after the check is still the entry that was checked. The walk is the
+    trace's check, and it runs after the answer, so the hit's span carries
+    its second chance: its `again` drops the entry (dropped, not a hit) and
+    asks the query once more. A payload that does not decode, or that the
+    walk refuses, is fetched again that way, and the fault of the walk over
+    the fetched answer stands.
+
     A miss is written by one writer through traces.read_trace, which answers
     what it read: a document answer, or a span it decodes whole, as the
     compact sorted-key JSON of the document, and answers that document; a
@@ -737,7 +741,10 @@ class CachedExplorer:
     rename. A span the stream does not read is parsed whole and written as
     its document would be; one that is not JSON is its reader's
     ProtocolError, and like one that cannot be read it counts as no fetch.
-    The entry bytes are those of a document answer in every case
+    The kind's read runs on the answer before the entry is renamed into
+    place: an answer it refuses is the inner backend's fault, a
+    ProtocolError that counts one inner call, drops nothing and leaves no
+    entry. The entry bytes are those of a document answer in every case
     (docs/formats.md), so the walk gives the same result over any answer,
     and no second copy is made.
 
@@ -773,46 +780,34 @@ class CachedExplorer:
         counts = self.by_kind.setdefault(kind, {"hits": 0, "dropped": 0, "innerCalls": 0})
         return key, path, prefix, counts
 
-    def _drop(self, kind: str, key_parts: list):
-        """Drop the entry of a hit found wrong after it was answered, so the
-        next ask fetches it again; it counts as dropped, not as a hit."""
-        _, path, _, counts = self._entry(kind, key_parts)
-        path.unlink(missing_ok=True)
-        counts["hits"] -= 1
-        counts["dropped"] += 1
-
-    def _checked(self, kind: str, key_parts: list, ask: Callable, read: Callable):
-        """read(ask()), where ask answers the query. The inner backend
-        checks its own answers, so read refuses (ProtocolError) only a hit
-        whose payload has its digest but not its kind's shape: that entry
-        is dropped and asked for once more."""
-        answer = ask()
-        try:
-            return read(answer)
-        except ProtocolError:
-            self._drop(kind, key_parts)
-        return read(ask())
-
-    def _lookup(self, kind: str, key_parts: list, fetch):
-        """The stored payload of the query (_stored_payload): a trace
-        payload as its span, any other decoded; or what the writer of
-        fetch()'s answer read (CachedExplorer)."""
+    def _lookup(self, kind: str, key_parts: list, fetch: Callable, read: Callable | None = None):
+        """The query's answer. On a hit, read of its entry's payload once
+        the one check passed, decoded; or for a trace (read None) the
+        payload's span, with its `again`. On a miss, read of what the
+        writer of fetch()'s answer read (CachedExplorer)."""
         key, path, prefix, counts = self._entry(kind, key_parts)
         try:
-            payload = span = _stored_payload(path, prefix)
-            if kind != "trace":
+            answer = span = _stored_payload(path, prefix)
+            if read is not None:
                 with span:
-                    payload = json.loads(span.text())
+                    answer = read(json.loads(span.text()))
         except FileNotFoundError:
             pass
-        except (ValueError, RecursionError):
+        except (ValueError, RecursionError, ProtocolError):  # layout, digest, JSON or shape
             counts["dropped"] += 1
             path.unlink(missing_ok=True)
         except OSError as err:
             raise _unreadable_entry(path, err) from None
         else:
             counts["hits"] += 1
-            return payload
+            if read is None:  # a trace hit, which the walk checks after the answer
+                def again():
+                    path.unlink(missing_ok=True)
+                    counts["hits"] -= 1
+                    counts["dropped"] += 1
+                    return self._lookup(kind, key_parts, fetch)
+                span.again = again
+            return answer
         payload = fetch()
         tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         write = partial(_write_entry, tmp, prefix)
@@ -826,9 +821,11 @@ class CachedExplorer:
             # opened before the rename, so the span reads the entry written
             return TextSpan(open(tmp, "rb"), len(prefix), stop, partial(_entry_faults, path))
 
-        answer = None
+        answer, fetched = None, False
         try:
             answer = read_trace(payload, written, streamed)
+            fetched = True
+            checked = answer if read is None else read(answer)
             os.replace(tmp, path)
         except BaseException as err:
             tmp.unlink(missing_ok=True)
@@ -837,66 +834,40 @@ class CachedExplorer:
             # a span answer that cannot be read or is not JSON (its reader's
             # error) is a failed inner call, as the inner's own read and
             # parse of a short text were, and so is a document nested too
-            # deep to write: it counts as no fetch
-            if not isinstance(err, (RecursionError, SleuthError)):
+            # deep to write: it counts as no fetch; an answer the read
+            # refuses counts as one
+            if fetched or not isinstance(err, (RecursionError, SleuthError)):
                 self._count_fetch(key, counts)
+            if isinstance(err, RecursionError):  # json.dumps refused a document nested too deep
+                raise ProtocolError(f"{kind} for {key_parts[0]} unreadable: {err}") from None
             if isinstance(err, OSError):
                 raise UsageError(f"cache entry {path} not written: {err}") from None
             raise
         self._count_fetch(key, counts)
-        return answer
+        return checked
 
     def _count_fetch(self, key: str, counts: dict):
         self.fetches[key] = self.fetches.get(key, 0) + 1
         counts["innerCalls"] += 1
 
-    def collect_block_details(self, number: int) -> dict:
-        return self._lookup(
-            "block", [number], lambda: self.inner.collect_block_details(number)
-        )
+    def _block(self, number: int) -> dict:
+        """Block number's envelope, from its entry or from the inner
+        document it writes, read by block_envelope (_block_entry)."""
+        fetch = partial(self.inner.collect_block_details, number)
+        return self._lookup("block", [number], fetch, _block_entry)
 
-    def block_transactions(self, number: int) -> tuple[Transaction, ...]:
-        """The transactions of collect_block_details' answer, read by
-        block_envelope (_checked)."""
-        return self._checked(
-            "block", [number], lambda: self.collect_block_details(number), _block_transactions
-        )
+    collect_block_details = collect_block_details
+    block_transactions = block_transactions
 
     def tx_trace(self, tx_hash: bytes, tracer_spec: dict | None = None) -> dict | TextSpan:
-        return self._trace(tx_hash, tracer_spec)
-
-    def trace_hit(self, tx_hash: bytes, tracer_spec: dict | None = None) -> bool:
-        """Whether tx_trace answered this query from its entry: no inner
-        call was made for its key."""
-        key_parts = [hash_hex(tx_hash), canonical_tracer(tracer_spec)]
-        return self._entry("trace", key_parts)[0] not in self.fetches
-
-    def refetch_trace(self, tx_hash: bytes, tracer_spec: dict | None = None) -> dict | TextSpan:
-        """tx_trace again, after the walk found that the payload of its hit
-        does not decode, or refused it: the entry is dropped, fetched and
-        written again."""
-        self._drop("trace", [hash_hex(tx_hash), canonical_tracer(tracer_spec)])
-        return self._trace(tx_hash, tracer_spec)
-
-    def _trace(self, tx_hash: bytes, tracer_spec: dict | None):
-        try:
-            return self._lookup(
-                "trace",
-                [hash_hex(tx_hash), canonical_tracer(tracer_spec)],
-                lambda: self.inner.tx_trace(tx_hash, tracer_spec),
-            )
-        except RecursionError as err:  # json.dumps refused a document nested too deep
-            raise ProtocolError(f"{_trace_what(tx_hash)} unreadable: {err}") from None
-
-    def _word(self, kind: str, key_parts: list, fetch) -> int:
-        """The word a point query answers (_checked)."""
-        ask = partial(self._lookup, kind, key_parts, fetch)
-        return self._checked(kind, key_parts, ask, _checked_word)
+        fetch = partial(self.inner.tx_trace, tx_hash, tracer_spec)
+        return self._lookup("trace", [hash_hex(tx_hash), canonical_tracer(tracer_spec)], fetch)
 
     def get_storage(self, addr: int, key: int, number: int) -> int:
+        key_parts = [address_hex(addr), word_hex(key), number]
         fetch = partial(self.inner.get_storage, addr, key, number)
-        return self._word("storage", [address_hex(addr), word_hex(key), number], fetch)
+        return self._lookup("storage", key_parts, fetch, _checked_word)
 
     def get_balance(self, addr: int, number: int) -> int:
         fetch = partial(self.inner.get_balance, addr, number)
-        return self._word("balance", [address_hex(addr), number], fetch)
+        return self._lookup("balance", [address_hex(addr), number], fetch, _checked_word)

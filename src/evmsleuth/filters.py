@@ -39,7 +39,6 @@ from .errors import (
     TraceParseError,
     UsageError,
 )
-from .explorer import CachedExplorer
 from .hashing import function_selector
 from .traces import IngestMemo, ReconstructedTrace, Walk, gc_paused, reconstruct_trace
 from .words import address_hex, hash_hex
@@ -179,21 +178,20 @@ class ReadState:
         tracer_spec), from tx's root: relaxed when pc-filtered, through
         memo, building the steps of gate (all of them when None) and, with
         calls, every call step (traces.reconstruct_trace, which closes a
-        TextSpan answer). A cache hit whose payload then does not decode
-        (json.loads raises), or that the walk refuses (TraceParseError,
-        ReconstructionError), is dropped and fetched again
-        (CachedExplorer.refetch_trace) before the walk runs once more, and
-        the fault of that walk stands; any other span maps a decode fault
-        to its reader's ProtocolError, and any other answer's walk fault
-        stands."""
+        TextSpan answer). A span with a second chance (TextSpan.again, a
+        cache hit's) whose text does not decode (json.loads raises), or
+        that the walk refuses (TraceParseError, ReconstructionError), is
+        asked for again and walked once more, and the fault of that walk
+        stands; any other span maps a decode fault to its reader's
+        ProtocolError, and any other answer's walk fault stands."""
         walk = Walk(gate, calls, tracer_spec is not None, self.memo)
+        again = getattr(trace, "again", None)
         try:
             return reconstruct_trace(trace, tx.to, walk)
         except (ValueError, RecursionError, TraceParseError, ReconstructionError):
-            cache = self.explorer
-            if not (isinstance(cache, CachedExplorer) and cache.trace_hit(tx.hash, tracer_spec)):
+            if again is None:
                 raise
-        return reconstruct_trace(cache.refetch_trace(tx.hash, tracer_spec), tx.to, walk)
+        return reconstruct_trace(again(), tx.to, walk)
 
     def keep(self, tx: Transaction, rec: ReconstructedTrace):
         """Keep tx's scanned trace for the level, given a gate."""

@@ -624,7 +624,14 @@ class TextSpan:
     block at a time, and text() whole, as a file opened in text mode reads
     it; a fault of blocks(), and of text() and its decode, which read_trace
     runs under faults(), is raised as that context manager maps it. close()
-    closes the file; the span is also a context manager that does."""
+    closes the file; the span is also a context manager that does.
+
+    again, when set, asks the question this span answers once more and
+    answers it anew. A cache hit's span carries it (explorer.CachedExplorer):
+    the walk reads the span after the answer, and may refuse what the
+    cache's own check passed. None on any other span."""
+
+    again: Callable[[], object] | None = None
 
     def __init__(
         self, handle: BinaryIO, start: int, stop: int, faults: Callable[[], ContextManager]

@@ -2,8 +2,8 @@
 sweeps of one workload run through each tree's cli.main in turn, round by
 round, and every report must be the same in both.
 
-    python tests/ab_sweeps.py SRC_A SRC_B [--workload state-edges|suite]
-        [--seed 11] [--rounds 20]
+    python tests/ab_sweeps.py SRC_A SRC_B
+        [--workload state-edges|suite|deep-trace] [--seed 11] [--rounds 20]
 
 SRC_A and SRC_B are `src` directories, each holding an evmsleuth package;
 they may be one and the same (an A/A run). Each is imported under a
@@ -15,7 +15,10 @@ caches, what the benchmark's `cached.p50_ref` measures.
 
 The workloads are those of pipebench/run.py: `state-edges`, the
 TargetUnderflow storage fixture at magnitude 32000, investigated at block
-level; `suite`, the six scenarios at evm level. A sweep is one
+level; `suite`, the six scenarios at evm level; `deep-trace`, the
+DelayedUnderflow instructions fixture at magnitude 84000 (one exploit trace
+of about 84,000 steps, a long cache hit checked on the file and streamed),
+at evm level. A sweep is one
 investigation of each fixture; the trees take turns, and the one that
 goes first alternates from round to round. Every sweep's reports, with
 their `timings` left out, must equal the first sweep's, so the trees agree
@@ -45,7 +48,10 @@ from pathlib import Path
 WORKLOADS = {
     "state-edges": ("storage", 32_000, "block"),
     "suite": ("suite", 0, "evm"),
+    "deep-trace": ("instructions", 84_000, "evm"),
 }
+# the scenario each scaled axis scales
+SCALED = {"storage": "TargetUnderflow", "instructions": "DelayedUnderflow"}
 
 
 def load_tree(src: Path, name: str):
@@ -69,9 +75,8 @@ def build(fixtures, workload: str, seed: int, out: Path) -> dict[str, Path]:
     if axis == "suite":
         built = fixtures.build_suite(seed)
     else:
-        built = {"TargetUnderflow": fixtures.scale_fixture(
-            "TargetUnderflow", axis, magnitude, seed=seed
-        )}
+        scenario = SCALED[axis]
+        built = {scenario: fixtures.scale_fixture(scenario, axis, magnitude, seed=seed)}
     dirs = {}
     for name, fixture in built.items():
         dirs[name] = out / name

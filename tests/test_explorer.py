@@ -452,13 +452,15 @@ _ENTRIES = {
 }
 
 # Payloads that are not their kind's shape: a point query's is not a word
-# (an int, not a bool, in [0, WORD_MASK]), and a block's transactions do
-# not pass block_envelope
+# (an int, not a bool, in [0, WORD_MASK]), and a block's envelope does not
+# pass block_envelope, whichever block question reads it
 _NOT_WORDS = [b'"x"', b"true", b"-1", b"1.0", b"1" + b"0" * 78, b"[1]", b"null"]
+_NOT_BLOCKS = [b'{"block":{"transactions":5}}', b'{"block":[]}', b"[]", b"null"]
 _WRONG_SHAPES = {
     "balance": _NOT_WORDS,
     "storage": _NOT_WORDS,
-    "transactions": [b'{"block":{"transactions":5}}', b'{"block":[]}', b"[]", b"null"],
+    "block": _NOT_BLOCKS,
+    "transactions": _NOT_BLOCKS,
 }
 
 
@@ -498,6 +500,39 @@ def test_cache_drops_corrupt_entries(local, tmp_path, monkeypatch, tamper, entry
     assert victim.read_bytes() == good  # the refetch rewrote the entry
     assert query(cache) == expected
     assert cache.hits == 1
+
+
+_INNER_WRONG_SHAPES = {
+    "balance": (lambda ex: ex.get_balance(0xDEAD, 1), -5),
+    "storage": (lambda ex: ex.get_storage(0xDEAD, 0, 1), "x"),
+    "block": (lambda ex: ex.collect_block_details(3), {"block": {"number": 3}}),
+    "transactions": (lambda ex: ex.block_transactions(3), {"block": {"number": 3}}),
+}
+
+
+@pytest.mark.parametrize("query", sorted(_INNER_WRONG_SHAPES))
+def test_an_inner_answer_of_the_wrong_shape_writes_no_entry(tmp_path, query):
+    # the kind's read runs on a miss's answer before its entry is renamed
+    # into place, so an inner answer it refuses is the inner backend's
+    # fault: one ProtocolError after one inner call, nothing dropped, no hit
+    # and no entry left
+    ask, answer = _INNER_WRONG_SHAPES[query]
+
+    class Inner:
+        calls = 0
+
+        def reply(self, *args):
+            Inner.calls += 1
+            return answer
+
+        collect_block_details = get_balance = get_storage = reply
+
+    cache = CachedExplorer(Inner(), tmp_path / "cache")
+    with pytest.raises(ProtocolError, match="^cache "):
+        ask(cache)
+    assert Inner.calls == 1
+    assert list(cache.by_kind.values()) == [{"hits": 0, "dropped": 0, "innerCalls": 1}]
+    assert list((tmp_path / "cache").iterdir()) == []
 
 
 def test_cache_drops_no_entry_when_the_inner_backend_refuses(tmp_path):
@@ -726,12 +761,12 @@ def test_cache_path_faults_are_usage_errors(local, tmp_path):
 
 def test_cache_shared_by_concurrent_writers_never_reads_a_torn_entry(tmp_path):
     class Inner:
-        def collect_block_details(self, number):
-            return {"block": list(range(50_000))}  # a few hundred KB per entry
+        def tx_trace(self, tx_hash, tracer_spec=None):
+            return {"structLogs": list(range(50_000))}  # a few hundred KB per entry
 
     directory = tmp_path / "cache"
     caches = [CachedExplorer(Inner(), directory) for _ in range(4)]
-    caches[0].collect_block_details(0)
+    caches[0].tx_trace(bytes(32))
     (path,) = directory.glob("*.json")
     stop = time.monotonic() + 1.0
     errors = []
@@ -741,7 +776,7 @@ def test_cache_shared_by_concurrent_writers_never_reads_a_torn_entry(tmp_path):
             while time.monotonic() < stop:
                 if rewrite:
                     path.unlink(missing_ok=True)
-                cache.collect_block_details(0)
+                document(cache.tx_trace(bytes(32)))  # a hit's span is read and closed
         except Exception as err:  # reported below
             errors.append(err)
 

@@ -1714,6 +1714,24 @@ def test_damaged_archive_or_cache_file_is_never_a_traceback(damage_targets, data
         path.write_bytes(original)
 
 
+def _reseal_traces_the_walk_refuses(cache_dir) -> int:
+    """Re-seal each trace entry under cache_dir that has a step with its
+    first step's gas written as a string, a payload with its digest that
+    the walk refuses; the number of entries re-sealed."""
+    resealed_entries = 0
+    for path in cache_dir.glob("*.json"):
+        entry = json.loads(path.read_bytes())
+        if json.loads(entry["key"])[0] != "trace" or not entry["payload"]["structLogs"]:
+            continue
+        first = entry["payload"]["structLogs"][0]
+        first["gas"] = str(first["gas"])
+        text = json.dumps(entry["payload"], separators=(",", ":"), sort_keys=True)
+        sha = digest(text.encode()).hex()
+        path.write_text(f'{{"key":{json.dumps(entry["key"])},"payload":{text},"sha256":"{sha}"}}')
+        resealed_entries += 1
+    return resealed_entries
+
+
 def test_a_trace_entry_the_walk_refuses_is_fetched_again(bank_dir, tmp_path):
     # Bank's trace entries re-sealed with their first step's gas written as
     # a string: payloads with their digests that the walk refuses. The first
@@ -1725,17 +1743,7 @@ def test_a_trace_entry_the_walk_refuses_is_fetched_again(bank_dir, tmp_path):
     assert code == 0 and len(expected) == 6, err
     cached = [*local, "-c", str(tmp_path / "cache")]
     assert _investigate(cached)[0] == 0
-    resealed_entries = 0
-    for path in (tmp_path / "cache").glob("*.json"):
-        entry = json.loads(path.read_bytes())
-        if json.loads(entry["key"])[0] != "trace":
-            continue
-        first = entry["payload"]["structLogs"][0]
-        first["gas"] = str(first["gas"])
-        text = json.dumps(entry["payload"], separators=(",", ":"), sort_keys=True)
-        sha = digest(text.encode()).hex()
-        path.write_text(f'{{"key":{json.dumps(entry["key"])},"payload":{text},"sha256":"{sha}"}}')
-        resealed_entries += 1
+    resealed_entries = _reseal_traces_the_walk_refuses(tmp_path / "cache")
     assert resealed_entries == 8
     for dropped in (resealed_entries, 0):
         code, out, err = _investigate(cached)
@@ -1744,6 +1752,41 @@ def test_a_trace_entry_the_walk_refuses_is_fetched_again(bank_dir, tmp_path):
         stats = {"hits": resealed_entries - dropped, "dropped": dropped, "innerCalls": dropped}
         assert doc["explorerStats"]["byKind"]["trace"] == stats
 
+
+@pytest.mark.parametrize("archive", ["bec", "long"])
+def test_internal_discovery_fetches_a_trace_entry_the_walk_refuses_again(
+    bec_dir, tmp_path, archive
+):
+    # the scan of internal discovery walks every trace in range, so a trace
+    # entry the walk refuses is dropped and fetched again there, as the
+    # level's own walk does: SimulationBECToken's short traces, and the
+    # 21,000-step exploit trace of the instructions axis, whose refused hit
+    # is streamed before the walk falls back to its whole decode
+    if archive == "long":
+        directory = tmp_path / "long"
+        write_fixture(scale_fixture("DelayedUnderflow", "instructions", 21_000, seed=SEED), directory)
+    else:
+        directory = bec_dir
+    local = ["-e", f"local[dir={directory}]", "-d", "evm", "-f", "spec[internal=true]"]
+    code, out, err = _investigate(local)
+    expected = json.loads(out)
+    assert code == 0 and expected["detections"], err
+    cached = [*local, "-c", str(tmp_path / "cache")]
+    assert _investigate(cached)[0] == 0
+    entries = [json.loads(path.read_bytes()) for path in (tmp_path / "cache").glob("*.json")]
+    trace_entries = sum(json.loads(entry["key"])[0] == "trace" for entry in entries)
+    resealed_entries = _reseal_traces_the_walk_refuses(tmp_path / "cache")
+    assert (trace_entries, resealed_entries) == {"bec": (22, 18), "long": (2, 2)}[archive]
+    if archive == "long":
+        sizes = [path.stat().st_size for path in (tmp_path / "cache").glob("*.json")]
+        assert max(sizes) > 20 * traces.TEXT_CHUNK  # the long hit is checked on the file, and streamed
+    for dropped in (resealed_entries, 0):
+        code, out, err = _investigate(cached)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert (doc["detections"], doc["skips"]) == (expected["detections"], expected["skips"])
+        stats = {"hits": trace_entries - dropped, "dropped": dropped, "innerCalls": dropped}
+        assert doc["explorerStats"]["byKind"]["trace"] == stats
 
 
 # -- hostile feeds --

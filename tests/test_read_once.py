@@ -66,7 +66,7 @@ def reads(monkeypatch):
 @pytest.fixture
 def tx_reads(monkeypatch):
     """Counts of tx_from_document calls, under every name the package holds
-    it by, and the block numbers asked of a cache."""
+    it by, and the block numbers a cache reads its block entries for."""
     counts = Counter()
     real = chain.tx_from_document
 
@@ -77,13 +77,13 @@ def tx_reads(monkeypatch):
     for module in list(sys.modules.values()):
         if module.__name__.startswith("evmsleuth") and vars(module).get("tx_from_document") is real:
             monkeypatch.setattr(module, "tx_from_document", counted)
-    cache_block = CachedExplorer.collect_block_details
+    cache_block = CachedExplorer._block
 
     def asked(ex, number):
         counts[("cache", number)] += 1
         return cache_block(ex, number)
 
-    monkeypatch.setattr(CachedExplorer, "collect_block_details", asked)
+    monkeypatch.setattr(CachedExplorer, "_block", asked)
     return counts
 
 
