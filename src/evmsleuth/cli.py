@@ -271,32 +271,31 @@ def cmd_investigate(args) -> int:
         query=query,
     )
     report = run_investigation(config)
-    doc = report.to_document()
-    print(json.dumps(doc, indent=1, sort_keys=True))
+    print(json.dumps(report, indent=1, sort_keys=True))
     _print_summary(report)
     return EXIT_OK
 
 
-def _print_summary(report):
+def _print_summary(report: dict):
     say = lambda line: print(line, file=sys.stderr)
-    say(f"tag            {report.tag}")
-    say(f"scenario       {report.scenario}")
-    say(f"level/mode     {report.level}/{report.mode}")
-    say(f"candidates     {report.candidates} rows, {report.distinct_txs} distinct")
-    say(f"blocks         {report.blocks_evaluated}")
-    say(f"detections     {len(report.detections)}")
-    say(f"skips          {len(report.skips)}")
-    say(f"steps replayed {report.steps_interpreted}")
-    t = report.timings
+    config, totals, t = report["config"], report["totals"], report["timings"]
+    say(f"tag            {config['tag']}")
+    say(f"scenario       {config['scenario']}")
+    say(f"level/mode     {config['level']}/{config['mode']}")
+    say(f"candidates     {totals['candidates']} rows, {totals['distinctTxs']} distinct")
+    say(f"blocks         {totals['blocksEvaluated']}")
+    say(f"detections     {totals['detections']}")
+    say(f"skips          {totals['skips']}")
+    say(f"steps replayed {report['stepsInterpreted']}")
     say(
         "time           "
         f"filter {t['filter']:.3f}s  fetch {t['fetch']:.3f}s  "
         f"analyze {t['analyze']:.3f}s  total {t['total']:.3f}s"
     )
-    if report.detections:
+    if report["detections"]:
         say("")
         say(f"{'rule':12s} {'where':8s} target")
-        for det in report.detections:
+        for det in report["detections"]:
             if "txHash" in det:
                 say(f"{det['rule']:12s} block {det['blockNumber']:<4d}{det['txHash']}")
             else:

@@ -70,13 +70,13 @@ def bench(
             if mode == "cached":
                 run_investigation(config)  # warm-up, untimed
             runs = (run_investigation(config) for _ in range(repeats))
-            best = min(runs, key=lambda report: report.timings["analyze"])
-        timings = best.timings
+            best = min(runs, key=lambda report: report["timings"]["analyze"])
+        timings = best["timings"]
         table.append({
             "axis": axis, "magnitude": magnitude, "mode": mode, "level": level,
-            "repeats": repeats, "analyze": round(timings["analyze"], 6),
-            "fetch": round(timings["fetch"], 6), "total": round(timings["total"], 6),
-            "detections": len(best.detections), "stepsInterpreted": best.steps_interpreted,
+            "repeats": repeats, "analyze": timings["analyze"],
+            "fetch": timings["fetch"], "total": timings["total"],
+            "detections": len(best["detections"]), "stepsInterpreted": best["stepsInterpreted"],
         })
     return table
 

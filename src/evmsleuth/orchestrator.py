@@ -17,12 +17,17 @@ backend directly, "cached" puts a persistent read-through cache in front,
 "customTracer" (evm level only) asks the backend for pc-filtered traces
 instead of complete ones.
 
-Per-transaction and per-block failures degrade to skip records in the
-report; only configuration problems (a bad descriptor is refused before
-the run, by VulnSpec.from_document) and an unreachable archive abort a run.
-The report carries wall-clock per phase and the number of interpreter steps
-executed, so "block level does no replay" is a measurable claim rather than
-a promise. The interpreter is producer code (evmsleuth.fixtures.interpreter)
+run_investigation returns the report document (docs/formats.md) and is
+its one writer: it fills the config, totals, timings and cache counters,
+and the level functions append to it the detections, built by the rules in
+the form in which they are reported, and the skip records. Per-transaction
+and per-block failures degrade to skip records; a feed row whose block does
+not hold its transaction is one at either level. Only configuration
+problems (a bad descriptor is refused before the run, by
+VulnSpec.from_document) and an unreachable archive abort a run. The report
+carries wall-clock per phase and the number of interpreter steps executed,
+so "block level does no replay" is a measurable claim rather than a
+promise. The interpreter is producer code (evmsleuth.fixtures.interpreter)
 that no module of the investigator imports, so stepsInterpreted reads its
 STEP_COUNTER from sys.modules when something else loaded it, a test that
 built its fixtures in-process say, and is 0 when it is not loaded.
@@ -82,7 +87,7 @@ from .filters import FilterQuery, ReadState, TxRef, tx_list
 from .rules_block import evaluate_block
 from .rules_evm import VulnSpec, evaluate_trace
 from .traces import gc_paused
-from .words import address_hex
+from .words import address_hex, hash_hex
 
 LEVELS = ("evm", "block")
 MODES = ("local", "cached", "customTracer")
@@ -110,52 +115,6 @@ class InvestigationConfig:
             raise UsageError("cached mode needs a cache directory (-c)")
 
 
-@dataclass
-class Report:
-    tag: str
-    level: str
-    mode: str
-    scenario: str
-    contract: int
-    filter_echo: dict
-    shared_params: dict
-    candidates: int = 0
-    distinct_txs: int = 0
-    blocks_evaluated: int = 0
-    detections: list[dict] = field(default_factory=list)
-    skips: list[str] = field(default_factory=list)
-    steps_interpreted: int = 0
-    timings: dict[str, float] = field(default_factory=dict)
-    explorer_stats: dict | None = None
-
-    def to_document(self) -> dict:
-        doc = {
-            "config": {
-                "tag": self.tag,
-                "level": self.level,
-                "mode": self.mode,
-                "scenario": self.scenario,
-                "contract": address_hex(self.contract),
-                "filter": self.filter_echo,
-                "sharedParams": self.shared_params,
-            },
-            "detections": self.detections,
-            "skips": self.skips,
-            "totals": {
-                "candidates": self.candidates,
-                "distinctTxs": self.distinct_txs,
-                "blocksEvaluated": self.blocks_evaluated,
-                "detections": len(self.detections),
-                "skips": len(self.skips),
-            },
-            "stepsInterpreted": self.steps_interpreted,
-            "timings": {k: round(v, 6) for k, v in self.timings.items()},
-        }
-        if self.explorer_stats is not None:
-            doc["explorerStats"] = self.explorer_stats
-        return doc
-
-
 def _tracer_spec(config: InvestigationConfig) -> dict | None:
     if config.mode != "customTracer":
         return None
@@ -170,7 +129,8 @@ def _steps_interpreted() -> int:
     return 0 if interpreter is None else interpreter.STEP_COUNTER.value
 
 
-def run_investigation(config: InvestigationConfig) -> Report:
+def run_investigation(config: InvestigationConfig) -> dict:
+    """The report document of one investigation (docs/formats.md)."""
     spec = config.spec
     query = config.query or spec.query
     timings = {"filter": 0.0, "fetch": 0.0, "analyze": 0.0}
@@ -187,32 +147,35 @@ def run_investigation(config: InvestigationConfig) -> Report:
         rows = tx_list(reads, query)
     timings["filter"] = time.perf_counter() - t0
 
-    report = Report(
-        tag=config.tag,
-        level=config.level,
-        mode=config.mode,
-        scenario=spec.scenario,
-        contract=spec.contract,
-        filter_echo={
-            "selectors": list(query.selectors),
-            "includeInternal": query.include_internal,
-            "blockRange": list(query.block_range),
+    report = {
+        "config": {
+            "tag": config.tag,
+            "level": config.level,
+            "mode": config.mode,
+            "scenario": spec.scenario,
+            "contract": address_hex(spec.contract),
+            "filter": {
+                "selectors": list(query.selectors),
+                "includeInternal": query.include_internal,
+                "blockRange": list(query.block_range),
+            },
+            "sharedParams": dict(config.shared_params),
         },
-        shared_params=dict(config.shared_params),
-        candidates=len(rows),
-    )
-
-    if config.level == "evm":
-        _run_evm_level(config, rows, report, timings, reads)
-    else:
-        _run_block_level(config, rows, report, timings, reads)
+        "detections": [],
+        "skips": [],
+        "totals": {"candidates": len(rows)},
+    }
+    level = _run_evm_level if config.level == "evm" else _run_block_level
+    level(config, rows, report, timings, reads)
 
     timings["total"] = time.perf_counter() - t_start
-    report.timings = timings
-    report.steps_interpreted = _steps_interpreted() - steps_before
+    report["totals"]["detections"] = len(report["detections"])
+    report["totals"]["skips"] = len(report["skips"])
+    report["stepsInterpreted"] = _steps_interpreted() - steps_before
+    report["timings"] = {k: round(v, 6) for k, v in timings.items()}
     if isinstance(config.explorer, CachedExplorer):
         ex = config.explorer
-        report.explorer_stats = {
+        report["explorerStats"] = {
             "distinctQueries": len(ex.fetches),
             "innerCalls": sum(ex.fetches.values()),
             "hits": ex.hits,
@@ -226,30 +189,31 @@ def _run_evm_level(config, rows, report, timings, reads):
     spec = config.spec
     explorer = config.explorer
     tracer = _tracer_spec(config)
+    skips = report["skips"]
     order: dict[bytes, int] = {}
     for row in rows:
         order.setdefault(row.tx_hash, row.block_number)
-    report.distinct_txs = len(order)
-    report.blocks_evaluated = len(set(order.values()))
+    report["totals"]["distinctTxs"] = len(order)
+    report["totals"]["blocksEvaluated"] = len(set(order.values()))
 
     for tx_hash, number in order.items():
-        label = f"tx 0x{tx_hash.hex()}"
+        label = f"tx {hash_hex(tx_hash)}"
         with gc_paused():  # the trace lives and dies in here
             t0 = time.perf_counter()
             trace = None
             try:
                 tx = reads.transaction(number, tx_hash)
                 if tx is None:
-                    report.skips.append(f"{label}: not in block {number}, skipped")
+                    skips.append(f"{label}: not in block {number}, skipped")
                     continue
                 if tx.to is None:
-                    report.skips.append(f"{label}: contract creation, skipped")
+                    skips.append(f"{label}: contract creation, skipped")
                     continue
                 rec = reads.take_trace(tx)
                 if rec is None:
                     trace = explorer.tx_trace(tx_hash, tracer)
             except (ArchiveGapError, ProtocolError) as err:
-                report.skips.append(f"{label}: fetch failed, skipped ({err})")
+                skips.append(f"{label}: fetch failed, skipped ({err})")
                 continue
             finally:
                 timings["fetch"] += time.perf_counter() - t0
@@ -260,41 +224,46 @@ def _run_evm_level(config, rows, report, timings, reads):
                     rec = reads.walk(trace, tx, tracer, spec.gate)
                 found, notes = evaluate_trace(rec, spec, tx_hash, number)
             except (ArchiveGapError, ProtocolError) as err:  # a text is not JSON
-                report.skips.append(f"{label}: fetch failed, skipped ({err})")
+                skips.append(f"{label}: fetch failed, skipped ({err})")
                 continue
             except SleuthError as err:
-                report.skips.append(f"{label}: analysis failed, skipped ({err})")
+                skips.append(f"{label}: analysis failed, skipped ({err})")
                 continue
             finally:
                 del trace
                 timings["analyze"] += time.perf_counter() - t0
-            report.detections.extend(d.to_document() for d in found)
-            report.skips.extend(notes)
+            report["detections"].extend(found)
+            skips.extend(notes)
 
 
 def _run_block_level(config, rows, report, timings, reads):
     spec = config.spec
     explorer = config.explorer
     selectors = spec.query.selector_bytes()
+    skips = report["skips"]
 
     by_block: dict[int, list[TxRef]] = {}
     for row in rows:
         if row.internal or row.to != spec.contract or row.selector not in selectors:
             continue
         by_block.setdefault(row.block_number, []).append(row)
-    report.distinct_txs = sum(len(v) for v in by_block.values())
-    report.blocks_evaluated = len(by_block)
+    report["totals"]["distinctTxs"] = sum(len(v) for v in by_block.values())
+    report["totals"]["blocksEvaluated"] = len(by_block)
 
     for number in sorted(by_block):
-        wanted = {row.tx_hash for row in by_block[number]}
+        wanted = dict.fromkeys(row.tx_hash for row in by_block[number])
         t0 = time.perf_counter()
         try:
             candidates = tuple(tx for tx in reads.transactions(number) if tx.hash in wanted)
         except (ArchiveGapError, ProtocolError) as err:
-            report.skips.append(f"block {number}: fetch failed, skipped ({err})")
+            skips.append(f"block {number}: fetch failed, skipped ({err})")
             continue
         finally:
             timings["fetch"] += time.perf_counter() - t0
+        held = {tx.hash for tx in candidates}
+        skips.extend(
+            f"tx {hash_hex(h)}: not in block {number}, skipped" for h in wanted if h not in held
+        )
 
         t0 = time.perf_counter()
         try:
@@ -302,10 +271,10 @@ def _run_block_level(config, rows, report, timings, reads):
             post = ExplorerView(explorer, number)
             detection, notes = evaluate_block(pre, post, number, candidates, spec)
         except (ArchiveGapError, ProtocolError) as err:
-            report.skips.append(f"block {number}: state lookup failed, skipped ({err})")
+            skips.append(f"block {number}: state lookup failed, skipped ({err})")
             continue
         finally:
             timings["analyze"] += time.perf_counter() - t0
         if detection is not None:
-            report.detections.append(detection.to_document())
-        report.skips.extend(notes)
+            report["detections"].append(detection)
+        skips.extend(notes)

@@ -10,7 +10,8 @@ A state view is anything with balance_of(addr) and storage_at(addr, key).
 The explorer layer provides a point-query adapter with these two methods
 over the state an archive recorded at each block edge, so the rules run
 identically over a local archive and a remote node. They never build or
-mutate a world state.
+mutate a world state. evaluate_block returns a block's detection as the
+document the report lists (docs/formats.md).
 
 The conditions are deliberately coarse (documented trade-off): effects that
 cancel within one block, or that enter through a transaction addressed to
@@ -20,27 +21,9 @@ for exactly those cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .hashing import mapping_slot
 from .rules_evm import VulnSpec
 from .words import ADDRESS_MASK, hash_hex
-
-
-@dataclass(frozen=True)
-class BlockDetection:
-    rule: str
-    block_number: int
-    candidates: tuple[bytes, ...]  # transactions satisfying the existential
-    details: dict  # per-candidate, keyed by 0x tx hash
-
-    def to_document(self) -> dict:
-        return {
-            "rule": self.rule,
-            "blockNumber": self.block_number,
-            "candidateTxHashes": [hash_hex(h) for h in self.candidates],
-            "details": self.details,
-        }
 
 
 def decode_arg(data: bytes, index: int) -> int | None:
@@ -105,23 +88,29 @@ BLOCK_RULES = {
 
 def evaluate_block(
     pre, post, block_number: int, candidates, spec: VulnSpec
-) -> tuple[BlockDetection | None, list[str]]:
+) -> tuple[dict | None, list[str]]:
     """Apply the spec's rule to each candidate transaction over one edge.
 
     `candidates` are the block's transactions already narrowed to the
-    investigated contract and selector set. Returns a detection when at
-    least one candidate fires, plus any per-transaction notes.
+    investigated contract and selector set. Returns the block's detection
+    document (docs/formats.md) when at least one candidate fires, else
+    None, plus any per-transaction notes.
     """
     rule = BLOCK_RULES[spec.rule]
-    fired: list[bytes] = []
+    fired: list[str] = []
     details: dict[str, dict] = {}
     notes: list[str] = []
     for tx in candidates:
         hit, detail, tx_notes = rule(pre, post, tx, spec)
         notes.extend(tx_notes)
         if hit:
-            fired.append(tx.hash)
-            details[hash_hex(tx.hash)] = detail
+            fired.append(hash_hex(tx.hash))
+            details[fired[-1]] = detail
     if not fired:
         return None, notes
-    return BlockDetection(spec.rule, block_number, tuple(fired), details), notes
+    return {
+        "rule": spec.rule,
+        "blockNumber": block_number,
+        "candidateTxHashes": fired,
+        "details": details,
+    }, notes

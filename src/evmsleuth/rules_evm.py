@@ -29,7 +29,8 @@ same map, to the rule class's per-step check:
               identity sits deeper in the stack
 
 A check returns a detail for a hit and/or a note for a gated step it had to
-skip; evaluate_trace stamps transaction context and builds every detection.
+skip; evaluate_trace stamps transaction context on each detail and returns
+every detection as the document the report lists (docs/formats.md).
 Failed transactions are analyzed like successful ones (their traces are
 real executions), and each detection carries the transaction status so
 downstream reporting can say so.
@@ -163,36 +164,6 @@ def read_vuln_doc(directory: str | Path) -> dict:
     return read_json(path, f"vulnerability description at {path}", UsageError, ConfigError)
 
 
-@dataclass(frozen=True)
-class Detection:
-    rule: str
-    tx_hash: bytes
-    block_number: int
-    raw_index: int
-    pc: int
-    depth: int
-    frame_id: int
-    code_address: int
-    tx_status: str
-    detail: dict
-
-    def to_document(self) -> dict:
-        # raw_index stays off the document: it numbers steps within one
-        # trace encoding, and the same finding must serialize identically
-        # whether the trace arrived complete or pc-filtered.
-        return {
-            "rule": self.rule,
-            "txHash": hash_hex(self.tx_hash),
-            "blockNumber": self.block_number,
-            "pc": self.pc,
-            "depth": self.depth,
-            "frame": address_hex(self.frame_id),
-            "code": address_hex(self.code_address),
-            "txStatus": self.tx_status,
-            "detail": self.detail,
-        }
-
-
 # A per-step check returns (detail of a hit or None, note on a skip or None).
 StepCheck = Callable[[ReconstructedStep], tuple[dict | None, str | None]]
 
@@ -262,17 +233,21 @@ STEP_CHECKS = {
 
 def evaluate_trace(
     rec: ReconstructedTrace, spec: VulnSpec, tx_hash: bytes, block_number: int
-) -> tuple[list[Detection], list[str]]:
+) -> tuple[list[dict], list[str]]:
     """Run the spec's rule over the gated steps of one reconstructed trace,
     that of transaction tx_hash in block block_number.
 
-    Returns every detection in step order, plus a note for each gated step
-    the rule had to skip.
+    Returns the detection document of every hit in step order, plus a note
+    for each gated step the rule had to skip. A note names the step by its
+    raw index; a detection does not, since the index numbers steps within
+    one trace encoding and the same hit must read the same whether the
+    trace arrived complete or pc-filtered.
     """
     check = STEP_CHECKS[spec.rule](spec)
     gate = spec.gate
     status = "failed" if rec.failed else "success"
-    hits: list[Detection] = []
+    tx = hash_hex(tx_hash)
+    hits: list[dict] = []
     notes: list[str] = []
     for step in rec.steps:
         if step.pc not in gate.get(step.code_address, ()):
@@ -281,18 +256,15 @@ def evaluate_trace(
         if note is not None:
             notes.append(f"step {step.raw_index}: {note}")
         if detail is not None:
-            hits.append(
-                Detection(
-                    rule=spec.rule,
-                    tx_hash=tx_hash,
-                    block_number=block_number,
-                    raw_index=step.raw_index,
-                    pc=step.pc,
-                    depth=step.depth,
-                    frame_id=step.frame_id,
-                    code_address=step.code_address,
-                    tx_status=status,
-                    detail=detail,
-                )
-            )
+            hits.append({
+                "rule": spec.rule,
+                "txHash": tx,
+                "blockNumber": block_number,
+                "pc": step.pc,
+                "depth": step.depth,
+                "frame": address_hex(step.frame_id),
+                "code": address_hex(step.code_address),
+                "txStatus": status,
+                "detail": detail,
+            })
     return hits, notes

@@ -266,15 +266,9 @@ def _hex_bytes(text: str) -> bytes | None:
     return None if match is None else bytes.fromhex(match[1])
 
 
-@dataclass
-class ParsedTrace:
-    """A trace document whose header is checked; its entries are not yet."""
-
-    failed: bool
-    struct_logs: Iterable  # raw structLog entries, checked by decode_steps
-
-
-def parse_trace_document(doc: dict) -> ParsedTrace:
+def parse_trace_document(doc: dict) -> tuple[bool, list]:
+    """(failed, entries) of a trace document whose header it checks; the
+    walk checks the entries (decode_steps)."""
     if not isinstance(doc, dict):
         raise TraceParseError("trace document is not an object")
     for name in ("gas", "failed", "returnValue", "structLogs"):
@@ -291,7 +285,7 @@ def parse_trace_document(doc: dict) -> ParsedTrace:
         raise TraceParseError(f"returnValue is not hex: {raw_return!r}")
     if not isinstance(doc["structLogs"], list):
         raise TraceParseError("structLogs must be a list")
-    return ParsedTrace(doc["failed"], doc["structLogs"])
+    return doc["failed"], doc["structLogs"]
 
 
 @dataclass
@@ -567,11 +561,13 @@ def decode_steps(
     return out
 
 
-def reconstruct(parsed: ParsedTrace, root_target: int, walk: Walk = Walk()) -> ReconstructedTrace:
-    """The trace of a checked document header, holding the steps `walk`
-    selects from the walk over its entries (decode_steps)."""
-    steps = decode_steps(parsed.struct_logs, root_target, walk)
-    return ReconstructedTrace(parsed.failed, steps)
+def reconstruct(
+    parsed: tuple[bool, Iterable], root_target: int, walk: Walk = Walk()
+) -> ReconstructedTrace:
+    """The trace of a checked document header, (failed, entries), holding
+    the steps `walk` selects from the walk over its entries (decode_steps)."""
+    failed, entries = parsed
+    return ReconstructedTrace(failed, decode_steps(entries, root_target, walk))
 
 
 @contextmanager
@@ -828,8 +824,7 @@ def reconstruct_trace(trace, root_target: int, walk: Walk = Walk()) -> Reconstru
         return reconstruct(parse_trace_document(doc), root_target, walk)
 
     def streamed(members: dict, chunks: Iterator[list]) -> ReconstructedTrace:
-        parsed = parse_trace_document({**members, "structLogs": []})  # the header alone
-        parsed.struct_logs = chain.from_iterable(chunks)
-        return reconstruct(parsed, root_target, walk)
+        failed, _ = parse_trace_document({**members, "structLogs": []})  # the header alone
+        return reconstruct((failed, chain.from_iterable(chunks)), root_target, walk)
 
     return read_trace(trace, whole, streamed)

@@ -1,6 +1,8 @@
 """Count the code lines of the investigator, src/evmsleuth/*.py: lines that
 hold a token other than a comment, with blank lines and module, class and
-function docstrings left out. Prints one count per file and their total.
+function docstrings left out. Prints, per file, its code lines next to its
+file lines (as wc -l counts them), then their totals and the subtotal of
+the ingest pair, explorer.py plus traces.py.
 
     python tests/code_lines.py [FILE ...]
 
@@ -17,6 +19,9 @@ _NOT_CODE = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
     tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER,
 }
+
+# The files of trace and archive ingest, whose sum is tracked on its own.
+INGEST = ("explorer.py", "traces.py")
 
 
 def _docstring_lines(tree: ast.AST) -> set[int]:
@@ -46,12 +51,16 @@ def main(argv: list[str]) -> int:
     paths = [Path(a) for a in argv] or sorted(
         (Path(__file__).resolve().parents[1] / "src" / "evmsleuth").glob("*.py")
     )
-    total = 0
+    counts = {}
+    print("  code    file")
     for path in paths:
-        count = code_lines(path.read_text())
-        total += count
-        print(f"{count:6d}  {path.name}")
-    print(f"{total:6d}  total")
+        text = path.read_text()
+        counts[path.name] = (code_lines(text), text.count("\n"))
+        print("{:6d}  {:6d}  {}".format(*counts[path.name], path.name))
+    print("{:6d}  {:6d}  total".format(*map(sum, zip(*counts.values()))))
+    pair = [counts[name] for name in INGEST if name in counts]
+    if len(pair) == len(INGEST):
+        print("{:6d}  {:6d}  {}".format(*map(sum, zip(*pair)), " + ".join(INGEST)))
     return 0
 
 

@@ -93,12 +93,12 @@ def run_over(fixture, directory, level="evm", mode="local", cache_dir=None):
 
 
 def evm_flagged(report):
-    return {bytes.fromhex(d["txHash"][2:]) for d in report.detections}
+    return {bytes.fromhex(d["txHash"][2:]) for d in report["detections"]}
 
 
 def block_flagged(report):
     hashes = set()
-    for detection in report.detections:
+    for detection in report["detections"]:
         hashes.update(bytes.fromhex(h[2:]) for h in detection["candidateTxHashes"])
     return hashes
 
@@ -209,9 +209,9 @@ def test_criterion_3_block_level_interprets_nothing(suite, suite_dirs, tmp_path)
     blocks = 0
     for name, fixture in suite.items():
         report, _ = run_over(fixture, suite_dirs[name], level="block")
-        blocks += report.blocks_evaluated
-        if report.steps_interpreted != 0:
-            problems.append(f"{name}: report counted {report.steps_interpreted} steps")
+        blocks += report["totals"]["blocksEvaluated"]
+        if report["stepsInterpreted"] != 0:
+            problems.append(f"{name}: report counted {report['stepsInterpreted']} steps")
     executed = STEP_COUNTER.value - before
     if executed != 0:
         problems.append(f"interpreter ran {executed} steps during block-level analysis")
@@ -300,7 +300,7 @@ config = InvestigationConfig(
     tag=f"memory-{mode}", spec=spec, explorer=explorer,
     mode="cached" if mode in ("cold", "warm") else mode,
 )
-detections = len(run_investigation(config).detections)
+detections = len(run_investigation(config)["detections"])
 added = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
 print(json.dumps({"addedKiB": added, "detections": detections}))
 """
@@ -442,9 +442,9 @@ def test_criterion_7_mode_invariance(suite, suite_dirs, tmp_path_factory):
             fixture, suite_dirs[name], mode="cached", cache_dir=cache_root / name
         )
         tracer_report, _ = run_over(fixture, suite_dirs[name], mode="customTracer")
-        reference = json.dumps(local_report.detections, sort_keys=True)
+        reference = json.dumps(local_report["detections"], sort_keys=True)
         for mode, report in (("cached", cached_report), ("customTracer", tracer_report)):
-            if json.dumps(report.detections, sort_keys=True) != reference:
+            if json.dumps(report["detections"], sort_keys=True) != reference:
                 problems.append(f"{name}: {mode} detections differ from local")
         over_fetched = {k: n for k, n in cached.fetches.items() if n > 1}
         if over_fetched:
@@ -465,7 +465,7 @@ def test_criterion_8_reverted_exploit(suite, suite_dirs):
     else:
         probe = probes[0]
         evm_report, _ = run_over(fixture, suite_dirs["Bank"])
-        hits = [d for d in evm_report.detections if bytes.fromhex(d["txHash"][2:]) == probe]
+        hits = [d for d in evm_report["detections"] if bytes.fromhex(d["txHash"][2:]) == probe]
         if not hits:
             problems.append("reverted exploit not detected at the evm level")
         if any(d["txStatus"] != "failed" for d in hits):

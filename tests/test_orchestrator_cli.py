@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import gc
 import io
@@ -115,8 +116,7 @@ def test_config_validates_level_and_mode(spec, bank_dir, tmp_path):
 
 
 def test_evm_run_finds_the_exploits(bank, spec, bank_dir):
-    report = run_investigation(config_for(spec, LocalExplorer(bank_dir)))
-    doc = report.to_document()
+    doc = run_investigation(config_for(spec, LocalExplorer(bank_dir)))
     check_totals(doc)
     assert doc["config"]["scenario"] == "Bank"
     assert doc["config"]["level"] == "evm"
@@ -130,7 +130,7 @@ def test_evm_run_replays_no_transactions(spec, bank_dir):
     # interpreter work would show up in the step counter; analysis must not
     # execute any contract code, only walk recorded traces
     report = run_investigation(config_for(spec, LocalExplorer(bank_dir)))
-    assert report.steps_interpreted == 0
+    assert report["stepsInterpreted"] == 0
 
 
 def test_mode_parity_on_detections(spec, bank_dir, tmp_path):
@@ -145,7 +145,7 @@ def test_mode_parity_on_detections(spec, bank_dir, tmp_path):
     traced = run_investigation(
         config_for(spec, LocalExplorer(bank_dir), mode="customTracer")
     )
-    canon = lambda report: json.dumps(report.detections, sort_keys=True)
+    canon = lambda report: json.dumps(report["detections"], sort_keys=True)
     assert canon(local) == canon(cached) == canon(traced)
 
 
@@ -159,8 +159,8 @@ def test_cached_mode_reports_explorer_stats(spec, bank_dir, tmp_path):
     )
     # each distinct query goes inner exactly once, even on a cold cache
     # (the filter and analyze phases legitimately revisit the same blocks)
-    assert cold.explorer_stats["innerCalls"] == cold.explorer_stats["distinctQueries"]
-    assert cold.explorer_stats["innerCalls"] > 0
+    assert cold["explorerStats"]["innerCalls"] == cold["explorerStats"]["distinctQueries"]
+    assert cold["explorerStats"]["innerCalls"] > 0
     warm = run_investigation(
         config_for(
             spec,
@@ -168,22 +168,22 @@ def test_cached_mode_reports_explorer_stats(spec, bank_dir, tmp_path):
             mode="cached",
         )
     )
-    assert warm.explorer_stats["innerCalls"] == 0
-    assert warm.explorer_stats["hits"] > 0
-    assert json.dumps(warm.detections) == json.dumps(cold.detections)
+    assert warm["explorerStats"]["innerCalls"] == 0
+    assert warm["explorerStats"]["hits"] > 0
+    assert json.dumps(warm["detections"]) == json.dumps(cold["detections"])
     # the per-kind counters add up to the totals, cold and warm
-    for stats in (cold.explorer_stats, warm.explorer_stats):
+    for stats in (cold["explorerStats"], warm["explorerStats"]):
         by_kind = stats["byKind"]
         assert by_kind and set(by_kind) <= {"block", "trace", "storage", "balance"}
         for counter in ("hits", "dropped", "innerCalls"):
             assert sum(c[counter] for c in by_kind.values()) == stats[counter]
-    assert warm.explorer_stats["byKind"]["trace"]["hits"] > 0
+    assert warm["explorerStats"]["byKind"]["trace"]["hits"] > 0
 
 
 def test_runs_are_deterministic(spec, bank_dir):
     docs = []
     for _ in range(2):
-        doc = run_investigation(config_for(spec, LocalExplorer(bank_dir))).to_document()
+        doc = run_investigation(config_for(spec, LocalExplorer(bank_dir)))
         doc.pop("timings")
         docs.append(doc)
     assert docs[0] == docs[1]
@@ -200,10 +200,9 @@ def test_missing_trace_degrades_to_a_skip(bank, spec, bank_dir, tmp_path, damage
     else:
         trace.write_bytes(b'{"structLogs": "\xff"}')
     report = run_investigation(config_for(spec, LocalExplorer(clone)))
-    doc = report.to_document()
-    check_totals(doc)
-    assert any("fetch failed" in s for s in report.skips)
-    flagged = {d["txHash"] for d in report.detections}
+    check_totals(report)
+    assert any("fetch failed" in s for s in report["skips"])
+    flagged = {d["txHash"] for d in report["detections"]}
     assert "0x" + victim.hex() not in flagged
     assert flagged  # the other exploits still surface
 
@@ -218,9 +217,9 @@ def test_empty_filter_runs_clean(spec, bank_dir):
     report = run_investigation(
         config_for(spec, LocalExplorer(bank_dir), query=query)
     )
-    assert report.candidates == 0
-    assert report.detections == [] and report.skips == []
-    assert report.timings["analyze"] == 0.0
+    assert report["totals"]["candidates"] == 0
+    assert report["detections"] == [] and report["skips"] == []
+    assert report["timings"]["analyze"] == 0.0
 
 
 def test_feed_rows_replace_the_scan(spec, bank_dir):
@@ -228,8 +227,8 @@ def test_feed_rows_replace_the_scan(spec, bank_dir):
     rows = tx_list(ReadState(explorer), spec.query)
     scanned = run_investigation(config_for(spec, explorer))
     fed = run_investigation(config_for(spec, explorer, feed=rows))
-    assert json.dumps(fed.detections) == json.dumps(scanned.detections)
-    assert fed.candidates == len(rows)
+    assert json.dumps(fed["detections"]) == json.dumps(scanned["detections"])
+    assert fed["totals"]["candidates"] == len(rows)
 
 
 # -- block level --
@@ -237,11 +236,10 @@ def test_feed_rows_replace_the_scan(spec, bank_dir):
 
 def test_block_run_never_fetches_traces(bank, spec, bank_dir):
     report = run_investigation(config_for(spec, LocalExplorer(bank_dir), level="block"))
-    doc = report.to_document()
-    check_totals(doc)
-    assert report.steps_interpreted == 0
-    assert report.detections
-    for det in report.detections:
+    check_totals(report)
+    assert report["stepsInterpreted"] == 0
+    assert report["detections"]
+    for det in report["detections"]:
         assert det["rule"] == spec.rule
         assert det["candidateTxHashes"]
     # the reverting probe leaves no edge, so its block must stay clean
@@ -251,7 +249,7 @@ def test_block_run_never_fetches_traces(bank, spec, bank_dir):
     }
     assert failed
     flagged_txs = {
-        h for det in report.detections for h in det["candidateTxHashes"]
+        h for det in report["detections"] for h in det["candidateTxHashes"]
     }
     assert {"0x" + h.hex() for h in failed}.isdisjoint(flagged_txs)
 
@@ -271,7 +269,7 @@ def test_block_run_skips_unreadable_state(bank, spec, bank_dir, tmp_path, damage
     clone = tmp_path / "clone"
     shutil.copytree(bank_dir, clone)
     baseline = run_investigation(config_for(spec, LocalExplorer(clone), level="block"))
-    victim = int(baseline.detections[0]["blockNumber"])
+    victim = int(baseline["detections"][0]["blockNumber"])
     root = bank.archive.chain.blocks[victim - 1].state_root
     snapshot = clone / "states" / f"{root.hex()}.json"
     doc = json.loads(snapshot.read_text())
@@ -293,9 +291,9 @@ def test_block_run_skips_unreadable_state(bank, spec, bank_dir, tmp_path, damage
                 fields["storage"] = []
         snapshot.write_text(json.dumps(doc))
     report = run_investigation(config_for(spec, LocalExplorer(clone), level="block"))
-    assert any("state lookup failed" in s for s in report.skips)
-    remaining = {d["blockNumber"] for d in report.detections}
-    expected = {d["blockNumber"] for d in baseline.detections} - {victim}
+    assert any("state lookup failed" in s for s in report["skips"])
+    remaining = {d["blockNumber"] for d in report["detections"]}
+    expected = {d["blockNumber"] for d in baseline["detections"]} - {victim}
     # deleting one snapshot breaks the two edges it participates in
     assert remaining <= expected
 
@@ -456,6 +454,56 @@ def test_cli_block_level(capsys, bank_dir):
     doc = json.loads(out)
     assert doc["stepsInterpreted"] == 0
     assert all("candidateTxHashes" in d for d in doc["detections"])
+
+
+# Bank at seed 11, local: the stderr summary of each level, its time line aside
+SUMMARIES = {
+    "evm": """\
+tag            demo
+scenario       Bank
+level/mode     evm/local
+candidates     8 rows, 8 distinct
+blocks         6
+detections     6
+skips          0
+steps replayed 0
+
+rule         where    target
+reentrancy   block 3   0x1703d8ac4e60d37cca343319a5cad56630be8d53ebc0042c177c7de5bc954c82
+reentrancy   block 3   0x29521e6ee8e4f63ed1071e13ea577cdf75cc0f9c8545592ef39c9fd1571b5e7a
+reentrancy   block 6   0x9186eb3d8a7b94af1938a57b198fc895f771c3248a8e84e93f72dd25d1acb89d
+reentrancy   block 6   0x898008c802a700f4551f1a78d3340ea047078e2148a62cd276a2aa2f2e62431f
+reentrancy   block 8   0x172ba6122a2e5482a2be6aed748a6f5e200a4af5ea82e8a49c591bb6885fe7d4
+reentrancy   block 10  0xd7b5905323f31a8a677988397890f34bd8c47e6deaf6cc41df40290c67ffafaf
+""",
+    "block": """\
+tag            demo
+scenario       Bank
+level/mode     block/local
+candidates     8 rows, 8 distinct
+blocks         6
+detections     3
+skips          0
+steps replayed 0
+
+rule         where    target
+reentrancy   block 3   2 candidate tx(s)
+reentrancy   block 6   2 candidate tx(s)
+reentrancy   block 8   1 candidate tx(s)
+""",
+}
+
+
+@pytest.mark.parametrize("level", ["evm", "block"])
+def test_cli_stderr_summary(capsys, bank_dir, level):
+    code, _, err = run_cli(
+        capsys, "investigate", "-t", "demo", "-e", f"local[dir={bank_dir}]", "-d", level
+    )
+    assert code == 0
+    lines = err.splitlines(keepends=True)
+    (timed,) = [line for line in lines if line.startswith("time ")]
+    assert timed.split()[1::2] == ["filter", "fetch", "analyze", "total"]
+    assert "".join(line for line in lines if line is not timed) == SUMMARIES[level]
 
 
 def test_cli_modes_agree(capsys, bank_dir, tmp_path):
@@ -982,6 +1030,27 @@ def test_cli_unreadable_archive_vuln_exits_2(capsys, bank_dir, tmp_path, content
     code, out, err = run_cli(capsys, "investigate", "-t", "x", "-e", f"local[dir={clone}]")
     assert code == 2 and out == ""
     assert err.startswith("evmsleuth: ") and str(vuln) in err
+
+
+@pytest.mark.parametrize("level", ["evm", "block"])
+def test_cli_feed_row_outside_its_block_is_a_skip_record(capsys, bank_dir, tmp_path, level):
+    # the first row of Bank's feed moved to block 4, which does not hold it
+    code, out, _ = run_cli(capsys, "export-feed", "-e", f"local[dir={bank_dir}]")
+    assert code == 0
+    first, *rest = parse_csv_feed(out)
+    feed = tmp_path / "moved.csv"
+    feed.write_text(write_csv_feed([dataclasses.replace(first, block_number=4), *rest]))
+    base = ["investigate", "-t", "m", "-e", f"local[dir={bank_dir}]", "-d", level,
+            "-f", f"feed[path={feed}]"]
+    docs = []
+    for extra in ([], ["-c", str(tmp_path / "cache")]):
+        code, out, _ = run_cli(capsys, *base, *extra)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["skips"] == [f"tx {hash_hex(first.tx_hash)}: not in block 4, skipped"]
+        assert doc["totals"]["skips"] == 1
+        docs.append({k: v for k, v in doc.items() if k not in ("config", "timings", "explorerStats")})
+    assert docs[0] == docs[1]
 
 
 # -- contract creation --

@@ -1,6 +1,7 @@
 """The six scenarios at seed 11 give the same bytes, run after run: each
 report (its timings aside) and each cache directory, at both levels, local
-and cached (cold, then warm over the same directory).
+and cached (cold, then warm over the same directory), and the evm level's
+report in customTracer mode.
 
 A change that must not change a result is checked against these digests.
 A change that means to change a result updates them, and says why.
@@ -108,6 +109,16 @@ PINNED = {
     },
 }
 
+# scenario -> sha256 of the evm level's customTracer report
+TRACER_PINNED = {
+    "Bank": "67ecce057561f5d0cd70d6d37fa3271931a784c5a5ef8619bee78fa43a8bba6f",
+    "DelayedUnderflow": "650f59540d92f59919383c7c76e41bd25877ea310348add81f4f6437db7a026f",
+    "ProductVote": "732071eba620cfd54757003d1ad9bc304e74c17ceb53faf51ace2c65c23d8036",
+    "SimulationBECToken": "2a9bf7766a8d1a7caa7d0f6455ea5a05cc5aa10e7ec958061142dd1176160518",
+    "SimulationKotET": "81f30cbda46e37cfbc426b664817fbf37eddbe6789f0feaee7d5c166d223aafb",
+    "TargetUnderflow": "e50220cb4dc18ffcb56ddfc46e9cd0b1e2953105c86b468c88728373ee0b4201",
+}
+
 
 @pytest.fixture(scope="module")
 def scenario_dirs(tmp_path_factory):
@@ -148,3 +159,9 @@ def test_seed_11_bytes_are_pinned(scenario_dirs, tmp_path, name, level):
         tree_digest(tmp_path / "cache"),
     )
     assert got == PINNED[name][level]
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_seed_11_tracer_reports_are_pinned(scenario_dirs, name):
+    archive = ["-e", f"local[dir={scenario_dirs[name]}]"]
+    assert report_digest(*archive, "-d", "evm[mode=customTracer]") == TRACER_PINNED[name]

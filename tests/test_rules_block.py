@@ -212,14 +212,12 @@ def test_evaluate_block_collects_firing_candidates():
     loud_b = make_tx(3, value=300)
     hit, notes = evaluate_block(pre, post, 7, [quiet, loud_a, loud_b], spec)
     assert notes == []
-    assert hit.rule == "dos" and hit.block_number == 7
-    assert hit.candidates == (loud_a.hash, loud_b.hash)
-    doc = hit.to_document()
-    assert doc["candidateTxHashes"] == [
+    assert hit["rule"] == "dos" and hit["blockNumber"] == 7
+    assert hit["candidateTxHashes"] == [
         "0x" + loud_a.hash.hex(),
         "0x" + loud_b.hash.hex(),
     ]
-    assert doc["details"]["0x" + loud_b.hash.hex()]["value"] == "300"
+    assert hit["details"]["0x" + loud_b.hash.hex()]["value"] == "300"
 
 
 def test_evaluate_block_returns_none_without_hits():

@@ -5,7 +5,7 @@ import pytest
 from evmsleuth.errors import ConfigError
 from evmsleuth.filters import FilterQuery
 from evmsleuth.fixtures import build_fixture_chain
-from evmsleuth.rules_evm import Detection, VulnSpec, evaluate_trace
+from evmsleuth.rules_evm import VulnSpec, evaluate_trace
 from evmsleuth.traces import Walk, reconstruct_trace
 from evmsleuth.words import IntTypeBounds, address_hex, word_hex
 
@@ -207,13 +207,13 @@ def test_overflow_flags_wrapping_multiply():
     assert notes == []
     assert len(hits) == 1
     hit = hits[0]
-    assert hit.pc == 35 and hit.rule == "overflow"
-    assert hit.detail["op"] == "MUL"
-    assert hit.detail["operands"] == [word_hex(2), word_hex(2**255)]
-    assert hit.detail["result"] == word_hex(0)
-    assert hit.detail["zResult"] == str(2**256)
-    assert hit.detail["zClamped"] is False
-    assert hit.detail["typeMax"] == UINT256_MAX
+    assert hit["pc"] == 35 and hit["rule"] == "overflow"
+    assert hit["detail"]["op"] == "MUL"
+    assert hit["detail"]["operands"] == [word_hex(2), word_hex(2**255)]
+    assert hit["detail"]["result"] == word_hex(0)
+    assert hit["detail"]["zResult"] == str(2**256)
+    assert hit["detail"]["zClamped"] is False
+    assert hit["detail"]["typeMax"] == UINT256_MAX
 
 
 def test_overflow_ignores_in_range_arithmetic():
@@ -227,8 +227,8 @@ def test_underflow_depends_on_signedness():
     rec = arith_trace("SUB", (1, 0))  # top of stack is the minuend
     hits, _ = evaluate_trace(rec, unsigned, TX, BLOCK)
     assert len(hits) == 1
-    assert hits[0].detail["zResult"] == "-1"
-    assert hits[0].detail["result"] == word_hex(2**256 - 1)
+    assert hits[0]["detail"]["zResult"] == "-1"
+    assert hits[0]["detail"]["result"] == word_hex(2**256 - 1)
 
     signed_params = {
         "typeMin": str(-(2**255)),
@@ -253,8 +253,8 @@ def test_clamped_exponentiation_flags_without_exact_value():
     rec = arith_trace("EXP", (2**20, 3))  # base on top, huge exponent below
     hits, _ = evaluate_trace(rec, spec, TX, BLOCK)
     assert len(hits) == 1
-    assert hits[0].detail["zResult"] is None
-    assert hits[0].detail["zClamped"] is True
+    assert hits[0]["detail"]["zResult"] is None
+    assert hits[0]["detail"]["zClamped"] is True
 
 
 def test_overflow_skips_short_stacks_with_a_note():
@@ -297,7 +297,7 @@ def test_locations_sharing_a_code_address_merge_into_one_gate():
     joint_spec = spec_for("overflow", pcs=(35, 36))
     assert split_spec.gate == joint_spec.gate == {CONTRACT: frozenset({35, 36})}
     hits, notes = evaluate_trace(rec, split_spec, TX, BLOCK)
-    assert [hit.pc for hit in hits] == [35, 36] and notes == []
+    assert [hit["pc"] for hit in hits] == [35, 36] and notes == []
     assert (hits, notes) == evaluate_trace(rec, joint_spec, TX, BLOCK)
 
 
@@ -336,8 +336,8 @@ def test_dos_flags_refused_transfer():
     assert notes == []
     assert len(hits) == 1
     hit = hits[0]
-    assert hit.pc == 2 and hit.rule == "dos"
-    assert hit.detail == {
+    assert hit["pc"] == 2 and hit["rule"] == "dos"
+    assert hit["detail"] == {
         "to": address_hex(ATTACKER),
         "value": word_hex(5),
         "status": 0,
@@ -376,8 +376,7 @@ def test_dos_on_failed_transaction_keeps_status():
     trace["failed"] = True
     rec = reconstruct_trace(trace, CONTRACT)
     hits, _ = evaluate_trace(rec, spec, TX, 9)
-    assert hits[0].tx_status == "failed"
-    assert hits[0].to_document()["txStatus"] == "failed"
+    assert hits[0]["txStatus"] == "failed"
 
 
 # -- reentrancy rule --
@@ -414,11 +413,11 @@ def test_reentrancy_flags_nested_activation():
     assert notes == []
     assert len(hits) == 1
     hit = hits[0]
-    assert hit.pc == 2 and hit.depth == 3
-    assert hit.frame_id == CONTRACT and hit.code_address == CONTRACT
-    assert hit.detail["slot"] == word_hex(3)
-    assert hit.detail["value"] == word_hex(9)
-    assert hit.detail["framesBelow"] == [address_hex(CONTRACT), address_hex(ATTACKER)]
+    assert hit["pc"] == 2 and hit["depth"] == 3
+    assert hit["frame"] == address_hex(CONTRACT) and hit["code"] == address_hex(CONTRACT)
+    assert hit["detail"]["slot"] == word_hex(3)
+    assert hit["detail"]["value"] == word_hex(9)
+    assert hit["detail"]["framesBelow"] == [address_hex(CONTRACT), address_hex(ATTACKER)]
 
 
 def test_reentrancy_ignores_top_level_store():
@@ -442,10 +441,8 @@ def test_reentrancy_covers_delegatecall_without_a_code_gate():
     hits, _ = evaluate_trace(reentrant_trace(second_op="DELEGATECALL"), spec, TX, BLOCK)
     assert len(hits) == 1
     hit = hits[0]
-    assert hit.frame_id == ATTACKER
-    assert hit.code_address == CONTRACT
-    assert hit.to_document()["frame"] == address_hex(ATTACKER)
-    assert hit.to_document()["code"] == address_hex(CONTRACT)
+    assert hit["frame"] == address_hex(ATTACKER)
+    assert hit["code"] == address_hex(CONTRACT)
 
 
 def test_reentrancy_reports_unknown_write_as_null():
@@ -453,27 +450,17 @@ def test_reentrancy_reports_unknown_write_as_null():
     rec = reentrant_trace(sstore_stack=(), relaxed=True)
     hits, _ = evaluate_trace(rec, spec, TX, BLOCK)
     assert len(hits) == 1
-    assert hits[0].detail["slot"] is None
-    assert hits[0].detail["value"] is None
+    assert hits[0]["detail"]["slot"] is None
+    assert hits[0]["detail"]["value"] is None
 
 
 # -- detection documents --
 
 
 def test_detection_document_shape():
-    hit = Detection(
-        rule="dos",
-        tx_hash=TX,
-        block_number=4,
-        raw_index=17,
-        pc=2,
-        depth=1,
-        frame_id=CONTRACT,
-        code_address=CONTRACT,
-        tx_status="success",
-        detail={"status": 0},
-    )
-    out = hit.to_document()
+    call = {"to": "0x%x" % ATTACKER, "value": "0x5", "status": 0}
+    src = doc([step(0, "CALL", 1, (0, 0, 0, 0, 5, ATTACKER, 60_000), call=call)])
+    (out,), _ = evaluate_trace(reconstruct_trace(src, CONTRACT), spec_for("dos", pcs=(0,)), TX, 4)
     assert sorted(out) == [
         "blockNumber",
         "code",

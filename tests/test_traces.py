@@ -18,7 +18,6 @@ from evmsleuth.rules_evm import VulnSpec
 from evmsleuth.traces import (
     CALL_OPS,
     CallSite,
-    ParsedTrace,
     ReconstructedStep,
     Walk,
     decode_steps,
@@ -92,15 +91,15 @@ def test_parse_accepts_minimal_linear_trace():
     src = linear_doc()
     parsed = parse_trace_document(src)
     # gas and returnValue are checked (below) and not kept
-    assert parsed == ParsedTrace(False, src["structLogs"])
-    assert parsed.struct_logs is src["structLogs"]  # the walk checks them
+    assert parsed == (False, src["structLogs"])
+    assert parsed[1] is src["structLogs"]  # the walk checks them
 
 
 def test_parse_reads_failed_and_accepts_a_hex_return_value():
     src = doc([step(0, "STOP", 1)], failed=True)
     src["returnValue"] = "0xdeadbeef"
     parsed = parse_trace_document(src)
-    assert parsed.failed is True
+    assert parsed[0] is True
     src["returnValue"] = "0xdeadbee"  # an odd number of digits spells no bytes
     with pytest.raises(TraceParseError, match="returnValue is not hex"):
         parse_trace_document(src)
@@ -266,7 +265,7 @@ def test_decode_steps_accepts_prefixless_and_uppercase_hex():
     assert built.stack == (255, 171, 1)
     src = doc([step(0, "STOP", 1)])
     src["returnValue"] = "0XAB"
-    assert parse_trace_document(src).failed is False
+    assert parse_trace_document(src)[0] is False
 
 
 @pytest.mark.parametrize(
