@@ -18,6 +18,12 @@ all four takes about 0.8 ms and building one about 0.2 ms, and a warm-cache
 block-level investigation of a storage-32000 fixture takes 1.8 ms in-process
 with the full parser, 1.3 ms without. Nothing is kept between calls.
 
+With -c over a local archive, investigate and export-feed read chain.json
+but leave its parse to the cache (build_explorer, with_cache), which
+anchors its directory to those bytes: a warm run answers from the cache
+without opening the archive, and a directory anchored to another archive
+is refused (exit 2).
+
 Component switches take a name with optional bracketed parameters:
 
     name
@@ -49,7 +55,7 @@ from .errors import (
     TraceParseError,
     UsageError,
 )
-from .explorer import CachedExplorer, LocalExplorer, RpcExplorer, read_json, read_text
+from .explorer import CachedExplorer, LocalArchive, RpcExplorer, read_json, read_text
 from .filters import FilterQuery, ReadState, parse_csv_feed, tx_list, write_csv_feed
 from .orchestrator import InvestigationConfig, run_investigation
 from .rules_evm import VulnSpec, read_vuln_doc
@@ -141,14 +147,20 @@ def _named_path(value: str, switch: str, what: str) -> str:
 # -- component construction -------------------------------------------------------
 
 
-def build_explorer(spec_text: str):
+def build_explorer(spec_text: str, cached: bool = False):
+    """The explorer spec_text names. A local archive is opened here, its
+    chain.json parsed and checked, unless cached: then it is a LocalArchive,
+    its chain.json read and not parsed, which the cache (with_cache) opens
+    at once unless its directory is anchored to those bytes, and else on
+    its first miss."""
     name, params = parse_component(spec_text)
     if name == "local":
         directory = params.pop("dir", None)
         if directory is None:
             raise UsageError("local explorer needs dir=PATH")
         _reject_leftovers(params, "explorer")
-        return LocalExplorer(_named_path(directory, "local dir=", "an archive directory"))
+        archive = LocalArchive(_named_path(directory, "local dir=", "an archive directory"))
+        return archive if cached else archive.open()
     if name == "rpc":
         url = params.pop("url", None)
         if url is None:
@@ -161,9 +173,9 @@ def build_explorer(spec_text: str):
 
 
 def with_cache(explorer, cache_dir: str | None):
-    """explorer, or a CachedExplorer over it when -c names a directory.
-    Called once the rest of the command line is read, so that a refused
-    command line creates no cache directory."""
+    """explorer, or a CachedExplorer over it when -c names a directory
+    (build_explorer with cached). Called once the rest of the command line
+    is read, so that a refused command line creates no cache directory."""
     if cache_dir is None:
         return explorer
     return CachedExplorer(explorer, _named_path(cache_dir, "-c", "a cache directory"))
@@ -257,7 +269,7 @@ def parse_shared(pairs: list[str]) -> dict:
 
 def cmd_investigate(args) -> int:
     shared = parse_shared(args.param)
-    explorer = build_explorer(args.explorer)
+    explorer = build_explorer(args.explorer, args.cache is not None)
     level, spec, mode = build_detector(args.detector, args.explorer, args.cache)
     query, feed = build_filter(args.filter, spec, shared)
     config = InvestigationConfig(
@@ -349,7 +361,7 @@ def cmd_bench(args) -> int:
 
 def cmd_export_feed(args) -> int:
     shared = parse_shared(args.param)
-    explorer = build_explorer(args.explorer)
+    explorer = build_explorer(args.explorer, args.cache is not None)
     if args.vuln is not None:
         _named_path(args.vuln, "--vuln", "a vulnerability description")
     spec = load_vuln_spec({} if args.vuln is None else {"vuln": args.vuln}, args.explorer)

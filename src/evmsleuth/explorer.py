@@ -27,17 +27,16 @@ A point query answers a checked word on every backend: a JSON-RPC quantity
 or snapshot balance is 0x + 1 to 64 hex digits, a snapshot storage value
 64 hex digits, and anything else is a ProtocolError.
 
-open_span is the one opener of every file a run names, and a TextSpan
-the one form its bytes are read in: the archive's files here, and the
-feed and the vulnerability description the command line or a fixture
-names. read_text reads a span's text, read_json decodes that text, and a
-trace file is answered as its span, open, with read_json's faults (see
-Trace answers). A file that is not there is the caller's `missing`
-error, "no WHAT"; any other fault, a text that is not JSON included, its
+Every file a run names is read whole by read_bytes, but a trace file:
+the archive's files here, and the feed and the vulnerability description
+the command line or a fixture names. read_text reads the bytes' text as a
+file opened in text mode does (traces.text_of), read_json decodes that
+text, and a trace file is answered as its TextSpan, open, with
+read_json's faults (see Trace answers). A file that is not there is the caller's `missing` error, "no
+WHAT"; any other fault, a text that is not JSON included, its
 `unreadable` error, "WHAT unreadable: ERR". A name the system refuses as
 too long (ENAMETOOLONG) is quoted cut to 80 characters, any other whole
-(quoted_fault). The cache reads and writes its own entries, and reads
-each one as a TextSpan too.
+(quoted_fault). The cache reads and writes its own entries.
 
 LocalExplorer reads a fixture/archive directory. chain.json is parsed and
 checked once at construction (it is the index); state snapshots are re-read
@@ -45,12 +44,14 @@ from disk on every storage/balance query, and only the account and field a
 query reads are checked. That per-query read is deliberate: it models an
 archive node that charges per point query, it is what the cache exists to
 absorb, and it is what makes analysis cost grow with state size when no
-cache is in front.
+cache is in front. A LocalArchive is a directory whose chain.json is read
+and not yet parsed: a cache in front of it opens its LocalExplorer only
+when it must.
 
 Trace answers: a trace crosses this boundary in one of two forms, a
 parsed document or a traces.TextSpan, never as a str. Every trace text
 read from a file is answered as its TextSpan: the whole trace file
-(LocalExplorer opens it with open_span, and reads nothing), or the payload
+(LocalExplorer opens it, and reads nothing), or the payload
 of a cache entry, as the hit checked it (_stored_payload).
 traces.read_trace alone decodes a span, whole when it has at most
 TEXT_CHUNK bytes and a block at a time when longer (the traces module
@@ -70,15 +71,20 @@ Retry-After. The transport modules are imported on the first request, so a
 run over a local archive never loads them.
 
 CachedExplorer is a read-through wrapper over any backend, one file per
-query with a content digest, written atomically. Every answer is checked
-where it is read, in one place (CachedExplorer._lookup): a hit's bytes by
-_stored_payload, then a block or point payload by its kind's read; a hit
-that fails either is dropped and fetched once. A trace hit is answered as
-its span, which the walk checks; the span's `again` asks the query once
-more, and the walk takes that second chance. A miss's answer is checked
-by the same read before its entry is renamed into place, so the inner
-backend's fault writes nothing. Per-key fetch counters and per-kind
-hit/drop counters make cache behavior checkable rather than assumed.
+query with a content digest, written atomically. In front of a local
+archive its directory is anchored to the sha256 of the chain.json bytes
+that filled it: a directory anchored to other bytes is refused, and one
+anchored to these answers its hits without opening the archive, which
+opens on the first miss. Every answer is checked where it is read, in one
+place (CachedExplorer._lookup): a hit's bytes by _checked_entry, then a
+block or point payload, decoded from the bytes that check read, by its
+kind's read; a hit that fails either is dropped and fetched once. A trace
+hit is answered as its span, which the walk checks; the span's `again`
+asks the query once more, and the walk takes that second chance. A miss's
+answer is checked by the same read before its entry is renamed into
+place, so the inner backend's fault writes nothing. Per-key fetch
+counters and per-kind hit/drop counters make cache behavior checkable
+rather than assumed.
 """
 
 from __future__ import annotations
@@ -89,11 +95,11 @@ import json
 import os
 import re
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from functools import partial
 from pathlib import Path
 from time import sleep
-from typing import Callable, ContextManager, Iterable, Iterator
+from typing import BinaryIO, Callable, ContextManager, Iterable, Iterator
 from urllib.parse import urlsplit
 
 from .chain import Transaction, tx_from_document, tx_to_document
@@ -104,6 +110,7 @@ from .traces import (
     TEXT_CHUNK,
     TextSpan,
     read_trace,
+    text_of,
 )
 from .words import WORD_MASK, address_hex, hash_hex, storage_hex, word_hex
 
@@ -216,34 +223,24 @@ class _read_faults:
             raise self.unreadable(f"{what} unreadable: {reason}") from None
 
 
-def open_span(path: str | Path, faults: Callable[[], ContextManager]) -> TextSpan:
-    """The TextSpan of the whole file at path, open (the caller closes it),
-    with faults as its reader's errors, which opening it raises too. A
-    file that cannot seek (a pipe, such as /dev/stdin) is read whole
-    first, into the span's bytes."""
-    with faults():
-        handle = open(path, "rb")
-        try:
-            if not handle.seekable():
-                data = handle.read()
-                handle.close()
-                handle = io.BytesIO(data)
-            return TextSpan(handle, 0, handle.seek(0, io.SEEK_END), faults)
-        except BaseException:
-            handle.close()
-            raise
+def read_bytes(
+    path: str | Path, what: str, missing=ArchiveGapError, unreadable=ProtocolError
+) -> bytes:
+    """The bytes of the file at path, which `what` names: missing("no
+    WHAT") if there is no such file, unreadable("WHAT unreadable: ERR") if
+    it cannot be read."""
+    with _read_faults(what, missing, unreadable), open(path, "rb") as handle:
+        return handle.read()
 
 
 def read_text(
     path: str | Path, what: str, missing=ArchiveGapError, unreadable=ProtocolError
 ) -> str:
     """The text of the file at path, which `what` names, as a file opened in
-    text mode reads it (TextSpan.text): missing("no WHAT") if there is no
-    such file, unreadable("WHAT unreadable: ERR") if it cannot be read or
-    is not UTF-8."""
-    faults = partial(_read_faults, what, missing, unreadable)
-    with open_span(path, faults) as span, faults():
-        return span.text()
+    text mode reads it (traces.text_of): as read_bytes, and unreadable("WHAT
+    unreadable: ERR") if it is not UTF-8."""
+    with _read_faults(what, missing, unreadable):
+        return text_of(read_bytes(path, what, missing, unreadable))
 
 
 def read_json(path: str | Path, what: str, missing=ArchiveGapError, unreadable=ProtocolError):
@@ -327,9 +324,15 @@ def block_transactions(self, number: int) -> tuple[Transaction, ...]:
 
 
 class LocalExplorer:
-    def __init__(self, directory: str | Path):
+    def __init__(self, directory: str | Path, chain: bytes | None = None):
+        """The archive at directory, whose chain.json is parsed and checked
+        here: the file's bytes, or chain, those bytes already read
+        (LocalArchive)."""
         self.base = Path(directory)
-        chain = read_json(self.base / "chain.json", f"chain.json under {self.base}")
+        what = f"chain.json under {self.base}"
+        chain = read_bytes(self.base / "chain.json", what) if chain is None else chain
+        with _read_faults(what, ArchiveGapError, ProtocolError):
+            chain = json.loads(text_of(chain))
         blocks = chain.get("blocks") if isinstance(chain, dict) else None
         if not isinstance(blocks, list):
             raise ProtocolError("chain.json has no blocks list")
@@ -353,12 +356,14 @@ class LocalExplorer:
     block_transactions = block_transactions
 
     def tx_trace(self, tx_hash: bytes, tracer_spec: dict | None = None) -> dict | TextSpan:
-        """The TextSpan of the whole trace file, whose faults are
+        """The TextSpan of the whole trace file, open, whose faults are
         read_json's, or with a tracer spec the filtered document
-        (filter_trace)."""
+        (filter_trace). A file that cannot seek (a pipe) reads as empty."""
         what = f"trace for {hash_hex(tx_hash)}"
         faults = partial(_read_faults, what, ArchiveGapError, ProtocolError)
-        trace = open_span(self.base / "traces" / f"{tx_hash.hex()}.json", faults)
+        with faults():
+            handle = open(self.base / "traces" / f"{tx_hash.hex()}.json", "rb")
+        trace = TextSpan(handle, 0, os.fstat(handle.fileno()).st_size, faults)
         return trace if tracer_spec is None else filter_trace(trace, tracer_spec)
 
     def _state_doc(self, number: int) -> dict:
@@ -398,6 +403,20 @@ class LocalExplorer:
     def get_balance(self, addr: int, number: int) -> int:
         balance, where = self._account_field(addr, number, "balance")
         return 0 if balance is None else _as_int(balance, where)
+
+
+class LocalArchive:
+    """An archive directory that LocalExplorer has not opened yet: the bytes
+    of its chain.json, read with LocalExplorer's faults. open() parses and
+    checks those bytes; a cache anchors its directory to their sha256
+    (CachedExplorer), so a warm cache need not open the archive at all."""
+
+    def __init__(self, directory: str | Path):
+        self.base = Path(directory)
+        self.chain = read_bytes(self.base / "chain.json", f"chain.json under {self.base}")
+
+    def open(self) -> LocalExplorer:
+        return LocalExplorer(self.base, self.chain)
 
 
 # -- JSON-RPC backend ----------------------------------------------------------
@@ -594,6 +613,31 @@ class RpcExplorer:
 _TAIL_HEAD = b',"sha256":"'
 _TAIL_SIZE = len(_TAIL_HEAD) + 64 + 2
 
+# The file that anchors a cache directory to the local archive that filled
+# it, and its bytes: `{"chainSha256":"<64 hex>"}`, the sha256 of the bytes
+# of that archive's chain.json.
+ANCHOR = "anchor.json"
+_ANCHOR_TEXT = re.compile(rb'\{"chainSha256":"([0-9a-f]{64})"\}')
+
+
+def _read_anchor(path: str) -> bytes | None:
+    """The bytes of the anchor at path; None if there is none, or no
+    directory it could be in (the mkdir that follows says why)."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except OSError as err:
+        if err.errno in (errno.ENOENT, errno.ENOTDIR, errno.ENAMETOOLONG):
+            return None
+        raise UsageError(f"cache anchor {path} unreadable: {err}") from None
+
+
+def _anchored_to(stored: bytes) -> str:
+    """The digest an anchor's bytes name, or those bytes quoted if they are
+    no anchor."""
+    match = _ANCHOR_TEXT.fullmatch(stored)
+    return f"chain.json sha256 {match[1].decode()}" if match else f"{stored!r:.80}"
+
 
 # json.dumps(value, separators=(",", ":"), sort_keys=True) and json.dumps(key)
 # of a str key, from encoders built once
@@ -601,7 +645,19 @@ _compact = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 _key_text = json.encoder.encode_basestring_ascii
 
 
-def _write_entry(path: Path, prefix: bytes, pieces: Iterable[str]) -> int:
+def _temp_path(path: str) -> str:
+    """The name beside path that this process and thread write it under
+    before renaming it into place."""
+    head, name = os.path.split(path)
+    return os.path.join(head, f".{name}.{os.getpid()}.{threading.get_ident()}.tmp")
+
+
+def _unlink(path: str):
+    with suppress(FileNotFoundError):
+        os.unlink(path)
+
+
+def _write_entry(path: str, prefix: bytes, pieces: Iterable[str]) -> int:
     """Write the entry whose payload text is the concatenation of pieces,
     a piece at a time; the offset at which the payload ends."""
     hasher = new_digest()
@@ -633,12 +689,12 @@ def _canonical_pieces(members: dict, chunks: Iterator[list]) -> Iterator[str]:
     yield "]" + ("," if len(high) > 1 else "") + high
 
 
-def _unreadable_entry(path: Path, err: OSError) -> UsageError:
+def _unreadable_entry(path: str, err: OSError) -> UsageError:
     return UsageError(f"cache entry {path} unreadable: {err}")
 
 
 @contextmanager
-def _entry_faults(path: Path):
+def _entry_faults(path: str):
     """An OSError reading the cache entry at path is a UsageError."""
     try:
         yield
@@ -646,17 +702,17 @@ def _entry_faults(path: Path):
         raise _unreadable_entry(path, err) from None
 
 
-def _stored_payload(path: Path, prefix: bytes) -> TextSpan:
-    """The TextSpan of the payload of the entry at path, written by
-    _write_entry with this key prefix, open (the caller closes it), once
-    the prefix and, against the payload's digest, the tail are checked. An
-    entry of at most len(prefix) + TEXT_CHUNK + _TAIL_SIZE bytes is checked
-    in the bytes of its one read, and its span reads those; a longer one
-    in one pass on the file, a block at a time. ValueError for any other
-    bytes, FileNotFoundError if absent."""
+def _checked_entry(path: str, prefix: bytes) -> tuple[bytes, BinaryIO | None, int]:
+    """(data, handle, stop) of the entry at path, written by _write_entry
+    with this key prefix, once the prefix and, against the payload's digest,
+    the tail are checked; its payload is bytes len(prefix) to stop. An entry
+    of at most len(prefix) + TEXT_CHUNK + _TAIL_SIZE bytes is checked in the
+    bytes of its one read, data, and handle is None; a longer one in one
+    pass on the file, a block at a time, and handle is the file, open (the
+    caller closes it). ValueError for any other bytes, FileNotFoundError if
+    absent."""
     start = len(prefix)
     head = start + TEXT_CHUNK + _TAIL_SIZE  # the longest entry read whole
-    faults = partial(_entry_faults, path)
     hasher = new_digest()
     handle = open(path, "rb", buffering=0)  # one read(2) takes a short entry whole
     try:
@@ -665,21 +721,46 @@ def _stored_payload(path: Path, prefix: bytes) -> TextSpan:
             raise ValueError("not a cache entry for this key")
         if len(data) <= head:
             handle.close()
-            handle = io.BytesIO(data)
+            handle = None
             stop = max(start, len(data) - _TAIL_SIZE)  # shorter than both: a short tail
             hasher.update(memoryview(data)[start:stop])
             tail = data[stop:]
         else:
             stop = handle.seek(0, io.SEEK_END) - _TAIL_SIZE
-            for block in TextSpan(handle, start, stop, faults).blocks():
+            for block in TextSpan(handle, start, stop, partial(_entry_faults, path)).blocks():
                 hasher.update(block)
             tail = handle.read()
         if tail != _TAIL_HEAD + hasher.hexdigest().encode() + b'"}':
             raise ValueError("payload digest mismatch")
-        return TextSpan(handle, start, stop, faults)
+        return data, handle, stop
     except BaseException:
-        handle.close()
+        if handle is not None:
+            handle.close()
         raise
+
+
+def _stored_payload(path: str, prefix: bytes) -> TextSpan:
+    """The TextSpan of the payload of the entry at path, open (the caller
+    closes it), once _checked_entry passed it: over the bytes of its one
+    read if it is short, else on the file it was checked on."""
+    data, handle, stop = _checked_entry(path, prefix)
+    if handle is None:
+        handle = io.BytesIO(data)
+    return TextSpan(handle, len(prefix), stop, partial(_entry_faults, path))
+
+
+def _stored_text(path: str, prefix: bytes) -> str:
+    """The text of the payload of the entry at path once _checked_entry
+    passed it: a short one decoded from the bytes of its one read, as they
+    are, a longer one read again from the file it was checked on, as a file
+    opened in text mode reads it. Either parses as the other would: "\\r",
+    which only the second reads as "\\n", is whitespace outside a JSON
+    string and refused inside one."""
+    data, handle, stop = _checked_entry(path, prefix)
+    if handle is None:
+        return str(memoryview(data)[len(prefix):stop], "utf-8")
+    with TextSpan(handle, len(prefix), stop, None) as span:
+        return span.text()
 
 
 def _block_entry(answer) -> dict:
@@ -707,17 +788,35 @@ class CachedExplorer:
     query is answered by _lookup, and every answer is checked there, once,
     by the same steps for a hit and a miss.
 
-    A hit of any kind is checked in one pass (_stored_payload): the key
+    The anchor. A cache in front of a local archive is given the archive
+    unopened, as a LocalArchive, and the directory holds one more file,
+    ANCHOR, naming the sha256 of the chain.json bytes that filled it. On
+    open the cache hashes those bytes. If the anchor names them, the
+    LocalExplorer is opened on the first miss only, from the bytes that
+    were hashed, so a warm run never parses the archive. If the directory
+    has no anchor (a new one, or one filled before anchors), the archive is
+    opened at once, with every check of chain.json, and then the anchor is
+    written, by temporary file and rename, as entries are. If it names
+    other bytes, the archive is opened at once too, so a damaged one is its
+    own fault (exit 3), and one that opens is a UsageError naming both
+    digests: the directory answers for another archive. Any other inner
+    backend (RpcExplorer, or an explorer already open) names no digest: a
+    directory without an anchor serves it as it always did, and an anchored
+    one is a UsageError. The directory is made only after these checks, so
+    a refused archive leaves none behind.
+
+    A hit of any kind is checked in one pass (_checked_entry): the key
     prefix, then the digest of the payload against the tail; an entry whose
     payload has at most TEXT_CHUNK bytes in the bytes of its one read, a
     longer one on the file, a block at a time. A block or point payload is
-    then parsed and read by its kind's read: block_envelope for a block
-    (_block, under both block questions), the word check for a point query
-    (an int, not a bool, in [0, WORD_MASK]). A hit that fails the pass, does
-    not parse or fails the read is a bad entry: it counts as dropped, not as
-    a hit, is unlinked, and the query goes inner again. Replayed answers
-    skip the inner backend entirely. Entries are written to a temporary file
-    and renamed into place, so runs sharing a directory never read a torn
+    then decoded, a short one from the bytes the check read (_stored_text),
+    parsed and read by its kind's read: block_envelope for a block (_block,
+    under both block questions), the word check for a point query (an int,
+    not a bool, in [0, WORD_MASK]). A hit that fails the pass, does not
+    parse or fails the read is a bad entry: it counts as dropped, not as a
+    hit, is unlinked, and the query goes inner again. Replayed answers skip
+    the inner backend entirely. Entries are written to a temporary file and
+    renamed into place, so runs sharing a directory never read a torn
     entry.
 
     Traces stream. A trace hit is answered as the TextSpan of its payload,
@@ -754,15 +853,48 @@ class CachedExplorer:
     """
 
     def __init__(self, inner, directory: str | Path):
-        self.inner = inner
         self.base = Path(directory)
+        # str(self.base / name) for any name, joined without a Path: "" for
+        # the working directory, which Path leaves out
+        self._head = str(self.base / "_")[:-1]
+        self._inner, self._archive = inner, None
+        anchor = None  # the anchor the directory holds, if the inner names its bytes
+        if isinstance(inner, LocalArchive):
+            anchor = b'{"chainSha256":"%s"}' % digest(inner.chain).hex().encode()
+        stored = _read_anchor(self._head + ANCHOR)
+        if anchor is not None:
+            # opened on the first miss, or at once: a damaged archive is its own fault
+            lazy = stored == anchor
+            self._inner, self._archive = (None, inner) if lazy else (inner.open(), None)
+        if stored not in (None, anchor):
+            named = "an explorer that names no digest" if anchor is None else _anchored_to(anchor)
+            raise UsageError(
+                f"cache directory {self.base} answers for {_anchored_to(stored)}, not for {named}"
+            )
         try:
             self.base.mkdir(parents=True, exist_ok=True)
         except OSError as err:
             where, reason = quoted_fault(f"cache directory {self.base}", err)
             raise UsageError(f"{where} unusable: {reason}") from None
+        if anchor is not None and stored is None:  # written as entries are
+            path = self._head + ANCHOR
+            tmp = _temp_path(path)
+            try:
+                Path(tmp).write_bytes(anchor)
+                os.replace(tmp, path)
+            except OSError as err:
+                _unlink(tmp)
+                raise UsageError(f"cache anchor {path} not written: {err}") from None
         self.fetches: dict[str, int] = {}
         self.by_kind: dict[str, dict[str, int]] = {}
+
+    @property
+    def inner(self):
+        """The inner backend; over an anchored LocalArchive, opened here on
+        first use."""
+        if self._archive is not None:
+            self._inner, self._archive = self._archive.open(), None
+        return self._inner
 
     @property
     def hits(self) -> int:
@@ -772,44 +904,45 @@ class CachedExplorer:
     def dropped(self) -> int:
         return sum(counts["dropped"] for counts in self.by_kind.values())
 
-    def _entry(self, kind: str, key_parts: list) -> tuple[str, Path, bytes, dict]:
+    def _entry(self, kind: str, key_parts: list) -> tuple[str, str, bytes, dict]:
         """(key, path, key prefix, counts of its kind) of a query's entry."""
         key = _compact([kind, *key_parts])
-        path = self.base / f"{digest(key.encode()).hex()}.json"
+        path = f"{self._head}{digest(key.encode()).hex()}.json"
         prefix = b'{"key":' + _key_text(key).encode() + b',"payload":'
         counts = self.by_kind.setdefault(kind, {"hits": 0, "dropped": 0, "innerCalls": 0})
         return key, path, prefix, counts
 
-    def _lookup(self, kind: str, key_parts: list, fetch: Callable, read: Callable | None = None):
+    def _lookup(self, kind: str, key_parts: list, read: Callable | None, fetch: str, *args):
         """The query's answer. On a hit, read of its entry's payload once
         the one check passed, decoded; or for a trace (read None) the
-        payload's span, with its `again`. On a miss, read of what the
-        writer of fetch()'s answer read (CachedExplorer)."""
+        payload's span, with its `again`. On a miss, the inner backend's
+        method named fetch answers, called with args, and the answer is
+        read of what the writer of that answer read (CachedExplorer)."""
         key, path, prefix, counts = self._entry(kind, key_parts)
         try:
-            answer = span = _stored_payload(path, prefix)
-            if read is not None:
-                with span:
-                    answer = read(json.loads(span.text()))
+            if read is None:
+                answer = _stored_payload(path, prefix)
+            else:
+                answer = read(json.loads(_stored_text(path, prefix)))
         except FileNotFoundError:
             pass
         except (ValueError, RecursionError, ProtocolError):  # layout, digest, JSON or shape
             counts["dropped"] += 1
-            path.unlink(missing_ok=True)
+            _unlink(path)
         except OSError as err:
             raise _unreadable_entry(path, err) from None
         else:
             counts["hits"] += 1
             if read is None:  # a trace hit, which the walk checks after the answer
                 def again():
-                    path.unlink(missing_ok=True)
+                    _unlink(path)
                     counts["hits"] -= 1
                     counts["dropped"] += 1
-                    return self._lookup(kind, key_parts, fetch)
-                span.again = again
+                    return self._lookup(kind, key_parts, read, fetch, *args)
+                answer.again = again
             return answer
-        payload = fetch()
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        payload = getattr(self.inner, fetch)(*args)
+        tmp = _temp_path(path)
         write = partial(_write_entry, tmp, prefix)
 
         def written(doc):
@@ -828,7 +961,7 @@ class CachedExplorer:
             checked = answer if read is None else read(answer)
             os.replace(tmp, path)
         except BaseException as err:
-            tmp.unlink(missing_ok=True)
+            _unlink(tmp)
             if isinstance(answer, TextSpan):
                 answer.close()
             # a span answer that cannot be read or is not JSON (its reader's
@@ -853,21 +986,19 @@ class CachedExplorer:
     def _block(self, number: int) -> dict:
         """Block number's envelope, from its entry or from the inner
         document it writes, read by block_envelope (_block_entry)."""
-        fetch = partial(self.inner.collect_block_details, number)
-        return self._lookup("block", [number], fetch, _block_entry)
+        return self._lookup("block", [number], _block_entry, "collect_block_details", number)
 
     collect_block_details = collect_block_details
     block_transactions = block_transactions
 
     def tx_trace(self, tx_hash: bytes, tracer_spec: dict | None = None) -> dict | TextSpan:
-        fetch = partial(self.inner.tx_trace, tx_hash, tracer_spec)
-        return self._lookup("trace", [hash_hex(tx_hash), canonical_tracer(tracer_spec)], fetch)
+        key_parts = [hash_hex(tx_hash), canonical_tracer(tracer_spec)]
+        return self._lookup("trace", key_parts, None, "tx_trace", tx_hash, tracer_spec)
 
     def get_storage(self, addr: int, key: int, number: int) -> int:
         key_parts = [address_hex(addr), word_hex(key), number]
-        fetch = partial(self.inner.get_storage, addr, key, number)
-        return self._lookup("storage", key_parts, fetch, _checked_word)
+        return self._lookup("storage", key_parts, _checked_word, "get_storage", addr, key, number)
 
     def get_balance(self, addr: int, number: int) -> int:
-        fetch = partial(self.inner.get_balance, addr, number)
-        return self._lookup("balance", [address_hex(addr), number], fetch, _checked_word)
+        key_parts = [address_hex(addr), number]
+        return self._lookup("balance", key_parts, _checked_word, "get_balance", addr, number)

@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 from ..errors import UsageError
-from ..explorer import CachedExplorer, LocalExplorer, quoted_fault
+from ..explorer import CachedExplorer, LocalArchive, quoted_fault
 from ..orchestrator import InvestigationConfig, run_investigation
 from ..rules_evm import VulnSpec, read_vuln_doc
 
@@ -42,9 +42,9 @@ def bench(
 
     With mode "cached" one untimed warm-up run fills the cache first, so the
     numbers show steady-state cost rather than first-touch I/O. The cache is
-    a temporary directory per magnitude, removed after its timed runs: its
-    entries are keyed by query, not by archive, so one kept beside the
-    fixture could answer a rescaled fixture from the old archive.
+    a temporary directory per magnitude, removed after its timed runs: one
+    kept beside the fixture would be anchored to its chain.json, and so
+    refused once the fixture is rescaled.
     """
     if repeats < 1:
         raise UsageError("repeats must be at least 1")
@@ -61,9 +61,11 @@ def bench(
             raise UsageError(f"no {where}; run fixtures scale first")
         spec = VulnSpec.from_document(read_vuln_doc(directory))
         with tempfile.TemporaryDirectory(prefix="evmsleuth-bench-") as cache_dir:
-            explorer = LocalExplorer(directory)
+            archive = LocalArchive(directory)
             if mode == "cached":
-                explorer = CachedExplorer(explorer, cache_dir)
+                explorer = CachedExplorer(archive, cache_dir)
+            else:
+                explorer = archive.open()
             config = InvestigationConfig(
                 tag=directory.name, spec=spec, explorer=explorer, level=level, mode=mode
             )

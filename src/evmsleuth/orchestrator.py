@@ -48,8 +48,10 @@ block (explorer.block_envelope, the check behind exit 3, which
 LocalExplorer runs on every block when it opens the archive), and the
 read state takes the Transaction values that check read
 (block_transactions). The cache stores a block as its envelope document,
-so in cached mode each block entry, hit or just written, has its
-transactions read once more. Every trace walk, the scan's and the
+which that check reads on each hit. So in cached mode each block entry
+has its transactions read once, and once more when the archive is opened
+as well (a cold cache, or a miss in a warm one); a warm cache that misses
+nothing never opens the archive. Every trace walk, the scan's and the
 level's, is the read state's (ReadState.walk) and goes through its one
 ingest memo (traces.IngestMemo), so each op and stack word is checked
 once per investigation.
@@ -247,7 +249,7 @@ def _run_block_level(config, rows, report, timings, reads):
         if row.internal or row.to != spec.contract or row.selector not in selectors:
             continue
         by_block.setdefault(row.block_number, []).append(row)
-    report["totals"]["distinctTxs"] = sum(len(v) for v in by_block.values())
+    report["totals"]["distinctTxs"] = len({row.tx_hash for v in by_block.values() for row in v})
     report["totals"]["blocksEvaluated"] = len(by_block)
 
     for number in sorted(by_block):

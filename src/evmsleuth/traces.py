@@ -609,6 +609,14 @@ _next_cut = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{").search
 _SETTLED = 3
 
 
+def text_of(data: bytes) -> str:
+    """data as a file opened in text mode reads it: UTF-8, with "\\r\\n" and
+    "\\r" read as "\\n". ValueError if data is not UTF-8."""
+    text = str(data, "utf-8")
+    # the test spares the two scans of a text without one
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
 class Unstreamable(Exception):
     """The text is not in the shape the stream reads; json.loads decides."""
 
@@ -647,10 +655,7 @@ class TextSpan:
 
     def text(self) -> str:
         self.handle.seek(self.start)
-        text = str(self.handle.read(self.stop - self.start), "utf-8")
-        # "\r\n" and "\r" read as "\n", as in text mode; the test spares the
-        # two scans of a text without one, and a cache entry never has one
-        return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+        return text_of(self.handle.read(self.stop - self.start))
 
     def close(self):
         self.handle.close()

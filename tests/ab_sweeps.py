@@ -3,15 +3,18 @@ sweeps of one workload run through each tree's cli.main in turn, round by
 round, and every report must be the same in both.
 
     python tests/ab_sweeps.py SRC_A SRC_B
-        [--workload state-edges|suite|deep-trace] [--seed 11] [--rounds 20]
+        [--workload state-edges|suite|deep-trace] [--mode cached|local]
+        [--seed 11] [--rounds 20]
 
 SRC_A and SRC_B are `src` directories, each holding an evmsleuth package;
 they may be one and the same (an A/A run). Each is imported under a
 module name of its own, so both are loaded at once and a round compares
 them under the same interpreter, heap and page cache. The fixtures are
-built once, by SRC_A's fixtures package, and each tree warms a cache
-directory of its own: the sweeps are cached-mode investigations over warm
-caches, what the benchmark's `cached.p50_ref` measures.
+built once, by SRC_A's fixtures package. In mode `cached`, the default,
+each tree warms a cache directory of its own, and the sweeps are
+investigations over warm caches, what the benchmark's `cached.p50_ref`
+measures; in mode `local` they read the archives directly, what its
+`local.p50_ref` measures.
 
 The workloads are those of pipebench/run.py: `state-edges`, the
 TargetUnderflow storage fixture at magnitude 32000, investigated at block
@@ -104,6 +107,7 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", nargs=2, type=Path, metavar="SRC")
     parser.add_argument("--workload", choices=sorted(WORKLOADS), default="state-edges")
+    parser.add_argument("--mode", choices=["cached", "local"], default="cached")
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--rounds", type=int, default=20)
     args = parser.parse_args(argv)
@@ -117,10 +121,10 @@ def main(argv: list[str]) -> int:
         for package in packages:
             argvs[package] = []
             for name, directory in dirs.items():
-                cache = work / package.__name__ / name
-                command = ["investigate", "-t", "ab", "-e", f"local[dir={directory}]",
-                           "-d", level, "-c", str(cache)]
-                investigate(package, command)  # cold: writes every entry
+                command = ["investigate", "-t", "ab", "-e", f"local[dir={directory}]", "-d", level]
+                if args.mode == "cached":
+                    command += ["-c", str(work / package.__name__ / name)]
+                    investigate(package, command)  # cold: writes every entry
                 argvs[package].append(command)
         sweeps = {package: [] for package in packages}
         reports = None
@@ -141,7 +145,7 @@ def main(argv: list[str]) -> int:
     a, b = (sweeps[package] for package in packages)
     medians = [statistics.median(a), statistics.median(b)]
     wins = [sum(x < y for x, y in zip(a, b)), sum(y < x for x, y in zip(a, b))]
-    print(f"{args.workload} cached, seed {args.seed}, {args.rounds} rounds, "
+    print(f"{args.workload} {args.mode}, seed {args.seed}, {args.rounds} rounds, "
           f"{len(dirs)} fixture(s) a sweep; reports equal")
     for src, median, won in zip(args.trees, medians, wins):
         print(f"  {str(src):40s} median {median * 1e3:9.3f} ms  faster in {won}/{args.rounds}")

@@ -10,6 +10,7 @@ import threading
 import time
 from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -757,6 +758,24 @@ def test_cache_path_faults_are_usage_errors(local, tmp_path):
     entry.mkdir()
     with pytest.raises(UsageError, match=f"cache entry {entry} unreadable"):
         cache.get_balance(0xDEAD, 0)
+
+
+@pytest.mark.parametrize("directory", [".", "cache", "cache/", "./cache", "cache//deep/"])
+def test_cache_messages_quote_an_entry_path_as_pathlib_writes_it(
+    local, tmp_path, monkeypatch, directory
+):
+    # entry paths are joined as strings, and read as the Path join did: no
+    # "./" for the working directory, one separator after a trailing one
+    monkeypatch.chdir(tmp_path)
+    cache = CachedExplorer(local, directory)
+    cache.get_balance(0xDEAD, 0)
+    (entry,) = Path(directory).glob("*.json")
+    entry.unlink()
+    entry.mkdir()
+    with pytest.raises(UsageError) as refused:
+        cache.get_balance(0xDEAD, 0)
+    assert str(refused.value).startswith(f"cache entry {entry} unreadable: ")
+    assert not str(entry).startswith("./") and "//" not in str(entry)
 
 
 def test_cache_shared_by_concurrent_writers_never_reads_a_torn_entry(tmp_path):

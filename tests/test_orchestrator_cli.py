@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import functools
 import gc
+import hashlib
 import io
 import json
 import shutil
@@ -39,7 +40,7 @@ from evmsleuth.errors import (
     TraceParseError,
     UsageError,
 )
-from evmsleuth.explorer import CachedExplorer, LocalExplorer, apply_tracer
+from evmsleuth.explorer import ANCHOR, CachedExplorer, LocalExplorer, apply_tracer
 from evmsleuth.filters import (
     FilterQuery,
     ReadState,
@@ -296,6 +297,24 @@ def test_block_run_skips_unreadable_state(bank, spec, bank_dir, tmp_path, damage
     expected = {d["blockNumber"] for d in baseline["detections"]} - {victim}
     # deleting one snapshot breaks the two edges it participates in
     assert remaining <= expected
+
+
+def test_a_repeated_feed_row_is_one_distinct_transaction_at_both_levels(capsys, bank_dir, tmp_path):
+    # a feed that lists its last row twice: candidates counts rows, and
+    # distinctTxs transactions, at the block level as at the evm level
+    code, out, _ = run_cli(capsys, "export-feed", "-e", f"local[dir={bank_dir}]")
+    assert code == 0
+    header, *rows = out.splitlines()
+    feed = tmp_path / "feed.csv"
+    feed.write_text("\n".join([header, *rows, rows[-1]]) + "\n")
+    for level in ("evm", "block"):
+        code, out, err = run_cli(
+            capsys, "investigate", "-t", "x", "-e", f"local[dir={bank_dir}]", "-d", level,
+            "-f", f"feed[path={feed}]",
+        )
+        assert code == 0, err
+        totals = json.loads(out)["totals"]
+        assert (totals["candidates"], totals["distinctTxs"]) == (len(rows) + 1, len(set(rows)))
 
 
 # -- performance harness --
@@ -1719,9 +1738,20 @@ def damage_targets(bank_dir, bec, bec_dir, tmp_path_factory):
         assert _investigate(argv)[0] == 0  # cold: writes every entry
         code, out, err = _investigate(argv)
         assert code == 0, err
-        entries = sorted((caches / name).glob("*.json"))
-        targets[f"cache {name}"] = (entries, [argv], json.loads(out))
+        targets[f"cache {name}"] = (entry_files(caches / name), [argv], json.loads(out))
+        if name == "bank-evm":
+            targets["anchor"] = ([caches / name / ANCHOR], [argv], None)
+    # warm caches over the undamaged chain.json, which open its damage at once
+    for level in ("evm", "block"):
+        argv = ["-e", f"local[dir={bank_dir}]", "-d", level, "-c", str(caches / f"chain-{level}")]
+        assert _investigate(argv)[0] == 0
+        targets["chain.json"][1].append(argv)
     return targets
+
+
+def entry_files(cache: Path) -> list[Path]:
+    """The entries of a cache directory: its files but the anchor."""
+    return sorted(path for path in cache.glob("*.json") if path.name != ANCHOR)
 
 
 def _walk_refuses(entry: bytes, runs: list) -> bool:
@@ -1760,10 +1790,13 @@ def test_damaged_archive_or_cache_file_is_never_a_traceback(damage_targets, data
         broken = damaged(original, data.draw(damage(original, kinds)))
     # a re-sealed trace entry the walk refuses is dropped and fetched again
     refused = reseal and _walk_refuses(broken, runs)
+    changed = broken != original
     path.write_bytes(broken)
+    codes = []
     try:
         for argv in runs:
             code, out, err = _investigate(argv)
+            codes.append(code)
             assert code in (0, 2, 3), err
             if code != 0:
                 assert out == "" and err.startswith("evmsleuth: ")
@@ -1775,12 +1808,19 @@ def test_damaged_archive_or_cache_file_is_never_a_traceback(damage_targets, data
             # the damaged entry is dropped, fetched again and rewritten as
             # it was; nothing else about the run changes
             stats = doc["explorerStats"]
-            changed = broken != original
             assert (stats["dropped"], stats["innerCalls"]) == (changed, changed)
             assert _results(doc) == _results(warm)
             assert path.read_bytes() == original
     finally:
         path.write_bytes(original)
+    if kind == "chain.json":
+        # a warm cache opens a changed archive at once: a damaged one fails
+        # as the local run does, and one that opens is no longer the archive
+        # the directory is anchored to
+        local, cached = codes[:2], codes[2:]
+        assert cached == [code if code else 2 * changed for code in local]
+    if kind == "anchor":  # names no archive, or another one
+        assert codes == [2 * changed]
 
 
 def _reseal_traces_the_walk_refuses(cache_dir) -> int:
@@ -1788,7 +1828,7 @@ def _reseal_traces_the_walk_refuses(cache_dir) -> int:
     first step's gas written as a string, a payload with its digest that
     the walk refuses; the number of entries re-sealed."""
     resealed_entries = 0
-    for path in cache_dir.glob("*.json"):
+    for path in entry_files(cache_dir):
         entry = json.loads(path.read_bytes())
         if json.loads(entry["key"])[0] != "trace" or not entry["payload"]["structLogs"]:
             continue
@@ -1842,12 +1882,12 @@ def test_internal_discovery_fetches_a_trace_entry_the_walk_refuses_again(
     assert code == 0 and expected["detections"], err
     cached = [*local, "-c", str(tmp_path / "cache")]
     assert _investigate(cached)[0] == 0
-    entries = [json.loads(path.read_bytes()) for path in (tmp_path / "cache").glob("*.json")]
+    entries = [json.loads(path.read_bytes()) for path in entry_files(tmp_path / "cache")]
     trace_entries = sum(json.loads(entry["key"])[0] == "trace" for entry in entries)
     resealed_entries = _reseal_traces_the_walk_refuses(tmp_path / "cache")
     assert (trace_entries, resealed_entries) == {"bec": (22, 18), "long": (2, 2)}[archive]
     if archive == "long":
-        sizes = [path.stat().st_size for path in (tmp_path / "cache").glob("*.json")]
+        sizes = [path.stat().st_size for path in entry_files(tmp_path / "cache")]
         assert max(sizes) > 20 * traces.TEXT_CHUNK  # the long hit is checked on the file, and streamed
     for dropped in (resealed_entries, 0):
         code, out, err = _investigate(cached)
@@ -1856,6 +1896,124 @@ def test_internal_discovery_fetches_a_trace_entry_the_walk_refuses_again(
         assert (doc["detections"], doc["skips"]) == (expected["detections"], expected["skips"])
         stats = {"hits": trace_entries - dropped, "dropped": dropped, "innerCalls": dropped}
         assert doc["explorerStats"]["byKind"]["trace"] == stats
+
+
+# -- the cache anchor --
+
+
+def _sha256_of(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_a_cache_directory_refuses_a_rebuilt_archive(capsys, tmp_path):
+    # a fixture rescaled at another seed under a directory its cache was
+    # filled over: the old answers name transactions the new chain does not
+    # hold, so the directory is refused, naming both chain.json digests
+    root, cache = tmp_path / "scaled", tmp_path / "cache"
+    scale = ["fixtures", "scale", "--axis", "storage", "--magnitude", "50", "--root", str(root)]
+    chain = root / "storage-50" / "chain.json"
+    run = ["investigate", "-t", "x", "-e", f"local[dir={chain.parent}]", "-d", "block",
+           "-c", str(cache)]
+    assert run_cli(capsys, *scale, "--seed", "11")[0] == 0
+    old = _sha256_of(chain)
+    assert run_cli(capsys, *run)[0] == 0
+    assert run_cli(capsys, *scale, "--seed", "12")[0] == 0
+    new = _sha256_of(chain)
+    assert new != old
+    code, out, err = run_cli(capsys, *run)
+    assert (code, out) == (2, "")
+    assert err.startswith("evmsleuth: ") and err.count("\n") == 1
+    assert old in err and new in err
+    assert run_cli(capsys, *run[:-2])[0] == 0  # the rebuilt archive itself is sound
+
+
+def _damage_chain(path: Path, kind: str):
+    if kind == "missing":
+        path.unlink()
+    elif kind == "non-json":
+        path.write_bytes(path.read_bytes()[:-2])
+    else:  # a block without its hash
+        chain = json.loads(path.read_text())
+        del chain["blocks"][2]["hash"]
+        path.write_text(json.dumps(chain))
+
+
+@pytest.mark.parametrize("mode", ["local", "cold", "warm", "customTracer"])
+@pytest.mark.parametrize("kind", ["missing", "non-json", "malformed-block"])
+def test_cli_damaged_chain_json_exits_3_in_every_mode(capsys, bank_dir, tmp_path, kind, mode):
+    # a warm cache is anchored to the undamaged chain.json, so it opens the
+    # damaged one at once and fails as a local run does; a cold one fails
+    # before its directory is made
+    clone, cache = tmp_path / "clone", tmp_path / "cache"
+    shutil.copytree(bank_dir, clone)
+    detector = "evm[mode=customTracer]" if mode == "customTracer" else "evm"
+    run = ["investigate", "-t", "x", "-e", f"local[dir={clone}]", "-d", detector]
+    if mode in ("cold", "warm"):
+        run += ["-c", str(cache)]
+    if mode == "warm":
+        assert run_cli(capsys, *run)[0] == 0
+    _damage_chain(clone / "chain.json", kind)
+    code, out, err = run_cli(capsys, *run)
+    assert (code, out) == (3, "") and err.startswith("evmsleuth: ")
+    assert cache.exists() == (mode == "warm")
+
+
+def test_a_warm_cache_never_opens_the_archive(capsys, monkeypatch, bank_dir, tmp_path):
+    opened = []
+    real = LocalExplorer.__init__
+
+    def counted(self, *args, **kwargs):
+        opened.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(LocalExplorer, "__init__", counted)
+    for level in ("evm", "block"):
+        cache = tmp_path / level
+        run = ["investigate", "-t", "x", "-e", f"local[dir={bank_dir}]", "-d", level,
+               "-c", str(cache)]
+        stats = []
+        for delete in (False, False, True):  # cold, warm, warm without one entry
+            if delete:
+                entry_files(cache)[0].unlink()
+            opened.clear()
+            code, out, err = run_cli(capsys, *run)
+            assert code == 0, err
+            stats.append(json.loads(out)["explorerStats"])
+            assert len(opened) == [1, 0, 1][len(stats) - 1]
+        _, warm, refilled = stats
+        assert (warm["innerCalls"], refilled["innerCalls"]) == (0, 1)
+        assert warm["hits"] == refilled["hits"] + 1
+
+
+def test_a_cache_directory_without_an_anchor_is_adopted(capsys, bank_dir, tmp_path):
+    # as one filled before anchors were written: the archive is opened at
+    # once, the anchor written, and every entry answers as before
+    cache = tmp_path / "cache"
+    run = ["investigate", "-t", "x", "-e", f"local[dir={bank_dir}]", "-c", str(cache)]
+    assert run_cli(capsys, *run)[0] == 0
+    anchor = (cache / ANCHOR).read_bytes()
+    assert anchor == b'{"chainSha256":"' + _sha256_of(bank_dir / "chain.json").encode() + b'"}'
+    (cache / ANCHOR).unlink()
+    code, out, err = run_cli(capsys, *run)
+    assert code == 0, err
+    stats = json.loads(out)["explorerStats"]
+    assert (stats["innerCalls"], stats["hits"]) == (0, len(entry_files(cache)))
+    assert (cache / ANCHOR).read_bytes() == anchor
+
+
+def test_an_anchored_cache_refuses_an_explorer_that_names_no_digest(capsys, bank_dir, tmp_path):
+    # an rpc node, or an archive opened before the cache saw its bytes
+    cache = tmp_path / "cache"
+    run = ["investigate", "-t", "x", "-c", str(cache)]
+    assert run_cli(capsys, *run, "-e", f"local[dir={bank_dir}]")[0] == 0
+    vuln = bank_dir / "vulns" / "Bank.json"
+    code, out, err = run_cli(
+        capsys, *run, "-e", "rpc[url=http://127.0.0.1:9]", "-d", f"evm[vuln={vuln}]"
+    )
+    assert (code, out) == (2, "")
+    assert "names no digest" in err and _sha256_of(bank_dir / "chain.json") in err
+    with pytest.raises(UsageError, match="names no digest"):
+        CachedExplorer(LocalExplorer(bank_dir), cache)
 
 
 # -- hostile feeds --

@@ -1,7 +1,8 @@
 """The six scenarios at seed 11 give the same bytes, run after run: each
 report (its timings aside) and each cache directory, at both levels, local
 and cached (cold, then warm over the same directory), and the evm level's
-report in customTracer mode.
+report in customTracer mode. A cache directory is pinned as its entries'
+digest and its anchor's bytes, which name the scenario's chain.json.
 
 A change that must not change a result is checked against these digests.
 A change that means to change a result updates them, and says why.
@@ -16,12 +17,13 @@ from pathlib import Path
 import pytest
 
 from evmsleuth.cli import main
+from evmsleuth.explorer import ANCHOR
 from evmsleuth.fixtures import SCENARIO_NAMES, build_fixture_chain, write_fixture
 
 SEED = 11
 
 # scenario -> level -> sha256 of (local report, cold report, warm report,
-# cache directory after the warm run)
+# cache entries after the warm run)
 PINNED = {
     "Bank": {
         "evm": (
@@ -109,6 +111,19 @@ PINNED = {
     },
 }
 
+# scenario -> the bytes of a cache directory's anchor, at either level
+ANCHOR_PINNED = {
+    name: b'{"chainSha256":"' + chain_sha256.encode() + b'"}'
+    for name, chain_sha256 in {
+        "Bank": "18d9335f50b14ff9829ad7902428217719baafdd08f8ba034766a8a091295d25",
+        "DelayedUnderflow": "e904498ed36400294a993e54eaf0790154438cb22e387b80635d73685beb228f",
+        "ProductVote": "ca7efdd2dc7955821d6b1bf7fef29943963dc3f0eba6f692a5d63bb135554845",
+        "SimulationBECToken": "7b3122bfcd4b85c854abb7afb84e12a8060fefd27281826532f98c34ef1de3a9",
+        "SimulationKotET": "2157f5128dd30386e239dc07bc3172f1bbf2a83891720b9dfb8e62dc9cc1bbd2",
+        "TargetUnderflow": "7ff4abc433c89bf955ebf74322a800acfd0c134e5afdd5baf087cb9810b071d7",
+    }.items()
+}
+
 # scenario -> sha256 of the evm level's customTracer report
 TRACER_PINNED = {
     "Bank": "67ecce057561f5d0cd70d6d37fa3271931a784c5a5ef8619bee78fa43a8bba6f",
@@ -139,10 +154,12 @@ def report_digest(*argv) -> str:
 
 
 def tree_digest(directory: Path) -> str:
+    """The digest of the cache entries under directory: every file but the
+    anchor."""
     files = sorted(
         (path.relative_to(directory).as_posix(), path.read_bytes())
         for path in directory.rglob("*")
-        if path.is_file()
+        if path.is_file() and path.name != ANCHOR
     )
     return hashlib.sha256(repr(files).encode()).hexdigest()
 
@@ -159,6 +176,7 @@ def test_seed_11_bytes_are_pinned(scenario_dirs, tmp_path, name, level):
         tree_digest(tmp_path / "cache"),
     )
     assert got == PINNED[name][level]
+    assert (tmp_path / "cache" / ANCHOR).read_bytes() == ANCHOR_PINNED[name]
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)

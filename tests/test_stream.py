@@ -749,9 +749,10 @@ def test_a_long_entry_changed_between_check_and_walk_walks_what_was_checked(
     real = explorer._stored_payload
     raced = []
 
-    def racing(path, prefix):
-        answer = real(path, prefix)
+    def racing(name, prefix):
+        answer = real(name, prefix)
         if answer.stop - answer.start > TEXT_CHUNK:  # checked on the file
+            path = Path(name)
             raced.append(path)
             if change == "unlinked":
                 path.unlink()
