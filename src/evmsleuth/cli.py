@@ -10,13 +10,19 @@ fixtures and bench import the producer (evmsleuth.fixtures, the harness in
 evmsleuth.fixtures.bench) when they run; investigate and export-feed never
 load it.
 
-main builds a fresh parser on every call: the root parser and the subparser
-of the one command that argv[0] names, or every command's when argv names
-none (no arguments, -h, a typo). The help, usage and error texts are those
-of the full parser either way. On Python 3.11 with 2 shared vCPUs, building
-all four takes about 0.8 ms and building one about 0.2 ms, and a warm-cache
-block-level investigation of a storage-32000 fixture takes 1.8 ms in-process
-with the full parser, 1.3 ms without. Nothing is kept between calls.
+main reads an investigate or export-feed command line itself (read_plain)
+when it is the command followed by FLAG VALUE pairs alone: each flag spelt
+as declared, no value starting with "-", no option but -p given more than
+once, and every required option given. Any other command line (-h, --,
+--tag=x, -tx, an abbreviation, a leftover, a missing option, another
+command) goes to the full argparse parser (make_parser), built on the call,
+so help, usage, error texts and exit codes are argparse's. Both read the
+options from one table, PLAIN_COMMANDS. On Python 3.11 with 2 shared vCPUs,
+read_plain takes about 3 us where building the full parser takes 0.9 ms; a
+warm-cache block-level investigation of a storage-32000 fixture takes
+0.7 ms in-process through read_plain and 1.7 ms through the full parser;
+and a fresh process that read_plain serves never imports argparse, gettext
+or locale (2.6-2.9 ms under -X importtime). Nothing is kept between calls.
 
 With -c over a local archive, investigate and export-feed read chain.json
 but leave its parse to the cache (build_explorer, with_cache), which
@@ -41,10 +47,12 @@ completed (detections are data, not a status), 2 configuration problem,
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     ArchiveGapError,
@@ -59,6 +67,9 @@ from .explorer import CachedExplorer, LocalArchive, RpcExplorer, read_json, read
 from .filters import FilterQuery, ReadState, parse_csv_feed, tx_list, write_csv_feed
 from .orchestrator import InvestigationConfig, run_investigation
 from .rules_evm import VulnSpec, read_vuln_doc
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -377,20 +388,87 @@ def cmd_export_feed(args) -> int:
 # -- argument surface --------------------------------------------------------------
 
 
-def _investigate_arguments(inv: argparse.ArgumentParser):
-    inv.add_argument("-t", "--tag", required=True, help="run label, echoed in the report")
-    inv.add_argument("-p", dest="param", action="append", default=[],
-                     metavar="KEY=VALUE", help="shared parameter (repeatable)")
-    inv.add_argument("-f", dest="filter", default=None, metavar="FILTER",
-                     help="spec | spec[from=N,to=N,internal=BOOL] | "
-                          "select[sigs=SIG|...] | feed[path=CSV]")
-    inv.add_argument("-e", dest="explorer", required=True, metavar="EXPLORER",
-                     help="local[dir=PATH] | rpc[url=URL,retries=N,timeout=S]")
-    inv.add_argument("-d", dest="detector", default="evm", metavar="DETECTOR",
-                     help="evm | block, optionally [vuln=PATH,rule=NAME,mode=customTracer]")
-    inv.add_argument("-c", "--cache", default=None, metavar="DIR",
-                     help="cache directory (switches mode to cached)")
-    inv.set_defaults(handler=cmd_investigate)
+class Option(NamedTuple):
+    """One option of investigate or export-feed: what make_parser passes to
+    add_argument, and all that read_plain knows of it."""
+
+    flags: tuple[str, ...]
+    dest: str
+    help: str | None = None
+    metavar: str | None = None
+    required: bool = False
+    repeated: bool = False  # action="append", default []
+    default: str | None = None
+
+
+# name -> (handler, options in the order help lists them), for the commands
+# that read_plain reads
+PLAIN_COMMANDS = {
+    "investigate": (cmd_investigate, (
+        Option(("-t", "--tag"), "tag", "run label, echoed in the report", required=True),
+        Option(("-p",), "param", "shared parameter (repeatable)", "KEY=VALUE", repeated=True),
+        Option(("-f",), "filter", "spec | spec[from=N,to=N,internal=BOOL] | "
+                                  "select[sigs=SIG|...] | feed[path=CSV]", "FILTER"),
+        Option(("-e",), "explorer", "local[dir=PATH] | rpc[url=URL,retries=N,timeout=S]",
+               "EXPLORER", required=True),
+        Option(("-d",), "detector",
+               "evm | block, optionally [vuln=PATH,rule=NAME,mode=customTracer]",
+               "DETECTOR", default="evm"),
+        Option(("-c", "--cache"), "cache", "cache directory (switches mode to cached)", "DIR"),
+    )),
+    "export-feed": (cmd_export_feed, (
+        Option(("-e",), "explorer", metavar="EXPLORER", required=True),
+        Option(("-f",), "filter", metavar="FILTER"),
+        Option(("-p",), "param", metavar="KEY=VALUE", repeated=True),
+        Option(("-c", "--cache"), "cache", metavar="DIR"),
+        Option(("--vuln",), "vuln", "vulnerability description JSON"),
+    )),
+}
+_PLAIN_FLAGS = {
+    name: {flag: option for option in options for flag in option.flags}
+    for name, (_, options) in PLAIN_COMMANDS.items()
+}
+
+
+def read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """What make_parser().parse_args(argv) gives when argv is investigate or
+    export-feed followed by FLAG VALUE pairs alone: each flag spelt as
+    declared, no value starting with "-", no option but -p given more than
+    once, and every required option given. None for any other argv, whose
+    help, usage and errors only the full parser gives."""
+    lane = PLAIN_COMMANDS.get(argv[0]) if argv else None
+    if lane is None or len(argv) % 2 == 0:
+        return None
+    handler, options = lane
+    flags = _PLAIN_FLAGS[argv[0]]
+    values = {}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        option = flags.get(flag)
+        if option is None or value.startswith("-"):
+            return None
+        if option.repeated:
+            values.setdefault(option.dest, []).append(value)
+        elif option.dest in values:
+            return None
+        else:
+            values[option.dest] = value
+    for option in options:
+        if option.dest not in values:
+            if option.required:
+                return None
+            values[option.dest] = [] if option.repeated else option.default
+    return SimpleNamespace(command=argv[0], handler=handler, **values)
+
+
+def _plain_arguments(name: str, parser: argparse.ArgumentParser):
+    handler, options = PLAIN_COMMANDS[name]
+    for option in options:
+        parser.add_argument(
+            *option.flags, dest=option.dest, help=option.help, metavar=option.metavar,
+            required=option.required, action="append" if option.repeated else "store",
+            default=[] if option.repeated else option.default,
+        )
+    parser.set_defaults(handler=handler)
 
 
 def _fixtures_arguments(fix: argparse.ArgumentParser):
@@ -420,41 +498,27 @@ def _bench_arguments(ben: argparse.ArgumentParser):
     ben.set_defaults(handler=cmd_bench)
 
 
-def _export_feed_arguments(feed: argparse.ArgumentParser):
-    feed.add_argument("-e", dest="explorer", required=True, metavar="EXPLORER")
-    feed.add_argument("-f", dest="filter", default=None, metavar="FILTER")
-    feed.add_argument("-p", dest="param", action="append", default=[], metavar="KEY=VALUE")
-    feed.add_argument("-c", "--cache", default=None, metavar="DIR")
-    feed.add_argument("--vuln", default=None, help="vulnerability description JSON")
-    feed.set_defaults(handler=cmd_export_feed)
-
-
 # name -> (help, the function that adds its arguments), in the order -h lists them
 COMMANDS = {
-    "investigate": ("run one detector level over an archive", _investigate_arguments),
+    "investigate": ("run one detector level over an archive",
+                    partial(_plain_arguments, "investigate")),
     "fixtures": ("build or scale labeled fixture chains", _fixtures_arguments),
     "bench": ("measure analyze time over scaled fixtures", _bench_arguments),
-    "export-feed": ("write the candidate list as CSV", _export_feed_arguments),
+    "export-feed": ("write the candidate list as CSV", partial(_plain_arguments, "export-feed")),
 }
 
 
-def make_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser. With the name of a command, only that command's
-    subparser is built; its help, usage and error texts are those of the
-    full parser, which is built for any other command (or none)."""
+def make_parser() -> argparse.ArgumentParser:
+    """The argument parser of every command. argparse is imported here, so
+    that a command line read_plain reads never loads it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="evmsleuth",
         description="Post-factum exploit detection over EVM archive data.",
     )
-    known = command in COMMANDS
-    # the usage line lists every command either way; with no command given
-    # a metavar would replace "command" in the "required" error, so the
-    # full parser sets none
-    sub = parser.add_subparsers(
-        dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}" if known else None
-    )
-    for name in (command,) if known else COMMANDS:
-        help_text, add_arguments = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in COMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
@@ -462,7 +526,7 @@ def make_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = make_parser(argv[0] if argv else None).parse_args(argv)
+    args = read_plain(argv) or make_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (UsageError, ConfigError, FeedError, TraceParseError, ReconstructionError) as err:

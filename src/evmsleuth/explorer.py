@@ -641,8 +641,18 @@ def _anchored_to(stored: bytes) -> str:
 
 # json.dumps(value, separators=(",", ":"), sort_keys=True) and json.dumps(key)
 # of a str key, from encoders built once
-_compact = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 _key_text = json.encoder.encode_basestring_ascii
+if json.encoder.c_make_encoder is None:
+    _compact = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+else:
+    # no markers dict, which JSONEncoder builds anew for each call: one kept
+    # from a failed encode would raise a false "Circular reference" after
+    _compact_chunks = json.encoder.c_make_encoder(
+        None, None, _key_text, None, ":", ",", True, False, True
+    )
+
+    def _compact(value) -> str:
+        return "".join(_compact_chunks(value, 0))
 
 
 def _temp_path(path: str) -> str:

@@ -1,6 +1,5 @@
 """End-to-end investigation runs and the command-line surface."""
 
-import argparse
 import contextlib
 import dataclasses
 import functools
@@ -21,8 +20,10 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from damages import damage, damaged, resealed
+from isolated import modules_loaded, run_isolated_cli
 from evmsleuth import filters, orchestrator, traces
 from evmsleuth.cli import (
+    PLAIN_COMMANDS,
     build_detector,
     build_explorer,
     build_filter,
@@ -30,6 +31,7 @@ from evmsleuth.cli import (
     make_parser,
     parse_component,
     parse_shared,
+    read_plain,
     split_params,
     with_cache,
 )
@@ -1353,8 +1355,9 @@ def test_cli_bench_rejects_bad_magnitudes(capsys, tmp_path, magnitudes, message)
 
 # -- the argument surface --
 
-# main builds only the parser of the command argv[0] names; every argv here
-# must read as it does through the parser of every command
+# main reads a plain investigate or export-feed command line itself
+# (read_plain) and hands any other to the full parser; every argv here must
+# read as it does through the full parser
 _INVESTIGATE = ["investigate", "-t", "x", "-e", "local[dir=/tmp/bank]"]
 _SCALE = ["fixtures", "scale", "--axis", "storage", "--magnitude", "10"]
 _BENCH = ["bench", "--root", "r", "--axis", "storage", "--magnitudes", "1,2"]
@@ -1401,6 +1404,12 @@ _VALID_ARGVS = [
     [*_BENCH, "--mode", "cached", "--level", "block", "--repeats", "1"],
     ["export-feed", "-e", "local[dir=/tmp/bank]"],
     ["export-feed", "-e", "e", "-f", "spec", "-p", "from=1", "-c", "c", "--vuln", "v.json"],
+    # the command lines pipebench runs
+    ["investigate", "-t", "pipebench-local", "-e", "local[dir=/tmp/f]", "-d", "block"],
+    ["investigate", "-t", "pipebench-cached", "-e", "local[dir=/tmp/f]", "-d", "evm",
+     "-c", "/tmp/cache/f"],
+    ["investigate", "-t", "pipebench-tracer", "-e", "local[dir=/tmp/f]",
+     "-d", "evm[mode=customTracer]"],
 ]
 
 
@@ -1431,10 +1440,70 @@ def test_cli_usage_texts_name_the_commands(capsys):
 
 @pytest.mark.parametrize("argv", _VALID_ARGVS, ids=" ".join)
 def test_cli_arguments_parse_as_through_the_full_parser(argv):
-    parser = make_parser(argv[0])
-    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert list(commands.choices) == [argv[0]]
-    assert parser.parse_args(argv) == make_parser().parse_args(argv)
+    # read_plain reads every investigate and export-feed command line here,
+    # and leaves the others to the full parser
+    expected = vars(make_parser().parse_args(argv))
+    args = read_plain(argv)
+    if argv[0] in PLAIN_COMMANDS:
+        assert args is not None and vars(args) == expected
+    else:
+        assert args is None
+
+
+_PLAIN_FLAGS = sorted({flag for _, options in PLAIN_COMMANDS.values()
+                       for option in options for flag in option.flags})
+_PLAIN_VALUES = ["", "x", "a=b", "investigate"]
+_TOKENS = [*_PLAIN_FLAGS, "-h", "--help", "--", "--ta", "--cach", "--tag=x", "-tx",
+           *_PLAIN_VALUES, "-1", "-x y"]
+
+
+@st.composite
+def _command_lines(draw) -> list[str]:
+    # a command and FLAG VALUE pairs: each required option given, each flag
+    # the command's own and each value plain, four times in five; else any
+    # token in its place. Then, one time in five, a stray token anywhere.
+    def one_in_five(usual: list[str]) -> str:
+        return draw(st.sampled_from(_TOKENS if draw(st.integers(0, 4)) == 0 else usual))
+
+    command = draw(st.sampled_from(sorted(PLAIN_COMMANDS)))
+    options = PLAIN_COMMANDS[command][1]
+    own = [flag for option in options for flag in option.flags]
+    pairs = [(option.flags[0], one_in_five(_PLAIN_VALUES))
+             for option in options if option.required and draw(st.integers(0, 4))]
+    for _ in range(draw(st.integers(0, 3))):
+        pairs.append((one_in_five(own), one_in_five(_PLAIN_VALUES)))
+    argv = [command, *(token for pair in draw(st.permutations(pairs)) for token in pair)]
+    if draw(st.integers(0, 4)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_TOKENS)))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_command_lines())
+def test_read_plain_reads_what_the_full_parser_reads(argv):
+    # whatever command line read_plain accepts, the full parser reads the
+    # same way; it declines the rest, which main hands to the full parser
+    args = read_plain(argv)
+    if args is not None:
+        assert vars(args) == vars(make_parser().parse_args(argv))
+
+
+def test_a_plain_command_line_never_loads_argparse(bank_dir, tmp_path):
+    # a fresh run of a command line read_plain reads imports neither
+    # argparse nor gettext; -h still gets the full parser's help
+    explorer = ["-e", f"local[dir={bank_dir}]"]
+    for argv in (
+        ["investigate", "-t", "x", *explorer],
+        ["investigate", "-t", "x", *explorer, "-d", "block", "-c", str(tmp_path / "cache")],
+        ["export-feed", *explorer],
+    ):
+        run = run_isolated_cli(*argv)
+        assert run.returncode == 0, run.stderr
+        assert {"argparse", "gettext"} & modules_loaded(run) == set()
+    for argv in (["investigate", "-h"], ["export-feed", "--help"]):
+        run = run_isolated_cli(*argv)
+        assert run.returncode == 0
+        assert run.stdout.startswith(f"usage: evmsleuth {argv[0]} [-h]")
 
 
 @pytest.mark.parametrize("argv", [[], _INVESTIGATE + ["--bogus"], ["fixtures", "scale", "-h"]])
