@@ -412,8 +412,9 @@ class LocalArchive:
     (CachedExplorer), so a warm cache need not open the archive at all."""
 
     def __init__(self, directory: str | Path):
-        self.base = Path(directory)
-        self.chain = read_bytes(self.base / "chain.json", f"chain.json under {self.base}")
+        self.base = directory
+        what = f"chain.json under {directory}"
+        self.chain = read_bytes(os.path.join(directory, "chain.json"), what)
 
     def open(self) -> LocalExplorer:
         return LocalExplorer(self.base, self.chain)
@@ -723,30 +724,34 @@ def _checked_entry(path: str, prefix: bytes) -> tuple[bytes, BinaryIO | None, in
     absent."""
     start = len(prefix)
     head = start + TEXT_CHUNK + _TAIL_SIZE  # the longest entry read whole
-    hasher = new_digest()
-    handle = open(path, "rb", buffering=0)  # one read(2) takes a short entry whole
+    fd = os.open(path, os.O_RDONLY)
+    handle = None  # a long entry's file, which then holds fd; else fd is closed here
     try:
-        data = handle.read(head + 1)
+        data = os.read(fd, head + 1)  # one read(2) takes a short entry whole
         if not data.startswith(prefix):
             raise ValueError("not a cache entry for this key")
         if len(data) <= head:
-            handle.close()
-            handle = None
             stop = max(start, len(data) - _TAIL_SIZE)  # shorter than both: a short tail
-            hasher.update(memoryview(data)[start:stop])
+            sha256 = digest(memoryview(data)[start:stop]).hex().encode()
             tail = data[stop:]
         else:
+            handle = open(fd, "rb", buffering=0)
             stop = handle.seek(0, io.SEEK_END) - _TAIL_SIZE
+            hasher = new_digest()
             for block in TextSpan(handle, start, stop, partial(_entry_faults, path)).blocks():
                 hasher.update(block)
+            sha256 = hasher.hexdigest().encode()
             tail = handle.read()
-        if tail != _TAIL_HEAD + hasher.hexdigest().encode() + b'"}':
+        if tail != b'%b%b"}' % (_TAIL_HEAD, sha256):
             raise ValueError("payload digest mismatch")
         return data, handle, stop
     except BaseException:
         if handle is not None:
             handle.close()
         raise
+    finally:
+        if handle is None:
+            os.close(fd)
 
 
 def _stored_payload(path: str, prefix: bytes) -> TextSpan:
@@ -813,7 +818,7 @@ class CachedExplorer:
     backend (RpcExplorer, or an explorer already open) names no digest: a
     directory without an anchor serves it as it always did, and an anchored
     one is a UsageError. The directory is made only after these checks, so
-    a refused archive leaves none behind.
+    a refused archive leaves none behind, and only when it held no anchor.
 
     A hit of any kind is checked in one pass (_checked_entry): the key
     prefix, then the digest of the payload against the tail; an entry whose
@@ -863,10 +868,10 @@ class CachedExplorer:
     """
 
     def __init__(self, inner, directory: str | Path):
-        self.base = Path(directory)
-        # str(self.base / name) for any name, joined without a Path: "" for
-        # the working directory, which Path leaves out
-        self._head = str(self.base / "_")[:-1]
+        self.base = directory
+        # str(Path(directory) / name) for any name, joined without a Path: ""
+        # for the working directory, which Path leaves out
+        self._head = str(Path(directory) / "_")[:-1]
         self._inner, self._archive = inner, None
         anchor = None  # the anchor the directory holds, if the inner names its bytes
         if isinstance(inner, LocalArchive):
@@ -881,20 +886,21 @@ class CachedExplorer:
             raise UsageError(
                 f"cache directory {self.base} answers for {_anchored_to(stored)}, not for {named}"
             )
-        try:
-            self.base.mkdir(parents=True, exist_ok=True)
-        except OSError as err:
-            where, reason = quoted_fault(f"cache directory {self.base}", err)
-            raise UsageError(f"{where} unusable: {reason}") from None
-        if anchor is not None and stored is None:  # written as entries are
-            path = self._head + ANCHOR
-            tmp = _temp_path(path)
+        if stored is None:  # else the anchor just read shows the directory is there
             try:
-                Path(tmp).write_bytes(anchor)
-                os.replace(tmp, path)
+                Path(directory).mkdir(parents=True, exist_ok=True)
             except OSError as err:
-                _unlink(tmp)
-                raise UsageError(f"cache anchor {path} not written: {err}") from None
+                where, reason = quoted_fault(f"cache directory {self.base}", err)
+                raise UsageError(f"{where} unusable: {reason}") from None
+            if anchor is not None:  # written as entries are
+                path = self._head + ANCHOR
+                tmp = _temp_path(path)
+                try:
+                    Path(tmp).write_bytes(anchor)
+                    os.replace(tmp, path)
+                except OSError as err:
+                    _unlink(tmp)
+                    raise UsageError(f"cache anchor {path} not written: {err}") from None
         self.fetches: dict[str, int] = {}
         self.by_kind: dict[str, dict[str, int]] = {}
 
@@ -918,8 +924,10 @@ class CachedExplorer:
         """(key, path, key prefix, counts of its kind) of a query's entry."""
         key = _compact([kind, *key_parts])
         path = f"{self._head}{digest(key.encode()).hex()}.json"
-        prefix = b'{"key":' + _key_text(key).encode() + b',"payload":'
-        counts = self.by_kind.setdefault(kind, {"hits": 0, "dropped": 0, "innerCalls": 0})
+        prefix = b'{"key":%b,"payload":' % _key_text(key).encode()
+        counts = self.by_kind.get(kind)
+        if counts is None:
+            counts = self.by_kind[kind] = {"hits": 0, "dropped": 0, "innerCalls": 0}
         return key, path, prefix, counts
 
     def _lookup(self, kind: str, key_parts: list, read: Callable | None, fetch: str, *args):

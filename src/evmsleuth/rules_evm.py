@@ -38,6 +38,7 @@ downstream reporting can say so.
 
 from __future__ import annotations
 
+import os
 import re
 import reprlib
 from dataclasses import dataclass
@@ -156,11 +157,22 @@ class VulnSpec:
 
 
 def read_vuln_doc(directory: str | Path) -> dict:
-    """Load the single vuln descriptor from a fixture directory."""
-    vulns = sorted(Path(directory).glob("vulns/*.json"))
-    if not vulns:
+    """Load the one vuln descriptor of a fixture directory, the one entry of
+    its vulns/ named *.json (a dot-file too, as a glob matches it); a
+    UsageError if there is none, or more than one."""
+    vulns = os.path.join(directory, "vulns")
+    try:
+        names = sorted(name for name in os.listdir(vulns) if name.endswith(".json"))
+    except OSError:  # no vulns/, or not a directory
+        names = []
+    if not names:
         raise UsageError(f"no vulns/*.json under {directory}")
-    path = vulns[0]
+    if len(names) > 1:
+        raise UsageError(
+            f"{len(names)} vulnerability descriptions under {vulns}: "
+            f"{', '.join(names):.80}; pass one with -d LEVEL[vuln=PATH] or --vuln PATH"
+        )
+    path = os.path.join(vulns, names[0])
     return read_json(path, f"vulnerability description at {path}", UsageError, ConfigError)
 
 

@@ -5,6 +5,7 @@ mode, and never a skip, a traceback or a silently different run."""
 import contextlib
 import io
 import json
+import shutil
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -160,3 +161,120 @@ def test_an_edited_descriptor_is_exit_2_at_both_levels_or_neither(archives, vuln
             json.loads(out)
         else:
             assert out == "" and err.startswith("evmsleuth: ")
+
+
+# -- the descriptor a fixture directory carries --
+
+
+def run(*argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+# command lines that read the implicit descriptor of the archive at {archive}
+IMPLICIT = {
+    "evm": ("investigate", "-t", "d", "-e", "local[dir={archive}]"),
+    "block-cached": ("investigate", "-t", "d", "-e", "local[dir={archive}]", "-d", "block",
+                     "-c", "{cache}"),
+    "export-feed": ("export-feed", "-e", "local[dir={archive}]"),
+}
+
+
+def run_implicit(command, archive, cache) -> tuple[int, object, str]:
+    """(exit code, result, stderr) of the command line over archive: the
+    feed text, or the report without its timings."""
+    code, out, err = run(*(arg.format(archive=archive, cache=cache) for arg in IMPLICIT[command]))
+    if code == 0 and command != "export-feed":
+        out = json.loads(out)
+        del out["timings"]
+    return code, out, err
+
+
+def _bank_with_vulns(archives, tmp_path, build) -> str:
+    """A copy of Bank whose vulns/ is replaced by what build(vulns, bank's
+    descriptor text, TargetUnderflow's) makes of it."""
+    copy = tmp_path / "bank"
+    shutil.copytree(archives["Bank"][0], copy)
+    shutil.rmtree(copy / "vulns")
+    bank, target = (json.dumps(archives[name][1]) for name in ("Bank", "TargetUnderflow"))
+    build(copy / "vulns", bank, target)
+    return str(copy)
+
+
+def _descriptors(**files):
+    """A vulns/ directory holding files, name -> "bank" or "target"."""
+    def build(vulns, bank, target):
+        vulns.mkdir()
+        for name, which in files.items():
+            (vulns / name).write_text(bank if which == "bank" else target)
+    return build
+
+
+def _z_json_directory(vulns, bank, target):
+    vulns.mkdir()
+    (vulns / "z.json").mkdir()
+
+
+def _no_vulns(vulns, bank, target):
+    pass
+
+
+def _vulns_a_file(vulns, bank, target):
+    vulns.write_text(bank)
+
+
+# how vulns/ is laid out -> the one stderr line every command line gives
+# ({archive} and {vulns} are the copy's directories), or None where the copy
+# runs as Bank's own directory does
+LISTINGS = {
+    # a glob of *.json matches a dot-file
+    "dot-file": (_descriptors(**{".x.json": "bank"}), None),
+    "z.json-directory": (
+        _z_json_directory,
+        "evmsleuth: vulnerability description at {vulns}/z.json unreadable: "
+        "[Errno 21] Is a directory: '{vulns}/z.json'\n",
+    ),
+    "missing": (_no_vulns, "evmsleuth: no vulns/*.json under {archive}\n"),
+    "a-file": (_vulns_a_file, "evmsleuth: no vulns/*.json under {archive}\n"),
+    # more than one is refused, named in sorted order: B before a
+    "B-and-a": (
+        _descriptors(**{"B.json": "bank", "a.json": "target"}),
+        "evmsleuth: 2 vulnerability descriptions under {vulns}: B.json, a.json; "
+        "pass one with -d LEVEL[vuln=PATH] or --vuln PATH\n",
+    ),
+    # TargetUnderflow's descriptor beside Bank's was read first, by name: a
+    # run over Bank's chain of another scenario, exit 0 with 0 candidates
+    "AAA-beside-Bank": (
+        _descriptors(**{"AAA.json": "target", "Bank.json": "bank"}),
+        "evmsleuth: 2 vulnerability descriptions under {vulns}: AAA.json, Bank.json; "
+        "pass one with -d LEVEL[vuln=PATH] or --vuln PATH\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(IMPLICIT))
+@pytest.mark.parametrize("listing", list(LISTINGS))
+def test_a_fixture_directory_carries_exactly_one_descriptor(archives, tmp_path, listing, command):
+    build, refusal = LISTINGS[listing]
+    archive = _bank_with_vulns(archives, tmp_path, build)
+    code, out, err = run_implicit(command, archive, tmp_path / "cache")
+    if refusal is None:  # what Bank's own directory gives
+        assert (code, out) == run_implicit(command, archives["Bank"][0], tmp_path / "bank")[:2]
+    else:
+        assert (code, out) == (2, "")
+        assert err == refusal.format(archive=archive, vulns=f"{archive}/vulns")
+        assert not (tmp_path / "cache").exists()
+
+
+def test_a_descriptor_named_on_the_command_line_needs_no_listing(archives, tmp_path):
+    # vuln=PATH picks one of several, as the refusal says
+    build = _descriptors(**{"AAA.json": "target", "Bank.json": "bank"})
+    archive = _bank_with_vulns(archives, tmp_path, build)
+    vuln = f"{archive}/vulns/Bank.json"
+    code, out, _ = run("investigate", "-t", "d", "-e", f"local[dir={archive}]",
+                       "-d", f"evm[vuln={vuln}]")
+    assert code == 0 and json.loads(out)["totals"]["detections"] == 6
+    code, out, _ = run("export-feed", "-e", f"local[dir={archive}]", "--vuln", vuln)
+    assert code == 0 and len(out.splitlines()) == 9

@@ -374,17 +374,20 @@ def test_parse_component_grammar():
 
 
 def test_parse_shared_pairs():
-    assert parse_shared(["from=1", "note=x=y"]) == {"from": "1", "note": "x=y"}
+    assert parse_shared(["from=1", "to=x=y"]) == {"from": "1", "to": "x=y"}
     with pytest.raises(UsageError, match="key=value"):
         parse_shared(["oops"])
+    # only from and to are read, so any other key is refused, as leftovers are
+    with pytest.raises(UsageError, match=r"^unknown shared parameter\(s\): form, note$"):
+        parse_shared(["from=1", "note=x", "form=3"])
 
 
 # -- component construction --
 
 
 def test_build_explorer_variants(bank_dir, tmp_path):
-    explorer = build_explorer(f"local[dir={bank_dir}]")
-    assert isinstance(explorer, LocalExplorer)
+    explorer, archive = build_explorer(f"local[dir={bank_dir}]")
+    assert isinstance(explorer, LocalExplorer) and archive == str(bank_dir)
     assert with_cache(explorer, None) is explorer
     wrapped = with_cache(explorer, str(tmp_path / "cache"))
     assert isinstance(wrapped, CachedExplorer) and wrapped.inner is explorer
@@ -398,31 +401,32 @@ def test_build_explorer_variants(bank_dir, tmp_path):
         build_explorer(f"local[dir={bank_dir},turbo=1]")
     with pytest.raises(UsageError, match="needs url=URL"):
         build_explorer("rpc")
-    assert build_explorer("rpc[url=http://localhost:1,timeout=2.5]").timeout == 2.5
+    rpc, archive = build_explorer("rpc[url=http://localhost:1,timeout=2.5]")
+    assert rpc.timeout == 2.5 and archive is None
     for bad in ("abc", "0", "-1", "inf", "nan"):
         with pytest.raises(UsageError, match="timeout must be a positive number"):
             build_explorer(f"rpc[url=http://localhost:1,timeout={bad}]")
 
 
 def test_build_detector_variants(bank_dir):
-    explorer_text = f"local[dir={bank_dir}]"
-    level, spec, mode = build_detector("evm", explorer_text, None)
+    archive = str(bank_dir)  # the local archive build_explorer names
+    level, spec, mode = build_detector("evm", archive, None)
     assert (level, mode) == ("evm", "local")
     assert spec.scenario == "Bank"
-    level, _, mode = build_detector("block", explorer_text, None)
+    level, _, mode = build_detector("block", archive, None)
     assert (level, mode) == ("block", "local")
-    _, _, mode = build_detector("evm[mode=customTracer]", explorer_text, None)
+    _, _, mode = build_detector("evm[mode=customTracer]", archive, None)
     assert mode == "customTracer"
-    _, _, mode = build_detector("evm", explorer_text, "/tmp/cache")
+    _, _, mode = build_detector("evm", archive, "/tmp/cache")
     assert mode == "cached"
     with pytest.raises(UsageError, match="unknown detector level"):
-        build_detector("vm", explorer_text, None)
+        build_detector("vm", archive, None)
     with pytest.raises(ConfigError, match="does not match"):
-        build_detector("evm[rule=dos]", explorer_text, None)
+        build_detector("evm[rule=dos]", archive, None)
     with pytest.raises(UsageError, match="pick one mode"):
-        build_detector("evm[mode=customTracer]", explorer_text, "/tmp/cache")
+        build_detector("evm[mode=customTracer]", archive, "/tmp/cache")
     with pytest.raises(UsageError, match="no vulnerability description"):
-        build_detector("evm", "rpc[url=http://x]", None)
+        build_detector("evm", None, None)  # no local archive: rpc
 
 
 def test_build_filter_variants(spec):
@@ -1183,6 +1187,9 @@ def test_cli_export_feed_reads_the_vuln_option(capsys, bank, bank_dir, tmp_path)
         (["-d", "evm[vuln=/no/such/vuln.json]"], "no vulnerability description at"),
         (["-d", "block[vuln=/no/such/vuln.json]"], "no vulnerability description at"),
         (["-f", "spec[internal=yes]"], "internal must be true or false"),
+        # only from and to are read: a mistyped key ran over the whole range
+        (["-p", "form=3"], "unknown shared parameter(s): form"),
+        (["-p", "to=4", "-p", "form=3", "-p", "fro=1"], "unknown shared parameter(s): form, fro"),
     ],
 )
 def test_cli_bad_detector_or_filter_parameter_exits_2(capsys, bank_dir, argv, message):
@@ -1191,6 +1198,21 @@ def test_cli_bad_detector_or_filter_parameter_exits_2(capsys, bank_dir, argv, me
     )
     assert code == 2 and out == ""
     assert err.startswith("evmsleuth: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "command", [["investigate", "-t", "x"], ["export-feed"]], ids=lambda command: command[0]
+)
+def test_cli_shared_parameters_are_from_and_to(capsys, bank_dir, tmp_path, command):
+    explorer = ["-e", f"local[dir={bank_dir}]"]
+    code, out, err = run_cli(capsys, *command, *explorer, "-p", "form=3")
+    assert (code, out, err) == (2, "", "evmsleuth: unknown shared parameter(s): form\n")
+    code, out, _ = run_cli(capsys, *command, *explorer, "-p", "from=4", "-p", "to=4")
+    assert code == 0
+    if command[0] == "investigate":
+        assert json.loads(out)["config"]["filter"]["blockRange"] == [4, 4]
+    else:
+        assert {row.block_number for row in parse_csv_feed(out)} == {4}
 
 
 def test_cli_export_feed_rejects_feed_input(capsys, bank_dir, tmp_path):
